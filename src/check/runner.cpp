@@ -218,18 +218,24 @@ void apply_crash(core::Agent& agent, const FaultSpec& fault) {
 // The deliberate defect the harness must be able to catch (see ISSUE /
 // docs/correctness.md): a double-booking scheduler modeled as one core
 // claimed behind every placer's back and never released. Retries until a
-// core is free so the leak lands even mid-burst.
-void inject_overcommit(core::Session& session, core::Pilot& pilot,
-                       sim::Time start) {
-  auto leak = std::make_shared<std::function<void()>>();
-  *leak = [&session, &pilot, leak] {
+// core is free so the leak lands even mid-burst. The retry reschedules a
+// copy of itself, so nothing outlives the engine that holds it.
+struct OvercommitInjector {
+  core::Session& session;
+  core::Pilot& pilot;
+
+  void operator()() const {
     const auto range = pilot.allocation();
     for (platform::NodeId n = range.first; n < range.end(); ++n) {
       if (session.cluster().node(n).allocate(1, 0)) return;  // leaked
     }
-    session.engine().in(1.0, [leak] { (*leak)(); });
-  };
-  session.engine().at(start, [leak] { (*leak)(); });
+    session.engine().in(1.0, *this);
+  }
+};
+
+void inject_overcommit(core::Session& session, core::Pilot& pilot,
+                       sim::Time start) {
+  session.engine().at(start, OvercommitInjector{session, pilot});
 }
 
 // Journal lines end in '\n'; violation details are single-line.

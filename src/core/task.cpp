@@ -74,16 +74,20 @@ void Task::advance(TaskState next, sim::Time now) {
              to_string(next));
   const TaskState from = state_;
   state_ = next;
-  state_times_.emplace(next, now);  // keep the *first* entry time
+  const auto index = static_cast<unsigned>(next);
+  if ((entered_ & (1u << index)) == 0) {  // keep the *first* entry time
+    entered_ = static_cast<std::uint16_t>(entered_ | (1u << index));
+    state_times_[index] = now;
+  }
   if (transition_hook_ && *transition_hook_) {
     (*transition_hook_)(*this, from, next);
   }
 }
 
 bool Task::state_time(TaskState state, sim::Time& out) const {
-  const auto it = state_times_.find(state);
-  if (it == state_times_.end()) return false;
-  out = it->second;
+  const auto index = static_cast<unsigned>(state);
+  if ((entered_ & (1u << index)) == 0) return false;
+  out = state_times_[index];
   return true;
 }
 

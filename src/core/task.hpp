@@ -4,8 +4,9 @@
 // uniform profiling and failure handling across execution substrates.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -110,7 +111,12 @@ class Task {
   TaskDescription description_;
   std::shared_ptr<const TransitionHook> transition_hook_;
   TaskState state_ = TaskState::kNew;
-  std::map<TaskState, sim::Time> state_times_;
+  // First entry time per state, valid where the state's bit is set in
+  // entered_.
+  static constexpr std::size_t kStateCount =
+      static_cast<std::size_t>(TaskState::kCanceled) + 1;
+  std::array<sim::Time, kStateCount> state_times_{};
+  std::uint16_t entered_ = 0;
   std::string backend_;
   std::string error_;
   int attempts_ = 0;

@@ -28,7 +28,6 @@ DragonBackend::DragonBackend(sim::Engine& engine, platform::Cluster& cluster,
         if (start_handler_) start_handler_(event.id);
         return;
       }
-      task_runtime_.erase(event.id);
       FLOT_CHECK(inflight_ > 0, "dragon completion without inflight task");
       --inflight_;
       platform::LaunchOutcome outcome;
@@ -102,7 +101,6 @@ void DragonBackend::submit(platform::LaunchRequest request) {
     fail_task(request.id, "no healthy dragon runtime can fit task");
     return;
   }
-  task_runtime_[request.id] = target;
   runtimes_[static_cast<size_t>(target)]->execute(std::move(request));
 }
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dragon/runtime.hpp"
@@ -98,7 +97,6 @@ class DragonBackend : public platform::TaskBackend {
   platform::NodeRange span_;
   std::string name_ = "dragon";
   std::vector<std::unique_ptr<Runtime>> runtimes_;
-  std::unordered_map<std::string, int> task_runtime_;
   int cores_per_node_;
   platform::DragonCalibration cal_;
   std::size_t inflight_ = 0;

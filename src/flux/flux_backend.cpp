@@ -25,9 +25,7 @@ FluxBackend::FluxBackend(sim::Engine& engine, platform::Cluster& cluster,
         seed + 7919 * (i + 1)));
     instances_.back()->backfill_depth = backfill_depth;
     instances_.back()->on_event(
-        [this, i](const JobEvent& event) {
-          handle_event(static_cast<int>(i), event);
-        });
+        [this](const JobEvent& event) { handle_event(event); });
   }
 }
 
@@ -105,11 +103,10 @@ void FluxBackend::submit(platform::LaunchRequest request) {
   job.gang = std::move(request.gang);
   job.gang_size = request.gang_size;
   job.priority = request.priority;
-  task_instance_[job.id] = target;
   instances_[static_cast<size_t>(target)]->submit(std::move(job));
 }
 
-void FluxBackend::handle_event(int instance_index, const JobEvent& event) {
+void FluxBackend::handle_event(const JobEvent& event) {
   switch (event.kind) {
     case JobEventKind::kSubmit:
     case JobEventKind::kAlloc:
@@ -118,7 +115,6 @@ void FluxBackend::handle_event(int instance_index, const JobEvent& event) {
       if (start_handler_) start_handler_(event.job_id);
       return;
     case JobEventKind::kFinish: {
-      task_instance_.erase(event.job_id);
       FLOT_CHECK(inflight_ > 0, "finish without inflight task");
       --inflight_;
       platform::LaunchOutcome outcome;
@@ -132,8 +128,6 @@ void FluxBackend::handle_event(int instance_index, const JobEvent& event) {
     }
     case JobEventKind::kException: {
       if (event.job_id.empty()) return;  // instance-level marker
-      (void)instance_index;
-      task_instance_.erase(event.job_id);
       FLOT_CHECK(inflight_ > 0, "exception without inflight task");
       --inflight_;
       platform::LaunchOutcome outcome;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flux/instance.hpp"
@@ -83,7 +82,7 @@ class FluxBackend : public platform::TaskBackend {
   }
 
  private:
-  void handle_event(int instance_index, const JobEvent& event);
+  void handle_event(const JobEvent& event);
   int pick_instance(const platform::ResourceDemand& demand,
                     const std::string& gang) const;
   void fail_task(const std::string& id, const std::string& error);
@@ -94,7 +93,6 @@ class FluxBackend : public platform::TaskBackend {
   std::string name_ = "flux";
   std::vector<std::unique_ptr<Instance>> instances_;
   sim::Resource* srun_ceiling_;  // may be null (no ceiling coupling)
-  std::unordered_map<std::string, int> task_instance_;
   std::size_t inflight_ = 0;
   mutable int rr_cursor_ = 0;
   bool ready_ = false;

@@ -1,11 +1,22 @@
 // EventCalendar: one shard's slice of the simulation's event set.
 //
-// A calendar owns a (time, seq) min-heap plus the live-callback map that
-// implements tombstone cancellation. The sequence numbers that break ties
-// at equal times are assigned by the owner (sim::Engine): globally in
-// single-shard mode (bit-identical to the historical engine) and per shard
-// in sharded mode, so every calendar's pop order is deterministic without
-// any cross-shard coordination.
+// A calendar is a (time, seq) min-heap over a slot slab. Each heap entry
+// names the slab slot that holds its callback; a slot is recycled through
+// a free list as soon as its event fires or is cancelled, so the slab is
+// as large as the peak number of pending events, never as the history.
+//
+// Cancellation uses seq/slot tombstones. A handle is the (seq, slot) pair
+// push() returned; cancel() frees the slot only while the slot still
+// stores that seq. The heap entry stays behind as a tombstone and is
+// dropped when it reaches the top, because its seq no longer matches its
+// slot's. Sequence numbers are unique within a calendar, so a stale handle
+// can never cancel (and a tombstone never fire) whatever event reuses the
+// slot later.
+//
+// The sequence numbers that break ties at equal times are assigned by the
+// owner (sim::Engine): globally in single-shard mode (bit-identical to the
+// historical engine) and per shard in sharded mode, so every calendar's
+// pop order is deterministic without any cross-shard coordination.
 //
 // Threading contract: a calendar has exactly one owner at any instant —
 // the engine's coordinator between drain rounds, or the one worker
@@ -17,8 +28,9 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
+
+#include "sim/callback.hpp"
 
 namespace flotilla::sim {
 
@@ -26,30 +38,47 @@ using Time = double;  // virtual seconds
 
 inline constexpr Time kInfiniteTime = std::numeric_limits<Time>::infinity();
 
-using Callback = std::function<void()>;
-
 class EventCalendar {
  public:
+  // Identifies one pushed event for cancel().
+  struct Handle {
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+  };
+
   struct Popped {
     Time time = 0.0;
     std::uint64_t seq = 0;
     Callback callback;
   };
 
-  // Inserts an event; `seq` must be unique within this calendar and
-  // strictly increasing between pushes at equal times (the owner's
-  // counter guarantees both).
-  void push(Time time, std::uint64_t seq, Callback callback) {
-    heap_.push(Entry{time, seq});
-    callbacks_.emplace(seq, std::move(callback));
+  // Inserts an event; `seq` must be non-zero, unique within this calendar
+  // and strictly increasing between pushes at equal times (the owner's
+  // counter guarantees all three).
+  Handle push(Time time, std::uint64_t seq, Callback callback) {
+    std::uint32_t slot = 0;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    slots_[slot].seq = seq;
+    slots_[slot].callback = std::move(callback);
+    heap_.push(Entry{time, seq, slot});
+    ++live_;
+    return Handle{seq, slot};
   }
 
-  // Tombstones a pending event; returns false if `seq` is unknown or
-  // already fired.
-  bool cancel(std::uint64_t seq) {
-    const auto it = callbacks_.find(seq);
-    if (it == callbacks_.end()) return false;
-    callbacks_.erase(it);
+  // Tombstones a pending event; returns false if the handle's event
+  // already fired or was cancelled.
+  bool cancel(Handle handle) {
+    if (handle.seq == 0 || handle.slot >= slots_.size()) return false;
+    Slot& slot = slots_[handle.slot];
+    if (slot.seq != handle.seq) return false;
+    slot.callback = Callback{};
+    release(handle.slot);
     return true;
   }
 
@@ -67,21 +96,21 @@ class EventCalendar {
     if (heap_.empty()) return false;
     const Entry entry = heap_.top();
     heap_.pop();
-    const auto it = callbacks_.find(entry.seq);
     out->time = entry.time;
     out->seq = entry.seq;
-    out->callback = std::move(it->second);
-    callbacks_.erase(it);
+    out->callback = std::move(slots_[entry.slot].callback);
+    release(entry.slot);
     return true;
   }
 
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t live() const { return callbacks_.size(); }
+  bool empty() const { return live_ == 0; }
+  std::size_t live() const { return live_; }
 
  private:
   struct Entry {
     Time time;
     std::uint64_t seq;
+    std::uint32_t slot;
     // Min-heap by (time, seq).
     friend bool operator>(const Entry& a, const Entry& b) {
       if (a.time != b.time) return a.time > b.time;
@@ -89,15 +118,28 @@ class EventCalendar {
     }
   };
 
+  struct Slot {
+    std::uint64_t seq = 0;  // 0 while the slot is free
+    Callback callback;
+  };
+
+  void release(std::uint32_t slot) {
+    slots_[slot].seq = 0;
+    free_.push_back(slot);
+    --live_;
+  }
+
   void pop_cancelled() {
     while (!heap_.empty() &&
-           callbacks_.find(heap_.top().seq) == callbacks_.end()) {
+           slots_[heap_.top().slot].seq != heap_.top().seq) {
       heap_.pop();
     }
   }
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
 };
 
 }  // namespace flotilla::sim

@@ -73,9 +73,8 @@ Engine::EventId Engine::at(ShardId shard, Time t, Callback cb) {
   const Time floor = ctx != nullptr ? ctx->now : now_;
   if (t < floor) t = floor;
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
-  const std::uint64_t seq = sh.next_seq++;
-  sh.calendar.push(t, seq, std::move(cb));
-  return EventId{seq, shard};
+  const auto handle = sh.calendar.push(t, sh.next_seq++, std::move(cb));
+  return EventId{handle.seq, shard, handle.slot};
 }
 
 Engine::EventId Engine::enqueue_send(ShardId to, Time t, Callback cb) {
@@ -91,16 +90,11 @@ Engine::EventId Engine::enqueue_send(ShardId to, Time t, Callback cb) {
   return EventId{id, to};
 }
 
-void Engine::invoke_on(ShardId shard, Callback cb) {
+bool Engine::must_hop(ShardId shard) const {
+  // Same shard or no event context to hop off: the historical direct-call
+  // path, bit-identical to the unsharded engine.
   const ExecContext* ctx = context();
-  if (config_.shards == 1 || ctx == nullptr || ctx->shard == shard) {
-    // Same shard, single-shard engine, or no event context to hop off:
-    // the historical direct-call path, bit-identical to the unsharded
-    // engine.
-    cb();
-    return;
-  }
-  enqueue_send(shard, ctx->now, std::move(cb));
+  return ctx != nullptr && ctx->shard != shard;
 }
 
 bool Engine::cancel(EventId id) {
@@ -113,11 +107,11 @@ bool Engine::cancel(EventId id) {
     }
     const auto it = sh.delivered_sends.find(id.seq);
     if (it == sh.delivered_sends.end()) return false;
-    const std::uint64_t seq = it->second;
+    const EventCalendar::Handle handle = it->second;
     sh.delivered_sends.erase(it);
-    return sh.calendar.cancel(seq);
+    return sh.calendar.cancel(handle);
   }
-  return sh.calendar.cancel(id.seq);
+  return sh.calendar.cancel(EventCalendar::Handle{id.seq, id.slot});
 }
 
 void Engine::deliver_sends() {
@@ -137,14 +131,13 @@ void Engine::deliver_sends() {
         }
         if (!live) continue;  // cancelled in flight
         const Time t = std::max(send.time, watermark_);
-        const std::uint64_t seq = dsh.next_seq++;
-        dsh.delivered_sends.emplace(send.id, seq);
-        dsh.calendar.push(
-            t, seq,
-            [this, dst, id = send.id, cb = std::move(send.callback)] {
+        const auto handle = dsh.calendar.push(
+            t, dsh.next_seq++,
+            [this, dst, id = send.id, cb = std::move(send.callback)]() mutable {
               shards_[dst].delivered_sends.erase(id);
               cb();
             });
+        dsh.delivered_sends.emplace(send.id, handle);
       }
       box.clear();
     }

@@ -74,11 +74,15 @@ class Engine {
     Time lookahead = 0.0;
   };
 
+  // `slot` is the calendar slot the event occupies (unused by mailbox
+  // sends); cancel() checks it against `seq`, so an id outliving its event
+  // never touches whatever event reuses the slot.
   struct EventId {
     std::uint64_t seq = 0;
     ShardId shard = 0;
+    std::uint32_t slot = 0;
     friend bool operator==(EventId a, EventId b) {
-      return a.seq == b.seq && a.shard == b.shard;
+      return a.seq == b.seq && a.shard == b.shard && a.slot == b.slot;
     }
   };
 
@@ -124,12 +128,20 @@ class Engine {
     return at(shard, now() + delay, std::move(cb));
   }
 
-  // Runs `cb` immediately when already on `shard` (or when the engine is
+  // Runs `fn` immediately when already on `shard` (or when the engine is
   // single-shard — the historical direct-call path, bit-identical to the
   // unsharded engine); otherwise posts it to `shard` at the current time
   // via the mailbox. The agent uses this to hop backend completion
-  // events back onto the control shard.
-  void invoke_on(ShardId shard, Callback cb);
+  // events back onto the control shard. A template so the direct call
+  // never type-erases the closure.
+  template <typename F>
+  void invoke_on(ShardId shard, F&& fn) {
+    if (config_.shards == 1 || !must_hop(shard)) {
+      fn();
+      return;
+    }
+    enqueue_send(shard, now(), Callback(std::forward<F>(fn)));
+  }
 
   // Cancels a pending event; cancelling an already-fired or unknown event
   // is a harmless no-op and returns false. Cross-shard cancellation is
@@ -180,8 +192,12 @@ class Engine {
 
  private:
   // Cross-shard send ids live in a distinct keyspace from calendar
-  // sequence numbers so EventId stays a plain pair.
+  // sequence numbers so EventId stays a plain value.
   static constexpr std::uint64_t kSendBit = 1ull << 63;
+
+  // Whether invoke_on(shard) must post through the mailbox: only from
+  // inside an event on another shard.
+  bool must_hop(ShardId shard) const;
 
   struct PendingSend {
     Time time;
@@ -202,8 +218,8 @@ class Engine {
     // Outboxes, destination-indexed: sends buffered during a round, in
     // the deterministic order this shard issued them.
     std::vector<std::vector<PendingSend>> outbox;
-    // Delivered-send cancellation index: send id -> calendar seq.
-    std::unordered_map<std::uint64_t, std::uint64_t> delivered_sends;
+    // Delivered-send cancellation index: send id -> calendar handle.
+    std::unordered_map<std::uint64_t, EventCalendar::Handle> delivered_sends;
   };
 
   struct ExecContext {  // thread-local active-event frame

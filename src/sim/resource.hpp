@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "sim/engine.hpp"
 
@@ -17,7 +16,7 @@ namespace flotilla::sim {
 
 class Resource {
  public:
-  using Granted = std::function<void()>;
+  using Granted = Callback;
 
   Resource(Engine& engine, std::int64_t capacity);
 

@@ -23,14 +23,13 @@ void Server::start_next() {
     ++busy_;
     busy_accum_ += item.service_time;
     engine_.in(item.service_time,
-               [this, st = item.service_time,
-                done = std::move(item.done)]() mutable {
-                 finish(st, std::move(done));
+               [this, done = std::move(item.done)]() mutable {
+                 finish(std::move(done));
                });
   }
 }
 
-void Server::finish(Time /*service_time*/, Done done) {
+void Server::finish(Done done) {
   --busy_;
   ++completed_;
   if (done) done();

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "sim/engine.hpp"
 
@@ -17,7 +16,7 @@ namespace flotilla::sim {
 
 class Server {
  public:
-  using Done = std::function<void()>;
+  using Done = Callback;
 
   Server(Engine& engine, int parallelism = 1);
 
@@ -41,7 +40,7 @@ class Server {
   };
 
   void start_next();
-  void finish(Time service_time, Done done);
+  void finish(Done done);
 
   Engine& engine_;
   int parallelism_;

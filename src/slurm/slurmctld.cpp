@@ -27,6 +27,20 @@ std::int64_t Slurmctld::free_cores() const {
   return cluster_.free_cores(allocation_);
 }
 
+bool Slurmctld::can_ever_fit(const platform::ResourceDemand& demand) const {
+  if (demand.cores > cluster_.total_cores(allocation_) ||
+      demand.gpus > cluster_.total_gpus(allocation_)) {
+    return false;
+  }
+  if (demand.cores_per_node <= 0) return true;
+  // Tightly coupled steps take one chunk on each of
+  // ceil(cores / cores_per_node) distinct nodes.
+  const std::int64_t chunks =
+      (demand.cores + demand.cores_per_node - 1) / demand.cores_per_node;
+  return demand.cores_per_node <= cluster_.spec().cores_per_node &&
+         chunks <= allocation_.count;
+}
+
 double Slurmctld::step_create_cost() const {
   const double n = static_cast<double>(allocation_.count);
   return cal_.ctl_step_base + cal_.ctl_step_per_node * n +

@@ -56,6 +56,10 @@ class Slurmctld {
                      std::function<void()> done);
 
   platform::NodeRange allocation() const { return allocation_; }
+  // False when `demand` could not be placed even on an idle allocation:
+  // more cores or GPUs than it has, or a tightly coupled chunk larger than
+  // a node or spread over more nodes than it has.
+  bool can_ever_fit(const platform::ResourceDemand& demand) const;
   std::int64_t free_cores() const;
   std::uint64_t steps_created() const { return steps_created_; }
   std::uint64_t retries_served() const { return retries_served_; }

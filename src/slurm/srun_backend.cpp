@@ -56,6 +56,18 @@ void SrunBackend::submit(platform::LaunchRequest request) {
 
 void SrunBackend::accept(platform::LaunchRequest request) {
   FLOT_CHECK(healthy_, "submit to srun backend before bootstrap");
+  if (!ctld_.can_ever_fit(request.demand)) {
+    // Real srun rejects a step larger than its allocation at once instead
+    // of polling for resources that can never free up. The task never
+    // took a ceiling slot, so it bypasses finish().
+    platform::LaunchOutcome outcome;
+    outcome.id = std::move(request.id);
+    outcome.success = false;
+    outcome.error = "step can never fit the srun allocation";
+    outcome.finished = engine_.now();
+    if (completion_handler_) completion_handler_(outcome);
+    return;
+  }
   ++inflight_;
   auto srun = std::make_shared<Srun>();
   srun->request = std::move(request);

@@ -1,7 +1,6 @@
 #include "util/id_registry.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <charconv>
 
 namespace flotilla::util {
 
@@ -11,9 +10,17 @@ std::string IdRegistry::next(const std::string& ns, int width) {
     std::lock_guard lock(mutex_);
     value = counters_[ns]++;
   }
-  std::ostringstream os;
-  os << ns << '.' << std::setw(width) << std::setfill('0') << value;
-  return os.str();
+  char digits[20] = {};  // 2^64 - 1 has 20 decimal digits
+  const auto length = static_cast<std::size_t>(
+      std::to_chars(digits, digits + sizeof digits, value).ptr - digits);
+  const std::size_t padding =
+      width > 0 && static_cast<std::size_t>(width) > length
+          ? static_cast<std::size_t>(width) - length
+          : 0;
+  std::string id;
+  id.reserve(ns.size() + 1 + padding + length);
+  id.append(ns).append(1, '.').append(padding, '0').append(digits, length);
+  return id;
 }
 
 std::uint64_t IdRegistry::count(const std::string& ns) const {

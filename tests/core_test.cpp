@@ -47,6 +47,32 @@ TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
   EXPECT_DOUBLE_EQ(t, 4.0);
 }
 
+TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
+  Task task("task.0", {});
+  task.advance(TaskState::kTmgrScheduling, 0.0);  // a zero time still counts
+  task.advance(TaskState::kAgentScheduling, 2.0);
+  task.advance(TaskState::kExecutorPending, 3.0);
+  task.advance(TaskState::kAgentScheduling, 5.0);  // retry edge re-entry
+  task.advance(TaskState::kExecutorPending, 6.0);
+  task.advance(TaskState::kFailed, 7.0);
+  sim::Time t = -1.0;
+  ASSERT_TRUE(task.state_time(TaskState::kTmgrScheduling, t));
+  EXPECT_DOUBLE_EQ(t, 0.0);
+  ASSERT_TRUE(task.state_time(TaskState::kAgentScheduling, t));
+  EXPECT_DOUBLE_EQ(t, 2.0);
+  ASSERT_TRUE(task.state_time(TaskState::kExecutorPending, t));
+  EXPECT_DOUBLE_EQ(t, 3.0);
+  ASSERT_TRUE(task.state_time(TaskState::kFailed, t));
+  EXPECT_DOUBLE_EQ(t, 7.0);
+  t = -1.0;
+  for (const TaskState never :
+       {TaskState::kNew, TaskState::kStagingInput, TaskState::kRunning,
+        TaskState::kStagingOutput, TaskState::kDone, TaskState::kCanceled}) {
+    EXPECT_FALSE(task.state_time(never, t)) << to_string(never);
+  }
+  EXPECT_DOUBLE_EQ(t, -1.0);  // untouched on a miss
+}
+
 TEST(TaskStateMachine, IllegalTransitionsThrow) {
   Task task("task.0", {});
   EXPECT_THROW(task.advance(TaskState::kRunning, 1.0), util::Error);

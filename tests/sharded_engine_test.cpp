@@ -374,11 +374,11 @@ TEST(ShardedEngineThreads, ThreadedRunRejectsJournaling) {
 
 TEST(ShardedEngineThreads, ThreadsClampedToShardCount) {
   Engine engine(Engine::Config{2, 16, 0.0});
-  int ran = 0;
+  std::atomic<int> ran{0};  // the two shards drain on different workers
   engine.at(0, 1.0, [&] { ++ran; });  // both shards owned by 2 workers max
   engine.at(1, 1.0, [&] { ++ran; });
   engine.run();
-  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(ran.load(), 2);
 }
 
 }  // namespace

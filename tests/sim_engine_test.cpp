@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -186,6 +189,126 @@ TEST(Engine, PostEventHookFiresAfterEveryProcessedEvent) {
   engine.run();
   EXPECT_EQ(events, 3);
   EXPECT_EQ(hook_times.size(), 2u);
+}
+
+// Counts live copies of a capture, so a test can see every closure
+// destroyed exactly once however often the callback moved it around.
+struct LiveCounter {
+  int* live;
+  explicit LiveCounter(int* counter) : live(counter) { ++*live; }
+  LiveCounter(const LiveCounter& other) : live(other.live) { ++*live; }
+  LiveCounter(LiveCounter&& other) noexcept : live(other.live) { ++*live; }
+  LiveCounter& operator=(const LiveCounter&) = delete;
+  ~LiveCounter() { --*live; }
+};
+
+template <std::size_t kPad>
+struct CountedCapture {
+  LiveCounter counter;
+  int* fired;
+  std::array<char, kPad> pad{};
+  void operator()() { ++*fired; }
+};
+using InlineCapture = CountedCapture<8>;
+using HeapCapture = CountedCapture<Callback::kInlineSize>;
+static_assert(sizeof(InlineCapture) <= Callback::kInlineSize);
+static_assert(sizeof(HeapCapture) > Callback::kInlineSize);
+
+template <typename Capture>
+void expect_fires_and_destroys_once() {
+  int live = 0, fired = 0, pending_fired = 0;
+  {
+    Engine engine;
+    engine.at(1.0, Capture{LiveCounter(&live), &fired});
+    engine.at(2.0, Capture{LiveCounter(&live), &fired});
+    engine.at(5.0, Capture{LiveCounter(&live), &pending_fired});
+    EXPECT_EQ(live, 3);
+    engine.run(3.0);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(live, 1);  // the fired closures are gone, the pending one kept
+  }
+  EXPECT_EQ(pending_fired, 0);  // destroyed with the engine, never run
+  EXPECT_EQ(live, 0);
+}
+
+TEST(Engine, InlineCaptureFiresOnceAndIsDestroyedOnce) {
+  expect_fires_and_destroys_once<InlineCapture>();
+}
+
+TEST(Engine, HeapCaptureFiresOnceAndIsDestroyedOnce) {
+  expect_fires_and_destroys_once<HeapCapture>();
+}
+
+TEST(Engine, CancelDestroysTheCapture) {
+  int live = 0, fired = 0;
+  Engine engine;
+  const auto small = engine.at(1.0, InlineCapture{LiveCounter(&live), &fired});
+  const auto large = engine.at(1.0, HeapCapture{LiveCounter(&live), &fired});
+  EXPECT_TRUE(engine.cancel(small));
+  EXPECT_TRUE(engine.cancel(large));
+  EXPECT_EQ(live, 0);
+  engine.run();
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Engine, AcceptsMoveOnlyCaptures) {
+  Engine engine;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  engine.at(1.0, [&seen, value = std::move(value)] { seen = *value; });
+  engine.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(Engine, RejectsEmptyStdFunction) {
+  Engine engine;
+  const std::function<void()> empty;
+  EXPECT_THROW(engine.at(1.0, empty), util::Error);
+  EXPECT_THROW(engine.in(1.0, std::function<void()>{}), util::Error);
+  EXPECT_TRUE(engine.empty());
+}
+
+TEST(Engine, StaleIdNeverCancelsTheSlotsNextOccupant) {
+  Engine engine;
+  const auto first = engine.at(1.0, [] {});
+  engine.run();
+  // The fired event's calendar slot is free, so the next event reuses it.
+  bool fired = false;
+  const auto second = engine.at(2.0, [&] { fired = true; });
+  ASSERT_EQ(second.slot, first.slot);
+  EXPECT_FALSE(engine.cancel(first));
+  engine.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Engine, StaleIdOfCancelledEventNeverCancelsTheNextOccupant) {
+  Engine engine;
+  const auto first = engine.at(1.0, [] {});
+  ASSERT_TRUE(engine.cancel(first));
+  bool fired = false;
+  const auto second = engine.at(1.0, [&] { fired = true; });
+  ASSERT_EQ(second.slot, first.slot);
+  EXPECT_FALSE(engine.cancel(first));
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run();  // the first event's tombstone must not fire the second
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(engine.processed(), 1u);
+}
+
+TEST(Callback, MovesOwnershipAndEmptiesTheSource) {
+  int live = 0, fired = 0;
+  Callback a = HeapCapture{LiveCounter(&live), &fired};
+  Callback b = InlineCapture{LiveCounter(&live), &fired};
+  EXPECT_EQ(live, 2);
+  b = std::move(a);  // destroys b's old target
+  EXPECT_EQ(live, 1);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(b);
+  b();
+  b();  // callable more than once, like the post-event hook
+  EXPECT_EQ(fired, 2);
+  b = Callback{};
+  EXPECT_EQ(live, 0);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

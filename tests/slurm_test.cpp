@@ -205,6 +205,41 @@ TEST(SrunBackend, BlockedStepsRetryWithBackoff) {
             100.0 + frontier_calibration().slurm.step_retry_max * 1.5);
 }
 
+TEST(Slurmctld, CanEverFitBoundsByAllocationAndNode) {
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 2);
+  Slurmctld ctld(engine, cluster, NodeRange{0, 2},
+                 frontier_calibration().slurm, 1);
+  EXPECT_TRUE(ctld.can_ever_fit(ResourceDemand{112, 16, 0}));
+  EXPECT_FALSE(ctld.can_ever_fit(ResourceDemand{113, 0, 0}));
+  EXPECT_FALSE(ctld.can_ever_fit(ResourceDemand{1, 17, 0}));
+  EXPECT_TRUE(ctld.can_ever_fit(ResourceDemand{112, 0, 56}));
+  EXPECT_FALSE(ctld.can_ever_fit(ResourceDemand{57, 0, 57}));
+  EXPECT_FALSE(ctld.can_ever_fit(ResourceDemand{30, 0, 10}));  // 3 chunks
+}
+
+// A step larger than the allocation fails at once instead of polling the
+// controller forever.
+TEST(SrunBackend, StepThatCanNeverFitFailsAtAccept) {
+  Fixture fx(1);  // 56 cores
+  std::vector<platform::LaunchOutcome> outcomes;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    outcomes.push_back(outcome);
+  });
+  fx.backend.submit(make_task(0, 10.0, 57));
+  fx.backend.submit(make_task(1, 10.0, 56));
+  fx.engine.run();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].id, "task.0");
+  EXPECT_FALSE(outcomes[0].success);
+  EXPECT_EQ(outcomes[0].error, "step can never fit the srun allocation");
+  EXPECT_TRUE(outcomes[1].success);
+  EXPECT_TRUE(fx.engine.empty());
+  EXPECT_TRUE(fx.backend.quiescent());
+  EXPECT_EQ(fx.backend.controller().retries_served(), 0u);
+  EXPECT_EQ(fx.backend.active_sruns(), 0);
+}
+
 // ------------------------------------------------------------- failures
 
 TEST(SrunBackend, FailureInjectionReportsFailedTasks) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
+#include <string>
+
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/id_registry.hpp"
@@ -93,6 +98,40 @@ TEST(IdRegistry, GeneratesSequentialPaddedIds) {
   EXPECT_EQ(registry.count("task"), 2u);
   EXPECT_EQ(registry.count("pilot"), 1u);
   EXPECT_EQ(registry.count("other"), 0u);
+}
+
+// The stream formatting ids used to go through; next() must match it byte
+// for byte, because uids reach journals, traces and fingerprints.
+std::string stream_formatted(const std::string& ns, int width,
+                             std::uint64_t value) {
+  std::ostringstream os;
+  os << ns << '.' << std::setw(width) << std::setfill('0') << value;
+  return os.str();
+}
+
+TEST(IdRegistry, MatchesStreamFormattingByteForByte) {
+  IdRegistry registry;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(registry.next("task"), stream_formatted("task", 6, i));
+  }
+  for (const int width : {-3, 0, 1, 4, 12}) {
+    const std::string ns = "w" + std::to_string(width + 3);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      ASSERT_EQ(registry.next(ns, width), stream_formatted(ns, width, i));
+    }
+  }
+}
+
+TEST(IdRegistry, PadsAndOverflowsTheWidth) {
+  IdRegistry registry;
+  for (int i = 0; i < 1000000; ++i) registry.next("task");
+  EXPECT_EQ(registry.next("task"), "task.1000000");  // wider than 6 digits
+  EXPECT_EQ(registry.next("task", 9), "task.001000001");
+  EXPECT_EQ(registry.next("flux", 4), "flux.0000");
+  EXPECT_EQ(registry.next("pilot.sub", 2), "pilot.sub.00");
+  EXPECT_EQ(registry.next("", 3), ".000");
+  EXPECT_EQ(registry.count("task"), 1000002u);
+  EXPECT_EQ(registry.count("flux"), 1u);
 }
 
 TEST(IdRegistry, ResetClearsCounters) {
