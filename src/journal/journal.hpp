@@ -22,8 +22,12 @@ namespace flotilla::journal {
 class Writer {
  public:
   // Appends one record (encoded, checksummed, '\n'-terminated).
-  void append(const Record& record) {
-    bytes_ += record.encode();
+  void append(const Record& record) { append_encoded(record.encode()); }
+
+  // Appends one line exactly as Record::encode() produced it, for callers
+  // that already hold the encoding.
+  void append_encoded(std::string_view line) {
+    bytes_ += line;
     ++records_;
   }
 

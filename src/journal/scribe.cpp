@@ -74,24 +74,27 @@ void Scribe::node_changed(platform::NodeId node) {
   const std::int64_t dg = gpus - free_gpus_[node];
   free_cores_[node] = cores;
   free_gpus_[node] = gpus;
-  // A notify with no net capacity change (e.g. a rejected probe) carries
-  // no durable information — journaling it would only couple the record
-  // stream to scheduler-internal probing patterns.
+  // A notify with no net capacity change carries no durable information.
+  // Every real allocate/release is journaled, so a placement that rolls
+  // back (best-fit, gpu-pack, the index-less linear scan) writes a -/+
+  // pair per node it probed; a rejected indexed first-fit attempt
+  // allocates nothing and writes nothing.
   if (dc == 0 && dg == 0) return;
   emit(alloc_record(session_.now(), node, dc, dg));
 }
 
 void Scribe::emit(const Record& record) {
+  // Encoded once: the same line is validated and appended.
+  const std::string line = record.encode();
   if (validating_ && !diverged_ && cursor_ < prefix_.size()) {
-    const std::string expected = prefix_[cursor_].encode();
-    const std::string got = record.encode();
-    if (expected != got) {
+    std::string expected = prefix_[cursor_].encode();
+    if (expected != line) {
       diverged_ = true;
-      divergence_ = Divergence{cursor_, expected, got};
+      divergence_ = Divergence{cursor_, std::move(expected), line};
     }
     ++cursor_;
   }
-  writer_.append(record);
+  writer_.append_encoded(line);
   obs_trace_.instant(obs::SpanType::kJournal, "journal",
                      to_string(record.type), 1.0);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -32,15 +33,20 @@ void advance_cursor(NodeId* cursor, NodeRange range, NodeId id) {
 // First-fit via the free index: identical node visit order to the linear
 // scan — [base, range.end) then [range.first, base) — with each "next
 // qualifying node" answered by an index query instead of a walk.
-std::optional<Placement> indexed_first_fit(const PlacementInput& in,
-                                           const ResourceDemand& demand) {
+//
+// Plan, then commit. The steps land on distinct nodes in visit order:
+// each search resumes past the node just taken, and after the single wrap
+// the window [range.first, base) holds none of the nodes taken before it.
+// So allocating step i could never change the index's answer for step
+// i + 1 (nor the free counts the loose path clamps to), and the plan can
+// be found without allocating anything. A rejected attempt therefore
+// touches no node; only a complete plan is allocated.
+std::optional<Placement> indexed_first_fit(
+    const PlacementInput& in, const ResourceDemand& demand,
+    std::vector<FirstFitPolicy::Step>& plan) {
   const NodeRange range = in.range;
   const FreeResourceIndex& index = *in.index;
-  Placement placement;
-  auto fail = [&]() -> std::optional<Placement> {
-    in.cluster.release(placement);
-    return std::nullopt;
-  };
+  plan.clear();
   const NodeId base = in.cursor != nullptr ? *in.cursor : range.first;
   NodeId pos = base;
   NodeId limit = range.end();
@@ -52,7 +58,21 @@ std::optional<Placement> indexed_first_fit(const PlacementInput& in,
     pos = range.first;
     limit = base;
   };
+  auto find = [&](auto query) {
+    auto id = query(pos, limit);
+    if (!id && !wrapped) {
+      next_window();
+      id = query(pos, limit);
+    }
+    return id;
+  };
+  auto take = [&](NodeId id, int cores, int gpus) {
+    plan.push_back({id, cores, gpus});
+    pos = id + 1;
+    if (pos >= limit && !wrapped) next_window();
+  };
 
+  bool fits = true;
   if (demand.cores_per_node > 0) {
     std::int64_t cores_left = demand.cores;
     std::int64_t gpus_left = demand.gpus;
@@ -62,50 +82,47 @@ std::optional<Placement> indexed_first_fit(const PlacementInput& in,
           std::min<std::int64_t>(demand.cores_per_node, cores_left));
       const auto gpus_here =
           static_cast<int>((gpus_left + chunks_left - 1) / chunks_left);
-      auto id = index.find_fit(pos, limit, cores_here, gpus_here);
-      if (!id && !wrapped) {
-        next_window();
-        id = index.find_fit(pos, limit, cores_here, gpus_here);
-      }
-      if (!id) return fail();
-      auto slice = in.cluster.node(*id).allocate(cores_here, gpus_here);
-      FLOT_CHECK(slice.has_value(), "free-index/allocate mismatch on node ",
-                 *id);
-      placement.slices.push_back(*slice);
+      const auto id = find([&](NodeId from, NodeId to) {
+        return index.find_fit(from, to, cores_here, gpus_here);
+      });
+      if (!id) break;
+      take(*id, cores_here, gpus_here);
       cores_left -= cores_here;
       gpus_left -= gpus_here;
       --chunks_left;
-      advance_cursor(in.cursor, range, *id);
-      pos = *id + 1;
-      if (pos >= limit && !wrapped) next_window();
     }
-    if (cores_left > 0 || gpus_left > 0) return fail();
-    return placement;
+    fits = chunks_left <= 0 && cores_left <= 0 && gpus_left <= 0;
+  } else {
+    std::int64_t cores_left = std::max<std::int64_t>(demand.cores, 0);
+    std::int64_t gpus_left = std::max<std::int64_t>(demand.gpus, 0);
+    while (cores_left > 0 || gpus_left > 0) {
+      const auto id = find([&](NodeId from, NodeId to) {
+        return index.find_any(from, to, cores_left > 0, gpus_left > 0);
+      });
+      if (!id) break;
+      const auto& node = in.cluster.node(*id);
+      const auto cores_here = static_cast<int>(
+          std::min<std::int64_t>(node.free_cores(), cores_left));
+      const auto gpus_here =
+          static_cast<int>(std::min<std::int64_t>(node.free_gpus(), gpus_left));
+      take(*id, cores_here, gpus_here);
+      cores_left -= cores_here;
+      gpus_left -= gpus_here;
+    }
+    fits = cores_left <= 0 && gpus_left <= 0;
   }
 
-  std::int64_t cores_left = std::max<std::int64_t>(demand.cores, 0);
-  std::int64_t gpus_left = std::max<std::int64_t>(demand.gpus, 0);
-  while (cores_left > 0 || gpus_left > 0) {
-    auto id = index.find_any(pos, limit, cores_left > 0, gpus_left > 0);
-    if (!id && !wrapped) {
-      next_window();
-      id = index.find_any(pos, limit, cores_left > 0, gpus_left > 0);
-    }
-    if (!id) return fail();
-    auto& node = in.cluster.node(*id);
-    const auto cores_here =
-        static_cast<int>(std::min<std::int64_t>(node.free_cores(), cores_left));
-    const auto gpus_here =
-        static_cast<int>(std::min<std::int64_t>(node.free_gpus(), gpus_left));
-    auto slice = node.allocate(cores_here, gpus_here);
+  // Placed or not, the cursor ends past the last node the scan took, as
+  // linear_try_place leaves it after allocating and rolling back.
+  if (!plan.empty()) advance_cursor(in.cursor, range, plan.back().node);
+  if (!fits) return std::nullopt;
+  Placement placement;
+  placement.slices.reserve(plan.size());
+  for (const auto& step : plan) {
+    auto slice = in.cluster.node(step.node).allocate(step.cores, step.gpus);
     FLOT_CHECK(slice.has_value(), "free-index/allocate mismatch on node ",
-               *id);
+               step.node);
     placement.slices.push_back(*slice);
-    cores_left -= cores_here;
-    gpus_left -= gpus_here;
-    advance_cursor(in.cursor, range, *id);
-    pos = *id + 1;
-    if (pos >= limit && !wrapped) next_window();
   }
   return placement;
 }
@@ -198,7 +215,7 @@ std::optional<Placement> place_by_key(const PlacementInput& in,
 
 std::optional<Placement> FirstFitPolicy::place(const PlacementInput& in,
                                                const ResourceDemand& demand) {
-  if (in.index != nullptr) return indexed_first_fit(in, demand);
+  if (in.index != nullptr) return indexed_first_fit(in, demand, plan_);
   return linear_try_place(in.cluster, in.range, demand, in.cursor);
 }
 

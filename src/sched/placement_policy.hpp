@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "platform/cluster.hpp"
 #include "platform/placement.hpp"
@@ -42,20 +43,38 @@ class PlacementPolicy {
   virtual const char* name() const = 0;
 
   // Attempts to place `demand`. On success the slices are already
-  // allocated on the nodes; on failure nothing is held.
+  // allocated on the nodes; on failure nothing is held. How a rejection
+  // gets there differs: indexed first-fit plans the whole placement on
+  // the free index before allocating, so a rejected attempt touches no
+  // node (no Cluster::Observer fires); best-fit, gpu-pack and the linear
+  // scan allocate slice by slice and roll back.
   virtual std::optional<platform::Placement> place(
       const PlacementInput& in, const platform::ResourceDemand& demand) = 0;
 };
 
 // First-fit round-robin: take nodes in scan order from the cursor (or
 // range.first), wrapping once. The behavior-identical successor of the
-// legacy linear scan; uses the index when one is supplied.
+// legacy linear scan; uses the index when one is supplied. With the
+// index it plans, then commits: every step is found on the index first,
+// and nodes are allocated only once the whole demand fits.
 class FirstFitPolicy : public PlacementPolicy {
  public:
   const char* name() const override { return "first-fit"; }
   std::optional<platform::Placement> place(
       const PlacementInput& in,
       const platform::ResourceDemand& demand) override;
+
+  // One planned slice: `cores`/`gpus` to take on `node` at commit.
+  struct Step {
+    platform::NodeId node;
+    int cores;
+    int gpus;
+  };
+
+ private:
+  // The plan of the current attempt; a member so attempts reuse its
+  // capacity instead of allocating one per call.
+  std::vector<Step> plan_;
 };
 
 // Best-fit packing: repeatedly take the qualifying node with the least

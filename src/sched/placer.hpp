@@ -47,7 +47,11 @@ class Placer {
   Placer& operator=(const Placer&) = delete;
 
   // Attempts to place `demand` within the range. On success the slices
-  // are already allocated; on failure nothing is held.
+  // are already allocated; on failure nothing is held. A rejected
+  // first-fit attempt on the index (the default) touches no node: it is
+  // planned before anything is allocated. Best-fit, gpu-pack and the
+  // index-less linear scan allocate slice by slice and roll back, so
+  // their rejections still fire node changes.
   std::optional<platform::Placement> place(
       const platform::ResourceDemand& demand);
 

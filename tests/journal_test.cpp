@@ -1,8 +1,9 @@
 // Tests for the durable event journal (src/journal/): byte-stable codec
 // round-trips over seeded record streams, torn-tail vs corruption
 // classification with record indices, journal byte-determinism of full
-// runs, StateImage folding, and the bounded crash-at-every-event sweep on
-// a small fixed scenario (docs/recovery.md).
+// runs, alloc records only for placed and released slices, StateImage
+// folding, and the bounded crash-at-every-event sweep on a small fixed
+// scenario (docs/recovery.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -277,6 +278,68 @@ TEST(Journal, HeaderStripsTheOracleDimensions) {
   const auto ref_header = reference.journal.substr(
       0, reference.journal.find('\n') + 1);
   EXPECT_EQ(crashed.journal, ref_header);
+}
+
+TEST(Journal, RejectedPlacementsWriteNoAllocRecords) {
+  // One flux instance on two nodes, 40-core tasks: the second task spans
+  // both nodes, and each later one waits while node 1 has too few cores
+  // left, so every scheduling pass rejects a placement part-way. Only
+  // placed and released slices reach the journal: no claim is undone at
+  // the time it was made, and the claimed cores add up to the tasks'.
+  check::ScenarioSpec spec;
+  spec.seed = 17;
+  spec.nodes = 2;
+  spec.backends = {{"flux"}};
+  spec.workload = "sleep";
+  spec.tasks = 6;
+  spec.duration = 2.0;
+  spec.cores = 40;
+  check::RunOptions opts;
+  opts.journal = true;
+  const auto reference = check::run_scenario(spec, opts);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(reference.done, 6u);
+  const auto parsed = read(reference.journal);
+  ASSERT_TRUE(parsed.intact());
+
+  std::vector<Record> allocs;
+  for (const auto& r : parsed.records) {
+    if (r.type == RecordType::kAlloc) allocs.push_back(r);
+  }
+  std::int64_t claimed = 0, released = 0;
+  std::size_t claims = 0, releases = 0;
+  for (std::size_t i = 0; i < allocs.size(); ++i) {
+    const auto& r = allocs[i];
+    EXPECT_EQ(r.gpus, 0);
+    if (r.cores < 0) {
+      claimed -= r.cores;
+      ++claims;
+      // A claim undone on the same node at the same time is a rolled-back
+      // placement attempt.
+      for (std::size_t j = i + 1;
+           j < allocs.size() && allocs[j].time == r.time; ++j) {
+        EXPECT_FALSE(allocs[j].node == r.node && allocs[j].cores == -r.cores)
+            << "claim undone at t=" << r.time << " on node " << r.node;
+      }
+    } else {
+      released += r.cores;
+      ++releases;
+    }
+  }
+  EXPECT_EQ(claimed, spec.tasks * spec.cores);
+  EXPECT_EQ(released, claimed);
+  EXPECT_EQ(releases, claims);
+  EXPECT_GT(claims, static_cast<std::size_t>(spec.tasks));  // some span both
+
+  const auto records = static_cast<std::uint64_t>(std::count(
+      reference.journal.begin(), reference.journal.end(), '\n'));
+  for (std::uint64_t k = 1; k <= records; ++k) {
+    auto crashed = spec;
+    crashed.crash_at = k;
+    const auto violations = check::check_recovery(crashed, reference);
+    EXPECT_TRUE(violations.empty())
+        << "crash_at=" << k << ": " << violations.front().to_string();
+  }
 }
 
 // ------------------------------------------- crash-at-every-event sweep

@@ -3,6 +3,8 @@
 //  - queue policies (FIFO, priority-with-FIFO-tie-break, bounded backfill)
 //  - the FreeResourceIndex segment tree, including coherence under
 //    allocations made behind the placer's back (Cluster observer hook)
+//  - a rejected indexed first-fit attempt touches no node (no observer
+//    fires) yet moves the cursor exactly as the linear scan does
 //  - behavior-identity: the indexed first-fit placer must produce
 //    bit-for-bit the same placements as the legacy linear scan over
 //    randomized allocate/release/demand sequences (golden traces depend
@@ -11,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "platform/cluster.hpp"
@@ -219,6 +222,84 @@ TEST(Placer, CountsAttemptsAndRotatesCursor) {
   EXPECT_EQ(placer.stats().rejected, 1u);
   placer.release(*a);
   EXPECT_TRUE(placer.place({2 * 56, 0, 0}).has_value());
+}
+
+// Counts Cluster::Observer notifications, i.e. node allocates/releases.
+class CountingObserver : public Cluster::Observer {
+ public:
+  explicit CountingObserver(Cluster& cluster) : cluster_(cluster) {
+    cluster_.add_observer(this);
+  }
+  ~CountingObserver() override { cluster_.remove_observer(this); }
+  CountingObserver(const CountingObserver&) = delete;
+  CountingObserver& operator=(const CountingObserver&) = delete;
+  void node_changed(NodeId) override { ++changes; }
+  int changes = 0;
+
+ private:
+  Cluster& cluster_;
+};
+
+std::vector<std::pair<int, int>> free_counts(const Cluster& cluster) {
+  std::vector<std::pair<int, int>> counts;
+  for (NodeId id = 0; id < cluster.size(); ++id) {
+    counts.emplace_back(cluster.node(id).free_cores(),
+                        cluster.node(id).free_gpus());
+  }
+  return counts;
+}
+
+// Six nodes, mirrored: node 5 keeps 6 cores and no GPUs free, and two
+// single-core warm-up tasks land on nodes 0 and 1 and move the rotating
+// cursor to node 2. Whole free nodes: 2, 3 and 4.
+class RejectedFirstFit : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (Cluster* c : {&cluster_, &legacy_}) {
+      ASSERT_TRUE(c->node(5).allocate(50, 8).has_value());
+    }
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(placer_.place({1, 0, 0}).has_value());
+      ASSERT_TRUE(
+          linear_try_place(legacy_, range_, {1, 0, 0}, &cursor_).has_value());
+    }
+    ASSERT_EQ(placer_.cursor(), 2);
+    ASSERT_EQ(cursor_, 2);
+  }
+
+  // A rejected attempt fires no node change and leaves every free count
+  // as it was, while the linear scan probes and rolls back; both end with
+  // the same cursor.
+  void expect_rejected_untouched(const ResourceDemand& demand) {
+    const auto before = free_counts(cluster_);
+    CountingObserver changes(cluster_);
+    CountingObserver legacy_changes(legacy_);
+    EXPECT_FALSE(placer_.place(demand).has_value());
+    EXPECT_FALSE(linear_try_place(legacy_, range_, demand, &cursor_));
+    EXPECT_EQ(changes.changes, 0);
+    EXPECT_GT(legacy_changes.changes, 0);  // the probe this avoids
+    EXPECT_EQ(free_counts(cluster_), before);
+    EXPECT_EQ(free_counts(legacy_), before);
+    EXPECT_EQ(placer_.cursor(), cursor_);
+  }
+
+  Cluster cluster_{frontier_spec(), 6};
+  Cluster legacy_{frontier_spec(), 6};
+  NodeRange range_ = cluster_.all_nodes();
+  Placer placer_{cluster_, range_};
+  NodeId cursor_ = range_.first;
+};
+
+TEST_F(RejectedFirstFit, ChunkedDemandOneNodeShortTouchesNoNode) {
+  // Four whole-node chunks, three whole nodes free: the legacy walk took
+  // nodes 2, 3 and 4 before running out.
+  expect_rejected_untouched({4 * 56, 0, 56});
+  EXPECT_EQ(cursor_, 5);
+}
+
+TEST_F(RejectedFirstFit, LooseDemandShortOfCoresTouchesNoNode) {
+  // One core more than the 2 * 55 + 3 * 56 + 6 free across the range.
+  expect_rejected_untouched({2 * 55 + 3 * 56 + 6 + 1, 0, 0});
 }
 
 // --------------------------------------------- indexed/legacy identity
