@@ -1,8 +1,8 @@
 #include "journal/journal.hpp"
 
-#include <array>
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 
 namespace flotilla::journal {
 
@@ -47,24 +47,40 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
   return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
+bool is_digits(std::string_view text) {
+  return std::all_of(text.begin(), text.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
+// Accepts only the canonical form append_time() writes,
+// (0|[1-9][0-9]*)\.[0-9]{9}: no sign, blanks, exponent, hex, nan or inf.
 bool parse_time(std::string_view text, sim::Time& out) {
-  // std::from_chars for double is not universally available; sscanf on a
-  // bounded copy is. The %.9f canonical form always fits.
-  std::array<char, 64> buf{};
-  if (text.empty() || text.size() >= buf.size()) return false;
-  text.copy(buf.data(), text.size());
+  constexpr std::size_t kFraction = 10;  // '.' + 9 decimals
+  if (text.size() <= kFraction || text.size() > kMaxTimeChars) return false;
+  const std::string_view whole = text.substr(0, text.size() - kFraction);
+  if (text[whole.size()] != '.' || !is_digits(whole) ||
+      !is_digits(text.substr(whole.size() + 1)) ||
+      (whole.size() > 1 && whole.front() == '0')) {
+    return false;
+  }
   double value = 0.0;
-  if (std::sscanf(buf.data(), "%lf", &value) != 1) return false;
+  const auto [ptr, ec] = std::from_chars(
+      text.data(), text.data() + text.size(), value, std::chars_format::fixed);
+  if (ec != std::errc{} || ptr != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    return false;
+  }
   out = value;
   return true;
 }
 
 // Decodes one line body (checksum already stripped and verified) into
 // `record`. Enforces the canonical field order so that decode(encode(r))
-// round-trips and any hand-edited journal is rejected loudly.
-bool decode_body(std::string_view body, Record& record, std::string& error) {
+// round-trips and any hand-edited journal is rejected loudly. `fields` is
+// scratch space, reused across lines.
+bool decode_body(std::string_view body, Record& record,
+                 std::vector<Field>& fields, std::string& error) {
   std::string_view tag;
-  std::vector<Field> fields;
   if (!split_fields(body, tag, fields)) {
     error = "malformed field (missing '=')";
     return false;
@@ -120,7 +136,7 @@ bool decode_body(std::string_view body, Record& record, std::string& error) {
       return false;
     }
     if (!expect(2, "spec", v)) return false;
-    record.spec = std::string(v);
+    record.spec.assign(v);
     return true;
   }
   if (tag == "ready") {
@@ -133,13 +149,13 @@ bool decode_body(std::string_view body, Record& record, std::string& error) {
     if (!check_arity(6)) return false;
     if (!expect_time(0, record.time)) return false;
     if (!expect(1, "uid", v)) return false;
-    record.uid = std::string(v);
+    record.uid.assign(v);
     if (!expect(2, "from", v)) return false;
-    record.from = std::string(v);
+    record.from.assign(v);
     if (!expect(3, "to", v)) return false;
-    record.to = std::string(v);
+    record.to.assign(v);
     if (!expect(4, "backend", v)) return false;
-    record.backend = std::string(v);
+    record.backend.assign(v);
     return expect_i64(5, "attempt", record.attempt);
   }
   if (tag == "alloc") {
@@ -155,9 +171,9 @@ bool decode_body(std::string_view body, Record& record, std::string& error) {
     if (!check_arity(5)) return false;
     if (!expect_time(0, record.time)) return false;
     if (!expect(1, "kind", v)) return false;
-    record.kind = std::string(v);
+    record.kind.assign(v);
     if (!expect(2, "backend", v)) return false;
-    record.backend = std::string(v);
+    record.backend.assign(v);
     return expect_i64(3, "index", record.index) &&
            expect_i64(4, "count", record.count);
   }
@@ -195,7 +211,8 @@ bool strip_checksum(std::string_view line, std::string_view& body,
     error = "malformed checksum";
     return false;
   }
-  const std::uint32_t expected = fnv1a32(std::string(body) + "|h=");
+  // The checksum covers the line up to and including "|h=".
+  const std::uint32_t expected = fnv1a32(line.substr(0, line.size() - 8));
   if (static_cast<std::uint32_t>(stored) != expected) {
     error = "checksum mismatch";
     return false;
@@ -207,6 +224,12 @@ bool strip_checksum(std::string_view line, std::string_view& body,
 
 ReadResult read(std::string_view bytes) {
   ReadResult out;
+  // One slot per line, the torn tail included.
+  out.records.reserve(
+      static_cast<std::size_t>(std::count(bytes.begin(), bytes.end(), '\n')) +
+      1);
+  std::vector<Field> fields;
+  std::string error;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     const std::size_t nl = bytes.find('\n', pos);
@@ -214,10 +237,10 @@ ReadResult read(std::string_view bytes) {
     const std::string_view line =
         is_tail ? bytes.substr(pos) : bytes.substr(pos, nl - pos);
     std::string_view body;
-    std::string error;
-    Record record;
+    Record& record = out.records.emplace_back();
     const bool ok = strip_checksum(line, body, error) &&
-                    decode_body(body, record, error);
+                    decode_body(body, record, fields, error);
+    if (!ok || is_tail) out.records.pop_back();
     if (!ok) {
       if (is_tail) {
         // Crash-mid-write artifact: tolerated, reported.
@@ -238,7 +261,6 @@ ReadResult read(std::string_view bytes) {
       out.truncated_bytes = line.size();
       return out;
     }
-    out.records.push_back(std::move(record));
     pos = nl + 1;
   }
   return out;

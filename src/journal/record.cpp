@@ -1,6 +1,14 @@
+// The journal's one encoder. Every line is built by appending into a
+// caller-owned string: std::to_chars for times (fixed, 9 decimals — by the
+// standard the same text as printf "%.9f") and integers, a hex table for
+// the checksum. Nothing here allocates once that string has the capacity
+// of a line, which is why the writer and the scribe keep one and reuse it.
 #include "journal/record.hpp"
 
-#include <cstdio>
+#include <charconv>
+#include <cmath>
+#include <concepts>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -8,13 +16,10 @@ namespace flotilla::journal {
 
 namespace {
 
-// %.9f is the journal's canonical time form: fixed precision keeps the
-// bytes stable across runs, and re-encoding a decoded record reproduces
-// the exact same text (decimal -> nearest double -> same decimal).
-std::string time_str(sim::Time t) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9f", t);
-  return buf;
+void put_key(std::string& line, std::string_view key) {
+  line += '|';
+  line += key;
+  line += '=';
 }
 
 void put(std::string& line, std::string_view key, std::string_view value) {
@@ -24,21 +29,67 @@ void put(std::string& line, std::string_view key, std::string_view value) {
                   value);
     }
   }
-  line += '|';
-  line += key;
-  line += '=';
+  put_key(line, key);
   line += value;
 }
 
-void put(std::string& line, std::string_view key, std::int64_t value) {
-  put(line, key, std::to_string(value));
+template <std::integral Int>
+void put(std::string& line, std::string_view key, Int value) {
+  char buf[24];  // 20 digits of a 64-bit integer plus the sign
+  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  put_key(line, key);
+  line.append(buf, end);
 }
 
-void put(std::string& line, std::string_view key, std::uint64_t value) {
-  put(line, key, std::to_string(value));
+void put_time(std::string& line, sim::Time time) {
+  put_key(line, "t");
+  append_time(line, time);
+}
+
+// Closes a line: the checksum covers every byte before its hex digits.
+void finish(std::string& line) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  line += "|h=";
+  std::uint32_t sum = fnv1a32(line);
+  char tail[9];
+  for (int i = 7; i >= 0; --i) {
+    tail[i] = kHex[sum & 0xfu];
+    sum >>= 4;
+  }
+  tail[8] = '\n';
+  line.append(tail, sizeof(tail));
 }
 
 }  // namespace
+
+// Fixed precision keeps the bytes stable across runs, and re-encoding a
+// decoded time reproduces the same text (decimal -> nearest double -> same
+// decimal).
+void append_time(std::string& out, sim::Time time) {
+  if (!std::isfinite(time) || std::signbit(time)) {
+    util::raise("journal: time ", time, " is not finite and non-negative");
+  }
+  char buf[kMaxTimeChars];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), time,
+                                       std::chars_format::fixed, 9);
+  if (ec == std::errc::value_too_large) {
+    util::raise("journal: time ", time, " is too large to encode");
+  }
+  out.append(buf, end);
+}
+
+void encode_transition(std::string& out, sim::Time time, std::string_view uid,
+                       std::string_view from, std::string_view to,
+                       std::string_view backend, std::int64_t attempt) {
+  out.assign(to_string(RecordType::kTransition));
+  put_time(out, time);
+  put(out, "uid", uid);
+  put(out, "from", from);
+  put(out, "to", to);
+  put(out, "backend", backend);
+  put(out, "attempt", attempt);
+  finish(out);
+}
 
 std::string_view to_string(RecordType type) {
   switch (type) {
@@ -67,52 +118,45 @@ std::uint32_t fnv1a32(std::string_view text) {
   return h;
 }
 
-std::string Record::encode() const {
-  std::string line(to_string(type));
+void Record::encode_to(std::string& out) const {
+  if (type == RecordType::kTransition) {
+    encode_transition(out, time, uid, from, to, backend, attempt);
+    return;
+  }
+  out.assign(to_string(type));
   switch (type) {
     case RecordType::kHeader:
-      put(line, "v", std::int64_t{1});
-      put(line, "seed", seed);
-      put(line, "spec", spec);
+      put(out, "v", std::int64_t{1});
+      put(out, "seed", seed);
+      put(out, "spec", spec);
       break;
     case RecordType::kReady:
-      put(line, "t", time_str(time));
+      put_time(out, time);
       break;
-    case RecordType::kTransition:
-      put(line, "t", time_str(time));
-      put(line, "uid", uid);
-      put(line, "from", from);
-      put(line, "to", to);
-      put(line, "backend", backend);
-      put(line, "attempt", attempt);
+    case RecordType::kTransition:  // encoded above
       break;
     case RecordType::kAlloc:
-      put(line, "t", time_str(time));
-      put(line, "node", node);
-      put(line, "cores", cores);
-      put(line, "gpus", gpus);
+      put_time(out, time);
+      put(out, "node", node);
+      put(out, "cores", cores);
+      put(out, "gpus", gpus);
       break;
     case RecordType::kFault:
-      put(line, "t", time_str(time));
-      put(line, "kind", kind);
-      put(line, "backend", backend);
-      put(line, "index", index);
-      put(line, "count", count);
+      put_time(out, time);
+      put(out, "kind", kind);
+      put(out, "backend", backend);
+      put(out, "index", index);
+      put(out, "count", count);
       break;
     case RecordType::kEnd:
-      put(line, "t", time_str(time));
-      put(line, "done", done);
-      put(line, "failed", failed);
-      put(line, "canceled", canceled);
-      put(line, "events", events);
+      put_time(out, time);
+      put(out, "done", done);
+      put(out, "failed", failed);
+      put(out, "canceled", canceled);
+      put(out, "events", events);
       break;
   }
-  line += "|h=";
-  char sum[16];
-  std::snprintf(sum, sizeof(sum), "%08x", fnv1a32(line));
-  line += sum;
-  line += '\n';
-  return line;
+  finish(out);
 }
 
 Record header_record(std::uint64_t seed, std::string spec) {

@@ -9,14 +9,25 @@
 // journal bytes (the recovery oracle in src/check compares journals
 // bit-for-bit, like the .prof exporter's byte-identity guarantee).
 //
+// There is one encoder. Record::encode_to() and the field-level
+// encode_transition() (which the scribe calls so that no Record is built
+// per task edge) share it, and both overwrite a caller-owned line buffer,
+// so a reused buffer makes encoding allocation-free. Times are written by std::to_chars in fixed
+// form with 9 decimals, which the standard specifies as identical to
+// printf "%.9f"; integers by std::to_chars; the checksum as 8 lowercase
+// hex digits. The reader accepts exactly that time form back:
+// (0|[1-9][0-9]*)\.[0-9]{9}, finite (journal.hpp).
+//
 // Every line carries a trailing FNV-1a-32 checksum; the reader uses it to
 // distinguish a torn tail (a crash mid-write: the partial final line is
 // discarded and reported) from mid-stream corruption (a hard error with
 // the record index).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/engine.hpp"
 
@@ -68,10 +79,18 @@ struct Record {
   std::int64_t canceled = 0;
   std::uint64_t events = 0;
 
-  // One '\n'-terminated line with a trailing checksum field. Raises
-  // util::Error if any string field contains '|' or '\n' (the journal is
-  // single-line records by construction).
-  std::string encode() const;
+  // Overwrites `out` with one '\n'-terminated line with a trailing
+  // checksum field, reusing its capacity. Raises util::Error if any string
+  // field contains '|' or '\n' (the journal is single-line records by
+  // construction) or the time cannot be encoded (append_time).
+  void encode_to(std::string& out) const;
+
+  // encode_to() into a fresh string.
+  std::string encode() const {
+    std::string line;
+    encode_to(line);
+    return line;
+  }
 
   // Two records are equal iff their canonical encodings are equal.
   friend bool operator==(const Record& a, const Record& b) {
@@ -91,6 +110,21 @@ Record fault_record(sim::Time time, std::string kind, std::string backend,
                     std::int64_t index, std::int64_t count);
 Record end_record(sim::Time time, std::int64_t done, std::int64_t failed,
                   std::int64_t canceled, std::uint64_t events);
+
+// The field-level encoder behind Record::encode_to() for the most frequent
+// record, a task lifecycle edge: overwrites `out` with exactly the line
+// transition_record(time, uid, ...) would encode to.
+void encode_transition(std::string& out, sim::Time time, std::string_view uid,
+                       std::string_view from, std::string_view to,
+                       std::string_view backend, std::int64_t attempt);
+
+// Longest time field the codec writes: "%.9f" of any time below 1e54.
+inline constexpr std::size_t kMaxTimeChars = 64;
+
+// Appends `time` in the canonical form, std::to_chars fixed with 9
+// decimals. Raises util::Error for a time the reader would not take back:
+// negative, not finite, or longer than kMaxTimeChars.
+void append_time(std::string& out, sim::Time time);
 
 // FNV-1a 32-bit over `text`, the per-line checksum primitive.
 std::uint32_t fnv1a32(std::string_view text);

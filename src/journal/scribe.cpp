@@ -43,11 +43,17 @@ Scribe::~Scribe() { session_.cluster().remove_observer(this); }
 void Scribe::attach(core::TaskManager& tmgr) {
   tmgr.on_transition([this](const core::Task& task, core::TaskState from,
                             core::TaskState to) {
-    emit(transition_record(session_.now(), task.uid(),
-                           std::string(core::to_string(from)),
-                           std::string(core::to_string(to)), task.backend(),
-                           task.attempts()));
+    transition(task, from, to);
   });
+}
+
+void Scribe::transition(const core::Task& task, core::TaskState from,
+                        core::TaskState to) {
+  appended(RecordType::kTransition,
+           writer_.append_transition(session_.now(), task.uid(),
+                                     core::to_string(from),
+                                     core::to_string(to), task.backend(),
+                                     task.attempts()));
 }
 
 void Scribe::record_header(std::uint64_t seed, std::string spec) {
@@ -84,19 +90,22 @@ void Scribe::node_changed(platform::NodeId node) {
 }
 
 void Scribe::emit(const Record& record) {
-  // Encoded once: the same line is validated and appended.
-  const std::string line = record.encode();
+  appended(record.type, writer_.append(record));
+}
+
+void Scribe::appended(RecordType type, std::string_view line) {
+  // The writer has appended the line already: a line that cannot be
+  // encoded raised before reaching here, leaving the cursor as it was.
   if (validating_ && !diverged_ && cursor_ < prefix_.size()) {
-    std::string expected = prefix_[cursor_].encode();
-    if (expected != line) {
+    prefix_[cursor_].encode_to(expected_);
+    if (expected_ != line) {
       diverged_ = true;
-      divergence_ = Divergence{cursor_, std::move(expected), line};
+      divergence_ = Divergence{cursor_, expected_, std::string(line)};
     }
     ++cursor_;
   }
-  writer_.append_encoded(line);
-  obs_trace_.instant(obs::SpanType::kJournal, "journal",
-                     to_string(record.type), 1.0);
+  obs_trace_.instant(obs::SpanType::kJournal, "journal", to_string(type),
+                     1.0);
 }
 
 }  // namespace flotilla::journal

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session.hpp"
@@ -50,9 +51,14 @@ class Scribe : public platform::Cluster::Observer {
   Scribe(const Scribe&) = delete;
   Scribe& operator=(const Scribe&) = delete;
 
-  // Registers the task transition hook; call before submitting tasks
-  // (hooks only cover tasks submitted after registration).
+  // Registers transition() as the task transition hook; call before
+  // submitting tasks (hooks only cover tasks submitted after registration).
   void attach(core::TaskManager& tmgr);
+
+  // The transition hook: journals one lifecycle edge of `task`, encoded
+  // straight from the task's fields (no Record is built).
+  void transition(const core::Task& task, core::TaskState from,
+                  core::TaskState to);
 
   // Harness-driven records.
   void record_header(std::uint64_t seed, std::string spec);
@@ -77,6 +83,9 @@ class Scribe : public platform::Cluster::Observer {
 
  private:
   void emit(const Record& record);
+  // Validates `line`, just appended, against the journal prefix and
+  // traces it.
+  void appended(RecordType type, std::string_view line);
 
   core::Session& session_;
   obs::TraceHandle obs_trace_;
@@ -84,6 +93,7 @@ class Scribe : public platform::Cluster::Observer {
 
   // Validation cursor over the journal prefix (empty in record mode).
   std::vector<Record> prefix_;
+  std::string expected_;  // prefix_[cursor_] encoded; reused across records
   std::size_t cursor_ = 0;
   bool validating_ = false;
   bool diverged_ = false;

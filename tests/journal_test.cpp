@@ -1,20 +1,28 @@
 // Tests for the durable event journal (src/journal/): byte-stable codec
-// round-trips over seeded record streams, torn-tail vs corruption
-// classification with record indices, journal byte-determinism of full
-// runs, alloc records only for placed and released slices, StateImage
-// folding, and the bounded crash-at-every-event sweep on a small fixed
-// scenario (docs/recovery.md).
+// round-trips over seeded record streams, the to_chars time form pinned
+// against printf "%.9f", the strict time grammar, line-atomic appends,
+// torn-tail vs corruption classification with record indices, golden and
+// same-seed journal bytes of full runs, alloc records only for placed and
+// released slices, StateImage folding, and the bounded crash-at-every-event
+// sweep on a small fixed scenario (docs/recovery.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "check/runner.hpp"
 #include "check/spec.hpp"
+#include "core/session.hpp"
+#include "core/task.hpp"
 #include "journal/journal.hpp"
 #include "journal/record.hpp"
 #include "journal/recovery.hpp"
+#include "journal/scribe.hpp"
+#include "platform/cluster.hpp"
 #include "sim/random.hpp"
 #include "util/error.hpp"
 
@@ -117,6 +125,110 @@ TEST(Codec, TimesAreFixedPrecision) {
   EXPECT_NE(line.find("t=0.333333333|"), std::string::npos) << line;
 }
 
+// printf "%.9f" of `t`: the reference the codec's time form must match.
+std::string printf_time(double t) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "%.9f", t);
+  return buf;
+}
+
+std::string codec_time(double t) {
+  std::string out;
+  append_time(out, t);
+  return out;
+}
+
+bool encodable(double t) {
+  try {
+    codec_time(t);
+    return true;
+  } catch (const util::Error&) {
+    return false;
+  }
+}
+
+TEST(Codec, TimeFormMatchesPrintfFixedNine) {
+  // Exact binary fractions k/2^n: for n = 10 every odd k is a tie at the
+  // tenth decimal, so this pins the rounding of exact halves too.
+  for (int n = 10; n <= 40; ++n) {
+    const double scale = std::ldexp(1.0, -n);
+    for (std::int64_t k = 1; k <= 4097; k += 2) {
+      for (const std::int64_t m : {k, k * 1000003, k << 20}) {
+        const double t = static_cast<double>(m) * scale;
+        ASSERT_EQ(codec_time(t), printf_time(t)) << m << "/2^" << n;
+      }
+    }
+  }
+  sim::RngStream rng(2025, "journal.time_form");
+  for (int i = 0; i < 100000; ++i) {
+    const double t = rng.uniform(0.0, 1e7);
+    ASSERT_EQ(codec_time(t), printf_time(t)) << std::hexfloat << t;
+  }
+  // The largest time the codec writes sits just below 1e54 (55 integer
+  // digits would not fit kMaxTimeChars).
+  double largest = 1e54;
+  while (!encodable(largest)) largest = std::nextafter(largest, 0.0);
+  EXPECT_FALSE(encodable(std::nextafter(largest, 1e300)));
+  EXPECT_GT(largest, 9.99e53);
+  for (const double t : {0.0, 1e-10, largest}) {
+    EXPECT_EQ(codec_time(t), printf_time(t)) << t;
+  }
+  EXPECT_EQ(codec_time(largest).size(), kMaxTimeChars);
+}
+
+TEST(Codec, RejectsTimesTheReaderCouldNotDecode) {
+  for (const double t : {-1.0, -0.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 1e54,
+                         1e300}) {
+    EXPECT_THROW(ready_record(t).encode(), util::Error) << t;
+  }
+}
+
+TEST(Codec, FieldEncoderMatchesTheRecordEncoding) {
+  std::string line = "stale bytes from an earlier, longer record";
+  encode_transition(line, 2.25, "task.000007", "RUNNING", "DONE", "flux", 3);
+  EXPECT_EQ(line, transition_record(2.25, "task.000007", "RUNNING", "DONE",
+                                    "flux", 3)
+                      .encode());
+}
+
+TEST(Writer, AppendIsLineAtomic) {
+  Writer writer;
+  writer.append(ready_record(1.0));
+  const std::string before = writer.bytes();
+  EXPECT_THROW(
+      writer.append(transition_record(2.0, "task|0", "NEW", "DONE", "", 0)),
+      util::Error);
+  EXPECT_THROW(writer.append_transition(2.0, "task|0", "NEW", "DONE", "", 0),
+               util::Error);
+  EXPECT_EQ(writer.bytes(), before);
+  EXPECT_EQ(writer.records(), 1u);
+  // The next good record lands right after the last good one.
+  writer.append(ready_record(3.0));
+  EXPECT_EQ(writer.bytes(), before + ready_record(3.0).encode());
+}
+
+TEST(Scribe, TransitionWithADelimiterInTheUidIsLineAtomic) {
+  core::Session session{platform::frontier_spec(), 2, 42};
+  core::Task bad("task|0", core::TaskDescription{});
+  core::Task good("task.000000", core::TaskDescription{});
+  // Validate mode, with a prefix that the good edge matches.
+  Scribe scribe(session, {transition_record(0.0, "task.000000", "NEW",
+                                            "TMGR_SCHEDULING", "", 0)});
+  EXPECT_THROW(scribe.transition(bad, core::TaskState::kNew,
+                                 core::TaskState::kTmgrScheduling),
+               util::Error);
+  EXPECT_TRUE(scribe.writer().bytes().empty());
+  EXPECT_EQ(scribe.records(), 0u);
+  EXPECT_EQ(scribe.cursor(), 0u);
+  scribe.transition(good, core::TaskState::kNew,
+                    core::TaskState::kTmgrScheduling);
+  EXPECT_EQ(scribe.records(), 1u);
+  EXPECT_EQ(scribe.cursor(), 1u);
+  EXPECT_FALSE(scribe.diverged());
+  EXPECT_TRUE(scribe.replay_complete());
+}
+
 // ------------------------------------------------- torn tail vs corruption
 
 TEST(Reader, TruncatedTailIsToleratedAndReported) {
@@ -168,6 +280,36 @@ TEST(Reader, DecodableFinalLineWithoutNewlineCountsAsTorn) {
   EXPECT_TRUE(result.intact());
   EXPECT_TRUE(result.truncated);
   EXPECT_EQ(result.records.size(), 4u);
+}
+
+// `body` closed with its correct checksum and '\n', as the writer would.
+std::string checksummed(const std::string& body) {
+  char sum[9];
+  std::snprintf(sum, sizeof(sum), "%08x", fnv1a32(body + "|h="));
+  return body + "|h=" + sum + "\n";
+}
+
+TEST(Reader, RejectsNonCanonicalTimesAsCorruption) {
+  // Each bad time sits in a line whose checksum is right, between two good
+  // records, so only the time grammar can reject it.
+  const std::string good = ready_record(1.0).encode();
+  ASSERT_EQ(checksummed("ready|t=1.000000000"), good);
+  for (const char* t :
+       {"1.5x", " 1.5", "+1.5", "nan", "inf", "0x1p3", "1.5", "-1.500000000",
+        "+1.500000000", " 1.500000000", "1.500000000 ", "1.50000000x",
+        "01.500000000", "1.5000000000", "1e3", "1.500000000e0", ".500000000",
+        "1,500000000", "nan.000000000", "inf.000000000", "0x1.000000000", ""}) {
+    const auto result =
+        read(good + checksummed(std::string("ready|t=") + t) + good);
+    EXPECT_TRUE(result.corrupt) << "'" << t << "'";
+    EXPECT_EQ(result.corrupt_index, 1u) << "'" << t << "'";
+    EXPECT_EQ(result.error, "bad time") << "'" << t << "'";
+  }
+  // The canonical forms at both ends of the range are accepted.
+  const auto edges = read(checksummed("ready|t=0.000000000") +
+                          checksummed("ready|t=" + codec_time(9.9e53)));
+  EXPECT_TRUE(edges.intact()) << edges.error;
+  EXPECT_EQ(edges.records.size(), 2u);
 }
 
 // -------------------------------------------------------- recovery manager
@@ -261,6 +403,58 @@ TEST(Journal, SameSeedRunsProduceByteIdenticalJournals) {
   EXPECT_EQ(parsed.records.front().type, RecordType::kHeader);
   EXPECT_EQ(parsed.records.back().type, RecordType::kEnd);
   EXPECT_EQ(parsed.records.back().done, 5);
+}
+
+// FNV-1a 64 over a whole journal, for the golden digests below.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Journal, GoldenJournalBytesOfThreeFixedCampaigns) {
+  // Same-seed identity alone would not notice a codec change that moves
+  // every run's bytes the same way. These lengths and digests were computed
+  // with the snprintf/std::to_string codec this one replaced; the codec
+  // must keep producing exactly those bytes. ("dragon mixed" is the hetero
+  // workload on dragon, which mixes executable and function tasks.)
+  struct Golden {
+    const char* name;
+    check::ScenarioSpec spec;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  const auto campaign = [](std::vector<core::BackendSpec> backends,
+                           const char* workload, int tasks) {
+    check::ScenarioSpec spec;
+    spec.seed = 7;
+    spec.nodes = 4;
+    spec.backends = std::move(backends);
+    spec.workload = workload;
+    spec.tasks = tasks;
+    spec.duration = 1.0;
+    return spec;
+  };
+  const std::vector<Golden> goldens = {
+      {"flux null", campaign({{"flux"}}, "null", 64), 42881,
+       0xc460beccd2a0d316ull},
+      {"dragon mixed", campaign({{"dragon"}}, "hetero", 48), 33062,
+       0xf4cb6ab905dc6837ull},
+      {"srun impeccable", campaign({{"srun"}}, "impeccable", 48), 32608,
+       0xa0155417f69b91c6ull},
+  };
+  check::RunOptions opts;
+  opts.journal = true;
+  for (const auto& golden : goldens) {
+    const auto run = check::run_scenario(golden.spec, opts);
+    ASSERT_TRUE(run.ok()) << golden.name;
+    EXPECT_EQ(run.journal.size(), golden.bytes) << golden.name;
+    EXPECT_EQ(fnv1a64(run.journal), golden.digest)
+        << golden.name << std::hex << " digest 0x" << fnv1a64(run.journal);
+  }
 }
 
 TEST(Journal, HeaderStripsTheOracleDimensions) {
