@@ -81,14 +81,8 @@ struct CampaignResult {
 
 // End-to-end: null workload through RP + one flux partition, timed on the
 // wall clock so simulator events/sec reflects the refactored hot path.
-// engine_shards/engine_threads > 1 measures the same campaign on the
-// partitioned calendar with a concurrent drain — the configuration the
-// confinement proofs (docs/correctness.md#confinement-proofs) unlock.
-CampaignResult run_campaign(int nodes, int tasks, std::uint64_t seed,
-                            int engine_shards = 1, int engine_threads = 1) {
-  core::Session session(platform::frontier_spec(), nodes, seed,
-                        platform::frontier_calibration(), engine_shards,
-                        engine_threads);
+CampaignResult run_campaign(int nodes, int tasks, std::uint64_t seed) {
+  core::Session session(platform::frontier_spec(), nodes, seed);
   core::PilotManager pmgr(session);
   auto& pilot = pmgr.submit(
       {.nodes = nodes, .backends = {{.type = "flux", .partitions = 1}}});
@@ -119,8 +113,8 @@ struct StormRate {
   double events_per_sec = 0.0;
 };
 
-// Pure engine throughput on the shard-confined storm workload
-// (src/sim/storm.hpp): the partitioned-calendar headline number. Thread
+// Pure engine throughput on the storm workload (src/sim/storm.hpp): the
+// partitioned-calendar headline number. Thread
 // and shard counts are fixed — the determinism lint bans
 // hardware_concurrency, and a fixed topology keeps snapshots comparable
 // across runners.
@@ -178,18 +172,10 @@ int main() {
   std::cout << "\n=== End-to-end campaign (flux, " << campaign_nodes
             << " nodes, " << campaign_tasks << " null tasks) ===\n";
   const auto campaign = run_campaign(campaign_nodes, campaign_tasks, 42);
-  // Same campaign on a 4-shard calendar drained by 4 worker threads: the
-  // full-stack threaded configuration. Identical schedule by the
-  // thread-invariance oracle; only the wall clock may move.
-  const auto campaign_mt =
-      run_campaign(campaign_nodes, campaign_tasks, 42, 4, 4);
   Table summary({"stack", "makespan [s]", "avg tput [t/s]", "sim events/s"});
   summary.add_row({"serial", fixed(campaign.makespan, 1),
                    fixed(campaign.avg_tput),
                    fixed(campaign.events_per_sec, 0)});
-  summary.add_row({"4 shards x 4 threads", fixed(campaign_mt.makespan, 1),
-                   fixed(campaign_mt.avg_tput),
-                   fixed(campaign_mt.events_per_sec, 0)});
   summary.print();
 
   const int storm_actors = quick ? 1024 : 2048;
@@ -216,7 +202,6 @@ int main() {
   kv("placement_speedup", speedup);
   kv("makespan_s", campaign.makespan);
   kv("events_per_sec", campaign.events_per_sec);
-  kv("events_per_sec_fullstack_mt", campaign_mt.events_per_sec);
   kv("events_per_sec_storm_serial", storm_serial.events_per_sec);
   kv("events_per_sec_sharded", storm_sharded.events_per_sec);
   kv("storm_speedup", storm_speedup);

@@ -30,11 +30,6 @@ METRICS = {
     "placement_attempts_per_sec_indexed": "higher",
     "placement_speedup": "higher",
     "events_per_sec": "higher",
-    # Full-stack campaign on a 4-shard calendar drained by 4 worker
-    # threads (the configuration the confinement proofs unlock) — same
-    # schedule as the serial campaign, so only wall-clock throughput can
-    # move.
-    "events_per_sec_fullstack_mt": "higher",
     "events_per_sec_storm_serial": "higher",
     "events_per_sec_sharded": "higher",
     # Parallel-vs-serial ratio of the two storm rates: informational —

@@ -80,7 +80,6 @@ cat > "$out" <<EOF
   "placement_speedup": $(kv placement_speedup),
   "makespan_s": $(kv makespan_s),
   "events_per_sec": $(kv events_per_sec),
-  "events_per_sec_fullstack_mt": $(kv events_per_sec_fullstack_mt),
   "events_per_sec_storm_serial": $(kv events_per_sec_storm_serial),
   "events_per_sec_sharded": $(kv events_per_sec_sharded),
   "storm_speedup": $(kv storm_speedup),

@@ -1,7 +1,6 @@
 #include "analyze/confine.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <ostream>
 #include <set>
@@ -13,70 +12,9 @@ namespace flotilla::analyze {
 
 namespace {
 
-// Shard context of a function: the set of distinct home-shard keys whose
-// dispatch paths reach it. Empty = Bottom (no traced dispatch path —
-// construction or host-driven setup), one key = Home, two or more =
-// Multi (reached from differently-targeted dispatches).
-using ShardCtx = std::set<std::string>;
-
-struct Edge {
-  int src = -1;
-  int dst = -1;
-};
-
 std::string last_component(const std::string& qualified) {
   const std::size_t pos = qualified.rfind("::");
   return pos == std::string::npos ? qualified : qualified.substr(pos + 2);
-}
-
-std::string drop_last_component(const std::string& qualified) {
-  const std::size_t pos = qualified.rfind("::");
-  return pos == std::string::npos ? std::string() : qualified.substr(0, pos);
-}
-
-// Constructors and destructors run before the object is published to the
-// event loop (and after it is withdrawn); their writes are excluded from
-// the shard-context obligation.
-bool ctor_or_dtor(const std::string& qualified) {
-  const std::string name = last_component(qualified);
-  if (!name.empty() && name[0] == '~') return true;
-  const std::string cls = last_component(drop_last_component(qualified));
-  return !cls.empty() && name == cls;
-}
-
-bool plain_identifier(const std::string& s) {
-  if (s.empty()) return false;
-  if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_')) {
-    return false;
-  }
-  for (const char c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Canonical form of a dispatch destination expression. kControlShard
-// (however qualified) is one global key; a member field like `shard_` is
-// scoped to the dispatching class, so every dispatch in flux::Instance
-// through `shard_` agrees on one key while slurm's `shard_` stays
-// distinct; anything else is an opaque expression scoped the same way —
-// two textually identical expressions in one class are (heuristically)
-// the same destination, textually different ones are not.
-std::string normalize_key(const std::string& raw, const std::string& scope) {
-  if (raw.find("kControlShard") != std::string::npos) return "control";
-  if (plain_identifier(raw) && raw.back() == '_') return scope + "::" + raw;
-  return scope + "::<" + raw + ">";
-}
-
-std::string quoted_keys(const ShardCtx& keys) {
-  std::string out;
-  for (const std::string& k : keys) {
-    if (!out.empty()) out += ", ";
-    out += "'" + k + "'";
-  }
-  return out;
 }
 
 }  // namespace
@@ -110,18 +48,18 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
     }
   }
 
-  // Context-carrying call edges. Name-level resolution smears contexts
-  // across unrelated same-named methods, so a member call only transfers
-  // the caller's shard context when the receiver is credibly the
-  // callee's class: `this`, a receiver whose harvested declared type
-  // matches, a call that resolves into a single class, or a same-class
-  // candidate. Free-call form always transfers — it runs inline.
-  std::vector<Edge> ctx_edges;
+  // Credible call edges. Name-level resolution smears reachability
+  // across unrelated same-named methods, so a member call only counts
+  // when the receiver is credibly the callee's class: `this`, a receiver
+  // whose harvested declared type matches, a call that resolves into a
+  // single class, or a same-class candidate. Free-call form always
+  // counts — it runs inline.
+  std::vector<std::vector<int>> adjacency(model.functions.size());
   for (const ResolvedCall& call : model.calls) {
     if (call.caller < 0 || call.callback || call.callees.empty()) continue;
     if (!call.member || call.on_this) {
       for (const int callee : call.callees) {
-        ctx_edges.push_back({call.caller, callee});
+        adjacency[call.caller].push_back(callee);
       }
       continue;
     }
@@ -146,7 +84,7 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
         matched = call.callees;
       }
       for (const int callee : matched) {
-        ctx_edges.push_back({call.caller, callee});
+        adjacency[call.caller].push_back(callee);
       }
       continue;
     }
@@ -160,39 +98,24 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
       const std::string& cls = model.functions[callee].def.class_ctx;
       if (classes.size() == 1 || (!caller_class.empty() &&
                                   cls == caller_class)) {
-        ctx_edges.push_back({call.caller, callee});
+        adjacency[call.caller].push_back(callee);
       }
     }
   }
 
-  // Dispatch seams. A targeted dispatch seeds the lambda's context with
-  // the normalized destination key — deliberately NOT joined with the
-  // dispatcher's own context, since the engine runs the lambda on the
-  // named shard no matter where the dispatch executed. An untargeted
-  // in/at inherits the calling event's shard, so the lambda inherits the
-  // dispatcher's context like any nested lambda.
-  std::map<int, ShardCtx> seeds;
-  std::set<int> targeted_lambdas;
-  std::vector<Edge> dispatch_edges;  // reachability only (storm closure)
+  // Dispatch seams: a lambda handed to the engine's in/at runs as an
+  // event the dispatcher scheduled.
+  std::set<int> dispatched_lambdas;
   for (std::size_t fi = 0; fi < input.files.size(); ++fi) {
     const int file_index = static_cast<int>(fi);
     for (const DispatchFact& d : input.files[fi].facts.dispatches) {
       const int dispatcher = function_at(file_index, d.body_id);
       if (dispatcher < 0) continue;
-      const FunctionDef& def = model.functions[dispatcher].def;
-      const std::string scope = def.class_ctx.empty()
-                                    ? drop_last_component(def.qualified)
-                                    : def.class_ctx;
       for (const int body : d.lambda_bodies) {
         const int lambda = function_at(file_index, body);
         if (lambda < 0) continue;
-        dispatch_edges.push_back({dispatcher, lambda});
-        if (d.targeted) {
-          seeds[lambda].insert(normalize_key(d.shard_key, scope));
-          targeted_lambdas.insert(lambda);
-        } else {
-          ctx_edges.push_back({dispatcher, lambda});
-        }
+        adjacency[dispatcher].push_back(lambda);
+        dispatched_lambdas.insert(lambda);
       }
     }
   }
@@ -201,7 +124,7 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
   // comparators, immediately-invoked blocks) run wherever their
   // enclosing function runs.
   for (const FunctionNode& node : model.functions) {
-    if (!node.def.lambda || targeted_lambdas.count(node.id) > 0) continue;
+    if (!node.def.lambda || dispatched_lambdas.count(node.id) > 0) continue;
     const BodyIndex& bodies = input.files[node.file_index].bodies;
     int parent = node.def.body_id >= 0
                      ? bodies.bodies[node.def.body_id].parent
@@ -209,26 +132,10 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
     while (parent >= 0) {
       const int enclosing = function_at(node.file_index, parent);
       if (enclosing >= 0) {
-        ctx_edges.push_back({enclosing, node.id});
+        adjacency[enclosing].push_back(node.id);
         break;
       }
       parent = bodies.bodies[parent].parent;
-    }
-  }
-
-  // Propagate shard contexts to a fixpoint. Monotone: joins only ever
-  // add keys.
-  std::vector<ShardCtx> ctx(model.functions.size());
-  for (const auto& [fn, keys] : seeds) {
-    ctx[fn].insert(keys.begin(), keys.end());
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Edge& e : ctx_edges) {
-      for (const std::string& key : ctx[e.src]) {
-        if (ctx[e.dst].insert(key).second) changed = true;
-      }
     }
   }
 
@@ -238,9 +145,6 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
   // can run from the event loop", which is the full-stack loop, not the
   // storm harness; threads-pinned is a claim about the storm roots
   // specifically.
-  std::vector<std::vector<int>> adjacency(model.functions.size());
-  for (const Edge& e : ctx_edges) adjacency[e.src].push_back(e.dst);
-  for (const Edge& e : dispatch_edges) adjacency[e.src].push_back(e.dst);
   std::vector<int> storm_parent(model.functions.size(), -2);  // -2 unreached
   std::vector<int> stack;
   for (const FunctionNode& node : model.functions) {
@@ -275,8 +179,7 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
     return out + "'";
   };
 
-  // Inventory entries grouped by the claim that covers them, plus
-  // function ids per (file, qualified writer) for context lookups.
+  // Inventory entries grouped by the claim that covers them.
   const std::vector<SharedStateEntry> entries = collect_shared_state(input);
   std::map<const ConfinedAnnotation*, std::vector<const SharedStateEntry*>>
       by_claim;
@@ -285,22 +188,6 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
         match_annotation(input.confined, e.target, e.function);
     if (a != nullptr) by_claim[a].push_back(&e);
   }
-  std::map<std::string, std::vector<int>> fns_by_site;
-  for (const FunctionNode& node : model.functions) {
-    fns_by_site[node.display_file + "|" + node.def.qualified].push_back(
-        node.id);
-  }
-  auto entry_ctx = [&](const SharedStateEntry& e) {
-    ShardCtx merged;
-    const auto it = fns_by_site.find(e.file + "|" + e.function);
-    if (it != fns_by_site.end()) {
-      for (const int fn : it->second) {
-        merged.insert(ctx[fn].begin(), ctx[fn].end());
-      }
-    }
-    return merged;
-  };
-
   const std::vector<const SharedStateEntry*> kNoEntries;
   for (const ConfinedAnnotation& a : *input.confined) {
     ConfinementClaim row;
@@ -376,45 +263,6 @@ ConfinementResult analyze_confinement(const AnalysisInput& input) {
            "confinement claim for '" + a.target + "' in '" + a.function +
                "' covers no unguarded-write inventory entry; downgrade "
                "to 'assume' or delete the line");
-    } else if (a.kind == "shard-confined") {
-      ShardCtx home_keys;
-      bool any_home = false;
-      bool any_multi = false;
-      for (const SharedStateEntry* e : matched) {
-        if (ctor_or_dtor(e->function)) continue;
-        const ShardCtx keys = entry_ctx(*e);
-        if (keys.size() >= 2) {
-          any_multi = true;
-          fail("conf-unproven", e->file, e->line,
-               std::string(e->kind == WriteFact::Kind::kMember
-                               ? "member '"
-                               : "global '") +
-                   e->target + "' in '" + e->function +
-                   "' is written from dispatches targeting multiple "
-                   "shard keys (" + quoted_keys(keys) + ")" + claim_at);
-        } else if (keys.size() == 1) {
-          any_home = true;
-          home_keys.insert(*keys.begin());
-        }
-      }
-      if (!any_multi && home_keys.size() >= 2) {
-        const SharedStateEntry& first = *matched.front();
-        fail("conf-cross-shard-write", first.file, first.line,
-             "writers covered by the shard-confined claim for '" +
-                 a.target + "' in '" + a.function +
-                 "' are dispatched to different shard keys (" +
-                 quoted_keys(home_keys) +
-                 "); shard confinement needs one home shard" + claim_at);
-      } else if (!any_multi && !any_home) {
-        fail("conf-unproven", input.confined_path, a.line,
-             "no dispatch-targeted path reaches any writer covered by "
-             "the shard-confined claim for '" + a.target + "' in '" +
-                 a.function +
-                 "'; nothing ties the writes to a home shard");
-      } else if (!any_multi) {
-        row.verdict = "proved";
-        row.detail = "home=" + *home_keys.begin();
-      }
     } else {  // owner-confined
       bool escaped = false;
       for (const SharedStateEntry* e : matched) {
@@ -480,7 +328,7 @@ void write_confinement_report(const std::vector<ConfinementClaim>& claims,
 }
 
 std::vector<std::string> ConfinementPass::rules() const {
-  return {"conf-cross-shard-write", "conf-stale-claim", "conf-unproven"};
+  return {"conf-stale-claim", "conf-unproven"};
 }
 
 void ConfinementPass::run(const AnalysisInput& input,

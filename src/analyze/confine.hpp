@@ -1,34 +1,30 @@
-// Confinement-proof pass (docs/correctness.md#confinement-proofs,
-// docs/sharding.md "Confinement proofs").
+// Confinement-proof pass (docs/correctness.md#confinement-proofs).
 //
 // The shared-state inventory (analyze/ipc.hpp) lists every unguarded
 // write reachable from the event loop; analyze/confined.txt annotates
-// why each is safe without a guard. This pass turns the annotations
-// whose status column says "verified" into proof obligations against a
-// dispatch model built from the engine's in/at/invoke_on seams:
+// why each is safe without a guard. The full stack runs serially on one
+// single-shard engine; only the storm kernel drains a threaded engine.
+// This pass turns the annotations whose status column says "verified"
+// into proof obligations:
 //
-//   shard-confined   every inventory writer covered by the claim is
-//                    only reached from lambdas dispatched to one shard
-//                    key (the class's home shard), or from no dispatch
-//                    path at all (construction / host setup). Writers
-//                    reached from differently-keyed dispatches fail.
 //   owner-confined   writers all live inside the owning component and
 //                    no global the claim covers is also written
 //                    unguarded outside it. The round-barrier publication
 //                    half of the argument is dynamic (TSan leg plus the
-//                    fingerprint matrix), not static.
+//                    storm's shards x threads matrix), not static.
 //   threads-pinned   no function the claim covers is reachable from the
 //                    threaded storm roots (sim::run_storm and the storm
-//                    harness sources), so the pinned code never runs on
-//                    an engine worker thread.
+//                    harness sources) along call, engine-dispatch and
+//                    nested-lambda edges, so the pinned code never runs
+//                    on an engine worker thread.
 //   host-tooling     never provable here; must use status "assume".
 //
-// Failures surface as conf-unproven / conf-cross-shard-write findings
-// at the offending write (or at the claim line for vacuous claims), and
-// any claim — verified or assumed — whose function pattern no longer
-// names a function in the scanned tree is a conf-stale-claim hard
-// error. All three rules are kError severity: a wrong confinement claim
-// is exactly the class of bug that lets the threads > 1 full stack race.
+// Failures surface as conf-unproven findings at the offending write (or
+// at the claim line for vacuous claims), and any claim — verified or
+// assumed — whose function pattern no longer names a function in the
+// scanned tree is a conf-stale-claim hard error. Both rules are kError
+// severity: a wrong confinement claim is exactly the class of bug that
+// lets the threaded storm kernel race.
 #pragma once
 
 #include <iosfwd>
@@ -42,11 +38,11 @@ namespace flotilla::analyze {
 struct ConfinementClaim {
   std::string verdict;   // "proved" | "assumed" | "failed"
   std::string status;    // claim status column: "verified" | "assume"
-  std::string kind;      // owner-confined | shard-confined | ...
+  std::string kind;      // owner-confined | threads-pinned | ...
   std::string target;
   std::string function;  // claim pattern
   int entries = 0;       // matched shared-state inventory entries
-  std::string detail;    // home key, failure reason, or "-"
+  std::string detail;    // proof summary, failure reason, or "-"
   std::size_t line = 0;  // claim line in the annotation file
 };
 

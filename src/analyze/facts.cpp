@@ -661,40 +661,14 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
       }
     }
 
-    // Engine dispatch sites: member calls to in/at/invoke_on carrying an
-    // inline lambda. The lambda bodies are the units of work the sharded
-    // engine runs; the confinement pass seeds its shard-context analysis
-    // from them (docs/sharding.md, "Confinement proofs").
-    if (called && member &&
-        any_of(tok.text, {"in", "at", "invoke_on"})) {
+    // Engine dispatch sites: member calls to in/at carrying an inline
+    // lambda. The lambda bodies are the units of work the engine runs;
+    // the confinement pass follows them from the storm roots.
+    if (called && member && any_of(tok.text, {"in", "at"})) {
       const std::size_t open = i + 1;
       const std::size_t close = matching_close(toks, open);
       DispatchFact dispatch;
       dispatch.body_id = body.id;
-      dispatch.name = tok.text;
-      dispatch.line = tok.line;
-      if (i >= 2 && is_ident(toks[i - 2]) && toks[i - 2].text != "this") {
-        dispatch.receiver = toks[i - 2].text;
-      }
-      // Top-level commas split the arguments; the first argument's token
-      // text is the shard key of the targeted overloads.
-      int depth = 0;
-      int commas = 0;
-      std::string first_arg;
-      for (std::size_t j = open + 1; j < close && j < toks.size(); ++j) {
-        const Token& t = toks[j];
-        if (t.kind == TokenKind::kPunct) {
-          if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
-          if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
-          if (t.text == "," && depth == 0) {
-            ++commas;
-            continue;
-          }
-        }
-        if (commas == 0) first_arg += t.text;
-      }
-      dispatch.targeted = tok.text == "invoke_on" || commas >= 2;
-      if (dispatch.targeted) dispatch.shard_key = first_arg;
       for (const Body& b : bodies.bodies) {
         if (b.lambda && b.parent == body.id && b.open > open &&
             b.open < close) {

@@ -110,21 +110,14 @@ struct NondetFact {
   std::size_t line = 0;
 };
 
-// An engine dispatch site: a member call to `in`/`at`/`invoke_on` whose
-// argument list carries at least one inline lambda — the unit of work
-// the sharded engine will run on some shard (docs/sharding.md).
-// `targeted` records whether the call names an explicit destination
-// shard: invoke_on always does; at/in only in their three-argument
-// shard-targeted overloads (detected as >= 2 top-level commas).
-// `shard_key` is the token text of that destination argument.
+// An engine dispatch site: a member call to `in`/`at` whose argument
+// list carries at least one inline lambda — a unit of work the engine
+// will run as an event. The confinement pass adds a dispatcher -> lambda
+// edge for each, so the storm-root reachability proof follows work the
+// storm kernel schedules.
 struct DispatchFact {
   int body_id = -1;
-  std::string name;                // "in" | "at" | "invoke_on"
-  std::string receiver;            // receiver identifier, may be empty
-  bool targeted = false;
-  std::string shard_key;           // first-argument tokens when targeted
   std::vector<int> lambda_bodies;  // direct-child lambda bodies in the args
-  std::size_t line = 0;
 };
 
 // A trace-output sink: Tracer begin/end with a SpanType argument, a

@@ -222,11 +222,11 @@ bool load_confined_annotations(const std::string& path,
     }
     const std::size_t colon = a.reason.find_first_of(": \t");
     a.kind = colon == std::string::npos ? a.reason : a.reason.substr(0, colon);
-    if (a.kind != "owner-confined" && a.kind != "shard-confined" &&
-        a.kind != "threads-pinned" && a.kind != "host-tooling") {
+    if (a.kind != "owner-confined" && a.kind != "threads-pinned" &&
+        a.kind != "host-tooling") {
       *error = path + ":" + std::to_string(lineno) +
-               ": reason must open with owner-confined, shard-confined, "
-               "threads-pinned, or host-tooling, got '" +
+               ": reason must open with owner-confined, threads-pinned, "
+               "or host-tooling, got '" +
                a.kind + "'";
       return false;
     }

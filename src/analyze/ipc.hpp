@@ -58,21 +58,21 @@ struct SharedStateEntry {
 
 // One line of analyze/confined.txt: a claim that writes to `target` from
 // `function` are safe without a guard (owner-confined to one shard,
-// published at a round barrier, shard-confined by dispatch, or pinned
-// away from the threaded roots — docs/sharding.md). `function` is
+// published at a round barrier, or pinned away from the threaded storm
+// roots — docs/correctness.md#confinement-proofs). `function` is
 // matched as a qualified-name component suffix; a trailing "::*"
 // annotates every member of a component. `target` may be "*" to cover
 // all of the function's writes. `status` is "verified" (the confinement
 // pass must mechanically prove it — a proof failure is a conf-* finding)
 // or "assume" (reviewed claim, staleness-checked only). `kind` is the
-// reason's leading word: owner-confined, shard-confined, threads-pinned,
-// or host-tooling.
+// reason's leading word: owner-confined, threads-pinned, or
+// host-tooling.
 struct ConfinedAnnotation {
   std::string target;
   std::string function;
   std::string status;  // "verified" | "assume"
   std::string kind;
-  std::string reason;  // starts with kind, e.g. "shard-confined: ..."
+  std::string reason;  // starts with kind, e.g. "owner-confined: ..."
   std::size_t line = 0;
 };
 

@@ -26,11 +26,6 @@ const RuleMeta kRules[] = {
      "A source file is not covered by any layer prefix in "
      "analyze/layers.conf, so no layering rule applies to it.",
      kPasses},
-    {"conf-cross-shard-write", Severity::kError,
-     "Writers covered by one shard-confined claim are dispatched to "
-     "different shard keys; the state has no single home shard and races "
-     "once the engine runs threads > 1.",
-     kConfinement},
     {"conf-stale-claim", Severity::kError,
      "A confinement claim's function pattern matches nothing in the "
      "scanned tree; dead claims silently re-cover code if the name ever "

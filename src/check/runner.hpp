@@ -25,16 +25,6 @@ struct RunOptions {
   // FreeResourceIndex coherence check cadence (0 disables).
   int coherence_stride = 512;
 
-  // > 1: drain the engine's shard rounds on a worker pool (bare mode).
-  // The shared-state confinement proofs (docs/sharding.md, enforced by
-  // flotilla-analyze's conf-* passes) make this safe, but the
-  // between-events observers — the invariant monitor's post-event hook
-  // and the journal scribe — are event-order instruments, so bare mode
-  // runs without them and run_with_oracles cross-checks its terminal
-  // state against the monitored serial run instead. Incompatible with
-  // journal / crash_at / recovery (the runner raises).
-  int engine_threads = 1;
-
   // Durable journal / crash / recovery (docs/recovery.md).
   // Record a journal; the bytes land in RunResult::journal.
   bool journal = false;
@@ -85,8 +75,10 @@ std::vector<Violation> check_recovery(const ScenarioSpec& spec,
                                       const RunOptions& opts = {});
 
 // Runs the spec twice and appends a "determinism" violation to the first
-// run's result when the fingerprints diverge. Specs with crash_at > 0
-// additionally run the crash/recover oracle (check_recovery) against the
+// run's result when the fingerprints diverge. Specs with shards > 1 or
+// threads > 1 additionally run the storm kernel on that engine shape
+// against its serial reference ("storm-determinism"); specs with
+// crash_at > 0 run the crash/recover oracle (check_recovery) against the
 // first run's journal.
 RunResult run_with_oracles(const ScenarioSpec& spec,
                            const RunOptions& opts = {});

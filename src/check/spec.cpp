@@ -1,6 +1,7 @@
 #include "check/spec.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -30,17 +31,29 @@ double parse_double(const std::string& s, const std::string& what) {
   }
 }
 
-long long parse_int(const std::string& s, const std::string& what) {
+constexpr long long kIntMin = std::numeric_limits<int>::min();
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kInt64Max = std::numeric_limits<long long>::max();
+// Storm-oracle engine shape: each thread is a real std::thread.
+constexpr long long kMaxShards = 64;
+
+// Spec lines come from outside (--replay, --crash-all), so every integer
+// is range-checked before it narrows: a value outside [lo, hi] is an
+// error, never a wrapped or negative count.
+long long parse_int(const std::string& s, const std::string& what,
+                    long long lo = kIntMin, long long hi = kIntMax) {
+  long long v = 0;
   try {
     std::size_t used = 0;
-    const long long v = std::stoll(s, &used);
+    v = std::stoll(s, &used);
     if (used != s.size()) util::raise("spec: trailing junk in ", what, ": ", s);
-    return v;
   } catch (const std::invalid_argument&) {
     util::raise("spec: bad integer for ", what, ": ", s);
   } catch (const std::out_of_range&) {
-    util::raise("spec: integer out of range for ", what, ": ", s);
+    util::raise("spec: ", what, " out of range: ", s);
   }
+  if (v < lo || v > hi) util::raise("spec: ", what, " out of range: ", s);
+  return v;
 }
 
 std::uint64_t parse_u64(const std::string& s, const std::string& what) {
@@ -124,7 +137,7 @@ FaultSpec parse_fault(const std::string& token) {
     if (fields.size() != 3) util::raise("spec: bad crash fault: ", token);
     f.kind = FaultSpec::Kind::kCrash;
     f.backend = fields[1];
-    f.index = static_cast<int>(parse_int(fields[2], "crash index"));
+    f.index = static_cast<int>(parse_int(fields[2], "crash index", 0));
   } else if (kind == "cancel") {
     if (fields.size() != 2) util::raise("spec: bad cancel fault: ", token);
     f.kind = FaultSpec::Kind::kCancelStorm;
@@ -193,11 +206,12 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     if (key == "seed") {
       spec.seed = parse_u64(value, "seed");
     } else if (key == "nodes") {
-      spec.nodes = static_cast<int>(parse_int(value, "nodes"));
+      spec.nodes = static_cast<int>(parse_int(value, "nodes", 1));
     } else if (key == "shards") {
-      spec.shards = static_cast<int>(parse_int(value, "shards"));
+      spec.shards = static_cast<int>(parse_int(value, "shards", 1, kMaxShards));
     } else if (key == "threads") {
-      spec.threads = static_cast<int>(parse_int(value, "threads"));
+      spec.threads =
+          static_cast<int>(parse_int(value, "threads", 1, kMaxShards));
     } else if (key == "backends") {
       for (const auto& token : split(value, ',')) {
         spec.backends.push_back(parse_backend(token));
@@ -205,17 +219,17 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "workload") {
       spec.workload = value;
     } else if (key == "tasks") {
-      spec.tasks = static_cast<int>(parse_int(value, "tasks"));
+      spec.tasks = static_cast<int>(parse_int(value, "tasks", 0));
     } else if (key == "duration") {
       spec.duration = parse_double(value, "duration");
     } else if (key == "cores") {
-      spec.cores = parse_int(value, "cores");
+      spec.cores = parse_int(value, "cores", 0, kInt64Max);
     } else if (key == "gpus") {
-      spec.gpus = parse_int(value, "gpus");
+      spec.gpus = parse_int(value, "gpus", 0, kInt64Max);
     } else if (key == "fail") {
       spec.fail_probability = parse_double(value, "fail");
     } else if (key == "retries") {
-      spec.max_retries = static_cast<int>(parse_int(value, "retries"));
+      spec.max_retries = static_cast<int>(parse_int(value, "retries", 0));
     } else if (key == "router") {
       spec.router = value;
     } else if (key == "placement") {
@@ -223,7 +237,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "dragon_queue") {
       spec.dragon_queue = value;
     } else if (key == "clients") {
-      spec.clients = static_cast<int>(parse_int(value, "clients"));
+      spec.clients = static_cast<int>(parse_int(value, "clients", 1));
     } else if (key == "arrival") {
       const auto colon = value.find(':');
       if (colon == std::string::npos) {
@@ -247,7 +261,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "crash_at") {
       spec.crash_at = parse_u64(value, "crash_at");
     } else if (key == "recover") {
-      spec.recover = parse_int(value, "recover") != 0;
+      spec.recover = parse_int(value, "recover", 0, 1) != 0;
     } else if (key == "bug") {
       spec.bug = value;
     } else {

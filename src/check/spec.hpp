@@ -35,13 +35,11 @@ struct ScenarioSpec {
   std::uint64_t seed = 42;
   int nodes = 4;
 
-  // Engine sharding (docs/sharding.md). `shards` partitions the Session
-  // engine's event calendar — the run must be bit-identical to shards=1.
-  // `threads` drives the threads dimension in run_with_oracles(): the
-  // engine-level storm oracle, plus — for clean specs — a bare full-stack
-  // run at engine_threads = threads that must reach the same terminal
-  // state as the monitored serial run (the confinement proofs in
-  // analyze/confined.txt are what make that legal).
+  // Engine shape for the storm-determinism oracle (docs/sharding.md).
+  // The stack itself always runs on the single-shard engine; when
+  // shards > 1 or threads > 1, run_with_oracles() also drains the storm
+  // kernel on max(shards, threads) shards with `threads` workers and
+  // demands it match the serial reference. Both lie in [1, 64].
   int shards = 1;
   int threads = 1;
 

@@ -3,11 +3,8 @@
 namespace flotilla::core {
 
 Session::Session(platform::PlatformSpec spec, int num_nodes,
-                 std::uint64_t seed, platform::Calibration calibration,
-                 int engine_shards, int engine_threads)
-    : engine_(sim::Engine::Config{engine_shards, engine_threads,
-                                  /*lookahead=*/0.0}),
-      cluster_(std::move(spec), num_nodes),
+                 std::uint64_t seed, platform::Calibration calibration)
+    : cluster_(std::move(spec), num_nodes),
       calibration_(calibration),
       trace_(engine_),
       seed_(seed),

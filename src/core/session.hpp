@@ -25,23 +25,12 @@ class Session {
   // `num_nodes` sizes the modeled machine (the job allocation lives inside
   // it); `seed` drives every random stream deterministically.
   //
-  // `engine_shards` partitions the event calendar (docs/sharding.md):
-  // backends self-assign a shard via engine().affinity(name) and the agent
-  // hops completion events back to the control shard, so the schedule is
-  // identical for any shard count (the determinism suites assert this).
-  //
-  // `engine_threads` enables concurrent shard drains (clamped to
-  // [1, engine_shards] by the engine). Safe because every class on the
-  // shared-state inventory carries a machine-checked confinement proof —
-  // flotilla-analyze's conf-* passes verify analyze/confined.txt on every
-  // CI run (docs/correctness.md#confinement-proofs). Threaded sessions
-  // must be driven through run(): step() executes on the calling thread
-  // and would serialize the drains. Lookahead stays 0 — the
-  // same-timestamp batch drain keeps virtual time monotone for the
-  // invariant monitor.
+  // The engine is always a single-shard calendar: the whole stack runs
+  // serially on it, in (time, insertion sequence) order. The engine's
+  // partitioned mode serves only the storm kernel, because threading made
+  // the stack slower, not faster (docs/sharding.md).
   Session(platform::PlatformSpec spec, int num_nodes, std::uint64_t seed = 42,
-          platform::Calibration calibration = platform::frontier_calibration(),
-          int engine_shards = 1, int engine_threads = 1);
+          platform::Calibration calibration = platform::frontier_calibration());
 
   sim::Engine& engine() { return engine_; }
   platform::Cluster& cluster() { return cluster_; }

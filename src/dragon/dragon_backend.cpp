@@ -18,10 +18,6 @@ DragonBackend::DragonBackend(sim::Engine& engine, platform::Cluster& cluster,
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     runtimes_.push_back(std::make_unique<Runtime>(
         engine, cluster, ranges[i], cal, seed + 104729 * (i + 1)));
-    // Each runtime gets its own shard key so partitioned deployments spread
-    // over the engine's worker shards instead of pinning to one.
-    runtimes_.back()->set_shard(
-        engine.affinity("dragon." + std::to_string(i)));
     // The watcher thread: consumes Dragon events and updates RP's registry.
     runtimes_.back()->on_event([this](const TaskEvent& event) {
       if (event.kind == TaskEvent::Kind::kStart) {

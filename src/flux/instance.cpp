@@ -25,7 +25,6 @@ Instance::Instance(std::string name, sim::Engine& engine,
   FLOT_CHECK(partition.count >= 1, "flux instance needs at least one node");
   FLOT_CHECK(partition.end() <= cluster.size(),
              "partition exceeds cluster: end=", partition.end());
-  shard_ = engine_.affinity(name_);
   exec_.reserve(static_cast<std::size_t>(partition.count));
   for (int i = 0; i < partition.count; ++i) {
     exec_.push_back(
@@ -43,9 +42,7 @@ void Instance::bootstrap(std::function<void()> ready) {
   const double duration = rng_.lognormal_mean_cv(
       cal_.bootstrap_base + cal_.bootstrap_per_node * partition_.count,
       cal_.jitter_cv / 2);
-  // Targeted at this instance's shard: the whole broker lifecycle (ingest,
-  // sched, exec, completion events) then stays shard-local.
-  engine_.in(shard_, duration, [this, ready = std::move(ready)] {
+  engine_.in(duration, [this, ready = std::move(ready)] {
     ready_ = true;
     bootstrap_duration_ = engine_.now() - bootstrap_requested_;
     obs_trace_.end(obs::SpanType::kBootstrap, name_, "");
@@ -96,14 +93,6 @@ void Instance::emit(JobEventKind kind, const std::string& job_id,
 }
 
 void Instance::submit(Job job) {
-  // Submissions arrive from the agent's control shard; hop onto this
-  // instance's shard (a direct call on a single-shard engine).
-  engine_.invoke_on(shard_, [this, job = std::move(job)]() mutable {
-    ingest(std::move(job));
-  });
-}
-
-void Instance::ingest(Job job) {
   FLOT_CHECK(ready_, "submit to flux instance ", name_, " before bootstrap");
   if (!healthy_) {
     emit(JobEventKind::kException, job.id, false, "broker unreachable");
@@ -343,13 +332,6 @@ void Instance::job_finished(std::shared_ptr<Job> job) {
 }
 
 void Instance::crash(const std::string& reason) {
-  // Fault injection fires from the control shard; the broker dies on its
-  // own shard so the exception events interleave deterministically with
-  // in-flight work.
-  engine_.invoke_on(shard_, [this, reason] { crash_on_shard(reason); });
-}
-
-void Instance::crash_on_shard(const std::string& reason) {
   if (!healthy_) return;
   healthy_ = false;
   // Queued jobs raise exceptions, in queue order.

@@ -47,11 +47,6 @@ class Instance {
   const std::string& name() const { return name_; }
   platform::NodeRange partition() const { return partition_; }
 
-  // Engine shard this instance's events run on (docs/sharding.md):
-  // derived from the instance name, the control shard when the engine is
-  // single-shard. Entry points called from other shards hop here.
-  sim::ShardId shard() const { return shard_; }
-
   // Bootstraps the broker overlay; `ready` fires once jobs are accepted.
   // The reported overhead (Fig 7) is the time from this call to readiness.
   void bootstrap(std::function<void()> ready);
@@ -102,8 +97,6 @@ class Instance {
   void emit(JobEventKind kind, const std::string& job_id, bool success = true,
             const std::string& note = "", sim::Time started = 0.0,
             sim::Time finished = 0.0);
-  void ingest(Job job);  // shard-local half of submit()
-  void crash_on_shard(const std::string& reason);
   void kick_scheduler();
   void run_sched_decision();
   // By value: the tag outlives the queue entries remove_if destroys.
@@ -116,7 +109,6 @@ class Instance {
 
   std::string name_;
   sim::Engine& engine_;
-  sim::ShardId shard_ = sim::kControlShard;
   platform::Cluster& cluster_;
   platform::NodeRange partition_;
   platform::FluxCalibration cal_;

@@ -16,8 +16,8 @@
 // 10^6-client population costs exactly one pending timer. Closed-loop
 // populations keep one think-timer slot per client and are meant for
 // moderate N. All randomness derives from named RngStreams off the
-// session seed, and every event lands on the calling (control) shard, so
-// traces are byte-identical across seeds and shard counts.
+// session seed and every event goes through the engine, so same-seed
+// traces are byte-identical.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -215,20 +214,6 @@ void write_prof(const Tracer& tracer, std::ostream& os) {
        << to_string(r.type) << "," << kind_name(r.kind) << "," << r.entity
        << "," << fmt_value(r.value) << "\n";
   });
-}
-
-void write_chrome_trace(TraceLanes& lanes, std::ostream& os) {
-  Tracer merged(lanes.engine(),
-                std::max<std::size_t>(std::size_t{1}, lanes.total_records()));
-  lanes.merge_into(merged);
-  write_chrome_trace(merged, os);
-}
-
-void write_prof(TraceLanes& lanes, std::ostream& os) {
-  Tracer merged(lanes.engine(),
-                std::max<std::size_t>(std::size_t{1}, lanes.total_records()));
-  lanes.merge_into(merged);
-  write_prof(merged, os);
 }
 
 }  // namespace flotilla::obs

@@ -66,65 +66,4 @@ void Tracer::push(RecordKind kind, SpanType type, std::string_view component,
   ++recorded_;
 }
 
-void Tracer::push_record(const Record& record) {
-  const std::size_t slot = (head_ + count_) % ring_.size();
-  ring_[slot] = record;
-  if (count_ < ring_.size()) {
-    ++count_;
-  } else {
-    head_ = (head_ + 1) % ring_.size();
-  }
-  ++recorded_;
-}
-
-TraceLanes::TraceLanes(sim::Engine& engine, std::size_t capacity_per_lane)
-    : engine_(&engine) {
-  lanes_.reserve(static_cast<std::size_t>(engine.shards()));
-  for (int s = 0; s < engine.shards(); ++s) {
-    lanes_.push_back(std::make_unique<Tracer>(engine, capacity_per_lane));
-  }
-}
-
-Tracer& TraceLanes::lane(sim::ShardId shard) {
-  FLOT_CHECK(shard >= 0 && shard < static_cast<int>(lanes_.size()),
-             "trace lane ", shard, " out of range");
-  return *lanes_[static_cast<std::size_t>(shard)];
-}
-
-std::size_t TraceLanes::total_records() const {
-  std::size_t n = 0;
-  for (const auto& lane : lanes_) n += lane->size();
-  return n;
-}
-
-std::uint64_t TraceLanes::total_dropped() const {
-  std::uint64_t n = 0;
-  for (const auto& lane : lanes_) n += lane->dropped();
-  return n;
-}
-
-void TraceLanes::merge_into(Tracer& out) const {
-  // K-way stable merge. Each lane is already chronological (virtual time
-  // never regresses within a shard), so the smallest head wins; ties pick
-  // the lowest shard id, which is what makes the merged order independent
-  // of how many threads drained the shards.
-  std::vector<std::size_t> pos(lanes_.size(), 0);
-  for (;;) {
-    int best = -1;
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
-      if (pos[l] >= lanes_[l]->size()) continue;
-      if (best < 0 ||
-          lanes_[l]->at(pos[l]).time <
-              lanes_[static_cast<std::size_t>(best)]
-                  ->at(pos[static_cast<std::size_t>(best)])
-                  .time) {
-        best = static_cast<int>(l);
-      }
-    }
-    if (best < 0) break;
-    const auto b = static_cast<std::size_t>(best);
-    out.push_record(lanes_[b]->at(pos[b]++));
-  }
-}
-
 }  // namespace flotilla::obs

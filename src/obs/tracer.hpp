@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,11 +103,6 @@ class Tracer {
          value);
   }
 
-  // Appends a fully-formed record, bypassing the engine clock — the lane
-  // merge (TraceLanes::merge_into) and replay tooling use this. Normal
-  // instrumentation goes through begin/end/instant/counter.
-  void push_record(const Record& record);
-
   std::size_t size() const { return count_; }
   std::size_t capacity() const { return ring_.size(); }
   std::uint64_t recorded() const { return recorded_; }
@@ -174,41 +168,6 @@ class TraceHandle {
 
  private:
   Tracer* tracer_ = nullptr;
-};
-
-// Per-shard trace lanes for the partitioned engine (docs/sharding.md).
-//
-// One Tracer per shard: an event records into the lane of the shard it
-// executes on (current()), so under sim::Engine::Config::threads > 1
-// every ring buffer has exactly one writer per drain round and no lock is
-// needed. merge_into() folds the lanes into a single Tracer in
-// (time, shard, lane-insertion) order — a deterministic merge, so the
-// combined Chrome trace / .prof export is byte-identical for any
-// shards x threads combination (asserted by trace_test.cpp).
-class TraceLanes {
- public:
-  explicit TraceLanes(sim::Engine& engine,
-                      std::size_t capacity_per_lane = Tracer::kDefaultCapacity);
-
-  sim::Engine& engine() { return *engine_; }
-  std::size_t lanes() const { return lanes_.size(); }
-  Tracer& lane(sim::ShardId shard);
-  // Lane of the shard the calling event is executing on (the control
-  // shard outside callbacks).
-  Tracer& current() { return lane(engine_->current_shard()); }
-  TraceHandle handle(sim::ShardId shard) { return TraceHandle(&lane(shard)); }
-
-  std::size_t total_records() const;
-  std::uint64_t total_dropped() const;
-
-  // Appends every lane's retained records to `out`, globally ordered by
-  // (time, shard id, within-lane insertion order). Only safe between
-  // engine rounds (not from inside a threaded drain).
-  void merge_into(Tracer& out) const;
-
- private:
-  sim::Engine* engine_;
-  std::vector<std::unique_ptr<Tracer>> lanes_;
 };
 
 }  // namespace flotilla::obs

@@ -77,15 +77,10 @@ class DvmBackend : public platform::TaskBackend {
 
  private:
   struct Task;
-  void accept(platform::LaunchRequest request);  // shard-local submit half
-  void crash_on_shard(const std::string& reason);
   void launch(std::shared_ptr<Task> task);
   void finish(std::shared_ptr<Task> task, bool success, std::string error);
 
   sim::Engine& engine_;
-  // Engine shard the head daemon and per-node prted chains run on
-  // (docs/sharding.md).
-  sim::ShardId shard_ = sim::kControlShard;
   platform::Cluster& cluster_;
   platform::NodeRange span_;
   platform::PrrteCalibration cal_;

@@ -43,17 +43,6 @@ ShardId Engine::current_shard() const {
   return ctx != nullptr ? ctx->shard : kControlShard;
 }
 
-ShardId Engine::affinity(std::string_view key) const {
-  if (config_.shards <= 1) return kControlShard;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return 1 + static_cast<ShardId>(
-                 h % static_cast<std::uint64_t>(config_.shards - 1));
-}
-
 Engine::EventId Engine::at(Time t, Callback cb) {
   return at(current_shard(), t, std::move(cb));
 }
@@ -88,13 +77,6 @@ Engine::EventId Engine::enqueue_send(ShardId to, Time t, Callback cb) {
   src.outbox[static_cast<std::size_t>(to)].push_back(
       PendingSend{t, id, std::move(cb)});
   return EventId{id, to};
-}
-
-bool Engine::must_hop(ShardId shard) const {
-  // Same shard or no event context to hop off: the historical direct-call
-  // path, bit-identical to the unsharded engine.
-  const ExecContext* ctx = context();
-  return ctx != nullptr && ctx->shard != shard;
 }
 
 bool Engine::cancel(EventId id) {

@@ -1,41 +1,36 @@
 // Deterministic discrete-event simulation engine, optionally partitioned
 // into shards drained by a small worker pool (docs/sharding.md).
 //
-// Single-shard mode (the default Config) is the historical engine: one
-// calendar ordered by (time, insertion sequence); ties at equal time
-// resolve in insertion order, which makes every simulation fully
-// deterministic for a given seed — a property the regression tests rely
-// on. This path is bit-identical to the pre-sharding engine, so golden
-// traces and calibration baselines carry over unchanged.
+// Single-shard mode (the default Config) is the engine the whole Flotilla
+// stack runs on: one calendar ordered by (time, insertion sequence); ties
+// at equal time resolve in insertion order, which makes every simulation
+// fully deterministic for a given seed — a property the regression tests
+// rely on.
 //
-// Sharded mode (Config{shards > 1}) partitions the calendar by event
-// affinity: every event belongs to a shard, chosen by the scheduler
-// (backend/cluster/node-group affinity via affinity()), and each shard's
+// Sharded mode (Config{shards > 1}) serves the storm kernel
+// (sim/storm.hpp) and the engine's own tests. Every event belongs to a
+// shard, chosen by the caller through at(shard, ...), and each shard's
 // events stay ordered by (time, shard-local sequence). Shards advance in
 // conservative lookahead windows: each round drains, per shard, every
 // event inside [T, T + lookahead] where T is the global minimum next
 // event time. With lookahead == 0 the round degenerates to the
 // same-timestamp batch drain — all shards drain exactly the events at T,
-// which keeps global virtual time monotone and is the mode the full
-// Flotilla stack runs under. Cross-shard scheduling is buffered in
-// per-(source, destination) ordered mailboxes during a round and merged
-// deterministically (destination-major, then source, then FIFO) at the
-// round barrier, clamped to the window end so no delivery can land inside
-// a window another shard already drained.
+// which keeps global virtual time monotone. Cross-shard scheduling is
+// buffered in per-(source, destination) ordered mailboxes during a round
+// and merged deterministically (destination-major, then source, then
+// FIFO) at the round barrier, clamped to the window end so no delivery
+// can land inside a window another shard already drained.
 //
 // Threads: Config{threads > 1} drains the shards of a round concurrently
 // on a persistent worker pool (shard s is owned by worker s % threads).
 // Because each calendar has a single owner per round, mailboxes are
 // single-writer, and the merge is deterministic, the observable execution
 // is byte-identical for any thread count — the shards×threads matrix test
-// in tests/sharded_engine_test.cpp asserts exactly that, for the raw
-// storm kernel and for the full Flotilla stack. Callbacks that run under
-// threads > 1 must confine their writes to shard-local state: every class
-// on the shared-state inventory (scripts/run_analyze.sh) carries a
-// confinement claim in analyze/confined.txt, and flotilla-analyze's
-// conf-* passes machine-check the `verified` ones on every CI run
-// (docs/correctness.md#confinement-proofs). That proof is what lets
-// core::Session expose engine_threads to the full stack.
+// in tests/sharded_engine_test.cpp asserts exactly that for the storm
+// kernel. Callbacks that run under threads > 1 must confine their writes
+// to shard-local state; the analyzer's storm-root reachability proof
+// (docs/correctness.md#confinement-proofs) checks that the storm kernel
+// reaches no stack code.
 #pragma once
 
 #include <atomic>
@@ -43,7 +38,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -53,8 +47,7 @@
 namespace flotilla::sim {
 
 // Shard handle. Shard 0 is the control shard: events scheduled outside
-// any event context land there, and the full RP core (agent, task
-// manager, session services) is pinned to it.
+// any event context land there.
 using ShardId = int;
 inline constexpr ShardId kControlShard = 0;
 
@@ -103,12 +96,6 @@ class Engine {
   // Shard of the executing event, or kControlShard outside callbacks.
   ShardId current_shard() const;
 
-  // Stable affinity for a component key ("flux.0", "dragon.1", ...):
-  // FNV-1a over the key onto the worker shards 1..shards-1, so backends
-  // spread over shards without any registration-order dependence.
-  // Single-shard engines map everything to the control shard.
-  ShardId affinity(std::string_view key) const;
-
   // Schedules `cb` at absolute virtual time `t` (>= now, else clamped to
   // now: an event can never fire in the past) on the current shard.
   EventId at(Time t, Callback cb);
@@ -126,21 +113,6 @@ class Engine {
   EventId at(ShardId shard, Time t, Callback cb);
   EventId in(ShardId shard, Time delay, Callback cb) {
     return at(shard, now() + delay, std::move(cb));
-  }
-
-  // Runs `fn` immediately when already on `shard` (or when the engine is
-  // single-shard — the historical direct-call path, bit-identical to the
-  // unsharded engine); otherwise posts it to `shard` at the current time
-  // via the mailbox. The agent uses this to hop backend completion
-  // events back onto the control shard. A template so the direct call
-  // never type-erases the closure.
-  template <typename F>
-  void invoke_on(ShardId shard, F&& fn) {
-    if (config_.shards == 1 || !must_hop(shard)) {
-      fn();
-      return;
-    }
-    enqueue_send(shard, now(), Callback(std::forward<F>(fn)));
   }
 
   // Cancels a pending event; cancelling an already-fired or unknown event
@@ -178,9 +150,7 @@ class Engine {
   // invariant monitors (src/check) use it to audit the simulation between
   // events. Pass an empty callback to clear. Never fires for events that
   // were cancelled. Under threads > 1 the hook fires on worker threads
-  // and must be thread-safe — threaded consumers keep to atomics (the
-  // check runner's event-budget counter); order-sensitive consumers like
-  // the invariant monitor require threads == 1.
+  // and must be thread-safe.
   void set_post_event_hook(Callback hook) { post_event_hook_ = std::move(hook); }
 
   // Trace probe: like the post-event hook but reserved for the tracing
@@ -194,10 +164,6 @@ class Engine {
   // Cross-shard send ids live in a distinct keyspace from calendar
   // sequence numbers so EventId stays a plain value.
   static constexpr std::uint64_t kSendBit = 1ull << 63;
-
-  // Whether invoke_on(shard) must post through the mailbox: only from
-  // inside an event on another shard.
-  bool must_hop(ShardId shard) const;
 
   struct PendingSend {
     Time time;

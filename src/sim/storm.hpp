@@ -1,5 +1,5 @@
-// Event storm: a synthetic, shard-confined workload for exercising the
-// partitioned engine (docs/sharding.md).
+// Event storm: a synthetic workload for exercising the partitioned
+// engine, its only client (docs/sharding.md).
 //
 // `actors` independent event chains, each pinned to shard (actor % shards),
 // step through `steps` events. Every step mixes the actor's running FNV

@@ -22,7 +22,6 @@ SrunBackend::SrunBackend(sim::Engine& engine, platform::Cluster& cluster,
       cal_(cal),
       rng_(seed, "srun"),
       ctld_(engine, cluster, allocation, cal, seed) {
-  shard_ = engine.affinity(name_);
   if (shared_ceiling) {
     ceiling_ = shared_ceiling;
   } else {
@@ -38,7 +37,7 @@ void SrunBackend::bootstrap(ReadyHandler ready) {
   // srun needs no runtime bootstrap: Slurm is already running system-wide.
   // A small constant covers RP's executor component coming up.
   obs_trace_.begin(obs::SpanType::kBootstrap, name_, "");
-  engine_.in(shard_, 0.1, [this, ready = std::move(ready)] {
+  engine_.in(0.1, [this, ready = std::move(ready)] {
     healthy_ = true;
     obs_trace_.end(obs::SpanType::kBootstrap, name_, "");
     ready(true, "");
@@ -46,15 +45,6 @@ void SrunBackend::bootstrap(ReadyHandler ready) {
 }
 
 void SrunBackend::submit(platform::LaunchRequest request) {
-  // Submissions arrive on the agent's control shard; the srun client and
-  // everything behind it (slurmctld RPCs, stepd spawns) run on this
-  // backend's shard. Direct call on a single-shard engine.
-  engine_.invoke_on(shard_, [this, request = std::move(request)]() mutable {
-    accept(std::move(request));
-  });
-}
-
-void SrunBackend::accept(platform::LaunchRequest request) {
   FLOT_CHECK(healthy_, "submit to srun backend before bootstrap");
   if (!ctld_.can_ever_fit(request.demand)) {
     // Real srun rejects a step larger than its allocation at once instead

@@ -68,7 +68,6 @@ class SrunBackend : public platform::TaskBackend {
  private:
   struct Srun;  // one live srun client
 
-  void accept(platform::LaunchRequest request);  // shard-local submit half
   void start_srun(std::shared_ptr<Srun> srun);
   void attempt_step(std::shared_ptr<Srun> srun);
   void handle_reply(std::shared_ptr<Srun> srun,
@@ -77,8 +76,6 @@ class SrunBackend : public platform::TaskBackend {
   void finish(std::shared_ptr<Srun> srun, bool success, std::string error);
 
   sim::Engine& engine_;
-  // Engine shard the srun/slurmctld event chains run on (docs/sharding.md).
-  sim::ShardId shard_ = sim::kControlShard;
   platform::SlurmCalibration cal_;
   sim::RngStream rng_;
   Slurmctld ctld_;

@@ -7,20 +7,9 @@ void Engine::in(double delay, Callback fn) {
   next_ = std::move(fn);
 }
 
-void Engine::in(int shard, double delay, Callback fn) {
-  (void)shard;
-  (void)delay;
-  next_ = std::move(fn);
-}
-
 void Engine::at(int shard, double when, Callback fn) {
   (void)shard;
   (void)when;
-  next_ = std::move(fn);
-}
-
-void Engine::invoke_on(int shard, Callback fn) {
-  (void)shard;
   next_ = std::move(fn);
 }
 

@@ -1,7 +1,7 @@
 // Miniature engine for the confinement fixtures: just enough surface for
-// the dispatch model — shard-targeted in/at/invoke_on overloads taking a
-// work lambda, a run loop that invokes scheduled callbacks (so the
-// shared-state audit's callback hub fires), and the control-shard id.
+// the dispatch model — in/at overloads taking a work lambda, and a run
+// loop that invokes scheduled callbacks (so the shared-state audit's
+// callback hub fires).
 #pragma once
 
 #include <functional>
@@ -11,14 +11,10 @@ namespace sim {
 
 using Callback = std::function<void()>;
 
-inline constexpr int kControlShard = 0;
-
 class Engine {
  public:
   void in(double delay, Callback fn);
-  void in(int shard, double delay, Callback fn);
   void at(int shard, double when, Callback fn);
-  void invoke_on(int shard, Callback fn);
   void run();
 
  private:

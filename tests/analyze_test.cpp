@@ -446,8 +446,7 @@ TEST(AnalyzeToolTest, SarifIsValidJsonWithOneResultPerFinding) {
   // Every pass's rules are declared as tool.driver.rules.
   for (const char* rule :
        {"arch-config", "arch-cycle", "arch-layering", "arch-unmapped",
-        "conf-cross-shard-write", "conf-stale-claim", "conf-unproven",
-        "ipc-blocking-under-lock", "ipc-determinism", "ipc-self-deadlock",
+        "conf-stale-claim", "conf-unproven", "ipc-blocking-under-lock", "ipc-determinism", "ipc-self-deadlock",
         "lock-callback", "lock-order", "lock-virtual", "shared-state",
         "span-balance", "wall-clock", "unordered-iteration"}) {
     EXPECT_NE(sarif.find(std::string("\"id\": \"") + rule + "\""),
@@ -462,13 +461,13 @@ TEST(AnalyzeToolTest, SarifRuleMetadataCarriesDocsAnchorsAndSeverity) {
   const std::string out = testing::TempDir() + "analyze_meta.sarif";
   run_analyze(fixture_args() + " --sarif --output " + out);
   const std::string sarif = read_file(out);
-  // All 20 declared rules carry a fullDescription and a helpUri anchored
+  // All 19 declared rules carry a fullDescription and a helpUri anchored
   // into docs/correctness.md; the three ipc rules and shared-state point
-  // at the interprocedural section, the three conf rules at the
+  // at the interprocedural section, the two conf rules at the
   // confinement-proofs section.
-  EXPECT_EQ(count_occurrences(sarif, "\"fullDescription\""), 20u);
+  EXPECT_EQ(count_occurrences(sarif, "\"fullDescription\""), 19u);
   EXPECT_EQ(count_occurrences(sarif, "\"helpUri\": \"docs/correctness.md#"),
-            20u);
+            19u);
   EXPECT_EQ(count_occurrences(
                 sarif,
                 "\"helpUri\": "
@@ -477,8 +476,8 @@ TEST(AnalyzeToolTest, SarifRuleMetadataCarriesDocsAnchorsAndSeverity) {
   EXPECT_EQ(count_occurrences(
                 sarif,
                 "\"helpUri\": \"docs/correctness.md#confinement-proofs\""),
-            3u);
-  EXPECT_EQ(count_occurrences(sarif, "\"defaultConfiguration\""), 20u);
+            2u);
+  EXPECT_EQ(count_occurrences(sarif, "\"defaultConfiguration\""), 19u);
   // shared-state is the only note-severity rule: its defaultConfiguration
   // plus its two fixture results are the only "note" levels in the
   // document; every other rule and result is level "error".
@@ -570,14 +569,14 @@ TEST(AnalyzeToolTest, ListRulesNamesEveryPassRule) {
   const std::vector<std::string> expected = {
       "arch-config",          "arch-cycle",
       "arch-layering",        "arch-unmapped",
-      "conf-cross-shard-write", "conf-stale-claim",
-      "conf-unproven",        "hardware-concurrency",
-      "ipc-blocking-under-lock", "ipc-determinism",
-      "ipc-self-deadlock",    "lock-callback",
-      "lock-order",           "lock-virtual",
-      "real-sleep",           "shared-state",
-      "span-balance",         "unordered-iteration",
-      "unseeded-random",      "wall-clock"};
+      "conf-stale-claim",     "conf-unproven",
+      "hardware-concurrency", "ipc-blocking-under-lock",
+      "ipc-determinism",      "ipc-self-deadlock",
+      "lock-callback",        "lock-order",
+      "lock-virtual",         "real-sleep",
+      "shared-state",         "span-balance",
+      "unordered-iteration",  "unseeded-random",
+      "wall-clock"};
   EXPECT_EQ(result.lines, expected);
 }
 
@@ -751,8 +750,8 @@ TEST(AnalyzeToolTest, ConfinedAnnotationsMarkInventoryEntries) {
   {
     std::ofstream out(confined);
     out << "# reviewed claims\n"
-        << "total_ Tally::accumulate assume shard-confined: one tally "
-           "per shard\n"
+        << "total_ Tally::accumulate assume owner-confined: one tally "
+           "per owner\n"
         << "* Engine::* assume owner-confined: during rounds\n";
   }
   const std::string report = testing::TempDir() + "analyze_ssr_conf.txt";
@@ -764,8 +763,8 @@ TEST(AnalyzeToolTest, ConfinedAnnotationsMarkInventoryEntries) {
   EXPECT_NE(text.find("# total 2 entries: 2 confined-by-annotation, "
                       "0 unannotated\n"),
             std::string::npos);
-  EXPECT_NE(text.find("\tsim::Tally::accumulate\tshard-confined: one "
-                      "tally per shard\n"),
+  EXPECT_NE(text.find("\tsim::Tally::accumulate\towner-confined: one "
+                      "tally per owner\n"),
             std::string::npos);
   EXPECT_NE(
       text.find("\tsim::Engine::step\towner-confined: during rounds\n"),
@@ -820,13 +819,9 @@ TEST(AnalyzeConfinementTest, CleanClaimsAllProve) {
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_TRUE(result.lines.empty());
   const std::string text = read_file(report);
-  EXPECT_NE(text.find("# total 5 claims: 2 proved, 3 assumed, 0 failed\n"),
+  EXPECT_NE(text.find("# total 2 claims: 1 proved, 1 assumed, 0 failed\n"),
             std::string::npos);
-  // The shard-confined proof names the discovered home-shard key and the
-  // owner-confined proof counts its writers.
-  EXPECT_NE(text.find("proved\tverified\tshard-confined\t*\t"
-                      "sim::ShardTally::*\t2\thome=sim::ShardTally::shard_"),
-            std::string::npos);
+  // The owner-confined proof counts its writers.
   EXPECT_NE(text.find("proved\tverified\towner-confined\t*\t"
                       "sim::Engine::*\t2\t"),
             std::string::npos);
@@ -839,23 +834,13 @@ TEST(AnalyzeConfinementTest, SeededClaimsFailEveryRule) {
   EXPECT_EQ(result.exit_code, 1);
   std::string all;
   for (const std::string& line : result.lines) all += line + "\n";
-  // Mirror: two writers with different single-key contexts.
-  EXPECT_NE(all.find("src/sim/mirror.cpp:6: error: [conf-cross-shard-write]"),
-            std::string::npos);
-  EXPECT_NE(all.find("'sim::Mirror::left_', 'sim::Mirror::right_'"),
-            std::string::npos);
-  // Blend: one writer reached from differently-targeted dispatches.
-  EXPECT_NE(all.find("src/sim/blend.cpp:10: error: [conf-unproven]"),
-            std::string::npos);
-  EXPECT_NE(all.find("'sim::Blend::alpha_', 'sim::Blend::beta_'"),
-            std::string::npos);
   // Reporter: claimed pinned but reachable from the storm roots, with the
   // reach chain in the message.
   EXPECT_NE(all.find("src/sim/report.cpp:5: error: [conf-unproven]"),
             std::string::npos);
   EXPECT_NE(all.find("'run_storm' -> 'flush'"), std::string::npos);
   // Ghost: the stale claim is anchored at its line in the claims file.
-  EXPECT_NE(all.find("confined_seeded.txt:10: error: [conf-stale-claim]"),
+  EXPECT_NE(all.find("confined_seeded.txt:6: error: [conf-stale-claim]"),
             std::string::npos);
 }
 
@@ -869,6 +854,43 @@ TEST(AnalyzeConfinementTest, JobCountNeverChangesConfinementOutput) {
       run_analyze(args + " --jobs 8 --sarif --output " + b);
   EXPECT_EQ(one.exit_code, eight.exit_code);
   EXPECT_EQ(read_file(a), read_file(b));
+}
+
+// The shard-confined kind was retired with the sharded session stack; a
+// claims file that still uses it is a usage error, not a silent skip.
+TEST(AnalyzeConfinementTest, RetiredShardConfinedKindIsAParseError) {
+  const std::string claims =
+      testing::TempDir() + "analyze_conf_retired.txt";
+  {
+    std::ofstream out(claims);
+    out << "* sim::Engine::* verified shard-confined: home shard\n";
+  }
+  EXPECT_EQ(run_analyze(conf_args() + " --confined " + claims).exit_code, 2);
+}
+
+// Every backend claim proves as threads-pinned (unreachable from the storm
+// roots) against the real tree.
+TEST(AnalyzeConfinementTest, RepoBackendClaimsProveThreadsPinned) {
+  const std::string report = testing::TempDir() + "analyze_conf_pinned.txt";
+  const RunResult result = run_command(
+      std::string("cd ") + FLOTILLA_REPO_ROOT + " && " +
+      FLOTILLA_ANALYZE_BIN +
+      " --baseline analyze/baseline.txt --confined analyze/confined.txt"
+      " --confinement-report " +
+      report + " 2>/dev/null");
+  EXPECT_EQ(result.exit_code, 0);
+  const std::string text = read_file(report);
+  for (const char* target :
+       {"flux::Instance::*", "flux::FluxBackend::*", "slurm::SrunBackend::*",
+        "slurm::Slurmctld::*", "dragon::Runtime::*",
+        "dragon::DragonBackend::*", "dragon::FunctionExecutor::*",
+        "prrte::DvmBackend::*"}) {
+    EXPECT_NE(text.find(std::string("proved\tverified\tthreads-pinned\t*\t") +
+                        target + "\t"),
+              std::string::npos)
+        << target;
+  }
+  EXPECT_EQ(text.find("shard-confined"), std::string::npos);
 }
 
 // Same invocation scripts/run_analyze.sh uses: every `verified` claim in

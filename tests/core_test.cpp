@@ -389,5 +389,39 @@ TEST(Profiler, TraceRecordsTaskEventsWhenEnabled) {
   EXPECT_FALSE(fx.session.trace().select("task_done").empty());
 }
 
+// ---------------------------------------------------------------- Session
+
+TEST(Session, HybridStackRunsOnOneSerialEngine) {
+  // The whole stack shares one single-shard engine: every completion, from
+  // any flux partition or the dragon runtime, is delivered on the control
+  // shard in nondecreasing virtual time.
+  PilotFixture fx({.nodes = 4,
+                   .backends = {{.type = "flux", .partitions = 2},
+                                {.type = "dragon"}}});
+  EXPECT_EQ(fx.session.engine().shards(), 1);
+  EXPECT_EQ(fx.session.engine().threads(), 1);
+  int done = 0;
+  int off_control = 0;
+  sim::Time last = 0.0;
+  bool ordered = true;
+  fx.tmgr->on_complete([&](const Task&) {
+    ++done;
+    if (fx.session.engine().current_shard() != sim::kControlShard) {
+      ++off_control;
+    }
+    if (fx.session.now() < last) ordered = false;
+    last = fx.session.now();
+  });
+  for (int i = 0; i < 40; ++i) {
+    auto desc = null_task();
+    if (i % 2) desc.modality = TaskModality::kFunction;
+    fx.tmgr->submit(std::move(desc));
+  }
+  fx.session.run();
+  EXPECT_EQ(done, 40);
+  EXPECT_EQ(off_control, 0);
+  EXPECT_TRUE(ordered);
+}
+
 }  // namespace
 }  // namespace flotilla::core

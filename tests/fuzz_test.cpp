@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "check/generator.hpp"
 #include "check/invariants.hpp"
@@ -87,6 +88,77 @@ TEST(ScenarioSpec, ParseRejectsGarbage) {
   EXPECT_THROW(ScenarioSpec::parse("faults=explode@1:flux:0"), util::Error);
   EXPECT_THROW(ScenarioSpec::parse("arrival=poisson"), util::Error);
   EXPECT_THROW(ScenarioSpec::parse("admit=reject"), util::Error);
+  // Out-of-range integers are labeled errors, never narrowed or wrapped.
+  const auto rejects = [](const std::string& line, const std::string& key) {
+    try {
+      ScenarioSpec::parse(line);
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("spec: " + key + " out of range"),
+                std::string::npos)
+          << line << ": " << e.what();
+    }
+  };
+  rejects("nodes=4294967300", "nodes");
+  rejects("nodes=0", "nodes");
+  rejects("tasks=4294967306", "tasks");
+  rejects("tasks=-1", "tasks");
+  rejects("faults=crash@2:flux:-1", "crash index");
+  rejects("threads=-2", "threads");
+  rejects("threads=65", "threads");
+  rejects("shards=0", "shards");
+  rejects("retries=-1", "retries");
+  rejects("cores=-1", "cores");
+  rejects("gpus=-1", "gpus");
+  rejects("clients=0", "clients");
+  rejects("tasks=99999999999999999999", "tasks");
+  // The bounds admit every value the generator draws, ingress included.
+  sim::RngStream rng(3, "fuzz.generate");
+  for (int i = 0; i < 200; ++i) {
+    const auto spec =
+        generate_scenario(rng, GeneratorOptions{.force_ingress = i % 2 == 1});
+    EXPECT_NO_THROW(ScenarioSpec::parse(spec.to_string())) << spec.to_string();
+  }
+}
+
+TEST(ScenarioSpec, ParseAcceptsRangeBoundaries) {
+  // Each bound is inclusive: the edge values parse and keep their value.
+  const auto spec = ScenarioSpec::parse(
+      "nodes=1;shards=64;threads=64;tasks=0;cores=0;gpus=0;retries=0;"
+      "clients=1;faults=crash@2:flux:0");
+  EXPECT_EQ(spec.nodes, 1);
+  EXPECT_EQ(spec.shards, 64);
+  EXPECT_EQ(spec.threads, 64);
+  EXPECT_EQ(spec.tasks, 0);
+  EXPECT_EQ(spec.cores, 0);
+  EXPECT_EQ(spec.gpus, 0);
+  EXPECT_EQ(spec.max_retries, 0);
+  EXPECT_EQ(spec.clients, 1);
+  ASSERT_EQ(spec.faults.size(), 1u);
+  EXPECT_EQ(spec.faults[0].index, 0);
+  // int-sized fields take INT_MAX but not one past it.
+  EXPECT_EQ(ScenarioSpec::parse("tasks=2147483647").tasks, 2147483647);
+  EXPECT_THROW(ScenarioSpec::parse("tasks=2147483648"), util::Error);
+}
+
+TEST(ScenarioSpec, EngineShapeKeysStillRoundTrip) {
+  // shards=/threads= now only shape the storm oracle, but spec lines that
+  // carry them (minimized reproducers from earlier runs) must still parse
+  // and re-serialize unchanged, and the defaults must stay unemitted.
+  const std::string line = ScenarioSpec{}.to_string();
+  EXPECT_EQ(line.find("shards="), std::string::npos);
+  EXPECT_EQ(line.find("threads="), std::string::npos);
+  ScenarioSpec spec;
+  spec.seed = 12;
+  spec.shards = 4;
+  spec.threads = 2;
+  const auto shaped = spec.to_string();
+  EXPECT_NE(shaped.find(";shards=4"), std::string::npos) << shaped;
+  EXPECT_NE(shaped.find(";threads=2"), std::string::npos) << shaped;
+  const auto parsed = ScenarioSpec::parse(shaped);
+  EXPECT_EQ(parsed.shards, 4);
+  EXPECT_EQ(parsed.threads, 2);
+  EXPECT_EQ(parsed.to_string(), shaped);
 }
 
 TEST(ScenarioSpec, RoundTripsIngressDimensions) {
@@ -124,6 +196,37 @@ TEST(Generator, IsDeterministicPerSeed) {
     EXPECT_EQ(generate_scenario(a).to_string(),
               generate_scenario(b).to_string());
   }
+}
+
+TEST(Generator, EngineShapeDrawsArePinned) {
+  // The shards/threads draws survive the full stack leaving the sharded
+  // engine, so every seed still generates the spec line it always did.
+  // The expected lines were printed by `flotilla-fuzz --verbose` at the
+  // commit before the sharded session path was deleted.
+  const auto line = [](std::uint64_t seed) {
+    sim::RngStream rng(seed, "fuzz.generate");
+    return generate_scenario(rng).to_string();
+  };
+  EXPECT_EQ(line(2),
+            "seed=2019839242625703672;nodes=8;shards=4;"
+            "backends=dragon:p2:n8:d64;workload=hetero;tasks=11;"
+            "duration=6.3897745290933159;cores=1;gpus=2;fail=0;retries=1;"
+            "router=static;placement=gpu-pack;dragon_queue=priority;"
+            "faults=crash@3.8341738188007257:dragon:1");
+  EXPECT_EQ(line(4),
+            "seed=2683775303281798652;nodes=1;shards=2;threads=2;"
+            "backends=flux:p1:n1:d2;workload=hetero;tasks=97;"
+            "duration=5.1557023383868952;cores=1;gpus=0;fail=0;retries=2;"
+            "router=static;placement=gpu-pack;dragon_queue=fifo;"
+            "clients=1000;arrival=diurnal:1284.3221821777975;"
+            "admit=reject:119;faults=crash@9.2110807039017093:flux:0");
+  EXPECT_EQ(line(8),
+            "seed=3434885136435011889;nodes=3;threads=2;"
+            "backends=flux:p2:n3:d64;workload=null;tasks=43;duration=0;"
+            "cores=1;gpus=0;fail=0.19345973985501055;retries=0;"
+            "router=static;placement=gpu-pack;dragon_queue=fifo;clients=1;"
+            "arrival=bursty:609.26320981197546;admit=defer:352;"
+            "crash_at=139");
 }
 
 TEST(Generator, ProducesValidSpecs) {
@@ -256,11 +359,20 @@ TEST(Runner, GeneratedScenariosHoldAllInvariants) {
   }
 }
 
-TEST(Runner, ShardedSessionFingerprintMatchesSingleCalendar) {
-  // Full-stack shard invariance: partitioning the Session engine's calendar
-  // must not change a single observable timestamp or task outcome. Event
-  // counts are not compared — cross-shard hops add mailbox events that do
-  // not exist at shards=1.
+TEST(Runner, ReplayOfSerializedSpecIsBitIdentical) {
+  sim::RngStream rng(7, "fuzz.generate");
+  const auto spec = generate_scenario(rng);
+  const auto direct = run_scenario(spec);
+  const auto replayed = run_scenario(ScenarioSpec::parse(spec.to_string()));
+  EXPECT_EQ(direct.fingerprint, replayed.fingerprint);
+  EXPECT_EQ(direct.events, replayed.events);
+  EXPECT_EQ(direct.done, replayed.done);
+}
+
+TEST(Runner, EngineShapeKeysLeaveTheRunUnchanged) {
+  // The stack always runs on one single-shard engine, so a spec's
+  // shards/threads cannot move a timestamp, an outcome, or even the event
+  // count of the scenario run itself.
   ScenarioSpec spec;
   spec.seed = 31;
   spec.nodes = 8;
@@ -271,26 +383,62 @@ TEST(Runner, ShardedSessionFingerprintMatchesSingleCalendar) {
   spec.duration = 1.0;
   const auto reference = run_scenario(spec);
   ASSERT_TRUE(reference.ok()) << reference.violations.front().to_string();
-  for (int shards : {2, 3, 4}) {
-    ScenarioSpec sharded = spec;
-    sharded.shards = shards;
-    const auto result = run_scenario(sharded);
+  ASSERT_GT(reference.done, 0u);
+  for (const auto& [shards, threads] :
+       {std::pair{2, 1}, std::pair{1, 4}, std::pair{4, 4}}) {
+    ScenarioSpec shaped = spec;
+    shaped.shards = shards;
+    shaped.threads = threads;
+    const auto result = run_scenario(shaped);
     EXPECT_TRUE(result.ok());
     EXPECT_EQ(result.fingerprint, reference.fingerprint)
-        << "shards=" << shards << " diverged from the single calendar";
+        << "shards=" << shards << " threads=" << threads;
+    EXPECT_EQ(result.events, reference.events);
     EXPECT_EQ(result.done, reference.done);
     EXPECT_EQ(result.makespan, reference.makespan);
   }
 }
 
-TEST(Runner, ReplayOfSerializedSpecIsBitIdentical) {
-  sim::RngStream rng(7, "fuzz.generate");
-  const auto spec = generate_scenario(rng);
+TEST(Runner, StormOracleHoldsForShardedAndThreadedSpecs) {
+  // shards > 1 or threads > 1 arms the storm-determinism oracle; the
+  // partitioned (and threaded) storm drain must match the serial one.
+  for (const auto& [shards, threads] :
+       {std::pair{3, 1}, std::pair{1, 2}, std::pair{4, 4}}) {
+    ScenarioSpec spec;
+    spec.seed = 40 + static_cast<std::uint64_t>(shards * 8 + threads);
+    spec.tasks = 16;
+    spec.shards = shards;
+    spec.threads = threads;
+    const auto result = run_with_oracles(spec);
+    EXPECT_TRUE(result.ok())
+        << "shards=" << shards << " threads=" << threads << ": "
+        << result.violations.front().to_string();
+    EXPECT_FALSE(has_violation(result, "storm-determinism"));
+  }
+}
+
+TEST(Runner, CrashIndexWrapsOverPartitions) {
+  // A crash index past the partition count wraps modulo the count, which
+  // is why the spec parser bounds the index below only.
+  ScenarioSpec spec;
+  spec.seed = 777;
+  spec.nodes = 4;
+  spec.backends = {{.type = "flux", .partitions = 2}};
+  spec.workload = "sleep";
+  spec.tasks = 64;
+  spec.duration = 6.0;
+  spec.cores = 8;
+  spec.faults = {{FaultSpec::Kind::kCrash, 3.0, "flux", 1, 0}};
   const auto direct = run_scenario(spec);
-  const auto replayed = run_scenario(ScenarioSpec::parse(spec.to_string()));
-  EXPECT_EQ(direct.fingerprint, replayed.fingerprint);
-  EXPECT_EQ(direct.events, replayed.events);
-  EXPECT_EQ(direct.done, replayed.done);
+  ASSERT_TRUE(direct.ok()) << direct.violations.front().to_string();
+  EXPECT_GT(direct.failed, 0u);
+  spec.faults[0].index = 5;  // 5 % 2 == 1
+  const auto wrapped = run_scenario(spec);
+  EXPECT_TRUE(wrapped.ok());
+  EXPECT_EQ(wrapped.fingerprint, direct.fingerprint);
+  EXPECT_EQ(wrapped.failed, direct.failed);
+  spec.faults[0].index = 0;  // the other partition: a different run
+  EXPECT_NE(run_scenario(spec).fingerprint, direct.fingerprint);
 }
 
 // ------------------------------------------------ crash/recover oracle

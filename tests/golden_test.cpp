@@ -10,7 +10,9 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "check/runner.hpp"
 #include "core/flotilla.hpp"
 
 namespace flotilla::core {
@@ -71,6 +73,51 @@ TEST(Golden, PrrteScenarioPinned) {
 
 TEST(Golden, HybridScenarioPinned) {
   EXPECT_EQ(fingerprint("hybrid"), "150/0/8 94.378 0.334 48.000");
+}
+
+// Crash-path goldens: a broker/runtime/DVM crash while the crashed
+// backend holds running and queued tasks, through the fuzz harness's
+// fault injection. Pins the run fingerprint (trace CSV plus every task's
+// final record) and the terminal counts. The constants were computed at
+// the commit before each backend's crash path was folded into crash()
+// (the sharded-hop version), so they prove the fold changed nothing.
+std::string crash_fingerprint(std::vector<BackendSpec> backends,
+                              const std::string& target, int index) {
+  check::ScenarioSpec spec;
+  spec.seed = 777;
+  spec.nodes = 4;
+  spec.backends = std::move(backends);
+  spec.workload = "sleep";
+  spec.tasks = 64;
+  spec.duration = 6.0;
+  spec.cores = 8;
+  check::FaultSpec crash;
+  crash.kind = check::FaultSpec::Kind::kCrash;
+  crash.time = 3.0;
+  crash.backend = target;
+  crash.index = index;
+  spec.faults = {crash};
+  const check::RunResult result = check::run_scenario(spec);
+  EXPECT_TRUE(result.ok()) << result.violations.front().to_string();
+  // The crash must hit work in flight: with no retries, the crashed
+  // backend's tasks end failed.
+  EXPECT_GT(result.failed, 0u);
+  std::ostringstream os;
+  os << result.done << '/' << result.failed << '/' << result.canceled << ' '
+     << result.fingerprint;
+  return os.str();
+}
+
+TEST(Golden, CrashFaultScenariosPinned) {
+  EXPECT_EQ(crash_fingerprint({{.type = "flux", .partitions = 2}}, "flux", 1),
+            "32/32/0 11728427223803802077");
+  EXPECT_EQ(crash_fingerprint({{.type = "dragon", .partitions = 2}}, "dragon",
+                              0),
+            "32/32/0 10648939564818906353");
+  EXPECT_EQ(crash_fingerprint({{.type = "prrte", .nodes = 2},
+                               {.type = "srun", .nodes = 2}},
+                              "prrte", 0),
+            "50/14/0 2693897272471292672");
 }
 
 }  // namespace

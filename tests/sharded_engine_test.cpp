@@ -1,15 +1,12 @@
 // Determinism and semantics of the partitioned engine (docs/sharding.md):
 // the shards x threads fingerprint matrix, mailbox merge ordering,
-// cross-shard cancellation, lookahead windows, and the invoke_on hop.
+// cross-shard cancellation and lookahead windows.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "check/runner.hpp"
-#include "check/spec.hpp"
 #include "sim/engine.hpp"
 #include "sim/storm.hpp"
 
@@ -176,47 +173,6 @@ TEST(ShardedEngine, CancelDeliveredCrossShardSend) {
   EXPECT_TRUE(engine.empty());
 }
 
-TEST(ShardedEngine, InvokeOnHopsToTargetShard) {
-  Engine engine(Engine::Config{2, 1, 0.0});
-  ShardId seen = -1;
-  Time when = -1.0;
-  engine.at(1, 1.5, [&] {
-    engine.invoke_on(kControlShard, [&] {
-      seen = engine.current_shard();
-      when = engine.now();
-    });
-  });
-  engine.run();
-  EXPECT_EQ(seen, kControlShard);
-  EXPECT_EQ(when, 1.5);  // posted at the sender's time
-}
-
-TEST(ShardedEngine, InvokeOnSameShardRunsInline) {
-  Engine engine(Engine::Config{2, 1, 0.0});
-  std::vector<int> order;
-  engine.at(1, 1.0, [&] {
-    order.push_back(1);
-    engine.invoke_on(1, [&] { order.push_back(2); });
-    order.push_back(3);
-  });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ShardedEngine, AffinitySpreadsOverWorkerShardsOnly) {
-  Engine engine(Engine::Config{4, 1, 0.0});
-  std::map<ShardId, int> hits;
-  for (int i = 0; i < 64; ++i) {
-    const ShardId s = engine.affinity("backend." + std::to_string(i));
-    ASSERT_GE(s, 1);
-    ASSERT_LT(s, 4);
-    ++hits[s];
-  }
-  EXPECT_EQ(hits.size(), 3u);  // all worker shards get some load
-  Engine single;
-  EXPECT_EQ(single.affinity("backend.0"), kControlShard);
-}
-
 TEST(ShardedEngine, RunUntilStopsAtBoundaryAcrossShards) {
   Engine engine(Engine::Config{2, 1, 0.0});
   int ran = 0;
@@ -315,61 +271,6 @@ TEST(ShardedEngineThreads, WorkerPoolProcessesShardConfinedEvents) {
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(engine.processed(), 8u);
   EXPECT_EQ(engine.now(), 2.0);
-}
-
-// --- full-stack threads matrix (bare mode) --------------------------------
-
-// The confinement proofs (analyze/confined.txt, machine-checked by
-// flotilla-analyze's conf-* passes) lift the stack's threads = 1 pin: a
-// hybrid multi-backend scenario over a 4-shard engine must produce
-// byte-identical trace/task fingerprints and terminal state for
-// engine_threads in {1, 2, 4}. The reference run is monitored (serial);
-// the matrix runs are bare. This is also the test the TSan CI leg drives
-// to prove the parallel full-stack drain race-free.
-TEST(ShardedEngineThreads, FullStackFingerprintInvariantAcrossThreads) {
-  check::ScenarioSpec spec;
-  spec.seed = 20260809;
-  spec.nodes = 8;
-  spec.shards = 4;
-  spec.workload = "sleep";
-  spec.tasks = 96;
-  spec.duration = 0.25;
-  spec.backends = {{.type = "flux", .partitions = 2},
-                   {.type = "dragon", .partitions = 1},
-                   {.type = "srun"}};
-
-  const check::RunResult reference = check::run_scenario(spec, {});
-  ASSERT_TRUE(reference.ok())
-      << (reference.violations.empty() ? "" : reference.violations[0].detail);
-  ASSERT_GT(reference.done, 0u);
-
-  for (const int threads : {1, 2, 4}) {
-    check::RunOptions opts;
-    opts.engine_threads = threads;
-    const check::RunResult result = check::run_scenario(spec, opts);
-    EXPECT_TRUE(result.ok())
-        << "engine_threads=" << threads << ": "
-        << (result.violations.empty() ? "" : result.violations[0].detail);
-    EXPECT_EQ(result.fingerprint, reference.fingerprint)
-        << "engine_threads=" << threads;
-    EXPECT_EQ(result.done, reference.done);
-    EXPECT_EQ(result.failed, reference.failed);
-    EXPECT_EQ(result.canceled, reference.canceled);
-    EXPECT_EQ(result.makespan, reference.makespan);
-  }
-}
-
-// Bare mode refuses the between-events observers: journaling requires
-// the one global event order that a threaded drain does not have.
-TEST(ShardedEngineThreads, ThreadedRunRejectsJournaling) {
-  check::ScenarioSpec spec;
-  spec.shards = 2;
-  check::RunOptions opts;
-  opts.engine_threads = 2;
-  opts.journal = true;
-  const check::RunResult result = check::run_scenario(spec, opts);
-  ASSERT_EQ(result.violations.size(), 1u);
-  EXPECT_EQ(result.violations[0].invariant, "exception");
 }
 
 TEST(ShardedEngineThreads, ThreadsClampedToShardCount) {

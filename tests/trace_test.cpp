@@ -394,99 +394,6 @@ TEST(OverheadReport, MatchesHandComputedSpans) {
   EXPECT_DOUBLE_EQ(waits.mean(), 2.0);
 }
 
-// ---------------------------------------------------------------------------
-// Per-shard trace lanes (docs/sharding.md): the merged export must be
-// byte-identical for every shards x threads combination of the engine.
-
-namespace {
-
-// Runs a small cross-shard workload with one trace lane per shard and
-// returns the merged Chrome trace + .prof bytes.
-std::pair<std::string, std::string> traced_lanes_run(int shards,
-                                                     int threads) {
-  sim::Engine engine(sim::Engine::Config{shards, threads, 0.0});
-  TraceLanes lanes(engine, 256);
-  constexpr int kChains = 6;
-  for (int c = 0; c < kChains; ++c) {
-    const sim::ShardId shard = static_cast<sim::ShardId>(c % shards);
-    const std::string name = "chain." + std::to_string(c);
-    engine.at(shard, 0.1 * (c + 1), [&lanes, &engine, shard, name, c] {
-      lanes.current().begin(SpanType::kTaskRun, name, "t" + std::to_string(c));
-      // 0.013 keeps every begin/end time distinct from all others (the
-      // merge order must not hinge on cross-shard ties).
-      engine.at(shard, engine.now() + 0.013 * (c + 1),
-                [&lanes, name, c] {
-                  lanes.current().end(SpanType::kTaskRun, name,
-                                      "t" + std::to_string(c));
-                });
-    });
-  }
-  engine.run();
-  std::ostringstream chrome;
-  std::ostringstream prof;
-  write_chrome_trace(lanes, chrome);
-  write_prof(lanes, prof);
-  return {chrome.str(), prof.str()};
-}
-
-}  // namespace
-
-TEST(TraceLanesMerge, RecordsLandInTheExecutingShardsLane) {
-  sim::Engine engine(sim::Engine::Config{3, 1, 0.0});
-  TraceLanes lanes(engine, 16);
-  ASSERT_EQ(lanes.lanes(), 3u);
-  for (int s = 0; s < 3; ++s) {
-    engine.at(s, 1.0 + s, [&lanes, s] {
-      lanes.current().instant(SpanType::kRouting, "shard" + std::to_string(s),
-                              "e");
-    });
-  }
-  engine.run();
-  for (int s = 0; s < 3; ++s) {
-    ASSERT_EQ(lanes.lane(s).size(), 1u);
-    EXPECT_EQ(lanes.lane(s).at(0).component, "shard" + std::to_string(s));
-  }
-  EXPECT_EQ(lanes.total_records(), 3u);
-  EXPECT_EQ(lanes.total_dropped(), 0u);
-}
-
-TEST(TraceLanesMerge, MergeIsChronologicalWithShardTiebreak) {
-  sim::Engine engine(sim::Engine::Config{2, 1, 0.0});
-  TraceLanes lanes(engine, 16);
-  engine.at(1, 1.0, [&lanes] {
-    lanes.current().instant(SpanType::kRouting, "s1", "a");
-  });
-  engine.at(0, 1.0, [&lanes] {
-    lanes.current().instant(SpanType::kRouting, "s0", "b");
-  });
-  engine.at(0, 2.0, [&lanes] {
-    lanes.current().instant(SpanType::kRouting, "s0", "c");
-  });
-  engine.run();
-  Tracer merged(engine, 16);
-  lanes.merge_into(merged);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged.at(0).component, "s0");  // tie at t=1.0: lower shard first
-  EXPECT_EQ(merged.at(1).component, "s1");
-  EXPECT_EQ(merged.at(2).component, "s0");
-}
-
-TEST(TraceLanesMerge, MergedExportInvariantAcrossShardsAndThreads) {
-  const auto reference = traced_lanes_run(1, 1);
-  EXPECT_NE(reference.first.find("\"traceEvents\""), std::string::npos);
-  for (const int shards : {1, 2, 3}) {
-    for (const int threads : {1, 2, 4}) {
-      const auto got = traced_lanes_run(shards, threads);
-      EXPECT_EQ(got.first, reference.first)
-          << "chrome trace diverged at shards=" << shards
-          << " threads=" << threads;
-      EXPECT_EQ(got.second, reference.second)
-          << ".prof diverged at shards=" << shards
-          << " threads=" << threads;
-    }
-  }
-}
-
 TEST(OverheadReport, CountsUnmatchedRecords) {
   sim::Engine engine;
   Tracer tracer(engine);

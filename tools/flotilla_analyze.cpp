@@ -26,10 +26,9 @@
 //                  (shared-state)
 //   confinement    proof obligations from the --confined claims file:
 //                  claims with status "verified" are checked against the
-//                  dispatch model and stale claims are hard errors
-//                  (conf-unproven, conf-cross-shard-write,
-//                  conf-stale-claim); per-claim verdicts dumped by
-//                  --confinement-report
+//                  storm-root reachability model and stale claims are
+//                  hard errors (conf-unproven, conf-stale-claim);
+//                  per-claim verdicts dumped by --confinement-report
 //
 // Findings can be waived in place (// FLOTILLA_LINT_ALLOW(rule): reason)
 // or grandfathered in a committed baseline (analyze/baseline.txt); CI

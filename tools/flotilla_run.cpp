@@ -8,7 +8,6 @@
 //                  --workload dummy --tasks 14336 --duration 180
 //   $ flotilla-run --workload impeccable --backend srun --nodes 256
 //   $ flotilla-run --workload trace --trace-file workload.csv
-//   $ flotilla-run --backend hybrid --engine-shards 4 --engine-threads 4
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -57,15 +56,6 @@ int main(int argc, char** argv) {
       .option("prof", "", "write an RP-profiler-style .prof CSV to this path")
       .option("trace-capacity", "0",
               "trace ring-buffer capacity in records (0 = default 1M)")
-      .option("engine-shards", "1",
-              "partition the engine's event calendar (docs/sharding.md); "
-              "the schedule is identical for any shard count")
-      .option("engine-threads", "1",
-              "worker threads draining shard rounds concurrently — safe "
-              "under the machine-checked confinement proofs "
-              "(docs/correctness.md#confinement-proofs); incompatible with "
-              "--journal, --recover, --trace and --prof (event-order "
-              "observers)")
       .option("journal", "",
               "record a durable event journal to this path (docs/recovery.md)")
       .option("recover", "",
@@ -96,30 +86,10 @@ int main(int argc, char** argv) {
       }
       calibration = platform::calibration_from_config(config);
     }
-    const auto engine_shards = static_cast<int>(cli.get_int("engine-shards"));
-    const auto engine_threads =
-        static_cast<int>(cli.get_int("engine-threads"));
     const auto trace_path = cli.get("trace");
     const auto prof_path = cli.get("prof");
     const bool tracing = !trace_path.empty() || !prof_path.empty();
-    if (engine_threads > 1) {
-      // The scribe and the tracer's progress probe observe the run from
-      // between events; under a threaded drain they would race with the
-      // worker pool. The confinement proofs cover the simulation state,
-      // not these host-side observers.
-      if (!cli.get("journal").empty() || !cli.get("recover").empty()) {
-        std::cerr << "--engine-threads > 1 is incompatible with "
-                     "--journal/--recover\n";
-        return 2;
-      }
-      if (tracing) {
-        std::cerr << "--engine-threads > 1 is incompatible with "
-                     "--trace/--prof\n";
-        return 2;
-      }
-    }
-    core::Session session(spec, nodes, seed, calibration, engine_shards,
-                          engine_threads);
+    core::Session session(spec, nodes, seed, calibration);
     if (tracing) {
       // Must happen before pilots/task managers exist: components capture
       // the trace handle at construction.
