@@ -49,6 +49,7 @@ double DurationHistogram::percentile(double q) const {
 
 OverheadReport OverheadReport::from_trace(const Tracer& tracer) {
   OverheadReport report;
+  report.dropped_ = tracer.dropped();
   // (type, component, entity) -> stack of begin times.
   std::map<std::tuple<SpanType, std::string, std::string>,
            std::vector<sim::Time>>
@@ -128,6 +129,10 @@ SpanStats OverheadReport::aggregate_prefix(
 
 void OverheadReport::print(std::ostream& os) const {
   os << "=== overhead report (per span type x component) ===\n";
+  if (dropped_ > 0) {
+    os << "  WARNING: trace ring dropped " << dropped_
+       << " oldest records; counts are partial\n";
+  }
   for (const auto& [key, cell] : cells_) {
     os << "  " << to_string(key.first) << " @ " << key.second
        << ": n=" << cell.count << " total=" << cell.total

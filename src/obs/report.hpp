@@ -75,7 +75,8 @@ class OverheadReport {
  public:
   // Pairs every begin/end in the trace (LIFO per (type, component,
   // entity)) and aggregates durations per (type, component). Unmatched
-  // records are counted, not silently dropped.
+  // records are counted, not silently dropped, and so are the records the
+  // tracer's ring dropped before the report was built.
   static OverheadReport from_trace(const Tracer& tracer);
 
   // Stats for one (span type, component); zero-stats if absent.
@@ -103,6 +104,9 @@ class OverheadReport {
 
   std::uint64_t unmatched_ends() const { return unmatched_ends_; }
   std::uint64_t unclosed_begins() const { return unclosed_begins_; }
+  // Oldest records the ring overwrote (Tracer::dropped()); when non-zero
+  // every count and span total covers only the retained tail of the run.
+  std::uint64_t dropped() const { return dropped_; }
 
   // Full duration distribution per span type (all components), filled
   // from the same pairing pass as the cells; empty-histogram if absent.
@@ -135,6 +139,7 @@ class OverheadReport {
   std::map<SpanType, DurationHistogram> histograms_;
   std::uint64_t unmatched_ends_ = 0;
   std::uint64_t unclosed_begins_ = 0;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace flotilla::obs

@@ -37,8 +37,13 @@ void FreeResourceIndex::node_changed(platform::NodeId node) {
   if (!range_.contains(node)) return;
   const auto& state = cluster_.node(node);
   int seg = leaves_ + (node - range_.first);
-  max_cores_[static_cast<std::size_t>(seg)] = state.free_cores();
-  max_gpus_[static_cast<std::size_t>(seg)] = state.free_gpus();
+  auto& leaf_cores = max_cores_[static_cast<std::size_t>(seg)];
+  auto& leaf_gpus = max_gpus_[static_cast<std::size_t>(seg)];
+  if (state.free_cores() > leaf_cores || state.free_gpus() > leaf_gpus) {
+    ++release_generation_;
+  }
+  leaf_cores = state.free_cores();
+  leaf_gpus = state.free_gpus();
   for (seg /= 2; seg >= 1; seg /= 2) {
     max_cores_[static_cast<std::size_t>(seg)] =
         std::max(max_cores_[static_cast<std::size_t>(2 * seg)],

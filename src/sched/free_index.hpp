@@ -21,6 +21,12 @@
 // and refreshes one root-to-leaf path, O(log n), on every allocate or
 // release — including allocations made behind the placer's back (tests,
 // overlapping spans).
+//
+// The same hook keeps a release generation: a counter that moves whenever
+// some node in the range gains free cores or GPUs, whoever released them
+// (a placer, crash reaping, gang rollback, a test). While it stands still
+// the free set has only shrunk, which is what Placer's rejection memo
+// needs to answer a repeated demand without searching (docs/scheduling.md).
 #pragma once
 
 #include <cstdint>
@@ -42,8 +48,13 @@ class FreeResourceIndex : public platform::Cluster::Observer {
 
   platform::NodeRange range() const { return range_; }
 
-  // Cluster::Observer: refresh the changed node's root-to-leaf path.
+  // Cluster::Observer: refresh the changed node's root-to-leaf path, and
+  // bump the release generation if the node gained capacity.
   void node_changed(platform::NodeId node) override;
+
+  // Moves whenever a node in the range ends up with more free cores or
+  // more free GPUs than the index held for it; never on an allocation.
+  std::uint64_t release_generation() const { return release_generation_; }
 
   // First node id in [from, limit) with free cores (if need_cores) or free
   // GPUs (if need_gpus); nullopt if none. Exact O(log n).
@@ -75,6 +86,7 @@ class FreeResourceIndex : public platform::Cluster::Observer {
   // hold zero capacity so they never match.
   std::vector<int> max_cores_;
   std::vector<int> max_gpus_;
+  std::uint64_t release_generation_ = 0;
 };
 
 }  // namespace flotilla::sched

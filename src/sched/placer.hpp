@@ -6,12 +6,22 @@
 // Placer per scheduling call site: flux::Instance (fixed origin, like
 // fluxion), Slurmctld, dragon::Runtime and the agent's external-placement
 // path (all rotating).
+//
+// A fixed-origin first-fit placer on the index also keeps an exact
+// rejection memo: the demands rejected since some node in the range last
+// gained capacity (FreeResourceIndex::release_generation). An identical
+// demand is rejected from the memo without a search. Only that placer
+// qualifies: a rotating placer moves its cursor on every rejection, and
+// best-fit, gpu-pack and the linear scan allocate and roll back. Today
+// that is the flux placer, whose backfill pass re-offers the same blocked
+// demands after every completion.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "obs/tracer.hpp"
 #include "platform/cluster.hpp"
@@ -36,6 +46,9 @@ struct PlacerStats {
   std::uint64_t attempts = 0;
   std::uint64_t placed = 0;
   std::uint64_t rejected = 0;
+  // Rejections answered by the rejection memo; each is also counted in
+  // attempts and rejected.
+  std::uint64_t memo_hits = 0;
 };
 
 class Placer {
@@ -51,7 +64,8 @@ class Placer {
   // first-fit attempt on the index (the default) touches no node: it is
   // planned before anything is allocated. Best-fit, gpu-pack and the
   // index-less linear scan allocate slice by slice and roll back, so
-  // their rejections still fire node changes.
+  // their rejections still fire node changes. A memo hit is counted and
+  // traced like any other rejected attempt.
   std::optional<platform::Placement> place(
       const platform::ResourceDemand& demand);
 
@@ -81,6 +95,18 @@ class Placer {
   }
 
  private:
+  // At most this many distinct demands are remembered between two
+  // capacity gains; past it a rejection is searched again, never wrong.
+  static constexpr std::size_t kRejectedMemoCapacity = 64;
+
+  bool memo_enabled() const {
+    return index_ != nullptr && !options_.rotate_cursor &&
+           options_.policy == PlacementPolicyKind::kFirstFit;
+  }
+  // True if `demand` was rejected since the last capacity gain; clears
+  // the memo first when the release generation has moved.
+  bool known_rejected(const platform::ResourceDemand& demand);
+
   platform::Cluster& cluster_;
   platform::NodeRange range_;
   PlacerOptions options_;
@@ -90,6 +116,9 @@ class Placer {
   PlacerStats stats_;
   obs::TraceHandle trace_;
   std::string trace_component_;
+  // The rejection memo and the release generation it is valid for.
+  std::vector<platform::ResourceDemand> rejected_;
+  std::uint64_t rejected_generation_ = 0;
 };
 
 }  // namespace flotilla::sched

@@ -9,18 +9,25 @@
 //    bit-for-bit the same placements as the legacy linear scan over
 //    randomized allocate/release/demand sequences (golden traces depend
 //    on this).
+//  - the fixed-origin rejection memo: the release generation moves only
+//    when capacity grows, a memo hit is counted and traced as a rejected
+//    attempt, rotating and non-first-fit placers keep no memo, and the
+//    memo agrees with a full search on every attempt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/tracer.hpp"
 #include "platform/cluster.hpp"
 #include "sched/free_index.hpp"
 #include "sched/placement_policy.hpp"
 #include "sched/placer.hpp"
 #include "sched/queue.hpp"
+#include "sim/engine.hpp"
 #include "sim/random.hpp"
 
 namespace flotilla::sched {
@@ -161,6 +168,33 @@ TEST(FreeResourceIndex, RespectsSubrangeWindows) {
   EXPECT_EQ(index.find_fit(3, 7, 56, 0), std::optional<NodeId>(4));
 }
 
+TEST(FreeResourceIndex, ReleaseGenerationMovesOnlyWhenCapacityGrows) {
+  Cluster cluster(frontier_spec(), 6);
+  const NodeRange range{0, 4};  // nodes 4 and 5 lie outside
+  Placer placer(cluster, range, {.rotate_cursor = false});
+  FreeResourceIndex index(cluster, range);
+  const auto start = index.release_generation();
+
+  auto placed = placer.place({2 * 56, 2, 56});
+  ASSERT_TRUE(placed.has_value());
+  auto direct = cluster.node(3).allocate(10, 0);
+  ASSERT_TRUE(direct.has_value());
+  EXPECT_EQ(index.release_generation(), start);  // allocations never move it
+
+  placer.release(*placed);
+  const auto after_placer_release = index.release_generation();
+  EXPECT_GT(after_placer_release, start);
+
+  cluster.node(3).release(*direct);  // behind the placer's back
+  const auto after_direct_release = index.release_generation();
+  EXPECT_GT(after_direct_release, after_placer_release);
+
+  auto outside = cluster.node(5).allocate(56, 8);
+  ASSERT_TRUE(outside.has_value());
+  cluster.node(5).release(*outside);
+  EXPECT_EQ(index.release_generation(), after_direct_release);
+}
+
 // --------------------------------------------------- placement policies
 
 TEST(PlacementPolicy, ChunkedScanHonorsRotatingCursor) {
@@ -222,6 +256,99 @@ TEST(Placer, CountsAttemptsAndRotatesCursor) {
   EXPECT_EQ(placer.stats().rejected, 1u);
   placer.release(*a);
   EXPECT_TRUE(placer.place({2 * 56, 0, 0}).has_value());
+}
+
+TEST(Placer, MemoHitCountsAsRejectedAttempt) {
+  sim::Engine engine;
+  obs::Tracer tracer(engine);
+  Cluster cluster(frontier_spec(), 2);
+  Placer placer(cluster, cluster.all_nodes(), {.rotate_cursor = false});
+  placer.set_trace(obs::TraceHandle(&tracer), "flux.0");
+  const ResourceDemand too_big{3 * 56, 0, 56};
+
+  EXPECT_FALSE(placer.place(too_big).has_value());  // searched
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+  EXPECT_FALSE(placer.place(too_big).has_value());  // from the memo
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+  EXPECT_EQ(placer.stats().attempts, 2u);
+  EXPECT_EQ(placer.stats().placed, 0u);
+  EXPECT_EQ(placer.stats().rejected, 2u);
+
+  // An allocation keeps the memo; a release clears it.
+  auto held = placer.place({56, 0, 56});
+  ASSERT_TRUE(held.has_value());
+  EXPECT_FALSE(placer.place(too_big).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 2u);
+  placer.release(*held);
+  EXPECT_FALSE(placer.place(too_big).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 2u);
+
+  // One kPlacementAttempt instant per attempt, memo hits included.
+  const std::vector<double> expected_values{0.0, 0.0, 1.0, 0.0, 0.0};
+  ASSERT_EQ(tracer.size(), expected_values.size());
+  for (std::size_t i = 0; i < expected_values.size(); ++i) {
+    const auto& record = tracer.at(i);
+    EXPECT_EQ(record.kind, obs::RecordKind::kInstant);
+    EXPECT_EQ(record.type, obs::SpanType::kPlacementAttempt);
+    EXPECT_EQ(record.component, "flux.0");
+    EXPECT_EQ(record.value, expected_values[i]) << "attempt " << i;
+  }
+}
+
+TEST(Placer, RotatingPlacerRescansEveryRejection) {
+  // Nine whole-node chunks never fit on eight nodes. Between repeats a
+  // direct allocation fills the last node the scan took, which moves no
+  // release generation but does move where the next scan ends, so a
+  // memoized rejection would leave the cursor behind.
+  Cluster cluster(frontier_spec(), 8);
+  Cluster legacy(frontier_spec(), 8);
+  const auto range = cluster.all_nodes();
+  Placer placer(cluster, range);
+  NodeId cursor = range.first;
+  const ResourceDemand never_fits{9 * 56, 0, 56};
+  std::vector<NodeId> cursors;
+  for (NodeId fill = 7; fill >= 4; --fill) {
+    EXPECT_FALSE(placer.place(never_fits).has_value());
+    EXPECT_FALSE(linear_try_place(legacy, range, never_fits, &cursor));
+    ASSERT_EQ(placer.cursor(), cursor);
+    cursors.push_back(cursor);
+    for (Cluster* c : {&cluster, &legacy}) {
+      ASSERT_TRUE(c->node(fill).allocate(56, 0).has_value());
+    }
+  }
+  EXPECT_EQ(cursors, (std::vector<NodeId>{0, 7, 6, 5}));
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+  EXPECT_EQ(placer.stats().rejected, 4u);
+}
+
+TEST(Placer, IndexlessAndNonFirstFitPlacersKeepNoMemo) {
+  Cluster cluster(frontier_spec(), 2);
+  const ResourceDemand too_big{3 * 56, 0, 56};
+
+  Placer linear(cluster, cluster.all_nodes(),
+                {.rotate_cursor = false, .use_index = false});
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(linear.place(too_big));
+  EXPECT_EQ(linear.stats().rejected, 3u);
+  EXPECT_EQ(linear.stats().memo_hits, 0u);
+
+  // A best-fit round trip: best-fit searches every time, and its rolled
+  // back rejections release capacity, so first-fit searches once more.
+  Placer placer(cluster, cluster.all_nodes(), {.rotate_cursor = false});
+  EXPECT_FALSE(placer.place(too_big));
+  placer.set_policy(PlacementPolicyKind::kBestFit);
+  for (int i = 0; i < 2; ++i) EXPECT_FALSE(placer.place(too_big));
+  auto packed = placer.place({56, 0, 56});
+  ASSERT_TRUE(packed.has_value());
+  EXPECT_EQ(packed->slices[0].node, 0);
+  placer.release(*packed);
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+  placer.set_policy(PlacementPolicyKind::kFirstFit);
+  EXPECT_FALSE(placer.place(too_big));
+  EXPECT_EQ(placer.stats().memo_hits, 0u);
+  EXPECT_FALSE(placer.place(too_big));
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+  EXPECT_EQ(placer.stats().attempts, 6u);
+  EXPECT_EQ(placer.stats().rejected, 5u);
 }
 
 // Counts Cluster::Observer notifications, i.e. node allocates/releases.
@@ -366,6 +493,153 @@ TEST_P(PlacementIdentity, IndexedPlacerMatchesLegacyLinearScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementIdentity,
+                         ::testing::Range<std::uint64_t>(1, 25));
+
+// ---------------------------------------------------- rejection memo
+
+// The memo cannot lean on first-fit completeness: at a fixed origin a
+// non-uniform chunked demand can be rejected although a fit exists.
+TEST(RejectionMemoEdge, FixedOriginFirstFitCanMissAFitThatExists) {
+  Cluster cluster(frontier_spec(), 2);
+  ASSERT_TRUE(cluster.node(0).allocate(36, 0).has_value());  // 20 free
+  Placer placer(cluster, cluster.all_nodes(), {.rotate_cursor = false});
+  const ResourceDemand demand{66, 0, 56};  // chunks of 56 and 10 cores
+  // Chunk 1 takes node 1; chunk 2 searches [2, end) and cannot wrap.
+  EXPECT_FALSE(placer.place(demand).has_value());
+  EXPECT_FALSE(placer.place(demand).has_value());
+  EXPECT_EQ(placer.stats().memo_hits, 1u);
+
+  BestFitPolicy best_fit;
+  const auto fit =
+      best_fit.place({cluster, cluster.all_nodes(), nullptr, nullptr}, demand);
+  ASSERT_TRUE(fit.has_value());
+  EXPECT_EQ(fit->slices.size(), 2u);
+}
+
+// Property: a fixed-origin first-fit placer, whose rejection memo answers
+// repeated demands, agrees with a memo-less first-fit search on the same
+// cluster on every attempt: same accept/reject, same slices. The run mixes
+// placer releases, allocations and releases made behind the placer's
+// back, and gang-style rollback (place A, place B, release A if B does not
+// fit). The small demand pool makes demands repeat; it includes
+// non-uniform chunks, where a fixed-origin first-fit can miss a fit that
+// exists, and loose demands.
+class RejectionMemo : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RejectionMemo, AgreesWithFullSearchOnEveryAttempt) {
+  sim::RngStream rng(GetParam());
+  const int nodes = static_cast<int>(rng.uniform_int(2, 10));
+  Cluster cluster(frontier_spec(), nodes);
+  const auto range = cluster.all_nodes();
+  Placer placer(cluster, range, {.rotate_cursor = false});
+  FirstFitPolicy oracle;
+  FreeResourceIndex oracle_index(cluster, range);
+  const PlacementInput oracle_in{cluster, range, nullptr, &oracle_index};
+  const std::vector<ResourceDemand> pool = {
+      {66, 0, 56},          {2 * 56 + 20, 5, 56}, {4 * 56, 0, 56},
+      {56, 8, 56},          {30, 2, 0},           {3 * 56 + 1, 9, 0},
+  };
+
+  // The test's own account of when a memo hit is due: a rejection of a
+  // demand already rejected since the last time any node gained free
+  // cores or GPUs. `track` runs after every change to the cluster.
+  auto last = free_counts(cluster);
+  std::vector<ResourceDemand> rejected_since_gain;
+  std::uint64_t repeats = 0;
+  auto track = [&] {
+    auto now = free_counts(cluster);
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      if (now[i].first > last[i].first || now[i].second > last[i].second) {
+        rejected_since_gain.clear();
+        break;
+      }
+    }
+    last = std::move(now);
+  };
+
+  int placed = 0, refused = 0;
+  auto place_checked = [&](const ResourceDemand& demand, int step) {
+    auto expected = oracle.place(oracle_in, demand);
+    if (expected) {
+      track();
+      cluster.release(*expected);  // hand the nodes to the placer
+      track();
+    }
+    auto actual = placer.place(demand);
+    track();
+    EXPECT_EQ(expected.has_value(), actual.has_value())
+        << "step " << step << " cores=" << demand.cores
+        << " gpus=" << demand.gpus << " cpn=" << demand.cores_per_node;
+    if (expected && actual) {
+      EXPECT_TRUE(expected->slices == actual->slices) << "step " << step;
+    }
+    if (actual) {
+      ++placed;
+    } else {
+      ++refused;
+      if (std::find(rejected_since_gain.begin(), rejected_since_gain.end(),
+                    demand) != rejected_since_gain.end()) {
+        ++repeats;
+      } else {
+        rejected_since_gain.push_back(demand);
+      }
+    }
+    return actual;
+  };
+  auto pick = [&](auto& items) {
+    return static_cast<std::ptrdiff_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(items.size()) - 1));
+  };
+
+  std::vector<platform::Placement> held;
+  std::vector<platform::NodeSlice> direct;
+  for (int step = 0; step < 600; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.45 || held.empty()) {
+      const auto& demand = pool[static_cast<std::size_t>(pick(pool))];
+      if (auto p = place_checked(demand, step)) held.push_back(std::move(*p));
+    } else if (op < 0.6) {
+      const auto victim = held.begin() + pick(held);
+      placer.release(*victim);
+      held.erase(victim);
+      track();
+    } else if (op < 0.75) {
+      auto& node = cluster.node(static_cast<NodeId>(rng.uniform_int(
+          range.first, range.end() - 1)));
+      auto slice = node.allocate(
+          static_cast<int>(rng.uniform_int(0, node.free_cores())),
+          static_cast<int>(rng.uniform_int(0, node.free_gpus())));
+      ASSERT_TRUE(slice.has_value());
+      direct.push_back(*slice);
+      track();
+    } else if (op < 0.85) {
+      if (direct.empty()) continue;
+      const auto victim = direct.begin() + pick(direct);
+      cluster.node(victim->node).release(*victim);
+      direct.erase(victim);
+      track();
+    } else {
+      auto a = place_checked(pool[static_cast<std::size_t>(pick(pool))], step);
+      auto b = place_checked(pool[static_cast<std::size_t>(pick(pool))], step);
+      if (a && !b) {
+        placer.release(*a);  // the gang does not fit: roll back
+        track();
+      } else {
+        if (a) held.push_back(std::move(*a));
+        if (b) held.push_back(std::move(*b));
+      }
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "stopped at step " << step;
+  }
+  EXPECT_GT(placed, 0);
+  EXPECT_GT(refused, 0);
+  // The memo was exercised, and hit exactly when the free set had only
+  // shrunk since the same demand was last rejected.
+  EXPECT_GE(repeats, 1u);
+  EXPECT_EQ(placer.stats().memo_hits, repeats);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RejectionMemo,
                          ::testing::Range<std::uint64_t>(1, 25));
 
 }  // namespace

@@ -406,5 +406,32 @@ TEST(OverheadReport, CountsUnmatchedRecords) {
   EXPECT_EQ(report.unmatched_ends(), 1u);
 }
 
+TEST(OverheadReport, SurfacesRingDrops) {
+  sim::Engine engine;
+  Tracer tracer(engine, /*capacity=*/4);
+  TraceHandle trace(&tracer);
+  for (int i = 0; i < 6; ++i) {
+    trace.instant(SpanType::kPlacementAttempt, "flux.0", "", 0.0);
+  }
+  const auto report = OverheadReport::from_trace(tracer);
+  EXPECT_EQ(report.dropped(), 2u);
+  EXPECT_EQ(report.instants(SpanType::kPlacementAttempt, "flux.0"), 4u);
+  std::ostringstream text;
+  report.print(text);
+  EXPECT_NE(text.str().find("WARNING: trace ring dropped 2 oldest records; "
+                            "counts are partial\n"),
+            std::string::npos)
+      << text.str();
+
+  // A ring that kept everything prints no warning.
+  Tracer roomy(engine, /*capacity=*/8);
+  TraceHandle(&roomy).instant(SpanType::kPlacementAttempt, "flux.0", "");
+  const auto full = OverheadReport::from_trace(roomy);
+  EXPECT_EQ(full.dropped(), 0u);
+  std::ostringstream quiet;
+  full.print(quiet);
+  EXPECT_EQ(quiet.str().find("WARNING"), std::string::npos) << quiet.str();
+}
+
 }  // namespace
 }  // namespace flotilla::obs
