@@ -105,7 +105,12 @@ void Agent::execute(std::shared_ptr<Task> task) {
     enter_scheduling(std::move(task));
     return;
   }
-  tasks_.emplace(task->uid(), task);
+  const TaskId id = task->id();
+  if (tasks_.size() <= id) tasks_.resize(std::size_t{id} + 1);
+  if (!tasks_[id].task) {
+    tasks_[id].task = task;
+    ++live_;
+  }
   if (task->cancel_requested()) {
     task->set_error("canceled by user");
     finalize(std::move(task), TaskState::kCanceled);
@@ -171,10 +176,17 @@ Agent::BackendSlot* Agent::route(const Task& task) {
   return best;
 }
 
+Agent::TaskSlot* Agent::find(std::string_view uid) {
+  const auto id = task_ordinal(uid);
+  if (!id || *id >= tasks_.size()) return nullptr;
+  TaskSlot& slot = tasks_[*id];
+  return slot.task && slot.task->uid() == uid ? &slot : nullptr;
+}
+
 bool Agent::cancel(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return false;
-  auto task = it->second;
+  TaskSlot* found = find(uid);
+  if (found == nullptr) return false;
+  auto task = found->task;
   task->request_cancel();
   // Waitlisted tasks can be removed right away; everything else cancels at
   // its next pipeline step.
@@ -223,6 +235,7 @@ void Agent::submit_to(BackendSlot& slot, std::shared_ptr<Task> task) {
   task->set_backend(slot.backend->name());
   task->begin_attempt();
   BackendSlot* slot_ptr = &slot;
+  if (task->id() < tasks_.size()) tasks_[task->id()].backend = slot_ptr;
   slot.submit_server->submit(
       rng_.lognormal_mean_cv(slot.submit_cost, cal.jitter_cv),
       [this, slot_ptr, task = std::move(task)]() mutable {
@@ -284,13 +297,6 @@ bool Agent::place_and_launch(BackendSlot& slot, std::shared_ptr<Task> task) {
   return true;
 }
 
-Agent::BackendSlot* Agent::slot_of(const std::string& backend_name) {
-  for (auto& slot : backends_) {
-    if (slot.backend->name() == backend_name) return &slot;
-  }
-  return nullptr;
-}
-
 void Agent::release_held(BackendSlot& slot, const std::string& uid) {
   const auto it = slot.held.find(uid);
   if (it == slot.held.end()) return;
@@ -331,23 +337,26 @@ void Agent::drain_waitlist(BackendSlot& slot) {
 }
 
 void Agent::handle_start(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;  // canceled meanwhile
-  auto& task = it->second;
-  obs_trace_.end(obs::SpanType::kTaskLaunch, task->backend(), uid);
-  obs_trace_.begin(obs::SpanType::kTaskRun, task->backend(), uid,
-                   static_cast<double>(task->description().demand.cores));
-  task->advance(TaskState::kRunning, session_.now());
-  task->mark_launched();
-  profiler_.launched(*task);
-  profiler_.state_change(*task);
-  for (const auto& handler : start_handlers_) handler(*task);
+  TaskSlot* found = find(uid);
+  if (found == nullptr) return;  // canceled meanwhile
+  // The task lives on the heap, so a start handler that grows tasks_
+  // leaves this reference valid.
+  Task& task = *found->task;
+  obs_trace_.end(obs::SpanType::kTaskLaunch, task.backend(), uid);
+  obs_trace_.begin(obs::SpanType::kTaskRun, task.backend(), uid,
+                   static_cast<double>(task.description().demand.cores));
+  task.advance(TaskState::kRunning, session_.now());
+  task.mark_launched();
+  profiler_.launched(task);
+  profiler_.state_change(task);
+  for (const auto& handler : start_handlers_) handler(task);
 }
 
 void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
-  const auto it = tasks_.find(outcome.id);
-  if (it == tasks_.end()) return;
-  auto task = it->second;
+  TaskSlot* found = find(outcome.id);
+  if (found == nullptr) return;
+  auto task = found->task;
+  BackendSlot* slot = found->backend;
   if (obs_trace_) {
     // A launched attempt closes its run span; one that never started
     // (backend rejected/crashed pre-start) closes its launch span instead.
@@ -358,7 +367,7 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
   }
   // Resources the agent placed for an externally scheduled backend are
   // returned the moment the backend reports completion.
-  if (BackendSlot* slot = slot_of(task->backend())) {
+  if (slot != nullptr) {
     release_held(*slot, task->uid());
     if (!slot->backend->healthy() && !slot->waitlist.empty()) {
       // The backend died: re-route its waitlisted tasks (they never
@@ -432,7 +441,13 @@ bool Agent::any_backend_for(const Task& task) {
 
 void Agent::finalize(std::shared_ptr<Task> task, TaskState state) {
   // A retried task re-enters tasks_ only once; guard double finalize.
-  if (tasks_.erase(task->uid()) == 0 && is_final(task->state())) return;
+  const TaskId id = task->id();
+  if (id < tasks_.size() && tasks_[id].task) {
+    tasks_[id] = TaskSlot{};
+    --live_;
+  } else if (is_final(task->state())) {
+    return;
+  }
   task->advance(state, session_.now());
   profiler_.state_change(*task);
   profiler_.finalized(*task, state == TaskState::kDone);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -89,7 +90,7 @@ class Agent {
 
   Profiler& profiler() { return profiler_; }
   platform::NodeRange allocation() const { return allocation_; }
-  std::size_t inflight() const { return tasks_.size(); }
+  std::size_t inflight() const { return live_; }
 
   platform::TaskBackend* backend(const std::string& name);
   std::vector<std::string> backend_names() const;
@@ -113,6 +114,18 @@ class Agent {
     sched::TaskQueue waitlist{std::make_unique<sched::FifoPolicy>()};
   };
 
+  // Where the Agent keeps a task it accepted, at index TaskId.
+  struct TaskSlot {
+    std::shared_ptr<Task> task;  // null when empty or finalized
+    // The backend of the task's latest submit_to. backends_ does not change
+    // after bootstrap, so the pointer stays valid.
+    BackendSlot* backend = nullptr;
+  };
+
+  // The slot holding the live task with `uid` — the uid a backend or a
+  // caller passed in — or nullptr (see task_ordinal).
+  TaskSlot* find(std::string_view uid);
+
   void enter_scheduling(std::shared_ptr<Task> task);
   void schedule(std::shared_ptr<Task> task);
   double staging_time(double mb);
@@ -123,7 +136,6 @@ class Agent {
   bool place_and_launch(BackendSlot& slot, std::shared_ptr<Task> task);
   void release_held(BackendSlot& slot, const std::string& uid);
   void drain_waitlist(BackendSlot& slot);
-  BackendSlot* slot_of(const std::string& backend_name);
   void handle_start(const std::string& uid);
   void handle_completion(const platform::LaunchOutcome& outcome);
   void finalize(std::shared_ptr<Task> task, TaskState state);
@@ -140,7 +152,8 @@ class Agent {
   sim::Server stager_in_;   // concurrent input-staging streams
   sim::Server stager_out_;  // concurrent output-staging streams
   std::vector<BackendSlot> backends_;
-  std::unordered_map<std::string, std::shared_ptr<Task>> tasks_;
+  std::vector<TaskSlot> tasks_;  // indexed by TaskId
+  std::size_t live_ = 0;        // occupied slots in tasks_
   TaskHandler final_handler_;
   std::vector<TaskHandler> final_listeners_;
   std::vector<TaskHandler> start_handlers_;

@@ -1,5 +1,7 @@
 #include "core/task.hpp"
 
+#include <charconv>
+
 #include "util/error.hpp"
 
 namespace flotilla::core {
@@ -33,6 +35,19 @@ std::string_view to_string(TaskState state) {
 bool is_final(TaskState state) {
   return state == TaskState::kDone || state == TaskState::kFailed ||
          state == TaskState::kCanceled;
+}
+
+std::optional<TaskId> task_ordinal(std::string_view uid) {
+  constexpr std::string_view kPrefix = "task.";
+  if (!uid.starts_with(kPrefix)) return std::nullopt;
+  const char* first = uid.data() + kPrefix.size();
+  const char* last = uid.data() + uid.size();
+  // from_chars takes no sign or whitespace, and reports an empty number,
+  // and one too large for TaskId, as errors.
+  TaskId id = 0;
+  const auto [end, ec] = std::from_chars(first, last, id);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return id;
 }
 
 namespace {

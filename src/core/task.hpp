@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -59,6 +60,17 @@ enum class TaskState {
 std::string_view to_string(TaskState state);
 bool is_final(TaskState state);
 
+// Dense task handle: the ordinal the session's IdRegistry formats into the
+// uid ("task.000042" -> 42). The TaskManager and the Agent keep their tasks
+// in vectors indexed by it.
+using TaskId = std::uint32_t;
+
+// The ordinal in a "task.<digits>" uid, or nullopt when `uid` has another
+// shape or the number does not fit a TaskId. Padding is not checked:
+// "task.00042" parses to 42, so a caller resolving a uid must also compare
+// it with the uid of the task it finds in that slot.
+std::optional<TaskId> task_ordinal(std::string_view uid);
+
 // Runtime object tracked by the session. Transitions are validated: a task
 // can only move forward, except for the retry edge Running/ExecutorPending
 // -> AgentScheduling.
@@ -71,9 +83,10 @@ class Task {
   using TransitionHook =
       std::function<void(const Task&, TaskState from, TaskState to)>;
 
-  Task(std::string uid, TaskDescription description)
-      : uid_(std::move(uid)), description_(std::move(description)) {}
+  Task(TaskId id, std::string uid, TaskDescription description)
+      : id_(id), uid_(std::move(uid)), description_(std::move(description)) {}
 
+  TaskId id() const { return id_; }
   const std::string& uid() const { return uid_; }
   const TaskDescription& description() const { return description_; }
 
@@ -107,6 +120,7 @@ class Task {
   void request_cancel() { cancel_requested_ = true; }
 
  private:
+  TaskId id_;
   std::string uid_;
   TaskDescription description_;
   std::shared_ptr<const TransitionHook> transition_hook_;

@@ -1,5 +1,8 @@
 #include "core/task_manager.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace flotilla::core {
@@ -28,17 +31,28 @@ void TaskManager::on_transition(Task::TransitionHook hook) {
       });
 }
 
-std::string TaskManager::submit(TaskDescription description) {
-  const std::string uid = session_.ids().next("task");
-  auto task = std::make_shared<Task>(uid, std::move(description));
+std::shared_ptr<Task> TaskManager::create(TaskDescription description) {
+  auto [ordinal, uid] = session_.ids().issue("task");
+  FLOT_CHECK(ordinal <= std::numeric_limits<TaskId>::max(),
+             "task ordinal ", ordinal, " overflows TaskId");
+  const auto id = static_cast<TaskId>(ordinal);
+  auto task =
+      std::make_shared<Task>(id, std::move(uid), std::move(description));
   if (transition_hook_) task->set_transition_hook(transition_hook_);
-  tasks_.emplace(uid, task);
+  if (tasks_.size() <= id) tasks_.resize(std::size_t{id} + 1);
+  tasks_[id] = task;
   ++total_submitted_;
   agent_.profiler().submitted(*task);
-  const auto& cal = session_.calibration().core;
   task->advance(TaskState::kTmgrScheduling, session_.now());
-  obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", uid,
+  obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", task->uid(),
                    static_cast<double>(task->description().demand.cores));
+  return task;
+}
+
+std::string TaskManager::submit(TaskDescription description) {
+  auto task = create(std::move(description));
+  std::string uid = task->uid();
+  const auto& cal = session_.calibration().core;
   intake_.submit(rng_.lognormal_mean_cv(cal.tmgr_task_cost, cal.jitter_cv),
                  [this, task = std::move(task)]() mutable {
                    obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
@@ -67,16 +81,8 @@ std::vector<std::string> TaskManager::submit_batch(
   batch.reserve(descriptions.size());
   const auto& cal = session_.calibration().core;
   for (auto& description : descriptions) {
-    const std::string uid = session_.ids().next("task");
-    auto task = std::make_shared<Task>(uid, std::move(description));
-    if (transition_hook_) task->set_transition_hook(transition_hook_);
-    tasks_.emplace(uid, task);
-    ++total_submitted_;
-    agent_.profiler().submitted(*task);
-    task->advance(TaskState::kTmgrScheduling, session_.now());
-    obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", uid,
-                     static_cast<double>(task->description().demand.cores));
-    uids.push_back(uid);
+    auto task = create(std::move(description));
+    uids.push_back(task->uid());
     batch.push_back(std::move(task));
   }
   const double cost =
@@ -93,23 +99,48 @@ std::vector<std::string> TaskManager::submit_batch(
   return uids;
 }
 
+Task* TaskManager::find(std::string_view uid) const {
+  const auto id = task_ordinal(uid);
+  if (!id || *id >= tasks_.size()) return nullptr;
+  Task* task = tasks_[*id].get();
+  return task != nullptr && task->uid() == uid ? task : nullptr;
+}
+
 bool TaskManager::cancel(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end() || is_final(it->second->state())) return false;
+  Task* task = find(uid);
+  if (task == nullptr || is_final(task->state())) return false;
   // A task still in TMGR intake has not reached the agent; flag it and the
   // agent will cancel it on arrival.
-  if (it->second->state() == TaskState::kTmgrScheduling ||
-      it->second->state() == TaskState::kStagingInput) {
-    it->second->request_cancel();
+  if (task->state() == TaskState::kTmgrScheduling ||
+      task->state() == TaskState::kStagingInput) {
+    task->request_cancel();
     return true;
   }
   return agent_.cancel(uid);
 }
 
 const Task& TaskManager::task(const std::string& uid) const {
-  const auto it = tasks_.find(uid);
-  FLOT_CHECK(it != tasks_.end(), "unknown task ", uid);
-  return *it->second;
+  const Task* task = find(uid);
+  FLOT_CHECK(task != nullptr, "unknown task ", uid);
+  return *task;
+}
+
+void TaskManager::for_each_task(
+    const std::function<void(const Task&)>& fn) const {
+  std::vector<const Task*> order;
+  order.reserve(total_submitted_);
+  for (const auto& task : tasks_) {
+    if (task) order.push_back(task.get());
+  }
+  // TaskId order is uid order until the counter outgrows its zero padding:
+  // "task.1000000" sorts before "task.999998".
+  const auto by_uid = [](const Task* a, const Task* b) {
+    return a->uid() < b->uid();
+  };
+  if (!std::is_sorted(order.begin(), order.end(), by_uid)) {
+    std::sort(order.begin(), order.end(), by_uid);
+  }
+  for (const Task* task : order) fn(*task);
 }
 
 }  // namespace flotilla::core

@@ -9,7 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/agent.hpp"
@@ -17,7 +17,6 @@
 #include "core/task.hpp"
 #include "sim/random.hpp"
 #include "sim/server.hpp"
-#include "util/ordered.hpp"
 
 namespace flotilla::core {
 
@@ -69,20 +68,26 @@ class TaskManager {
 
   // Visits every task ever submitted (analytics/reporting), in sorted uid
   // order so downstream reports are reproducible.
-  void for_each_task(const std::function<void(const Task&)>& fn) const {
-    for (const auto& uid : util::sorted_keys(tasks_)) fn(*tasks_.at(uid));
-  }
+  void for_each_task(const std::function<void(const Task&)>& fn) const;
   std::size_t submitted() const { return total_submitted_; }
   std::size_t finished() const { return finished_; }
   bool idle() const { return finished_ == total_submitted_; }
 
  private:
+  // This manager's task with `uid`, or nullptr (see task_ordinal).
+  Task* find(std::string_view uid) const;
+  // Issues the next uid, creates the task in its slot and moves it into
+  // TMGR_SCHEDULING.
+  std::shared_ptr<Task> create(TaskDescription description);
+
   Session& session_;
   Agent& agent_;
   sim::RngStream rng_;
   sim::Server intake_;
   obs::TraceHandle obs_trace_;
-  std::unordered_map<std::string, std::shared_ptr<Task>> tasks_;
+  // Indexed by TaskId. Uids are unique per session, not per manager, so a
+  // slot is null when another manager on the same session took that id.
+  std::vector<std::shared_ptr<Task>> tasks_;
   std::vector<Task::TransitionHook> transition_hooks_;
   std::shared_ptr<const Task::TransitionHook> transition_hook_;
   TaskHandler completion_handler_;

@@ -20,7 +20,12 @@ std::size_t PriorityFifoPolicy::insertion_index(
   // The queue is kept sorted by non-increasing priority, so the insertion
   // point is a binary search — O(log n) even with paper-scale backlogs of
   // 200k+ jobs. upper_bound places equal priorities after their elders
-  // (the FIFO tie-break).
+  // (the FIFO tie-break). An arrival at or below the tail's priority — the
+  // common case, since most jobs share the default urgency — goes to the
+  // tail without a search.
+  if (entries.empty() || entries.back().priority >= entry.priority) {
+    return entries.size();
+  }
   const auto pos = std::upper_bound(
       entries.begin(), entries.end(), entry.priority,
       [](int priority, const QueueEntry& queued) {

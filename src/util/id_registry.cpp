@@ -4,7 +4,7 @@
 
 namespace flotilla::util {
 
-std::string IdRegistry::next(const std::string& ns, int width) {
+IdRegistry::Issued IdRegistry::issue(const std::string& ns, int width) {
   std::uint64_t value = 0;
   {
     std::lock_guard lock(mutex_);
@@ -17,10 +17,12 @@ std::string IdRegistry::next(const std::string& ns, int width) {
       width > 0 && static_cast<std::size_t>(width) > length
           ? static_cast<std::size_t>(width) - length
           : 0;
-  std::string id;
-  id.reserve(ns.size() + 1 + padding + length);
-  id.append(ns).append(1, '.').append(padding, '0').append(digits, length);
-  return id;
+  Issued issued;
+  issued.ordinal = value;
+  issued.id.reserve(ns.size() + 1 + padding + length);
+  issued.id.append(ns).append(1, '.').append(padding, '0').append(digits,
+                                                                  length);
+  return issued;
 }
 
 std::uint64_t IdRegistry::count(const std::string& ns) const {

@@ -14,8 +14,19 @@ namespace flotilla::util {
 
 class IdRegistry {
  public:
+  // An id and the counter value formatted into it.
+  struct Issued {
+    std::uint64_t ordinal = 0;
+    std::string id;
+  };
+
   // Returns "<ns>.<counter>" with the counter zero-padded to `width`.
-  std::string next(const std::string& ns, int width = 6);
+  std::string next(const std::string& ns, int width = 6) {
+    return issue(ns, width).id;
+  }
+  // Same as next(), but also hands back the counter, so a caller can index
+  // dense storage by it without parsing the id.
+  Issued issue(const std::string& ns, int width = 6);
 
   // Number of ids handed out so far for `ns`.
   std::uint64_t count(const std::string& ns) const;

@@ -17,7 +17,7 @@ using platform::frontier_spec;
 // ------------------------------------------------------------------- Task
 
 TEST(TaskStateMachine, HappyPathTransitions) {
-  Task task("task.0", {});
+  Task task(0, "task.0", {});
   EXPECT_EQ(task.state(), TaskState::kNew);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
@@ -32,7 +32,7 @@ TEST(TaskStateMachine, HappyPathTransitions) {
 }
 
 TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
-  Task task("task.0", {});
+  Task task(0, "task.0", {});
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -48,7 +48,7 @@ TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
 }
 
 TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
-  Task task("task.0", {});
+  Task task(0, "task.0", {});
   task.advance(TaskState::kTmgrScheduling, 0.0);  // a zero time still counts
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -74,7 +74,7 @@ TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
 }
 
 TEST(TaskStateMachine, IllegalTransitionsThrow) {
-  Task task("task.0", {});
+  Task task(0, "task.0", {});
   EXPECT_THROW(task.advance(TaskState::kRunning, 1.0), util::Error);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   EXPECT_THROW(task.advance(TaskState::kRunning, 2.0), util::Error);

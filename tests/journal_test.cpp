@@ -210,8 +210,8 @@ TEST(Writer, AppendIsLineAtomic) {
 
 TEST(Scribe, TransitionWithADelimiterInTheUidIsLineAtomic) {
   core::Session session{platform::frontier_spec(), 2, 42};
-  core::Task bad("task|0", core::TaskDescription{});
-  core::Task good("task.000000", core::TaskDescription{});
+  core::Task bad(0, "task|0", core::TaskDescription{});
+  core::Task good(0, "task.000000", core::TaskDescription{});
   // Validate mode, with a prefix that the good edge matches.
   Scribe scribe(session, {transition_record(0.0, "task.000000", "NEW",
                                             "TMGR_SCHEDULING", "", 0)});

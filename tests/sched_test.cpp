@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -74,6 +76,64 @@ TEST(QueuePolicy, PriorityOrdersHigherFirstWithFifoTieBreak) {
   EXPECT_EQ(ids_of(queue), (std::vector<std::string>{
                                "high.1", "high.2", "mid.1", "mid.2", "low.1"}));
   EXPECT_EQ(queue.scan_limit(), 1u);
+}
+
+// The tail shortcut in PriorityFifoPolicy::insertion_index must return
+// exactly what a full upper_bound search over the non-increasing queue
+// returns, for every queue shape and every arrival relative to the tail.
+TEST(QueuePolicy, PriorityInsertionMatchesUpperBound) {
+  const auto reference = [](const std::deque<QueueEntry>& entries,
+                            int priority) {
+    return static_cast<std::size_t>(
+        std::upper_bound(entries.begin(), entries.end(), priority,
+                         [](int p, const QueueEntry& queued) {
+                           return queued.priority < p;
+                         }) -
+        entries.begin());
+  };
+  const PriorityFifoPolicy policy;
+  const auto check = [&](const std::deque<QueueEntry>& entries,
+                         int priority) {
+    EXPECT_EQ(policy.insertion_index(entries, entry("x", priority)),
+              reference(entries, priority))
+        << "queue size " << entries.size() << ", arrival " << priority;
+  };
+
+  // Empty queue: every arrival goes to index 0.
+  for (int p = 0; p <= 31; ++p) check({}, p);
+
+  sim::RngStream rng(7, "priority-insertion");
+  const auto shaped = [&](int shape, std::size_t n) {
+    std::deque<QueueEntry> entries;
+    if (shape == 0) {  // all equal
+      const int p = static_cast<int>(rng.uniform_int(0, 31));
+      for (std::size_t i = 0; i < n; ++i) entries.push_back(entry("q", p));
+    } else if (shape == 1) {  // strictly descending
+      int p = 31;
+      for (std::size_t i = 0; i < n && p >= 0; ++i) {
+        entries.push_back(entry("q", p));
+        p -= static_cast<int>(rng.uniform_int(1, 3));
+      }
+    } else {  // random non-increasing with runs of ties
+      std::vector<int> ps;
+      for (std::size_t i = 0; i < n; ++i) {
+        ps.push_back(static_cast<int>(rng.uniform_int(0, 31)));
+      }
+      std::sort(ps.begin(), ps.end(), std::greater<>());
+      for (int p : ps) entries.push_back(entry("q", p));
+    }
+    return entries;
+  };
+  for (int round = 0; round < 300; ++round) {
+    const auto entries =
+        shaped(round % 3, static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    const int tail = entries.back().priority;
+    // Arrivals above, equal to and below the tail, plus the full range.
+    if (tail < 31) check(entries, tail + 1);
+    check(entries, tail);
+    if (tail > 0) check(entries, tail - 1);
+    check(entries, static_cast<int>(rng.uniform_int(0, 31)));
+  }
 }
 
 TEST(QueuePolicy, BackfillBoundsScanDepth) {

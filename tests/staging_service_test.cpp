@@ -249,12 +249,12 @@ TEST(SessionReport, BreaksDownTaskLifecycles) {
 
 TEST(SessionReport, CountsFailuresAndSkipsUnfinishedTasks) {
   analytics::SessionReport report;
-  Task unfinished("task.x", {});
+  Task unfinished(0, "task.x", {});
   unfinished.advance(TaskState::kTmgrScheduling, 1.0);
   report.add(unfinished);
   EXPECT_EQ(report.tasks(), 0u);
 
-  Task failed("task.y", {});
+  Task failed(1, "task.y", {});
   failed.advance(TaskState::kTmgrScheduling, 1.0);
   failed.advance(TaskState::kFailed, 2.0);
   report.add(failed);

@@ -1,0 +1,296 @@
+// Dense task slots in the RP core: TaskManager and Agent keep their tasks in
+// vectors indexed by TaskId (the uid's ordinal) and resolve the string ids
+// that cross the TaskBackend seam by parsing the ordinal and comparing the
+// slot's uid. These tests drive that resolution through a fake backend and
+// the public API:
+//
+//  - task_ordinal parses "task.<digits>" and nothing else
+//  - malformed, non-canonical, overflowing, out-of-range, foreign and
+//    already-finalized ids resolve to no task: the agent ignores starts and
+//    completions for them, cancel returns false, task() raises its labeled
+//    "unknown task" error
+//  - for_each_task keeps sorted-uid order across the 6 -> 7 digit boundary
+//  - two pilots with two task managers on one session: each manager and
+//    agent resolves only its own uids
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/flotilla.hpp"
+#include "util/error.hpp"
+
+namespace flotilla::core {
+namespace {
+
+// Records what the agent submits and lets the test report starts and
+// completions for any id at all.
+class FakeBackend : public platform::TaskBackend {
+ public:
+  explicit FakeBackend(platform::NodeRange span) : span_(span) {}
+
+  const std::string& name() const override { return name_; }
+  bool accepts(platform::TaskModality) const override { return true; }
+  platform::NodeRange span() const override { return span_; }
+  void bootstrap(ReadyHandler ready) override { ready(true, ""); }
+  void submit(platform::LaunchRequest request) override {
+    submitted.push_back(std::move(request.id));
+  }
+  void on_task_start(StartHandler handler) override {
+    start_ = std::move(handler);
+  }
+  void on_task_complete(CompletionHandler handler) override {
+    complete_ = std::move(handler);
+  }
+  void shutdown() override { healthy_ = false; }
+  bool healthy() const override { return healthy_; }
+  std::size_t inflight() const override { return 0; }
+
+  void start(const std::string& id) { start_(id); }
+  void complete(const std::string& id) {
+    platform::LaunchOutcome outcome;
+    outcome.id = id;
+    complete_(outcome);
+  }
+  // Starts and completes everything submitted so far.
+  void finish_all() {
+    auto ids = std::move(submitted);
+    submitted.clear();
+    for (const auto& id : ids) {
+      start(id);
+      complete(id);
+    }
+  }
+
+  std::vector<std::string> submitted;
+
+ private:
+  std::string name_ = "fake";
+  platform::NodeRange span_;
+  StartHandler start_;
+  CompletionHandler complete_;
+  bool healthy_ = true;
+};
+
+// One agent over a fake backend, with its task manager.
+struct Stack {
+  std::unique_ptr<Agent> agent;
+  FakeBackend* backend = nullptr;
+  std::unique_ptr<TaskManager> tmgr;
+
+  Stack(Session& session, platform::NodeRange allocation) {
+    agent = std::make_unique<Agent>(session, allocation);
+    auto fake = std::make_unique<FakeBackend>(allocation);
+    backend = fake.get();
+    agent->add_backend(std::move(fake), 0.0);
+    bool ready = false;
+    agent->bootstrap([&ready](bool ok, const std::string&) { ready = ok; });
+    session.run();
+    EXPECT_TRUE(ready);
+    tmgr = std::make_unique<TaskManager>(session, *agent);
+  }
+};
+
+TaskDescription null_task() {
+  TaskDescription desc;
+  desc.demand.cores = 1;
+  return desc;
+}
+
+TEST(TaskOrdinal, ParsesTaskUidsOnly) {
+  EXPECT_EQ(task_ordinal("task.000042"), std::optional<TaskId>(42));
+  EXPECT_EQ(task_ordinal("task.1000000"), std::optional<TaskId>(1000000));
+  EXPECT_EQ(task_ordinal("task.0"), std::optional<TaskId>(0));
+  // Padding is not checked here; resolution compares the slot's uid.
+  EXPECT_EQ(task_ordinal("task.00042"), std::optional<TaskId>(42));
+  for (const char* bad :
+       {"", "task", "task.", "task.12a", "task.-1", "task.+1", "task. 1",
+        "job.000001", "Task.000001", "task.4294967296",
+        "task.9999999999999999999999999"}) {
+    EXPECT_EQ(task_ordinal(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(TaskSlots, UnresolvableIdsAreIgnoredAsBefore) {
+  Session session(platform::frontier_spec(), 2, 42);
+  Stack stack(session, {0, 2});
+  auto& tmgr = *stack.tmgr;
+  int finals = 0;
+  tmgr.on_complete([&finals](const Task&) { ++finals; });
+
+  // A finalized task, then a live one with ordinal 42.
+  const std::string done = tmgr.submit(null_task());
+  session.run();
+  stack.backend->finish_all();
+  session.run();
+  ASSERT_EQ(finals, 1);
+  for (int i = 1; i < 42; ++i) session.ids().next("task");
+  const std::string live = tmgr.submit(null_task());
+  ASSERT_EQ(live, "task.000042");
+  session.run();
+  ASSERT_EQ(stack.backend->submitted, std::vector<std::string>{live});
+  ASSERT_EQ(stack.agent->inflight(), 1u);
+
+  const std::vector<std::string> unresolvable = {
+      "task.",
+      "task.12a",
+      "job.000001",
+      "task.00042",                         // non-canonical padding of 42
+      "task.0000000000000000000000042",     // 25 digits that parse to 42
+      "task.9999999999999999999999999",     // 25 digits, overflows
+      "task.000043",                        // past the end of the slab
+      "task.999999",
+  };
+  for (const auto& id : unresolvable) {
+    stack.backend->start(id);
+    stack.backend->complete(id);
+    session.run();
+    EXPECT_FALSE(tmgr.cancel(id)) << id;
+    EXPECT_FALSE(stack.agent->cancel(id)) << id;
+    try {
+      (void)tmgr.task(id);
+      ADD_FAILURE() << "task(" << id << ") resolved";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown task"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The finalized task's id: the agent ignores it, cancel refuses it, and
+  // the manager still reports it (it keeps every task it was given).
+  stack.backend->start(done);
+  stack.backend->complete(done);
+  session.run();
+  EXPECT_FALSE(tmgr.cancel(done));
+  EXPECT_FALSE(stack.agent->cancel(done));
+  EXPECT_EQ(tmgr.task(done).state(), TaskState::kDone);
+  EXPECT_EQ(tmgr.task(done).attempts(), 1);
+
+  // None of that touched the live task.
+  EXPECT_EQ(finals, 1);
+  EXPECT_EQ(stack.agent->inflight(), 1u);
+  EXPECT_EQ(tmgr.task(live).state(), TaskState::kExecutorPending);
+  EXPECT_FALSE(tmgr.task(live).cancel_requested());
+
+  stack.backend->finish_all();
+  session.run();
+  EXPECT_EQ(finals, 2);
+  EXPECT_EQ(tmgr.task(live).state(), TaskState::kDone);
+  EXPECT_EQ(stack.agent->inflight(), 0u);
+  EXPECT_TRUE(tmgr.idle());
+}
+
+TEST(TaskSlots, ForEachTaskKeepsUidOrderPastSixDigits) {
+  Session session(platform::frontier_spec(), 2, 42);
+  Stack stack(session, {0, 2});
+  for (int i = 0; i < 999'998; ++i) session.ids().next("task");
+  const auto uids = stack.tmgr->submit(
+      std::vector<TaskDescription>{null_task(), null_task(), null_task()});
+  ASSERT_EQ(uids, (std::vector<std::string>{"task.999998", "task.999999",
+                                            "task.1000000"}));
+  std::vector<std::string> visited;
+  stack.tmgr->for_each_task(
+      [&visited](const Task& task) { visited.push_back(task.uid()); });
+  EXPECT_EQ(visited, (std::vector<std::string>{"task.1000000", "task.999998",
+                                               "task.999999"}));
+
+  // The seven-digit uid resolves through the seam like any other.
+  session.run();
+  stack.backend->finish_all();
+  session.run();
+  EXPECT_TRUE(stack.tmgr->idle());
+  EXPECT_EQ(stack.tmgr->task("task.1000000").state(), TaskState::kDone);
+}
+
+TEST(TaskSlots, TwoManagersResolveOnlyTheirOwnUids) {
+  Session session(platform::frontier_spec(), 4, 42);
+  Stack a(session, {0, 2});
+  Stack b(session, {2, 2});
+  std::vector<std::string> uids_a;
+  std::vector<std::string> uids_b;
+  for (int i = 0; i < 5; ++i) {
+    uids_a.push_back(a.tmgr->submit(null_task()));
+    uids_b.push_back(b.tmgr->submit(null_task()));
+  }
+  session.run();
+  ASSERT_EQ(a.backend->submitted, uids_a);
+  ASSERT_EQ(b.backend->submitted, uids_b);
+
+  // Each side's uids are foreign to the other: the seam ignores them and
+  // the API refuses them.
+  for (auto [own, other] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+    for (const auto& uid : other->backend->submitted) {
+      own->backend->start(uid);
+      own->backend->complete(uid);
+      EXPECT_FALSE(own->tmgr->cancel(uid)) << uid;
+      EXPECT_FALSE(own->agent->cancel(uid)) << uid;
+      EXPECT_THROW((void)own->tmgr->task(uid), util::Error) << uid;
+    }
+  }
+  session.run();
+  for (const auto& uid : uids_a) {
+    EXPECT_EQ(a.tmgr->task(uid).state(), TaskState::kExecutorPending);
+  }
+  for (const auto& uid : uids_b) {
+    EXPECT_EQ(b.tmgr->task(uid).state(), TaskState::kExecutorPending);
+  }
+  EXPECT_EQ(a.agent->inflight(), 5u);
+  EXPECT_EQ(b.agent->inflight(), 5u);
+
+  a.backend->finish_all();
+  b.backend->finish_all();
+  session.run();
+  for (auto* stack : {&a, &b}) {
+    std::vector<std::string> visited;
+    stack->tmgr->for_each_task([&visited](const Task& task) {
+      EXPECT_EQ(task.state(), TaskState::kDone) << task.uid();
+      visited.push_back(task.uid());
+    });
+    EXPECT_EQ(visited, stack == &a ? uids_a : uids_b);
+    EXPECT_EQ(stack->agent->inflight(), 0u);
+  }
+}
+
+TEST(TaskSlots, TwoPilotsRunTheirOwnTasks) {
+  Session session(platform::frontier_spec(), 4, 42);
+  PilotManager pmgr(session);
+  auto& pa = pmgr.submit({.nodes = 2, .backends = {{"flux", 1}}});
+  auto& pb = pmgr.submit({.nodes = 2, .backends = {{"flux", 1}}});
+  pa.launch([](bool ok, const std::string&) { EXPECT_TRUE(ok); });
+  pb.launch([](bool ok, const std::string&) { EXPECT_TRUE(ok); });
+  session.run(240.0);
+  TaskManager ta(session, pa.agent());
+  TaskManager tb(session, pb.agent());
+  std::vector<std::string> uids_a;
+  std::vector<std::string> uids_b;
+  for (int i = 0; i < 8; ++i) {
+    auto desc = null_task();
+    desc.duration = 30.0;
+    uids_a.push_back(ta.submit(desc));
+    uids_b.push_back(tb.submit(std::move(desc)));
+  }
+  session.run(session.now() + 10.0);  // every task is in flight
+  for (const auto& uid : uids_b) {
+    EXPECT_FALSE(ta.cancel(uid)) << uid;
+    EXPECT_FALSE(pa.agent().cancel(uid)) << uid;
+    EXPECT_THROW((void)ta.task(uid), util::Error) << uid;
+  }
+  for (const auto& uid : uids_a) {
+    EXPECT_FALSE(tb.cancel(uid)) << uid;
+    EXPECT_FALSE(pb.agent().cancel(uid)) << uid;
+    EXPECT_THROW((void)tb.task(uid), util::Error) << uid;
+  }
+  session.run();
+  for (const auto& uid : uids_a) {
+    EXPECT_EQ(ta.task(uid).state(), TaskState::kDone) << uid;
+  }
+  for (const auto& uid : uids_b) {
+    EXPECT_EQ(tb.task(uid).state(), TaskState::kDone) << uid;
+  }
+  EXPECT_EQ(ta.finished(), 8u);
+  EXPECT_EQ(tb.finished(), 8u);
+}
+
+}  // namespace
+}  // namespace flotilla::core

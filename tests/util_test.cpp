@@ -134,6 +134,18 @@ TEST(IdRegistry, PadsAndOverflowsTheWidth) {
   EXPECT_EQ(registry.count("flux"), 1u);
 }
 
+TEST(IdRegistry, IssueReportsTheOrdinalItFormatted) {
+  IdRegistry registry;
+  registry.next("task");
+  const auto issued = registry.issue("task");
+  EXPECT_EQ(issued.ordinal, 1u);
+  EXPECT_EQ(issued.id, "task.000001");
+  EXPECT_EQ(registry.next("task"), "task.000002");  // one shared counter
+  const auto pilot = registry.issue("pilot", 4);
+  EXPECT_EQ(pilot.ordinal, 0u);
+  EXPECT_EQ(pilot.id, "pilot.0000");
+}
+
 TEST(IdRegistry, ResetClearsCounters) {
   IdRegistry registry;
   registry.next("x");
