@@ -127,44 +127,50 @@ void InvariantMonitor::check_index_coherence() {
   }
 
   // Identity oracle: indexed lookups must answer exactly like the linear
-  // first-fit scan they replaced (the sched subsystem's contract).
+  // first-fit scan they replaced (the sched subsystem's contract). The
+  // whole range is probed, and so is its middle third, whose searches start
+  // at an inner leaf and must stop before the end of the range.
   struct Probe {
     int cores;
     int gpus;
   };
   const Probe probes[] = {{1, 0}, {8, 1}, {56, 0}, {1, 1}};
-  for (const auto& probe : probes) {
-    std::optional<platform::NodeId> truth;
-    for (platform::NodeId n = range.first; n < range.end(); ++n) {
-      if (cluster.node(n).free_cores() >= probe.cores &&
-          cluster.node(n).free_gpus() >= probe.gpus) {
-        truth = n;
-        break;
+  const platform::NodeRange windows[] = {
+      range, {range.first + range.count / 3,
+              range.count - 2 * (range.count / 3)}};
+  for (const auto& window : windows) {
+    auto scan = [&](auto qualifies) -> std::optional<platform::NodeId> {
+      for (platform::NodeId n = window.first; n < window.end(); ++n) {
+        if (qualifies(cluster.node(n))) return n;
+      }
+      return std::nullopt;
+    };
+    auto report = [&](const std::string& query,
+                      std::optional<platform::NodeId> got,
+                      std::optional<platform::NodeId> truth) {
+      add("index",
+          util::cat(query, " over [", window.first, ",", window.end(),
+                    ") = ", got ? std::to_string(*got) : "none",
+                    ", linear scan = ",
+                    truth ? std::to_string(*truth) : "none"));
+    };
+    for (const auto& probe : probes) {
+      const auto truth = scan([&](const platform::Node& node) {
+        return node.free_cores() >= probe.cores &&
+               node.free_gpus() >= probe.gpus;
+      });
+      const auto got =
+          index_.find_fit(window.first, window.end(), probe.cores, probe.gpus);
+      if (truth != got) {
+        report(util::cat("find_fit(", probe.cores, ",", probe.gpus, ")"), got,
+               truth);
       }
     }
-    const auto got =
-        index_.find_fit(range.first, range.end(), probe.cores, probe.gpus);
-    if (truth != got) {
-      add("index",
-          util::cat("find_fit(", probe.cores, ",", probe.gpus, ") = ",
-                    got ? std::to_string(*got) : "none", ", linear scan = ",
-                    truth ? std::to_string(*truth) : "none"));
-    }
-  }
-  std::optional<platform::NodeId> truth_any;
-  for (platform::NodeId n = range.first; n < range.end(); ++n) {
-    if (cluster.node(n).free_cores() > 0) {
-      truth_any = n;
-      break;
-    }
-  }
-  const auto got_any = index_.find_any(range.first, range.end(), true, false);
-  if (truth_any != got_any) {
-    add("index",
-        util::cat("find_any(cores) = ",
-                  got_any ? std::to_string(*got_any) : "none",
-                  ", linear scan = ",
-                  truth_any ? std::to_string(*truth_any) : "none"));
+    const auto truth_any = scan(
+        [](const platform::Node& node) { return node.free_cores() > 0; });
+    const auto got_any =
+        index_.find_any(window.first, window.end(), true, false);
+    if (truth_any != got_any) report("find_any(cores)", got_any, truth_any);
   }
 }
 

@@ -13,7 +13,8 @@
 //   liveness       every submitted task reaches exactly one terminal state
 //   monotonic-time virtual time never moves backwards between events
 //   index          FreeResourceIndex segment maxima and find_any/find_fit
-//                  answers match a ground-truth linear scan (sampled)
+//                  answers, over the whole range and its middle third,
+//                  match a ground-truth linear scan (sampled)
 //   quiesce        every backend reports quiescent() once the run drains
 //
 // Violations carry the virtual time and a human-readable detail line; the

@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -86,19 +88,26 @@ std::string CliParser::get(const std::string& name) const {
 
 long CliParser::get_int(const std::string& name) const {
   const auto value = get(name);
+  if (value.empty()) raise("option --", name, " needs an integer value");
   char* end = nullptr;
+  errno = 0;
   const long result = std::strtol(value.c_str(), &end, 10);
-  FLOT_CHECK(end && *end == '\0', "option --", name,
-             " is not an integer: ", value);
+  if (*end != '\0') raise("option --", name, " is not an integer: ", value);
+  if (errno == ERANGE) raise("option --", name, " is out of range: ", value);
   return result;
 }
 
 double CliParser::get_double(const std::string& name) const {
   const auto value = get(name);
+  if (value.empty()) raise("option --", name, " needs a numeric value");
   char* end = nullptr;
+  errno = 0;
   const double result = std::strtod(value.c_str(), &end);
-  FLOT_CHECK(end && *end == '\0', "option --", name,
-             " is not a number: ", value);
+  if (*end != '\0') raise("option --", name, " is not a number: ", value);
+  if (errno == ERANGE) raise("option --", name, " is out of range: ", value);
+  if (!std::isfinite(result)) {
+    raise("option --", name, " is not finite: ", value);
+  }
   return result;
 }
 

@@ -255,6 +255,142 @@ TEST(FreeResourceIndex, ReleaseGenerationMovesOnlyWhenCapacityGrows) {
   EXPECT_EQ(index.release_generation(), after_direct_release);
 }
 
+// Property: the successor search answers find_fit and find_any exactly like
+// a linear scan of the window, and the root holds the range's maxima, after
+// every change. Clusters span 1..3,000 nodes (mostly padded leaf counts)
+// with sub-ranges that need not start at node 0. Changes go through Node
+// directly and through Cluster::release, and mix whole-node, partial-core
+// and GPU-only slices, so a segment's cores and GPU maxima often come from
+// different nodes. Windows stick out of the range on either side, are
+// empty or a single node, and chain from the previous answer as first-fit
+// does.
+TEST(FreeResourceIndex, SuccessorSearchMatchesLinearScan) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    sim::RngStream rng(seed);
+    const int nodes = static_cast<int>(
+        seed % 4 == 0 ? rng.uniform_int(1, 3000) : rng.uniform_int(1, 300));
+    Cluster cluster(frontier_spec(), nodes);
+    const auto first = static_cast<NodeId>(
+        rng.bernoulli(0.5) ? rng.uniform_int(0, nodes - 1) : 0);
+    const NodeRange range{
+        first, static_cast<std::int32_t>(rng.uniform_int(1, nodes - first))};
+    FreeResourceIndex index(cluster, range);
+
+    auto fit_scan = [&](NodeId from, NodeId limit, int cores,
+                        int gpus) -> std::optional<NodeId> {
+      for (NodeId n = std::max(from, range.first);
+           n < std::min(limit, range.end()); ++n) {
+        const auto& node = cluster.node(n);
+        if (node.free_cores() >= cores && node.free_gpus() >= gpus) return n;
+      }
+      return std::nullopt;
+    };
+    auto any_scan = [&](NodeId from, NodeId limit, bool need_cores,
+                        bool need_gpus) -> std::optional<NodeId> {
+      for (NodeId n = std::max(from, range.first);
+           n < std::min(limit, range.end()); ++n) {
+        const auto& node = cluster.node(n);
+        if ((need_cores && node.free_cores() > 0) ||
+            (need_gpus && node.free_gpus() > 0)) {
+          return n;
+        }
+      }
+      return std::nullopt;
+    };
+    auto random_node = [&] {
+      return static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
+    };
+    auto check = [&](int step) {
+      int max_cores = 0, max_gpus = 0;
+      for (NodeId n = range.first; n < range.end(); ++n) {
+        max_cores = std::max(max_cores, cluster.node(n).free_cores());
+        max_gpus = std::max(max_gpus, cluster.node(n).free_gpus());
+      }
+      ASSERT_EQ(index.max_free_cores(), max_cores) << "step " << step;
+      ASSERT_EQ(index.max_free_gpus(), max_gpus) << "step " << step;
+      for (int probe = 0; probe < 6; ++probe) {
+        // Demands shaped like some node's free counts, so a fit is often
+        // rare and the conjunction over-promises on the way to it.
+        const auto& model = cluster.node(random_node());
+        const auto cores = static_cast<int>(
+            rng.uniform_int(0, std::max(model.free_cores(), 1)));
+        const auto gpus = static_cast<int>(
+            rng.uniform_int(0, std::max(model.free_gpus(), 1)));
+        const bool need_cores = rng.bernoulli(0.6);
+        const bool need_gpus = rng.bernoulli(0.5);
+        auto from = static_cast<NodeId>(
+            rng.uniform_int(range.first - 3, range.end() + 2));
+        // Empty, single-node, past the range's end, or anywhere.
+        const auto shape = rng.uniform_int(0, 3);
+        const NodeId limit =
+            shape == 0   ? from
+            : shape == 1 ? from + 1
+            : shape == 2 ? range.end() + static_cast<NodeId>(
+                                             rng.uniform_int(0, 3))
+                         : static_cast<NodeId>(
+                               rng.uniform_int(from - 1, range.end() + 3));
+        // Chain like first-fit: each query resumes past the last answer.
+        for (int hop = 0; hop < 4; ++hop) {
+          const auto fit = index.find_fit(from, limit, cores, gpus);
+          ASSERT_EQ(fit, fit_scan(from, limit, cores, gpus))
+              << "step " << step << " find_fit [" << from << "," << limit
+              << ") cores=" << cores << " gpus=" << gpus;
+          const auto any = index.find_any(from, limit, need_cores, need_gpus);
+          ASSERT_EQ(any, any_scan(from, limit, need_cores, need_gpus))
+              << "step " << step << " find_any [" << from << "," << limit
+              << ") cores=" << need_cores << " gpus=" << need_gpus;
+          if (!fit) break;
+          from = *fit + 1;
+        }
+      }
+    };
+
+    std::vector<platform::NodeSlice> held;
+    check(-1);
+    for (int step = 0; step < 400 && !::testing::Test::HasFatalFailure();
+         ++step) {
+      const auto op = rng.uniform_int(0, 9);
+      if (op <= 4 || held.empty()) {
+        // A run of adjacent nodes, like a multi-node job's chunks.
+        const NodeId start = random_node();
+        const auto run = static_cast<int>(
+            rng.bernoulli(0.3) ? rng.uniform_int(1, 64) : 1);
+        const auto shape = rng.uniform_int(0, 2);
+        for (NodeId n = start; n < std::min(nodes, start + run); ++n) {
+          auto& node = cluster.node(n);
+          int cores = node.free_cores();  // whole node
+          int gpus = node.free_gpus();
+          if (shape == 1) {  // partial cores, maybe a GPU
+            cores = static_cast<int>(rng.uniform_int(1, 56));
+            gpus = static_cast<int>(rng.uniform_int(0, 1));
+          } else if (shape == 2) {  // GPU only
+            cores = 0;
+            gpus = static_cast<int>(rng.uniform_int(1, 8));
+          }
+          if (auto slice = node.allocate(cores, gpus)) held.push_back(*slice);
+        }
+      } else if (op <= 7) {
+        const auto i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(held.size()) - 1));
+        cluster.node(held[i].node).release(held[i]);
+        held[i] = held.back();
+        held.pop_back();
+      } else {
+        // A batch through Cluster, like a job's whole placement.
+        platform::Placement placement;
+        const auto batch = std::min<std::size_t>(
+            held.size(), static_cast<std::size_t>(rng.uniform_int(1, 32)));
+        placement.slices.assign(held.end() - static_cast<long>(batch),
+                                held.end());
+        held.resize(held.size() - batch);
+        cluster.release(placement);
+      }
+      check(step);
+    }
+  }
+}
+
 // --------------------------------------------------- placement policies
 
 TEST(PlacementPolicy, ChunkedScanHonorsRotatingCursor) {

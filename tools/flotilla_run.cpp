@@ -10,6 +10,7 @@
 //   $ flotilla-run --workload trace --trace-file workload.csv
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "analytics/session_report.hpp"
@@ -21,11 +22,28 @@
 #include "obs/report.hpp"
 #include "platform/spec_config.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "workloads/impeccable.hpp"
 #include "workloads/synthetic.hpp"
 #include "workloads/trace_replay.hpp"
 
 using namespace flotilla;
+
+namespace {
+
+// An integer option narrowed to int: values below `lo` or beyond int's
+// range are an error rather than a silent wrap.
+int int_option(const util::CliParser& cli, const std::string& name,
+               long lo = std::numeric_limits<int>::min()) {
+  const long value = cli.get_int(name);
+  if (value < lo || value > std::numeric_limits<int>::max()) {
+    util::raise("option --", name, " is out of range [", lo, ", ",
+                std::numeric_limits<int>::max(), "]: ", value);
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::CliParser cli(
@@ -67,7 +85,15 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    const auto nodes = static_cast<int>(cli.get_int("nodes"));
+    const int nodes = int_option(cli, "nodes");
+    const int partitions = int_option(cli, "partitions");
+    int tasks = int_option(cli, "tasks", 0);
+    const int cores = int_option(cli, "cores", 0);
+    const int clients = int_option(cli, "clients", 0);
+    const double duration = cli.get_double("duration");
+    if (duration < 0) {
+      util::raise("option --duration must not be negative: ", duration);
+    }
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     auto spec = platform::spec_by_name(cli.get("platform"));
     auto calibration = platform::frontier_calibration();
@@ -157,7 +183,6 @@ int main(int argc, char** argv) {
     core::PilotDescription pdesc;
     pdesc.nodes = nodes;
     const auto backend = cli.get("backend");
-    const auto partitions = static_cast<int>(cli.get_int("partitions"));
     if (backend == "hybrid") {
       pdesc.backends = {
           {.type = "flux", .partitions = partitions, .nodes = nodes / 2},
@@ -192,17 +217,13 @@ int main(int argc, char** argv) {
     tmgr.on_complete([](const core::Task&) {});
 
     const auto workload = cli.get("workload");
-    auto tasks = static_cast<int>(cli.get_int("tasks"));
     if (tasks == 0) tasks = workloads::paper_task_count(nodes);
-    const double duration = cli.get_double("duration");
-    const auto cores = cli.get_int("cores");
 
     // Service-mode ingress (docs/ingress.md): --clients > 0 drives the
     // synthetic workload through an arrival process with admission
     // control instead of one up-front submit. Workflow-shaped workloads
     // (impeccable, trace) schedule their own submissions and are
     // incompatible with an arrival process.
-    const auto clients = static_cast<int>(cli.get_int("clients"));
     std::unique_ptr<ingress::IngressService> ingress_svc;
     if (clients > 0) {
       if (workload != "null" && workload != "dummy" && workload != "mixed") {
