@@ -35,13 +35,12 @@ bool split_fields(std::string_view body, std::string_view& tag,
   return true;
 }
 
-bool parse_i64(std::string_view text, std::int64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
+// Accepts only the form std::to_chars writes: no leading zero and no "-0",
+// so anything decoded re-encodes to the same bytes.
+template <typename Int>
+bool parse_int(std::string_view text, Int& out) {
+  const std::string_view magnitude = text.substr(text.starts_with('-') ? 1 : 0);
+  if (magnitude.starts_with('0') && text != "0") return false;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   return ec == std::errc{} && ptr == text.data() + text.size();
@@ -98,7 +97,7 @@ bool decode_body(std::string_view body, Record& record,
                               std::int64_t& out) {
     std::string_view v;
     if (!expect(i, key, v)) return false;
-    if (!parse_i64(v, out)) {
+    if (!parse_int(v, out)) {
       error = "bad integer in field '" + std::string(key) + "'";
       return false;
     }
@@ -127,11 +126,11 @@ bool decode_body(std::string_view body, Record& record,
     if (!check_arity(3)) return false;
     if (!expect(0, "v", v)) return false;
     std::int64_t version = 0;
-    if (!parse_i64(v, version) || version != 1) {
+    if (!parse_int(v, version) || version != 1) {
       error = "unsupported journal version";
       return false;
     }
-    if (!expect(1, "seed", v) || !parse_u64(v, record.seed)) {
+    if (!expect(1, "seed", v) || !parse_int(v, record.seed)) {
       error = error.empty() ? "bad seed" : error;
       return false;
     }
@@ -184,7 +183,7 @@ bool decode_body(std::string_view body, Record& record,
     if (!expect_i64(1, "done", record.done)) return false;
     if (!expect_i64(2, "failed", record.failed)) return false;
     if (!expect_i64(3, "canceled", record.canceled)) return false;
-    if (!expect(4, "events", v) || !parse_u64(v, record.events)) {
+    if (!expect(4, "events", v) || !parse_int(v, record.events)) {
       error = error.empty() ? "bad event count" : error;
       return false;
     }
@@ -203,17 +202,20 @@ bool strip_checksum(std::string_view line, std::string_view& body,
     return false;
   }
   body = line.substr(0, line.size() - kSuffix);
-  const std::string_view hex = line.substr(line.size() - 8);
-  std::uint64_t stored = 0;
-  const auto [ptr, ec] = std::from_chars(
-      hex.data(), hex.data() + hex.size(), stored, 16);
-  if (ec != std::errc{} || ptr != hex.data() + hex.size()) {
-    error = "malformed checksum";
-    return false;
+  // Lowercase hex only, as the writer prints it.
+  std::uint32_t stored = 0;
+  for (const char c : line.substr(line.size() - 8)) {
+    const bool digit = c >= '0' && c <= '9';
+    if (!digit && (c < 'a' || c > 'f')) {
+      error = "malformed checksum";
+      return false;
+    }
+    stored = stored << 4 | static_cast<std::uint32_t>(digit ? c - '0'
+                                                            : c - 'a' + 10);
   }
   // The checksum covers the line up to and including "|h=".
   const std::uint32_t expected = fnv1a32(line.substr(0, line.size() - 8));
-  if (static_cast<std::uint32_t>(stored) != expected) {
+  if (stored != expected) {
     error = "checksum mismatch";
     return false;
   }

@@ -39,6 +39,11 @@ class Writer {
     encode_transition(line_, time, uid, from, to, backend, attempt);
     return commit();
   }
+  std::string_view append_alloc(sim::Time time, std::int64_t node,
+                                std::int64_t cores, std::int64_t gpus) {
+    encode_alloc(line_, time, node, cores, gpus);
+    return commit();
+  }
 
   const std::string& bytes() const { return bytes_; }
   std::size_t records() const { return records_; }

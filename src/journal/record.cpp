@@ -1,13 +1,19 @@
-// The journal's one encoder. Every line is built by appending into a
-// caller-owned string: std::to_chars for times (fixed, 9 decimals — by the
-// standard the same text as printf "%.9f") and integers, a hex table for
-// the checksum. Nothing here allocates once that string has the capacity
-// of a line, which is why the writer and the scribe keep one and reuse it.
+// The journal's one encoder. Every line is assembled by a LineBuilder:
+// numbers are formatted into the builder's own buffer and string fields
+// are checked for delimiters first, then the caller-owned line is sized
+// once and each piece is copied in through a pointer, followed by the
+// FNV-1a-32 checksum in hex and '\n'. Times go through an exact integer
+// formatter (append_time); integers through std::to_chars. Nothing here
+// allocates once the line has the capacity of a record, which is why the
+// writer and the scribe keep one and reuse it.
 #include "journal/record.hpp"
 
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <cstring>
 #include <system_error>
 
 #include "util/error.hpp"
@@ -16,49 +22,144 @@ namespace flotilla::journal {
 
 namespace {
 
-void put_key(std::string& line, std::string_view key) {
-  line += '|';
-  line += key;
-  line += '=';
+using Wide = unsigned __int128;
+
+constexpr std::uint64_t kNanosPerSecond = 1'000'000'000;
+constexpr int kExponentBias = 1023;
+constexpr int kMantissaBits = 52;
+constexpr std::uint64_t kImplicitBit = std::uint64_t{1} << kMantissaBits;
+
+char* copy(char* dst, std::string_view text) {
+  std::memcpy(dst, text.data(), text.size());
+  return dst + text.size();
 }
 
-void put(std::string& line, std::string_view key, std::string_view value) {
-  for (const char c : value) {
-    if (c == '|' || c == '\n') {
-      util::raise("journal: field '", key, "' contains a record delimiter: ",
-                  value);
+// Writes `time` in the canonical form at `first`, which must have room for
+// kMaxTimeChars, and returns the end. A finite non-negative double is
+// t = m·2^-k exactly, so below 2^64 ns the printf "%.9f" text is
+// q = round-half-even(m·10^9 / 2^k) nanoseconds, printed as q / 10^9, '.',
+// and q % 10^9 in 9 digits: exact integer arithmetic in 128 bits.
+// Longer times (over ~584 years) still go through std::to_chars, which
+// the standard defines to produce the same "%.9f" text.
+char* write_time(char* first, sim::Time time) {
+  if (!std::isfinite(time) || std::signbit(time)) {
+    util::raise("journal: time ", time, " is not finite and non-negative");
+  }
+  const auto bits = std::bit_cast<std::uint64_t>(time);
+  const int biased = static_cast<int>(bits >> kMantissaBits);
+  // Zero, the subnormals and every time below 2^-31 s, under half a
+  // nanosecond, round to zero. This also keeps k below 84 in the shifts
+  // below.
+  if (biased < kExponentBias - 31) return copy(first, "0.000000000");
+  // Below 2^35 s the normal t = m·2^-k with an implicit leading bit has
+  // 18 <= k <= 83, so m·10^9 < 2^83 fits.
+  if (biased < kExponentBias + 35) {
+    const std::uint64_t m = (bits & (kImplicitBit - 1)) | kImplicitBit;
+    const int k = kExponentBias + kMantissaBits - biased;
+    const Wide scaled = Wide{m} * kNanosPerSecond;
+    Wide q = scaled >> k;
+    const Wide rest = scaled - (q << k);
+    const Wide half = Wide{1} << (k - 1);
+    if (rest > half || (rest == half && (q & 1) != 0)) ++q;
+    if ((q >> 64) == 0) {
+      const auto nanos = static_cast<std::uint64_t>(q);
+      char* end = std::to_chars(first, first + kMaxTimeChars,
+                                nanos / kNanosPerSecond)
+                      .ptr;
+      *end = '.';
+      std::uint64_t fraction = nanos % kNanosPerSecond;
+      for (int i = 9; i > 0; --i) {
+        end[i] = static_cast<char>('0' + fraction % 10);
+        fraction /= 10;
+      }
+      return end + 10;
     }
   }
-  put_key(line, key);
-  line += value;
-}
-
-template <std::integral Int>
-void put(std::string& line, std::string_view key, Int value) {
-  char buf[24];  // 20 digits of a 64-bit integer plus the sign
-  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
-  put_key(line, key);
-  line.append(buf, end);
-}
-
-void put_time(std::string& line, sim::Time time) {
-  put_key(line, "t");
-  append_time(line, time);
-}
-
-// Closes a line: the checksum covers every byte before its hex digits.
-void finish(std::string& line) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  line += "|h=";
-  std::uint32_t sum = fnv1a32(line);
-  char tail[9];
-  for (int i = 7; i >= 0; --i) {
-    tail[i] = kHex[sum & 0xfu];
-    sum >>= 4;
+  const auto [end, ec] = std::to_chars(first, first + kMaxTimeChars, time,
+                                       std::chars_format::fixed, 9);
+  if (ec == std::errc::value_too_large) {
+    util::raise("journal: time ", time, " is too large to encode");
   }
-  tail[8] = '\n';
-  line.append(tail, sizeof(tail));
+  return end;
 }
+
+// One line under construction: the tag, then key=value fields in order.
+// Every value is validated and, for numbers and times, formatted into the
+// builder's own buffer as it is added, so an error raises before write()
+// touches the output line.
+class LineBuilder {
+ public:
+  explicit LineBuilder(std::string_view tag) : tag_(tag), size_(tag.size()) {}
+  LineBuilder(const LineBuilder&) = delete;
+  LineBuilder& operator=(const LineBuilder&) = delete;
+
+  void text(std::string_view key, std::string_view value) {
+    for (const char c : value) {
+      if (c == '|' || c == '\n') {
+        util::raise("journal: field '", key,
+                    "' contains a record delimiter: ", value);
+      }
+    }
+    add(key, value);
+  }
+
+  template <std::integral Int>
+  void integer(std::string_view key, Int value) {
+    char* end = std::to_chars(free_, numbers_.data() + numbers_.size(), value)
+                    .ptr;
+    add(key, std::string_view(free_, static_cast<std::size_t>(end - free_)));
+    free_ = end;
+  }
+
+  void timestamp(sim::Time time) {
+    char* end = write_time(free_, time);
+    add("t", std::string_view(free_, static_cast<std::size_t>(end - free_)));
+    free_ = end;
+  }
+
+  // Overwrites `line` with the record, "|h=", the checksum of every byte
+  // before the hex digits, and '\n'.
+  void write(std::string& line) const {
+    static constexpr char kHex[] = "0123456789abcdef";
+    static constexpr std::string_view kMarker = "|h=";
+    const std::size_t covered = size_ + kMarker.size();
+    line.resize(covered + 9);
+    char* p = copy(line.data(), tag_);
+    for (std::size_t i = 0; i < count_; ++i) {
+      *p++ = '|';
+      p = copy(p, fields_[i].key);
+      *p++ = '=';
+      p = copy(p, fields_[i].value);
+    }
+    p = copy(p, kMarker);
+    std::uint32_t sum = fnv1a32(std::string_view(line.data(), covered));
+    for (int i = 7; i >= 0; --i) {
+      p[i] = kHex[sum & 0xfu];
+      sum >>= 4;
+    }
+    p[8] = '\n';
+  }
+
+ private:
+  struct Field {
+    std::string_view key;
+    std::string_view value;
+  };
+
+  void add(std::string_view key, std::string_view value) {
+    fields_[count_++] = {key, value};
+    size_ += key.size() + value.size() + 2;  // '|' and '='
+  }
+
+  std::string_view tag_;
+  std::array<Field, 6> fields_{};  // a task edge has the most: 6
+  std::size_t count_ = 0;
+  std::size_t size_;  // bytes before the checksum field
+  // Formatted numbers: at most one time and four 64-bit integers (20
+  // characters each, sign included).
+  std::array<char, kMaxTimeChars + 4 * 20> numbers_;
+  char* free_ = numbers_.data();
+};
 
 }  // namespace
 
@@ -66,29 +167,31 @@ void finish(std::string& line) {
 // decoded time reproduces the same text (decimal -> nearest double -> same
 // decimal).
 void append_time(std::string& out, sim::Time time) {
-  if (!std::isfinite(time) || std::signbit(time)) {
-    util::raise("journal: time ", time, " is not finite and non-negative");
-  }
   char buf[kMaxTimeChars];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), time,
-                                       std::chars_format::fixed, 9);
-  if (ec == std::errc::value_too_large) {
-    util::raise("journal: time ", time, " is too large to encode");
-  }
-  out.append(buf, end);
+  out.append(buf, write_time(buf, time));
 }
 
 void encode_transition(std::string& out, sim::Time time, std::string_view uid,
                        std::string_view from, std::string_view to,
                        std::string_view backend, std::int64_t attempt) {
-  out.assign(to_string(RecordType::kTransition));
-  put_time(out, time);
-  put(out, "uid", uid);
-  put(out, "from", from);
-  put(out, "to", to);
-  put(out, "backend", backend);
-  put(out, "attempt", attempt);
-  finish(out);
+  LineBuilder line(to_string(RecordType::kTransition));
+  line.timestamp(time);
+  line.text("uid", uid);
+  line.text("from", from);
+  line.text("to", to);
+  line.text("backend", backend);
+  line.integer("attempt", attempt);
+  line.write(out);
+}
+
+void encode_alloc(std::string& out, sim::Time time, std::int64_t node,
+                  std::int64_t cores, std::int64_t gpus) {
+  LineBuilder line(to_string(RecordType::kAlloc));
+  line.timestamp(time);
+  line.integer("node", node);
+  line.integer("cores", cores);
+  line.integer("gpus", gpus);
+  line.write(out);
 }
 
 std::string_view to_string(RecordType type) {
@@ -119,44 +222,38 @@ std::uint32_t fnv1a32(std::string_view text) {
 }
 
 void Record::encode_to(std::string& out) const {
-  if (type == RecordType::kTransition) {
-    encode_transition(out, time, uid, from, to, backend, attempt);
-    return;
-  }
-  out.assign(to_string(type));
+  LineBuilder line(to_string(type));
   switch (type) {
     case RecordType::kHeader:
-      put(out, "v", std::int64_t{1});
-      put(out, "seed", seed);
-      put(out, "spec", spec);
+      line.integer("v", std::int64_t{1});
+      line.integer("seed", seed);
+      line.text("spec", spec);
       break;
     case RecordType::kReady:
-      put_time(out, time);
+      line.timestamp(time);
       break;
-    case RecordType::kTransition:  // encoded above
-      break;
+    case RecordType::kTransition:
+      encode_transition(out, time, uid, from, to, backend, attempt);
+      return;
     case RecordType::kAlloc:
-      put_time(out, time);
-      put(out, "node", node);
-      put(out, "cores", cores);
-      put(out, "gpus", gpus);
-      break;
+      encode_alloc(out, time, node, cores, gpus);
+      return;
     case RecordType::kFault:
-      put_time(out, time);
-      put(out, "kind", kind);
-      put(out, "backend", backend);
-      put(out, "index", index);
-      put(out, "count", count);
+      line.timestamp(time);
+      line.text("kind", kind);
+      line.text("backend", backend);
+      line.integer("index", index);
+      line.integer("count", count);
       break;
     case RecordType::kEnd:
-      put_time(out, time);
-      put(out, "done", done);
-      put(out, "failed", failed);
-      put(out, "canceled", canceled);
-      put(out, "events", events);
+      line.timestamp(time);
+      line.integer("done", done);
+      line.integer("failed", failed);
+      line.integer("canceled", canceled);
+      line.integer("events", events);
       break;
   }
-  finish(out);
+  line.write(out);
 }
 
 Record header_record(std::uint64_t seed, std::string spec) {

@@ -9,13 +9,16 @@
 // journal bytes (the recovery oracle in src/check compares journals
 // bit-for-bit, like the .prof exporter's byte-identity guarantee).
 //
-// There is one encoder. Record::encode_to() and the field-level
-// encode_transition() (which the scribe calls so that no Record is built
-// per task edge) share it, and both overwrite a caller-owned line buffer,
-// so a reused buffer makes encoding allocation-free. Times are written by std::to_chars in fixed
-// form with 9 decimals, which the standard specifies as identical to
-// printf "%.9f"; integers by std::to_chars; the checksum as 8 lowercase
-// hex digits. The reader accepts exactly that time form back:
+// There is one encoder, a line builder in record.cpp. Record::encode_to()
+// and the field-level encode_transition() and encode_alloc() (which the
+// scribe calls so that no Record is built per task edge or node change)
+// share it. It validates and formats every field first, then overwrites a
+// caller-owned line in one pass, so a reused buffer makes encoding
+// allocation-free. Times are printed as printf "%.9f" would: below 2^64 ns
+// by exact integer arithmetic on the double's mantissa and exponent, above
+// that by std::to_chars fixed with 9 decimals, which the standard defines
+// as the same text. Integers go through std::to_chars, the checksum as 8
+// lowercase hex digits. The reader accepts exactly that time form back:
 // (0|[1-9][0-9]*)\.[0-9]{9}, finite (journal.hpp).
 //
 // Every line carries a trailing FNV-1a-32 checksum; the reader uses it to
@@ -118,12 +121,18 @@ void encode_transition(std::string& out, sim::Time time, std::string_view uid,
                        std::string_view from, std::string_view to,
                        std::string_view backend, std::int64_t attempt);
 
+// The field-level encoder of a node capacity change: overwrites `out` with
+// exactly the line alloc_record(time, node, cores, gpus) would encode to.
+void encode_alloc(std::string& out, sim::Time time, std::int64_t node,
+                  std::int64_t cores, std::int64_t gpus);
+
 // Longest time field the codec writes: "%.9f" of any time below 1e54.
 inline constexpr std::size_t kMaxTimeChars = 64;
 
-// Appends `time` in the canonical form, std::to_chars fixed with 9
-// decimals. Raises util::Error for a time the reader would not take back:
-// negative, not finite, or longer than kMaxTimeChars.
+// Appends `time` in the canonical form, the text of printf "%.9f" (see
+// the header comment for how it is computed). Raises util::Error for a
+// time the reader would not take back: negative, not finite, or longer
+// than kMaxTimeChars.
 void append_time(std::string& out, sim::Time time);
 
 // FNV-1a 32-bit over `text`, the per-line checksum primitive.

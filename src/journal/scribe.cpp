@@ -86,7 +86,8 @@ void Scribe::node_changed(platform::NodeId node) {
   // pair per node it probed; a rejected indexed first-fit attempt
   // allocates nothing and writes nothing.
   if (dc == 0 && dg == 0) return;
-  emit(alloc_record(session_.now(), node, dc, dg));
+  appended(RecordType::kAlloc,
+           writer_.append_alloc(session_.now(), node, dc, dg));
 }
 
 void Scribe::emit(const Record& record) {

@@ -69,7 +69,8 @@ class Scribe : public platform::Cluster::Observer {
                   std::int64_t canceled, std::uint64_t events);
 
   // platform::Cluster::Observer — journals the free-capacity delta of the
-  // changed node (negative = allocation claimed capacity).
+  // changed node (negative = allocation claimed capacity), encoded straight
+  // from the delta (no Record is built).
   void node_changed(platform::NodeId node) override;
 
   const Writer& writer() const { return writer_; }

@@ -1,11 +1,18 @@
-// Tests for util::CliParser and for flotilla-run's numeric options.
-// FLOTILLA_RUN_BIN is injected by tests/CMakeLists.txt.
+// Tests for util::CliParser, for flotilla-run's numeric options, and for
+// its --journal/--recover files. FLOTILLA_RUN_BIN is injected by
+// tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -193,6 +200,127 @@ TEST(FlotillaRunOptions, ZeroDurationStaysValid) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("tasks done/failed:  10/0"), std::string::npos)
       << result.output;
+}
+
+// ------------------------------------------------ flotilla-run journals
+
+// A directory of its own for one test's files, removed afterwards.
+class TempDir {
+ public:
+  TempDir()
+      : path_(std::filesystem::temp_directory_path() /
+              ("flotilla-cli-test-" +
+               std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()) +
+               "-" + std::to_string(::getpid()))) {
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string file(const std::string& name) const { return path_ / name; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// FNV-1a 64 over a whole journal.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// A service-mode run: 5,000 offers from 10,000 open-loop clients through
+// ingress into dragon, 35,003 journal records.
+const std::string kServiceRun =
+    "--backend dragon --nodes 16 --workload null --clients 10000 "
+    "--tasks 5000 --seed 42";
+
+TEST(FlotillaRunJournal, FailedJournalWriteIsAnError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  const auto result = run_tool(
+      "--backend flux --nodes 4 --workload null --tasks 200 --seed 1 "
+      "--journal /dev/full");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("cannot write --journal '/dev/full'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("journal: /dev/full"), std::string::npos)
+      << result.output;
+}
+
+TEST(FlotillaRunJournal, IngressJournalBytesArePinned) {
+  // Length and digest of the journal the std::to_chars codec wrote before
+  // the integer time formatter (SHA-1 14467fd2c0a91ac773fea1179d31bb58d1cfa254).
+  const TempDir dir;
+  const auto path = dir.file("service.jrn");
+  const auto result = run_tool(kServiceRun + " --journal " + path);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("journal: " + path +
+                               " (35003 records, 3084051 bytes)"),
+            std::string::npos)
+      << result.output;
+  const auto bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), 3084051u);
+  EXPECT_EQ(fnv1a64(bytes), 0x9095493a63edd8e4ull)
+      << std::hex << "digest 0x" << fnv1a64(bytes);
+}
+
+TEST(FlotillaRunJournal, RecoversFromAJournalTornInHalf) {
+  const TempDir dir;
+  const auto path = dir.file("service.jrn");
+  const auto run = run_tool(kServiceRun + " --journal " + path);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  const auto bytes = read_file(path);
+  const std::size_t cut = bytes.size() / 2;
+  ASSERT_NE(bytes[cut - 1], '\n') << "the cut must land mid-line";
+  const auto torn = dir.file("torn.jrn");
+  std::ofstream(torn, std::ios::binary) << bytes.substr(0, cut);
+
+  const auto recovered = run_tool(kServiceRun + " --recover " + torn);
+  ASSERT_EQ(recovered.exit_code, 0) << recovered.output;
+  const auto lines = lines_of(recovered.output);
+  const auto reference = lines_of(run.output);
+  ASSERT_GE(lines.size(), 3u) << recovered.output;
+  ASSERT_GE(reference.size(), 2u) << run.output;
+  EXPECT_EQ(lines[0].rfind("recovering from " + torn + ": 17500 records (", 0),
+            0u)
+      << lines[0];
+  EXPECT_NE(lines[0].find(", torn tail of "), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(" bytes discarded)"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1],
+            "recovery ok: 17500 journaled records validated, run continued "
+            "to 35003 records");
+  // Past the journal lines, the recovered run prints what the
+  // uninterrupted one did.
+  EXPECT_EQ(reference[0].rfind("journal: ", 0), 0u) << reference[0];
+  EXPECT_EQ(std::vector<std::string>(lines.begin() + 2, lines.end()),
+            std::vector<std::string>(reference.begin() + 1, reference.end()));
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Tests for the durable event journal (src/journal/): byte-stable codec
-// round-trips over seeded record streams, the to_chars time form pinned
-// against printf "%.9f", the strict time grammar, line-atomic appends,
-// torn-tail vs corruption classification with record indices, golden and
+// round-trips over seeded record streams, the integer time formatter pinned
+// against printf "%.9f" over the whole encodable range, the field-level
+// encoders against Record::encode, the strict time grammar, line-atomic
+// appends, torn-tail vs corruption classification with record indices, the
+// reader under seeded byte-level mutations of a real journal, golden and
 // same-seed journal bytes of full runs, alloc records only for placed and
 // released slices, StateImage folding, and the bounded crash-at-every-event
 // sweep on a small fixed scenario (docs/recovery.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -125,6 +129,13 @@ TEST(Codec, TimesAreFixedPrecision) {
   EXPECT_NE(line.find("t=0.333333333|"), std::string::npos) << line;
 }
 
+// `body` closed with its correct checksum and '\n', as the writer would.
+std::string checksummed(const std::string& body) {
+  char sum[9];
+  std::snprintf(sum, sizeof(sum), "%08x", fnv1a32(body + "|h="));
+  return body + "|h=" + sum + "\n";
+}
+
 // printf "%.9f" of `t`: the reference the codec's time form must match.
 std::string printf_time(double t) {
   char buf[128];
@@ -174,6 +185,64 @@ TEST(Codec, TimeFormMatchesPrintfFixedNine) {
     EXPECT_EQ(codec_time(t), printf_time(t)) << t;
   }
   EXPECT_EQ(codec_time(largest).size(), kMaxTimeChars);
+
+  // Random bit patterns: across the whole encodable range (most of them
+  // tiny or huge), then within the integer formatter's domain, from 2^-32 s
+  // up to 2^35 s, where its 128-bit rounding does the work.
+  const auto bits_of = [](double t) { return std::bit_cast<std::uint64_t>(t); };
+  const auto random_in = [&](double lo, double hi) {
+    const auto first = static_cast<std::int64_t>(bits_of(lo));
+    const auto last = static_cast<std::int64_t>(bits_of(hi));
+    return std::bit_cast<double>(
+        static_cast<std::uint64_t>(rng.uniform_int(first, last)));
+  };
+  for (int i = 0; i < 1000000; ++i) {
+    const double t = random_in(0.0, largest);
+    ASSERT_EQ(codec_time(t), printf_time(t)) << std::hexfloat << t;
+  }
+  for (int i = 0; i < 1000000; ++i) {
+    const double t = random_in(0x1p-32, 0x1p35);
+    ASSERT_EQ(codec_time(t), printf_time(t)) << std::hexfloat << t;
+  }
+
+  // Both sides of 2^64 ns, where the integer formatter hands over to
+  // std::to_chars.
+  const double split = 0x1p64 / 1e9;
+  double below = split;
+  double above = split;
+  for (int i = 0; i < 64; ++i) {
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, 1e300);
+    EXPECT_EQ(codec_time(below), printf_time(below)) << std::hexfloat << below;
+    EXPECT_EQ(codec_time(above), printf_time(above)) << std::hexfloat << above;
+  }
+  EXPECT_EQ(codec_time(split), printf_time(split));
+
+  // Subnormals, the smallest normals and the half-nanosecond boundary all
+  // print as zero or the first nanosecond.
+  const double min_normal = std::numeric_limits<double>::min();
+  for (const double t :
+       {std::numeric_limits<double>::denorm_min(),
+        2 * std::numeric_limits<double>::denorm_min(),
+        std::nextafter(min_normal, 0.0), min_normal / 3, min_normal,
+        std::nextafter(min_normal, 1.0), 0x1p-31, std::nextafter(0x1p-31, 0.0),
+        std::nextafter(5e-10, 0.0), 5e-10, std::nextafter(5e-10, 1.0),
+        1.5e-9}) {
+    EXPECT_EQ(codec_time(t), printf_time(t)) << std::hexfloat << t;
+  }
+  for (int i = 0; i < 10000; ++i) {
+    const double t = random_in(0.0, std::nextafter(min_normal, 0.0));
+    ASSERT_EQ(codec_time(t), "0.000000000") << std::hexfloat << t;
+  }
+
+  // Rounding that carries into the integer part.
+  EXPECT_EQ(codec_time(0.9999999996), "1.000000000");
+  EXPECT_EQ(codec_time(9.9999999999), "10.000000000");
+  EXPECT_EQ(codec_time(999999.9999999999), "1000000.000000000");
+  for (const double t : {0.9999999996, 0.9999999995, 0.9999999994,
+                         99.99999999951, 4294967295.9999999995}) {
+    EXPECT_EQ(codec_time(t), printf_time(t)) << std::hexfloat << t;
+  }
 }
 
 TEST(Codec, RejectsTimesTheReaderCouldNotDecode) {
@@ -190,6 +259,65 @@ TEST(Codec, FieldEncoderMatchesTheRecordEncoding) {
   EXPECT_EQ(line, transition_record(2.25, "task.000007", "RUNNING", "DONE",
                                     "flux", 3)
                       .encode());
+}
+
+TEST(Codec, AllocEncoderMatchesTheRecordEncoding) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  const struct {
+    double time;
+    std::int64_t node, cores, gpus;
+  } cases[] = {
+      {2.25, 7, -56, -8},     {2.5, 7, 56, 8},
+      {0.0, 0, 0, 0},         {1e6, 9407, -1, 0},
+      {3.0, kMin, kMax, kMin}, {4.0, kMax, kMin, kMax},
+  };
+  for (const auto& c : cases) {
+    std::string line(200, 'x');  // stale bytes from an earlier, longer line
+    encode_alloc(line, c.time, c.node, c.cores, c.gpus);
+    EXPECT_EQ(line, alloc_record(c.time, c.node, c.cores, c.gpus).encode());
+  }
+  EXPECT_EQ(alloc_record(3.0, kMin, kMax, 0).encode(),
+            checksummed("alloc|t=3.000000000|node=-9223372036854775808"
+                        "|cores=9223372036854775807|gpus=0"));
+
+  // Every Writer append writes exactly Record::encode(), one record after
+  // another, whichever entry point encodes it.
+  const std::vector<Record> records = {
+      header_record(std::numeric_limits<std::uint64_t>::max(), "seed=1;x=y"),
+      ready_record(0.5),
+      transition_record(1.25, "task.000001", "NEW", "TMGR_SCHEDULING", "", 0),
+      alloc_record(1.25, 3, -4, -1),
+      fault_record(2.0, "crash", "flux", 1, 0),
+      end_record(9.75, kMax, 0, kMin, std::numeric_limits<std::uint64_t>::max()),
+  };
+  EXPECT_EQ(records[0].encode(),
+            checksummed("journal|v=1|seed=18446744073709551615"
+                        "|spec=seed=1;x=y"));
+  EXPECT_EQ(records[4].encode(),
+            checksummed("fault|t=2.000000000|kind=crash|backend=flux"
+                        "|index=1|count=0"));
+  EXPECT_EQ(records[5].encode(),
+            checksummed("end|t=9.750000000|done=9223372036854775807"
+                        "|failed=0|canceled=-9223372036854775808"
+                        "|events=18446744073709551615"));
+  Writer writer;
+  std::string expected;
+  for (const auto& r : records) {
+    EXPECT_EQ(writer.append(r), r.encode());
+    expected += r.encode();
+  }
+  const auto& edge = records[2];
+  EXPECT_EQ(writer.append_transition(edge.time, edge.uid, edge.from, edge.to,
+                                     edge.backend, edge.attempt),
+            edge.encode());
+  const auto& alloc = records[3];
+  EXPECT_EQ(writer.append_alloc(alloc.time, alloc.node, alloc.cores,
+                                alloc.gpus),
+            alloc.encode());
+  expected += edge.encode() + alloc.encode();
+  EXPECT_EQ(writer.bytes(), expected);
+  EXPECT_EQ(writer.records(), records.size() + 2);
 }
 
 TEST(Writer, AppendIsLineAtomic) {
@@ -282,13 +410,6 @@ TEST(Reader, DecodableFinalLineWithoutNewlineCountsAsTorn) {
   EXPECT_EQ(result.records.size(), 4u);
 }
 
-// `body` closed with its correct checksum and '\n', as the writer would.
-std::string checksummed(const std::string& body) {
-  char sum[9];
-  std::snprintf(sum, sizeof(sum), "%08x", fnv1a32(body + "|h="));
-  return body + "|h=" + sum + "\n";
-}
-
 TEST(Reader, RejectsNonCanonicalTimesAsCorruption) {
   // Each bad time sits in a line whose checksum is right, between two good
   // records, so only the time grammar can reject it.
@@ -310,6 +431,35 @@ TEST(Reader, RejectsNonCanonicalTimesAsCorruption) {
                           checksummed("ready|t=" + codec_time(9.9e53)));
   EXPECT_TRUE(edges.intact()) << edges.error;
   EXPECT_EQ(edges.records.size(), 2u);
+}
+
+TEST(Reader, RejectsNonCanonicalIntegersAndChecksumsAsCorruption) {
+  // Each line checksums correctly but is not what the writer prints, so
+  // accepting it would return a record that re-encodes to other bytes.
+  const std::string good = ready_record(1.0).encode();
+  const std::string edge = "task|t=1.000000000|uid=task.0|from=NEW|to=DONE"
+                           "|backend=flux|attempt=";
+  ASSERT_EQ(checksummed(edge + "0"),
+            transition_record(1.0, "task.0", "NEW", "DONE", "flux", 0)
+                .encode());
+  for (const char* attempt : {"00", "01", "-0", "-01", "+1", " 1", "1 ", ""}) {
+    const auto result = read(good + checksummed(edge + attempt) + good);
+    EXPECT_TRUE(result.corrupt) << "'" << attempt << "'";
+    EXPECT_EQ(result.corrupt_index, 1u) << "'" << attempt << "'";
+  }
+  const auto seed = read(checksummed("journal|v=1|seed=042|spec=x") + good);
+  EXPECT_TRUE(seed.corrupt);
+  EXPECT_EQ(seed.corrupt_index, 0u);
+
+  std::string upper = good;
+  for (auto it = upper.end() - 9; it != upper.end() - 1; ++it) {
+    *it = static_cast<char>(std::toupper(static_cast<unsigned char>(*it)));
+  }
+  ASSERT_NE(upper, good) << "checksum has no hex letter to change";
+  const auto result = read(good + upper + good);
+  EXPECT_TRUE(result.corrupt);
+  EXPECT_EQ(result.corrupt_index, 1u);
+  EXPECT_EQ(result.error, "malformed checksum");
 }
 
 // -------------------------------------------------------- recovery manager
@@ -415,12 +565,15 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-TEST(Journal, GoldenJournalBytesOfThreeFixedCampaigns) {
+TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
   // Same-seed identity alone would not notice a codec change that moves
-  // every run's bytes the same way. These lengths and digests were computed
-  // with the snprintf/std::to_string codec this one replaced; the codec
-  // must keep producing exactly those bytes. ("dragon mixed" is the hetero
-  // workload on dragon, which mixes executable and function tasks.)
+  // every run's bytes the same way. The first three lengths and digests
+  // were computed with the original snprintf/std::to_string codec, the
+  // ingress one with the std::to_chars codec before the integer time
+  // formatter; the codec must keep producing exactly those bytes. ("dragon
+  // mixed" is the hetero workload on dragon, which mixes executable and
+  // function tasks; "dragon ingress" offers its tasks through 1,000
+  // open-loop clients.)
   struct Golden {
     const char* name;
     check::ScenarioSpec spec;
@@ -445,6 +598,13 @@ TEST(Journal, GoldenJournalBytesOfThreeFixedCampaigns) {
        0xf4cb6ab905dc6837ull},
       {"srun impeccable", campaign({{"srun"}}, "impeccable", 48), 32608,
        0xa0155417f69b91c6ull},
+      {"dragon ingress",
+       [&] {
+         auto spec = campaign({{"dragon"}}, "null", 64);
+         spec.clients = 1000;
+         return spec;
+       }(),
+       43225, 0xef4c13e24eac5415ull},
   };
   check::RunOptions opts;
   opts.journal = true;
@@ -533,6 +693,134 @@ TEST(Journal, RejectedPlacementsWriteNoAllocRecords) {
     const auto violations = check::check_recovery(crashed, reference);
     EXPECT_TRUE(violations.empty())
         << "crash_at=" << k << ": " << violations.front().to_string();
+  }
+}
+
+// ---------------------------------------------------- reader under damage
+
+// The lines of `bytes`, each with its '\n' if it has one.
+std::vector<std::string_view> lines_of(std::string_view bytes) {
+  std::vector<std::string_view> lines;
+  while (!bytes.empty()) {
+    const std::size_t nl = bytes.find('\n');
+    const std::size_t len = nl == std::string_view::npos ? bytes.size() : nl + 1;
+    lines.push_back(bytes.substr(0, len));
+    bytes.remove_prefix(len);
+  }
+  return lines;
+}
+
+// read() of damaged bytes: never throws, classifies the damage, and every
+// record it returns is exactly one complete input line, in order.
+void expect_reported_not_misread(const std::string& bytes,
+                                 const std::string& what) {
+  ReadResult result;
+  try {
+    result = read(bytes);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": read() threw " << e.what();
+    return;
+  }
+  const auto lines = lines_of(bytes);
+  ASSERT_LE(result.records.size(), lines.size()) << what;
+  if (result.corrupt) {
+    EXPECT_LE(result.corrupt_index, lines.size()) << what;
+    EXPECT_EQ(result.corrupt_index, result.records.size()) << what;
+    EXPECT_FALSE(result.error.empty()) << what;
+    EXPECT_FALSE(result.truncated) << what;
+  } else if (result.truncated) {
+    EXPECT_GT(result.truncated_bytes, 0u) << what;
+    EXPECT_EQ(result.records.size() + 1, lines.size()) << what;
+    EXPECT_EQ(result.truncated_bytes, lines.back().size()) << what;
+  } else {
+    EXPECT_EQ(result.records.size(), lines.size()) << what;
+  }
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    ASSERT_EQ(result.records[i].encode(), lines[i])
+        << what << ": record " << i << " re-encodes differently";
+  }
+}
+
+TEST(Reader, MutatedJournalsAreReportedNotMisread) {
+  // A real journal with every record type: header, ready, task edges,
+  // allocs, a cancel storm and the end record.
+  auto spec = small_spec();
+  check::FaultSpec storm;
+  storm.kind = check::FaultSpec::Kind::kCancelStorm;
+  storm.time = 0.5;
+  storm.count = 2;
+  spec.faults = {storm};
+  check::RunOptions opts;
+  opts.journal = true;
+  const auto run = check::run_scenario(spec, opts);
+  ASSERT_TRUE(run.ok());
+  const std::string& journal = run.journal;
+  const auto lines = lines_of(journal);
+  ASSERT_GT(lines.size(), 20u);
+  ASSERT_NE(journal.find("\nfault|"), std::string::npos);
+  expect_reported_not_misread(journal, "the intact journal");
+
+  sim::RngStream rng(19, "journal.reader_fuzz");
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto line_start = [&](std::size_t line) {
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < line; ++i) pos += lines[i].size();
+    return pos;
+  };
+  for (int i = 0; i < 4000; ++i) {
+    std::string damaged = journal;
+    std::string what;
+    const std::size_t pos = pick(damaged.size());
+    const std::size_t a = pick(lines.size());
+    const std::size_t b = pick(lines.size());
+    switch (i % 7) {
+      case 0:  // flip bits of one byte
+        damaged[pos] = static_cast<char>(
+            damaged[pos] ^ static_cast<char>(rng.uniform_int(1, 255)));
+        what = "flipped byte " + std::to_string(pos);
+        break;
+      case 1:
+        damaged.erase(pos, 1);
+        what = "deleted byte " + std::to_string(pos);
+        break;
+      case 2:
+        damaged.insert(pos, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        what = "inserted byte at " + std::to_string(pos);
+        break;
+      case 3:
+        damaged.insert(pos, 1, rng.bernoulli(0.5) ? '|' : '\n');
+        what = "stray delimiter at " + std::to_string(pos);
+        break;
+      case 4:  // the head of one line joined to the tail of another
+        damaged.replace(line_start(a), lines[a].size(),
+                        std::string(lines[a].substr(0, pick(lines[a].size()))) +
+                            std::string(lines[b].substr(pick(lines[b].size()))));
+        what = "spliced lines " + std::to_string(a) + "+" + std::to_string(b);
+        break;
+      case 5:
+        damaged.insert(line_start(a), lines[a]);
+        what = "duplicated line " + std::to_string(a);
+        break;
+      default:  // one line moved in front of another
+        damaged.erase(line_start(a), lines[a].size());
+        damaged.insert(
+            b <= a ? line_start(b) : line_start(b) - lines[a].size(), lines[a]);
+        what = "moved line " + std::to_string(a) + " before " +
+               std::to_string(b);
+        break;
+    }
+    expect_reported_not_misread(damaged, what);
+    if (HasFatalFailure()) return;
+  }
+  // Truncation at every offset of the last three lines.
+  for (std::size_t cut = line_start(lines.size() - 3); cut < journal.size();
+       ++cut) {
+    expect_reported_not_misread(journal.substr(0, cut),
+                                "cut at " + std::to_string(cut));
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -282,6 +282,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       out << scribe->writer().bytes();
+      out.close();
+      if (!out) {
+        std::cerr << "cannot write --journal '" << journal_path << "'\n";
+        return 2;
+      }
       std::cout << "journal: " << journal_path << " (" << scribe->records()
                 << " records, " << scribe->writer().bytes().size()
                 << " bytes)\n";
