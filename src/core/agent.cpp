@@ -1,6 +1,7 @@
 #include "core/agent.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
@@ -380,12 +381,14 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
     }
   }
   const auto& cal = session_.calibration().core;
-  const bool success = outcome.success;
-  std::string error = outcome.error;
+  // Only a failed attempt carries its error, boxed, so the common success
+  // closure fits Callback's inline buffer.
+  auto error = outcome.success
+                   ? nullptr
+                   : std::make_unique<std::string>(outcome.error);
   collector_.submit(
       rng_.lognormal_mean_cv(cal.collect_cost, cal.jitter_cv),
-      [this, task = std::move(task), success,
-       error = std::move(error)]() mutable {
+      [this, task = std::move(task), error = std::move(error)]() mutable {
         obs_trace_.end(obs::SpanType::kTaskCollect, "agent", task->uid());
         if (task->launched()) {
           profiler_.attempt_ended(*task);
@@ -395,7 +398,7 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
           finalize(std::move(task), TaskState::kCanceled);
           return;
         }
-        if (success) {
+        if (!error) {
           if (task->description().output_mb > 0.0) {
             task->advance(TaskState::kStagingOutput, session_.now());
             profiler_.state_change(*task);
@@ -413,7 +416,7 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
           finalize(std::move(task), TaskState::kDone);
           return;
         }
-        task->set_error(error);
+        task->set_error(std::move(*error));
         // Retry with budget, re-routing around unhealthy backends.
         const int budget = task->description().max_retries + 1;
         if (!shut_down_ && task->attempts() < budget &&

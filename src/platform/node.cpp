@@ -9,8 +9,14 @@ namespace flotilla::platform {
 
 namespace {
 
-// Lowest `n` set bits of `mask`; requires popcount(mask) >= n.
-std::uint64_t take_lowest(std::uint64_t mask, int n) {
+// Lowest `n` set bits of `mask`, which has `count` set bits (count >= n).
+// Works from the shorter end: at most min(n, count - n) iterations, so a
+// whole-node claim (n == count) returns the mask as it is.
+std::uint64_t take_lowest(std::uint64_t mask, int n, int count) {
+  if (2 * n >= count) {
+    for (int i = n; i < count; ++i) mask ^= std::bit_floor(mask);  // highest
+    return mask;
+  }
   std::uint64_t taken = 0;
   for (int i = 0; i < n; ++i) {
     const std::uint64_t bit = mask & (~mask + 1);  // lowest set bit
@@ -45,9 +51,9 @@ std::optional<NodeSlice> Node::allocate(int cores, int gpus) {
   if (cores > free_cores_ || gpus > free_gpus_) return std::nullopt;
   NodeSlice slice;
   slice.node = id_;
-  slice.core_mask = take_lowest(core_free_mask_, cores);
-  slice.gpu_mask =
-      static_cast<std::uint8_t>(take_lowest(gpu_free_mask_, gpus));
+  slice.core_mask = take_lowest(core_free_mask_, cores, free_cores_);
+  slice.gpu_mask = static_cast<std::uint8_t>(
+      take_lowest(gpu_free_mask_, gpus, free_gpus_));
   core_free_mask_ ^= slice.core_mask;
   gpu_free_mask_ = static_cast<std::uint8_t>(gpu_free_mask_ ^ slice.gpu_mask);
   free_cores_ -= cores;

@@ -1,5 +1,6 @@
 #include "platform/spec_config.hpp"
 
+#include <cmath>
 #include <functional>
 #include <map>
 
@@ -58,16 +59,21 @@ PlatformSpec spec_from_config(const util::Config& config) {
 
 namespace {
 
-// Applies every `prefix.*` key through a name->slot map; rejects typos.
+// Applies every `prefix.*` key through a name->slot map; rejects typos and
+// values that are not finite and non-negative (every constant is a
+// duration, rate, factor or coefficient of variation).
 void apply(const util::Config& config, const std::string& prefix,
            const std::map<std::string, double*>& slots) {
   const auto sub = config.subset(prefix);
   for (const auto& [key, value] : sub.entries()) {
-    (void)value;
     const auto it = slots.find(key);
     FLOT_CHECK(it != slots.end(), "unknown calibration key '", prefix, ".",
                key, "'");
-    *it->second = sub.get_double(key);
+    const double parsed = sub.get_double(key);
+    FLOT_CHECK(std::isfinite(parsed) && parsed >= 0.0, "calibration key '",
+               prefix, ".", key, "' must be finite and non-negative, got '",
+               value, "'");
+    *it->second = parsed;
   }
 }
 
@@ -146,6 +152,10 @@ Calibration calibration_from_config(const util::Config& config) {
             {"stage_latency", &cal.core.stage_latency},
             {"jitter_cv", &cal.core.jitter_cv},
         });
+  // Staging divides by it.
+  FLOT_CHECK(cal.core.fs_stream_bandwidth_mbps > 0.0,
+             "calibration key 'core.fs_stream_bandwidth_mbps' must be "
+             "positive, got ", cal.core.fs_stream_bandwidth_mbps);
   return cal;
 }
 

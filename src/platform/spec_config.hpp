@@ -36,7 +36,9 @@ PlatformSpec spec_by_name(const std::string& name);
 PlatformSpec spec_from_config(const util::Config& config);
 
 // Applies `slurm.*`, `flux.*`, `dragon.*`, `prrte.*` and `core.*` overrides
-// on top of the default Frontier calibration.
+// on top of the default Frontier calibration. Throws util::Error for an
+// unknown key, a value that is not finite and non-negative, or a zero
+// `core.fs_stream_bandwidth_mbps`.
 Calibration calibration_from_config(const util::Config& config);
 
 }  // namespace flotilla::platform

@@ -1,10 +1,14 @@
 // sim::Callback: the engine's event closure.
 //
 // A move-only, type-erased `void()` callable with a 56-byte inline buffer.
-// Every closure the simulator schedules (engine events, server completions,
-// resource grants) fits inline, so scheduling an event allocates nothing;
-// larger captures fall back to one heap box. Unlike std::function it never
-// copies, so it also accepts move-only captures such as std::unique_ptr.
+// Closures up to 56 bytes are stored inline, so scheduling them allocates
+// nothing; larger captures fall back to one heap box. The simulator's own
+// per-item closures fit: a server completion captures only the server and
+// a slot index (sim::Server keeps the item's `done` in its slot table), and
+// a resource grant schedules the waiter's own callback. The alloc_guard test
+// (tests/alloc_guard_test.cpp) fails if warm server submit/complete cycles
+// allocate. Unlike std::function it never copies, so it also accepts
+// move-only captures such as std::unique_ptr.
 //
 // An empty std::function or null function pointer converts to an empty
 // Callback, which keeps the engine's "scheduling an empty callback" check

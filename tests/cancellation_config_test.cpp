@@ -148,11 +148,12 @@ TEST(SpecConfig, RejectsUnknownPlatformKeys) {
 TEST(SpecConfig, CalibrationOverridesApply) {
   const auto config = util::Config::from_pairs(
       {"flux.exec_spawn=0.050", "slurm.ctl_step_base=0.010",
-       "core.tmgr_task_cost=0.001"});
+       "core.tmgr_task_cost=0.001", "flux.jitter_cv=0"});
   const auto cal = platform::calibration_from_config(config);
   EXPECT_DOUBLE_EQ(cal.flux.exec_spawn, 0.050);
   EXPECT_DOUBLE_EQ(cal.slurm.ctl_step_base, 0.010);
   EXPECT_DOUBLE_EQ(cal.core.tmgr_task_cost, 0.001);
+  EXPECT_DOUBLE_EQ(cal.flux.jitter_cv, 0.0);  // zero stays valid
   // Untouched keys keep their Frontier defaults.
   EXPECT_DOUBLE_EQ(cal.dragon.dispatch_func, 1.00e-3);
 }
@@ -160,6 +161,38 @@ TEST(SpecConfig, CalibrationOverridesApply) {
 TEST(SpecConfig, RejectsUnknownCalibrationKeys) {
   const auto config = util::Config::from_pairs({"flux.exec_spwan=0.05"});
   EXPECT_THROW(platform::calibration_from_config(config), util::Error);
+}
+
+// Every prefix refuses inf, nan and negative values, naming the key and the
+// text as given.
+TEST(SpecConfig, RejectsNonFiniteAndNegativeCalibrationValues) {
+  const struct {
+    const char* pair;
+    const char* message;
+  } cases[] = {
+      {"core.collect_cost=inf",
+       "calibration key 'core.collect_cost' must be finite and "
+       "non-negative, got 'inf'"},
+      {"core.collect_cost=nan", "'core.collect_cost'"},
+      {"flux.exec_spawn=-0.01",
+       "calibration key 'flux.exec_spawn' must be finite and non-negative, "
+       "got '-0.01'"},
+      {"slurm.step_retry_max=1e999", "'slurm.step_retry_max'"},
+      {"dragon.jitter_cv=-inf", "'dragon.jitter_cv'"},
+      {"prrte.head_relay_cost=NAN", "'prrte.head_relay_cost'"},
+      {"core.fs_stream_bandwidth_mbps=0",
+       "calibration key 'core.fs_stream_bandwidth_mbps' must be positive"},
+  };
+  for (const auto& c : cases) {
+    const auto config = util::Config::from_pairs({c.pair});
+    try {
+      (void)platform::calibration_from_config(config);
+      ADD_FAILURE() << c.pair << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << c.pair << ": " << e.what();
+    }
+  }
 }
 
 TEST(SpecConfig, SummitSessionRunsEndToEnd) {

@@ -323,5 +323,29 @@ TEST(FlotillaRunJournal, RecoversFromAJournalTornInHalf) {
             std::vector<std::string>(reference.begin() + 1, reference.end()));
 }
 
+// ------------------------------------------------ flotilla-run --config
+
+// An infinite collect cost would run a campaign that completes nothing and
+// still exits 0 ("tasks done/failed: 0/0", makespan 0 s), so the config is
+// refused before anything runs.
+TEST(FlotillaRunConfig, RefusesNonFiniteCalibrationValues) {
+  const TempDir dir;
+  for (const std::string value : {"inf", "nan"}) {
+    const auto path = dir.file("calibration-" + value + ".conf");
+    std::ofstream(path) << "core.collect_cost = " << value << "\n";
+    const auto result = run_tool(
+        "--backend flux --nodes 4 --workload null --tasks 20 --seed 1 "
+        "--config " + path);
+    EXPECT_EQ(result.exit_code, 2) << value << "\n" << result.output;
+    EXPECT_NE(result.output.find("calibration key 'core.collect_cost' must "
+                                 "be finite and non-negative, got '" +
+                                 value + "'"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("tasks done/failed"), std::string::npos)
+        << result.output;
+  }
+}
+
 }  // namespace
 }  // namespace flotilla::util

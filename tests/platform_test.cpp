@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
+
 #include "platform/calibration.hpp"
 #include "platform/cluster.hpp"
 #include "platform/node.hpp"
@@ -68,6 +72,57 @@ TEST(Node, SupportsFull64Cores) {
   EXPECT_EQ(node.free_cores(), 0);
   node.release(*slice);
   EXPECT_EQ(node.free_cores(), 64);
+}
+
+// The bit-at-a-time selection Node::allocate must reproduce: the lowest
+// `n` set bits of `mask`.
+std::uint64_t lowest_bits_reference(std::uint64_t mask, int n) {
+  std::uint64_t taken = 0;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t bit = mask & (~mask + 1);
+    taken |= bit;
+    mask ^= bit;
+  }
+  return taken;
+}
+
+TEST(Node, AllocateTakesLowestFreeBitsForEveryDemand) {
+  std::mt19937_64 rng(20260);
+  for (const int cores : {64, 56, 7}) {
+    const std::uint64_t all_cores =
+        cores == 64 ? ~0ULL : ((1ULL << cores) - 1);
+    for (int trial = 0; trial < 200; ++trial) {
+      // The first trial leaves the whole node free (the full 64-bit mask
+      // at 64 cores); the rest free a random subset.
+      const std::uint64_t core_free =
+          trial == 0 ? all_cores : rng() & all_cores;
+      const auto gpu_free =
+          static_cast<std::uint8_t>(trial == 0 ? 0xFF : rng() & 0xFF);
+      Node node(0, cores, 8);
+      ASSERT_TRUE(node.allocate(cores, 8).has_value());
+      node.release(NodeSlice{0, core_free, gpu_free});
+      const int free_cores = std::popcount(core_free);
+      const int free_gpus = std::popcount(static_cast<unsigned>(gpu_free));
+      ASSERT_EQ(node.free_cores(), free_cores);
+      for (int n = 0; n <= free_cores; ++n) {
+        const auto slice = node.allocate(n, 0);
+        ASSERT_TRUE(slice.has_value());
+        ASSERT_EQ(slice->core_mask, lowest_bits_reference(core_free, n))
+            << "cores=" << cores << " free=" << std::hex << core_free
+            << std::dec << " n=" << n;
+        node.release(*slice);
+      }
+      for (int n = 0; n <= free_gpus; ++n) {
+        const auto slice = node.allocate(0, n);
+        ASSERT_TRUE(slice.has_value());
+        ASSERT_EQ(slice->gpu_mask, lowest_bits_reference(gpu_free, n))
+            << "gpu free=" << int{gpu_free} << " n=" << n;
+        node.release(*slice);
+      }
+      EXPECT_FALSE(node.allocate(free_cores + 1, 0).has_value());
+      EXPECT_FALSE(node.allocate(0, free_gpus + 1).has_value());
+    }
+  }
 }
 
 TEST(Placement, AggregatesAcrossSlices) {

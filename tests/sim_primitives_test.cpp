@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -136,6 +139,114 @@ TEST(Server, NegativeServiceTimeThrows) {
   Engine engine;
   Server server(engine);
   EXPECT_THROW(server.submit(-1.0, [] {}), util::Error);
+}
+
+TEST(Server, NonFiniteServiceTimeThrows) {
+  Engine engine;
+  Server server(engine);
+  EXPECT_THROW(server.submit(std::numeric_limits<double>::infinity(), [] {}),
+               util::Error);
+  EXPECT_THROW(server.submit(std::nan(""), [] {}), util::Error);
+  EXPECT_TRUE(server.idle());
+}
+
+TEST(Server, BusyTimeCountsOnlyFinishedService) {
+  Engine engine;
+  Server server(engine, 1);
+  std::vector<double> seen;
+  server.submit(1.5, [&] { seen.push_back(server.busy_time()); });
+  server.submit(2.5, [&] { seen.push_back(server.busy_time()); });
+  EXPECT_DOUBLE_EQ(server.busy_time(), 0.0);  // nothing has finished
+  engine.run(1.0);
+  EXPECT_DOUBLE_EQ(server.busy_time(), 0.0);  // first item mid-service
+  engine.run(2.0);
+  EXPECT_DOUBLE_EQ(server.busy_time(), 1.5);  // second item mid-service
+  engine.run();
+  EXPECT_DOUBLE_EQ(server.busy_time(), 4.0);
+  // Each `done` already sees its own item's service counted.
+  EXPECT_EQ(seen, (std::vector<double>{1.5, 4.0}));
+}
+
+TEST(Server, SubmitFromDoneQueuesBehindWaiters) {
+  Engine engine;
+  Server server(engine, 2);
+  std::vector<std::pair<char, double>> done;
+  auto record = [&](char name) {
+    return [&done, &engine, name] { done.emplace_back(name, engine.now()); };
+  };
+  server.submit(1.0, [&] {
+    done.emplace_back('a', engine.now());
+    // c and d are waiting: e must start after both, not take a's slot.
+    server.submit(1.0, record('e'));
+    EXPECT_EQ(server.backlog(), 2u);  // c took a's slot; d, then e wait
+  });
+  server.submit(1.0, record('b'));
+  server.submit(1.0, record('c'));
+  server.submit(1.0, record('d'));
+  engine.run();
+  EXPECT_EQ(done, (std::vector<std::pair<char, double>>{
+                      {'a', 1.0}, {'b', 1.0}, {'c', 2.0}, {'d', 2.0},
+                      {'e', 3.0}}));
+  EXPECT_EQ(server.completed(), 5u);
+}
+
+TEST(Server, CountsAcrossDirectAndQueuedStarts) {
+  Engine engine;
+  Server server(engine, 2);
+  EXPECT_TRUE(server.idle());
+  server.submit(1.0, [] {});  // direct start
+  EXPECT_EQ(server.in_service(), 1);
+  EXPECT_EQ(server.backlog(), 0u);
+  EXPECT_FALSE(server.idle());
+  server.submit(2.0, [] {});  // direct start, second slot
+  server.submit(1.0, [] {});  // waits
+  server.submit(1.0, [] {});  // waits
+  EXPECT_EQ(server.in_service(), 2);
+  EXPECT_EQ(server.backlog(), 2u);
+  engine.run(1.0);  // first item done, its slot takes the queue head
+  EXPECT_EQ(server.in_service(), 2);
+  EXPECT_EQ(server.backlog(), 1u);
+  engine.run(2.0);  // two more done, the last waiter started
+  EXPECT_EQ(server.in_service(), 1);
+  EXPECT_EQ(server.backlog(), 0u);
+  engine.run();
+  EXPECT_EQ(server.in_service(), 0);
+  EXPECT_TRUE(server.idle());
+  EXPECT_EQ(server.completed(), 4u);
+  // Drained: the next submit starts directly again.
+  server.submit(1.0, [] {});
+  EXPECT_EQ(server.in_service(), 1);
+  EXPECT_EQ(server.backlog(), 0u);
+  engine.run();
+  EXPECT_EQ(server.completed(), 5u);
+}
+
+// Pending work owns its captures: tearing down mid-run, in either order,
+// releases every one of them (ASan builds also report any leak).
+TEST(Server, TeardownWithWorkInFlightReleasesCaptures) {
+  for (const bool server_first : {true, false}) {
+    auto token = std::make_shared<int>(0);
+    {
+      auto engine = std::make_unique<Engine>();
+      auto server = std::make_unique<Server>(*engine, 2);
+      for (int i = 0; i < 5; ++i) {
+        server->submit(1.0, [token] { ++*token; });
+      }
+      engine->run(1.0);  // two done, two in service, one waiting
+      EXPECT_EQ(*token, 2);
+      EXPECT_EQ(server->in_service(), 2);
+      EXPECT_EQ(server->backlog(), 1u);
+      EXPECT_EQ(token.use_count(), 4);
+      if (server_first) {
+        server.reset();
+        engine.reset();
+      } else {
+        engine.reset();
+        server.reset();
+      }
+    }
+    EXPECT_EQ(token.use_count(), 1) << "server_first=" << server_first;
+  }
 }
 
 // ----------------------------------------------------------------- Channel
