@@ -1,11 +1,34 @@
 #include "core/task_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
 
 namespace flotilla::core {
+
+namespace {
+
+// A description is refused before it becomes a task, so no half-made task
+// reaches the profiler or the agent.
+void validate(const TaskDescription& d) {
+  const auto label = [&d] { return d.name.empty() ? "task" : d.name; };
+  FLOT_CHECK(std::isfinite(d.duration) && d.duration >= 0.0, label(),
+             ": duration must be finite and non-negative, got ", d.duration);
+  FLOT_CHECK(d.fail_probability >= 0.0 && d.fail_probability <= 1.0,
+             label(), ": fail_probability must be in [0, 1], got ",
+             d.fail_probability);
+  FLOT_CHECK(d.max_retries >= 0, label(),
+             ": max_retries must be non-negative, got ", d.max_retries);
+  FLOT_CHECK(d.demand.cores >= 0 && d.demand.gpus >= 0 &&
+                 d.demand.cores_per_node >= 0,
+             label(), ": demand counts must be non-negative, got cores=",
+             d.demand.cores, " gpus=", d.demand.gpus,
+             " cores_per_node=", d.demand.cores_per_node);
+}
+
+}  // namespace
 
 TaskManager::TaskManager(Session& session, Agent& agent)
     : session_(session),
@@ -50,6 +73,7 @@ std::shared_ptr<Task> TaskManager::create(TaskDescription description) {
 }
 
 std::string TaskManager::submit(TaskDescription description) {
+  validate(description);
   auto task = create(std::move(description));
   std::string uid = task->uid();
   const auto& cal = session_.calibration().core;
@@ -77,6 +101,7 @@ std::vector<std::string> TaskManager::submit_batch(
   std::vector<std::string> uids;
   uids.reserve(descriptions.size());
   if (descriptions.empty()) return uids;
+  for (const auto& description : descriptions) validate(description);
   std::vector<std::shared_ptr<Task>> batch;
   batch.reserve(descriptions.size());
   const auto& cal = session_.calibration().core;

@@ -218,41 +218,20 @@ void Instance::dispatch_gang(std::vector<std::shared_ptr<Job>> members) {
   // Spawn every member's shims; no member starts until the whole gang is
   // up, then all start together after one shared wireup across the gang's
   // node span.
-  std::size_t total_slices = 0;
   std::size_t total_nodes = 0;
   for (const auto& member : members) {
-    total_slices += std::max<std::size_t>(1, member->placement.slices.size());
     total_nodes += member->placement.slices.size();
   }
   const double wireup = rng_.lognormal_mean_cv(
       cal_.mpi_wireup_base +
           cal_.mpi_wireup_per_node * static_cast<double>(total_nodes),
       cal_.jitter_cv);
-  auto remaining = std::make_shared<std::size_t>(total_slices);
-  auto members_shared =
-      std::make_shared<std::vector<std::shared_ptr<Job>>>(std::move(members));
-  auto on_slice_up = [this, remaining, members_shared, wireup] {
-    if (--*remaining > 0) return;
-    engine_.in(wireup, [this, members_shared] {
-      for (const auto& member : *members_shared) job_started(member);
+  for (const auto& member : members) add_spawns(*member);
+  spawns_.launch([this, members = std::move(members), wireup]() mutable {
+    engine_.in(wireup, [this, members = std::move(members)] {
+      for (const auto& member : members) job_started(member);
     });
-  };
-  for (const auto& member : *members_shared) {
-    if (member->placement.slices.empty()) {
-      exec_.front()->submit(
-          rng_.lognormal_mean_cv(cal_.exec_spawn, cal_.jitter_cv),
-          on_slice_up);
-      continue;
-    }
-    for (const auto& slice : member->placement.slices) {
-      const auto local =
-          static_cast<std::size_t>(slice.node - partition_.first);
-      FLOT_CHECK(local < exec_.size(), "slice outside partition");
-      exec_[local]->submit(
-          rng_.lognormal_mean_cv(cal_.exec_spawn, cal_.jitter_cv),
-          on_slice_up);
-    }
-  }
+  });
 }
 
 void Instance::dispatch(std::shared_ptr<Job> job) {
@@ -261,8 +240,6 @@ void Instance::dispatch(std::shared_ptr<Job> job) {
   // jobs additionally pay Flux's broker-native PMI wireup (§3.1's fast
   // path for tightly coupled tasks).
   const auto job_nodes = job->placement.slices.size();
-  auto remaining =
-      std::make_shared<int>(static_cast<int>(job_nodes ? job_nodes : 1));
   double wireup = 0.0;
   if (job_nodes > 1) {
     wireup = rng_.lognormal_mean_cv(
@@ -270,29 +247,30 @@ void Instance::dispatch(std::shared_ptr<Job> job) {
             cal_.mpi_wireup_per_node * static_cast<double>(job_nodes),
         cal_.jitter_cv);
   }
-  auto on_node_ready = [this, job, remaining, wireup] {
-    if (--*remaining > 0) return;
+  add_spawns(*job);
+  spawns_.launch([this, job = std::move(job), wireup] {
     if (wireup > 0.0) {
       engine_.in(wireup, [this, job] { job_started(job); });
     } else {
       job_started(job);
     }
-  };
-  if (job->placement.slices.empty()) {
+  });
+}
+
+void Instance::add_spawns(const Job& job) {
+  if (job.placement.slices.empty()) {
     // Zero-demand (null) job: still pays one spawn on rank 0's node.
-    exec_.front()->submit(
-        rng_.lognormal_mean_cv(cal_.exec_spawn, cal_.jitter_cv),
-        on_node_ready);
+    spawns_.add(*exec_.front(),
+                rng_.lognormal_mean_cv(cal_.exec_spawn, cal_.jitter_cv));
     return;
   }
-  for (const auto& slice : job->placement.slices) {
+  for (const auto& slice : job.placement.slices) {
     const auto local =
         static_cast<std::size_t>(slice.node - partition_.first);
     FLOT_CHECK(local < exec_.size(), "slice outside partition: node ",
                slice.node);
-    exec_[local]->submit(
-        rng_.lognormal_mean_cv(cal_.exec_spawn, cal_.jitter_cv),
-        on_node_ready);
+    spawns_.add(*exec_[local],
+                rng_.lognormal_mean_cv(cal_.exec_spawn, cal_.jitter_cv));
   }
 }
 

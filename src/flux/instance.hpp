@@ -13,7 +13,8 @@
 //    on very large partitions (Fig 6: 256 nodes beats 1024 at 1 instance).
 //  - placement dispatches to the target nodes' exec brokers, which fork the
 //    job shim serially per node (~35 ms/task): small instances are
-//    spawn-limited (~28 tasks/s on one node, Fig 5b).
+//    spawn-limited (~28 tasks/s on one node, Fig 5b). A multi-node spawn
+//    is one sim::FanOut: one calendar event for all of its idle nodes.
 //  - completions free resources and *kick* the scheduler via events; there
 //    is no polling anywhere.
 #pragma once
@@ -103,6 +104,8 @@ class Instance {
   bool try_schedule_gang(std::string gang);
   void dispatch(std::shared_ptr<Job> job);
   void dispatch_gang(std::vector<std::shared_ptr<Job>> members);
+  // Adds one shim spawn per target node of `job` to spawns_.
+  void add_spawns(const Job& job);
   void job_started(std::shared_ptr<Job> job);
   void job_finished(std::shared_ptr<Job> job);
   double sched_decision_cost();
@@ -115,6 +118,7 @@ class Instance {
   sim::RngStream rng_;
   sim::Server rank0_;  // ingest + sched + event handling serialize here
   std::vector<std::unique_ptr<sim::Server>> exec_;  // per-node spawn servers
+  sim::FanOut spawns_;  // a dispatch's shim spawns across exec_
   // Fluxion equivalent: priority queue with bounded backfill, and a fixed
   // scan origin (the matcher rescans the partition from the top).
   sched::TaskQueue pending_;

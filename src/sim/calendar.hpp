@@ -16,7 +16,9 @@
 // The sequence numbers that break ties at equal times are assigned by the
 // owner (sim::Engine): globally in single-shard mode (bit-identical to the
 // historical engine) and per shard in sharded mode, so every calendar's
-// pop order is deterministic without any cross-shard coordination.
+// pop order is deterministic without any cross-shard coordination. The
+// owner may issue a seq and push its event later (key reservation, see
+// Engine::reserve_seq); only uniqueness is required of the seqs.
 //
 // Threading contract: a calendar has exactly one owner at any instant —
 // the engine's coordinator between drain rounds, or the one worker
@@ -52,9 +54,11 @@ class EventCalendar {
     Callback callback;
   };
 
-  // Inserts an event; `seq` must be non-zero, unique within this calendar
-  // and strictly increasing between pushes at equal times (the owner's
-  // counter guarantees all three).
+  // Inserts an event; `seq` must be non-zero and unique within this
+  // calendar. Pushes need not come in seq order: the heap orders by
+  // (time, seq), so an event pushed late at a seq its owner reserved
+  // earlier (Engine::at_reserved) pops exactly where it would have popped
+  // had it been pushed when the seq was issued.
   Handle push(Time time, std::uint64_t seq, Callback callback) {
     std::uint32_t slot = 0;
     if (free_.empty()) {

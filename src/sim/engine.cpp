@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -43,13 +44,34 @@ ShardId Engine::current_shard() const {
   return ctx != nullptr ? ctx->shard : kControlShard;
 }
 
+Engine::EventKey Engine::current_key() const {
+  const ExecContext* ctx = context();
+  return ctx != nullptr ? EventKey{ctx->now, ctx->seq} : last_key_;
+}
+
+std::uint64_t Engine::reserve_seq() {
+  FLOT_CHECK(config_.shards == 1, "key reservation needs a single shard");
+  return shards_[0].next_seq++;
+}
+
+Engine::EventId Engine::at_reserved(EventKey key, Callback cb) {
+  FLOT_CHECK(cb, "scheduling an empty callback");
+  FLOT_CHECK(config_.shards == 1, "key reservation needs a single shard");
+  FLOT_CHECK(key.seq != 0 && key.seq < shards_[0].next_seq,
+             "seq ", key.seq, " was never reserved");
+  FLOT_CHECK(!(key < current_key()), "reserved key at ", key.time,
+             " precedes the running event");
+  const auto handle = shards_[0].calendar.push(key.time, key.seq, std::move(cb));
+  return EventId{handle.seq, kControlShard, handle.slot};
+}
+
 Engine::EventId Engine::at(Time t, Callback cb) {
   return at(current_shard(), t, std::move(cb));
 }
 
 Engine::EventId Engine::at(ShardId shard, Time t, Callback cb) {
   FLOT_CHECK(cb, "scheduling an empty callback");
-  FLOT_CHECK(t == t, "scheduling at NaN time");  // NaN check
+  FLOT_CHECK(std::isfinite(t), "scheduling at non-finite time ", t);
   FLOT_CHECK(shard >= 0 && shard < config_.shards, "shard ", shard,
              " out of range (", config_.shards, " shards)");
   const ExecContext* ctx = context();
@@ -165,7 +187,7 @@ std::uint64_t Engine::processed() const {
 void Engine::execute(Shard& shard, ShardId shard_id,
                      EventCalendar::Popped* event) {
   const ExecContext saved = tls_ctx_;
-  tls_ctx_ = ExecContext{this, shard_id, event->time};
+  tls_ctx_ = ExecContext{this, shard_id, event->time, event->seq};
   shard.local_now = event->time;
   event->callback();
   if (post_event_hook_) post_event_hook_();
@@ -184,6 +206,7 @@ bool Engine::step() {
     EventCalendar::Popped event;
     if (!sh.calendar.pop(&event)) return false;
     now_ = event.time;
+    last_key_ = EventKey{event.time, event.seq};
     ++committed_processed_;
     ++sh.processed;
     execute(sh, kControlShard, &event);
@@ -199,7 +222,13 @@ std::uint64_t Engine::run_single(Time until) {
     const Time t = sh.calendar.next_time();
     if (t == kInfiniteTime) break;
     if (t > until) {
-      now_ = until;
+      // The clock never runs backwards (run(until) below now is a no-op),
+      // so key order stays processing order.
+      if (until >= now_) {
+        now_ = until;
+        // Everything issued so far at or before `until` has fired.
+        last_key_ = EventKey{until, sh.next_seq};
+      }
       break;
     }
     step();

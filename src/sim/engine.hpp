@@ -79,6 +79,15 @@ class Engine {
     }
   };
 
+  // An event's place in the calendar order: events fire by (time, seq).
+  struct EventKey {
+    Time time = 0.0;
+    std::uint64_t seq = 0;
+    friend bool operator<(EventKey a, EventKey b) {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+  };
+
   Engine();
   explicit Engine(Config config);
   Engine(const Engine&) = delete;
@@ -96,8 +105,26 @@ class Engine {
   // Shard of the executing event, or kControlShard outside callbacks.
   ShardId current_shard() const;
 
+  // Key of the executing event. Outside callbacks: the key of the last
+  // processed event, or (until, next unissued seq) once run(until) has
+  // drained every event at or before `until` — the boundary that every
+  // key issued so far at or before `until` precedes, and no later one
+  // does.
+  EventKey current_key() const;
+
+  // Key reservation (single-shard engines only). reserve_seq() issues the
+  // sequence number the next at() would have used, without pushing an
+  // event; at_reserved() later pushes an event at a key built from it.
+  // Because the seq was issued in the reserving call's place, the event
+  // sorts exactly where an event pushed then would have, and every other
+  // event keeps the key it would have had. `key` must not precede
+  // current_key(), and each reserved seq may be pushed at most once.
+  std::uint64_t reserve_seq();
+  EventId at_reserved(EventKey key, Callback cb);
+
   // Schedules `cb` at absolute virtual time `t` (>= now, else clamped to
-  // now: an event can never fire in the past) on the current shard.
+  // now: an event can never fire in the past) on the current shard. `t`
+  // must be finite.
   EventId at(Time t, Callback cb);
 
   // Schedules `cb` after `delay` virtual seconds (negative delays clamp
@@ -192,6 +219,7 @@ class Engine {
     const Engine* engine = nullptr;
     ShardId shard = kControlShard;
     Time now = 0.0;
+    std::uint64_t seq = 0;
   };
   static thread_local ExecContext tls_ctx_;
   const ExecContext* context() const;
@@ -210,6 +238,7 @@ class Engine {
 
   Config config_;
   Time now_ = 0.0;  // committed global clock (max processed event time)
+  EventKey last_key_;  // current_key() outside callbacks (single shard)
   std::uint64_t committed_processed_ = 0;
   std::atomic<bool> stop_requested_{false};
   Callback post_event_hook_;

@@ -1,6 +1,11 @@
 #include "workloads/trace_replay.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -18,11 +23,33 @@ std::vector<std::string> split_csv(const std::string& line) {
   return cells;
 }
 
-double to_double(const std::string& cell, const std::string& line) {
+// Every cell is checked before it is used: a trace comes from outside, so
+// an empty, partial, non-finite or out-of-range cell is a labeled error,
+// never a silent zero or an out-of-range cast.
+double to_time(const std::string& cell, const char* column,
+               const std::string& line) {
   char* end = nullptr;
   const double value = std::strtod(cell.c_str(), &end);
-  FLOT_CHECK(end && *end == '\0', "bad numeric field '", cell,
+  FLOT_CHECK(!cell.empty() && end != nullptr && *end == '\0',
+             "bad ", column, " '", cell, "' in trace row: ", line);
+  FLOT_CHECK(std::isfinite(value) && value >= 0.0, column,
+             " must be finite and non-negative, got '", cell,
              "' in trace row: ", line);
+  return value;
+}
+
+std::int64_t to_count(const std::string& cell, const char* column,
+                      const std::string& line) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  std::int64_t value = 0;
+  const char* last = cell.data() + cell.size();
+  const auto [end, err] = std::from_chars(cell.data(), last, value);
+  FLOT_CHECK(!cell.empty() && err != std::errc::invalid_argument &&
+                 end == last,
+             "bad ", column, " '", cell, "' in trace row: ", line);
+  FLOT_CHECK(err == std::errc{} && value >= 0 && value <= kMax, column,
+             " out of range [0, ", kMax, "]: '", cell, "' in trace row: ",
+             line);
   return value;
 }
 
@@ -41,15 +68,12 @@ std::vector<TraceEntry> parse_trace(std::istream& in) {
     const auto cells = split_csv(line);
     FLOT_CHECK(cells.size() >= 6, "trace row needs >= 6 fields: ", line);
     TraceEntry entry;
-    entry.submit_time = to_double(cells[0], line);
-    FLOT_CHECK(entry.submit_time >= 0.0, "negative submit_time: ", line);
-    entry.task.demand.cores =
-        static_cast<std::int64_t>(to_double(cells[1], line));
-    entry.task.demand.gpus =
-        static_cast<std::int64_t>(to_double(cells[2], line));
+    entry.submit_time = to_time(cells[0], "submit_time", line);
+    entry.task.demand.cores = to_count(cells[1], "cores", line);
+    entry.task.demand.gpus = to_count(cells[2], "gpus", line);
     entry.task.demand.cores_per_node =
-        static_cast<std::int64_t>(to_double(cells[3], line));
-    entry.task.duration = to_double(cells[4], line);
+        to_count(cells[3], "cores_per_node", line);
+    entry.task.duration = to_time(cells[4], "duration", line);
     if (cells[5] == "func") {
       entry.task.modality = platform::TaskModality::kFunction;
     } else {

@@ -3,7 +3,9 @@
 // This binary replaces the global operator new with a counting one, so it
 // can assert that a warm sim::Server runs submit/complete cycles without
 // touching the heap: the completion event must fit Callback's inline
-// buffer and the server's slot table must be reused, not regrown.
+// buffer and the server's slot table must be reused, not regrown. The
+// same holds for sim::FanOut's holds, whether a later touch retires them
+// or materializes them.
 //
 // Sanitizer builds (-DFLOTILLA_SANITIZE=...) skip it: there the sanitizer
 // runtime owns operator new, and replacing it would blind the sanitizer.
@@ -101,6 +103,53 @@ void expect_warm_cycles_allocate_nothing(int parallelism) {
   EXPECT_TRUE(server.idle());
 }
 
+// A two-node fan-out on idle servers: `first` ends before `second`, so
+// `first` is a hold and `second` carries the fan-out's one event. With
+// `materialize`, a submit lands on `first` while its hold is live, which
+// pushes the hold's event at its reserved key; otherwise the hold outlives
+// its key and the next cycle's fan-out retires it. Returns the events the
+// cycle processed.
+std::uint64_t fan_out_cycle(Engine& engine, FanOut& fan, Server& first,
+                            Server& second, bool materialize, int& done) {
+  const std::uint64_t before = engine.processed();
+  fan.add(first, 1.0e-3);
+  fan.add(second, 2.0e-3);
+  fan.launch([&done] { ++done; });
+  if (materialize) first.submit(0.5e-3, [&done] { ++done; });
+  engine.run();
+  return engine.processed() - before;
+}
+
+void expect_warm_fan_outs_allocate_nothing(bool materialize) {
+  Engine engine;
+  // Parallelism 2, so the submit behind a materialized hold starts at once
+  // instead of growing the wait queue.
+  Server first(engine, 2);
+  Server second(engine, 1);
+  FanOut fan;
+  int done = 0;
+  for (int i = 0; i < 8; ++i) {
+    fan_out_cycle(engine, fan, first, second, materialize, done);
+  }
+  std::uint64_t events = 0;
+  const std::uint64_t allocations = allocations_in([&] {
+    for (int i = 0; i < kCycles; ++i) {
+      events += fan_out_cycle(engine, fan, first, second, materialize, done);
+    }
+  });
+  EXPECT_EQ(allocations, 0u) << "materialize " << materialize;
+  const int per_cycle = materialize ? 2 : 1;
+  EXPECT_EQ(done, (kCycles + 8) * per_cycle);
+  // Retiring: only the carrier fires. Materializing: the hold's event, the
+  // submitted item and the carrier.
+  EXPECT_EQ(events, static_cast<std::uint64_t>(kCycles) *
+                        (materialize ? 3u : 1u));
+  EXPECT_EQ(first.completed(),
+            static_cast<std::uint64_t>(kCycles + 8) * per_cycle);
+  EXPECT_TRUE(first.idle());
+  EXPECT_TRUE(second.idle());
+}
+
 TEST(AllocGuard, CounterSeesABoxedCallback) {
   if (kSanitized) GTEST_SKIP() << kSanitizedReason;
   // A capture larger than the inline buffer is boxed: proves the counter
@@ -123,6 +172,16 @@ TEST(AllocGuard, WarmSerialServerAllocatesNothing) {
 TEST(AllocGuard, WarmParallelServerAllocatesNothing) {
   if (kSanitized) GTEST_SKIP() << kSanitizedReason;
   expect_warm_cycles_allocate_nothing(4);
+}
+
+TEST(AllocGuard, WarmFanOutHoldRetireAllocatesNothing) {
+  if (kSanitized) GTEST_SKIP() << kSanitizedReason;
+  expect_warm_fan_outs_allocate_nothing(false);
+}
+
+TEST(AllocGuard, WarmFanOutHoldMaterializeAllocatesNothing) {
+  if (kSanitized) GTEST_SKIP() << kSanitizedReason;
+  expect_warm_fan_outs_allocate_nothing(true);
 }
 
 }  // namespace

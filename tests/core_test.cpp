@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -192,6 +194,49 @@ TEST(TaskManager, RunsTasksToCompletionThroughFullLifecycle) {
   EXPECT_LE(t_sched, t_exec);
   EXPECT_LE(t_exec, t_run);
   EXPECT_LE(t_run, t_done);
+}
+
+TEST(TaskManager, RefusesInvalidDescriptions) {
+  PilotFixture fx({.nodes = 2, .backends = {{"flux", 1}}});
+  const auto with = [](auto edit) {
+    TaskDescription d = null_task();
+    d.name = "bad.0";
+    edit(d);
+    return d;
+  };
+  const std::vector<TaskDescription> bad = {
+      with([](TaskDescription& d) { d.duration = -1.0; }),
+      with([](TaskDescription& d) {
+        d.duration = std::numeric_limits<double>::infinity();
+      }),
+      with([](TaskDescription& d) { d.duration = std::nan(""); }),
+      with([](TaskDescription& d) { d.fail_probability = -0.1; }),
+      with([](TaskDescription& d) { d.fail_probability = 1.5; }),
+      with([](TaskDescription& d) { d.fail_probability = std::nan(""); }),
+      with([](TaskDescription& d) { d.max_retries = -1; }),
+      with([](TaskDescription& d) { d.demand.cores = -1; }),
+      with([](TaskDescription& d) { d.demand.gpus = -2; }),
+      with([](TaskDescription& d) { d.demand.cores_per_node = -56; }),
+  };
+  for (const auto& description : bad) {
+    try {
+      fx.tmgr->submit(description);
+      ADD_FAILURE() << "accepted an invalid description";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad.0"), std::string::npos)
+          << e.what();
+    }
+    // A batch with one bad description is refused as a whole.
+    EXPECT_THROW(fx.tmgr->submit_batch({null_task(), description}),
+                 util::Error);
+  }
+  EXPECT_EQ(fx.tmgr->submitted(), 0u);
+  // The boundaries are accepted.
+  TaskDescription edge = null_task();
+  edge.fail_probability = 1.0;
+  edge.max_retries = 0;
+  fx.tmgr->submit(edge);
+  EXPECT_EQ(fx.tmgr->submitted(), 1u);
 }
 
 TEST(Agent, RoutesByModalityInHybridPilot) {

@@ -605,6 +605,11 @@ TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
          return spec;
        }(),
        43225, 0xef4c13e24eac5415ull},
+      // Multi-node Flux jobs: their shim spawns go through sim::FanOut,
+      // whose elided completions are not calendar events, so the `end`
+      // line's events= counts only the spawn events really pushed.
+      {"flux impeccable", campaign({{"flux"}}, "impeccable", 48), 33615,
+       0x832b3b8dc6566300ull},
   };
   check::RunOptions opts;
   opts.journal = true;

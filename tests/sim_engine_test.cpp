@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -100,6 +103,65 @@ TEST(Engine, NextEventTimeSkipsTombstones) {
   engine.at(5.0, [] {});
   engine.cancel(id);
   EXPECT_DOUBLE_EQ(engine.next_event_time(), 5.0);
+}
+
+TEST(Engine, RefusesNonFiniteTimes) {
+  // An event at +inf would be parked forever: next_event_time() would call
+  // the calendar empty while empty() and pending() counted it as live.
+  Engine engine;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.at(inf, [] {}), util::Error);
+  EXPECT_THROW(engine.at(-inf, [] {}), util::Error);
+  EXPECT_THROW(engine.at(std::nan(""), [] {}), util::Error);
+  EXPECT_THROW(engine.in(inf, [] {}), util::Error);
+  EXPECT_THROW(engine.at(kControlShard, inf, [] {}), util::Error);
+  EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.next_event_time(), kInfiniteTime);
+  // A finite time in the past still clamps to now.
+  engine.at(-1.0, [] {});
+  EXPECT_DOUBLE_EQ(engine.next_event_time(), 0.0);
+}
+
+TEST(Engine, ReservedKeysFireInIssueOrder) {
+  Engine engine;
+  std::vector<int> order;
+  const std::uint64_t early = engine.reserve_seq();
+  engine.at(1.0, [&] { order.push_back(2); });
+  const std::uint64_t late = engine.reserve_seq();
+  // Pushed out of issue order, at equal times: seq still decides.
+  engine.at_reserved({1.0, late}, [&] { order.push_back(3); });
+  engine.at_reserved({1.0, early}, [&] { order.push_back(1); });
+  engine.at(0.5, [&] {
+    EXPECT_EQ(engine.current_key().time, 0.5);
+    // A key before the running event cannot be pushed.
+    EXPECT_THROW(engine.at_reserved({0.25, engine.reserve_seq()}, [] {}),
+                 util::Error);
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(engine.current_key().time, 1.0);
+  EXPECT_EQ(engine.current_key().seq, late);
+  // A seq that was never issued is refused.
+  EXPECT_THROW(engine.at_reserved({2.0, 1000}, [] {}), util::Error);
+}
+
+TEST(Engine, RunUntilKeyIsTheWindowBoundary) {
+  Engine engine;
+  engine.at(1.0, [] {});
+  engine.at(3.0, [] {});
+  engine.run(2.0);
+  // Every key issued so far at or before 2.0 precedes it; 3.0 does not.
+  const Engine::EventKey boundary = engine.current_key();
+  EXPECT_EQ(boundary.time, 2.0);
+  EXPECT_TRUE((Engine::EventKey{2.0, 2} < boundary));
+  EXPECT_FALSE((Engine::EventKey{3.0, 2} < boundary));
+  // A later key at the same time, issued after the window, does not.
+  EXPECT_FALSE((Engine::EventKey{2.0, engine.reserve_seq()} < boundary));
+  // The clock never runs backwards.
+  engine.run(1.5);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+  EXPECT_EQ(engine.current_key().time, 2.0);
 }
 
 TEST(Engine, NextEventTimeEmptyIsInfinite) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -247,6 +249,241 @@ TEST(Server, TeardownWithWorkInFlightReleasesCaptures) {
     }
     EXPECT_EQ(token.use_count(), 1) << "server_first=" << server_first;
   }
+}
+
+// ------------------------------------------------------------------ FanOut
+
+TEST(FanOut, IdleTargetsCostOneEvent) {
+  Engine engine;
+  std::vector<std::unique_ptr<Server>> servers;
+  for (int i = 0; i < 4; ++i) servers.push_back(std::make_unique<Server>(engine));
+  FanOut fan;
+  for (int i = 0; i < 4; ++i) fan.add(*servers[i], i == 2 ? 3.0 : 1.0);
+  double up = -1.0;
+  fan.launch([&] { up = engine.now(); });
+  EXPECT_EQ(engine.pending(), 1u);  // the carrier: the slowest node's spawn
+  for (const auto& server : servers) EXPECT_EQ(server->in_service(), 1);
+  engine.run();
+  EXPECT_EQ(engine.processed(), 1u);
+  EXPECT_DOUBLE_EQ(up, 3.0);
+  for (const auto& server : servers) {
+    EXPECT_TRUE(server->idle());
+    EXPECT_EQ(server->completed(), 1u);
+  }
+  EXPECT_DOUBLE_EQ(servers[2]->busy_time(), 3.0);
+}
+
+TEST(FanOut, RunUntilBetweenHoldAndCarrier) {
+  Engine engine;
+  Server fast(engine), slow(engine);
+  FanOut fan;
+  fan.add(fast, 1.0);
+  fan.add(slow, 2.0);
+  bool up = false;
+  fan.launch([&] { up = true; });
+  engine.run(1.5);  // the fast spawn is over; its event was never pushed
+  EXPECT_FALSE(up);
+  EXPECT_TRUE(fast.idle());
+  EXPECT_EQ(fast.completed(), 1u);
+  EXPECT_DOUBLE_EQ(fast.busy_time(), 1.0);
+  EXPECT_EQ(slow.in_service(), 1);
+  double done_at = -1.0;
+  fast.submit(0.25, [&] { done_at = engine.now(); });  // retires the hold
+  EXPECT_EQ(fast.in_service(), 1);
+  EXPECT_EQ(fast.completed(), 1u);
+  engine.run();
+  EXPECT_TRUE(up);
+  EXPECT_DOUBLE_EQ(done_at, 1.75);
+  EXPECT_EQ(fast.completed(), 2u);
+}
+
+TEST(FanOut, SubmitBehindALiveHoldWaitsForIt) {
+  Engine engine;
+  Server a(engine), b(engine);
+  FanOut fan;
+  fan.add(a, 1.0);
+  fan.add(b, 2.0);
+  std::vector<std::pair<char, double>> seen;
+  fan.launch([&] { seen.emplace_back('f', engine.now()); });
+  a.submit(1.0, [&] { seen.emplace_back('x', engine.now()); });
+  EXPECT_EQ(a.backlog(), 1u);  // the hold was materialized, not skipped
+  engine.run();
+  // x starts when a's spawn ends and ties with the carrier at 2.0; the
+  // carrier's seq was reserved first, so it fires first.
+  EXPECT_EQ(seen, (std::vector<std::pair<char, double>>{{'f', 2.0},
+                                                        {'x', 2.0}}));
+  EXPECT_EQ(engine.processed(), 3u);
+}
+
+// A set of servers driven by one random schedule, either eagerly (every
+// fan-out target submitted on its own under one countdown: the per-node
+// loop FanOut replaced) or through FanOut. Both draw from identically
+// seeded streams in callback order, so as long as they agree they make the
+// same choices. The log records, for every callback and for a probe from
+// outside after every run(until) window, the current event key and every
+// server's accessors.
+class FanOutWorld {
+ public:
+  FanOutWorld(bool holding, std::uint64_t seed)
+      : holding_(holding), rng_(seed) {
+    for (int i = 0; i < kServers; ++i) {
+      servers_.push_back(std::make_unique<Server>(engine_, i % 3 == 2 ? 2 : 1));
+    }
+    const auto roots = rng_.uniform_int(8, 24);
+    for (std::int64_t i = 0; i < roots; ++i) {
+      engine_.at(grid(8.0), [this] { act(true); });
+    }
+  }
+
+  std::vector<std::string> drive() {
+    for (double until = 0.0; until < 14.0;
+         until += 0.25 * static_cast<double>(rng_.uniform_int(1, 6))) {
+      window(until);
+    }
+    window(kInfiniteTime);
+    return log_;
+  }
+
+  std::uint64_t processed() const { return engine_.processed(); }
+  int crashes() const { return crashed_ ? 1 : 0; }
+
+ private:
+  static constexpr int kServers = 6;
+
+  double grid(double max) {
+    return 0.25 * static_cast<double>(
+                      rng_.uniform_int(0, static_cast<std::int64_t>(max * 4)));
+  }
+
+  // run(until), repeated while a stop() cut it short, then a probe and
+  // perhaps a submit from outside any callback.
+  void window(Time until) {
+    do {
+      stopped_ = false;
+      engine_.run(until);
+      note("window");
+    } while (stopped_);
+    if (rng_.bernoulli(0.3)) act(false);
+  }
+
+  void act(bool inside) {
+    switch (rng_.uniform_int(0, 9)) {
+      case 0: case 1: case 2: case 3: case 4:
+        fan_out();
+        break;
+      case 5: case 6: case 7:
+        single();
+        break;
+      case 8:
+        if (rng_.bernoulli(0.15)) crashed_ = true;  // the broker dies
+        note("crash?");
+        break;
+      default:
+        if (inside) {
+          engine_.stop();
+          stopped_ = true;
+        }
+        note("stop?");
+        break;
+    }
+  }
+
+  void follow_up() {
+    if (engine_.now() < 10.0 && rng_.bernoulli(0.45)) act(true);
+  }
+
+  void fan_out() {
+    const int id = next_id_++;
+    const auto n = rng_.uniform_int(1, 5);
+    std::string what = "fan " + std::to_string(id) + ":";
+    std::vector<std::pair<Server*, Time>> targets;
+    for (std::int64_t i = 0; i < n; ++i) {
+      // Repeats allowed: gang members sharing a node.
+      const auto s = rng_.uniform_int(0, kServers - 1);
+      targets.emplace_back(servers_[static_cast<std::size_t>(s)].get(),
+                           grid(1.5));
+      what += " " + std::to_string(s);
+    }
+    note(what);
+    Callback up = [this, id] {
+      if (crashed_) {
+        note("fan " + std::to_string(id) + " up after crash");
+        return;
+      }
+      note("fan " + std::to_string(id) + " up");
+      follow_up();
+    };
+    if (holding_) {
+      for (const auto& [server, service] : targets) fan_.add(*server, service);
+      fan_.launch(std::move(up));
+      return;
+    }
+    auto remaining = std::make_shared<std::size_t>(targets.size());
+    auto shared_up = std::make_shared<Callback>(std::move(up));
+    for (const auto& [server, service] : targets) {
+      server->submit(service, [remaining, shared_up] {
+        if (--*remaining == 0) (*shared_up)();
+      });
+    }
+  }
+
+  void single() {
+    if (crashed_) return;
+    const int id = next_id_++;
+    const auto s = rng_.uniform_int(0, kServers - 1);
+    note("item " + std::to_string(id) + ": " + std::to_string(s));
+    servers_[static_cast<std::size_t>(s)]->submit(grid(1.5), [this, id] {
+      note("item " + std::to_string(id) + " done");
+      follow_up();
+    });
+  }
+
+  void note(const std::string& what) {
+    std::ostringstream line;
+    line.precision(17);
+    const Engine::EventKey key = engine_.current_key();
+    line << what << " @(" << key.time << "," << key.seq << ") now "
+         << engine_.now();
+    for (const auto& server : servers_) {
+      line << " [" << server->in_service() << ' ' << server->backlog() << ' '
+           << server->idle() << ' ' << server->completed() << ' '
+           << server->busy_time() << ']';
+    }
+    log_.push_back(line.str());
+  }
+
+  bool holding_;
+  RngStream rng_;
+  Engine engine_;
+  std::vector<std::unique_ptr<Server>> servers_;
+  FanOut fan_;
+  std::vector<std::string> log_;
+  int next_id_ = 0;
+  bool crashed_ = false;
+  bool stopped_ = false;
+};
+
+TEST(FanOut, HoldsAgreeWithEagerSubmitsOnRandomSchedules) {
+  std::uint64_t eager_events = 0;
+  std::uint64_t holding_events = 0;
+  int crashes = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    FanOutWorld eager(false, seed);
+    FanOutWorld holding(true, seed);
+    const auto expected = eager.drive();
+    const auto actual = holding.drive();
+    for (std::size_t i = 0; i < std::min(expected.size(), actual.size());
+         ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << "seed " << seed << " line " << i;
+    }
+    ASSERT_EQ(actual.size(), expected.size()) << "seed " << seed;
+    eager_events += eager.processed();
+    holding_events += holding.processed();
+    crashes += holding.crashes();
+  }
+  // The schedules did exercise elision and crashes.
+  EXPECT_LT(holding_events, eager_events);
+  EXPECT_GT(crashes, 0);
 }
 
 // ----------------------------------------------------------------- Channel

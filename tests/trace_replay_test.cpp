@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/flotilla.hpp"
 #include "util/error.hpp"
@@ -54,6 +57,41 @@ TEST(TraceReplay, RejectsMalformedRows) {
   EXPECT_THROW(parse_trace(modality), util::Error);
   std::istringstream negative("-5,1,0,0,5,exec\n");
   EXPECT_THROW(parse_trace(negative), util::Error);
+  // Every numeric cell: empty, non-finite, partial, fractional where an
+  // integer belongs, negative, or too large to cast. Each fails with the
+  // column's name in the message.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {",1,0,0,5,exec", "submit_time"},
+      {"nan,1,0,0,5,exec", "submit_time"},
+      {"inf,1,0,0,5,exec", "submit_time"},
+      {"1e999,1,0,0,5,exec", "submit_time"},
+      {"0,,0,0,5,exec", "cores"},
+      {"0,1e300,0,0,5,exec", "cores"},
+      {"0,nan,0,0,5,exec", "cores"},
+      {"0,1.5,0,0,5,exec", "cores"},
+      {"0,-1,0,0,5,exec", "cores"},
+      {"0,99999999999999999999,0,0,5,exec", "cores"},
+      {"0,4294967296,0,0,5,exec", "cores"},
+      {"0,1, 2,0,5,exec", "gpus"},
+      {"0,1,0,x,5,exec", "cores_per_node"},
+      {"0,1,0,0,,exec", "duration"},
+      {"0,1,0,0,-5,exec", "duration"},
+      {"0,1,0,0,inf,exec", "duration"},
+      {"0,1,0,0,nan,exec", "duration"},
+  };
+  for (const auto& [row, column] : bad) {
+    std::istringstream in(row + "\n");
+    try {
+      parse_trace(in);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(column), std::string::npos)
+          << row << " -> " << e.what();
+    }
+  }
+  // The largest accepted count still parses exactly.
+  std::istringstream edge("0,2147483647,0,0,0,exec\n");
+  EXPECT_EQ(parse_trace(edge).at(0).task.demand.cores, 2147483647);
 }
 
 TEST(TraceReplay, SubmitsAtRecordedVirtualTimes) {
