@@ -21,7 +21,6 @@
 #include "harness.hpp"
 #include "sched/placer.hpp"
 #include "sim/random.hpp"
-#include "sim/storm.hpp"
 
 using namespace flotilla;
 using namespace flotilla::bench;
@@ -108,37 +107,6 @@ void kv(const std::string& key, double value) {
   std::cout << "KV " << key << "=" << fixed(value, 2) << "\n";
 }
 
-struct StormRate {
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-};
-
-// Pure engine throughput on the storm workload (src/sim/storm.hpp): the
-// partitioned-calendar headline number. Thread
-// and shard counts are fixed — the determinism lint bans
-// hardware_concurrency, and a fixed topology keeps snapshots comparable
-// across runners.
-StormRate run_storm_rate(int shards, int threads, int actors, int steps) {
-  sim::StormConfig config;
-  config.actors = actors;
-  config.steps = steps;
-  config.shards = shards;
-  config.threads = threads;
-  // Cross-shard sends are delayed >= the lookahead window, so a wide
-  // window is safe; ~20 local events per actor per round amortizes the
-  // round barrier (docs/sharding.md).
-  config.min_send_delay = 20 * config.mean_period;
-  config.lookahead = config.min_send_delay;
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = sim::run_storm(config);
-  const double wall = seconds_since(start);
-  StormRate rate;
-  rate.events = result.events;
-  rate.events_per_sec =
-      wall > 0 ? static_cast<double>(result.events) / wall : 0.0;
-  return rate;
-}
-
 }  // namespace
 
 int main() {
@@ -178,32 +146,10 @@ int main() {
                    fixed(campaign.events_per_sec, 0)});
   summary.print();
 
-  const int storm_actors = quick ? 1024 : 2048;
-  const int storm_steps = quick ? 800 : 2000;
-  std::cout << "\n=== Sharded engine storm (" << storm_actors << " actors x "
-            << storm_steps << " steps) ===\n";
-  const auto storm_serial = run_storm_rate(1, 1, storm_actors, storm_steps);
-  const auto storm_sharded = run_storm_rate(4, 4, storm_actors, storm_steps);
-  const double storm_speedup =
-      storm_serial.events_per_sec > 0
-          ? storm_sharded.events_per_sec / storm_serial.events_per_sec
-          : 0.0;
-  Table storm_table({"engine", "events", "events/s"});
-  storm_table.add_row({"serial (1 shard)", std::to_string(storm_serial.events),
-                       fixed(storm_serial.events_per_sec, 0)});
-  storm_table.add_row({"sharded (4x4)", std::to_string(storm_sharded.events),
-                       fixed(storm_sharded.events_per_sec, 0)});
-  storm_table.print();
-  std::cout << "  sharded/serial speedup: " << fixed(storm_speedup, 2)
-            << "x\n";
-
   kv("place_attempts_per_sec_linear", linear.attempts_per_sec());
   kv("place_attempts_per_sec_indexed", indexed.attempts_per_sec());
   kv("placement_speedup", speedup);
   kv("makespan_s", campaign.makespan);
   kv("events_per_sec", campaign.events_per_sec);
-  kv("events_per_sec_storm_serial", storm_serial.events_per_sec);
-  kv("events_per_sec_sharded", storm_sharded.events_per_sec);
-  kv("storm_speedup", storm_speedup);
   return 0;
 }

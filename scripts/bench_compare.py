@@ -30,12 +30,6 @@ METRICS = {
     "placement_attempts_per_sec_indexed": "higher",
     "placement_speedup": "higher",
     "events_per_sec": "higher",
-    "events_per_sec_storm_serial": "higher",
-    "events_per_sec_sharded": "higher",
-    # Parallel-vs-serial ratio of the two storm rates: informational —
-    # it collapses to ~1 on single-core runners where no wall-clock
-    # parallelism exists, so a checked-in baseline cannot gate it.
-    "storm_speedup": None,
     "makespan_s": "lower",
     # Ingress tail-latency SLO (bench_streaming_latency): submit->launch
     # percentiles at the fixed below-knee offered rate regress when they

@@ -94,8 +94,7 @@ std::string ProgramModel::trail(
 ProgramModel build_program(const AnalysisInput& input) {
   ProgramModel model;
 
-  // Nodes, name index, merged declaration harvest, callback targets.
-  std::set<std::string> address_taken;
+  // Nodes, name index, merged declaration harvest.
   for (std::size_t fi = 0; fi < input.files.size(); ++fi) {
     const SourceFile& file = input.files[fi];
     const DeclHarvest& d = file.facts.decls;
@@ -105,25 +104,17 @@ ProgramModel build_program(const AnalysisInput& input) {
                                       d.callback_vars.end());
     model.merged.virtual_methods.insert(d.virtual_methods.begin(),
                                         d.virtual_methods.end());
-    address_taken.insert(file.facts.address_taken.begin(),
-                         file.facts.address_taken.end());
     for (const FunctionDef& def : file.facts.functions) {
       FunctionNode node;
       node.id = static_cast<int>(model.functions.size());
       node.file_index = static_cast<int>(fi);
       node.def = def;
-      node.display_file = file.display;
       model.name_index[def.name].push_back(node.id);
       model.functions.push_back(std::move(node));
     }
   }
   model.summaries.resize(model.functions.size());
   model.callees.resize(model.functions.size());
-  for (const FunctionNode& node : model.functions) {
-    if (node.def.lambda || address_taken.count(node.def.name) > 0) {
-      model.callback_targets.push_back(node.id);
-    }
-  }
 
   // Per-file body-id -> function-id maps, then direct summary entries.
   std::vector<std::map<int, int>> fn_of_body(input.files.size());
@@ -156,11 +147,6 @@ ProgramModel build_program(const AnalysisInput& input) {
       if (fn < 0) continue;
       model.summaries[fn].nondet.emplace(n.rule, Origin{-1, n.line});
     }
-    for (const WriteFact& w : facts.writes) {
-      const int fn = function_at(file_index, w.body_id);
-      if (fn < 0) continue;
-      model.summaries[fn].writes.push_back(w);
-    }
   }
 
   // Resolve call sites.
@@ -174,9 +160,6 @@ ProgramModel build_program(const AnalysisInput& input) {
       call.token = site.token;
       call.line = site.line;
       call.name = site.name;
-      call.member = site.member;
-      call.on_this = site.on_this;
-      call.receiver = site.receiver;
       const std::string class_ctx =
           call.caller >= 0 ? model.functions[call.caller].def.class_ctx
                            : std::string();
@@ -272,10 +255,6 @@ ProgramModel build_program(const AnalysisInput& input) {
     for (const ResolvedCall& call : model.calls) {
       if (call.caller < 0) continue;
       FunctionSummary& caller = model.summaries[call.caller];
-      if (call.callback && !caller.invokes_callback) {
-        caller.invokes_callback = true;
-        changed = true;
-      }
       for (int callee : call.callees) {
         if (callee == call.caller) continue;
         const FunctionSummary& sub = model.summaries[callee];
@@ -293,10 +272,6 @@ ProgramModel build_program(const AnalysisInput& input) {
           (void)origin;
           merge_entry(&caller.nondet, key, Origin{callee, call.line},
                       &changed);
-        }
-        if (sub.invokes_callback && !caller.invokes_callback) {
-          caller.invokes_callback = true;
-          changed = true;
         }
       }
     }

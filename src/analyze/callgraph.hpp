@@ -19,10 +19,7 @@
 //   - names harvested as virtual methods add every same-named definition
 //     (dynamic dispatch can land in any override);
 //   - calls through callback variables (the `*Callback`/std::function
-//     harvest the lock pass uses) resolve to no direct edge; they mark
-//     the caller as a callback invoker, and shared-state reachability
-//     treats every lambda and address-taken function as a possible
-//     target.
+//     harvest the lock pass uses) resolve to no direct edge.
 //
 // Mutex identity: guard mutex names ending in '_' are member fields and
 // are qualified with the acquiring function's class ("Engine::mu_"), so
@@ -54,15 +51,12 @@ struct FunctionSummary {
   std::map<std::string, Origin> mutexes;   // qualified mutex -> acquisition
   std::map<std::string, Origin> blocking;  // blocking callee name -> origin
   std::map<std::string, Origin> nondet;    // taint rule -> origin
-  bool invokes_callback = false;           // calls through a callback var
-  std::vector<WriteFact> writes;           // direct writes only
 };
 
 struct FunctionNode {
   int id = -1;
   int file_index = -1;        // into AnalysisInput::files
   FunctionDef def;
-  std::string display_file;   // files[file_index].display
 };
 
 // A call-shaped site after resolution.
@@ -73,9 +67,6 @@ struct ResolvedCall {
   std::size_t line = 0;
   std::string name;
   bool callback = false;      // through a callback variable; callees empty
-  bool member = false;        // invoked through '.' or '->'
-  bool on_this = false;       // receiver is `this`
-  std::string receiver;       // receiver identifier; empty when unknown
   std::vector<int> callees;   // candidate function ids (direct + virtual)
   std::vector<std::string> held;  // qualified mutexes held at the site
 };
@@ -85,9 +76,6 @@ struct ProgramModel {
   std::vector<FunctionSummary> summaries;  // parallel to functions
   std::vector<std::vector<int>> callees;   // union of edges per function
   std::vector<ResolvedCall> calls;
-  // Possible targets of a callback invocation: every lambda plus every
-  // address-taken function. Used for shared-state reachability only.
-  std::vector<int> callback_targets;
   // Program-wide declaration harvest (callback vars, virtual methods).
   DeclHarvest merged;
 

@@ -11,10 +11,7 @@
 
 #include "analyze/baseline.hpp"
 #include "analyze/callgraph.hpp"
-#include "analyze/confine.hpp"
 #include "analyze/determinism.hpp"
-#include "analyze/ipc.hpp"
-#include "analyze/rules.hpp"
 #include "analyze/sarif.hpp"
 
 namespace fs = std::filesystem;
@@ -180,77 +177,14 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
   // interprocedural passes consume.
   input.program = std::make_shared<const ProgramModel>(build_program(input));
 
-  // Confined annotations load before the passes run: the confinement
-  // pass consumes them, and a malformed claims file is a usage error no
-  // matter which reports were requested.
-  std::vector<ConfinedAnnotation> confined;
-  if (!options.confined_path.empty()) {
-    if (!load_confined_annotations(options.confined_path, &confined,
-                                   &error)) {
-      err << "flotilla-analyze: error: " << error << "\n";
-      return 2;
-    }
-    input.confined = &confined;
-    input.confined_path = options.confined_path;
-  }
-
-  std::vector<Finding> all;
-  for (const auto& pass : registry.passes()) {
-    pass->run(input, &all);
-  }
-  filter_waived(input, &all);
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-
-  // Severity split: kError findings gate the run and live in the
-  // baseline; kNote findings (the shared-state inventory) only appear in
-  // SARIF and reports.
   std::vector<Finding> findings;
-  std::size_t notes = 0;
-  for (const Finding& f : all) {
-    if (rule_severity(f.rule) == Severity::kError) {
-      findings.push_back(f);
-    } else {
-      ++notes;
-    }
+  for (const auto& pass : registry.passes()) {
+    pass->run(input, &findings);
   }
-
-  if (!options.shared_state_report_path.empty()) {
-    std::ofstream report(options.shared_state_report_path,
-                         std::ios::binary | std::ios::trunc);
-    if (!report) {
-      err << "flotilla-analyze: error: "
-          << options.shared_state_report_path
-          << ": cannot open for writing\n";
-      return 2;
-    }
-    write_shared_state_report(
-        collect_shared_state(input,
-                             confined.empty() ? nullptr : &confined),
-        report);
-    if (!report.flush()) {
-      err << "flotilla-analyze: error: "
-          << options.shared_state_report_path << ": write failed\n";
-      return 2;
-    }
-  }
-
-  if (!options.confinement_report_path.empty()) {
-    std::ofstream report(options.confinement_report_path,
-                         std::ios::binary | std::ios::trunc);
-    if (!report) {
-      err << "flotilla-analyze: error: "
-          << options.confinement_report_path
-          << ": cannot open for writing\n";
-      return 2;
-    }
-    write_confinement_report(analyze_confinement(input).claims, report);
-    if (!report.flush()) {
-      err << "flotilla-analyze: error: "
-          << options.confinement_report_path << ": write failed\n";
-      return 2;
-    }
-  }
+  filter_waived(input, &findings);
+  std::sort(findings.begin(), findings.end());
+  findings.erase(std::unique(findings.begin(), findings.end()),
+                 findings.end());
 
   if (options.write_baseline) {
     if (options.baseline_path.empty()) {
@@ -301,11 +235,10 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
     std::sort(rule_ids.begin(), rule_ids.end());
     rule_ids.erase(std::unique(rule_ids.begin(), rule_ids.end()),
                    rule_ids.end());
-    // SARIF carries every finding, notes included; only kError results
-    // can be baseline-suppressed (notes never enter the baseline).
+    // SARIF carries every finding, baselined ones marked suppressed.
     std::vector<SarifResult> results;
-    results.reserve(all.size());
-    for (const Finding& f : all) {
+    results.reserve(findings.size());
+    for (const Finding& f : findings) {
       results.push_back({f, baseline.count(f) > 0});
     }
     write_sarif(*sink, "flotilla-analyze", rule_ids, results);
@@ -325,9 +258,6 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
       << fresh.size() << " finding(s)";
   if (!baseline.empty()) {
     err << " (" << findings.size() - fresh.size() << " baselined)";
-  }
-  if (notes > 0) {
-    err << ", " << notes << " note(s)";
   }
   err << "\n";
   return fresh.empty() ? 0 : 1;

@@ -46,17 +46,6 @@ struct DriverOptions {
   // byte-identical for every value: loads land in per-path slots and all
   // analysis runs after the pool joins.
   unsigned jobs = 0;
-  // When set, the shared-state inventory (analyze/ipc.hpp) is written
-  // here in addition to the normal report.
-  std::string shared_state_report_path;
-  // Confined-annotation file (analyze/confined.txt); "" = no
-  // annotations. When set, the annotations mark shared-state report
-  // entries AND arm the confinement pass: claims with status "verified"
-  // become proof obligations, and stale claims are hard errors.
-  std::string confined_path;
-  // When set, the per-claim confinement-proof report (analyze/confine.hpp)
-  // is written here.
-  std::string confinement_report_path;
 };
 
 // Runs every registered pass and reports. Returns the process exit code:

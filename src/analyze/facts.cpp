@@ -1,7 +1,5 @@
 #include "analyze/facts.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <map>
 
 #include "analyze/determinism.hpp"
@@ -55,13 +53,6 @@ bool member_blocking_name(const std::string& t) {
 
 bool free_blocking_name(const std::string& t) {
   return any_of(t, {"sleep_for", "sleep_until", "usleep", "nanosleep"});
-}
-
-bool mutating_member_call(const std::string& t) {
-  return any_of(t, {"push_back", "emplace_back", "emplace", "insert",
-                    "erase", "clear", "push", "pop", "pop_back",
-                    "pop_front", "resize", "assign", "store", "reset",
-                    "swap", "append"});
 }
 
 // ---------------------------------------------------------------------------
@@ -126,101 +117,6 @@ void harvest_decls(const std::vector<Token>& toks, DeclHarvest* decls) {
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Globals / atomics harvesting
-// ---------------------------------------------------------------------------
-
-// `static` declarations of mutable data (namespace scope, class scope, or
-// function-local — all of them are shared state once the engine shards),
-// plus atomic-typed names, whose lock-free writes are exempt.
-void harvest_globals(const std::vector<Token>& toks,
-                     std::set<std::string>* globals,
-                     std::set<std::string>* atomics) {
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (!is_ident(toks[i])) continue;
-    const std::string& t = toks[i].text;
-    if (t == "static") {
-      bool immutable = false;
-      for (std::size_t j = i + 1; j < toks.size() && j < i + 16; ++j) {
-        if (is_punct(toks[j], ";") || is_punct(toks[j], "(")) break;
-        if (is_ident(toks[j]) &&
-            (toks[j].text == "const" || toks[j].text == "constexpr")) {
-          immutable = true;
-        }
-        if (is_ident(toks[j]) && j + 1 < toks.size() &&
-            (is_punct(toks[j + 1], ";") || is_punct(toks[j + 1], "=") ||
-             is_punct(toks[j + 1], "{") || is_punct(toks[j + 1], "["))) {
-          if (!immutable) globals->insert(toks[j].text);
-          break;
-        }
-      }
-      continue;
-    }
-    if (t == "atomic" || starts_with(t, "atomic_")) {
-      std::size_t j = skip_angles(toks, i + 1);
-      if (j == i + 1 && t == "atomic") continue;  // atomic without <...>
-      while (j < toks.size() &&
-             (is_punct(toks[j], "&") || is_punct(toks[j], "*"))) {
-        ++j;
-      }
-      if (j < toks.size() && is_ident(toks[j])) atomics->insert(toks[j].text);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Declared-variable types (receiver narrowing for the confinement pass)
-// ---------------------------------------------------------------------------
-
-// `Type name;` / `Type name_ = ...;` / `Ns::Type& param,` declarations:
-// records name -> Type's last CamelCase component. Template wrappers
-// resolve to the innermost-rightmost identifier (`std::unique_ptr<obs::
-// Tracer> t_` records t_ -> Tracer), which is what a `t_->method()`
-// receiver dispatches into. Lowercase type candidates (builtins,
-// keywords, expression false-positives like `return x;`) are dropped.
-void harvest_member_types(
-    const std::vector<Token>& toks,
-    std::map<std::string, std::set<std::string>>* types) {
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (!is_ident(toks[i])) continue;
-    const Token& next = toks[i + 1];
-    if (next.kind != TokenKind::kPunct ||
-        !any_of(next.text, {";", "=", "{", ",", ")"})) {
-      continue;
-    }
-    // Walk back over declarator decoration to the type's last token.
-    std::size_t j = i;
-    while (j > 0 && (is_punct(toks[j - 1], "&") ||
-                     is_punct(toks[j - 1], "*") ||
-                     (is_ident(toks[j - 1]) &&
-                      toks[j - 1].text == "const"))) {
-      --j;
-    }
-    if (j == 0) continue;
-    std::string type;
-    if (is_ident(toks[j - 1])) {
-      type = toks[j - 1].text;
-    } else if (is_punct(toks[j - 1], ">")) {
-      // Template wrapper: innermost-rightmost identifier.
-      for (std::size_t k = j - 1; k-- > 0;) {
-        if (is_ident(toks[k])) {
-          type = toks[k].text;
-          break;
-        }
-        if (toks[k].kind == TokenKind::kPunct &&
-            (toks[k].text == ";" || toks[k].text == "{" ||
-             toks[k].text == "}")) {
-          break;
-        }
-      }
-    }
-    if (type.empty() || std::isupper(static_cast<unsigned char>(type[0])) == 0) {
-      continue;
-    }
-    (*types)[toks[i].text].insert(type);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Function definitions with qualified names
@@ -402,7 +298,6 @@ void collect_functions(const LexedFile& lex, const BodyIndex& bodies,
       FunctionDef def;
       def.body_id = body->id;
       def.line = body->line;
-      def.lambda = body->lambda;
       if (body->lambda) {
         const FunctionDef* outer = enclosing_function();
         def.name = "<lambda>";
@@ -446,86 +341,6 @@ void collect_functions(const LexedFile& lex, const BodyIndex& bodies,
 // Per-body facts
 // ---------------------------------------------------------------------------
 
-// True when toks[i] names a member/global write target.
-bool write_target(const std::vector<Token>& toks, std::size_t i,
-                  const FileFacts& facts, WriteFact::Kind* kind) {
-  const std::string& name = toks[i].text;
-  if (facts.atomics.count(name) > 0) return false;
-  const bool via_this = i >= 2 && is_punct(toks[i - 1], "->") &&
-                        is_ident(toks[i - 2]) && toks[i - 2].text == "this";
-  if (via_this || (ends_with(name, "_") && name.size() > 1 &&
-                   !ends_with(name, "__"))) {
-    *kind = WriteFact::Kind::kMember;
-    return true;
-  }
-  if (facts.globals.count(name) > 0 || starts_with(name, "g_")) {
-    *kind = WriteFact::Kind::kGlobal;
-    return true;
-  }
-  return false;
-}
-
-// Write shape immediately around toks[i] (the target identifier):
-// assignment, compound assignment, ++/--, subscripted assignment, or a
-// mutating container member call.
-bool is_write_shape(const std::vector<Token>& toks, std::size_t i) {
-  const auto punct_at = [&](std::size_t j, const char* t) {
-    return j < toks.size() && is_punct(toks[j], t);
-  };
-  const auto assign_at = [&](std::size_t j) {
-    // `=` that is not `==` (the lexer emits one '=' per character).
-    if (!punct_at(j, "=")) return false;
-    if (punct_at(j + 1, "=")) return false;
-    if (j > 0 && (punct_at(j - 1, "=") || punct_at(j - 1, "!") ||
-                  punct_at(j - 1, "<") || punct_at(j - 1, ">"))) {
-      return false;
-    }
-    return true;
-  };
-  // ++x / --x / x++ / x--
-  if (i >= 2 && ((punct_at(i - 1, "+") && punct_at(i - 2, "+")) ||
-                 (punct_at(i - 1, "-") && punct_at(i - 2, "-")))) {
-    return true;
-  }
-  if ((punct_at(i + 1, "+") && punct_at(i + 2, "+")) ||
-      (punct_at(i + 1, "-") && punct_at(i + 2, "-"))) {
-    return true;
-  }
-  std::size_t j = i + 1;
-  // x[...]... — subscript, then look at what follows.
-  if (punct_at(j, "[")) {
-    int depth = 0;
-    for (; j < toks.size(); ++j) {
-      if (toks[j].kind != TokenKind::kPunct) continue;
-      if (toks[j].text == "[") ++depth;
-      if (toks[j].text == "]" && --depth == 0) {
-        ++j;
-        break;
-      }
-    }
-  }
-  if (assign_at(j)) return true;
-  // Compound: x += / -= / *= / ... / <<= / >>=
-  static const char* const kCompound = "+-*/%&|^";
-  if (j < toks.size() && toks[j].kind == TokenKind::kPunct &&
-      toks[j].text.size() == 1 &&
-      std::string(kCompound).find(toks[j].text[0]) != std::string::npos &&
-      assign_at(j + 1)) {
-    return true;
-  }
-  if ((punct_at(j, "<") && punct_at(j + 1, "<") && assign_at(j + 2)) ||
-      (punct_at(j, ">") && punct_at(j + 1, ">") && assign_at(j + 2))) {
-    return true;
-  }
-  // x.push_back(...) and friends.
-  if ((punct_at(j, ".") || punct_at(j, "->")) && j + 2 < toks.size() &&
-      is_ident(toks[j + 1]) && mutating_member_call(toks[j + 1].text) &&
-      punct_at(j + 2, "(")) {
-    return true;
-  }
-  return false;
-}
-
 void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
                         const Body& body, FileFacts* facts) {
   const auto& toks = lex.tokens;
@@ -541,23 +356,6 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
     if (walker.step(&i)) continue;
     const Token& tok = toks[i];
 
-    // Address-taken functions: `&name` / `&A::name` in argument or
-    // assignment position, not immediately invoked.
-    if (is_punct(tok, "&") && i + 1 < toks.size() &&
-        is_ident(toks[i + 1]) && i > 0 &&
-        (toks[i - 1].kind == TokenKind::kPunct
-             ? any_of(toks[i - 1].text, {"(", ",", "=", "{", "<"})
-             : toks[i - 1].text == "return")) {
-      std::size_t j = i + 1;
-      while (j + 2 < toks.size() && is_punct(toks[j + 1], "::") &&
-             is_ident(toks[j + 2])) {
-        j += 2;
-      }
-      if (j + 1 >= toks.size() || !is_punct(toks[j + 1], "(")) {
-        facts->address_taken.insert(toks[j].text);
-      }
-      continue;
-    }
     if (!is_ident(tok)) continue;
 
     // Nondeterminism sources (taint origins — no file scope here).
@@ -639,12 +437,9 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
         call.member = member;
         call.token = i;
         call.line = tok.line;
-        if (member && i >= 2 && is_ident(toks[i - 2])) {
-          if (toks[i - 2].text == "this") {
-            call.on_this = true;
-          } else {
-            call.receiver = toks[i - 2].text;
-          }
+        if (member && i >= 2 && is_ident(toks[i - 2]) &&
+            toks[i - 2].text == "this") {
+          call.on_this = true;
         }
         if (i >= 2 && is_punct(toks[i - 1], "::")) {
           // Explicit qualification: A::B::name(...).
@@ -660,33 +455,6 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
         facts->calls.push_back(std::move(call));
       }
     }
-
-    // Engine dispatch sites: member calls to in/at carrying an inline
-    // lambda. The lambda bodies are the units of work the engine runs;
-    // the confinement pass follows them from the storm roots.
-    if (called && member && any_of(tok.text, {"in", "at"})) {
-      const std::size_t open = i + 1;
-      const std::size_t close = matching_close(toks, open);
-      DispatchFact dispatch;
-      dispatch.body_id = body.id;
-      for (const Body& b : bodies.bodies) {
-        if (b.lambda && b.parent == body.id && b.open > open &&
-            b.open < close) {
-          dispatch.lambda_bodies.push_back(b.id);
-        }
-      }
-      if (!dispatch.lambda_bodies.empty()) {
-        facts->dispatches.push_back(std::move(dispatch));
-      }
-    }
-
-    // Writes to shared-looking state.
-    WriteFact::Kind kind;
-    if (!called && write_target(toks, i, *facts, &kind) &&
-        is_write_shape(toks, i)) {
-      facts->writes.push_back(
-          {body.id, kind, tok.text, tok.line, walker.any_active()});
-    }
   }
 }
 
@@ -698,13 +466,7 @@ FileFacts collect_facts(const LexedFile& lex, const BodyIndex& bodies,
   harvest_decls(lex.tokens, &facts.decls);
   if (paired_header != nullptr) {
     harvest_decls(paired_header->tokens, &facts.decls);
-    harvest_globals(paired_header->tokens, &facts.globals, &facts.atomics);
   }
-  harvest_globals(lex.tokens, &facts.globals, &facts.atomics);
-  if (paired_header != nullptr) {
-    harvest_member_types(paired_header->tokens, &facts.member_types);
-  }
-  harvest_member_types(lex.tokens, &facts.member_types);
   collect_functions(lex, bodies, &facts);
   for (const Body& body : bodies.bodies) {
     collect_body_facts(lex, bodies, body, &facts);

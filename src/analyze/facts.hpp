@@ -4,20 +4,18 @@
 // Phase one of the two-phase driver: every file is reduced — independently,
 // so the scan parallelizes — to the facts the whole-program passes need:
 // function definitions with best-effort qualified names, call-shaped sites
-// (with the mutexes held at each), writes to member fields and
-// globals/statics, blocking calls, nondeterminism sources, and the
-// declaration harvests (callback aliases/variables, virtual methods) the
-// lock-discipline pass has always used. Phase two (analyze/callgraph.hpp)
-// links the facts into a call graph and propagates summaries bottom-up.
+// (with the mutexes held at each), blocking calls, nondeterminism sources,
+// trace sinks, and the declaration harvests (callback aliases/variables,
+// virtual methods) the lock-discipline pass has always used. Phase two
+// (analyze/callgraph.hpp) links the facts into a call graph and
+// propagates summaries bottom-up.
 //
 // Everything here is heuristic and token-level, tuned to this codebase's
-// style (members end in '_', globals start with 'g_' or are declared
-// `static`); over-approximation rules are documented in
+// style (members end in '_'); over-approximation rules are documented in
 // docs/correctness.md.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,7 +45,6 @@ struct FunctionDef {
   std::string qualified;   // namespace/class-qualified best-effort name
   std::string class_ctx;   // enclosing class qualification; "" for free fns
   std::size_t line = 0;
-  bool lambda = false;
 };
 
 // A call-shaped site: `name(...)`, `x.name(...)`, `A::name(...)`, or
@@ -61,26 +58,9 @@ struct CallSiteFact {
   bool member = false;                 // invoked through '.' or '->'
   bool on_this = false;                // receiver is `this`
   bool moved = false;                  // std::move(name)(...) form
-  // Receiver identifier of a member call (`recv.f()` / `recv->f()`);
-  // empty when the receiver is `this`, a chained call, or any other
-  // non-identifier expression. The confinement pass uses it, together
-  // with the member-type harvest, to narrow name-level member dispatch.
-  std::string receiver;
   std::size_t token = 0;               // index of the name token
   std::size_t line = 0;
   std::vector<std::string> held_mutexes;  // raw names active at the site
-};
-
-// A write to shared-looking state: assignment (plain, compound, or
-// subscripted), increment/decrement, or a mutating container call on a
-// member field ('x_', 'this->x') or a global/static.
-struct WriteFact {
-  enum class Kind { kMember, kGlobal };
-  int body_id = -1;
-  Kind kind = Kind::kMember;
-  std::string target;
-  std::size_t line = 0;
-  bool guarded = false;  // a lock guard was active at the write
 };
 
 // A guard-based mutex acquisition (lock_guard/unique_lock/scoped_lock
@@ -110,16 +90,6 @@ struct NondetFact {
   std::size_t line = 0;
 };
 
-// An engine dispatch site: a member call to `in`/`at` whose argument
-// list carries at least one inline lambda — a unit of work the engine
-// will run as an event. The confinement pass adds a dispatcher -> lambda
-// edge for each, so the storm-root reachability proof follows work the
-// storm kernel schedules.
-struct DispatchFact {
-  int body_id = -1;
-  std::vector<int> lambda_bodies;  // direct-child lambda bodies in the args
-};
-
 // A trace-output sink: Tracer begin/end with a SpanType argument, a
 // Tracer counter() call, or an FNV/fingerprint call. Argument tokens are
 // (open, close) exclusive.
@@ -135,20 +105,10 @@ struct FileFacts {
   DeclHarvest decls;
   std::vector<FunctionDef> functions;
   std::vector<CallSiteFact> calls;
-  std::vector<WriteFact> writes;
   std::vector<AcquireFact> acquires;
   std::vector<BlockingFact> blocking;
   std::vector<NondetFact> nondet;
   std::vector<SinkFact> sinks;
-  std::vector<DispatchFact> dispatches;
-  std::set<std::string> globals;        // mutable static/global names
-  std::set<std::string> atomics;        // atomic-typed names (writes exempt)
-  std::set<std::string> address_taken;  // &name / &A::name, not a call
-  // Declared-variable types, `name -> CamelCase type last components`:
-  // `sim::Engine engine_;` records engine_ -> {Engine}. Best-effort and
-  // file-local; the confinement pass merges the maps program-wide to
-  // narrow member-call dispatch by receiver.
-  std::map<std::string, std::set<std::string>> member_types;
 };
 
 // Collects every fact for one file. Pure function of its inputs — safe to

@@ -1,12 +1,7 @@
 #include "analyze/ipc.hpp"
 
-#include <algorithm>
-#include <fstream>
 #include <map>
-#include <ostream>
 #include <set>
-#include <sstream>
-#include <tuple>
 
 namespace flotilla::analyze {
 
@@ -152,203 +147,6 @@ void IpcDeterminismPass::run(const AnalysisInput& input,
         }
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// shared-state
-// ---------------------------------------------------------------------------
-
-bool component_suffix(const std::string& qualified,
-                      const std::string& suffix) {
-  if (qualified.size() < suffix.size()) return false;
-  if (qualified.compare(qualified.size() - suffix.size(), suffix.size(),
-                        suffix) != 0) {
-    return false;
-  }
-  const std::size_t at = qualified.size() - suffix.size();
-  if (at == 0) return true;
-  return at >= 2 && qualified.compare(at - 2, 2, "::") == 0;
-}
-
-bool function_matches(const std::string& qualified,
-                      const std::string& pattern) {
-  if (pattern.size() > 3 &&
-      pattern.compare(pattern.size() - 3, 3, "::*") == 0) {
-    const std::string component = pattern.substr(0, pattern.size() - 3) + "::";
-    if (qualified.compare(0, component.size(), component) == 0) return true;
-    return qualified.find("::" + component) != std::string::npos;
-  }
-  return component_suffix(qualified, pattern);
-}
-
-const ConfinedAnnotation* match_annotation(
-    const std::vector<ConfinedAnnotation>* confined,
-    const std::string& target, const std::string& function) {
-  if (confined == nullptr) return nullptr;
-  for (const ConfinedAnnotation& a : *confined) {
-    if (a.target != "*" && a.target != target) continue;
-    if (function_matches(function, a.function)) return &a;
-  }
-  return nullptr;
-}
-
-bool load_confined_annotations(const std::string& path,
-                               std::vector<ConfinedAnnotation>* out,
-                               std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = path + ": cannot open confined-annotation file";
-    return false;
-  }
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    ConfinedAnnotation a;
-    a.line = lineno;
-    fields >> a.target >> a.function >> a.status;
-    std::getline(fields, a.reason);
-    const std::size_t start = a.reason.find_first_not_of(" \t");
-    a.reason = start == std::string::npos ? "" : a.reason.substr(start);
-    if (a.target.empty() || a.function.empty() || a.reason.empty() ||
-        (a.status != "verified" && a.status != "assume")) {
-      *error = path + ":" + std::to_string(lineno) +
-               ": expected 'target function verified|assume reason...'";
-      return false;
-    }
-    const std::size_t colon = a.reason.find_first_of(": \t");
-    a.kind = colon == std::string::npos ? a.reason : a.reason.substr(0, colon);
-    if (a.kind != "owner-confined" && a.kind != "threads-pinned" &&
-        a.kind != "host-tooling") {
-      *error = path + ":" + std::to_string(lineno) +
-               ": reason must open with owner-confined, threads-pinned, "
-               "or host-tooling, got '" +
-               a.kind + "'";
-      return false;
-    }
-    out->push_back(std::move(a));
-  }
-  return true;
-}
-
-std::vector<SharedStateEntry> collect_shared_state(
-    const AnalysisInput& input,
-    const std::vector<ConfinedAnnotation>* confined) {
-  if (!input.program) return {};
-  const ProgramModel& model = *input.program;
-
-  std::vector<char> reachable(model.functions.size(), 0);
-  std::vector<int> stack;
-  for (const FunctionNode& node : model.functions) {
-    if (component_suffix(node.def.qualified, "sim::Engine::run")) {
-      reachable[node.id] = 1;
-      stack.push_back(node.id);
-    }
-  }
-  bool hub_expanded = false;
-  while (!stack.empty()) {
-    const int fn = stack.back();
-    stack.pop_back();
-    for (int callee : model.callees[fn]) {
-      if (reachable[callee] == 0) {
-        reachable[callee] = 1;
-        stack.push_back(callee);
-      }
-    }
-    // Anything scheduled as a callback can run from the event loop:
-    // over-approximate with every lambda and address-taken function.
-    if (model.summaries[fn].invokes_callback && !hub_expanded) {
-      hub_expanded = true;
-      for (int target : model.callback_targets) {
-        if (reachable[target] == 0) {
-          reachable[target] = 1;
-          stack.push_back(target);
-        }
-      }
-    }
-  }
-
-  std::map<std::tuple<std::string, std::string, std::string>,
-           SharedStateEntry>
-      merged;
-  for (const FunctionNode& node : model.functions) {
-    if (reachable[node.id] == 0) continue;
-    for (const WriteFact& write : model.summaries[node.id].writes) {
-      if (write.guarded) continue;
-      const auto key = std::make_tuple(node.display_file, write.target,
-                                       node.def.qualified);
-      auto [it, inserted] = merged.try_emplace(key);
-      SharedStateEntry& entry = it->second;
-      if (inserted) {
-        entry.kind = write.kind;
-        entry.target = write.target;
-        entry.file = node.display_file;
-        entry.line = write.line;
-        entry.function = node.def.qualified;
-      }
-      entry.line = std::min(entry.line, write.line);
-      ++entry.sites;
-    }
-  }
-
-  std::vector<SharedStateEntry> entries;
-  for (auto& [key, entry] : merged) {
-    (void)key;
-    const ConfinedAnnotation* a =
-        match_annotation(confined, entry.target, entry.function);
-    if (a != nullptr) entry.confinement = a->reason;
-    entries.push_back(std::move(entry));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const SharedStateEntry& a, const SharedStateEntry& b) {
-              return std::tie(a.file, a.line, a.target, a.function) <
-                     std::tie(b.file, b.line, b.target, b.function);
-            });
-  return entries;
-}
-
-void write_shared_state_report(const std::vector<SharedStateEntry>& entries,
-                               std::ostream& out) {
-  std::size_t confined = 0;
-  for (const SharedStateEntry& e : entries) {
-    if (!e.confinement.empty()) ++confined;
-  }
-  out << "# flotilla-analyze shared-state report: unguarded writes "
-         "reachable from sim::Engine::run\n";
-  out << "# total " << entries.size() << " entries: " << confined
-      << " confined-by-annotation, " << entries.size() - confined
-      << " unannotated\n";
-  out << "# kind\ttarget\tfirst-site\tsites\tfunction\tconfinement\n";
-  for (const SharedStateEntry& e : entries) {
-    out << (e.kind == WriteFact::Kind::kMember ? "member" : "global")
-        << '\t' << e.target << '\t' << e.file << ':' << e.line << '\t'
-        << e.sites << '\t' << e.function << '\t'
-        << (e.confinement.empty() ? "-" : e.confinement) << '\n';
-  }
-}
-
-std::vector<std::string> SharedStatePass::rules() const {
-  return {"shared-state"};
-}
-
-void SharedStatePass::run(const AnalysisInput& input,
-                          std::vector<Finding>* findings) const {
-  for (const SharedStateEntry& e : collect_shared_state(input)) {
-    std::string message =
-        std::string(e.kind == WriteFact::Kind::kMember ? "member '"
-                                                       : "global '") +
-        e.target + "' written without a guard in '" + e.function + "'";
-    if (e.sites > 1) {
-      message += " (" + std::to_string(e.sites) + " sites)";
-    }
-    message +=
-        ", reachable from sim::Engine::run; guard it or make it "
-        "shard-local before the engine-sharding refactor (ROADMAP 1)";
-    findings->push_back({e.file, e.line, "shared-state", message});
   }
 }
 

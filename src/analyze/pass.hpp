@@ -53,21 +53,12 @@ struct SourceFile {
   FileFacts facts;
 };
 
-struct ConfinedAnnotation;  // analyze/ipc.hpp
-
 struct AnalysisInput {
   std::vector<SourceFile> files;  // sorted by display path
   // Whole-program model (analyze/callgraph.hpp), built by the driver
   // after every file is loaded; null in single-file front-ends that never
   // run interprocedural passes.
   std::shared_ptr<const ProgramModel> program;
-  // Confinement claims loaded from --confined (analyze/ipc.hpp); null
-  // when none were given. The shared-state report marks matching
-  // inventory entries with them, and the confinement pass (conf-*)
-  // verifies every claim whose status column says "verified".
-  const std::vector<ConfinedAnnotation>* confined = nullptr;
-  // Display path of the claims file, for conf-stale-claim diagnostics.
-  std::string confined_path;
 };
 
 class Pass {

@@ -1,31 +1,20 @@
-// Rule metadata catalog: severity, one-line description, and the
+// Rule metadata catalog: one-line description and the
 // docs/correctness.md anchor every rule is documented under. Consumed by
-// the SARIF writer (per-rule fullDescription/helpUri/defaultConfiguration
-// and per-result level) and by the driver's severity gating: kError
-// findings fail the run and enter the baseline; kNote findings are an
-// inventory — they appear in SARIF (and reports) but never gate.
+// the SARIF writer (per-rule fullDescription/helpUri). Every rule is
+// severity "error": its findings fail the run and may enter the baseline.
 #pragma once
 
 #include <string>
 
 namespace flotilla::analyze {
 
-enum class Severity { kNote, kWarning, kError };
-
 struct RuleMeta {
   const char* id;
-  Severity severity;
   const char* summary;  // SARIF fullDescription.text
   const char* anchor;   // docs/correctness.md#<anchor>
 };
 
 // Catalog entry for `id`, nullptr for unknown rules.
 const RuleMeta* find_rule_meta(const std::string& id);
-
-// Severity for `id`; unknown rules default to kError (fail closed).
-Severity rule_severity(const std::string& id);
-
-// SARIF level string: "note" | "warning" | "error".
-const char* severity_name(Severity severity);
 
 }  // namespace flotilla::analyze

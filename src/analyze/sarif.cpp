@@ -57,8 +57,8 @@ void write_sarif(std::ostream& os, const std::string& tool_name,
        << json_escape(meta->summary) << "\"},\n";
     os << "              \"helpUri\": \"docs/correctness.md#"
        << json_escape(meta->anchor) << "\",\n";
-    os << "              \"defaultConfiguration\": {\"level\": \""
-       << severity_name(meta->severity) << "\"}\n";
+    os << "              \"defaultConfiguration\": {\"level\": "
+          "\"error\"}\n";
     os << "            }" << tail << "\n";
   }
   os << "          ]\n";
@@ -69,8 +69,7 @@ void write_sarif(std::ostream& os, const std::string& tool_name,
     const Finding& f = results[i].finding;
     os << "        {\n";
     os << "          \"ruleId\": \"" << json_escape(f.rule) << "\",\n";
-    os << "          \"level\": \"" << severity_name(rule_severity(f.rule))
-       << "\",\n";
+    os << "          \"level\": \"error\",\n";
     os << "          \"message\": {\"text\": \"" << json_escape(f.message)
        << "\"},\n";
     os << "          \"locations\": [\n";

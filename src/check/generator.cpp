@@ -164,19 +164,12 @@ ScenarioSpec generate_scenario(sim::RngStream& rng,
     spec.faults.push_back(fault);
   }
 
-  // Engine shape for the storm-determinism oracle in run_with_oracles():
-  // about three scenarios in four also drain the storm kernel on a
-  // partitioned and/or threaded engine. These draws must not change, or
-  // every seed would generate a different spec line and old minimized
-  // specs would stop matching their seeds.
-  if (rng.bernoulli(0.5)) {
-    static const int kShardCounts[] = {2, 3, 4};
-    spec.shards = kShardCounts[rng.uniform_int(0, 2)];
-  }
-  if (rng.bernoulli(0.5)) {
-    static const int kThreadCounts[] = {2, 4};
-    spec.threads = kThreadCounts[rng.uniform_int(0, 1)];
-  }
+  // Retired engine-shape draws (the old shards=/threads= keys). The
+  // engine has one shard and one thread, so the values are discarded, but
+  // the draws stay: dropping them would shift every later draw, and each
+  // seed would stop generating the scenario it always did.
+  if (rng.bernoulli(0.5)) (void)rng.uniform_int(0, 2);
+  if (rng.bernoulli(0.5)) (void)rng.uniform_int(0, 1);
 
   // Service-mode ingress (docs/ingress.md): about 30% of the scenarios
   // (all of them under force_ingress) route the task budget through

@@ -17,7 +17,6 @@
 #include "prrte/dvm_backend.hpp"
 #include "sched/queue.hpp"
 #include "sim/random.hpp"
-#include "sim/storm.hpp"
 #include "util/error.hpp"
 #include "util/strfmt.hpp"
 #include "workloads/heterogeneous.hpp"
@@ -138,17 +137,7 @@ ingress::IngressConfig ingress_config(const ScenarioSpec& spec) {
   ingress::IngressConfig cfg;
   cfg.clients = spec.clients;
   cfg.total_offers = spec.tasks;
-  if (spec.arrival == "poisson") {
-    cfg.arrival.kind = ingress::ArrivalKind::kPoisson;
-  } else if (spec.arrival == "diurnal") {
-    cfg.arrival.kind = ingress::ArrivalKind::kDiurnal;
-  } else if (spec.arrival == "bursty") {
-    cfg.arrival.kind = ingress::ArrivalKind::kBursty;
-  } else if (spec.arrival == "closed") {
-    cfg.arrival.kind = ingress::ArrivalKind::kClosed;
-  } else {
-    util::raise("spec: unknown arrival process: ", spec.arrival);
-  }
+  cfg.arrival.kind = ingress::ArrivalConfig::parse(spec.arrival).kind;
   if (spec.arrival_param > 0.0) {
     if (cfg.arrival.kind == ingress::ArrivalKind::kClosed) {
       cfg.arrival.think = spec.arrival_param;
@@ -665,28 +654,6 @@ RunResult run_with_oracles(const ScenarioSpec& spec, const RunOptions& opts) {
                   " vs ", second.events, ", journal bytes ",
                   first.journal.size(), " vs ", second.journal.size()),
         0.0});
-  }
-  // The spec's shards/threads only shape this oracle: the storm kernel
-  // (pure engine, no stack) drained on a partitioned, possibly threaded
-  // engine must fingerprint-match the serial single-shard reference.
-  if (spec.shards > 1 || spec.threads > 1) {
-    sim::StormConfig storm;
-    storm.seed = spec.seed;
-    sim::StormConfig reference = storm;  // shards=1, threads=1
-    storm.shards = std::max(spec.shards, spec.threads);
-    storm.threads = spec.threads;
-    const auto parallel = sim::run_storm(storm);
-    const auto serial = sim::run_storm(reference);
-    if (parallel.fingerprint != serial.fingerprint ||
-        parallel.events != serial.events) {
-      first.violations.push_back(Violation{
-          "storm-determinism",
-          util::cat("storm(shards=", storm.shards, ",threads=", storm.threads,
-                    ") diverged from serial: fingerprint ",
-                    parallel.fingerprint, " vs ", serial.fingerprint,
-                    ", events ", parallel.events, " vs ", serial.events),
-          0.0});
-    }
   }
   // Crash/recover oracle (docs/recovery.md): crash the controller at the
   // spec's record index, recover from the surviving journal prefix, and

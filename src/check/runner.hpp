@@ -75,11 +75,9 @@ std::vector<Violation> check_recovery(const ScenarioSpec& spec,
                                       const RunOptions& opts = {});
 
 // Runs the spec twice and appends a "determinism" violation to the first
-// run's result when the fingerprints diverge. Specs with shards > 1 or
-// threads > 1 additionally run the storm kernel on that engine shape
-// against its serial reference ("storm-determinism"); specs with
-// crash_at > 0 run the crash/recover oracle (check_recovery) against the
-// first run's journal.
+// run's result when the fingerprints diverge. Specs with crash_at > 0
+// also run the crash/recover oracle (check_recovery) against the first
+// run's journal.
 RunResult run_with_oracles(const ScenarioSpec& spec,
                            const RunOptions& opts = {});
 

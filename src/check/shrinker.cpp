@@ -193,16 +193,6 @@ std::vector<ScenarioSpec> candidates(const ScenarioSpec& spec) {
       push(next);
     }
   }
-  if (spec.shards != 1) {
-    ScenarioSpec next = spec;
-    next.shards = 1;
-    push(next);
-  }
-  if (spec.threads != 1) {
-    ScenarioSpec next = spec;
-    next.threads = 1;
-    push(next);
-  }
 
   return out;
 }

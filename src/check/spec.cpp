@@ -1,45 +1,44 @@
 #include "check/spec.hpp"
 
-#include <cstdio>
+#include <cmath>
 #include <limits>
 #include <sstream>
 
+#include "ingress/arrival.hpp"
 #include "util/error.hpp"
+#include "util/strfmt.hpp"
 
 namespace flotilla::check {
 
 namespace {
 
-// %.17g round-trips every binary64 value through text exactly, which is
-// what makes a replayed spec bit-identical to the generated one.
-std::string double_str(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-double parse_double(const std::string& s, const std::string& what) {
+// Spec lines come from outside (--replay, --crash-all), so every number
+// is range-checked: a value outside [lo, hi] is a labeled error. Doubles
+// must also be finite; nan slips through every comparison.
+double parse_double(const std::string& s, const std::string& what,
+                    double lo = 0.0,
+                    double hi = std::numeric_limits<double>::max()) {
+  double v = 0.0;
   try {
     std::size_t used = 0;
-    const double v = std::stod(s, &used);
+    v = std::stod(s, &used);
     if (used != s.size()) util::raise("spec: trailing junk in ", what, ": ", s);
-    return v;
   } catch (const std::invalid_argument&) {
     util::raise("spec: bad number for ", what, ": ", s);
   } catch (const std::out_of_range&) {
-    util::raise("spec: number out of range for ", what, ": ", s);
+    util::raise("spec: ", what, " out of range: ", s);
   }
+  if (!std::isfinite(v)) util::raise("spec: non-finite ", what, ": ", s);
+  if (v < lo || v > hi) util::raise("spec: ", what, " out of range: ", s);
+  return v;
 }
 
 constexpr long long kIntMin = std::numeric_limits<int>::min();
 constexpr long long kIntMax = std::numeric_limits<int>::max();
 constexpr long long kInt64Max = std::numeric_limits<long long>::max();
-// Storm-oracle engine shape: each thread is a real std::thread.
-constexpr long long kMaxShards = 64;
 
-// Spec lines come from outside (--replay, --crash-all), so every integer
-// is range-checked before it narrows: a value outside [lo, hi] is an
-// error, never a wrapped or negative count.
+// Integers are range-checked before they narrow, never wrapped or made
+// negative.
 long long parse_int(const std::string& s, const std::string& what,
                     long long lo = kIntMin, long long hi = kIntMax) {
   long long v = 0;
@@ -119,10 +118,11 @@ core::BackendSpec parse_backend(const std::string& token) {
 // `crash@T:backend:index` or `cancel@T:count`.
 std::string fault_str(const FaultSpec& f) {
   if (f.kind == FaultSpec::Kind::kCrash) {
-    return "crash@" + double_str(f.time) + ":" + f.backend + ":" +
+    return "crash@" + util::exact_double(f.time) + ":" + f.backend + ":" +
            std::to_string(f.index);
   }
-  return "cancel@" + double_str(f.time) + ":" + std::to_string(f.count);
+  return "cancel@" + util::exact_double(f.time) + ":" +
+         std::to_string(f.count);
 }
 
 FaultSpec parse_fault(const std::string& token) {
@@ -154,9 +154,6 @@ std::string ScenarioSpec::to_string() const {
   std::string out;
   out += "seed=" + std::to_string(seed);
   out += ";nodes=" + std::to_string(nodes);
-  // Emitted only when non-default so pre-sharding spec lines stay stable.
-  if (shards != 1) out += ";shards=" + std::to_string(shards);
-  if (threads != 1) out += ";threads=" + std::to_string(threads);
   out += ";backends=";
   for (std::size_t i = 0; i < backends.size(); ++i) {
     if (i) out += ',';
@@ -164,10 +161,10 @@ std::string ScenarioSpec::to_string() const {
   }
   out += ";workload=" + workload;
   out += ";tasks=" + std::to_string(tasks);
-  out += ";duration=" + double_str(duration);
+  out += ";duration=" + util::exact_double(duration);
   out += ";cores=" + std::to_string(cores);
   out += ";gpus=" + std::to_string(gpus);
-  out += ";fail=" + double_str(fail_probability);
+  out += ";fail=" + util::exact_double(fail_probability);
   out += ";retries=" + std::to_string(max_retries);
   out += ";router=" + router;
   out += ";placement=" + placement;
@@ -175,7 +172,7 @@ std::string ScenarioSpec::to_string() const {
   // Emitted only when armed so pre-ingress spec lines stay stable.
   if (clients != 0) {
     out += ";clients=" + std::to_string(clients);
-    out += ";arrival=" + arrival + ":" + double_str(arrival_param);
+    out += ";arrival=" + arrival + ":" + util::exact_double(arrival_param);
     out += ";admit=" + admit + ":" + std::to_string(admit_capacity);
   }
   if (!faults.empty()) {
@@ -207,11 +204,10 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       spec.seed = parse_u64(value, "seed");
     } else if (key == "nodes") {
       spec.nodes = static_cast<int>(parse_int(value, "nodes", 1));
-    } else if (key == "shards") {
-      spec.shards = static_cast<int>(parse_int(value, "shards", 1, kMaxShards));
-    } else if (key == "threads") {
-      spec.threads =
-          static_cast<int>(parse_int(value, "threads", 1, kMaxShards));
+    } else if (key == "shards" || key == "threads") {
+      // The engine-shape keys went with the sharded engine; a line that
+      // still carries one was written for a run this build cannot do.
+      util::raise("spec: retired key ", key);
     } else if (key == "backends") {
       for (const auto& token : split(value, ',')) {
         spec.backends.push_back(parse_backend(token));
@@ -227,7 +223,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "gpus") {
       spec.gpus = parse_int(value, "gpus", 0, kInt64Max);
     } else if (key == "fail") {
-      spec.fail_probability = parse_double(value, "fail");
+      spec.fail_probability = parse_double(value, "fail", 0.0, 1.0);
     } else if (key == "retries") {
       spec.max_retries = static_cast<int>(parse_int(value, "retries", 0));
     } else if (key == "router") {
@@ -244,6 +240,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         util::raise("spec: arrival must be kind:param, got: ", value);
       }
       spec.arrival = value.substr(0, colon);
+      // The ingress layer owns the set of kinds; it refuses unknown ones.
+      ingress::ArrivalConfig::parse(spec.arrival);
       spec.arrival_param =
           parse_double(value.substr(colon + 1), "arrival param");
     } else if (key == "admit") {

@@ -35,14 +35,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 42;
   int nodes = 4;
 
-  // Engine shape for the storm-determinism oracle (docs/sharding.md).
-  // The stack itself always runs on the single-shard engine; when
-  // shards > 1 or threads > 1, run_with_oracles() also drains the storm
-  // kernel on max(shards, threads) shards with `threads` workers and
-  // demands it match the serial reference. Both lie in [1, 64].
-  int shards = 1;
-  int threads = 1;
-
   std::vector<core::BackendSpec> backends{{"srun"}};
 
   // Workload shape: "null" | "sleep" | "hetero" | "impeccable".

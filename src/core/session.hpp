@@ -25,10 +25,8 @@ class Session {
   // `num_nodes` sizes the modeled machine (the job allocation lives inside
   // it); `seed` drives every random stream deterministically.
   //
-  // The engine is always a single-shard calendar: the whole stack runs
-  // serially on it, in (time, insertion sequence) order. The engine's
-  // partitioned mode serves only the storm kernel, because threading made
-  // the stack slower, not faster (docs/sharding.md).
+  // The whole stack runs serially on one engine, in (time, insertion
+  // sequence) order.
   Session(platform::PlatformSpec spec, int num_nodes, std::uint64_t seed = 42,
           platform::Calibration calibration = platform::frontier_calibration());
 

@@ -1,23 +1,15 @@
 #include "ingress/arrival.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "util/error.hpp"
+#include "util/strfmt.hpp"
 
 namespace flotilla::ingress {
 
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
-
-// %.17g round-trips every binary64 value through text exactly (the same
-// discipline as the fuzz spec codec).
-std::string double_str(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -37,7 +29,7 @@ std::string to_string(ArrivalKind kind) {
 
 std::string ArrivalConfig::to_string() const {
   const double param = open_loop() ? rate : think;
-  return ingress::to_string(kind) + ":" + double_str(param);
+  return ingress::to_string(kind) + ":" + util::exact_double(param);
 }
 
 ArrivalConfig ArrivalConfig::parse(const std::string& token) {
@@ -60,7 +52,7 @@ ArrivalConfig ArrivalConfig::parse(const std::string& token) {
     try {
       std::size_t used = 0;
       const double param = std::stod(value, &used);
-      if (used != value.size() || param <= 0.0) {
+      if (used != value.size() || !std::isfinite(param) || param <= 0.0) {
         util::raise("arrival: bad parameter: ", value);
       }
       (config.open_loop() ? config.rate : config.think) = param;

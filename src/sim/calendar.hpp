@@ -1,4 +1,4 @@
-// EventCalendar: one shard's slice of the simulation's event set.
+// EventCalendar: the simulation's event set.
 //
 // A calendar is a (time, seq) min-heap over a slot slab. Each heap entry
 // names the slab slot that holds its callback; a slot is recycled through
@@ -14,16 +14,9 @@
 // slot later.
 //
 // The sequence numbers that break ties at equal times are assigned by the
-// owner (sim::Engine): globally in single-shard mode (bit-identical to the
-// historical engine) and per shard in sharded mode, so every calendar's
-// pop order is deterministic without any cross-shard coordination. The
-// owner may issue a seq and push its event later (key reservation, see
-// Engine::reserve_seq); only uniqueness is required of the seqs.
-//
-// Threading contract: a calendar has exactly one owner at any instant —
-// the engine's coordinator between drain rounds, or the one worker
-// draining this shard during a round. It is never locked; the sharded
-// engine's round barrier is what publishes calendar state between owners.
+// owner (sim::Engine). The owner may issue a seq and push its event later
+// (key reservation, see Engine::reserve_seq); only uniqueness is required
+// of the seqs.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +39,7 @@ class EventCalendar {
   struct Handle {
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+    friend bool operator==(Handle, Handle) = default;
   };
 
   struct Popped {

@@ -8,8 +8,11 @@
 //
 // `fmt` replaces each "{}" in order; surplus arguments are appended, surplus
 // placeholders are left verbatim. Not a std::format clone by design.
+//
+//   exact_double(0.1)                       -> "0.10000000000000001"
 #pragma once
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -65,6 +68,15 @@ std::string fmt(std::string_view spec, Args&&... args) {
   detail::fmt_step(os, spec, std::forward<Args>(args)...);
   if (!spec.empty()) os << spec;
   return os.str();
+}
+
+// "%.17g": enough digits that parsing the text back yields the same
+// binary64 value, so a written spec, arrival token or trace replays
+// exactly the numbers it was made from.
+inline std::string exact_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace flotilla::util

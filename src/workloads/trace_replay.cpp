@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/strfmt.hpp"
 
 namespace flotilla::workloads {
 
@@ -88,9 +89,10 @@ std::vector<TraceEntry> parse_trace(std::istream& in) {
 void write_trace(std::ostream& out, const std::vector<TraceEntry>& entries) {
   out << "submit_time,cores,gpus,cores_per_node,duration,modality,stage\n";
   for (const auto& entry : entries) {
-    out << entry.submit_time << ',' << entry.task.demand.cores << ','
-        << entry.task.demand.gpus << ',' << entry.task.demand.cores_per_node
-        << ',' << entry.task.duration << ','
+    out << util::exact_double(entry.submit_time) << ','
+        << entry.task.demand.cores << ',' << entry.task.demand.gpus << ','
+        << entry.task.demand.cores_per_node << ','
+        << util::exact_double(entry.task.duration) << ','
         << (entry.task.modality == platform::TaskModality::kFunction
                 ? "func"
                 : "exec")

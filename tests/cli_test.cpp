@@ -166,7 +166,8 @@ RunResult run_tool(const std::string& args) {
 
 // Each of these once ran a campaign with a silently changed value (a task
 // or partition count wrapped through int, negative cores, an infinite or
-// undefined duration); now each is refused before anything runs.
+// undefined duration) or died on an engine-internal check (a non-finite
+// arrival parameter); now each is refused before anything runs.
 TEST(FlotillaRunOptions, RefusesValuesItWouldWrapOrMisread) {
   const struct {
     const char* args;
@@ -185,6 +186,10 @@ TEST(FlotillaRunOptions, RefusesValuesItWouldWrapOrMisread) {
       {"--duration -1", "option --duration must not be negative"},
       {"--tasks=", "option --tasks needs an integer value"},
       {"--duration 1e999", "option --duration is out of range"},
+      {"--clients 10 --tasks 20 --arrival closed:inf",
+       "arrival: bad parameter: inf"},
+      {"--clients 10 --tasks 20 --arrival poisson:nan",
+       "arrival: bad parameter: nan"},
   };
   for (const auto& c : cases) {
     const auto result = run_tool(c.args);

@@ -437,25 +437,25 @@ TEST(Profiler, TraceRecordsTaskEventsWhenEnabled) {
 // ---------------------------------------------------------------- Session
 
 TEST(Session, HybridStackRunsOnOneSerialEngine) {
-  // The whole stack shares one single-shard engine: every completion, from
-  // any flux partition or the dragon runtime, is delivered on the control
-  // shard in nondecreasing virtual time.
+  // The whole stack shares one serial engine: every completion, from any
+  // flux partition or the dragon runtime, is delivered from inside an
+  // event in nondecreasing virtual time, and the delivering events fire
+  // in calendar key order.
   PilotFixture fx({.nodes = 4,
                    .backends = {{.type = "flux", .partitions = 2},
                                 {.type = "dragon"}}});
-  EXPECT_EQ(fx.session.engine().shards(), 1);
-  EXPECT_EQ(fx.session.engine().threads(), 1);
   int done = 0;
-  int off_control = 0;
   sim::Time last = 0.0;
+  sim::Engine::EventKey last_key;
   bool ordered = true;
+  bool keys_ordered = true;
   fx.tmgr->on_complete([&](const Task&) {
     ++done;
-    if (fx.session.engine().current_shard() != sim::kControlShard) {
-      ++off_control;
-    }
     if (fx.session.now() < last) ordered = false;
     last = fx.session.now();
+    const sim::Engine::EventKey key = fx.session.engine().current_key();
+    if (key < last_key || key.time != fx.session.now()) keys_ordered = false;
+    last_key = key;
   });
   for (int i = 0; i < 40; ++i) {
     auto desc = null_task();
@@ -464,8 +464,8 @@ TEST(Session, HybridStackRunsOnOneSerialEngine) {
   }
   fx.session.run();
   EXPECT_EQ(done, 40);
-  EXPECT_EQ(off_control, 0);
   EXPECT_TRUE(ordered);
+  EXPECT_TRUE(keys_ordered);
 }
 
 }  // namespace

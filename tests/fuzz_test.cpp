@@ -88,30 +88,40 @@ TEST(ScenarioSpec, ParseRejectsGarbage) {
   EXPECT_THROW(ScenarioSpec::parse("faults=explode@1:flux:0"), util::Error);
   EXPECT_THROW(ScenarioSpec::parse("arrival=poisson"), util::Error);
   EXPECT_THROW(ScenarioSpec::parse("admit=reject"), util::Error);
-  // Out-of-range integers are labeled errors, never narrowed or wrapped.
-  const auto rejects = [](const std::string& line, const std::string& key) {
+  // Out-of-range integers are labeled errors, never narrowed or wrapped;
+  // malformed doubles and unknown arrival kinds are labeled errors too,
+  // so --replay refuses them (exit 2) instead of running them into an
+  // engine check.
+  const auto rejects = [](const std::string& line, const std::string& what) {
     try {
       ScenarioSpec::parse(line);
       ADD_FAILURE() << line << " was accepted";
     } catch (const util::Error& e) {
-      EXPECT_NE(std::string(e.what()).find("spec: " + key + " out of range"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
           << line << ": " << e.what();
     }
   };
-  rejects("nodes=4294967300", "nodes");
-  rejects("nodes=0", "nodes");
-  rejects("tasks=4294967306", "tasks");
-  rejects("tasks=-1", "tasks");
-  rejects("faults=crash@2:flux:-1", "crash index");
-  rejects("threads=-2", "threads");
-  rejects("threads=65", "threads");
-  rejects("shards=0", "shards");
-  rejects("retries=-1", "retries");
-  rejects("cores=-1", "cores");
-  rejects("gpus=-1", "gpus");
-  rejects("clients=0", "clients");
-  rejects("tasks=99999999999999999999", "tasks");
+  rejects("nodes=4294967300", "spec: nodes out of range");
+  rejects("nodes=0", "spec: nodes out of range");
+  rejects("tasks=4294967306", "spec: tasks out of range");
+  rejects("tasks=-1", "spec: tasks out of range");
+  rejects("faults=crash@2:flux:-1", "spec: crash index out of range");
+  rejects("retries=-1", "spec: retries out of range");
+  rejects("cores=-1", "spec: cores out of range");
+  rejects("gpus=-1", "spec: gpus out of range");
+  rejects("clients=0", "spec: clients out of range");
+  rejects("tasks=99999999999999999999", "spec: tasks out of range");
+  rejects("duration=nan", "spec: non-finite duration");
+  rejects("duration=-1", "spec: duration out of range");
+  rejects("duration=1e999", "spec: duration out of range");
+  rejects("fail=2", "spec: fail out of range");
+  rejects("fail=-0.5", "spec: fail out of range");
+  rejects("faults=crash@-1:flux:0", "spec: fault time out of range");
+  rejects("faults=cancel@inf:3", "spec: non-finite fault time");
+  rejects("clients=4;arrival=foo:1", "arrival: unknown kind: foo");
+  rejects("clients=4;arrival=closed:inf", "spec: non-finite arrival param");
+  rejects("clients=4;arrival=poisson:nan", "spec: non-finite arrival param");
+  rejects("clients=4;arrival=poisson:-5", "spec: arrival param out of range");
   // The bounds admit every value the generator draws, ingress included.
   sim::RngStream rng(3, "fuzz.generate");
   for (int i = 0; i < 200; ++i) {
@@ -124,41 +134,43 @@ TEST(ScenarioSpec, ParseRejectsGarbage) {
 TEST(ScenarioSpec, ParseAcceptsRangeBoundaries) {
   // Each bound is inclusive: the edge values parse and keep their value.
   const auto spec = ScenarioSpec::parse(
-      "nodes=1;shards=64;threads=64;tasks=0;cores=0;gpus=0;retries=0;"
-      "clients=1;faults=crash@2:flux:0");
+      "nodes=1;tasks=0;cores=0;gpus=0;retries=0;duration=0;fail=1;"
+      "clients=1;arrival=closed:0;faults=crash@0:flux:0");
   EXPECT_EQ(spec.nodes, 1);
-  EXPECT_EQ(spec.shards, 64);
-  EXPECT_EQ(spec.threads, 64);
   EXPECT_EQ(spec.tasks, 0);
   EXPECT_EQ(spec.cores, 0);
   EXPECT_EQ(spec.gpus, 0);
   EXPECT_EQ(spec.max_retries, 0);
+  EXPECT_EQ(spec.duration, 0.0);
+  EXPECT_EQ(spec.fail_probability, 1.0);
   EXPECT_EQ(spec.clients, 1);
+  EXPECT_EQ(spec.arrival_param, 0.0);
   ASSERT_EQ(spec.faults.size(), 1u);
+  EXPECT_EQ(spec.faults[0].time, 0.0);
   EXPECT_EQ(spec.faults[0].index, 0);
   // int-sized fields take INT_MAX but not one past it.
   EXPECT_EQ(ScenarioSpec::parse("tasks=2147483647").tasks, 2147483647);
   EXPECT_THROW(ScenarioSpec::parse("tasks=2147483648"), util::Error);
 }
 
-TEST(ScenarioSpec, EngineShapeKeysStillRoundTrip) {
-  // shards=/threads= now only shape the storm oracle, but spec lines that
-  // carry them (minimized reproducers from earlier runs) must still parse
-  // and re-serialize unchanged, and the defaults must stay unemitted.
+TEST(ScenarioSpec, RetiredEngineShapeKeysAreRejected) {
+  // shards=/threads= shaped the sharded engine's storm oracle, which is
+  // gone. A spec line that still carries one is refused with a labeled
+  // error rather than run as if the key meant something.
+  for (const char* line : {"seed=12;shards=4", "seed=12;threads=2",
+                           "seed=12;shards=1"}) {
+    try {
+      ScenarioSpec::parse(line);
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("spec: retired key "),
+                std::string::npos)
+          << line << ": " << e.what();
+    }
+  }
   const std::string line = ScenarioSpec{}.to_string();
   EXPECT_EQ(line.find("shards="), std::string::npos);
   EXPECT_EQ(line.find("threads="), std::string::npos);
-  ScenarioSpec spec;
-  spec.seed = 12;
-  spec.shards = 4;
-  spec.threads = 2;
-  const auto shaped = spec.to_string();
-  EXPECT_NE(shaped.find(";shards=4"), std::string::npos) << shaped;
-  EXPECT_NE(shaped.find(";threads=2"), std::string::npos) << shaped;
-  const auto parsed = ScenarioSpec::parse(shaped);
-  EXPECT_EQ(parsed.shards, 4);
-  EXPECT_EQ(parsed.threads, 2);
-  EXPECT_EQ(parsed.to_string(), shaped);
 }
 
 TEST(ScenarioSpec, RoundTripsIngressDimensions) {
@@ -199,29 +211,30 @@ TEST(Generator, IsDeterministicPerSeed) {
 }
 
 TEST(Generator, EngineShapeDrawsArePinned) {
-  // The shards/threads draws survive the full stack leaving the sharded
-  // engine, so every seed still generates the spec line it always did.
-  // The expected lines were printed by `flotilla-fuzz --verbose` at the
-  // commit before the sharded session path was deleted.
+  // The generator still makes the retired shards/threads draws and
+  // discards them, so every seed generates the scenario it always did.
+  // Each expected line is the one `flotilla-fuzz --verbose` printed
+  // before the keys were retired, with its ;shards=N and ;threads=N
+  // segments removed.
   const auto line = [](std::uint64_t seed) {
     sim::RngStream rng(seed, "fuzz.generate");
     return generate_scenario(rng).to_string();
   };
   EXPECT_EQ(line(2),
-            "seed=2019839242625703672;nodes=8;shards=4;"
+            "seed=2019839242625703672;nodes=8;"
             "backends=dragon:p2:n8:d64;workload=hetero;tasks=11;"
             "duration=6.3897745290933159;cores=1;gpus=2;fail=0;retries=1;"
             "router=static;placement=gpu-pack;dragon_queue=priority;"
             "faults=crash@3.8341738188007257:dragon:1");
   EXPECT_EQ(line(4),
-            "seed=2683775303281798652;nodes=1;shards=2;threads=2;"
+            "seed=2683775303281798652;nodes=1;"
             "backends=flux:p1:n1:d2;workload=hetero;tasks=97;"
             "duration=5.1557023383868952;cores=1;gpus=0;fail=0;retries=2;"
             "router=static;placement=gpu-pack;dragon_queue=fifo;"
             "clients=1000;arrival=diurnal:1284.3221821777975;"
             "admit=reject:119;faults=crash@9.2110807039017093:flux:0");
   EXPECT_EQ(line(8),
-            "seed=3434885136435011889;nodes=3;threads=2;"
+            "seed=3434885136435011889;nodes=3;"
             "backends=flux:p2:n3:d64;workload=null;tasks=43;duration=0;"
             "cores=1;gpus=0;fail=0.19345973985501055;retries=0;"
             "router=static;placement=gpu-pack;dragon_queue=fifo;clients=1;"
@@ -367,54 +380,6 @@ TEST(Runner, ReplayOfSerializedSpecIsBitIdentical) {
   EXPECT_EQ(direct.fingerprint, replayed.fingerprint);
   EXPECT_EQ(direct.events, replayed.events);
   EXPECT_EQ(direct.done, replayed.done);
-}
-
-TEST(Runner, EngineShapeKeysLeaveTheRunUnchanged) {
-  // The stack always runs on one single-shard engine, so a spec's
-  // shards/threads cannot move a timestamp, an outcome, or even the event
-  // count of the scenario run itself.
-  ScenarioSpec spec;
-  spec.seed = 31;
-  spec.nodes = 8;
-  spec.backends = {{.type = "flux", .partitions = 2, .nodes = 4},
-                   {.type = "dragon", .partitions = 2, .nodes = 4}};
-  spec.workload = "hetero";
-  spec.tasks = 60;
-  spec.duration = 1.0;
-  const auto reference = run_scenario(spec);
-  ASSERT_TRUE(reference.ok()) << reference.violations.front().to_string();
-  ASSERT_GT(reference.done, 0u);
-  for (const auto& [shards, threads] :
-       {std::pair{2, 1}, std::pair{1, 4}, std::pair{4, 4}}) {
-    ScenarioSpec shaped = spec;
-    shaped.shards = shards;
-    shaped.threads = threads;
-    const auto result = run_scenario(shaped);
-    EXPECT_TRUE(result.ok());
-    EXPECT_EQ(result.fingerprint, reference.fingerprint)
-        << "shards=" << shards << " threads=" << threads;
-    EXPECT_EQ(result.events, reference.events);
-    EXPECT_EQ(result.done, reference.done);
-    EXPECT_EQ(result.makespan, reference.makespan);
-  }
-}
-
-TEST(Runner, StormOracleHoldsForShardedAndThreadedSpecs) {
-  // shards > 1 or threads > 1 arms the storm-determinism oracle; the
-  // partitioned (and threaded) storm drain must match the serial one.
-  for (const auto& [shards, threads] :
-       {std::pair{3, 1}, std::pair{1, 2}, std::pair{4, 4}}) {
-    ScenarioSpec spec;
-    spec.seed = 40 + static_cast<std::uint64_t>(shards * 8 + threads);
-    spec.tasks = 16;
-    spec.shards = shards;
-    spec.threads = threads;
-    const auto result = run_with_oracles(spec);
-    EXPECT_TRUE(result.ok())
-        << "shards=" << shards << " threads=" << threads << ": "
-        << result.violations.front().to_string();
-    EXPECT_FALSE(has_violation(result, "storm-determinism"));
-  }
 }
 
 TEST(Runner, CrashIndexWrapsOverPartitions) {

@@ -81,6 +81,19 @@ TEST(ArrivalConfig, TokenRoundTrip) {
   EXPECT_DOUBLE_EQ(closed.think, 0.125);
   EXPECT_THROW(ArrivalConfig::parse("weibull:3"), util::Error);
   EXPECT_THROW(ArrivalConfig::parse("poisson:-5"), util::Error);
+  // Non-finite parameters are refused at parse time with the same label,
+  // not left for the engine or the gap process to trip over.
+  for (const char* token : {"closed:inf", "poisson:nan", "diurnal:inf",
+                            "bursty:-inf", "closed:nan"}) {
+    try {
+      ArrivalConfig::parse(token);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("arrival: bad parameter"),
+                std::string::npos)
+          << token << ": " << e.what();
+    }
+  }
 }
 
 TEST(AdmitConfig, TokenRoundTrip) {

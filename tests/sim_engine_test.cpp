@@ -6,6 +6,7 @@
 #include <limits>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -114,7 +115,6 @@ TEST(Engine, RefusesNonFiniteTimes) {
   EXPECT_THROW(engine.at(-inf, [] {}), util::Error);
   EXPECT_THROW(engine.at(std::nan(""), [] {}), util::Error);
   EXPECT_THROW(engine.in(inf, [] {}), util::Error);
-  EXPECT_THROW(engine.at(kControlShard, inf, [] {}), util::Error);
   EXPECT_TRUE(engine.empty());
   EXPECT_EQ(engine.pending(), 0u);
   EXPECT_EQ(engine.next_event_time(), kInfiniteTime);
@@ -186,6 +186,101 @@ TEST(Engine, ProcessedCounterAccumulates) {
   for (int i = 0; i < 7; ++i) engine.at(i, [] {});
   engine.run();
   EXPECT_EQ(engine.processed(), 7u);
+}
+
+TEST(Engine, CallbackSeesItsOwnTimeKeyAndCount) {
+  // Inside a callback, now(), current_key() and processed() describe the
+  // running event; outside, they keep describing the last processed one.
+  Engine engine;
+  struct Seen {
+    Time now;
+    Engine::EventKey key;
+    std::uint64_t processed;
+  };
+  std::vector<Seen> seen;
+  const auto record = [&] {
+    seen.push_back({engine.now(), engine.current_key(), engine.processed()});
+  };
+  engine.at(2.0, record);
+  engine.at(1.0, record);
+  engine.at(2.0, record);
+  engine.run();
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].now, 1.0);
+  EXPECT_EQ(seen[0].key.seq, 2u);
+  EXPECT_EQ(seen[0].processed, 1u);
+  EXPECT_EQ(seen[1].now, 2.0);
+  EXPECT_EQ(seen[1].key.seq, 1u);
+  EXPECT_EQ(seen[1].processed, 2u);
+  EXPECT_EQ(seen[2].key.time, 2.0);
+  EXPECT_EQ(seen[2].key.seq, 3u);
+  EXPECT_EQ(seen[2].processed, 3u);
+  EXPECT_EQ(engine.now(), 2.0);
+  EXPECT_EQ(engine.current_key().seq, 3u);
+}
+
+TEST(Engine, TraceProbeFollowsTheHookWithTimeAndCount) {
+  Engine engine;
+  std::vector<std::string> calls;
+  engine.set_post_event_hook([&] {
+    calls.push_back("hook@" + std::to_string(engine.now()));
+  });
+  engine.set_trace_probe([&](Time now, std::uint64_t processed) {
+    calls.push_back("probe@" + std::to_string(now) + "#" +
+                    std::to_string(processed));
+  });
+  engine.at(1.5, [] {});
+  engine.at(4.0, [] {});
+  engine.run();
+  EXPECT_EQ(calls, (std::vector<std::string>{
+                       "hook@" + std::to_string(1.5),
+                       "probe@" + std::to_string(1.5) + "#1",
+                       "hook@" + std::to_string(4.0),
+                       "probe@" + std::to_string(4.0) + "#2"}));
+}
+
+TEST(Engine, HookSchedulesAtTheEventTime) {
+  // The post-event hook still runs at the event's time, so work it
+  // schedules in the past clamps to that time, not to anything earlier.
+  Engine engine;
+  std::vector<Time> fired;
+  bool armed = true;
+  engine.set_post_event_hook([&] {
+    if (!armed) return;
+    armed = false;
+    engine.at(0.0, [&] { fired.push_back(engine.now()); });
+  });
+  engine.at(3.0, [] {});
+  engine.run();
+  EXPECT_EQ(fired, (std::vector<Time>{3.0}));
+}
+
+TEST(Engine, RunClearsAnEarlierStopButStepIgnoresIt) {
+  Engine engine;
+  int count = 0;
+  for (int i = 1; i <= 3; ++i) engine.at(i, [&] { ++count; });
+  engine.stop();
+  EXPECT_TRUE(engine.step());  // stepping never looks at the flag
+  EXPECT_EQ(count, 1);
+  engine.run();  // a stop requested before run() does not cut it short
+  EXPECT_EQ(count, 3);
+  EXPECT_FALSE(engine.step());
+}
+
+TEST(Engine, PendingAndEmptyTrackScheduleCancelAndFire) {
+  Engine engine;
+  EXPECT_TRUE(engine.empty());
+  const auto a = engine.at(1.0, [] {});
+  engine.at(2.0, [] {});
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_TRUE(engine.cancel(a));
+  EXPECT_FALSE(engine.cancel(a));
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_FALSE(engine.empty());
+  engine.run();
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(engine.processed(), 1u);
 }
 
 TEST(Engine, RejectsEmptyCallback) {

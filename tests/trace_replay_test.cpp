@@ -32,17 +32,24 @@ TEST(TraceReplay, ParsesCsvWithHeader) {
 }
 
 TEST(TraceReplay, RoundTripsThroughWriter) {
-  std::istringstream in(kTrace);
+  // Non-integer times must come back exactly: the writer prints enough
+  // digits, not the stream's default six significant ones.
+  std::istringstream in(std::string(kTrace) +
+                        "1234.5678901,1,0,0,0.123456789,exec,tail\n"
+                        "0.1,2,0,0,86400.000000001,func,tail\n");
   const auto entries = parse_trace(in);
+  ASSERT_EQ(entries.size(), 5u);
+  EXPECT_EQ(entries[3].submit_time, 1234.5678901);
+  EXPECT_EQ(entries[3].task.duration, 0.123456789);
   std::ostringstream out;
   write_trace(out, entries);
   std::istringstream in2(out.str());
   const auto again = parse_trace(in2);
   ASSERT_EQ(again.size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_DOUBLE_EQ(again[i].submit_time, entries[i].submit_time);
+    EXPECT_EQ(again[i].submit_time, entries[i].submit_time);
     EXPECT_EQ(again[i].task.demand, entries[i].task.demand);
-    EXPECT_DOUBLE_EQ(again[i].task.duration, entries[i].task.duration);
+    EXPECT_EQ(again[i].task.duration, entries[i].task.duration);
     EXPECT_EQ(again[i].task.modality, entries[i].task.modality);
     EXPECT_EQ(again[i].task.stage, entries[i].task.stage);
   }

@@ -20,15 +20,6 @@
 //   ipc-determinism  wall-clock/unseeded-random taint flowing through
 //                  function returns into trace spans, counters, or the
 //                  trace fingerprint (ipc-determinism)
-//   shared-state   concurrency-readiness audit: unguarded writes
-//                  reachable from sim::Engine::run, reported at severity
-//                  "note" and inventoried by --shared-state-report
-//                  (shared-state)
-//   confinement    proof obligations from the --confined claims file:
-//                  claims with status "verified" are checked against the
-//                  storm-root reachability model and stale claims are
-//                  hard errors (conf-unproven, conf-stale-claim);
-//                  per-claim verdicts dumped by --confinement-report
 //
 // Findings can be waived in place (// FLOTILLA_LINT_ALLOW(rule): reason)
 // or grandfathered in a committed baseline (analyze/baseline.txt); CI
@@ -46,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/confine.hpp"
 #include "analyze/determinism.hpp"
 #include "analyze/driver.hpp"
 #include "analyze/ipc.hpp"
@@ -74,12 +64,6 @@ void usage(std::ostream& os) {
         "trees)\n"
         "  --jobs <n>           file-loading threads (default: one per "
         "hardware thread); output is identical for any value\n"
-        "  --shared-state-report <file>  also write the unguarded-write "
-        "inventory reachable from sim::Engine::run\n"
-        "  --confined <file>    confinement claims (analyze/confined.txt): "
-        "marks the shared-state report and arms the confinement pass\n"
-        "  --confinement-report <file>  also write the per-claim "
-        "confinement-proof verdicts\n"
         "  --list-rules         print every rule id and exit\n";
 }
 
@@ -123,12 +107,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.jobs = static_cast<unsigned>(parsed);
-    } else if (arg == "--shared-state-report") {
-      options.shared_state_report_path = value("--shared-state-report");
-    } else if (arg == "--confined") {
-      options.confined_path = value("--confined");
-    } else if (arg == "--confinement-report") {
-      options.confinement_report_path = value("--confinement-report");
     } else if (arg == "--list-rules") {
       list_rules = true;
     } else if (arg == "-h" || arg == "--help") {
@@ -159,8 +137,6 @@ int main(int argc, char** argv) {
   registry.add(std::make_unique<fa::DeterminismPass>());
   registry.add(std::make_unique<fa::IpcLocksPass>());
   registry.add(std::make_unique<fa::IpcDeterminismPass>());
-  registry.add(std::make_unique<fa::SharedStatePass>());
-  registry.add(std::make_unique<fa::ConfinementPass>());
 
   if (list_rules) {
     std::vector<std::string> rules;
