@@ -1,8 +1,10 @@
 #include "check/spec.hpp"
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "ingress/arrival.hpp"
 #include "util/error.hpp"
@@ -68,6 +70,17 @@ std::uint64_t parse_u64(const std::string& s, const std::string& what) {
   }
 }
 
+// Names are checked here too, not first where the runner reads them, so a
+// line naming something this build does not know is a labeled error rather
+// than a violation mid-run or a silent fall back to a default.
+const std::string& parse_name(const std::string& s, const std::string& what,
+                              std::initializer_list<std::string_view> known) {
+  for (const std::string_view k : known) {
+    if (s == k) return s;
+  }
+  util::raise("spec: unknown ", what, ": ", s);
+}
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::string item;
@@ -92,7 +105,8 @@ core::BackendSpec parse_backend(const std::string& token) {
     util::raise("spec: empty backend entry: ", token);
   }
   core::BackendSpec b;
-  b.type = fields[0];
+  b.type = parse_name(fields[0], "backend type",
+                      {"srun", "flux", "dragon", "prrte"});
   for (std::size_t i = 1; i < fields.size(); ++i) {
     const auto& f = fields[i];
     if (f.size() < 2) util::raise("spec: bad backend field: ", token);
@@ -136,7 +150,8 @@ FaultSpec parse_fault(const std::string& token) {
   if (kind == "crash") {
     if (fields.size() != 3) util::raise("spec: bad crash fault: ", token);
     f.kind = FaultSpec::Kind::kCrash;
-    f.backend = fields[1];
+    f.backend =
+        parse_name(fields[1], "crash backend", {"flux", "dragon", "prrte"});
     f.index = static_cast<int>(parse_int(fields[2], "crash index", 0));
   } else if (kind == "cancel") {
     if (fields.size() != 2) util::raise("spec: bad cancel fault: ", token);
@@ -213,7 +228,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
         spec.backends.push_back(parse_backend(token));
       }
     } else if (key == "workload") {
-      spec.workload = value;
+      spec.workload = parse_name(value, "workload",
+                                 {"null", "sleep", "hetero", "impeccable"});
     } else if (key == "tasks") {
       spec.tasks = static_cast<int>(parse_int(value, "tasks", 0));
     } else if (key == "duration") {
@@ -227,11 +243,13 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "retries") {
       spec.max_retries = static_cast<int>(parse_int(value, "retries", 0));
     } else if (key == "router") {
-      spec.router = value;
+      spec.router = parse_name(value, "router", {"static", "adaptive"});
     } else if (key == "placement") {
-      spec.placement = value;
+      spec.placement = parse_name(value, "placement policy",
+                                  {"first-fit", "best-fit", "gpu-pack"});
     } else if (key == "dragon_queue") {
-      spec.dragon_queue = value;
+      spec.dragon_queue =
+          parse_name(value, "dragon queue", {"fifo", "priority"});
     } else if (key == "clients") {
       spec.clients = static_cast<int>(parse_int(value, "clients", 1));
     } else if (key == "arrival") {
@@ -249,9 +267,10 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       if (colon == std::string::npos) {
         util::raise("spec: admit must be policy:capacity, got: ", value);
       }
-      spec.admit = value.substr(0, colon);
+      spec.admit = parse_name(value.substr(0, colon), "admission policy",
+                              {"reject", "defer"});
       spec.admit_capacity = static_cast<int>(
-          parse_int(value.substr(colon + 1), "admit capacity"));
+          parse_int(value.substr(colon + 1), "admit capacity", 0));
     } else if (key == "faults") {
       for (const auto& token : split(value, ',')) {
         spec.faults.push_back(parse_fault(token));
@@ -261,7 +280,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     } else if (key == "recover") {
       spec.recover = parse_int(value, "recover", 0, 1) != 0;
     } else if (key == "bug") {
-      spec.bug = value;
+      spec.bug = parse_name(value, "bug injection",
+                            {"none", "overcommit", "state-loss"});
     } else {
       util::raise("spec: unknown key: ", key);
     }

@@ -1,5 +1,6 @@
-// Tests for util::CliParser, for flotilla-run's numeric options, and for
-// its --journal/--recover files. FLOTILLA_RUN_BIN is injected by
+// Tests for util::CliParser, for flotilla-run's numeric options, for its
+// --journal/--recover files, and for the spec lines flotilla-fuzz --replay
+// refuses. FLOTILLA_RUN_BIN and FLOTILLA_FUZZ_BIN are injected by
 // tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -148,8 +149,8 @@ struct RunResult {
   std::string output;  // stdout and stderr
 };
 
-RunResult run_tool(const std::string& args) {
-  const std::string cmd = std::string(FLOTILLA_RUN_BIN) + " " + args + " 2>&1";
+RunResult run_binary(const std::string& binary, const std::string& args) {
+  const std::string cmd = binary + " " + args + " 2>&1";
   FILE* pipe = ::popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
   RunResult result;
@@ -162,6 +163,10 @@ RunResult run_tool(const std::string& args) {
   const int status = ::pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+RunResult run_tool(const std::string& args) {
+  return run_binary(FLOTILLA_RUN_BIN, args);
 }
 
 // Each of these once ran a campaign with a silently changed value (a task
@@ -205,6 +210,57 @@ TEST(FlotillaRunOptions, ZeroDurationStaysValid) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("tasks done/failed:  10/0"), std::string::npos)
       << result.output;
+}
+
+// ----------------------------------------------- flotilla-fuzz --replay
+
+RunResult replay(const std::string& spec) {
+  return run_binary(FLOTILLA_FUZZ_BIN, "--replay '" + spec + "'");
+}
+
+// A line the spec codec refuses exits 2 with its label, before anything
+// runs; exit 1 is kept for invariant violations, so a malformed line never
+// reads as a bug the fuzzer found.
+void expect_refused(const std::string& spec, const std::string& message) {
+  const auto result = replay(spec);
+  EXPECT_EQ(result.exit_code, 2) << spec << "\n" << result.output;
+  EXPECT_NE(result.output.find("error: " + message), std::string::npos)
+      << spec << "\n" << result.output;
+  EXPECT_EQ(result.output.find("violations:"), std::string::npos)
+      << spec << "\n" << result.output;
+}
+
+TEST(FlotillaFuzzReplay, ValidSpecRunsAndHoldsEveryInvariant) {
+  const auto result = replay("seed=1;nodes=2;tasks=8");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("done=8 failed=0"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("all invariants held"), std::string::npos)
+      << result.output;
+}
+
+TEST(FlotillaFuzzReplay, MalformedNumbersExitTwo) {
+  expect_refused("seed=1;duration=nan", "spec: non-finite duration: nan");
+  expect_refused("seed=1;duration=-1", "spec: duration out of range: -1");
+  expect_refused("seed=1;fail=2", "spec: fail out of range: 2");
+  expect_refused("seed=1;clients=4;arrival=closed:inf",
+                 "spec: non-finite arrival param: inf");
+  expect_refused("seed=1;tasks=4294967306", "spec: tasks out of range");
+}
+
+TEST(FlotillaFuzzReplay, UnknownNamesExitTwo) {
+  expect_refused("seed=1;workload=foo", "spec: unknown workload: foo");
+  expect_refused("seed=1;backends=foo", "spec: unknown backend type: foo");
+  expect_refused("seed=1;router=foo", "spec: unknown router: foo");
+  expect_refused("seed=1;dragon_queue=foo", "spec: unknown dragon queue: foo");
+  expect_refused("seed=1;clients=4;admit=reject:-1",
+                 "spec: admit capacity out of range: -1");
+  expect_refused("seed=1;clients=4;arrival=foo:1", "arrival: unknown kind: foo");
+}
+
+TEST(FlotillaFuzzReplay, RetiredEngineShapeKeysExitTwo) {
+  expect_refused("seed=1;shards=2", "spec: retired key shards");
+  expect_refused("seed=1;threads=4", "spec: retired key threads");
 }
 
 // ------------------------------------------------ flotilla-run journals

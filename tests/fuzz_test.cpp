@@ -24,6 +24,17 @@ bool has_violation(const RunResult& result, const std::string& invariant) {
       [&](const Violation& v) { return v.invariant == invariant; });
 }
 
+// Expects `line` to be refused with an error message containing `what`.
+void rejects(const std::string& line, const std::string& what) {
+  try {
+    ScenarioSpec::parse(line);
+    ADD_FAILURE() << line << " was accepted";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << line << ": " << e.what();
+  }
+}
+
 // ------------------------------------------------------------ spec codec
 
 TEST(ScenarioSpec, RoundTripsThroughString) {
@@ -92,15 +103,6 @@ TEST(ScenarioSpec, ParseRejectsGarbage) {
   // malformed doubles and unknown arrival kinds are labeled errors too,
   // so --replay refuses them (exit 2) instead of running them into an
   // engine check.
-  const auto rejects = [](const std::string& line, const std::string& what) {
-    try {
-      ScenarioSpec::parse(line);
-      ADD_FAILURE() << line << " was accepted";
-    } catch (const util::Error& e) {
-      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-          << line << ": " << e.what();
-    }
-  };
   rejects("nodes=4294967300", "spec: nodes out of range");
   rejects("nodes=0", "spec: nodes out of range");
   rejects("tasks=4294967306", "spec: tasks out of range");
@@ -171,6 +173,101 @@ TEST(ScenarioSpec, RetiredEngineShapeKeysAreRejected) {
   const std::string line = ScenarioSpec{}.to_string();
   EXPECT_EQ(line.find("shards="), std::string::npos);
   EXPECT_EQ(line.find("threads="), std::string::npos);
+}
+
+// Every name a spec key takes is checked at parse time, so --replay
+// refuses a line naming something unknown (exit 2) instead of reporting an
+// [exception] violation or running it with a default in its place.
+TEST(ScenarioSpec, ParseRejectsUnknownBackendNames) {
+  rejects("backends=foo", "spec: unknown backend type: foo");
+  rejects("backends=flux:p1,slurm:n2", "spec: unknown backend type: slurm");
+  rejects("backends=:p1", "spec: empty backend entry");
+  // Only backends with a runtime to lose can be crashed.
+  rejects("faults=crash@1:srun:0", "spec: unknown crash backend: srun");
+  rejects("faults=crash@1:foo:0", "spec: unknown crash backend: foo");
+}
+
+TEST(ScenarioSpec, ParseRejectsUnknownWorkload) {
+  rejects("workload=foo", "spec: unknown workload: foo");
+  rejects("workload=", "spec: unknown workload: ");
+  rejects("workload=NULL", "spec: unknown workload: NULL");
+}
+
+TEST(ScenarioSpec, ParseRejectsUnknownRouter) {
+  rejects("router=foo", "spec: unknown router: foo");
+  rejects("router=", "spec: unknown router: ");
+}
+
+TEST(ScenarioSpec, ParseRejectsUnknownPlacementPolicy) {
+  rejects("placement=foo", "spec: unknown placement policy: foo");
+  rejects("placement=first_fit", "spec: unknown placement policy: first_fit");
+}
+
+TEST(ScenarioSpec, ParseRejectsUnknownDragonQueue) {
+  rejects("dragon_queue=foo", "spec: unknown dragon queue: foo");
+  rejects("dragon_queue=lifo", "spec: unknown dragon queue: lifo");
+}
+
+TEST(ScenarioSpec, ParseRejectsUnknownAdmissionPolicyAndNegativeCapacity) {
+  rejects("clients=4;admit=foo:1", "spec: unknown admission policy: foo");
+  rejects("clients=4;admit=reject:-1", "spec: admit capacity out of range");
+  rejects("clients=4;admit=defer:x", "spec: bad integer for admit capacity");
+  EXPECT_EQ(ScenarioSpec::parse("clients=4;admit=defer:0").admit_capacity, 0);
+}
+
+TEST(ScenarioSpec, ParseRejectsUnknownBugInjection) {
+  rejects("bug=foo", "spec: unknown bug injection: foo");
+  rejects("bug=", "spec: unknown bug injection: ");
+}
+
+TEST(ScenarioSpec, EveryKnownNameRoundTrips) {
+  const auto round_trips = [](ScenarioSpec spec) {
+    const auto line = spec.to_string();
+    EXPECT_EQ(ScenarioSpec::parse(line).to_string(), line);
+  };
+  for (const char* type : {"srun", "flux", "dragon", "prrte"}) {
+    ScenarioSpec spec;
+    spec.backends = {core::BackendSpec{type}};
+    round_trips(spec);
+  }
+  for (const char* target : {"flux", "dragon", "prrte"}) {
+    ScenarioSpec spec;
+    FaultSpec crash;
+    crash.backend = target;
+    spec.faults.push_back(crash);
+    round_trips(spec);
+  }
+  for (const char* workload : {"null", "sleep", "hetero", "impeccable"}) {
+    ScenarioSpec spec;
+    spec.workload = workload;
+    round_trips(spec);
+  }
+  for (const char* router : {"static", "adaptive"}) {
+    ScenarioSpec spec;
+    spec.router = router;
+    round_trips(spec);
+  }
+  for (const char* placement : {"first-fit", "best-fit", "gpu-pack"}) {
+    ScenarioSpec spec;
+    spec.placement = placement;
+    round_trips(spec);
+  }
+  for (const char* queue : {"fifo", "priority"}) {
+    ScenarioSpec spec;
+    spec.dragon_queue = queue;
+    round_trips(spec);
+  }
+  for (const char* admit : {"reject", "defer"}) {
+    ScenarioSpec spec;
+    spec.clients = 4;
+    spec.admit = admit;
+    round_trips(spec);
+  }
+  for (const char* bug : {"none", "overcommit", "state-loss"}) {
+    ScenarioSpec spec;
+    spec.bug = bug;
+    round_trips(spec);
+  }
 }
 
 TEST(ScenarioSpec, RoundTripsIngressDimensions) {
@@ -569,6 +666,29 @@ TEST(Shrinker, LeavesPassingSpecsAlone) {
   });
   EXPECT_EQ(shrunk.spec.to_string(), spec.to_string());
   EXPECT_EQ(shrunk.evaluations, evaluations);
+}
+
+TEST(Shrinker, EveryCandidateReplaysFromItsSpecLine) {
+  // A minimized spec is only useful if --replay accepts its line, so every
+  // candidate the shrinker proposes must parse back to itself. A predicate
+  // that always fails walks the shrinker through every reduction.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::RngStream rng(seed, "fuzz.generate");
+    const auto spec = generate_scenario(
+        rng, GeneratorOptions{.force_ingress = seed % 2 == 0});
+    int candidates = 0;
+    shrink(spec, [&candidates](const ScenarioSpec& candidate) {
+      ++candidates;
+      const auto line = candidate.to_string();
+      try {
+        EXPECT_EQ(ScenarioSpec::parse(line).to_string(), line);
+      } catch (const util::Error& e) {
+        ADD_FAILURE() << line << ": " << e.what();
+      }
+      return true;
+    });
+    EXPECT_GT(candidates, 0) << spec.to_string();
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/flotilla.hpp"
 #include "ingress/ingress.hpp"
 #include "util/error.hpp"
+#include "util/strfmt.hpp"
 
 namespace flotilla::ingress {
 namespace {
@@ -92,6 +93,24 @@ TEST(ArrivalConfig, TokenRoundTrip) {
       EXPECT_NE(std::string(e.what()).find("arrival: bad parameter"),
                 std::string::npos)
           << token << ": " << e.what();
+    }
+  }
+}
+
+TEST(ArrivalConfig, EveryKindRoundTripsNonIntegerParametersExactly) {
+  // The token prints its parameter with every digit, so a spec line or
+  // journal that stores it replays the same rate or think time.
+  for (const char* kind : {"poisson", "diurnal", "bursty", "closed"}) {
+    for (const double param : {0.1, 1234.5678901, 0.123456789, 1e-9}) {
+      const auto token = std::string(kind) + ":" + util::exact_double(param);
+      const auto config = ArrivalConfig::parse(token);
+      EXPECT_EQ(config.open_loop() ? config.rate : config.think, param)
+          << token;
+      EXPECT_EQ(config.to_string(), token);
+      const auto again = ArrivalConfig::parse(config.to_string());
+      EXPECT_EQ(again.kind, config.kind) << token;
+      EXPECT_EQ(again.rate, config.rate) << token;
+      EXPECT_EQ(again.think, config.think) << token;
     }
   }
 }

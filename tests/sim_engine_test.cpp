@@ -283,6 +283,120 @@ TEST(Engine, PendingAndEmptyTrackScheduleCancelAndFire) {
   EXPECT_EQ(engine.processed(), 1u);
 }
 
+TEST(Engine, StepRunsOneEventAtATimeInKeyOrder) {
+  Engine engine;
+  std::vector<int> order;
+  engine.at(2.0, [&] { order.push_back(2); });
+  engine.at(1.0, [&] { order.push_back(0); });
+  engine.at(1.0, [&] { order.push_back(1); });
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(engine.now(), 1.0);
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(engine.now(), 1.0);
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(engine.now(), 2.0);
+  EXPECT_FALSE(engine.step());
+  EXPECT_EQ(engine.processed(), 3u);
+}
+
+TEST(Engine, RunUntilThenStepCrossesTheBoundary) {
+  Engine engine;
+  engine.at(1.0, [] {});
+  engine.at(3.0, [] {});
+  EXPECT_EQ(engine.run(2.0), 1u);
+  EXPECT_EQ(engine.now(), 2.0);
+  // step() has no window: it takes the next event wherever it lies.
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(engine.now(), 3.0);
+  EXPECT_EQ(engine.current_key().time, 3.0);
+  EXPECT_TRUE(engine.empty());
+}
+
+TEST(Engine, CancelFromACallbackDropsAnEventAnEarlierCallbackScheduled) {
+  Engine engine;
+  bool fired = false;
+  Engine::EventId id{};
+  engine.at(1.0, [&] { id = engine.at(3.0, [&] { fired = true; }); });
+  engine.at(2.0, [&] {
+    EXPECT_EQ(engine.pending(), 1u);
+    EXPECT_TRUE(engine.cancel(id));
+    EXPECT_FALSE(engine.cancel(id));
+  });
+  EXPECT_EQ(engine.run(), 2u);
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(engine.now(), 2.0);
+}
+
+TEST(Engine, StopInsideACallbackLeavesSameTimeTiesPending) {
+  // stop() ends the run after the running event, even with later events at
+  // the very same time; the next run() resumes with them, in order.
+  Engine engine;
+  std::vector<int> order;
+  engine.at(1.0, [&] {
+    order.push_back(0);
+    engine.stop();
+  });
+  engine.at(1.0, [&] { order.push_back(1); });
+  engine.at(1.0, [&] { order.push_back(2); });
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_EQ(engine.now(), 1.0);
+  EXPECT_EQ(engine.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Engine, PostEventHookCanStopTheRun) {
+  Engine engine;
+  int events = 0;
+  engine.set_post_event_hook([&] {
+    if (events == 2) engine.stop();
+  });
+  for (int i = 1; i <= 4; ++i) engine.at(i, [&] { ++events; });
+  EXPECT_EQ(engine.run(), 2u);
+  EXPECT_EQ(engine.now(), 2.0);
+  EXPECT_EQ(engine.pending(), 2u);
+}
+
+TEST(Engine, RunReturnsOnlyThisCallsCount) {
+  Engine engine;
+  for (int i = 1; i <= 5; ++i) engine.at(i, [] {});
+  EXPECT_EQ(engine.run(2.0), 2u);
+  EXPECT_TRUE(engine.step());
+  EXPECT_EQ(engine.run(), 2u);  // step()'s event is not counted again
+  EXPECT_EQ(engine.processed(), 5u);
+  EXPECT_EQ(engine.run(), 0u);
+}
+
+TEST(Engine, KeysStrictlyIncreaseUnderNestedScheduling) {
+  // Callbacks that schedule at, before and after their own time (the past
+  // clamps to now) still see keys in strictly increasing (time, seq)
+  // order, and the clock never runs backwards.
+  Engine engine;
+  std::vector<Engine::EventKey> keys;
+  std::function<void(int)> spawn = [&](int depth) {
+    keys.push_back(engine.current_key());
+    if (depth == 0) return;
+    for (const Time offset : {-1.0, 0.0, 0.5}) {
+      engine.at(engine.now() + offset, [&spawn, depth] { spawn(depth - 1); });
+    }
+  };
+  engine.at(1.0, [&] { spawn(5); });
+  engine.at(1.0, [&] { spawn(3); });
+  engine.run();
+  ASSERT_EQ(keys.size(), 364u + 40u);  // (3^6 - 1)/2 + (3^4 - 1)/2
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_TRUE(keys[i - 1] < keys[i]) << "event " << i;
+    EXPECT_LE(keys[i - 1].time, keys[i].time) << "event " << i;
+  }
+  EXPECT_EQ(engine.processed(), keys.size());  // one key per event
+}
+
 TEST(Engine, RejectsEmptyCallback) {
   Engine engine;
   EXPECT_THROW(engine.at(1.0, Engine::Callback{}), util::Error);

@@ -1,6 +1,8 @@
 // Tests for the trace-replay workload driver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -52,6 +54,34 @@ TEST(TraceReplay, RoundTripsThroughWriter) {
     EXPECT_EQ(again[i].task.duration, entries[i].task.duration);
     EXPECT_EQ(again[i].task.modality, entries[i].task.modality);
     EXPECT_EQ(again[i].task.stage, entries[i].task.stage);
+  }
+}
+
+TEST(TraceReplay, WriterKeepsExtremeMagnitudes) {
+  // Neither tiny nor huge times lose digits or switch to a form the
+  // parser reads differently.
+  const double times[] = {0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          1e-300,
+                          std::ldexp(1.0, -40),
+                          1e300,
+                          std::numeric_limits<double>::max()};
+  std::vector<TraceEntry> entries;
+  for (const double t : times) {
+    TraceEntry entry;
+    entry.submit_time = t;
+    entry.task.duration = t;
+    entry.task.stage = "edge";
+    entries.push_back(entry);
+  }
+  std::ostringstream out;
+  write_trace(out, entries);
+  std::istringstream in(out.str());
+  const auto again = parse_trace(in);
+  ASSERT_EQ(again.size(), entries.size()) << out.str();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(again[i].submit_time, entries[i].submit_time) << out.str();
+    EXPECT_EQ(again[i].task.duration, entries[i].task.duration) << out.str();
   }
 }
 

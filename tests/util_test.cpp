@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -29,6 +31,31 @@ TEST(Strfmt, FmtSurplusArgumentsAreAppended) {
 
 TEST(Strfmt, FmtSurplusPlaceholdersStayVerbatim) {
   EXPECT_EQ(fmt("a={} b={}", 7), "a=7 b={}");
+}
+
+TEST(Strfmt, ExactDoubleReadsBackBitForBit) {
+  for (const double v :
+       {0.1, 1.0 / 3.0, 1234.5678901, 0.123456789, 86400.000000001, -2.5,
+        1e-300, 1e300, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(), std::ldexp(1.0, -40), 0.0}) {
+    const std::string text = exact_double(v);
+    EXPECT_EQ(std::stod(text), v) << text;
+  }
+  EXPECT_TRUE(std::signbit(std::stod(exact_double(-0.0))));
+}
+
+TEST(Strfmt, ExactDoublePrintsLikePrintfSeventeenDigits) {
+  // Spec lines, arrival tokens and traces all print through this helper;
+  // their bytes are pinned by goldens, so the form must stay "%.17g".
+  EXPECT_EQ(exact_double(0.0), "0");
+  EXPECT_EQ(exact_double(64.0), "64");
+  EXPECT_EQ(exact_double(-3.0), "-3");
+  EXPECT_EQ(exact_double(0.5), "0.5");
+  EXPECT_EQ(exact_double(0.1), "0.10000000000000001");
+  EXPECT_EQ(exact_double(1234.5678901), "1234.5678901000001");
+  EXPECT_EQ(exact_double(1e300), "1.0000000000000001e+300");
+  EXPECT_EQ(exact_double(-std::numeric_limits<double>::max()),
+            "-1.7976931348623157e+308");
 }
 
 TEST(Config, ParsesPairsAndTrimsWhitespace) {
