@@ -27,9 +27,9 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "analytics/latency.hpp"
 #include "harness.hpp"
 #include "ingress/ingress.hpp"
+#include "sim/stats.hpp"
 
 using namespace flotilla;
 using namespace flotilla::bench;
@@ -44,7 +44,7 @@ struct LatencyResult {
   double submit_launch_p50_ms = 0.0;
   double submit_launch_p99_ms = 0.0;
   double submit_launch_p999_ms = 0.0;
-  analytics::LatencyHistogram turnaround;
+  sim::LatencyHistogram turnaround;
 };
 
 LatencyResult run_at_rate(double rate_per_s, int offers) {

@@ -18,6 +18,7 @@
 #include "sched/queue.hpp"
 #include "sim/random.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strfmt.hpp"
 #include "workloads/heterogeneous.hpp"
 #include "workloads/synthetic.hpp"
@@ -25,14 +26,6 @@
 namespace flotilla::check {
 
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 sched::PlacementPolicyKind placement_kind(const std::string& name) {
   if (name == "first-fit") return sched::PlacementPolicyKind::kFirstFit;
@@ -246,6 +239,10 @@ std::string header_spec_line(const ScenarioSpec& spec) {
 void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
               RunResult& result) {
   core::Session session(platform::frontier_spec(), spec.nodes, spec.seed);
+  // The fingerprint is the tracer's running digest, so tracing comes on
+  // before any component captures its handle. The runner reads only the
+  // digest, which covers dropped records too: one retained slot suffices.
+  const obs::Tracer& tracer = session.enable_tracing(1);
   InvariantMonitor::Options mopts;
   mopts.coherence_stride = opts.coherence_stride;
   InvariantMonitor monitor(session, mopts);
@@ -498,23 +495,25 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
     }
   }
 
-  // Fingerprint: full trace + every task's final record. Bit-identical
-  // across runs of the same spec iff the simulation is deterministic.
-  std::ostringstream os;
-  session.trace().write_csv(os);
-  std::uint64_t h = fnv1a(1469598103934665603ull, os.str());
+  // Fingerprint: the obs stream's digest (per-task states included) plus
+  // every task's final record. Bit-identical across runs of the same spec
+  // iff the simulation is deterministic.
+  std::uint64_t h = tracer.digest();
   tmgr.for_each_task([&h](const core::Task& task) {
-    h = fnv1a(h, util::cat(task.uid(), "|", core::to_string(task.state()), "|",
-                           task.backend(), "|", task.attempts(), "\n"));
+    h = util::fnv1a64(h, util::cat(task.uid(), "|",
+                                   core::to_string(task.state()), "|",
+                                   task.backend(), "|", task.attempts(),
+                                   "\n"));
   });
   if (svc != nullptr) {
     // Ingress counters join the fingerprint only when armed, so classic
     // (clients=0) fingerprints stay comparable with pre-ingress baselines.
     const auto istats = svc->stats();
-    h = fnv1a(h, util::cat("ingress|", istats.offered, "|", istats.accepted,
-                           "|", istats.rejected, "|", istats.deferred, "|",
-                           istats.batches, "|", istats.launched, "|",
-                           istats.completed, "\n"));
+    h = util::fnv1a64(
+        h, util::cat("ingress|", istats.offered, "|", istats.accepted, "|",
+                     istats.rejected, "|", istats.deferred, "|",
+                     istats.batches, "|", istats.launched, "|",
+                     istats.completed, "\n"));
   }
   result.fingerprint = h;
 }

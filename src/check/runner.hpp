@@ -5,8 +5,8 @@
 // one TaskManager submitting the spec's workload, with the spec's fault
 // injections scheduled relative to pilot readiness. The run drains the
 // event queue under an event budget (a livelock is itself a violation),
-// audits the end state, and fingerprints the full trace so two runs of the
-// same spec can be compared bit-for-bit (the determinism oracle).
+// audits the end state, and fingerprints the obs record stream so two runs
+// of the same spec can be compared bit-for-bit (the determinism oracle).
 #pragma once
 
 #include <cstdint>
@@ -48,8 +48,10 @@ struct RunResult {
   std::size_t done = 0;
   std::size_t failed = 0;
   std::size_t canceled = 0;
-  // FNV-1a over the trace CSV plus every task's final record; identical
-  // across runs of the same spec iff the simulation is deterministic.
+  // obs::Tracer::digest() of the run's record stream (per-task states
+  // included), then FNV-1a-64 over every task's final record and, with
+  // ingress armed, its counters; identical across runs of the same spec
+  // iff the simulation is deterministic.
   std::uint64_t fingerprint = 0;
   // Journal bytes (when journaling was requested).
   std::string journal;

@@ -81,8 +81,6 @@ void Agent::bootstrap(ReadyHandler ready) {
                   backends_.begin(), backends_.end(),
                   [](const BackendSlot& s) { return s.ready; });
               active_ = any;
-              session_.trace().record("agent", "bootstrap_done", "",
-                                      any ? 1.0 : 0.0);
               (*ready_shared)(any, *errors);
             }
           });

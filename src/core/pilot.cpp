@@ -112,13 +112,10 @@ void Pilot::launch(ReadyHandler ready) {
   FLOT_CHECK(state_ == PilotState::kNew, "pilot ", uid_,
              " launched twice (state ", to_string(state_), ")");
   state_ = PilotState::kLaunching;
-  session_.trace().record("pilot", "launch", uid_,
-                          static_cast<double>(allocation_.count));
   build_backends();
   agent_->bootstrap([this, ready = std::move(ready)](bool ok,
                                                      std::string error) {
     state_ = ok ? PilotState::kActive : PilotState::kFailed;
-    session_.trace().record("pilot", ok ? "active" : "failed", uid_);
     if (ready) ready(ok, std::move(error));
   });
 }
@@ -127,7 +124,6 @@ void Pilot::cancel() {
   if (state_ == PilotState::kCanceled) return;
   if (agent_) agent_->shutdown();
   state_ = PilotState::kCanceled;
-  session_.trace().record("pilot", "canceled", uid_);
 }
 
 Pilot& PilotManager::submit(PilotDescription description) {

@@ -34,6 +34,8 @@ struct BackendSpec {
 struct PilotDescription {
   int nodes = 1;
   std::vector<BackendSpec> backends{{"srun"}};
+  // Per-task state records (obs kTaskState) in the session's tracer;
+  // needs Session::enable_tracing before the pilot is submitted.
   bool trace_tasks = false;
   RouterPolicy router = RouterPolicy::kStatic;
 };

@@ -2,43 +2,27 @@
 
 namespace flotilla::core {
 
-void Profiler::record(const Task& task, const char* event) {
-  if (!trace_tasks_) return;
-  session_.trace().record("core.profiler", event, task.uid(),
-                          static_cast<double>(task.description().demand.cores));
-}
-
-void Profiler::submitted(const Task& task) {
-  metrics_.on_submit(session_.now());
-  record(task, "task_submit");
-}
+void Profiler::submitted(const Task&) { metrics_.on_submit(session_.now()); }
 
 void Profiler::state_change(const Task& task) {
-  if (!trace_tasks_) return;
-  session_.trace().record("core.profiler", "task_state", task.uid(),
-                          static_cast<double>(task.state()));
+  trace_.instant(obs::SpanType::kTaskState, "agent", task.uid(),
+                 static_cast<double>(task.state()));
 }
 
 void Profiler::launched(const Task& task) {
   const auto& demand = task.description().demand;
   metrics_.on_launch(session_.now(), demand.cores, demand.gpus);
-  record(task, "task_exec_start");
 }
 
 void Profiler::attempt_ended(const Task& task) {
   const auto& demand = task.description().demand;
   metrics_.on_attempt_end(session_.now(), demand.cores, demand.gpus);
-  record(task, "task_exec_stop");
 }
 
-void Profiler::retried(const Task& task) {
-  metrics_.on_retry();
-  record(task, "task_retry");
-}
+void Profiler::retried(const Task&) { metrics_.on_retry(); }
 
-void Profiler::finalized(const Task& task, bool success) {
+void Profiler::finalized(const Task&, bool success) {
   metrics_.on_final(session_.now(), success);
-  record(task, success ? "task_done" : "task_failed");
 }
 
 }  // namespace flotilla::core

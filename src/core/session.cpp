@@ -6,7 +6,6 @@ Session::Session(platform::PlatformSpec spec, int num_nodes,
                  std::uint64_t seed, platform::Calibration calibration)
     : cluster_(std::move(spec), num_nodes),
       calibration_(calibration),
-      trace_(engine_),
       seed_(seed),
       uid_(ids_.next("session", 4)) {}
 

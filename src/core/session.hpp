@@ -1,9 +1,9 @@
 // Session: the root object of a Flotilla run.
 //
 // Owns the simulation engine, the cluster model, the calibration profile,
-// the trace, and id generation — everything components need shared access
-// to. Mirrors radical.pilot.Session as the umbrella for pilot and task
-// managers.
+// the obs tracer, and id generation — everything components need shared
+// access to. Mirrors radical.pilot.Session as the umbrella for pilot and
+// task managers.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "platform/calibration.hpp"
 #include "platform/cluster.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "util/config.hpp"
 #include "util/id_registry.hpp"
 
@@ -33,7 +32,6 @@ class Session {
   sim::Engine& engine() { return engine_; }
   platform::Cluster& cluster() { return cluster_; }
   const platform::Calibration& calibration() const { return calibration_; }
-  sim::Trace& trace() { return trace_; }
   util::IdRegistry& ids() { return ids_; }
 
   // Structured tracing (src/obs). Off by default — paper-scale runs
@@ -55,7 +53,6 @@ class Session {
   sim::Engine engine_;
   platform::Cluster cluster_;
   platform::Calibration calibration_;
-  sim::Trace trace_;
   std::unique_ptr<obs::Tracer> tracer_;
   util::IdRegistry ids_;
   std::uint64_t seed_;

@@ -7,7 +7,7 @@
 // commits admitted offers through the IntakeBatcher as amortized
 // flux-job-ingest-style transactions. Per-request submit->launch latency
 // (client offer until the payload starts) is recorded into an
-// analytics::LatencyHistogram and as obs kSubmitLaunch spans, so the
+// sim::LatencyHistogram and as obs kSubmitLaunch spans, so the
 // OverheadReport and the streaming-latency bench read p50/p99/p999 from
 // the same records.
 //
@@ -28,13 +28,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analytics/latency.hpp"
 #include "core/session.hpp"
 #include "core/task_manager.hpp"
 #include "ingress/admission.hpp"
 #include "ingress/arrival.hpp"
 #include "ingress/batcher.hpp"
 #include "sim/random.hpp"
+#include "sim/stats.hpp"
 
 namespace flotilla::ingress {
 
@@ -86,7 +86,7 @@ class IngressService {
 
   IngressStats stats() const;
   const AdmissionController& admission() const { return admission_; }
-  const analytics::LatencyHistogram& submit_to_launch() const {
+  const sim::LatencyHistogram& submit_to_launch() const {
     return submit_to_launch_;
   }
   // Client-visible turnaround: offer acceptance until the task reaches a
@@ -94,7 +94,7 @@ class IngressService {
   // payload itself). The streaming-latency bench reads this instead of
   // re-deriving it from TMGR state times, which would hide the intake
   // and batch wait in front of kTmgrScheduling.
-  const analytics::LatencyHistogram& turnaround() const {
+  const sim::LatencyHistogram& turnaround() const {
     return turnaround_;
   }
   // Uids of admitted tasks in commit order (grows over the run); fault
@@ -147,8 +147,8 @@ class IngressService {
   std::unordered_map<std::string, Offer> admitted_;  // uid -> offer, to final
   std::vector<int> client_in_flight_;                // closed loop
   std::vector<std::string> accepted_uids_;
-  analytics::LatencyHistogram submit_to_launch_;
-  analytics::LatencyHistogram turnaround_;
+  sim::LatencyHistogram submit_to_launch_;
+  sim::LatencyHistogram turnaround_;
   obs::TraceHandle obs_trace_;
   std::uint64_t launched_ = 0;
   std::uint64_t completed_ = 0;

@@ -1,51 +1,10 @@
 #include "obs/report.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <tuple>
 #include <vector>
 
 namespace flotilla::obs {
-
-int DurationHistogram::bucket_of(double seconds) {
-  if (seconds <= kFloor) return 0;
-  const int bucket =
-      static_cast<int>(std::log(seconds / kFloor) / std::log(kGrowth));
-  return std::clamp(bucket, 0, kBuckets - 1);
-}
-
-double DurationHistogram::bucket_lower(int bucket) {
-  return kFloor * std::pow(kGrowth, bucket);
-}
-
-void DurationHistogram::record(double seconds) {
-  if (seconds < 0.0) seconds = 0.0;  // defensive: spans never run backwards
-  ++buckets_[static_cast<std::size_t>(bucket_of(seconds))];
-  if (count_ == 0 || seconds > max_) max_ = seconds;
-  ++count_;
-}
-
-double DurationHistogram::percentile(double q) const {
-  if (count_ == 0) return 0.0;
-  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    const auto in_bucket = buckets_[static_cast<std::size_t>(b)];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= target) {
-      // Linear interpolation within the bucket.
-      const double frac = (target - static_cast<double>(seen)) /
-                          static_cast<double>(in_bucket);
-      const double lo = bucket_lower(b);
-      const double hi = bucket_lower(b + 1);
-      const double value = lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
-      return std::min(value, max_);
-    }
-    seen += in_bucket;
-  }
-  return max_;
-}
 
 OverheadReport OverheadReport::from_trace(const Tracer& tracer) {
   OverheadReport report;
@@ -80,8 +39,8 @@ OverheadReport OverheadReport::from_trace(const Tracer& tracer) {
   return report;
 }
 
-const DurationHistogram& OverheadReport::histogram(SpanType type) const {
-  static const DurationHistogram kEmpty;
+const sim::LatencyHistogram& OverheadReport::histogram(SpanType type) const {
+  static const sim::LatencyHistogram kEmpty;
   const auto it = histograms_.find(type);
   return it == histograms_.end() ? kEmpty : it->second;
 }
@@ -146,8 +105,9 @@ void OverheadReport::print(std::ostream& os) const {
   }
   const auto& ingress = submit_to_launch();
   if (ingress.count() > 0) {
-    os << "  ingress: submit->launch p50=" << ingress.p50()
-       << "s p99=" << ingress.p99() << "s p999=" << ingress.p999()
+    os << "  ingress: submit->launch p50=" << ingress.percentile(0.50)
+       << "s p99=" << ingress.percentile(0.99)
+       << "s p999=" << ingress.percentile(0.999)
        << "s n=" << ingress.count() << "\n";
   }
   if (unmatched_ends_ + unclosed_begins_ > 0) {

@@ -11,7 +11,6 @@
 //     (TMGR intake, agent scheduler, collector).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -19,41 +18,9 @@
 #include <utility>
 
 #include "obs/tracer.hpp"
+#include "sim/stats.hpp"
 
 namespace flotilla::obs {
-
-// Log-spaced duration histogram with interpolated percentile queries —
-// the tail-latency companion to SpanStats' mean/min/max. Mirrors the
-// bucket layout of analytics::LatencyHistogram (obs sits below analytics
-// in the layer DAG, so the type is duplicated rather than shared):
-// constant memory, ~2.3% relative resolution over [10 us, ~3.6 h].
-class DurationHistogram {
- public:
-  void record(double seconds);
-
-  std::uint64_t count() const { return count_; }
-  double max() const { return max_; }
-
-  // Value at quantile q in [0, 1], interpolated within the bucket;
-  // 0 for an empty histogram.
-  double percentile(double q) const;
-
-  double p50() const { return percentile(0.50); }
-  double p99() const { return percentile(0.99); }
-  double p999() const { return percentile(0.999); }
-
- private:
-  static constexpr double kFloor = 1e-5;  // bucket 0 lower bound [s]
-  static constexpr double kGrowth = 1.1;  // per-bucket growth factor
-  static constexpr int kBuckets = 220;
-
-  static int bucket_of(double seconds);
-  static double bucket_lower(int bucket);
-
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  double max_ = 0.0;
-};
 
 struct SpanStats {
   std::uint64_t count = 0;
@@ -110,10 +77,10 @@ class OverheadReport {
 
   // Full duration distribution per span type (all components), filled
   // from the same pairing pass as the cells; empty-histogram if absent.
-  const DurationHistogram& histogram(SpanType type) const;
+  const sim::LatencyHistogram& histogram(SpanType type) const;
   // Service-mode ingress (docs/ingress.md): the per-task submit->launch
   // latency distribution, client offer until the payload starts.
-  const DurationHistogram& submit_to_launch() const {
+  const sim::LatencyHistogram& submit_to_launch() const {
     return histogram(SpanType::kSubmitLaunch);
   }
 
@@ -136,7 +103,7 @@ class OverheadReport {
  private:
   std::map<std::pair<SpanType, std::string>, SpanStats> cells_;
   std::map<std::pair<SpanType, std::string>, std::uint64_t> instants_;
-  std::map<SpanType, DurationHistogram> histograms_;
+  std::map<SpanType, sim::LatencyHistogram> histograms_;
   std::uint64_t unmatched_ends_ = 0;
   std::uint64_t unclosed_begins_ = 0;
   std::uint64_t dropped_ = 0;

@@ -11,8 +11,11 @@
 //
 // Everything is driven by sim::Engine::now(), so a trace is as
 // deterministic as the simulation itself: same seed, byte-identical
-// export. Instrumentation sites hold a TraceHandle, which is a null
-// pointer when tracing is off — the disabled path is a single branch.
+// export. Every record is also folded into a running FNV-1a-64 digest(),
+// the run fingerprint of the determinism and recovery oracles, so what
+// the oracles compare is the stream the exporters show. Instrumentation
+// sites hold a TraceHandle, which is a null pointer when tracing is off —
+// the disabled path is a single branch.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "util/hash.hpp"
 
 namespace flotilla::obs {
 
@@ -50,6 +54,8 @@ enum class SpanType : std::uint8_t {
   kSubmitLaunch,      // client offer accepted until the payload starts
   kAdmission,         // instant: admission verdict (entity: accept/
                       // reject/defer, value: client id)
+  kTaskState,         // instant: task state change (value: TaskState
+                      // ordinal); only with per-task tracing
 };
 
 // Stable short name ("submit", "run", "bootstrap", ...) used by both
@@ -69,7 +75,9 @@ struct Record {
 
 // Preallocated ring buffer of trace records. Overflow policy: drop-oldest
 // — the newest records always land, and dropped() reports how many fell
-// off the head (exporters surface the loss instead of hiding it).
+// off the head (exporters surface the loss instead of hiding it). The
+// digest folds each record as it is pushed, dropped ones included, so it
+// does not depend on the capacity.
 class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 20;
@@ -107,6 +115,9 @@ class Tracer {
   std::size_t capacity() const { return ring_.size(); }
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t dropped() const { return recorded_ - count_; }
+  // FNV-1a-64 over every record pushed since construction or clear():
+  // time bits, kind, type, component, entity and value bits, in order.
+  std::uint64_t digest() const { return digest_; }
 
   // Visits the retained records oldest-first (chronological: virtual time
   // never goes backwards, and same-time records keep insertion order).
@@ -124,6 +135,7 @@ class Tracer {
     count_ = 0;
     head_ = 0;
     recorded_ = 0;
+    digest_ = util::kFnv64Basis;
   }
 
  private:
@@ -135,6 +147,7 @@ class Tracer {
   std::size_t head_ = 0;      // index of the oldest retained record
   std::size_t count_ = 0;     // retained records
   std::uint64_t recorded_ = 0;
+  std::uint64_t digest_ = util::kFnv64Basis;
 };
 
 // Nullable, copyable view over a Tracer. Instrumentation sites hold one

@@ -1,5 +1,7 @@
 #include "sim/random.hpp"
 
+#include "util/hash.hpp"
+
 namespace flotilla::sim {
 
 namespace {
@@ -20,11 +22,7 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 std::uint64_t RngStream::hash(std::string_view s) {
   // FNV-1a, then one splitmix64 round for avalanche.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = util::fnv1a64(util::kFnv64Basis, s);
   return splitmix64(h);
 }
 

@@ -1,5 +1,6 @@
 #include "sim/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -82,6 +83,52 @@ double RateSeries::mean_nonzero_rate() const {
 double RateSeries::window_rate() const {
   if (total_ < 2 || last_ <= first_) return 0.0;
   return static_cast<double>(total_) / (last_ - first_);
+}
+
+int LatencyHistogram::bucket_of(double seconds) {
+  if (seconds <= kFloor) return 0;
+  const int bucket =
+      static_cast<int>(std::log(seconds / kFloor) / std::log(kGrowth));
+  return std::clamp(bucket, 0, kBuckets - 1);
+}
+
+double LatencyHistogram::bucket_lower(int bucket) {
+  return kFloor * std::pow(kGrowth, bucket);
+}
+
+void LatencyHistogram::record(double seconds) {
+  FLOT_CHECK(seconds >= 0.0, "negative latency ", seconds);
+  ++buckets_[static_cast<std::size_t>(bucket_of(seconds))];
+  if (count_ == 0) {
+    min_ = max_ = seconds;
+  } else {
+    min_ = std::min(min_, seconds);
+    max_ = std::max(max_, seconds);
+  }
+  ++count_;
+  sum_ += seconds;
+}
+
+double LatencyHistogram::percentile(double q) const {
+  FLOT_CHECK(q >= 0.0 && q <= 1.0, "quantile out of range: ", q);
+  if (count_ == 0) return 0.0;
+  const double target = q * static_cast<double>(count_);
+  std::uint64_t seen = 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    const auto in_bucket = buckets_[static_cast<std::size_t>(b)];
+    if (in_bucket == 0) continue;
+    if (static_cast<double>(seen + in_bucket) >= target) {
+      // Linear interpolation within the bucket.
+      const double frac = (target - static_cast<double>(seen)) /
+                          static_cast<double>(in_bucket);
+      const double lo = bucket_lower(b);
+      const double hi = bucket_lower(b + 1);
+      const double value = lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
+      return std::clamp(value, min_, max_);
+    }
+    seen += in_bucket;
+  }
+  return max_;
 }
 
 }  // namespace flotilla::sim

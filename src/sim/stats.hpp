@@ -6,9 +6,13 @@
 //  - RateSeries: per-bin event counts over virtual time; backs throughput
 //    (tasks/s) metrics. "Average rate" follows the paper's convention:
 //    mean over *nonzero* bins; "peak" is the max bin.
+//  - LatencyHistogram: log-spaced duration buckets with interpolated
+//    percentiles; backs the ingress submit->launch/turnaround tails and
+//    the obs OverheadReport's per-span distributions.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -94,6 +98,37 @@ class RateSeries {
   std::uint64_t total_ = 0;
   Time first_ = kInfiniteTime;
   Time last_ = -kInfiniteTime;
+};
+
+// Log-spaced buckets over [10 us, ~3.6 h] of virtual time — constant
+// memory regardless of sample count, ~2.3% relative bucket resolution
+// (larger samples land in the top bucket). Samples must be non-negative.
+class LatencyHistogram {
+ public:
+  void record(double seconds);
+
+  std::uint64_t count() const { return count_; }
+  double mean() const { return count_ ? sum_ / count_ : 0.0; }
+  double min() const { return count_ ? min_ : 0.0; }
+  double max() const { return count_ ? max_ : 0.0; }
+
+  // Value at quantile q in [0, 1], interpolated within the bucket and
+  // clamped to [min(), max()]. Returns 0 for an empty histogram.
+  double percentile(double q) const;
+
+ private:
+  static constexpr double kFloor = 1e-5;  // bucket 0 lower bound [s]
+  static constexpr double kGrowth = 1.1;  // per-bucket growth factor
+  static constexpr int kBuckets = 220;    // 1e-5 * 1.1^220 ~ 1.3e4 s
+
+  static int bucket_of(double seconds);
+  static double bucket_lower(int bucket);
+
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 }  // namespace flotilla::sim

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "analytics/latency.hpp"
 #include "analytics/metrics.hpp"
-#include "util/error.hpp"
 
 namespace flotilla::analytics {
 namespace {
@@ -77,47 +75,6 @@ TEST(RunMetrics, EmptyMetricsAreZero) {
   EXPECT_DOUBLE_EQ(metrics.peak_throughput(), 0.0);
   EXPECT_DOUBLE_EQ(metrics.core_utilization(100), 0.0);
   EXPECT_DOUBLE_EQ(metrics.makespan(), 0.0);
-}
-
-TEST(LatencyHistogram, PercentilesOnUniformSamples) {
-  LatencyHistogram hist;
-  for (int i = 1; i <= 1000; ++i) hist.record(i * 0.001);  // 1ms..1s
-  EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_NEAR(hist.mean(), 0.5005, 1e-6);
-  EXPECT_NEAR(hist.percentile(0.5), 0.5, 0.05);   // ~2.3% bucket width
-  EXPECT_NEAR(hist.percentile(0.99), 0.99, 0.08);
-  EXPECT_NEAR(hist.percentile(0.0), 0.001, 0.001);
-  EXPECT_NEAR(hist.percentile(1.0), 1.0, 0.05);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.001);
-  EXPECT_DOUBLE_EQ(hist.max(), 1.0);
-}
-
-TEST(LatencyHistogram, BimodalDistribution) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 900; ++i) hist.record(0.01);
-  for (int i = 0; i < 100; ++i) hist.record(10.0);
-  EXPECT_NEAR(hist.percentile(0.5), 0.01, 0.003);
-  EXPECT_NEAR(hist.percentile(0.95), 10.0, 1.5);
-}
-
-TEST(LatencyHistogram, EmptyAndEdgeBehaviour) {
-  LatencyHistogram hist;
-  EXPECT_DOUBLE_EQ(hist.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
-  hist.record(0.0);  // below the bucket floor: clamps to bucket 0
-  EXPECT_EQ(hist.count(), 1u);
-  EXPECT_DOUBLE_EQ(hist.percentile(0.5), 0.0);  // clamped to min sample
-  EXPECT_THROW(hist.percentile(1.5), util::Error);
-  EXPECT_THROW(hist.record(-1.0), util::Error);
-}
-
-TEST(LatencyHistogram, ExtremeValuesClampToRange) {
-  LatencyHistogram hist;
-  hist.record(1e-9);  // below floor
-  hist.record(1e9);   // above ceiling bucket
-  EXPECT_EQ(hist.count(), 2u);
-  EXPECT_DOUBLE_EQ(hist.max(), 1e9);
-  EXPECT_LE(hist.percentile(0.25), 1e-5 * 1.2);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace flotilla::util {
 namespace {
@@ -263,6 +264,44 @@ TEST(FlotillaFuzzReplay, RetiredEngineShapeKeysExitTwo) {
   expect_refused("seed=1;threads=4", "spec: retired key threads");
 }
 
+// The in-process run-twice oracle cannot see an order that depends on
+// addresses (a pointer-keyed container, a hash of a pointer): both runs
+// share one address layout. Two processes get two layouts under ASLR, so
+// each replay must print the same output in both. The lines are scenarios
+// 7, 53, 1 and 5 of `flotilla-fuzz --scenarios 200 --seed-base 1
+// --verbose`: flux+dragon, prrte, srun+dragon with a crash point (the
+// recovery oracle runs too), and ingress from 10^6 clients into flux.
+TEST(FlotillaFuzzReplay, SameOutputInTwoProcesses) {
+  const char* const specs[] = {
+      "seed=3711657641814975459;nodes=10;backends=flux:p2:n5:d1,dragon:p1:"
+      "n5:d64;workload=impeccable;tasks=95;duration=7.9635300053696332;"
+      "cores=56;gpus=0;fail=0;retries=0;router=adaptive;placement=first-fit;"
+      "dragon_queue=fifo",
+      "seed=7599522501230538566;nodes=2;backends=prrte:p1:n2:d64;workload="
+      "hetero;tasks=64;duration=5.1614374270616237;cores=1;gpus=0;fail="
+      "0.18089448925409385;retries=1;router=static;placement=gpu-pack;"
+      "dragon_queue=fifo;faults=cancel@4.7982474096272973:4",
+      "seed=1127669293739925696;nodes=8;backends=srun:p1:n4:d64,dragon:p1:"
+      "n4:d64;workload=hetero;tasks=48;duration=2.1645154781605411;cores=1;"
+      "gpus=0;fail=0;retries=2;router=static;placement=first-fit;"
+      "dragon_queue=priority;faults=crash@8.9305061111643109:dragon:0;"
+      "crash_at=347",
+      "seed=2548621935365141227;nodes=12;backends=flux:p3:n12:d1;workload="
+      "sleep;tasks=13;duration=4.50092118771075;cores=56;gpus=0;fail="
+      "0.044905215387570856;retries=0;router=static;placement=best-fit;"
+      "dragon_queue=fifo;clients=1000000;arrival=poisson:2426.6029982234472;"
+      "admit=reject:0;faults=crash@12.111561474275591:flux:1",
+  };
+  for (const char* spec : specs) {
+    const auto first = replay(spec);
+    const auto second = replay(spec);
+    EXPECT_EQ(first.exit_code, 0) << spec << "\n" << first.output;
+    EXPECT_NE(first.output.find(" fingerprint="), std::string::npos)
+        << first.output;
+    EXPECT_EQ(first.output, second.output) << spec;
+  }
+}
+
 // ------------------------------------------------ flotilla-run journals
 
 // A directory of its own for one test's files, removed afterwards.
@@ -304,16 +343,6 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
-// FNV-1a 64 over a whole journal.
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // A service-mode run: 5,000 offers from 10,000 open-loop clients through
 // ingress into dragon, 35,003 journal records.
 const std::string kServiceRun =
@@ -348,8 +377,8 @@ TEST(FlotillaRunJournal, IngressJournalBytesArePinned) {
       << result.output;
   const auto bytes = read_file(path);
   EXPECT_EQ(bytes.size(), 3084051u);
-  EXPECT_EQ(fnv1a64(bytes), 0x9095493a63edd8e4ull)
-      << std::hex << "digest 0x" << fnv1a64(bytes);
+  const auto digest = fnv1a64(kFnv64Basis, bytes);  // FNV-1a-64
+  EXPECT_EQ(digest, 0x9095493a63edd8e4ull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(FlotillaRunJournal, RecoversFromAJournalTornInHalf) {

@@ -425,13 +425,32 @@ TEST(Profiler, MetricsTrackLaunchesAndUtilization) {
 }
 
 TEST(Profiler, TraceRecordsTaskEventsWhenEnabled) {
-  PilotFixture fx({.nodes = 2, .backends = {{"flux", 1}},
-                   .trace_tasks = true});
-  fx.tmgr->on_complete([](const Task&) {});
-  fx.tmgr->submit(null_task());
-  fx.session.run();
-  EXPECT_FALSE(fx.session.trace().select("task_exec_start").empty());
-  EXPECT_FALSE(fx.session.trace().select("task_done").empty());
+  Session session(frontier_spec(), 2, 42);
+  const obs::Tracer& tracer = session.enable_tracing();
+  PilotManager pmgr(session);
+  auto& pilot = pmgr.submit(
+      {.nodes = 2, .backends = {{"flux", 1}}, .trace_tasks = true});
+  pilot.launch([](bool ok, const std::string&) { EXPECT_TRUE(ok); });
+  session.run(240.0);
+  TaskManager tmgr(session, pilot.agent());
+  tmgr.on_complete([](const Task&) {});
+  const std::string uid = tmgr.submit(null_task());
+  session.run();
+  // The task's run span and its per-state instants, ending in kDone.
+  bool run_begin = false;
+  std::vector<double> states;
+  tracer.for_each([&](const obs::Record& r) {
+    if (r.entity != uid) return;
+    run_begin |= r.kind == obs::RecordKind::kBegin &&
+                 r.type == obs::SpanType::kTaskRun;
+    if (r.type == obs::SpanType::kTaskState) {
+      EXPECT_EQ(r.kind, obs::RecordKind::kInstant);
+      states.push_back(r.value);
+    }
+  });
+  EXPECT_TRUE(run_begin);
+  ASSERT_FALSE(states.empty());
+  EXPECT_EQ(states.back(), static_cast<double>(TaskState::kDone));
 }
 
 // ---------------------------------------------------------------- Session

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/flotilla.hpp"
+#include "obs/export.hpp"
 
 namespace flotilla::core {
 namespace {
@@ -74,11 +75,17 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SessionDeterminism,
 
 // Hybrid (flux+dragon) same-seed trace equality: the aggregate fingerprint
 // above can mask reordered events, so this test compares the *entire*
-// per-task trace, CSV line for CSV line, across two in-process runs of the
-// paper's mixed executable/function configuration.
+// obs record stream (per-task states included), .prof line for .prof line,
+// and its running digest across two in-process runs of the paper's mixed
+// executable/function configuration.
 TEST(SessionDeterminism, HybridFluxDragonTraceIsBitIdentical) {
+  struct Trace {
+    std::string prof;
+    std::uint64_t digest = 0;
+  };
   auto trace_of = [] {
     Session session(platform::frontier_spec(), 4, 42);
+    const obs::Tracer& tracer = session.enable_tracing();
     PilotManager pmgr(session);
     PilotDescription desc;
     desc.nodes = 4;
@@ -102,14 +109,17 @@ TEST(SessionDeterminism, HybridFluxDragonTraceIsBitIdentical) {
       tmgr.submit(std::move(task));
     }
     session.run();
+    // The export must hold the whole run for the comparison to mean it.
+    EXPECT_EQ(tracer.dropped(), 0u);
     std::ostringstream os;
-    session.trace().write_csv(os);
-    return os.str();
+    obs::write_prof(tracer, os);
+    return Trace{os.str(), tracer.digest()};
   };
   const auto a = trace_of();
   const auto b = trace_of();
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  ASSERT_FALSE(a.prof.empty());
+  EXPECT_EQ(a.prof, b.prof);
+  EXPECT_EQ(a.digest, b.digest);
 }
 
 }  // namespace

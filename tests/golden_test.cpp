@@ -77,10 +77,12 @@ TEST(Golden, HybridScenarioPinned) {
 
 // Crash-path goldens: a broker/runtime/DVM crash while the crashed
 // backend holds running and queued tasks, through the fuzz harness's
-// fault injection. Pins the run fingerprint (trace CSV plus every task's
-// final record) and the terminal counts. The constants were computed at
-// the commit before each backend's crash path was folded into crash()
-// (the sharded-hop version), so they prove the fold changed nothing.
+// fault injection. Pins the run fingerprint (the obs record stream's
+// running digest plus every task's final record) and the terminal counts.
+// The counts date from before each backend's crash path was folded into
+// crash(); the hashes were re-pinned once when the fingerprint moved from
+// the retired string trace to the obs digest, a change of hash input with
+// the same events, counts and journal bytes.
 std::string crash_fingerprint(std::vector<BackendSpec> backends,
                               const std::string& target, int index) {
   check::ScenarioSpec spec;
@@ -110,14 +112,14 @@ std::string crash_fingerprint(std::vector<BackendSpec> backends,
 
 TEST(Golden, CrashFaultScenariosPinned) {
   EXPECT_EQ(crash_fingerprint({{.type = "flux", .partitions = 2}}, "flux", 1),
-            "32/32/0 11728427223803802077");
+            "32/32/0 5293837504015495260");
   EXPECT_EQ(crash_fingerprint({{.type = "dragon", .partitions = 2}}, "dragon",
                               0),
-            "32/32/0 10648939564818906353");
+            "32/32/0 10221288762447693730");
   EXPECT_EQ(crash_fingerprint({{.type = "prrte", .nodes = 2},
                                {.type = "srun", .nodes = 2}},
                               "prrte", 0),
-            "50/14/0 2693897272471292672");
+            "50/14/0 15891037893238018896");
 }
 
 }  // namespace

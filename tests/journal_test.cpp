@@ -29,6 +29,7 @@
 #include "platform/cluster.hpp"
 #include "sim/random.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace flotilla::journal {
 namespace {
@@ -555,16 +556,6 @@ TEST(Journal, SameSeedRunsProduceByteIdenticalJournals) {
   EXPECT_EQ(parsed.records.back().done, 5);
 }
 
-// FNV-1a 64 over a whole journal, for the golden digests below.
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
   // Same-seed identity alone would not notice a codec change that moves
   // every run's bytes the same way. The first three lengths and digests
@@ -617,8 +608,9 @@ TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
     const auto run = check::run_scenario(golden.spec, opts);
     ASSERT_TRUE(run.ok()) << golden.name;
     EXPECT_EQ(run.journal.size(), golden.bytes) << golden.name;
-    EXPECT_EQ(fnv1a64(run.journal), golden.digest)
-        << golden.name << std::hex << " digest 0x" << fnv1a64(run.journal);
+    const auto digest = util::fnv1a64(util::kFnv64Basis, run.journal);
+    EXPECT_EQ(digest, golden.digest)
+        << golden.name << std::hex << " digest 0x" << digest;
   }
 }
 

@@ -15,7 +15,6 @@
 #include "sim/resource.hpp"
 #include "sim/server.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 #include "util/error.hpp"
 
 namespace flotilla::sim {
@@ -608,6 +607,47 @@ TEST(RateSeries, EmptySeriesIsZero) {
   EXPECT_DOUBLE_EQ(series.window_rate(), 0.0);
 }
 
+TEST(LatencyHistogram, PercentilesOnUniformSamples) {
+  LatencyHistogram hist;
+  for (int i = 1; i <= 1000; ++i) hist.record(i * 0.001);  // 1ms..1s
+  EXPECT_EQ(hist.count(), 1000u);
+  EXPECT_NEAR(hist.mean(), 0.5005, 1e-6);
+  EXPECT_NEAR(hist.percentile(0.5), 0.5, 0.05);   // ~2.3% bucket width
+  EXPECT_NEAR(hist.percentile(0.99), 0.99, 0.08);
+  EXPECT_NEAR(hist.percentile(0.0), 0.001, 0.001);
+  EXPECT_NEAR(hist.percentile(1.0), 1.0, 0.05);
+  EXPECT_DOUBLE_EQ(hist.min(), 0.001);
+  EXPECT_DOUBLE_EQ(hist.max(), 1.0);
+}
+
+TEST(LatencyHistogram, BimodalDistribution) {
+  LatencyHistogram hist;
+  for (int i = 0; i < 900; ++i) hist.record(0.01);
+  for (int i = 0; i < 100; ++i) hist.record(10.0);
+  EXPECT_NEAR(hist.percentile(0.5), 0.01, 0.003);
+  EXPECT_NEAR(hist.percentile(0.95), 10.0, 1.5);
+}
+
+TEST(LatencyHistogram, EmptyAndEdgeBehaviour) {
+  LatencyHistogram hist;
+  EXPECT_DOUBLE_EQ(hist.percentile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
+  hist.record(0.0);  // below the bucket floor: clamps to bucket 0
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_DOUBLE_EQ(hist.percentile(0.5), 0.0);  // clamped to min sample
+  EXPECT_THROW(hist.percentile(1.5), util::Error);
+  EXPECT_THROW(hist.record(-1.0), util::Error);
+}
+
+TEST(LatencyHistogram, ExtremeValuesClampToRange) {
+  LatencyHistogram hist;
+  hist.record(1e-9);  // below floor
+  hist.record(1e9);   // above ceiling bucket
+  EXPECT_EQ(hist.count(), 2u);
+  EXPECT_DOUBLE_EQ(hist.max(), 1e9);
+  EXPECT_LE(hist.percentile(0.25), 1e-5 * 1.2);
+}
+
 // ------------------------------------------------------------------ Random
 
 TEST(RngStream, DeterministicPerSeed) {
@@ -662,37 +702,6 @@ TEST(RngStream, LognormalMeanCvConverges) {
   for (int i = 0; i < n; ++i) sum += rng.lognormal_mean_cv(10.0, 0.3);
   EXPECT_NEAR(sum / n, 10.0, 0.3);
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(10.0, 0.0), 10.0);
-}
-
-// ------------------------------------------------------------------- Trace
-
-TEST(Trace, RecordsAndSelects) {
-  Engine engine;
-  Trace trace(engine);
-  engine.at(1.0, [&] { trace.record("agent", "launch", "task.0", 4); });
-  engine.at(2.0, [&] { trace.record("flux.0", "launch", "task.1", 8); });
-  engine.at(3.0, [&] { trace.record("agent", "done", "task.0"); });
-  engine.run();
-
-  EXPECT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.select("launch").size(), 2u);
-  EXPECT_EQ(trace.select("launch", "agent").size(), 1u);
-  Time t = 0;
-  ASSERT_TRUE(trace.first_time("task.0", "done", t));
-  EXPECT_DOUBLE_EQ(t, 3.0);
-  EXPECT_FALSE(trace.first_time("task.9", "done", t));
-}
-
-TEST(Trace, WritesJsonlWithEscaping) {
-  Engine engine;
-  Trace trace(engine);
-  engine.at(1.5, [&] { trace.record("agent", "launch", "task \"a\"", 4); });
-  engine.run();
-  std::ostringstream os;
-  trace.write_jsonl(os);
-  EXPECT_EQ(os.str(),
-            "{\"time\":1.5,\"comp\":\"agent\",\"event\":\"launch\","
-            "\"entity\":\"task \\\"a\\\"\",\"value\":4}\n");
 }
 
 }  // namespace

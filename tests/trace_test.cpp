@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/flotilla.hpp"
@@ -55,6 +56,7 @@ TEST(TracerRing, ClearResets) {
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.digest(), Tracer(engine, 2).digest());
 }
 
 TEST(TracerHandle, NullHandleIsInert) {
@@ -307,6 +309,131 @@ TEST(ChromeTrace, EmptyTracerStillWellFormed) {
   std::ostringstream os;
   write_chrome_trace(tracer, os);
   EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str();
+}
+
+// ---------------------------------------------------------------------------
+// Running digest: the run fingerprint of the determinism and recovery
+// oracles (check::RunResult::fingerprint).
+
+// The digest of a tracer that saw exactly one record, pushed at `time`.
+std::uint64_t one_record_digest(sim::Time time, RecordKind kind,
+                                SpanType type, const std::string& component,
+                                const std::string& entity, double value) {
+  sim::Engine engine;
+  Tracer tracer(engine, 1);
+  engine.at(time, [&] {
+    switch (kind) {
+      case RecordKind::kBegin:
+        tracer.begin(type, component, entity, value);
+        break;
+      case RecordKind::kEnd:
+        tracer.end(type, component, entity, value);
+        break;
+      case RecordKind::kInstant:
+        tracer.instant(type, component, entity, value);
+        break;
+      case RecordKind::kCounter:
+        tracer.counter(component, entity, value);
+        break;
+    }
+  });
+  engine.run();
+  EXPECT_EQ(tracer.recorded(), 1u);
+  return tracer.digest();
+}
+
+TEST(TracerDigest, EveryRecordFieldMovesTheDigest) {
+  const auto base = one_record_digest(1.0, RecordKind::kInstant,
+                                      SpanType::kRouting, "agent", "task.1",
+                                      2.0);
+  const std::vector<std::pair<const char*, std::uint64_t>> variants = {
+      {"time", one_record_digest(1.5, RecordKind::kInstant,
+                                 SpanType::kRouting, "agent", "task.1", 2.0)},
+      {"kind", one_record_digest(1.0, RecordKind::kBegin, SpanType::kRouting,
+                                 "agent", "task.1", 2.0)},
+      {"type", one_record_digest(1.0, RecordKind::kInstant,
+                                 SpanType::kTaskState, "agent", "task.1",
+                                 2.0)},
+      {"component", one_record_digest(1.0, RecordKind::kInstant,
+                                      SpanType::kRouting, "agenu", "task.1",
+                                      2.0)},
+      {"entity", one_record_digest(1.0, RecordKind::kInstant,
+                                   SpanType::kRouting, "agent", "task.2",
+                                   2.0)},
+      {"value", one_record_digest(1.0, RecordKind::kInstant,
+                                  SpanType::kRouting, "agent", "task.1",
+                                  3.0)},
+      // The component/entity boundary is part of the record.
+      {"boundary", one_record_digest(1.0, RecordKind::kInstant,
+                                     SpanType::kRouting, "agentt", "ask.1",
+                                     2.0)},
+  };
+  for (const auto& [field, digest] : variants) {
+    EXPECT_NE(digest, base) << field;
+  }
+  sim::Engine engine;
+  EXPECT_NE(base, Tracer(engine, 1).digest());  // the empty stream
+}
+
+struct DigestRun {
+  std::uint64_t digest = 0;
+  std::uint64_t dropped = 0;
+  std::size_t task_states = 0;  // retained kTaskState instants
+  std::size_t final_done = 0;   // ... whose value is kDone
+};
+
+// 30 tasks through flux + dragon with tracing at `capacity`.
+DigestRun run_digest(std::size_t capacity, bool trace_tasks) {
+  core::Session session = make_session(42);
+  const Tracer& tracer = session.enable_tracing(capacity);
+  core::PilotManager pmgr(session);
+  core::PilotDescription desc;
+  desc.nodes = 4;
+  desc.backends = {{.type = "flux", .partitions = 1, .nodes = 2},
+                   {.type = "dragon", .partitions = 1, .nodes = 2}};
+  desc.trace_tasks = trace_tasks;
+  auto& pilot = pmgr.submit(std::move(desc));
+  pilot.launch([](bool ok, const std::string&) { EXPECT_TRUE(ok); });
+  session.run(240.0);
+  core::TaskManager tmgr(session, pilot.agent());
+  tmgr.on_complete([](const core::Task&) {});
+  for (int i = 0; i < 30; ++i) {
+    core::TaskDescription task;
+    task.demand.cores = 1;
+    task.duration = 5.0;
+    task.modality = (i % 2 == 0) ? platform::TaskModality::kExecutable
+                                 : platform::TaskModality::kFunction;
+    tmgr.submit(std::move(task));
+  }
+  session.run();
+  DigestRun run{tracer.digest(), tracer.dropped()};
+  tracer.for_each([&](const Record& r) {
+    if (r.type != SpanType::kTaskState) return;
+    ++run.task_states;
+    if (r.value == static_cast<double>(core::TaskState::kDone)) {
+      ++run.final_done;
+    }
+  });
+  return run;
+}
+
+TEST(TracerDigest, IndependentOfRingCapacity) {
+  const auto tiny = run_digest(1, /*trace_tasks=*/true);
+  const auto full = run_digest(Tracer::kDefaultCapacity, true);
+  EXPECT_GT(tiny.dropped, 0u);
+  EXPECT_EQ(full.dropped, 0u);
+  EXPECT_EQ(tiny.digest, full.digest);
+}
+
+TEST(TracerDigest, TaskStateInstantsOnlyWithPerTaskTracing) {
+  const auto off = run_digest(Tracer::kDefaultCapacity, false);
+  const auto on = run_digest(Tracer::kDefaultCapacity, true);
+  EXPECT_EQ(off.task_states, 0u);
+  // Every task passes several states and ends kDone exactly once.
+  EXPECT_GT(on.task_states, 30u * 3);
+  EXPECT_EQ(on.final_done, 30u);
+  EXPECT_NE(on.digest, off.digest);
+  EXPECT_EQ(to_string(SpanType::kTaskState), "task_state");
 }
 
 // ---------------------------------------------------------------------------
