@@ -8,9 +8,11 @@
 //    1,024 [nodes]."
 //
 // Runs the minimal set of experiments behind each claim and prints a
-// verdict per claim. FLOTILLA_BENCH_QUICK=1 downsizes the IMPECCABLE runs.
+// verdict per claim, judged against the one declared table of claims
+// below. FLOTILLA_BENCH_QUICK=1 downsizes the IMPECCABLE runs.
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "harness.hpp"
 #include "workloads/impeccable.hpp"
@@ -71,7 +73,63 @@ Campaign impeccable_run(const std::string& backend, int nodes) {
   return {metrics.makespan(), metrics.peak_throughput()};
 }
 
-const char* verdict(bool ok) { return ok ? "REPRODUCED" : "DEVIATES"; }
+// The values a measurement may take and still reproduce a claim.
+struct Band {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
+
+// The paper's number, within +-`tolerance` of it (a fraction).
+Band near(double paper, double tolerance) {
+  return {paper * (1.0 - tolerance), paper * (1.0 + tolerance)};
+}
+Band at_most(double paper, double slack) { return {.hi = paper + slack}; }
+Band at_least(double paper) { return {.lo = paper}; }
+Band within(double lo, double hi) { return {lo, hi}; }
+
+struct Claim {
+  const char* name;
+  const char* paper;  // as the paper states it
+  Band band;
+};
+
+// Every verdict is judged against this table, and nowhere else: the
+// paper's number and a stated tolerance. A throughput the paper reports
+// as one measured number gets +-5%; a bound or range the paper states is
+// taken as stated, except that the srun utilization bound allows half a
+// point for rounding. A measurement outside its band DEVIATES; a band is
+// never widened to keep a row REPRODUCED (EXPERIMENTS.md, "Known
+// deviations").
+enum ClaimId {
+  kSrunPeak,
+  kSrunDegrades,
+  kSrunUtilization,
+  kFluxPeak,
+  kHybridPeak,
+  kHybridUtilization,
+  kImpeccableReduction,
+  kImpeccableStartRate,
+};
+const Claim kClaims[] = {
+    {"srun peak throughput (1 node)", "152 t/s", near(152, 0.05)},
+    {"srun degrades with scale", "61 t/s @4n", near(61, 0.05)},
+    {"srun utilization below 50%", "<= 50%", at_most(0.50, 0.005)},
+    {"RP+Flux sustains up to ~930 t/s", "930 t/s", near(930, 0.05)},
+    {"RP+Flux+Dragon exceeds ~1,500 t/s", "1,547 t/s", near(1547, 0.05)},
+    {"hybrid utilization over 99.6%", ">= 99.6%", at_least(0.996)},
+    {"IMPECCABLE makespan reduction", "30-60%", within(0.30, 0.60)},
+    {"IMPECCABLE start-rate gain", "> 4x", at_least(4.0)},
+};
+
+// One table row: claim `id`, its measurement as printed, and the verdict
+// on `value`.
+void judge(Table& table, ClaimId id, const std::string& measured,
+           double value, const std::string& name_suffix = "") {
+  const Claim& claim = kClaims[id];
+  const bool ok = value >= claim.band.lo && value <= claim.band.hi;
+  table.add_row({claim.name + name_suffix, claim.paper, measured,
+                 ok ? "REPRODUCED" : "DEVIATES"});
+}
 
 }  // namespace
 
@@ -84,12 +142,9 @@ int main() {
   // utilization below 50%.
   const auto srun1 = null_run("srun", 1, 1);
   const auto srun4 = null_run("srun", 4, 1);
-  table.add_row({"srun peak throughput (1 node)", "152 t/s",
-                 fixed(srun1.peak_tput) + " t/s",
-                 verdict(std::abs(srun1.peak_tput - 152) < 25)});
-  table.add_row({"srun degrades with scale", "61 t/s @4n",
-                 fixed(srun4.window_tput) + " t/s",
-                 verdict(srun4.window_tput < 0.5 * srun1.peak_tput)});
+  judge(table, kSrunPeak, fixed(srun1.peak_tput) + " t/s", srun1.peak_tput);
+  judge(table, kSrunDegrades, fixed(srun4.window_tput) + " t/s",
+        srun4.window_tput);
   {
     ExperimentConfig config;
     config.label = "srun_util";
@@ -97,22 +152,18 @@ int main() {
     config.pilot = {.nodes = 4, .backends = {{"srun"}}};
     config.tasks = workloads::uniform_tasks(896, 180.0);
     const auto util = run_experiment(std::move(config));
-    table.add_row({"srun utilization below 50%", "<= 50%",
-                   percent(util.core_util),
-                   verdict(util.core_util <= 0.505)});
+    judge(table, kSrunUtilization, percent(util.core_util), util.core_util);
   }
 
   // flux_n: up to 930 tasks/s.
   const auto fluxn = null_run("flux", 64, 64);
-  table.add_row({"RP+Flux sustains up to ~930 t/s", "930 t/s",
-                 fixed(fluxn.peak_tput) + " t/s peak",
-                 verdict(fluxn.peak_tput > 800 && fluxn.peak_tput < 1100)});
+  judge(table, kFluxPeak, fixed(fluxn.peak_tput) + " t/s peak",
+        fluxn.peak_tput);
 
   // hybrid: >1,500 tasks/s at >= 99.6% utilization.
   const auto hybrid = null_run("hybrid", 64, 16);
-  table.add_row({"RP+Flux+Dragon exceeds ~1,500 t/s", "1,547 t/s",
-                 fixed(hybrid.peak_tput) + " t/s peak",
-                 verdict(hybrid.peak_tput > 1300)});
+  judge(table, kHybridPeak, fixed(hybrid.peak_tput) + " t/s peak",
+        hybrid.peak_tput);
   {
     ExperimentConfig config;
     config.label = "hybrid_util";
@@ -124,9 +175,8 @@ int main() {
     config.tasks = workloads::mixed_tasks(workloads::paper_task_count(16),
                                           360.0);
     const auto util = run_experiment(std::move(config));
-    table.add_row({"hybrid utilization over 99.6%", ">= 99.6%",
-                   percent(util.core_util),
-                   verdict(util.core_util >= 0.996)});
+    judge(table, kHybridUtilization, percent(util.core_util),
+          util.core_util);
   }
 
   // IMPECCABLE: flux reduces makespan 30-60% vs srun; throughput >4x.
@@ -134,15 +184,11 @@ int main() {
   const auto camp_srun = impeccable_run("srun", nodes);
   const auto camp_flux = impeccable_run("flux", nodes);
   const double reduction = 1.0 - camp_flux.makespan / camp_srun.makespan;
-  table.add_row(
-      {"IMPECCABLE makespan reduction @" + std::to_string(nodes) + "n",
-       "30-60%", percent(reduction),
-       verdict(reduction > 0.25 && reduction < 0.70)});
+  judge(table, kImpeccableReduction, percent(reduction), reduction,
+        " @" + std::to_string(nodes) + "n");
   const double tput_gain =
       camp_flux.peak_start_rate / std::max(1.0, camp_srun.peak_start_rate);
-  table.add_row({"IMPECCABLE start-rate gain", "> 4x",
-                 fixed(tput_gain, 1) + "x",
-                 verdict(tput_gain > 3.0)});
+  judge(table, kImpeccableStartRate, fixed(tput_gain, 1) + "x", tput_gain);
 
   table.print();
   table.write_csv("abstract_claims.csv");

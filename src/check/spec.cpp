@@ -1,10 +1,13 @@
 #include "check/spec.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 
 #include "ingress/arrival.hpp"
 #include "util/error.hpp"
@@ -39,35 +42,37 @@ constexpr long long kIntMin = std::numeric_limits<int>::min();
 constexpr long long kIntMax = std::numeric_limits<int>::max();
 constexpr long long kInt64Max = std::numeric_limits<long long>::max();
 
-// Integers are range-checked before they narrow, never wrapped or made
-// negative.
-long long parse_int(const std::string& s, const std::string& what,
-                    long long lo = kIntMin, long long hi = kIntMax) {
-  long long v = 0;
-  try {
-    std::size_t used = 0;
-    v = std::stoll(s, &used);
-    if (used != s.size()) util::raise("spec: trailing junk in ", what, ": ", s);
-  } catch (const std::invalid_argument&) {
+// Integers must be written the way to_string() writes them: digits, with
+// a '-' only on a negative value of a signed key, and no '+', blank,
+// leading zero or "-0". So a line means one number or is refused, and a
+// negative never wraps into an unsigned key. Values are range-checked
+// before they narrow.
+template <typename Int>
+Int parse_integer(const std::string& s, const std::string& what, Int lo,
+                  Int hi) {
+  Int v{};
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, v);
+  const std::string_view digits =
+      std::string_view(s).substr(s.starts_with('-') ? 1 : 0);
+  if (ec == std::errc::invalid_argument || end != last ||
+      (digits.starts_with('0') && s != "0")) {
     util::raise("spec: bad integer for ", what, ": ", s);
-  } catch (const std::out_of_range&) {
+  }
+  if (ec == std::errc::result_out_of_range || v < lo || v > hi) {
     util::raise("spec: ", what, " out of range: ", s);
   }
-  if (v < lo || v > hi) util::raise("spec: ", what, " out of range: ", s);
   return v;
 }
 
+long long parse_int(const std::string& s, const std::string& what,
+                    long long lo = kIntMin, long long hi = kIntMax) {
+  return parse_integer(s, what, lo, hi);
+}
+
 std::uint64_t parse_u64(const std::string& s, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(s, &used);
-    if (used != s.size()) util::raise("spec: trailing junk in ", what, ": ", s);
-    return v;
-  } catch (const std::invalid_argument&) {
-    util::raise("spec: bad integer for ", what, ": ", s);
-  } catch (const std::out_of_range&) {
-    util::raise("spec: integer out of range for ", what, ": ", s);
-  }
+  return parse_integer(s, what, std::uint64_t{0},
+                       std::numeric_limits<std::uint64_t>::max());
 }
 
 // Names are checked here too, not first where the runner reads them, so a
@@ -207,6 +212,7 @@ std::string ScenarioSpec::to_string() const {
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   ScenarioSpec spec;
   spec.backends.clear();
+  std::set<std::string> seen;
   for (const auto& pair : split(text, ';')) {
     if (pair.empty()) continue;
     const auto eq = pair.find('=');
@@ -215,6 +221,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     }
     const auto key = pair.substr(0, eq);
     const auto value = pair.substr(eq + 1);
+    // A second value for a key would silently win over the first.
+    if (!seen.insert(key).second) util::raise("spec: repeated key ", key);
     if (key == "seed") {
       spec.seed = parse_u64(value, "seed");
     } else if (key == "nodes") {

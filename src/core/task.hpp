@@ -44,7 +44,7 @@ struct TaskDescription {
   int priority = 16;
 };
 
-enum class TaskState {
+enum class TaskState : std::uint8_t {
   kNew,              // described, not yet accepted
   kTmgrScheduling,   // in the task manager pipeline
   kStagingInput,     // input data moving through the stager

@@ -3,40 +3,30 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <map>
+#include <utility>
 
 namespace flotilla::journal {
 
 namespace {
 
-// One key=value field split out of a line body.
-struct Field {
-  std::string_view key;
-  std::string_view value;
-};
-
-// Splits "tag|k1=v1|k2=v2|...". Returns false on grammar violations
-// (missing '=' in a field).
-bool split_fields(std::string_view body, std::string_view& tag,
-                  std::vector<Field>& fields) {
-  const std::size_t bar = body.find('|');
+// Splits a line body "tag|p1|p2|..." at '|' into its tag and pieces.
+void split_pieces(std::string_view body, std::string_view& tag,
+                  std::vector<std::string_view>& pieces) {
+  std::size_t bar = body.find('|');
   tag = body.substr(0, bar);
-  fields.clear();
-  std::string_view rest =
-      bar == std::string_view::npos ? std::string_view{} : body.substr(bar + 1);
-  while (!rest.empty()) {
-    const std::size_t next = rest.find('|');
-    const std::string_view piece = rest.substr(0, next);
-    const std::size_t eq = piece.find('=');
-    if (eq == std::string_view::npos) return false;
-    fields.push_back({piece.substr(0, eq), piece.substr(eq + 1)});
-    rest = next == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(next + 1);
+  pieces.clear();
+  while (bar != std::string_view::npos) {
+    const std::size_t next = body.find('|', bar + 1);
+    pieces.push_back(body.substr(bar + 1, next == std::string_view::npos
+                                              ? std::string_view::npos
+                                              : next - bar - 1));
+    bar = next;
   }
-  return true;
 }
 
-// Accepts only the form std::to_chars writes: no leading zero and no "-0",
-// so anything decoded re-encodes to the same bytes.
+// Accepts only the form std::to_chars writes: no '+', no blank, no leading
+// zero and no "-0", so anything decoded re-encodes to the same bytes.
 template <typename Int>
 bool parse_int(std::string_view text, Int& out) {
   const std::string_view magnitude = text.substr(text.starts_with('-') ? 1 : 0);
@@ -62,6 +52,17 @@ bool parse_time(std::string_view text, sim::Time& out) {
       (whole.size() > 1 && whole.front() == '0')) {
     return false;
   }
+  // Below 10^6 s the time in nanoseconds, q, is an integer under 2^53, so
+  // double(q) and 10^9 are exact and their quotient is the correctly
+  // rounded value from_chars would return, at a fraction of its cost.
+  if (whole.size() <= 6) {
+    std::uint64_t nanos = 0;
+    for (const char c : text) {
+      if (c != '.') nanos = nanos * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    out = static_cast<double>(nanos) / 1e9;
+    return true;
+  }
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(
       text.data(), text.data() + text.size(), value, std::chars_format::fixed);
@@ -74,134 +75,188 @@ bool parse_time(std::string_view text, sim::Time& out) {
 }
 
 // Decodes one line body (checksum already stripped and verified) into
-// `record`. Enforces the canonical field order so that decode(encode(r))
-// round-trips and any hand-edited journal is rejected loudly. `fields` is
-// scratch space, reused across lines.
+// `record`. Enforces the canonical grammar (record.hpp) so that
+// decode(encode(r)) round-trips and any hand-edited journal is rejected
+// loudly: the tag's positional fields, then its optional keyed fields in
+// order, each present only when it holds something other than its
+// default. `pieces` is scratch space, reused across lines. A transition's
+// `from` is left to the caller.
 bool decode_body(std::string_view body, Record& record,
-                 std::vector<Field>& fields, std::string& error) {
+                 std::vector<std::string_view>& pieces, std::string& error) {
   std::string_view tag;
-  if (!split_fields(body, tag, fields)) {
-    error = "malformed field (missing '=')";
+  split_pieces(body, tag, pieces);
+  std::size_t next = 0;  // the piece to decode next
+  const auto fail = [&](std::string message) {
+    error = std::move(message);
     return false;
-  }
-  const auto expect = [&](std::size_t i, std::string_view key,
-                          std::string_view& value) {
-    if (i >= fields.size() || fields[i].key != key) {
-      error = "expected field '" + std::string(key) + "'";
-      return false;
+  };
+  // A positional field.
+  const auto take = [&](std::string_view name, std::string_view& value) {
+    if (next >= pieces.size()) {
+      return fail("missing field '" + std::string(name) + "'");
     }
-    value = fields[i].value;
+    value = pieces[next++];
     return true;
   };
-  const auto expect_i64 = [&](std::size_t i, std::string_view key,
-                              std::int64_t& out) {
+  const auto take_int = [&](std::string_view name, auto& out) {
     std::string_view v;
-    if (!expect(i, key, v)) return false;
+    if (!take(name, v)) return false;
     if (!parse_int(v, out)) {
-      error = "bad integer in field '" + std::string(key) + "'";
-      return false;
+      return fail("bad integer in field '" + std::string(name) + "'");
     }
     return true;
   };
-  const auto expect_time = [&](std::size_t i, sim::Time& out) {
+  const auto take_time = [&] {
     std::string_view v;
-    if (!expect(i, "t", v)) return false;
-    if (!parse_time(v, out)) {
-      error = "bad time";
+    if (!take("time", v)) return false;
+    if (!parse_time(v, record.time)) return fail("bad time");
+    return true;
+  };
+  // A keyed field "key=value"; returns whether it is the next piece.
+  // `keyed` sets `value` when it is.
+  const auto keyed = [&](std::string_view key, std::string_view& value) {
+    if (next >= pieces.size()) return false;
+    const std::string_view piece = pieces[next];
+    if (piece.size() <= key.size() || !piece.starts_with(key) ||
+        piece[key.size()] != '=') {
       return false;
+    }
+    value = piece.substr(key.size() + 1);
+    ++next;
+    return true;
+  };
+  const auto expect_keyed = [&](std::string_view key,
+                                std::string_view& value) {
+    if (!keyed(key, value)) {
+      return fail("expected field '" + std::string(key) + "'");
     }
     return true;
   };
-  const auto check_arity = [&](std::size_t n) {
-    if (fields.size() != n) {
-      error = "wrong field count for '" + std::string(tag) + "'";
-      return false;
+  // An optional text field: absent means empty, so present must not be.
+  const auto optional_text = [&](std::string_view key, std::string& out) {
+    std::string_view v;
+    out.clear();
+    if (!keyed(key, v)) return true;
+    if (v.empty()) return fail("field '" + std::string(key) + "' is empty");
+    out.assign(v);
+    return true;
+  };
+  // An optional integer: absent means zero, so present must not be.
+  const auto optional_int = [&](std::string_view key, std::int64_t& out) {
+    std::string_view v;
+    out = 0;
+    if (!keyed(key, v)) return true;
+    if (!parse_int(v, out) || out == 0) {
+      return fail("bad integer in field '" + std::string(key) + "'");
+    }
+    return true;
+  };
+  const auto finish = [&] {
+    if (next != pieces.size()) {
+      return fail("unexpected field in '" + std::string(tag) + "'");
     }
     return true;
   };
 
   std::string_view v;
-  if (tag == "journal") {
+  if (tag == wire_tag(RecordType::kHeader)) {
     record.type = RecordType::kHeader;
-    if (!check_arity(3)) return false;
-    if (!expect(0, "v", v)) return false;
     std::int64_t version = 0;
-    if (!parse_int(v, version) || version != 1) {
-      error = "unsupported journal version";
-      return false;
+    if (!expect_keyed("v", v)) return false;
+    if (!parse_int(v, version)) return fail("bad journal version");
+    if (version != kVersion) {
+      return fail("unsupported journal version " + std::string(v) +
+                  " (this build reads v=" + std::to_string(kVersion) + ")");
     }
-    if (!expect(1, "seed", v) || !parse_int(v, record.seed)) {
-      error = error.empty() ? "bad seed" : error;
-      return false;
-    }
-    if (!expect(2, "spec", v)) return false;
+    if (!expect_keyed("seed", v)) return false;
+    if (!parse_int(v, record.seed)) return fail("bad seed");
+    if (!expect_keyed("spec", v)) return false;
     record.spec.assign(v);
-    return true;
+    return finish();
   }
-  if (tag == "ready") {
+  if (tag == wire_tag(RecordType::kReady)) {
     record.type = RecordType::kReady;
-    if (!check_arity(1)) return false;
-    return expect_time(0, record.time);
+    return take_time() && finish();
   }
-  if (tag == "task") {
+  if (tag == wire_tag(RecordType::kTransition)) {
     record.type = RecordType::kTransition;
-    if (!check_arity(6)) return false;
-    if (!expect_time(0, record.time)) return false;
-    if (!expect(1, "uid", v)) return false;
-    record.uid.assign(v);
-    if (!expect(2, "from", v)) return false;
-    record.from.assign(v);
-    if (!expect(3, "to", v)) return false;
-    record.to.assign(v);
-    if (!expect(4, "backend", v)) return false;
-    record.backend.assign(v);
-    return expect_i64(5, "attempt", record.attempt);
-  }
-  if (tag == "alloc") {
-    record.type = RecordType::kAlloc;
-    if (!check_arity(4)) return false;
-    return expect_time(0, record.time) &&
-           expect_i64(1, "node", record.node) &&
-           expect_i64(2, "cores", record.cores) &&
-           expect_i64(3, "gpus", record.gpus);
-  }
-  if (tag == "fault") {
-    record.type = RecordType::kFault;
-    if (!check_arity(5)) return false;
-    if (!expect_time(0, record.time)) return false;
-    if (!expect(1, "kind", v)) return false;
-    record.kind.assign(v);
-    if (!expect(2, "backend", v)) return false;
-    record.backend.assign(v);
-    return expect_i64(3, "index", record.index) &&
-           expect_i64(4, "count", record.count);
-  }
-  if (tag == "end") {
-    record.type = RecordType::kEnd;
-    if (!check_arity(5)) return false;
-    if (!expect_time(0, record.time)) return false;
-    if (!expect_i64(1, "done", record.done)) return false;
-    if (!expect_i64(2, "failed", record.failed)) return false;
-    if (!expect_i64(3, "canceled", record.canceled)) return false;
-    if (!expect(4, "events", v) || !parse_int(v, record.events)) {
-      error = error.empty() ? "bad event count" : error;
+    if (!take_time() || !take_int("task", record.task) || !take("to", v)) {
       return false;
     }
-    return true;
+    if (v.size() != 1 || !is_digits(v) ||
+        v[0] > state_code(core::TaskState::kCanceled)) {
+      return fail("bad task state code");
+    }
+    record.to = static_cast<core::TaskState>(v[0] - '0');
+    return optional_text("b", record.backend) &&
+           optional_int("a", record.attempt) && finish();
   }
-  error = "unknown record tag '" + std::string(tag) + "'";
-  return false;
+  if (tag == wire_tag(RecordType::kAlloc)) {
+    record.type = RecordType::kAlloc;
+    return take_time() && take_int("node", record.node) &&
+           take_int("cores", record.cores) &&
+           optional_int("g", record.gpus) && finish();
+  }
+  if (tag == wire_tag(RecordType::kFault)) {
+    record.type = RecordType::kFault;
+    if (!take_time() || !take("kind", v)) return false;
+    record.kind.assign(v);
+    return take_int("index", record.index) &&
+           take_int("count", record.count) &&
+           optional_text("b", record.backend) && finish();
+  }
+  if (tag == wire_tag(RecordType::kEnd)) {
+    record.type = RecordType::kEnd;
+    return take_time() && take_int("done", record.done) &&
+           take_int("failed", record.failed) &&
+           take_int("canceled", record.canceled) &&
+           take_int("events", record.events) && finish();
+  }
+  return fail("unknown record tag '" + std::string(tag) + "'");
 }
 
-// Verifies and strips the trailing "|h=XXXXXXXX" checksum field.
+// The latest state of every task seen so far, which is the `from` of its
+// next edge. A Scribe's task ids are dense, so ids below the journal's
+// length in bytes index a vector; anything above (which a Scribe never
+// writes, and which would size the vector by a number from the input)
+// goes to a map, so the table never outgrows the input.
+class LastStates {
+ public:
+  explicit LastStates(std::size_t dense_limit) : dense_limit_(dense_limit) {}
+
+  // Records `to` as task `task`'s state and returns the one it replaces.
+  core::TaskState advance(core::TaskId task, core::TaskState to) {
+    core::TaskState* slot = nullptr;
+    if (task < dense_limit_) {
+      if (task >= dense_.size()) {
+        dense_.resize(std::size_t{task} + 1, core::TaskState::kNew);
+      }
+      slot = &dense_[task];
+    } else {
+      slot = &sparse_.try_emplace(task, core::TaskState::kNew).first->second;
+    }
+    return std::exchange(*slot, to);
+  }
+
+ private:
+  std::size_t dense_limit_;
+  std::vector<core::TaskState> dense_;
+  std::map<core::TaskId, core::TaskState> sparse_;
+};
+
+// Verifies and strips the trailing checksum field: "|" and 8 hex digits,
+// or "|h=" and 8 hex digits on the header.
 bool strip_checksum(std::string_view line, std::string_view& body,
                     std::string& error) {
-  constexpr std::size_t kSuffix = 11;  // "|h=" + 8 hex digits
-  if (line.size() < kSuffix || line.substr(line.size() - kSuffix, 3) != "|h=") {
+  const std::string_view marker =
+      line.starts_with("journal|") ? std::string_view("|h=") : "|";
+  const std::size_t suffix = marker.size() + 8;
+  if (line.size() < suffix ||
+      line.substr(line.size() - suffix, marker.size()) != marker) {
     error = "missing checksum";
     return false;
   }
-  body = line.substr(0, line.size() - kSuffix);
+  body = line.substr(0, line.size() - suffix);
   // Lowercase hex only, as the writer prints it.
   std::uint32_t stored = 0;
   for (const char c : line.substr(line.size() - 8)) {
@@ -213,7 +268,7 @@ bool strip_checksum(std::string_view line, std::string_view& body,
     stored = stored << 4 | static_cast<std::uint32_t>(digit ? c - '0'
                                                             : c - 'a' + 10);
   }
-  // The checksum covers the line up to and including "|h=".
+  // The checksum covers the line up to and including the marker.
   const std::uint32_t expected = fnv1a32(line.substr(0, line.size() - 8));
   if (stored != expected) {
     error = "checksum mismatch";
@@ -230,7 +285,8 @@ ReadResult read(std::string_view bytes) {
   out.records.reserve(
       static_cast<std::size_t>(std::count(bytes.begin(), bytes.end(), '\n')) +
       1);
-  std::vector<Field> fields;
+  std::vector<std::string_view> pieces;
+  LastStates states(bytes.size());
   std::string error;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
@@ -241,7 +297,7 @@ ReadResult read(std::string_view bytes) {
     std::string_view body;
     Record& record = out.records.emplace_back();
     const bool ok = strip_checksum(line, body, error) &&
-                    decode_body(body, record, fields, error);
+                    decode_body(body, record, pieces, error);
     if (!ok || is_tail) out.records.pop_back();
     if (!ok) {
       if (is_tail) {
@@ -262,6 +318,9 @@ ReadResult read(std::string_view bytes) {
       out.truncated = true;
       out.truncated_bytes = line.size();
       return out;
+    }
+    if (record.type == RecordType::kTransition) {
+      record.from = states.advance(record.task, record.to);
     }
     pos = nl + 1;
   }

@@ -31,12 +31,11 @@ class Writer {
     record.encode_to(line_);
     return commit();
   }
-  std::string_view append_transition(sim::Time time, std::string_view uid,
-                                     std::string_view from,
-                                     std::string_view to,
+  std::string_view append_transition(sim::Time time, core::TaskId task,
+                                     core::TaskState to,
                                      std::string_view backend,
                                      std::int64_t attempt) {
-    encode_transition(line_, time, uid, from, to, backend, attempt);
+    encode_transition(line_, time, task, to, backend, attempt);
     return commit();
   }
   std::string_view append_alloc(sim::Time time, std::int64_t node,
@@ -59,8 +58,9 @@ class Writer {
   std::size_t records_ = 0;
   // The line being appended, reused so encoding allocates nothing. Encoding
   // straight into bytes_ would save the copy, but it shifts where the
-  // buffer's capacity doubling starts, and on the service_journal benchmark
-  // that raised peak memory from 119 to 170 MB.
+  // buffer's capacity doubling starts (from the header's length), and on
+  // the service_journal benchmark that raised peak memory from 119 to
+  // 170 MB.
   std::string line_;
 };
 
@@ -87,7 +87,11 @@ struct ReadResult {
 // so callers can decide whether a torn tail is acceptable (recovery) or
 // any damage is fatal (the codec tests). Fields must be in their canonical
 // form; a time in particular must match (0|[1-9][0-9]*)\.[0-9]{9} and be
-// finite, so anything decoded re-encodes to the same bytes.
+// finite, so anything decoded re-encodes to the same bytes. A header of
+// another format version is corruption at its index, labeled
+// "unsupported journal version N (this build reads v=2)". Each
+// transition's `from` is the task's `to` on its previous edge in `bytes`,
+// kNew on its first.
 ReadResult read(std::string_view bytes);
 
 }  // namespace flotilla::journal

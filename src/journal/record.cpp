@@ -2,7 +2,9 @@
 // numbers are formatted into the builder's own buffer and string fields
 // are checked for delimiters first, then the caller-owned line is sized
 // once and each piece is copied in through a pointer, followed by the
-// FNV-1a-32 checksum in hex and '\n'. Times go through an exact integer
+// FNV-1a-32 checksum in hex and '\n'. Optional fields (a task's backend
+// and attempt, an alloc's GPUs, a fault's backend) are left out when they
+// hold their default, empty or zero. Times go through an exact integer
 // formatter (append_time); integers through std::to_chars. Nothing here
 // allocates once the line has the capacity of a record, which is why the
 // writer and the scribe keep one and reuse it.
@@ -83,26 +85,34 @@ char* write_time(char* first, sim::Time time) {
   return end;
 }
 
-// One line under construction: the tag, then key=value fields in order.
-// Every value is validated and, for numbers and times, formatted into the
-// builder's own buffer as it is added, so an error raises before write()
-// touches the output line.
+// One line under construction: the tag, then its fields in order, each
+// either positional ("|value") or keyed ("|k=value"). Every value is
+// validated and, for numbers and times, formatted into the builder's own
+// buffer as it is added, so an error raises before write() touches the
+// output line.
 class LineBuilder {
  public:
-  explicit LineBuilder(std::string_view tag) : tag_(tag), size_(tag.size()) {}
+  explicit LineBuilder(RecordType type)
+      : tag_(wire_tag(type)),
+        // The header keeps the checksum marker every version shares.
+        marker_(type == RecordType::kHeader ? "|h=" : "|"),
+        size_(tag_.size()) {}
   LineBuilder(const LineBuilder&) = delete;
   LineBuilder& operator=(const LineBuilder&) = delete;
 
+  // A keyed text field.
   void text(std::string_view key, std::string_view value) {
-    for (const char c : value) {
-      if (c == '|' || c == '\n') {
-        util::raise("journal: field '", key,
-                    "' contains a record delimiter: ", value);
-      }
-    }
+    check_text(key, value);
     add(key, value);
   }
 
+  // A positional text field; `name` labels the error.
+  void positional_text(std::string_view name, std::string_view value) {
+    check_text(name, value);
+    add({}, value);
+  }
+
+  // A number; an empty `key` makes the field positional.
   template <std::integral Int>
   void integer(std::string_view key, Int value) {
     char* end = std::to_chars(free_, numbers_.data() + numbers_.size(), value)
@@ -113,25 +123,32 @@ class LineBuilder {
 
   void timestamp(sim::Time time) {
     char* end = write_time(free_, time);
-    add("t", std::string_view(free_, static_cast<std::size_t>(end - free_)));
+    add({}, std::string_view(free_, static_cast<std::size_t>(end - free_)));
     free_ = end;
   }
 
-  // Overwrites `line` with the record, "|h=", the checksum of every byte
-  // before the hex digits, and '\n'.
+  void state(core::TaskState state) {
+    *free_ = state_code(state);
+    add({}, std::string_view(free_, 1));
+    ++free_;
+  }
+
+  // Overwrites `line` with the record, the checksum marker, the checksum
+  // of every byte before the hex digits, and '\n'.
   void write(std::string& line) const {
     static constexpr char kHex[] = "0123456789abcdef";
-    static constexpr std::string_view kMarker = "|h=";
-    const std::size_t covered = size_ + kMarker.size();
+    const std::size_t covered = size_ + marker_.size();
     line.resize(covered + 9);
     char* p = copy(line.data(), tag_);
     for (std::size_t i = 0; i < count_; ++i) {
       *p++ = '|';
-      p = copy(p, fields_[i].key);
-      *p++ = '=';
+      if (!fields_[i].key.empty()) {
+        p = copy(p, fields_[i].key);
+        *p++ = '=';
+      }
       p = copy(p, fields_[i].value);
     }
-    p = copy(p, kMarker);
+    p = copy(p, marker_);
     std::uint32_t sum = fnv1a32(std::string_view(line.data(), covered));
     for (int i = 7; i >= 0; --i) {
       p[i] = kHex[sum & 0xfu];
@@ -146,17 +163,28 @@ class LineBuilder {
     std::string_view value;
   };
 
+  static void check_text(std::string_view name, std::string_view value) {
+    for (const char c : value) {
+      if (c == '|' || c == '\n') {
+        util::raise("journal: field '", name,
+                    "' contains a record delimiter: ", value);
+      }
+    }
+  }
+
   void add(std::string_view key, std::string_view value) {
     fields_[count_++] = {key, value};
-    size_ += key.size() + value.size() + 2;  // '|' and '='
+    // '|', and '=' after a key.
+    size_ += key.size() + value.size() + (key.empty() ? 1 : 2);
   }
 
   std::string_view tag_;
-  std::array<Field, 6> fields_{};  // a task edge has the most: 6
+  std::string_view marker_;
+  std::array<Field, 5> fields_{};  // a task edge has the most: 5
   std::size_t count_ = 0;
-  std::size_t size_;  // bytes before the checksum field
+  std::size_t size_;  // bytes before the checksum marker
   // Formatted numbers: at most one time and four 64-bit integers (20
-  // characters each, sign included).
+  // characters each, sign included), or a state code in place of one.
   std::array<char, kMaxTimeChars + 4 * 20> numbers_;
   char* free_ = numbers_.data();
 };
@@ -171,26 +199,25 @@ void append_time(std::string& out, sim::Time time) {
   out.append(buf, write_time(buf, time));
 }
 
-void encode_transition(std::string& out, sim::Time time, std::string_view uid,
-                       std::string_view from, std::string_view to,
-                       std::string_view backend, std::int64_t attempt) {
-  LineBuilder line(to_string(RecordType::kTransition));
+void encode_transition(std::string& out, sim::Time time, core::TaskId task,
+                       core::TaskState to, std::string_view backend,
+                       std::int64_t attempt) {
+  LineBuilder line(RecordType::kTransition);
   line.timestamp(time);
-  line.text("uid", uid);
-  line.text("from", from);
-  line.text("to", to);
-  line.text("backend", backend);
-  line.integer("attempt", attempt);
+  line.integer({}, task);
+  line.state(to);
+  if (!backend.empty()) line.text("b", backend);
+  if (attempt != 0) line.integer("a", attempt);
   line.write(out);
 }
 
 void encode_alloc(std::string& out, sim::Time time, std::int64_t node,
                   std::int64_t cores, std::int64_t gpus) {
-  LineBuilder line(to_string(RecordType::kAlloc));
+  LineBuilder line(RecordType::kAlloc);
   line.timestamp(time);
-  line.integer("node", node);
-  line.integer("cores", cores);
-  line.integer("gpus", gpus);
+  line.integer({}, node);
+  line.integer({}, cores);
+  if (gpus != 0) line.integer("g", gpus);
   line.write(out);
 }
 
@@ -212,6 +239,32 @@ std::string_view to_string(RecordType type) {
   return "?";
 }
 
+std::string_view wire_tag(RecordType type) {
+  switch (type) {
+    case RecordType::kHeader:
+      return "journal";
+    case RecordType::kReady:
+      return "r";
+    case RecordType::kTransition:
+      return "t";
+    case RecordType::kAlloc:
+      return "a";
+    case RecordType::kFault:
+      return "f";
+    case RecordType::kEnd:
+      return "e";
+  }
+  return "?";
+}
+
+char state_code(core::TaskState state) {
+  const auto ordinal = static_cast<unsigned>(state);
+  if (ordinal > static_cast<unsigned>(core::TaskState::kCanceled)) {
+    util::raise("journal: no code for task state ", ordinal);
+  }
+  return static_cast<char>('0' + ordinal);
+}
+
 std::uint32_t fnv1a32(std::string_view text) {
   std::uint32_t h = 2166136261u;
   for (const unsigned char c : text) {
@@ -222,10 +275,10 @@ std::uint32_t fnv1a32(std::string_view text) {
 }
 
 void Record::encode_to(std::string& out) const {
-  LineBuilder line(to_string(type));
+  LineBuilder line(type);
   switch (type) {
     case RecordType::kHeader:
-      line.integer("v", std::int64_t{1});
+      line.integer("v", kVersion);
       line.integer("seed", seed);
       line.text("spec", spec);
       break;
@@ -233,24 +286,24 @@ void Record::encode_to(std::string& out) const {
       line.timestamp(time);
       break;
     case RecordType::kTransition:
-      encode_transition(out, time, uid, from, to, backend, attempt);
+      encode_transition(out, time, task, to, backend, attempt);
       return;
     case RecordType::kAlloc:
       encode_alloc(out, time, node, cores, gpus);
       return;
     case RecordType::kFault:
       line.timestamp(time);
-      line.text("kind", kind);
-      line.text("backend", backend);
-      line.integer("index", index);
-      line.integer("count", count);
+      line.positional_text("kind", kind);
+      line.integer({}, index);
+      line.integer({}, count);
+      if (!backend.empty()) line.text("b", backend);
       break;
     case RecordType::kEnd:
       line.timestamp(time);
-      line.integer("done", done);
-      line.integer("failed", failed);
-      line.integer("canceled", canceled);
-      line.integer("events", events);
+      line.integer({}, done);
+      line.integer({}, failed);
+      line.integer({}, canceled);
+      line.integer({}, events);
       break;
   }
   line.write(out);
@@ -271,15 +324,14 @@ Record ready_record(sim::Time time) {
   return r;
 }
 
-Record transition_record(sim::Time time, std::string uid, std::string from,
-                         std::string to, std::string backend,
+Record transition_record(sim::Time time, core::TaskId task,
+                         core::TaskState to, std::string backend,
                          std::int64_t attempt) {
   Record r;
   r.type = RecordType::kTransition;
   r.time = time;
-  r.uid = std::move(uid);
-  r.from = std::move(from);
-  r.to = std::move(to);
+  r.task = task;
+  r.to = to;
   r.backend = std::move(backend);
   r.attempt = attempt;
   return r;

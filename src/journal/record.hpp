@@ -9,6 +9,20 @@
 // journal bytes (the recovery oracle in src/check compares journals
 // bit-for-bit, like the .prof exporter's byte-identity guarantee).
 //
+// The format is v=2. Every line but the header is a one-character tag,
+// the fields every record of that tag has (positional, no key), then the
+// optional fields that hold something other than their default
+// ("k=value", one-character keys, fixed order), then the checksum:
+//
+//   t|62.267854373|100|5|b=dragon|a=1|582eaabb
+//
+// is task 100 (core::Task::id()) entering state 5 (RUNNING, see
+// state_code) on dragon in its first attempt. A task edge does not carry
+// the state it left: that is the task's previous edge's state, and the
+// reader fills it in. The header keeps the shape every journal version
+// shares, journal|v=N|seed=S|spec=X|h=XXXXXXXX, so a reader can tell a
+// journal's version before anything else about it.
+//
 // There is one encoder, a line builder in record.cpp. Record::encode_to()
 // and the field-level encode_transition() and encode_alloc() (which the
 // scribe calls so that no Record is built per task edge or node change)
@@ -32,6 +46,7 @@
 #include <string>
 #include <string_view>
 
+#include "core/task.hpp"
 #include "sim/engine.hpp"
 
 namespace flotilla::journal {
@@ -39,31 +54,48 @@ namespace flotilla::journal {
 enum class RecordType : std::uint8_t {
   kHeader,      // run identity: seed + the serialized scenario/config line
   kReady,       // pilot reported ready; recovery clocks makespan from here
-  kTransition,  // one task lifecycle edge (uid, from, to, backend, attempt)
+  kTransition,  // one task lifecycle edge (task, to, backend, attempt)
   kAlloc,       // node free-capacity delta (negative = allocation)
   kFault,       // an injected fault fired (crash / cancel storm)
   kEnd,         // terminal summary; present only on uninterrupted runs
 };
 
-// Stable wire tag ("journal", "ready", "task", "alloc", "fault", "end").
+// Stable name ("journal", "ready", "task", "alloc", "fault", "end"), which
+// the scribe's trace instants carry.
 std::string_view to_string(RecordType type);
+
+// Wire tag: "journal" for the header, else one character ("r", "t", "a",
+// "f", "e").
+std::string_view wire_tag(RecordType type);
+
+// The format version this build writes and reads.
+inline constexpr std::int64_t kVersion = 2;
+
+// The one-character wire code of a task state: its ordinal as a digit,
+// '0' (NEW) to '9' (CANCELED).
+char state_code(core::TaskState state);
 
 // One journal record. A single struct holds the union of all per-type
 // fields; encode()/decode() only read/write the fields of record's type,
 // in a fixed order, so the line grammar stays canonical.
 struct Record {
   RecordType type = RecordType::kTransition;
+
+  // kTransition: task `task` moved from `from` to `to`. The line carries
+  // only `to`; read() sets `from` to the task's previous `to` (kNew on
+  // its first edge), and encoding ignores it.
+  core::TaskState from = core::TaskState::kNew;
+  core::TaskState to = core::TaskState::kNew;
+  core::TaskId task = 0;
+
   sim::Time time = 0.0;  // virtual time; unused for kHeader
 
   // kHeader.
   std::uint64_t seed = 0;
   std::string spec;  // serialized ScenarioSpec / tool config line
 
-  // kTransition.
-  std::string uid;
-  std::string from;
-  std::string to;
-  std::string backend;  // also kFault's crash target
+  // kTransition (backend is also kFault's crash target).
+  std::string backend;
   std::int64_t attempt = 0;
 
   // kAlloc: change of free capacity on `node` (negative = claimed).
@@ -95,7 +127,8 @@ struct Record {
     return line;
   }
 
-  // Two records are equal iff their canonical encodings are equal.
+  // Two records are equal iff their canonical encodings are equal (so a
+  // transition's `from` does not count).
   friend bool operator==(const Record& a, const Record& b) {
     return a.encode() == b.encode();
   }
@@ -104,8 +137,8 @@ struct Record {
 // Convenience constructors for the record kinds the scribe emits.
 Record header_record(std::uint64_t seed, std::string spec);
 Record ready_record(sim::Time time);
-Record transition_record(sim::Time time, std::string uid, std::string from,
-                         std::string to, std::string backend,
+Record transition_record(sim::Time time, core::TaskId task,
+                         core::TaskState to, std::string backend,
                          std::int64_t attempt);
 Record alloc_record(sim::Time time, std::int64_t node, std::int64_t cores,
                     std::int64_t gpus);
@@ -116,10 +149,10 @@ Record end_record(sim::Time time, std::int64_t done, std::int64_t failed,
 
 // The field-level encoder behind Record::encode_to() for the most frequent
 // record, a task lifecycle edge: overwrites `out` with exactly the line
-// transition_record(time, uid, ...) would encode to.
-void encode_transition(std::string& out, sim::Time time, std::string_view uid,
-                       std::string_view from, std::string_view to,
-                       std::string_view backend, std::int64_t attempt);
+// transition_record(time, task, ...) would encode to.
+void encode_transition(std::string& out, sim::Time time, core::TaskId task,
+                       core::TaskState to, std::string_view backend,
+                       std::int64_t attempt);
 
 // The field-level encoder of a node capacity change: overwrites `out` with
 // exactly the line alloc_record(time, node, cores, gpus) would encode to.

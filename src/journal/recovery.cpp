@@ -4,18 +4,10 @@
 
 namespace flotilla::journal {
 
-namespace {
-
-bool is_terminal_state(const std::string& state) {
-  return state == "DONE" || state == "FAILED" || state == "CANCELED";
-}
-
-}  // namespace
-
 std::size_t StateImage::tasks_in_flight() const {
   std::size_t n = 0;
-  for (const auto& [uid, task] : tasks) {
-    (void)uid;
+  for (const auto& [id, task] : tasks) {
+    (void)id;
     if (task.terminal_edges == 0) ++n;
   }
   return n;
@@ -51,11 +43,11 @@ StateImage RecoveryManager::image() const {
         image.ready_time = r.time;
         break;
       case RecordType::kTransition: {
-        auto& task = image.tasks[r.uid];
+        auto& task = image.tasks[r.task];
         task.state = r.to;
         task.backend = r.backend;
         task.attempt = r.attempt;
-        if (is_terminal_state(r.to)) ++task.terminal_edges;
+        if (core::is_final(r.to)) ++task.terminal_edges;
         break;
       }
       case RecordType::kAlloc:

@@ -30,14 +30,15 @@ namespace flotilla::journal {
 // Summary state reconstructed from a journal prefix.
 struct StateImage {
   struct TaskImage {
-    std::string state;    // last journaled state name
+    core::TaskState state = core::TaskState::kNew;  // last journaled state
     std::string backend;  // last journaled backend assignment
     std::int64_t attempt = 0;
     int terminal_edges = 0;  // edges into kDone/kFailed/kCanceled
   };
 
-  // Ordered by uid so iteration (and test output) is deterministic.
-  std::map<std::string, TaskImage> tasks;
+  // Keyed by core::Task::id(), ordered so iteration (and test output) is
+  // deterministic.
+  std::map<core::TaskId, TaskImage> tasks;
   // Net journaled free-capacity delta per node (0 = node back to its
   // attach-time capacity; negative = capacity still claimed at the crash).
   std::map<std::int64_t, std::int64_t> core_delta;

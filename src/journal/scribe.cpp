@@ -47,13 +47,11 @@ void Scribe::attach(core::TaskManager& tmgr) {
   });
 }
 
-void Scribe::transition(const core::Task& task, core::TaskState from,
+void Scribe::transition(const core::Task& task, core::TaskState /*from*/,
                         core::TaskState to) {
   appended(RecordType::kTransition,
-           writer_.append_transition(session_.now(), task.uid(),
-                                     core::to_string(from),
-                                     core::to_string(to), task.backend(),
-                                     task.attempts()));
+           writer_.append_transition(session_.now(), task.id(), to,
+                                     task.backend(), task.attempts()));
 }
 
 void Scribe::record_header(std::uint64_t seed, std::string spec) {

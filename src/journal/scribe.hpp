@@ -56,7 +56,8 @@ class Scribe : public platform::Cluster::Observer {
   void attach(core::TaskManager& tmgr);
 
   // The transition hook: journals one lifecycle edge of `task`, encoded
-  // straight from the task's fields (no Record is built).
+  // straight from the task's fields (no Record is built). The line carries
+  // the task's id and `to`; `from` is implied by the task's previous edge.
   void transition(const core::Task& task, core::TaskState from,
                   core::TaskState to);
 

@@ -25,17 +25,19 @@ std::vector<std::string> split_csv(const std::string& line) {
 }
 
 // Every cell is checked before it is used: a trace comes from outside, so
-// an empty, partial, non-finite or out-of-range cell is a labeled error,
-// never a silent zero or an out-of-range cast.
+// an empty, partial, non-finite or out-of-range cell is an error labeled
+// "trace:", never a silent zero or an out-of-range cast.
 double to_time(const std::string& cell, const char* column,
                const std::string& line) {
   char* end = nullptr;
   const double value = std::strtod(cell.c_str(), &end);
-  FLOT_CHECK(!cell.empty() && end != nullptr && *end == '\0',
-             "bad ", column, " '", cell, "' in trace row: ", line);
-  FLOT_CHECK(std::isfinite(value) && value >= 0.0, column,
-             " must be finite and non-negative, got '", cell,
-             "' in trace row: ", line);
+  if (cell.empty() || end == nullptr || *end != '\0') {
+    util::raise("trace: bad ", column, " '", cell, "' in row: ", line);
+  }
+  if (!std::isfinite(value) || value < 0.0) {
+    util::raise("trace: ", column, " must be finite and non-negative, got '",
+                cell, "' in row: ", line);
+  }
   return value;
 }
 
@@ -45,12 +47,13 @@ std::int64_t to_count(const std::string& cell, const char* column,
   std::int64_t value = 0;
   const char* last = cell.data() + cell.size();
   const auto [end, err] = std::from_chars(cell.data(), last, value);
-  FLOT_CHECK(!cell.empty() && err != std::errc::invalid_argument &&
-                 end == last,
-             "bad ", column, " '", cell, "' in trace row: ", line);
-  FLOT_CHECK(err == std::errc{} && value >= 0 && value <= kMax, column,
-             " out of range [0, ", kMax, "]: '", cell, "' in trace row: ",
-             line);
+  if (cell.empty() || err == std::errc::invalid_argument || end != last) {
+    util::raise("trace: bad ", column, " '", cell, "' in row: ", line);
+  }
+  if (err != std::errc{} || value < 0 || value > kMax) {
+    util::raise("trace: ", column, " out of range [0, ", kMax, "]: '", cell,
+                "' in row: ", line);
+  }
   return value;
 }
 
@@ -67,7 +70,7 @@ std::vector<TraceEntry> parse_trace(std::istream& in) {
       if (line.rfind("submit_time", 0) == 0) continue;  // header
     }
     const auto cells = split_csv(line);
-    FLOT_CHECK(cells.size() >= 6, "trace row needs >= 6 fields: ", line);
+    if (cells.size() < 6) util::raise("trace: row needs >= 6 fields: ", line);
     TraceEntry entry;
     entry.submit_time = to_time(cells[0], "submit_time", line);
     entry.task.demand.cores = to_count(cells[1], "cores", line);
@@ -77,8 +80,8 @@ std::vector<TraceEntry> parse_trace(std::istream& in) {
     entry.task.duration = to_time(cells[4], "duration", line);
     if (cells[5] == "func") {
       entry.task.modality = platform::TaskModality::kFunction;
-    } else {
-      FLOT_CHECK(cells[5] == "exec", "modality must be exec|func: ", line);
+    } else if (cells[5] != "exec") {
+      util::raise("trace: modality must be exec|func: ", line);
     }
     if (cells.size() >= 7) entry.task.stage = cells[6];
     entries.push_back(std::move(entry));

@@ -24,7 +24,8 @@ struct TraceEntry {
   core::TaskDescription task;
 };
 
-// Parses the CSV text; throws util::Error on malformed rows.
+// Parses the CSV text; throws util::Error labeled "trace:" on a malformed
+// row.
 std::vector<TraceEntry> parse_trace(std::istream& in);
 
 // Serializes entries back to the CSV format (round-trip safe).

@@ -470,17 +470,15 @@ TEST_P(RecoveryContract, RestoresFromMidCampaignJournal) {
   // Exactly one terminal edge per task in the recovered journal.
   const auto parsed = journal::read(recovered.journal);
   ASSERT_TRUE(parsed.intact());
-  std::map<std::string, int> terminal_edges;
+  std::map<core::TaskId, int> terminal_edges;
   for (const auto& record : parsed.records) {
     if (record.type != journal::RecordType::kTransition) continue;
-    if (record.to == "DONE" || record.to == "FAILED" ||
-        record.to == "CANCELED") {
-      ++terminal_edges[record.uid];
-    }
+    if (core::is_final(record.to)) ++terminal_edges[record.task];
   }
   EXPECT_EQ(terminal_edges.size(), static_cast<std::size_t>(spec.tasks));
-  for (const auto& [uid, edges] : terminal_edges) {
-    EXPECT_EQ(edges, 1) << uid << " must reach exactly one terminal state";
+  for (const auto& [id, edges] : terminal_edges) {
+    EXPECT_EQ(edges, 1) << "task " << id
+                        << " must reach exactly one terminal state";
   }
 
   // The recovered run is byte- and digest-equivalent to never crashing.

@@ -259,6 +259,19 @@ TEST(FlotillaFuzzReplay, UnknownNamesExitTwo) {
   expect_refused("seed=1;clients=4;arrival=foo:1", "arrival: unknown kind: foo");
 }
 
+// Integers are taken only in the form the spec encoder writes: a negative
+// seed or crash point once wrapped to a huge unsigned value, '+' and blanks
+// were accepted, and a repeated key silently replaced the first value.
+TEST(FlotillaFuzzReplay, NonCanonicalIntegersAndRepeatedKeysExitTwo) {
+  expect_refused("seed=-1;nodes=2;tasks=8", "spec: bad integer for seed: -1");
+  expect_refused("seed=1;crash_at=-1", "spec: bad integer for crash_at: -1");
+  expect_refused("seed=1;tasks=+11", "spec: bad integer for tasks: +11");
+  expect_refused("seed=1;tasks= 11", "spec: bad integer for tasks:  11");
+  expect_refused("seed=+1", "spec: bad integer for seed: +1");
+  expect_refused("seed=1;nodes=2;tasks=11;duration=0;tasks=20",
+                 "spec: repeated key tasks");
+}
+
 TEST(FlotillaFuzzReplay, RetiredEngineShapeKeysExitTwo) {
   expect_refused("seed=1;shards=2", "spec: retired key shards");
   expect_refused("seed=1;threads=4", "spec: retired key threads");
@@ -365,20 +378,20 @@ TEST(FlotillaRunJournal, FailedJournalWriteIsAnError) {
 }
 
 TEST(FlotillaRunJournal, IngressJournalBytesArePinned) {
-  // Length and digest of the journal the std::to_chars codec wrote before
-  // the integer time formatter (SHA-1 14467fd2c0a91ac773fea1179d31bb58d1cfa254).
+  // Length and digest of the v=2 journal, a record-for-record
+  // transcription of the 3,084,051-byte v=1 journal this run wrote before.
   const TempDir dir;
   const auto path = dir.file("service.jrn");
   const auto result = run_tool(kServiceRun + " --journal " + path);
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("journal: " + path +
-                               " (35003 records, 3084051 bytes)"),
+                               " (35003 records, 1188459 bytes)"),
             std::string::npos)
       << result.output;
   const auto bytes = read_file(path);
-  EXPECT_EQ(bytes.size(), 3084051u);
+  EXPECT_EQ(bytes.size(), 1188459u);
   const auto digest = fnv1a64(kFnv64Basis, bytes);  // FNV-1a-64
-  EXPECT_EQ(digest, 0x9095493a63edd8e4ull) << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(digest, 0x1e37550dcb05e52dull) << std::hex << "digest 0x" << digest;
 }
 
 TEST(FlotillaRunJournal, RecoversFromAJournalTornInHalf) {
@@ -387,7 +400,11 @@ TEST(FlotillaRunJournal, RecoversFromAJournalTornInHalf) {
   const auto run = run_tool(kServiceRun + " --journal " + path);
   ASSERT_EQ(run.exit_code, 0) << run.output;
   const auto bytes = read_file(path);
-  const std::size_t cut = bytes.size() / 2;
+  // Half the records survive whole; the cut lands in the middle of the
+  // next one.
+  std::size_t cut = 0;
+  for (int line = 0; line < 17500; ++line) cut = bytes.find('\n', cut) + 1;
+  cut += (bytes.find('\n', cut) - cut) / 2;
   ASSERT_NE(bytes[cut - 1], '\n') << "the cut must land mid-line";
   const auto torn = dir.file("torn.jrn");
   std::ofstream(torn, std::ios::binary) << bytes.substr(0, cut);
@@ -411,6 +428,31 @@ TEST(FlotillaRunJournal, RecoversFromAJournalTornInHalf) {
   EXPECT_EQ(reference[0].rfind("journal: ", 0), 0u) << reference[0];
   EXPECT_EQ(std::vector<std::string>(lines.begin() + 2, lines.end()),
             std::vector<std::string>(reference.begin() + 1, reference.end()));
+}
+
+// A journal of the previous format (v=1: uids, state names, `from` and
+// every default written out), refused by its header's label before
+// anything runs.
+TEST(FlotillaRunJournal, RefusesAVersionOneJournal) {
+  const TempDir dir;
+  const auto path = dir.file("v1.jrn");
+  std::ofstream(path, std::ios::binary)
+      << "journal|v=1|seed=42|spec=tool=flotilla-run;backend=dragon;nodes=16;"
+         "partitions=1;workload=null;tasks=5000;duration=180;cores=1;seed=42;"
+         "router=static;clients=10000;arrival=poisson;admit=reject"
+         "|h=e0ee7a0e\n"
+         "ready|t=61.736037577|h=c5cc2676\n"
+         "task|t=61.741057269|uid=task.000000|from=NEW|to=TMGR_SCHEDULING"
+         "|backend=|attempt=0|h=df37d405\n";
+  const auto result = run_tool(kServiceRun + " --recover " + path);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("error: journal: corrupt record #0: "
+                               "unsupported journal version 1 (this build "
+                               "reads v=2)"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("recovering from"), std::string::npos)
+      << result.output;
 }
 
 // ------------------------------------------------ flotilla-run --config

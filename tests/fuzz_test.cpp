@@ -155,6 +155,49 @@ TEST(ScenarioSpec, ParseAcceptsRangeBoundaries) {
   EXPECT_THROW(ScenarioSpec::parse("tasks=2147483648"), util::Error);
 }
 
+// Integers are taken only in the form to_string() writes, so a line can
+// mean one number or nothing: no sign on an unsigned key (a negative seed
+// or crash point once wrapped to 2^64 - 1 and ran), no '+', no blanks, no
+// leading zeros.
+TEST(ScenarioSpec, NegativeUnsignedKeysAreRejectedNotWrapped) {
+  rejects("seed=-1", "spec: bad integer for seed: -1");
+  rejects("crash_at=-1", "spec: bad integer for crash_at: -1");
+  rejects("seed=18446744073709551616", "spec: seed out of range");
+  EXPECT_EQ(ScenarioSpec::parse("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+}
+
+TEST(ScenarioSpec, PlusSignsAreRejected) {
+  rejects("tasks=+11", "spec: bad integer for tasks: +11");
+  rejects("seed=+1", "spec: bad integer for seed: +1");
+  rejects("backends=flux:p+2", "spec: bad integer for partitions: +2");
+}
+
+TEST(ScenarioSpec, BlanksAroundIntegersAreRejected) {
+  rejects("tasks= 11", "spec: bad integer for tasks:  11");
+  rejects("tasks=11 ", "spec: bad integer for tasks: 11 ");
+  rejects("faults=cancel@1: 3", "spec: bad integer for cancel count");
+}
+
+TEST(ScenarioSpec, NonCanonicalIntegerFormsAreRejected) {
+  rejects("tasks=011", "spec: bad integer for tasks: 011");
+  rejects("tasks=-0", "spec: bad integer for tasks: -0");
+  rejects("tasks=", "spec: bad integer for tasks: ");
+  rejects("tasks=-", "spec: bad integer for tasks: -");
+  EXPECT_EQ(ScenarioSpec::parse("tasks=0").tasks, 0);
+  EXPECT_EQ(ScenarioSpec::parse("faults=cancel@1:-3").faults.at(0).count, -3);
+}
+
+TEST(ScenarioSpec, RepeatedKeysAreRejected) {
+  rejects("seed=1;nodes=2;tasks=11;duration=0;tasks=20",
+          "spec: repeated key tasks");
+  rejects("backends=flux;backends=dragon", "spec: repeated key backends");
+  rejects("faults=cancel@1:3;faults=cancel@2:3", "spec: repeated key faults");
+  // Every key the encoder writes appears once, so its lines still parse.
+  const std::string line = ScenarioSpec{}.to_string();
+  EXPECT_EQ(ScenarioSpec::parse(line).to_string(), line);
+}
+
 TEST(ScenarioSpec, RetiredEngineShapeKeysAreRejected) {
   // shards=/threads= shaped the sharded engine's storm oracle, which is
   // gone. A spec line that still carries one is refused with a labeled

@@ -14,6 +14,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -53,9 +54,9 @@ Record random_record(sim::RngStream& rng) {
       return ready_record(t);
     case 2:
       return transition_record(
-          t, "task." + std::to_string(rng.uniform_int(0, 99999)),
-          pick_name({"NEW", "TMGR_SCHEDULING", "RUNNING"}),
-          pick_name({"RUNNING", "DONE", "FAILED", "CANCELED"}),
+          t, static_cast<core::TaskId>(rng.uniform_int(0, 99999)),
+          static_cast<core::TaskState>(
+              rng.uniform_int(0, static_cast<int>(core::TaskState::kCanceled))),
           pick_name({"", "srun", "flux", "dragon", "prrte"}),
           rng.uniform_int(0, 5));
     case 3:
@@ -103,10 +104,9 @@ TEST(Codec, EncodingIsDeterministic) {
 
 TEST(Codec, ChecksumCoversEveryByteOfTheBody) {
   // Flipping any single body byte must fail the checksum.
-  const auto line = transition_record(1.5, "task.000001", "RUNNING", "DONE",
-                                      "flux", 0)
-                        .encode();
-  for (std::size_t i = 0; i + 12 < line.size(); ++i) {  // spare the checksum
+  const auto line =
+      transition_record(1.5, 1, core::TaskState::kDone, "flux", 0).encode();
+  for (std::size_t i = 0; i + 10 < line.size(); ++i) {  // spare the checksum
     std::string damaged = line;
     damaged[i] = damaged[i] == 'x' ? 'y' : 'x';
     const auto result = read(damaged);
@@ -118,8 +118,10 @@ TEST(Codec, ChecksumCoversEveryByteOfTheBody) {
 
 TEST(Codec, RejectsFieldSeparatorInValues) {
   EXPECT_THROW(
-      transition_record(0.0, "task|0", "NEW", "DONE", "", 0).encode(),
+      transition_record(0.0, 0, core::TaskState::kDone, "flux|0", 0).encode(),
       util::Error);
+  EXPECT_THROW(fault_record(0.0, "crash\n", "flux", 0, 0).encode(),
+               util::Error);
   EXPECT_THROW(header_record(1, "spec\nwith-newline").encode(), util::Error);
 }
 
@@ -127,14 +129,16 @@ TEST(Codec, TimesAreFixedPrecision) {
   // 9 fractional digits, so encode() is stable across platforms and
   // the recovery oracle can compare journals byte-for-byte.
   const auto line = ready_record(1.0 / 3.0).encode();
-  EXPECT_NE(line.find("t=0.333333333|"), std::string::npos) << line;
+  EXPECT_EQ(line.rfind("r|0.333333333|", 0), 0u) << line;
 }
 
-// `body` closed with its correct checksum and '\n', as the writer would.
+// `body` closed with its checksum marker ("|h=" on a header, else "|"),
+// the correct checksum and '\n', as the writer would.
 std::string checksummed(const std::string& body) {
+  const std::string marker = body.starts_with("journal|") ? "|h=" : "|";
   char sum[9];
-  std::snprintf(sum, sizeof(sum), "%08x", fnv1a32(body + "|h="));
-  return body + "|h=" + sum + "\n";
+  std::snprintf(sum, sizeof(sum), "%08x", fnv1a32(body + marker));
+  return body + marker + sum + "\n";
 }
 
 // printf "%.9f" of `t`: the reference the codec's time form must match.
@@ -256,10 +260,39 @@ TEST(Codec, RejectsTimesTheReaderCouldNotDecode) {
 
 TEST(Codec, FieldEncoderMatchesTheRecordEncoding) {
   std::string line = "stale bytes from an earlier, longer record";
-  encode_transition(line, 2.25, "task.000007", "RUNNING", "DONE", "flux", 3);
-  EXPECT_EQ(line, transition_record(2.25, "task.000007", "RUNNING", "DONE",
-                                    "flux", 3)
-                      .encode());
+  encode_transition(line, 2.25, 7, core::TaskState::kDone, "flux", 3);
+  EXPECT_EQ(line,
+            transition_record(2.25, 7, core::TaskState::kDone, "flux", 3)
+                .encode());
+  EXPECT_EQ(line, checksummed("t|2.250000000|7|7|b=flux|a=3"));
+}
+
+TEST(Codec, TaskEdgesCarryIdAndStateCodeAndOmitDefaults) {
+  // The state code is the state's ordinal as one digit; the backend and
+  // the attempt are written only when non-empty or non-zero. The first
+  // line is the worked example of docs/recovery.md, checksum included.
+  EXPECT_EQ(transition_record(62.267854373, 100, core::TaskState::kRunning,
+                              "dragon", 1)
+                .encode(),
+            "t|62.267854373|100|5|b=dragon|a=1|582eaabb\n");
+  EXPECT_EQ(
+      transition_record(0.5, 0, core::TaskState::kTmgrScheduling, "", 0)
+          .encode(),
+      checksummed("t|0.500000000|0|1"));
+  EXPECT_EQ(
+      transition_record(0.5, 4294967295u, core::TaskState::kCanceled, "", 2)
+          .encode(),
+      checksummed("t|0.500000000|4294967295|9|a=2"));
+  EXPECT_EQ(alloc_record(1.0, 3, -56, 0).encode(),
+            checksummed("a|1.000000000|3|-56"));
+  EXPECT_EQ(alloc_record(1.0, 3, 0, -8).encode(),
+            checksummed("a|1.000000000|3|0|g=-8"));
+  EXPECT_EQ(fault_record(1.0, "cancel", "", 0, 3).encode(),
+            checksummed("f|1.000000000|cancel|0|3"));
+  EXPECT_EQ(state_code(core::TaskState::kNew), '0');
+  EXPECT_EQ(state_code(core::TaskState::kAgentScheduling), '3');
+  EXPECT_EQ(state_code(core::TaskState::kCanceled), '9');
+  EXPECT_THROW(state_code(static_cast<core::TaskState>(10)), util::Error);
 }
 
 TEST(Codec, AllocEncoderMatchesTheRecordEncoding) {
@@ -279,29 +312,27 @@ TEST(Codec, AllocEncoderMatchesTheRecordEncoding) {
     EXPECT_EQ(line, alloc_record(c.time, c.node, c.cores, c.gpus).encode());
   }
   EXPECT_EQ(alloc_record(3.0, kMin, kMax, 0).encode(),
-            checksummed("alloc|t=3.000000000|node=-9223372036854775808"
-                        "|cores=9223372036854775807|gpus=0"));
+            checksummed("a|3.000000000|-9223372036854775808"
+                        "|9223372036854775807"));
 
   // Every Writer append writes exactly Record::encode(), one record after
   // another, whichever entry point encodes it.
   const std::vector<Record> records = {
       header_record(std::numeric_limits<std::uint64_t>::max(), "seed=1;x=y"),
       ready_record(0.5),
-      transition_record(1.25, "task.000001", "NEW", "TMGR_SCHEDULING", "", 0),
+      transition_record(1.25, 1, core::TaskState::kTmgrScheduling, "", 0),
       alloc_record(1.25, 3, -4, -1),
       fault_record(2.0, "crash", "flux", 1, 0),
       end_record(9.75, kMax, 0, kMin, std::numeric_limits<std::uint64_t>::max()),
   };
   EXPECT_EQ(records[0].encode(),
-            checksummed("journal|v=1|seed=18446744073709551615"
+            checksummed("journal|v=2|seed=18446744073709551615"
                         "|spec=seed=1;x=y"));
   EXPECT_EQ(records[4].encode(),
-            checksummed("fault|t=2.000000000|kind=crash|backend=flux"
-                        "|index=1|count=0"));
+            checksummed("f|2.000000000|crash|1|0|b=flux"));
   EXPECT_EQ(records[5].encode(),
-            checksummed("end|t=9.750000000|done=9223372036854775807"
-                        "|failed=0|canceled=-9223372036854775808"
-                        "|events=18446744073709551615"));
+            checksummed("e|9.750000000|9223372036854775807|0"
+                        "|-9223372036854775808|18446744073709551615"));
   Writer writer;
   std::string expected;
   for (const auto& r : records) {
@@ -309,7 +340,7 @@ TEST(Codec, AllocEncoderMatchesTheRecordEncoding) {
     expected += r.encode();
   }
   const auto& edge = records[2];
-  EXPECT_EQ(writer.append_transition(edge.time, edge.uid, edge.from, edge.to,
+  EXPECT_EQ(writer.append_transition(edge.time, edge.task, edge.to,
                                      edge.backend, edge.attempt),
             edge.encode());
   const auto& alloc = records[3];
@@ -325,11 +356,12 @@ TEST(Writer, AppendIsLineAtomic) {
   Writer writer;
   writer.append(ready_record(1.0));
   const std::string before = writer.bytes();
-  EXPECT_THROW(
-      writer.append(transition_record(2.0, "task|0", "NEW", "DONE", "", 0)),
-      util::Error);
-  EXPECT_THROW(writer.append_transition(2.0, "task|0", "NEW", "DONE", "", 0),
+  EXPECT_THROW(writer.append(transition_record(2.0, 0, core::TaskState::kDone,
+                                                "flux|0", 0)),
                util::Error);
+  EXPECT_THROW(
+      writer.append_transition(2.0, 0, core::TaskState::kDone, "flux|0", 0),
+      util::Error);
   EXPECT_EQ(writer.bytes(), before);
   EXPECT_EQ(writer.records(), 1u);
   // The next good record lands right after the last good one.
@@ -337,13 +369,14 @@ TEST(Writer, AppendIsLineAtomic) {
   EXPECT_EQ(writer.bytes(), before + ready_record(3.0).encode());
 }
 
-TEST(Scribe, TransitionWithADelimiterInTheUidIsLineAtomic) {
+TEST(Scribe, TransitionWithADelimiterInTheBackendIsLineAtomic) {
   core::Session session{platform::frontier_spec(), 2, 42};
-  core::Task bad(0, "task|0", core::TaskDescription{});
+  core::Task bad(0, "task.000000", core::TaskDescription{});
+  bad.set_backend("flux|0");
   core::Task good(0, "task.000000", core::TaskDescription{});
   // Validate mode, with a prefix that the good edge matches.
-  Scribe scribe(session, {transition_record(0.0, "task.000000", "NEW",
-                                            "TMGR_SCHEDULING", "", 0)});
+  Scribe scribe(session, {transition_record(
+                             0.0, 0, core::TaskState::kTmgrScheduling, "", 0)});
   EXPECT_THROW(scribe.transition(bad, core::TaskState::kNew,
                                  core::TaskState::kTmgrScheduling),
                util::Error);
@@ -411,25 +444,54 @@ TEST(Reader, DecodableFinalLineWithoutNewlineCountsAsTorn) {
   EXPECT_EQ(result.records.size(), 4u);
 }
 
+TEST(Reader, DecodesTimesAsTheCorrectlyRoundedDouble) {
+  // Below 10^6 s the reader divides the integer nanoseconds by 10^9; above
+  // it, it calls from_chars. Either way a canonical time text decodes to
+  // the double strtod rounds it to, including texts the encoder would not
+  // write for any double (most 9-decimal fractions are not the shortest
+  // form of one).
+  sim::RngStream rng(77, "journal.time_decode");
+  const auto decoded = [](const std::string& text) {
+    const auto result = read(checksummed("r|" + text));
+    EXPECT_TRUE(result.intact()) << text << ": " << result.error;
+    return result.records.empty() ? -1.0 : result.records[0].time;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::int64_t whole =
+        i % 4 == 0 ? rng.uniform_int(0, 99)
+                   : rng.uniform_int(0, i % 2 ? 999999 : 99999999999);
+    char text[40];
+    std::snprintf(text, sizeof(text), "%lld.%09lld",
+                  static_cast<long long>(whole),
+                  static_cast<long long>(rng.uniform_int(0, 999999999)));
+    ASSERT_EQ(decoded(text), std::strtod(text, nullptr)) << text;
+  }
+  for (const char* text :
+       {"0.000000000", "0.000000001", "999999.999999999", "1000000.000000000",
+        "9007199.254740993", "0.500000000", "123456.000000001"}) {
+    EXPECT_EQ(decoded(text), std::strtod(text, nullptr)) << text;
+  }
+}
+
 TEST(Reader, RejectsNonCanonicalTimesAsCorruption) {
   // Each bad time sits in a line whose checksum is right, between two good
   // records, so only the time grammar can reject it.
   const std::string good = ready_record(1.0).encode();
-  ASSERT_EQ(checksummed("ready|t=1.000000000"), good);
+  ASSERT_EQ(checksummed("r|1.000000000"), good);
   for (const char* t :
        {"1.5x", " 1.5", "+1.5", "nan", "inf", "0x1p3", "1.5", "-1.500000000",
         "+1.500000000", " 1.500000000", "1.500000000 ", "1.50000000x",
         "01.500000000", "1.5000000000", "1e3", "1.500000000e0", ".500000000",
         "1,500000000", "nan.000000000", "inf.000000000", "0x1.000000000", ""}) {
     const auto result =
-        read(good + checksummed(std::string("ready|t=") + t) + good);
+        read(good + checksummed(std::string("r|") + t) + good);
     EXPECT_TRUE(result.corrupt) << "'" << t << "'";
     EXPECT_EQ(result.corrupt_index, 1u) << "'" << t << "'";
     EXPECT_EQ(result.error, "bad time") << "'" << t << "'";
   }
   // The canonical forms at both ends of the range are accepted.
-  const auto edges = read(checksummed("ready|t=0.000000000") +
-                          checksummed("ready|t=" + codec_time(9.9e53)));
+  const auto edges = read(checksummed("r|0.000000000") +
+                          checksummed("r|" + codec_time(9.9e53)));
   EXPECT_TRUE(edges.intact()) << edges.error;
   EXPECT_EQ(edges.records.size(), 2u);
 }
@@ -438,17 +500,35 @@ TEST(Reader, RejectsNonCanonicalIntegersAndChecksumsAsCorruption) {
   // Each line checksums correctly but is not what the writer prints, so
   // accepting it would return a record that re-encodes to other bytes.
   const std::string good = ready_record(1.0).encode();
-  const std::string edge = "task|t=1.000000000|uid=task.0|from=NEW|to=DONE"
-                           "|backend=flux|attempt=";
-  ASSERT_EQ(checksummed(edge + "0"),
-            transition_record(1.0, "task.0", "NEW", "DONE", "flux", 0)
+  const std::string edge = "t|1.000000000|0|7|b=flux|a=";
+  ASSERT_EQ(checksummed(edge + "1"),
+            transition_record(1.0, 0, core::TaskState::kDone, "flux", 1)
                 .encode());
-  for (const char* attempt : {"00", "01", "-0", "-01", "+1", " 1", "1 ", ""}) {
+  // A written default ("a=0") is not canonical either: the writer omits it.
+  for (const char* attempt :
+       {"0", "00", "01", "-0", "-01", "+1", " 1", "1 ", ""}) {
     const auto result = read(good + checksummed(edge + attempt) + good);
     EXPECT_TRUE(result.corrupt) << "'" << attempt << "'";
     EXPECT_EQ(result.corrupt_index, 1u) << "'" << attempt << "'";
   }
-  const auto seed = read(checksummed("journal|v=1|seed=042|spec=x") + good);
+  // Task ids, state codes, and optional fields out of their grammar.
+  for (const char* body : {
+           "t|1.000000000|00|7", "t|1.000000000|-1|7", "t|1.000000000|+1|7",
+           "t|1.000000000|4294967296|7", "t|1.000000000|task.0|7",
+           "t|1.000000000|0|", "t|1.000000000|0|10", "t|1.000000000|0|a",
+           "t|1.000000000|0|:", "t|1.000000000|0", "t|1.000000000|0|7|b=",
+           "t|1.000000000|0|7|a=1|b=flux", "t|1.000000000|0|7|b=flux|b=srun",
+           "t|1.000000000|0|7|x=1", "t|1.000000000|0|7|a=1|a=1",
+           "a|1.000000000|0|-1|g=0", "a|1.000000000|0|-1|0",
+           "a|1.000000000|0", "f|1.000000000|cancel|0|3|b=",
+           "e|1.000000000|1|0|0", "r|1.000000000|x",
+           "task|t=1.000000000|uid=task.0|from=NEW|to=DONE|backend=|attempt=0",
+       }) {
+    const auto result = read(good + checksummed(body) + good);
+    EXPECT_TRUE(result.corrupt) << "'" << body << "'";
+    EXPECT_EQ(result.corrupt_index, 1u) << "'" << body << "'";
+  }
+  const auto seed = read(checksummed("journal|v=2|seed=042|spec=x") + good);
   EXPECT_TRUE(seed.corrupt);
   EXPECT_EQ(seed.corrupt_index, 0u);
 
@@ -461,6 +541,74 @@ TEST(Reader, RejectsNonCanonicalIntegersAndChecksumsAsCorruption) {
   EXPECT_TRUE(result.corrupt);
   EXPECT_EQ(result.corrupt_index, 1u);
   EXPECT_EQ(result.error, "malformed checksum");
+}
+
+TEST(Reader, RefusesOtherJournalVersionsByTheirHeader) {
+  // Every version shares the header's shape, so a journal of another
+  // version is refused by its label, not as a checksum or grammar error.
+  const std::string v1 =
+      checksummed("journal|v=1|seed=42|spec=x") +
+      "task|t=1.000000000|uid=task.000000|from=NEW|to=TMGR_SCHEDULING"
+      "|backend=|attempt=0|h=00000000\n";
+  const auto result = read(v1);
+  EXPECT_TRUE(result.corrupt);
+  EXPECT_EQ(result.corrupt_index, 0u);
+  EXPECT_TRUE(result.records.empty());
+  EXPECT_EQ(result.error,
+            "unsupported journal version 1 (this build reads v=2)");
+  for (const char* version : {"0", "3", "-2", "18446744073709551616"}) {
+    const auto other = read(checksummed(std::string("journal|v=") + version +
+                                        "|seed=42|spec=x"));
+    EXPECT_TRUE(other.corrupt) << version;
+    EXPECT_NE(other.error.find("journal version"), std::string::npos)
+        << version << ": " << other.error;
+  }
+  try {
+    RecoveryManager rm(v1);
+    FAIL() << "v1 journal accepted";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "journal: corrupt record #0: unsupported journal version 1 "
+              "(this build reads v=2)");
+  }
+}
+
+TEST(Reader, FillsEachEdgesFromWithTheTasksPreviousState) {
+  using core::TaskState;
+  // Interleaved tasks, a retry edge, and ids beyond the journal's length
+  // (kept out of the dense table) all get the state their previous edge
+  // entered.
+  const core::TaskId far = 4000000000u;
+  const std::vector<Record> edges = {
+      transition_record(1.0, 3, TaskState::kTmgrScheduling, "", 0),
+      transition_record(1.0, far, TaskState::kTmgrScheduling, "", 0),
+      transition_record(1.5, 3, TaskState::kAgentScheduling, "", 0),
+      transition_record(2.0, 0, TaskState::kTmgrScheduling, "", 0),
+      transition_record(2.5, 3, TaskState::kExecutorPending, "", 0),
+      transition_record(3.0, 3, TaskState::kRunning, "flux", 1),
+      transition_record(3.0, far, TaskState::kCanceled, "", 0),
+      transition_record(3.5, 3, TaskState::kAgentScheduling, "flux", 1),
+      transition_record(4.0, 3, TaskState::kExecutorPending, "flux", 1),
+  };
+  const TaskState from[] = {
+      TaskState::kNew,             TaskState::kNew,
+      TaskState::kTmgrScheduling,  TaskState::kNew,
+      TaskState::kAgentScheduling, TaskState::kExecutorPending,
+      TaskState::kTmgrScheduling,  TaskState::kRunning,
+      TaskState::kAgentScheduling,
+  };
+  Writer writer;
+  writer.append(ready_record(0.5));
+  for (const auto& edge : edges) writer.append(edge);
+  const auto result = read(writer.bytes());
+  ASSERT_TRUE(result.intact()) << result.error;
+  ASSERT_EQ(result.records.size(), edges.size() + 1);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto& r = result.records[i + 1];
+    EXPECT_EQ(r.task, edges[i].task) << i;
+    EXPECT_EQ(r.to, edges[i].to) << i;
+    EXPECT_EQ(r.from, from[i]) << i;
+  }
 }
 
 // -------------------------------------------------------- recovery manager
@@ -495,11 +643,11 @@ TEST(RecoveryManager, FoldsThePrefixIntoAStateImage) {
   writer.append(ready_record(5.0));
   writer.append(alloc_record(5.0, 2, -4, -1));
   writer.append(
-      transition_record(5.0, "task.0", "NEW", "TMGR_SCHEDULING", "", 0));
+      transition_record(5.0, 0, core::TaskState::kTmgrScheduling, "", 0));
   writer.append(
-      transition_record(6.0, "task.0", "RUNNING", "DONE", "flux", 1));
+      transition_record(6.0, 0, core::TaskState::kDone, "flux", 1));
   writer.append(
-      transition_record(6.0, "task.1", "NEW", "TMGR_SCHEDULING", "", 0));
+      transition_record(6.0, 1, core::TaskState::kTmgrScheduling, "", 0));
   writer.append(fault_record(7.0, "cancel", "", 0, 3));
   writer.append(alloc_record(7.5, 2, 4, 1));
 
@@ -508,6 +656,7 @@ TEST(RecoveryManager, FoldsThePrefixIntoAStateImage) {
   EXPECT_EQ(rm.spec_line(), "seed=9");
   EXPECT_FALSE(rm.truncated());
   EXPECT_EQ(rm.prefix().size(), 8u);
+  EXPECT_EQ(rm.prefix()[4].from, core::TaskState::kTmgrScheduling);
 
   const auto image = rm.image();
   EXPECT_TRUE(image.ready);
@@ -516,10 +665,11 @@ TEST(RecoveryManager, FoldsThePrefixIntoAStateImage) {
   EXPECT_FALSE(image.ended);
   EXPECT_EQ(image.last_time, 7.5);
   ASSERT_EQ(image.tasks.size(), 2u);
-  EXPECT_EQ(image.tasks.at("task.0").state, "DONE");
-  EXPECT_EQ(image.tasks.at("task.0").backend, "flux");
-  EXPECT_EQ(image.tasks.at("task.0").terminal_edges, 1);
-  EXPECT_EQ(image.tasks.at("task.1").state, "TMGR_SCHEDULING");
+  EXPECT_EQ(image.tasks.at(0).state, core::TaskState::kDone);
+  EXPECT_EQ(image.tasks.at(0).backend, "flux");
+  EXPECT_EQ(image.tasks.at(0).attempt, 1);
+  EXPECT_EQ(image.tasks.at(0).terminal_edges, 1);
+  EXPECT_EQ(image.tasks.at(1).state, core::TaskState::kTmgrScheduling);
   EXPECT_EQ(image.tasks_in_flight(), 1u);
   // The node 2 allocation was released: net delta zero.
   EXPECT_EQ(image.core_delta.at(2), 0);
@@ -558,13 +708,13 @@ TEST(Journal, SameSeedRunsProduceByteIdenticalJournals) {
 
 TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
   // Same-seed identity alone would not notice a codec change that moves
-  // every run's bytes the same way. The first three lengths and digests
-  // were computed with the original snprintf/std::to_string codec, the
-  // ingress one with the std::to_chars codec before the integer time
-  // formatter; the codec must keep producing exactly those bytes. ("dragon
-  // mixed" is the hetero workload on dragon, which mixes executable and
-  // function tasks; "dragon ingress" offers its tasks through 1,000
-  // open-loop clients.)
+  // every run's bytes the same way. The lengths and digests are of the v=2
+  // journals, which transcribe the v=1 journals these campaigns wrote
+  // before it record for record (uid to id, state names to codes, `from`
+  // and default fields dropped); the codec must keep producing exactly
+  // those bytes. ("dragon mixed" is the hetero workload on dragon, which
+  // mixes executable and function tasks; "dragon ingress" offers its tasks
+  // through 1,000 open-loop clients.)
   struct Golden {
     const char* name;
     check::ScenarioSpec spec;
@@ -583,24 +733,24 @@ TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
     return spec;
   };
   const std::vector<Golden> goldens = {
-      {"flux null", campaign({{"flux"}}, "null", 64), 42881,
-       0xc460beccd2a0d316ull},
-      {"dragon mixed", campaign({{"dragon"}}, "hetero", 48), 33062,
-       0xf4cb6ab905dc6837ull},
-      {"srun impeccable", campaign({{"srun"}}, "impeccable", 48), 32608,
-       0xa0155417f69b91c6ull},
+      {"flux null", campaign({{"flux"}}, "null", 64), 15581,
+       0x00ba10ab003cfad6ull},
+      {"dragon mixed", campaign({{"dragon"}}, "hetero", 48), 12317,
+       0x058f62f8d0f7494full},
+      {"srun impeccable", campaign({{"srun"}}, "impeccable", 48), 11907,
+       0x0009e58111c98d79ull},
       {"dragon ingress",
        [&] {
          auto spec = campaign({{"dragon"}}, "null", 64);
          spec.clients = 1000;
          return spec;
        }(),
-       43225, 0xef4c13e24eac5415ull},
+       15925, 0x8f98d08673e7380full},
       // Multi-node Flux jobs: their shim spawns go through sim::FanOut,
       // whose elided completions are not calendar events, so the `end`
       // line's events= counts only the spawn events really pushed.
-      {"flux impeccable", campaign({{"flux"}}, "impeccable", 48), 33615,
-       0x832b3b8dc6566300ull},
+      {"flux impeccable", campaign({{"flux"}}, "impeccable", 48), 12602,
+       0xbe60464dbb5a7d8full},
   };
   check::RunOptions opts;
   opts.journal = true;
@@ -754,7 +904,7 @@ TEST(Reader, MutatedJournalsAreReportedNotMisread) {
   const std::string& journal = run.journal;
   const auto lines = lines_of(journal);
   ASSERT_GT(lines.size(), 20u);
-  ASSERT_NE(journal.find("\nfault|"), std::string::npos);
+  ASSERT_NE(journal.find("\nf|"), std::string::npos);
   expect_reported_not_misread(journal, "the intact journal");
 
   sim::RngStream rng(19, "journal.reader_fuzz");
