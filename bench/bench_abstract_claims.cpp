@@ -8,8 +8,8 @@
 //    1,024 [nodes]."
 //
 // Runs the minimal set of experiments behind each claim and prints a
-// verdict per claim, judged against the one declared table of claims
-// below. FLOTILLA_BENCH_QUICK=1 downsizes the IMPECCABLE runs.
+// verdict per claim, judged against the declared claims below.
+// FLOTILLA_BENCH_QUICK=1 downsizes the IMPECCABLE runs.
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -73,60 +73,46 @@ Campaign impeccable_run(const std::string& backend, int nodes) {
   return {metrics.makespan(), metrics.peak_throughput()};
 }
 
-// The values a measurement may take and still reproduce a claim.
-struct Band {
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-};
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The paper's number, within +-`tolerance` of it (a fraction).
-Band near(double paper, double tolerance) {
-  return {paper * (1.0 - tolerance), paper * (1.0 + tolerance)};
-}
-Band at_most(double paper, double slack) { return {.hi = paper + slack}; }
-Band at_least(double paper) { return {.lo = paper}; }
-Band within(double lo, double hi) { return {lo, hi}; }
-
+// A claim as the paper states it, and the range [lo, hi] a measurement
+// may fall in and still reproduce it.
 struct Claim {
   const char* name;
-  const char* paper;  // as the paper states it
-  Band band;
+  const char* paper;
+  double lo;
+  double hi;
 };
 
-// Every verdict is judged against this table, and nowhere else: the
+// Every verdict is judged against these claims, and nowhere else: the
 // paper's number and a stated tolerance. A throughput the paper reports
 // as one measured number gets +-5%; a bound or range the paper states is
 // taken as stated, except that the srun utilization bound allows half a
-// point for rounding. A measurement outside its band DEVIATES; a band is
-// never widened to keep a row REPRODUCED (EXPERIMENTS.md, "Known
+// point for rounding. A measurement outside its range DEVIATES; a range
+// is never widened to keep a row REPRODUCED (EXPERIMENTS.md, "Known
 // deviations").
-enum ClaimId {
-  kSrunPeak,
-  kSrunDegrades,
-  kSrunUtilization,
-  kFluxPeak,
-  kHybridPeak,
-  kHybridUtilization,
-  kImpeccableReduction,
-  kImpeccableStartRate,
-};
-const Claim kClaims[] = {
-    {"srun peak throughput (1 node)", "152 t/s", near(152, 0.05)},
-    {"srun degrades with scale", "61 t/s @4n", near(61, 0.05)},
-    {"srun utilization below 50%", "<= 50%", at_most(0.50, 0.005)},
-    {"RP+Flux sustains up to ~930 t/s", "930 t/s", near(930, 0.05)},
-    {"RP+Flux+Dragon exceeds ~1,500 t/s", "1,547 t/s", near(1547, 0.05)},
-    {"hybrid utilization over 99.6%", ">= 99.6%", at_least(0.996)},
-    {"IMPECCABLE makespan reduction", "30-60%", within(0.30, 0.60)},
-    {"IMPECCABLE start-rate gain", "> 4x", at_least(4.0)},
-};
+const Claim kSrunPeak{"srun peak throughput (1 node)", "152 t/s", 152 * 0.95,
+                      152 * 1.05};
+const Claim kSrunDegrades{"srun degrades with scale", "61 t/s @4n",
+                          61 * 0.95, 61 * 1.05};
+const Claim kSrunUtilization{"srun utilization below 50%", "<= 50%", -kInf,
+                             0.50 + 0.005};
+const Claim kFluxPeak{"RP+Flux sustains up to ~930 t/s", "930 t/s",
+                      930 * 0.95, 930 * 1.05};
+const Claim kHybridPeak{"RP+Flux+Dragon exceeds ~1,500 t/s", "1,547 t/s",
+                        1547 * 0.95, 1547 * 1.05};
+const Claim kHybridUtilization{"hybrid utilization over 99.6%", ">= 99.6%",
+                               0.996, kInf};
+const Claim kImpeccableReduction{"IMPECCABLE makespan reduction", "30-60%",
+                                 0.30, 0.60};
+const Claim kImpeccableStartRate{"IMPECCABLE start-rate gain", "> 4x", 4.0,
+                                 kInf};
 
-// One table row: claim `id`, its measurement as printed, and the verdict
-// on `value`.
-void judge(Table& table, ClaimId id, const std::string& measured,
+// One table row: `claim`, its measurement as printed, and the verdict on
+// `value`.
+void judge(Table& table, const Claim& claim, const std::string& measured,
            double value, const std::string& name_suffix = "") {
-  const Claim& claim = kClaims[id];
-  const bool ok = value >= claim.band.lo && value <= claim.band.hi;
+  const bool ok = value >= claim.lo && value <= claim.hi;
   table.add_row({claim.name + name_suffix, claim.paper, measured,
                  ok ? "REPRODUCED" : "DEVIATES"});
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <map>
 #include <utility>
 
 namespace flotilla::journal {
@@ -52,17 +51,6 @@ bool parse_time(std::string_view text, sim::Time& out) {
       (whole.size() > 1 && whole.front() == '0')) {
     return false;
   }
-  // Below 10^6 s the time in nanoseconds, q, is an integer under 2^53, so
-  // double(q) and 10^9 are exact and their quotient is the correctly
-  // rounded value from_chars would return, at a fraction of its cost.
-  if (whole.size() <= 6) {
-    std::uint64_t nanos = 0;
-    for (const char c : text) {
-      if (c != '.') nanos = nanos * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = static_cast<double>(nanos) / 1e9;
-    return true;
-  }
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(
       text.data(), text.data() + text.size(), value, std::chars_format::fixed);
@@ -79,8 +67,7 @@ bool parse_time(std::string_view text, sim::Time& out) {
 // decode(encode(r)) round-trips and any hand-edited journal is rejected
 // loudly: the tag's positional fields, then its optional keyed fields in
 // order, each present only when it holds something other than its
-// default. `pieces` is scratch space, reused across lines. A transition's
-// `from` is left to the caller.
+// default. `pieces` is scratch space, reused across lines.
 bool decode_body(std::string_view body, Record& record,
                  std::vector<std::string_view>& pieces, std::string& error) {
   std::string_view tag;
@@ -183,10 +170,7 @@ bool decode_body(std::string_view body, Record& record,
     if (!take_time() || !take_int("task", record.task) || !take("to", v)) {
       return false;
     }
-    if (v.size() != 1 || !is_digits(v) ||
-        v[0] > state_code(core::TaskState::kCanceled)) {
-      return fail("bad task state code");
-    }
+    if (v.size() != 1 || !is_digits(v)) return fail("bad task state code");
     record.to = static_cast<core::TaskState>(v[0] - '0');
     return optional_text("b", record.backend) &&
            optional_int("a", record.attempt) && finish();
@@ -214,35 +198,6 @@ bool decode_body(std::string_view body, Record& record,
   }
   return fail("unknown record tag '" + std::string(tag) + "'");
 }
-
-// The latest state of every task seen so far, which is the `from` of its
-// next edge. A Scribe's task ids are dense, so ids below the journal's
-// length in bytes index a vector; anything above (which a Scribe never
-// writes, and which would size the vector by a number from the input)
-// goes to a map, so the table never outgrows the input.
-class LastStates {
- public:
-  explicit LastStates(std::size_t dense_limit) : dense_limit_(dense_limit) {}
-
-  // Records `to` as task `task`'s state and returns the one it replaces.
-  core::TaskState advance(core::TaskId task, core::TaskState to) {
-    core::TaskState* slot = nullptr;
-    if (task < dense_limit_) {
-      if (task >= dense_.size()) {
-        dense_.resize(std::size_t{task} + 1, core::TaskState::kNew);
-      }
-      slot = &dense_[task];
-    } else {
-      slot = &sparse_.try_emplace(task, core::TaskState::kNew).first->second;
-    }
-    return std::exchange(*slot, to);
-  }
-
- private:
-  std::size_t dense_limit_;
-  std::vector<core::TaskState> dense_;
-  std::map<core::TaskId, core::TaskState> sparse_;
-};
 
 // Verifies and strips the trailing checksum field: "|" and 8 hex digits,
 // or "|h=" and 8 hex digits on the header.
@@ -286,7 +241,6 @@ ReadResult read(std::string_view bytes) {
       static_cast<std::size_t>(std::count(bytes.begin(), bytes.end(), '\n')) +
       1);
   std::vector<std::string_view> pieces;
-  LastStates states(bytes.size());
   std::string error;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
@@ -318,9 +272,6 @@ ReadResult read(std::string_view bytes) {
       out.truncated = true;
       out.truncated_bytes = line.size();
       return out;
-    }
-    if (record.type == RecordType::kTransition) {
-      record.from = states.advance(record.task, record.to);
     }
     pos = nl + 1;
   }

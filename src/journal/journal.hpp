@@ -89,9 +89,7 @@ struct ReadResult {
 // form; a time in particular must match (0|[1-9][0-9]*)\.[0-9]{9} and be
 // finite, so anything decoded re-encodes to the same bytes. A header of
 // another format version is corruption at its index, labeled
-// "unsupported journal version N (this build reads v=2)". Each
-// transition's `from` is the task's `to` on its previous edge in `bytes`,
-// kNew on its first.
+// "unsupported journal version N (this build reads v=2)".
 ReadResult read(std::string_view bytes);
 
 }  // namespace flotilla::journal

@@ -257,6 +257,10 @@ std::string_view wire_tag(RecordType type) {
   return "?";
 }
 
+// One digit per state: kCanceled is the last one (core/task.hpp).
+static_assert(static_cast<unsigned>(core::TaskState::kCanceled) <= 9,
+              "a task state code is one decimal digit");
+
 char state_code(core::TaskState state) {
   const auto ordinal = static_cast<unsigned>(state);
   if (ordinal > static_cast<unsigned>(core::TaskState::kCanceled)) {

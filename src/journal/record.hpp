@@ -18,10 +18,10 @@
 //
 // is task 100 (core::Task::id()) entering state 5 (RUNNING, see
 // state_code) on dragon in its first attempt. A task edge does not carry
-// the state it left: that is the task's previous edge's state, and the
-// reader fills it in. The header keeps the shape every journal version
-// shares, journal|v=N|seed=S|spec=X|h=XXXXXXXX, so a reader can tell a
-// journal's version before anything else about it.
+// the state it left: that is the task's previous edge's state, which
+// StateImage keeps (recovery.hpp). The header keeps the shape every
+// journal version shares, journal|v=N|seed=S|spec=X|h=XXXXXXXX, so a
+// reader can tell a journal's version before anything else about it.
 //
 // There is one encoder, a line builder in record.cpp. Record::encode_to()
 // and the field-level encode_transition() and encode_alloc() (which the
@@ -81,10 +81,7 @@ char state_code(core::TaskState state);
 struct Record {
   RecordType type = RecordType::kTransition;
 
-  // kTransition: task `task` moved from `from` to `to`. The line carries
-  // only `to`; read() sets `from` to the task's previous `to` (kNew on
-  // its first edge), and encoding ignores it.
-  core::TaskState from = core::TaskState::kNew;
+  // kTransition: task `task` entered state `to`.
   core::TaskState to = core::TaskState::kNew;
   core::TaskId task = 0;
 
@@ -127,8 +124,7 @@ struct Record {
     return line;
   }
 
-  // Two records are equal iff their canonical encodings are equal (so a
-  // transition's `from` does not count).
+  // Two records are equal iff their canonical encodings are equal.
   friend bool operator==(const Record& a, const Record& b) {
     return a.encode() == b.encode();
   }

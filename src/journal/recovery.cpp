@@ -1,5 +1,7 @@
 #include "journal/recovery.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace flotilla::journal {
@@ -44,7 +46,7 @@ StateImage RecoveryManager::image() const {
         break;
       case RecordType::kTransition: {
         auto& task = image.tasks[r.task];
-        task.state = r.to;
+        task.from = std::exchange(task.state, r.to);
         task.backend = r.backend;
         task.attempt = r.attempt;
         if (core::is_final(r.to)) ++task.terminal_edges;

@@ -31,6 +31,9 @@ namespace flotilla::journal {
 struct StateImage {
   struct TaskImage {
     core::TaskState state = core::TaskState::kNew;  // last journaled state
+    // The state the last edge left, which the edge does not carry: the
+    // state before it, kNew for a task's first edge.
+    core::TaskState from = core::TaskState::kNew;
     std::string backend;  // last journaled backend assignment
     std::int64_t attempt = 0;
     int terminal_edges = 0;  // edges into kDone/kFailed/kCanceled

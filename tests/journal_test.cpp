@@ -445,11 +445,9 @@ TEST(Reader, DecodableFinalLineWithoutNewlineCountsAsTorn) {
 }
 
 TEST(Reader, DecodesTimesAsTheCorrectlyRoundedDouble) {
-  // Below 10^6 s the reader divides the integer nanoseconds by 10^9; above
-  // it, it calls from_chars. Either way a canonical time text decodes to
-  // the double strtod rounds it to, including texts the encoder would not
-  // write for any double (most 9-decimal fractions are not the shortest
-  // form of one).
+  // A canonical time text decodes to the double strtod rounds it to,
+  // including texts the encoder would not write for any double (most
+  // 9-decimal fractions are not the shortest form of one).
   sim::RngStream rng(77, "journal.time_decode");
   const auto decoded = [](const std::string& text) {
     const auto result = read(checksummed("r|" + text));
@@ -573,11 +571,13 @@ TEST(Reader, RefusesOtherJournalVersionsByTheirHeader) {
   }
 }
 
-TEST(Reader, FillsEachEdgesFromWithTheTasksPreviousState) {
+// -------------------------------------------------------- recovery manager
+
+TEST(RecoveryManager, ImageRebuildsEachEdgesFromStateFromThePreviousEdge) {
   using core::TaskState;
-  // Interleaved tasks, a retry edge, and ids beyond the journal's length
-  // (kept out of the dense table) all get the state their previous edge
-  // entered.
+  // Interleaved tasks, a retry edge, and an id far beyond the others: after
+  // each edge, the task's image holds the state that edge entered and the
+  // one its previous edge entered.
   const core::TaskId far = 4000000000u;
   const std::vector<Record> edges = {
       transition_record(1.0, 3, TaskState::kTmgrScheduling, "", 0),
@@ -598,20 +598,15 @@ TEST(Reader, FillsEachEdgesFromWithTheTasksPreviousState) {
       TaskState::kAgentScheduling,
   };
   Writer writer;
-  writer.append(ready_record(0.5));
-  for (const auto& edge : edges) writer.append(edge);
-  const auto result = read(writer.bytes());
-  ASSERT_TRUE(result.intact()) << result.error;
-  ASSERT_EQ(result.records.size(), edges.size() + 1);
+  writer.append(header_record(1, "seed=1"));
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto& r = result.records[i + 1];
-    EXPECT_EQ(r.task, edges[i].task) << i;
-    EXPECT_EQ(r.to, edges[i].to) << i;
-    EXPECT_EQ(r.from, from[i]) << i;
+    writer.append(edges[i]);
+    const auto image = RecoveryManager(writer.bytes()).image();
+    const auto& task = image.tasks.at(edges[i].task);
+    EXPECT_EQ(task.state, edges[i].to) << i;
+    EXPECT_EQ(task.from, from[i]) << i;
   }
 }
-
-// -------------------------------------------------------- recovery manager
 
 TEST(RecoveryManager, RaisesOnCorruptionWithTheRecordIndex) {
   Writer writer;
@@ -656,7 +651,6 @@ TEST(RecoveryManager, FoldsThePrefixIntoAStateImage) {
   EXPECT_EQ(rm.spec_line(), "seed=9");
   EXPECT_FALSE(rm.truncated());
   EXPECT_EQ(rm.prefix().size(), 8u);
-  EXPECT_EQ(rm.prefix()[4].from, core::TaskState::kTmgrScheduling);
 
   const auto image = rm.image();
   EXPECT_TRUE(image.ready);
@@ -666,6 +660,7 @@ TEST(RecoveryManager, FoldsThePrefixIntoAStateImage) {
   EXPECT_EQ(image.last_time, 7.5);
   ASSERT_EQ(image.tasks.size(), 2u);
   EXPECT_EQ(image.tasks.at(0).state, core::TaskState::kDone);
+  EXPECT_EQ(image.tasks.at(0).from, core::TaskState::kTmgrScheduling);
   EXPECT_EQ(image.tasks.at(0).backend, "flux");
   EXPECT_EQ(image.tasks.at(0).attempt, 1);
   EXPECT_EQ(image.tasks.at(0).terminal_edges, 1);
