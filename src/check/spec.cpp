@@ -19,20 +19,22 @@ namespace {
 
 // Spec lines come from outside (--replay, --crash-all), so every number
 // is range-checked: a value outside [lo, hi] is a labeled error. Doubles
-// must also be finite; nan slips through every comparison.
+// must also be finite; nan slips through every comparison. A double has
+// one text, as for the integers below: from_chars takes no blank, '+' or
+// hex float and must use the whole value. It keeps exponents, which
+// util::exact_double's %.17g writes.
 double parse_double(const std::string& s, const std::string& what,
                     double lo = 0.0,
                     double hi = std::numeric_limits<double>::max()) {
   double v = 0.0;
-  try {
-    std::size_t used = 0;
-    v = std::stod(s, &used);
-    if (used != s.size()) util::raise("spec: trailing junk in ", what, ": ", s);
-  } catch (const std::invalid_argument&) {
-    util::raise("spec: bad number for ", what, ": ", s);
-  } catch (const std::out_of_range&) {
+  const char* last = s.data() + s.size();
+  const auto [end, ec] =
+      std::from_chars(s.data(), last, v, std::chars_format::general);
+  if (ec == std::errc::result_out_of_range) {
     util::raise("spec: ", what, " out of range: ", s);
   }
+  if (ec != std::errc()) util::raise("spec: bad number for ", what, ": ", s);
+  if (end != last) util::raise("spec: trailing junk in ", what, ": ", s);
   if (!std::isfinite(v)) util::raise("spec: non-finite ", what, ": ", s);
   if (v < lo || v > hi) util::raise("spec: ", what, " out of range: ", s);
   return v;

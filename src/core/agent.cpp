@@ -94,58 +94,54 @@ double Agent::staging_time(double mb) {
       cal.stage_latency + mb / cal.fs_stream_bandwidth_mbps, cal.jitter_cv);
 }
 
-void Agent::execute(std::shared_ptr<Task> task) {
+void Agent::execute(Task& task) {
   FLOT_CHECK(active_, "agent is not active");
-  FLOT_CHECK(task->state() == TaskState::kTmgrScheduling ||
-                 task->state() == TaskState::kAgentScheduling,
-             "unexpected task state ", to_string(task->state()));
-  if (task->state() == TaskState::kAgentScheduling) {
+  FLOT_CHECK(task.state() == TaskState::kTmgrScheduling ||
+                 task.state() == TaskState::kAgentScheduling,
+             "unexpected task state ", to_string(task.state()));
+  if (task.state() == TaskState::kAgentScheduling) {
     // Retry path: data is already staged in.
-    enter_scheduling(std::move(task));
+    enter_scheduling(task);
     return;
   }
-  const TaskId id = task->id();
+  const TaskId id = task.id();
   if (tasks_.size() <= id) tasks_.resize(std::size_t{id} + 1);
-  if (!tasks_[id].task) {
-    tasks_[id].task = task;
+  if (tasks_[id].task == nullptr) {
+    tasks_[id].task = &task;
     ++live_;
   }
-  if (task->cancel_requested()) {
-    task->set_error("canceled by user");
-    finalize(std::move(task), TaskState::kCanceled);
+  if (task.cancel_requested()) {
+    task.set_error("canceled by user");
+    finalize(task, TaskState::kCanceled);
     return;
   }
-  if (task->description().input_mb > 0.0) {
-    task->advance(TaskState::kStagingInput, session_.now());
-    profiler_.state_change(*task);
-    const double mb = task->description().input_mb;
-    obs_trace_.begin(obs::SpanType::kTaskStageIn, "agent", task->uid(), mb);
-    stager_in_.submit(staging_time(mb),
-                      [this, task = std::move(task)]() mutable {
-                        obs_trace_.end(obs::SpanType::kTaskStageIn, "agent",
-                                       task->uid());
-                        task->advance(TaskState::kAgentScheduling,
-                                      session_.now());
-                        profiler_.state_change(*task);
-                        enter_scheduling(std::move(task));
-                      });
+  if (task.input_mb() > 0.0) {
+    task.advance(TaskState::kStagingInput, session_.now());
+    profiler_.state_change(task);
+    const double mb = task.input_mb();
+    obs_trace_.begin(obs::SpanType::kTaskStageIn, "agent", task.uid(), mb);
+    stager_in_.submit(staging_time(mb), [this, task = &task] {
+      obs_trace_.end(obs::SpanType::kTaskStageIn, "agent", task->uid());
+      task->advance(TaskState::kAgentScheduling, session_.now());
+      profiler_.state_change(*task);
+      enter_scheduling(*task);
+    });
     return;
   }
-  task->advance(TaskState::kAgentScheduling, session_.now());
-  profiler_.state_change(*task);
-  enter_scheduling(std::move(task));
+  task.advance(TaskState::kAgentScheduling, session_.now());
+  profiler_.state_change(task);
+  enter_scheduling(task);
 }
 
-void Agent::enter_scheduling(std::shared_ptr<Task> task) {
+void Agent::enter_scheduling(Task& task) {
   const auto& cal = session_.calibration().core;
-  obs_trace_.begin(obs::SpanType::kTaskSchedule, "agent", task->uid());
+  obs_trace_.begin(obs::SpanType::kTaskSchedule, "agent", task.uid());
   scheduler_.submit(
       rng_.lognormal_mean_cv(cal.agent_sched_cost, cal.jitter_cv),
-      [this, task = std::move(task)]() mutable { schedule(std::move(task)); });
+      [this, task = &task] { schedule(*task); });
 }
 
 Agent::BackendSlot* Agent::route(const Task& task) {
-  const auto& desc = task.description();
   // An explicit, healthy hint always wins. Without one:
   //  - kStatic: first registered healthy backend accepting the modality
   //    (registration order encodes preference, e.g. flux for executables);
@@ -154,12 +150,12 @@ Agent::BackendSlot* Agent::route(const Task& task) {
   std::size_t best_load = 0;
   for (auto& slot : backends_) {
     if (!slot.ready || !slot.backend->healthy()) continue;
-    if (!slot.backend->accepts(desc.modality)) continue;
+    if (!slot.backend->accepts(task.modality())) continue;
     // Gang members need a backend with atomic co-scheduling.
-    if (!desc.gang.empty() && !slot.backend->supports_coscheduling()) {
+    if (!task.gang().empty() && !slot.backend->supports_coscheduling()) {
       continue;
     }
-    if (slot.backend->name() == desc.backend_hint) return &slot;
+    if (slot.backend->name() == task.backend_hint()) return &slot;
     if (router_policy_ == RouterPolicy::kStatic) {
       if (!best) best = &slot;
       continue;
@@ -179,128 +175,147 @@ Agent::TaskSlot* Agent::find(std::string_view uid) {
   const auto id = task_ordinal(uid);
   if (!id || *id >= tasks_.size()) return nullptr;
   TaskSlot& slot = tasks_[*id];
-  return slot.task && slot.task->uid() == uid ? &slot : nullptr;
+  return slot.task != nullptr && slot.task->uid() == uid ? &slot : nullptr;
+}
+
+Task& Agent::waitlisted(std::string_view uid) {
+  TaskSlot* found = find(uid);
+  FLOT_CHECK(found != nullptr, "waitlisted task ", uid, " is not live");
+  return *found->task;
 }
 
 bool Agent::cancel(const std::string& uid) {
   TaskSlot* found = find(uid);
   if (found == nullptr) return false;
-  auto task = found->task;
-  task->request_cancel();
+  Task& task = *found->task;
+  task.request_cancel();
   // Waitlisted tasks can be removed right away; everything else cancels at
   // its next pipeline step.
   for (auto& slot : backends_) {
-    if (slot.waitlist.remove(uid) == nullptr) continue;
-    task->set_error("canceled by user");
-    finalize(std::move(task), TaskState::kCanceled);
+    if (!slot.waitlist.remove(uid)) continue;
+    task.set_error("canceled by user");
+    finalize(task, TaskState::kCanceled);
     return true;
   }
   return true;
 }
 
-void Agent::schedule(std::shared_ptr<Task> task) {
-  obs_trace_.end(obs::SpanType::kTaskSchedule, "agent", task->uid());
-  if (shut_down_ || task->cancel_requested()) {
-    task->set_error(shut_down_ ? "agent shut down" : "canceled by user");
-    finalize(std::move(task), TaskState::kCanceled);
+void Agent::schedule(Task& task) {
+  obs_trace_.end(obs::SpanType::kTaskSchedule, "agent", task.uid());
+  if (shut_down_ || task.cancel_requested()) {
+    task.set_error(shut_down_ ? "agent shut down" : "canceled by user");
+    finalize(task, TaskState::kCanceled);
     return;
   }
-  BackendSlot* slot = route(*task);
+  BackendSlot* slot = route(task);
   if (!slot) {
-    task->set_error(
-        !task->description().gang.empty()
+    task.set_error(
+        !task.gang().empty()
             ? std::string("no healthy backend supports co-scheduling")
             : util::cat("no healthy backend accepts task (modality=",
-                        task->description().modality ==
-                                platform::TaskModality::kFunction
+                        task.modality() == platform::TaskModality::kFunction
                             ? "function"
                             : "executable",
                         ")"));
-    finalize(std::move(task), TaskState::kFailed);
+    finalize(task, TaskState::kFailed);
     return;
   }
   if (obs_trace_) {
     obs_trace_.instant(
-        obs::SpanType::kRouting, "agent", task->uid(),
+        obs::SpanType::kRouting, "agent", task.uid(),
         static_cast<double>(slot - backends_.data()));
   }
-  task->advance(TaskState::kExecutorPending, session_.now());
-  profiler_.state_change(*task);
-  submit_to(*slot, std::move(task));
+  task.advance(TaskState::kExecutorPending, session_.now());
+  profiler_.state_change(task);
+  submit_to(*slot, task);
 }
 
-void Agent::submit_to(BackendSlot& slot, std::shared_ptr<Task> task) {
+void Agent::submit_to(BackendSlot& slot, Task& task) {
   const auto& cal = session_.calibration().core;
-  task->set_backend(slot.backend->name());
-  task->begin_attempt();
+  // Interned here, not in add_backend, so setting up a stack allocates
+  // nothing for it.
+  if (slot.label == TaskLabels::kEmpty) {
+    slot.label = session_.labels().intern(slot.backend->name());
+  }
+  task.set_backend(slot.label);
+  task.begin_attempt();
   BackendSlot* slot_ptr = &slot;
-  if (task->id() < tasks_.size()) tasks_[task->id()].backend = slot_ptr;
+  if (task.id() < tasks_.size()) {
+    tasks_[task.id()].backend =
+        static_cast<std::uint32_t>(slot_ptr - backends_.data());
+  }
   slot.submit_server->submit(
       rng_.lognormal_mean_cv(slot.submit_cost, cal.jitter_cv),
-      [this, slot_ptr, task = std::move(task)]() mutable {
+      [this, slot_ptr, task = &task] {
         if (task->cancel_requested()) {
           task->set_error("canceled by user");
-          finalize(std::move(task), TaskState::kCanceled);
+          finalize(*task, TaskState::kCanceled);
           return;
         }
         if (!slot_ptr->backend->healthy()) {
           // Backend died between routing and submit: retry the routing.
           task->advance(TaskState::kAgentScheduling, session_.now());
-          execute(std::move(task));
+          execute(*task);
           return;
         }
         if (!slot_ptr->backend->self_scheduling()) {
           // The agent is the scheduler (PRRTE DVM model): place here,
           // waitlist if the span is full.
-          place_and_launch(*slot_ptr, std::move(task));
+          place_and_launch(*slot_ptr, *task);
           return;
         }
         platform::LaunchRequest request;
         request.id = task->uid();
-        request.demand = task->description().demand;
-        request.duration = task->description().duration;
-        request.modality = task->description().modality;
-        request.fail_probability = task->description().fail_probability;
-        request.gang = task->description().gang;
-        request.gang_size = task->description().gang_size;
-        request.priority = task->description().priority;
+        request.demand = task->demand();
+        request.duration = task->duration();
+        request.modality = task->modality();
+        request.fail_probability = task->fail_probability();
+        request.gang = task->gang();
+        request.gang_size = task->gang_size();
+        request.priority = task->priority();
         obs_trace_.begin(obs::SpanType::kTaskLaunch,
                          slot_ptr->backend->name(), task->uid());
         slot_ptr->backend->submit(std::move(request));
       });
 }
 
-bool Agent::place_and_launch(BackendSlot& slot, std::shared_ptr<Task> task) {
-  auto placement = slot.placer->place(task->description().demand);
+bool Agent::place_and_launch(BackendSlot& slot, Task& task) {
+  auto placement = slot.placer->place(task.demand());
   if (!placement) {
     sched::QueueEntry entry;
-    entry.id = task->uid();
-    entry.priority = task->description().priority;
-    entry.demand = task->description().demand;
-    entry.payload = std::move(task);
+    entry.id = task.uid();
+    entry.priority = task.priority();
+    entry.demand = task.demand();
     slot.waitlist.push(std::move(entry));
     return false;
   }
-  platform::LaunchRequest request;
-  request.id = task->uid();
-  request.demand = task->description().demand;
-  request.duration = task->description().duration;
-  request.modality = task->description().modality;
-  request.fail_probability = task->description().fail_probability;
-  request.placement = *placement;
-  request.preplaced = true;
-  slot.held.emplace(task->uid(), std::move(*placement));
-  obs_trace_.begin(obs::SpanType::kTaskLaunch, slot.backend->name(),
-                   task->uid());
-  slot.backend->submit(std::move(request));
+  launch_placed(slot, task, std::move(*placement));
   return true;
 }
 
-void Agent::release_held(BackendSlot& slot, const std::string& uid) {
-  const auto it = slot.held.find(uid);
-  if (it == slot.held.end()) return;
-  slot.placer->release(it->second);
-  slot.held.erase(it);
+void Agent::launch_placed(BackendSlot& slot, Task& task,
+                          platform::Placement placement) {
+  platform::LaunchRequest request;
+  request.id = task.uid();
+  request.demand = task.demand();
+  request.duration = task.duration();
+  request.modality = task.modality();
+  request.fail_probability = task.fail_probability();
+  request.placement = placement;
+  request.preplaced = true;
+  TaskSlot& task_slot = tasks_[task.id()];
+  task_slot.held = std::move(placement);
+  task_slot.holding = true;
+  obs_trace_.begin(obs::SpanType::kTaskLaunch, slot.backend->name(),
+                   task.uid());
+  slot.backend->submit(std::move(request));
+}
+
+void Agent::release_held(BackendSlot& slot, TaskSlot& task_slot) {
+  if (!task_slot.holding) return;
+  slot.placer->release(task_slot.held);
+  task_slot.held = {};
+  task_slot.holding = false;
   drain_waitlist(slot);
 }
 
@@ -317,20 +332,8 @@ void Agent::drain_waitlist(BackendSlot& slot) {
       ++i;
       continue;
     }
-    auto task =
-        std::static_pointer_cast<Task>(slot.waitlist.take(i).payload);
-    platform::LaunchRequest request;
-    request.id = task->uid();
-    request.demand = task->description().demand;
-    request.duration = task->description().duration;
-    request.modality = task->description().modality;
-    request.fail_probability = task->description().fail_probability;
-    request.placement = *placement;
-    request.preplaced = true;
-    slot.held.emplace(task->uid(), std::move(*placement));
-    obs_trace_.begin(obs::SpanType::kTaskLaunch, slot.backend->name(),
-                     task->uid());
-    slot.backend->submit(std::move(request));
+    Task& task = waitlisted(slot.waitlist.take(i).id);
+    launch_placed(slot, task, std::move(*placement));
     i = 0;
   }
 }
@@ -338,12 +341,12 @@ void Agent::drain_waitlist(BackendSlot& slot) {
 void Agent::handle_start(const std::string& uid) {
   TaskSlot* found = find(uid);
   if (found == nullptr) return;  // canceled meanwhile
-  // The task lives on the heap, so a start handler that grows tasks_
-  // leaves this reference valid.
+  // The task lives in its manager's storage, so a start handler that grows
+  // tasks_ leaves this reference valid.
   Task& task = *found->task;
   obs_trace_.end(obs::SpanType::kTaskLaunch, task.backend(), uid);
   obs_trace_.begin(obs::SpanType::kTaskRun, task.backend(), uid,
-                   static_cast<double>(task.description().demand.cores));
+                   static_cast<double>(task.demand().cores));
   task.advance(TaskState::kRunning, session_.now());
   task.mark_launched();
   profiler_.launched(task);
@@ -354,8 +357,7 @@ void Agent::handle_start(const std::string& uid) {
 void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
   TaskSlot* found = find(outcome.id);
   if (found == nullptr) return;
-  auto task = found->task;
-  BackendSlot* slot = found->backend;
+  Task* task = found->task;
   if (obs_trace_) {
     // A launched attempt closes its run span; one that never started
     // (backend rejected/crashed pre-start) closes its launch span instead.
@@ -366,15 +368,16 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
   }
   // Resources the agent placed for an externally scheduled backend are
   // returned the moment the backend reports completion.
-  if (slot != nullptr) {
-    release_held(*slot, task->uid());
-    if (!slot->backend->healthy() && !slot->waitlist.empty()) {
+  if (found->backend != kNoBackend) {
+    BackendSlot& slot = backends_[found->backend];
+    release_held(slot, *found);
+    if (!slot.backend->healthy() && !slot.waitlist.empty()) {
       // The backend died: re-route its waitlisted tasks (they never
       // launched, so this is failover, not a retry).
-      for (auto& entry : slot->waitlist.drain()) {
-        auto waiting = std::static_pointer_cast<Task>(std::move(entry.payload));
-        waiting->advance(TaskState::kAgentScheduling, session_.now());
-        execute(std::move(waiting));
+      for (auto& entry : slot.waitlist.drain()) {
+        Task& waiting = waitlisted(entry.id);
+        waiting.advance(TaskState::kAgentScheduling, session_.now());
+        execute(waiting);
       }
     }
   }
@@ -386,75 +389,74 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
                    : std::make_unique<std::string>(outcome.error);
   collector_.submit(
       rng_.lognormal_mean_cv(cal.collect_cost, cal.jitter_cv),
-      [this, task = std::move(task), error = std::move(error)]() mutable {
+      [this, task, error = std::move(error)]() mutable {
         obs_trace_.end(obs::SpanType::kTaskCollect, "agent", task->uid());
         if (task->launched()) {
           profiler_.attempt_ended(*task);
         }
         if (task->cancel_requested()) {
           task->set_error("canceled by user");
-          finalize(std::move(task), TaskState::kCanceled);
+          finalize(*task, TaskState::kCanceled);
           return;
         }
         if (!error) {
-          if (task->description().output_mb > 0.0) {
+          if (task->output_mb() > 0.0) {
             task->advance(TaskState::kStagingOutput, session_.now());
             profiler_.state_change(*task);
-            const double mb = task->description().output_mb;
+            const double mb = task->output_mb();
             obs_trace_.begin(obs::SpanType::kTaskStageOut, "agent",
                              task->uid(), mb);
-            stager_out_.submit(staging_time(mb),
-                               [this, task = std::move(task)]() mutable {
-                                 obs_trace_.end(obs::SpanType::kTaskStageOut,
-                                                "agent", task->uid());
-                                 finalize(std::move(task), TaskState::kDone);
-                               });
+            stager_out_.submit(staging_time(mb), [this, task] {
+              obs_trace_.end(obs::SpanType::kTaskStageOut, "agent",
+                             task->uid());
+              finalize(*task, TaskState::kDone);
+            });
             return;
           }
-          finalize(std::move(task), TaskState::kDone);
+          finalize(*task, TaskState::kDone);
           return;
         }
         task->set_error(std::move(*error));
         // Retry with budget, re-routing around unhealthy backends.
-        const int budget = task->description().max_retries + 1;
+        const int budget = task->max_retries() + 1;
         if (!shut_down_ && task->attempts() < budget &&
             any_backend_for(*task)) {
           profiler_.retried(*task);
           task->clear_launched();
           task->advance(TaskState::kAgentScheduling, session_.now());
           profiler_.state_change(*task);
-          execute(std::move(task));
+          execute(*task);
           return;
         }
-        finalize(std::move(task), TaskState::kFailed);
+        finalize(*task, TaskState::kFailed);
       });
 }
 
 bool Agent::any_backend_for(const Task& task) {
   for (auto& slot : backends_) {
     if (slot.ready && slot.backend->healthy() &&
-        slot.backend->accepts(task.description().modality)) {
+        slot.backend->accepts(task.modality())) {
       return true;
     }
   }
   return false;
 }
 
-void Agent::finalize(std::shared_ptr<Task> task, TaskState state) {
+void Agent::finalize(Task& task, TaskState state) {
   // A retried task re-enters tasks_ only once; guard double finalize.
-  const TaskId id = task->id();
-  if (id < tasks_.size() && tasks_[id].task) {
+  const TaskId id = task.id();
+  if (id < tasks_.size() && tasks_[id].task != nullptr) {
     tasks_[id] = TaskSlot{};
     --live_;
-  } else if (is_final(task->state())) {
+  } else if (is_final(task.state())) {
     return;
   }
-  task->advance(state, session_.now());
-  profiler_.state_change(*task);
-  profiler_.finalized(*task, state == TaskState::kDone);
-  if (final_handler_) final_handler_(*task);
-  for (const auto& listener : final_listeners_) listener(*task);
-  obs_trace_.instant(obs::SpanType::kStateCallback, "agent", task->uid(),
+  task.advance(state, session_.now());
+  profiler_.state_change(task);
+  profiler_.finalized(task, state == TaskState::kDone);
+  if (final_handler_) final_handler_(task);
+  for (const auto& listener : final_listeners_) listener(task);
+  obs_trace_.instant(obs::SpanType::kStateCallback, "agent", task.uid(),
                      static_cast<double>(state));
 }
 
@@ -477,9 +479,9 @@ void Agent::shutdown() {
   for (auto& slot : backends_) {
     // Waitlisted tasks never reached a backend; cancel them here.
     for (auto& entry : slot.waitlist.drain()) {
-      auto task = std::static_pointer_cast<Task>(std::move(entry.payload));
-      task->set_error("agent shut down");
-      finalize(std::move(task), TaskState::kCanceled);
+      Task& task = waitlisted(entry.id);
+      task.set_error("agent shut down");
+      finalize(task, TaskState::kCanceled);
     }
     if (slot.backend->healthy()) slot.backend->shutdown();
   }

@@ -12,11 +12,11 @@
 // routes retries around unhealthy backends (§3.2's failover behaviour).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/profiler.hpp"
@@ -61,8 +61,9 @@ class Agent {
   void bootstrap(ReadyHandler ready);
   bool active() const { return active_; }
 
-  // Accepts a task in TMGR_SCHEDULING state.
-  void execute(std::shared_ptr<Task> task);
+  // Accepts a task in TMGR_SCHEDULING state. The agent keeps a pointer to
+  // it until it is final; its TaskManager owns it and must outlive that.
+  void execute(Task& task);
 
   // Requests cancellation of a non-final task. Tasks not yet handed to a
   // backend cancel at their next pipeline step; running tasks cancel when
@@ -102,43 +103,56 @@ class Agent {
     std::unique_ptr<platform::TaskBackend> backend;
     std::unique_ptr<sim::Server> submit_server;
     double submit_cost = 0.0;
+    // The backend's name, interned when the first task is routed here.
+    LabelId label = TaskLabels::kEmpty;
     bool ready = false;
     // State for externally scheduled backends (self_scheduling() false):
-    // the agent places tasks itself, holds their resources, and waitlists
-    // tasks that do not fit until a completion frees capacity. The placer
-    // rotates an indexed first-fit cursor over the backend's span; the
-    // waitlist policy is strict FIFO (head-of-line blocking) to mirror
-    // the agent scheduler's FIFO admission.
+    // the agent places tasks itself, holds their resources (in the task's
+    // TaskSlot), and waitlists tasks that do not fit until a completion
+    // frees capacity. The placer rotates an indexed first-fit cursor over
+    // the backend's span; the waitlist policy is strict FIFO (head-of-line
+    // blocking) to mirror the agent scheduler's FIFO admission.
     std::unique_ptr<sched::Placer> placer;
-    std::unordered_map<std::string, platform::Placement> held;
     sched::TaskQueue waitlist{std::make_unique<sched::FifoPolicy>()};
   };
 
   // Where the Agent keeps a task it accepted, at index TaskId.
   struct TaskSlot {
-    std::shared_ptr<Task> task;  // null when empty or finalized
-    // The backend of the task's latest submit_to. backends_ does not change
-    // after bootstrap, so the pointer stays valid.
-    BackendSlot* backend = nullptr;
+    Task* task = nullptr;  // null when empty or finalized
+    // Resources the agent placed for the task's current attempt on an
+    // externally scheduled backend, valid while `holding`.
+    platform::Placement held;
+    // Index in backends_ of the task's latest submit_to, or kNoBackend.
+    // backends_ does not change after bootstrap.
+    std::uint32_t backend = kNoBackend;
+    bool holding = false;
   };
+  static constexpr std::uint32_t kNoBackend = ~std::uint32_t{0};
 
   // The slot holding the live task with `uid` — the uid a backend or a
   // caller passed in — or nullptr (see task_ordinal).
   TaskSlot* find(std::string_view uid);
+  // The task of a waitlist entry. Waitlists hold live tasks only, so it
+  // resolves.
+  Task& waitlisted(std::string_view uid);
 
-  void enter_scheduling(std::shared_ptr<Task> task);
-  void schedule(std::shared_ptr<Task> task);
+  void enter_scheduling(Task& task);
+  void schedule(Task& task);
   double staging_time(double mb);
   BackendSlot* route(const Task& task);
-  void submit_to(BackendSlot& slot, std::shared_ptr<Task> task);
+  void submit_to(BackendSlot& slot, Task& task);
   // Agent-side placement for externally scheduled backends; returns false
   // when the task was waitlisted.
-  bool place_and_launch(BackendSlot& slot, std::shared_ptr<Task> task);
-  void release_held(BackendSlot& slot, const std::string& uid);
+  bool place_and_launch(BackendSlot& slot, Task& task);
+  // Launches `task` on `slot`'s backend with the placement the agent
+  // found, which its TaskSlot holds until the completion.
+  void launch_placed(BackendSlot& slot, Task& task,
+                     platform::Placement placement);
+  void release_held(BackendSlot& slot, TaskSlot& task_slot);
   void drain_waitlist(BackendSlot& slot);
   void handle_start(const std::string& uid);
   void handle_completion(const platform::LaunchOutcome& outcome);
-  void finalize(std::shared_ptr<Task> task, TaskState state);
+  void finalize(Task& task, TaskState state);
   bool any_backend_for(const Task& task);
 
   Session& session_;

@@ -51,8 +51,8 @@ void AsyncFlow::handle_completion(const Task& task) {
   pending_.erase(it);
   FLOT_CHECK(inflight_ > 0, "completion without inflight task");
   --inflight_;
-  // The Task object lives in the TaskManager for the session's lifetime.
-  state->task = &tmgr_.task(task.uid());
+  // The task lives in its TaskManager's storage for the manager's lifetime.
+  state->task = &task;
   auto continuations = std::move(state->continuations);
   state->continuations.clear();
   for (auto& fn : continuations) fn(*state->task);

@@ -10,12 +10,12 @@ void Profiler::state_change(const Task& task) {
 }
 
 void Profiler::launched(const Task& task) {
-  const auto& demand = task.description().demand;
+  const auto& demand = task.demand();
   metrics_.on_launch(session_.now(), demand.cores, demand.gpus);
 }
 
 void Profiler::attempt_ended(const Task& task) {
-  const auto& demand = task.description().demand;
+  const auto& demand = task.demand();
   metrics_.on_attempt_end(session_.now(), demand.cores, demand.gpus);
 }
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "core/task.hpp"
 #include "obs/tracer.hpp"
 #include "platform/calibration.hpp"
 #include "platform/cluster.hpp"
@@ -33,6 +34,8 @@ class Session {
   platform::Cluster& cluster() { return cluster_; }
   const platform::Calibration& calibration() const { return calibration_; }
   util::IdRegistry& ids() { return ids_; }
+  // Task labels and names, interned once per session (see TaskLabels).
+  TaskLabels& labels() { return labels_; }
 
   // Structured tracing (src/obs). Off by default — paper-scale runs
   // launch hundreds of thousands of tasks. Enable *before* constructing
@@ -55,6 +58,7 @@ class Session {
   platform::Calibration calibration_;
   std::unique_ptr<obs::Tracer> tracer_;
   util::IdRegistry ids_;
+  TaskLabels labels_;
   std::uint64_t seed_;
   std::string uid_;
 };

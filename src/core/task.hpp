@@ -11,6 +11,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "platform/backend.hpp"
 #include "platform/types.hpp"
@@ -61,8 +63,8 @@ std::string_view to_string(TaskState state);
 bool is_final(TaskState state);
 
 // Dense task handle: the ordinal the session's IdRegistry formats into the
-// uid ("task.000042" -> 42). The TaskManager and the Agent keep their tasks
-// in vectors indexed by it.
+// uid ("task.000042" -> 42). The TaskManager keeps its tasks in TaskId
+// order and the Agent keeps its slots in a vector indexed by it.
 using TaskId = std::uint32_t;
 
 // The ordinal in a "task.<digits>" uid, or nullopt when `uid` has another
@@ -71,31 +73,80 @@ using TaskId = std::uint32_t;
 // it with the uid of the task it finds in that slot.
 std::optional<TaskId> task_ordinal(std::string_view uid);
 
-// Runtime object tracked by the session. Transitions are validated: a task
-// can only move forward, except for the retry edge Running/ExecutorPending
-// -> AgentScheduling.
+// Interned task labels and the side table of task names. The session owns
+// one: a task keeps a 4-byte id per label (backend hint, stage, gang and
+// the backend it was routed to) and a pointer to this table, so its labels
+// stay readable after the agent or manager that interned them is gone.
+using LabelId = std::uint32_t;
+
+class TaskLabels {
+ public:
+  static constexpr LabelId kEmpty = 0;  // the id of ""
+
+  TaskLabels() = default;
+  TaskLabels(const TaskLabels&) = delete;
+  TaskLabels& operator=(const TaskLabels&) = delete;
+
+  // The id of `text`, interned on first use.
+  LabelId intern(std::string_view text);
+  const std::string& text(LabelId id) const {
+    return id == kEmpty ? no_text() : *texts_[id - 1];
+  }
+
+  // Task names, filed only for tasks that have one; "" for the rest.
+  void set_name(TaskId id, std::string name);
+  const std::string& name(TaskId id) const;
+
+ private:
+  static const std::string& no_text();
+
+  std::unordered_map<std::string, LabelId> ids_;
+  std::vector<const std::string*> texts_;  // by LabelId - 1, keys of ids_
+  std::unordered_map<TaskId, std::string> names_;
+};
+
+// Runtime object tracked by the session: the description's fields, the
+// state machine and the current attempt, in one compact record that the
+// TaskManager holds by value. Transitions are validated: a task can only
+// move forward, except for the retry edge Running/ExecutorPending ->
+// AgentScheduling.
 class Task {
  public:
   // Observes every state transition, after it was applied. `from` is the
-  // state the task left. Invariant checkers (src/check) subscribe through
-  // TaskManager::on_transition; the hook is shared across tasks, hence the
-  // shared_ptr indirection.
+  // state the task left. Invariant checkers (src/check) and the journal
+  // scribe subscribe through TaskManager::on_transition.
   using TransitionHook =
       std::function<void(const Task&, TaskState from, TaskState to)>;
+  // The hooks a task fires, in order. The TaskManager owns each set and
+  // never changes one it has handed out.
+  using TransitionHooks = std::vector<TransitionHook>;
 
-  Task(TaskId id, std::string uid, TaskDescription description)
-      : id_(id), uid_(std::move(uid)), description_(std::move(description)) {}
+  // Copies the description's numbers, interns its labels in `labels` and
+  // files a non-empty name there. `labels` and `hooks` (may be null) must
+  // outlive the task.
+  Task(TaskId id, std::string uid, TaskDescription description,
+       TaskLabels& labels, const TransitionHooks* hooks = nullptr);
 
   TaskId id() const { return id_; }
   const std::string& uid() const { return uid_; }
-  const TaskDescription& description() const { return description_; }
+
+  // The description it was submitted with, field by field.
+  const std::string& name() const { return labels_->name(id_); }
+  const platform::ResourceDemand& demand() const { return demand_; }
+  sim::Time duration() const { return duration_; }
+  platform::TaskModality modality() const { return modality_; }
+  const std::string& backend_hint() const { return labels_->text(hint_); }
+  int max_retries() const { return max_retries_; }
+  double fail_probability() const { return fail_probability_; }
+  const std::string& stage() const { return labels_->text(stage_); }
+  double input_mb() const { return input_mb_; }
+  double output_mb() const { return output_mb_; }
+  const std::string& gang() const { return labels_->text(gang_); }
+  int gang_size() const { return gang_size_; }
+  int priority() const { return priority_; }
 
   TaskState state() const { return state_; }
   void advance(TaskState next, sim::Time now);
-
-  void set_transition_hook(std::shared_ptr<const TransitionHook> hook) {
-    transition_hook_ = std::move(hook);
-  }
 
   // Time of first entry into `state`; returns false if never entered.
   bool state_time(TaskState state, sim::Time& out) const;
@@ -103,11 +154,13 @@ class Task {
   int attempts() const { return attempts_; }
   void begin_attempt() { ++attempts_; }
 
-  const std::string& backend() const { return backend_; }
-  void set_backend(std::string backend) { backend_ = std::move(backend); }
+  // The backend of the latest attempt, "" before the first one.
+  const std::string& backend() const { return labels_->text(backend_); }
+  void set_backend(LabelId backend) { backend_ = backend; }
 
-  const std::string& error() const { return error_; }
-  void set_error(std::string error) { error_ = std::move(error); }
+  // Set only when an attempt fails or the task is canceled; "" otherwise.
+  const std::string& error() const;
+  void set_error(std::string error);
 
   // Whether the *current* attempt reached execution; reset on retry.
   bool launched() const { return launched_; }
@@ -120,20 +173,31 @@ class Task {
   void request_cancel() { cancel_requested_ = true; }
 
  private:
-  TaskId id_;
-  std::string uid_;
-  TaskDescription description_;
-  std::shared_ptr<const TransitionHook> transition_hook_;
-  TaskState state_ = TaskState::kNew;
-  // First entry time per state, valid where the state's bit is set in
-  // entered_.
   static constexpr std::size_t kStateCount =
       static_cast<std::size_t>(TaskState::kCanceled) + 1;
-  std::array<sim::Time, kStateCount> state_times_{};
-  std::uint16_t entered_ = 0;
-  std::string backend_;
-  std::string error_;
+
+  // First entry time per state; NaN for a state never entered.
+  std::array<sim::Time, kStateCount> state_times_;
+  platform::ResourceDemand demand_;
+  sim::Time duration_;
+  double fail_probability_;
+  double input_mb_;
+  double output_mb_;
+  std::string uid_;
+  const TaskLabels* labels_;
+  const TransitionHooks* hooks_;
+  std::unique_ptr<std::string> error_;
+  TaskId id_;
   int attempts_ = 0;
+  int max_retries_;
+  int gang_size_;
+  int priority_;
+  LabelId hint_;
+  LabelId stage_;
+  LabelId gang_;
+  LabelId backend_ = TaskLabels::kEmpty;
+  TaskState state_ = TaskState::kNew;
+  platform::TaskModality modality_;
   bool launched_ = false;
   bool cancel_requested_ = false;
 };

@@ -43,47 +43,47 @@ TaskManager::TaskManager(Session& session, Agent& agent)
 }
 
 void TaskManager::on_transition(Task::TransitionHook hook) {
-  transition_hooks_.push_back(std::move(hook));
-  // Tasks hold one shared hook; fan out to every registered consumer in
-  // registration order. Rebuilt per registration so tasks submitted
-  // earlier keep the hook set that existed when they entered the system.
-  transition_hook_ = std::make_shared<const Task::TransitionHook>(
-      [hooks = transition_hooks_](const Task& task, TaskState from,
-                                  TaskState to) {
-        for (const auto& h : hooks) h(task, from, to);
-      });
+  auto hooks = hook_sets_.empty()
+                   ? std::make_unique<Task::TransitionHooks>()
+                   : std::make_unique<Task::TransitionHooks>(
+                         *hook_sets_.back());
+  hooks->push_back(std::move(hook));
+  hook_sets_.push_back(std::move(hooks));
 }
 
-std::shared_ptr<Task> TaskManager::create(TaskDescription description) {
+Task& TaskManager::create(TaskDescription description) {
   auto [ordinal, uid] = session_.ids().issue("task");
   FLOT_CHECK(ordinal <= std::numeric_limits<TaskId>::max(),
              "task ordinal ", ordinal, " overflows TaskId");
   const auto id = static_cast<TaskId>(ordinal);
-  auto task =
-      std::make_shared<Task>(id, std::move(uid), std::move(description));
-  if (transition_hook_) task->set_transition_hook(transition_hook_);
-  if (tasks_.size() <= id) tasks_.resize(std::size_t{id} + 1);
-  tasks_[id] = task;
+  // position() searches by TaskId, so ids must grow in submit order.
+  FLOT_CHECK(total_submitted_ == 0 || id > at(total_submitted_ - 1).id(),
+             "task ordinal ", ordinal, " does not follow the last one issued");
+  if (total_submitted_ % kChunkTasks == 0) {
+    chunks_.emplace_back().reserve(kChunkTasks);
+  }
+  Task& task = chunks_.back().emplace_back(
+      id, std::move(uid), std::move(description), session_.labels(),
+      hook_sets_.empty() ? nullptr : hook_sets_.back().get());
   ++total_submitted_;
-  agent_.profiler().submitted(*task);
-  task->advance(TaskState::kTmgrScheduling, session_.now());
-  obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", task->uid(),
-                   static_cast<double>(task->description().demand.cores));
+  agent_.profiler().submitted(task);
+  task.advance(TaskState::kTmgrScheduling, session_.now());
+  obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", task.uid(),
+                   static_cast<double>(task.demand().cores));
   return task;
 }
 
 std::string TaskManager::submit(TaskDescription description) {
   validate(description);
-  auto task = create(std::move(description));
-  std::string uid = task->uid();
+  Task& task = create(std::move(description));
   const auto& cal = session_.calibration().core;
   intake_.submit(rng_.lognormal_mean_cv(cal.tmgr_task_cost, cal.jitter_cv),
-                 [this, task = std::move(task)]() mutable {
+                 [this, task = &task] {
                    obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
                                   task->uid());
-                   agent_.execute(std::move(task));
+                   agent_.execute(*task);
                  });
-  return uid;
+  return task.uid();
 }
 
 std::vector<std::string> TaskManager::submit(
@@ -102,60 +102,75 @@ std::vector<std::string> TaskManager::submit_batch(
   uids.reserve(descriptions.size());
   if (descriptions.empty()) return uids;
   for (const auto& description : descriptions) validate(description);
-  std::vector<std::shared_ptr<Task>> batch;
+  std::vector<Task*> batch;
   batch.reserve(descriptions.size());
   const auto& cal = session_.calibration().core;
   for (auto& description : descriptions) {
-    auto task = create(std::move(description));
-    uids.push_back(task->uid());
-    batch.push_back(std::move(task));
+    Task& task = create(std::move(description));
+    uids.push_back(task.uid());
+    batch.push_back(&task);
   }
   const double cost =
       cal.tmgr_batch_base +
       static_cast<double>(batch.size()) * cal.tmgr_batch_per_task;
   intake_.submit(rng_.lognormal_mean_cv(cost, cal.jitter_cv),
-                 [this, batch = std::move(batch)]() mutable {
-                   for (auto& task : batch) {
+                 [this, batch = std::move(batch)] {
+                   for (Task* task : batch) {
                      obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
                                     task->uid());
-                     agent_.execute(std::move(task));
+                     agent_.execute(*task);
                    }
                  });
   return uids;
 }
 
-Task* TaskManager::find(std::string_view uid) const {
+std::optional<std::size_t> TaskManager::position(std::string_view uid) const {
   const auto id = task_ordinal(uid);
-  if (!id || *id >= tasks_.size()) return nullptr;
-  Task* task = tasks_[*id].get();
-  return task != nullptr && task->uid() == uid ? task : nullptr;
+  if (!id) return std::nullopt;
+  // Positions are in increasing TaskId order: binary search.
+  std::size_t lo = 0;
+  std::size_t hi = total_submitted_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at(mid).id() < *id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == total_submitted_ || at(lo).id() != *id || at(lo).uid() != uid) {
+    return std::nullopt;
+  }
+  return lo;
 }
 
 bool TaskManager::cancel(const std::string& uid) {
-  Task* task = find(uid);
-  if (task == nullptr || is_final(task->state())) return false;
+  const auto pos = position(uid);
+  if (!pos) return false;
+  Task& task = at(*pos);
+  if (is_final(task.state())) return false;
   // A task still in TMGR intake has not reached the agent; flag it and the
   // agent will cancel it on arrival.
-  if (task->state() == TaskState::kTmgrScheduling ||
-      task->state() == TaskState::kStagingInput) {
-    task->request_cancel();
+  if (task.state() == TaskState::kTmgrScheduling ||
+      task.state() == TaskState::kStagingInput) {
+    task.request_cancel();
     return true;
   }
   return agent_.cancel(uid);
 }
 
 const Task& TaskManager::task(const std::string& uid) const {
-  const Task* task = find(uid);
-  FLOT_CHECK(task != nullptr, "unknown task ", uid);
-  return *task;
+  const auto pos = position(uid);
+  FLOT_CHECK(pos.has_value(), "unknown task ", uid);
+  return at(*pos);
 }
 
 void TaskManager::for_each_task(
     const std::function<void(const Task&)>& fn) const {
   std::vector<const Task*> order;
   order.reserve(total_submitted_);
-  for (const auto& task : tasks_) {
-    if (task) order.push_back(task.get());
+  for (const auto& chunk : chunks_) {
+    for (const Task& task : chunk) order.push_back(&task);
   }
   // TaskId order is uid order until the counter outgrows its zero padding:
   // "task.1000000" sorts before "task.999998".

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,7 +55,8 @@ class TaskManager {
   // call (installed on the task before its first transition). Multiple
   // consumers may register — invariant checkers (src/check) and the
   // journal scribe (src/journal) coexist; hooks fire in registration
-  // order. Tasks already submitted keep the hook set they were given.
+  // order. Tasks already submitted keep the hook set they were given: each
+  // registration makes a new set and leaves the older ones as they are.
   void on_transition(Task::TransitionHook hook);
 
   const Task& task(const std::string& uid) const;
@@ -66,30 +68,42 @@ class TaskManager {
   Agent& agent() { return agent_; }
   Session& session() { return session_; }
 
-  // Visits every task ever submitted (analytics/reporting), in sorted uid
-  // order so downstream reports are reproducible.
+  // Visits every task this manager was given (analytics/reporting), in
+  // sorted uid order so downstream reports are reproducible.
   void for_each_task(const std::function<void(const Task&)>& fn) const;
   std::size_t submitted() const { return total_submitted_; }
   std::size_t finished() const { return finished_; }
   bool idle() const { return finished_ == total_submitted_; }
 
  private:
-  // This manager's task with `uid`, or nullptr (see task_ordinal).
-  Task* find(std::string_view uid) const;
+  // Tasks are stored by value, in chunks of kChunkTasks that never
+  // reallocate, so a Task* stays valid for the manager's lifetime. The
+  // position of a task is its submit order, which is TaskId order.
+  static constexpr std::size_t kChunkTasks = 512;
+
+  Task& at(std::size_t pos) {
+    return chunks_[pos / kChunkTasks][pos % kChunkTasks];
+  }
+  const Task& at(std::size_t pos) const {
+    return chunks_[pos / kChunkTasks][pos % kChunkTasks];
+  }
+  // Position of this manager's task with `uid`, or nullopt (see
+  // task_ordinal).
+  std::optional<std::size_t> position(std::string_view uid) const;
   // Issues the next uid, creates the task in its slot and moves it into
   // TMGR_SCHEDULING.
-  std::shared_ptr<Task> create(TaskDescription description);
+  Task& create(TaskDescription description);
 
   Session& session_;
   Agent& agent_;
   sim::RngStream rng_;
   sim::Server intake_;
   obs::TraceHandle obs_trace_;
-  // Indexed by TaskId. Uids are unique per session, not per manager, so a
-  // slot is null when another manager on the same session took that id.
-  std::vector<std::shared_ptr<Task>> tasks_;
-  std::vector<Task::TransitionHook> transition_hooks_;
-  std::shared_ptr<const Task::TransitionHook> transition_hook_;
+  // Uids are unique per session, not per manager: another manager on the
+  // same session may hold the TaskIds between two of these tasks.
+  std::vector<std::vector<Task>> chunks_;
+  // Every hook set handed out, the current one last.
+  std::vector<std::unique_ptr<const Task::TransitionHooks>> hook_sets_;
   TaskHandler completion_handler_;
   std::size_t total_submitted_ = 0;
   std::size_t finished_ = 0;

@@ -5,6 +5,7 @@
 // startup-timeout and failover logic.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -15,7 +16,7 @@
 
 namespace flotilla::platform {
 
-enum class TaskModality {
+enum class TaskModality : std::uint8_t {
   kExecutable,  // standalone binary (possibly multi-node/MPI)
   kFunction,    // in-memory function task
 };

@@ -23,9 +23,10 @@
 namespace flotilla::sched {
 
 // One queued unit of work. `payload` carries the backend's own task object
-// (flux::Job, core::Task, ...) through the queue without the queue knowing
-// its type; the scheduling-relevant fields are mirrored alongside so
-// policies and drain loops never need to downcast.
+// (flux::Job, dragon's task, ...) through the queue without the queue
+// knowing its type; the scheduling-relevant fields are mirrored alongside
+// so policies and drain loops never need to downcast. The agent's waitlist
+// leaves it empty and resolves `id` to its task instead.
 struct QueueEntry {
   std::string id;
   int priority = 16;  // Flux urgency scale: 0..31, higher first
@@ -132,13 +133,14 @@ class TaskQueue {
 
   QueueEntry pop_front() { return take(0); }
 
-  // Removes the entry with `id`; returns its payload, or nullptr if absent.
-  std::shared_ptr<void> remove(const std::string& id) {
+  // Removes the entry with `id`; returns whether it was queued.
+  bool remove(const std::string& id) {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i].id != id) continue;
-      return take(i).payload;
+      take(i);
+      return true;
     }
-    return nullptr;
+    return false;
   }
 
   template <typename Pred>

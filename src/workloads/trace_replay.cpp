@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -26,12 +25,20 @@ std::vector<std::string> split_csv(const std::string& line) {
 
 // Every cell is checked before it is used: a trace comes from outside, so
 // an empty, partial, non-finite or out-of-range cell is an error labeled
-// "trace:", never a silent zero or an out-of-range cast.
+// "trace:", never a silent zero or an out-of-range cast. A time has one
+// text: from_chars takes no blank, '+' or hex float and must use the whole
+// cell. It keeps exponents, which util::exact_double (%.17g) writes.
 double to_time(const std::string& cell, const char* column,
                const std::string& line) {
-  char* end = nullptr;
-  const double value = std::strtod(cell.c_str(), &end);
-  if (cell.empty() || end == nullptr || *end != '\0') {
+  double value = 0.0;
+  const char* last = cell.data() + cell.size();
+  const auto [end, ec] =
+      std::from_chars(cell.data(), last, value, std::chars_format::general);
+  if (ec == std::errc::result_out_of_range) {
+    util::raise("trace: ", column, " out of range '", cell, "' in row: ",
+                line);
+  }
+  if (ec != std::errc() || end != last) {
     util::raise("trace: bad ", column, " '", cell, "' in row: ", line);
   }
   if (!std::isfinite(value) || value < 0.0) {

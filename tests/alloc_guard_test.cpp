@@ -1,11 +1,13 @@
-// Allocation guard for the simulator's per-item service path.
+// Allocation guard for the simulator's per-item service path and the RP
+// core's per-task footprint.
 //
 // This binary replaces the global operator new with a counting one, so it
 // can assert that a warm sim::Server runs submit/complete cycles without
 // touching the heap: the completion event must fit Callback's inline
 // buffer and the server's slot table must be reused, not regrown. The
 // same holds for sim::FanOut's holds, whether a later touch retires them
-// or materializes them.
+// or materializes them. The counter also tracks live heap bytes, so it can
+// bound what a core::TaskManager allocates and holds per task.
 //
 // Sanitizer builds (-DFLOTILLA_SANITIZE=...) skip it: there the sanitizer
 // runtime owns operator new, and replacing it would blind the sanitizer.
@@ -15,15 +17,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "core/flotilla.hpp"
 #include "sim/engine.hpp"
 #include "sim/server.hpp"
+
+#ifndef FLOTILLA_SANITIZED
+#include <malloc.h>
+#endif
 
 namespace {
 
 bool g_counting = false;
 std::uint64_t g_allocations = 0;
+// Usable bytes of every live block, counted or not.
+std::int64_t g_live_bytes = 0;
 
 #ifdef FLOTILLA_SANITIZED
 constexpr bool kSanitized = true;
@@ -37,7 +49,15 @@ void* counted_alloc(std::size_t size, std::size_t align) {
                 ? std::malloc(size)
                 : std::aligned_alloc(align, (size + align - 1) / align * align);
   if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
   return p;
+}
+
+void counted_free(void* p) {
+  if (p != nullptr) {
+    g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
 }
 #endif
 
@@ -50,16 +70,15 @@ void* operator new(std::size_t size) {
 void* operator new(std::size_t size, std::align_val_t align) {
   return counted_alloc(size, static_cast<std::size_t>(align));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 #endif
 
 namespace flotilla::sim {
-namespace {
 
 constexpr const char* kSanitizedReason =
     "the sanitizer runtime owns operator new, so the counting replacement "
@@ -74,6 +93,8 @@ std::uint64_t allocations_in(F&& body) {
   g_counting = false;
   return g_allocations;
 }
+
+namespace {
 
 constexpr int kCycles = 10'000;
 
@@ -186,3 +207,60 @@ TEST(AllocGuard, WarmFanOutHoldMaterializeAllocatesNothing) {
 
 }  // namespace
 }  // namespace flotilla::sim
+
+namespace flotilla::core {
+namespace {
+
+using sim::allocations_in;
+using sim::kSanitizedReason;
+
+constexpr int kBulk = 10'000;
+
+std::vector<TaskDescription> null_tasks() {
+  TaskDescription desc;
+  desc.demand.cores = 1;
+  return std::vector<TaskDescription>(kBulk, desc);
+}
+
+// A bulk submit stores each task by value in the manager's chunks: no
+// per-task heap block. What is left is the intake queue's deque nodes
+// (several items per node) and one chunk per 512 tasks.
+TEST(AllocGuard, WarmBulkSubmitStoresCompactTasks) {
+  if (kSanitized) GTEST_SKIP() << kSanitizedReason;
+  Session session(platform::frontier_spec(), 2, 42);
+  PilotManager pmgr(session);
+  auto& pilot = pmgr.submit({.nodes = 2, .backends = {{"flux", 1}}});
+  bool ready = false;
+  pilot.launch([&ready](bool ok, const std::string&) { ready = ok; });
+  session.run(240.0);
+  ASSERT_TRUE(ready);
+  auto tmgr = std::make_unique<TaskManager>(session, pilot.agent());
+  // Warm-up: grows the engine's calendar, the agent's slots and the
+  // backend's tables to their steady-state sizes.
+  tmgr->submit(null_tasks());
+  session.run();
+  ASSERT_TRUE(tmgr->idle());
+
+  auto batch = null_tasks();
+  std::vector<std::string> uids;
+  const std::uint64_t allocations =
+      allocations_in([&] { uids = tmgr->submit(std::move(batch)); });
+  EXPECT_LE(allocations, static_cast<std::uint64_t>(kBulk / 4))
+      << "allocations per task: "
+      << static_cast<double>(allocations) / kBulk;
+  ASSERT_EQ(uids.size(), static_cast<std::size_t>(kBulk));
+  session.run();
+  ASSERT_TRUE(tmgr->idle());
+  ASSERT_EQ(tmgr->submitted(), static_cast<std::size_t>(2 * kBulk));
+
+  // What the manager holds is what its destruction returns.
+  const std::int64_t before = g_live_bytes;
+  tmgr.reset();
+  const double held_per_task =
+      static_cast<double>(before - g_live_bytes) / (2 * kBulk);
+  EXPECT_GT(held_per_task, 0.0);
+  EXPECT_LE(held_per_task, 256.0);
+}
+
+}  // namespace
+}  // namespace flotilla::core

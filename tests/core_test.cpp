@@ -19,7 +19,8 @@ using platform::frontier_spec;
 // ------------------------------------------------------------------- Task
 
 TEST(TaskStateMachine, HappyPathTransitions) {
-  Task task(0, "task.0", {});
+  TaskLabels labels;
+  Task task(0, "task.0", {}, labels);
   EXPECT_EQ(task.state(), TaskState::kNew);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
@@ -34,7 +35,8 @@ TEST(TaskStateMachine, HappyPathTransitions) {
 }
 
 TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
-  Task task(0, "task.0", {});
+  TaskLabels labels;
+  Task task(0, "task.0", {}, labels);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -50,7 +52,8 @@ TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
 }
 
 TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
-  Task task(0, "task.0", {});
+  TaskLabels labels;
+  Task task(0, "task.0", {}, labels);
   task.advance(TaskState::kTmgrScheduling, 0.0);  // a zero time still counts
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -76,7 +79,8 @@ TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
 }
 
 TEST(TaskStateMachine, IllegalTransitionsThrow) {
-  Task task(0, "task.0", {});
+  TaskLabels labels;
+  Task task(0, "task.0", {}, labels);
   EXPECT_THROW(task.advance(TaskState::kRunning, 1.0), util::Error);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   EXPECT_THROW(task.advance(TaskState::kRunning, 2.0), util::Error);
@@ -196,6 +200,62 @@ TEST(TaskManager, RunsTasksToCompletionThroughFullLifecycle) {
   EXPECT_LE(t_run, t_done);
 }
 
+// A task fires the hook set that existed when it was submitted: a hook
+// registered later reaches only later tasks, and a set fires in
+// registration order.
+TEST(TaskManager, TransitionHooksAreSnapshotAtSubmit) {
+  PilotFixture fx({.nodes = 2, .backends = {{"flux", 1}}});
+  struct Seen {
+    char hook;
+    std::string uid;
+    TaskState from;
+    TaskState to;
+  };
+  std::vector<Seen> seen;
+  const auto hook = [&seen](char name) {
+    return [&seen, name](const Task& task, TaskState from, TaskState to) {
+      seen.push_back({name, task.uid(), from, to});
+    };
+  };
+  fx.tmgr->on_transition(hook('A'));
+  const std::string first = fx.tmgr->submit(null_task());
+  fx.tmgr->on_transition(hook('B'));
+  const std::string second = fx.tmgr->submit(null_task());
+  fx.session.run();
+  ASSERT_TRUE(fx.tmgr->idle());
+
+  std::vector<Seen> of_first;
+  std::vector<Seen> of_second;
+  for (const auto& s : seen) {
+    (s.uid == first ? of_first : of_second).push_back(s);
+  }
+  ASSERT_FALSE(of_first.empty());
+  TaskState last = TaskState::kNew;
+  for (const auto& s : of_first) {
+    EXPECT_EQ(s.hook, 'A');
+    EXPECT_EQ(s.from, last);
+    last = s.to;
+  }
+  EXPECT_EQ(last, TaskState::kDone);
+
+  // Both tasks took the same path, and each of the second's transitions
+  // fired A, then B.
+  ASSERT_EQ(of_second.size(), 2 * of_first.size());
+  last = TaskState::kNew;
+  for (std::size_t i = 0; i < of_second.size(); i += 2) {
+    const Seen& a = of_second[i];
+    const Seen& b = of_second[i + 1];
+    EXPECT_EQ(a.uid, second);
+    EXPECT_EQ(a.hook, 'A');
+    EXPECT_EQ(b.hook, 'B');
+    EXPECT_EQ(a.from, last);
+    EXPECT_EQ(b.from, last);
+    EXPECT_EQ(a.to, b.to);
+    last = a.to;
+  }
+  EXPECT_EQ(last, TaskState::kDone);
+}
+
 TEST(TaskManager, RefusesInvalidDescriptions) {
   PilotFixture fx({.nodes = 2, .backends = {{"flux", 1}}});
   const auto with = [](auto edit) {
@@ -246,7 +306,7 @@ TEST(Agent, RoutesByModalityInHybridPilot) {
   int done = 0;
   fx.tmgr->on_complete([&](const Task& task) {
     ++done;
-    if (task.description().modality == TaskModality::kFunction) {
+    if (task.modality() == TaskModality::kFunction) {
       EXPECT_EQ(task.backend(), "dragon");
     } else {
       EXPECT_EQ(task.backend(), "flux");

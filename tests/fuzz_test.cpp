@@ -188,6 +188,31 @@ TEST(ScenarioSpec, NonCanonicalIntegerFormsAreRejected) {
   EXPECT_EQ(ScenarioSpec::parse("faults=cancel@1:-3").faults.at(0).count, -3);
 }
 
+// Doubles, like integers, have one text each: no blank, '+' or hex float,
+// on any double key. The exponent forms exact_double writes still parse.
+TEST(ScenarioSpec, NonCanonicalDoubleFormsAreRejected) {
+  for (const std::string text : {" 2", "+2", "0x1p1", "+0x1p1"}) {
+    rejects("duration=" + text, "spec: ");
+    rejects("duration=" + text, "duration");
+    rejects("faults=cancel@" + text + ":3", "fault time");
+    rejects("clients=4;arrival=poisson:" + text, "arrival param");
+  }
+  rejects("duration=0x1p1", "spec: trailing junk in duration: 0x1p1");
+  rejects("duration=+2", "spec: bad number for duration: +2");
+  for (const std::string text : {"1e-05", "0.10000000000000001"}) {
+    const double value = std::stod(text);
+    const auto spec = ScenarioSpec::parse(
+        "duration=" + text + ";faults=cancel@" + text +
+        ":3;clients=4;arrival=poisson:" + text);
+    EXPECT_EQ(spec.duration, value) << text;
+    ASSERT_EQ(spec.faults.size(), 1u);
+    EXPECT_EQ(spec.faults[0].time, value) << text;
+    EXPECT_EQ(spec.arrival_param, value) << text;
+    EXPECT_EQ(ScenarioSpec::parse(spec.to_string()).to_string(),
+              spec.to_string());
+  }
+}
+
 TEST(ScenarioSpec, RepeatedKeysAreRejected) {
   rejects("seed=1;nodes=2;tasks=11;duration=0;tasks=20",
           "spec: repeated key tasks");

@@ -371,9 +371,11 @@ TEST(Writer, AppendIsLineAtomic) {
 
 TEST(Scribe, TransitionWithADelimiterInTheBackendIsLineAtomic) {
   core::Session session{platform::frontier_spec(), 2, 42};
-  core::Task bad(0, "task.000000", core::TaskDescription{});
-  bad.set_backend("flux|0");
-  core::Task good(0, "task.000000", core::TaskDescription{});
+  core::Task bad(0, "task.000000", core::TaskDescription{},
+                 session.labels());
+  bad.set_backend(session.labels().intern("flux|0"));
+  core::Task good(0, "task.000000", core::TaskDescription{},
+                  session.labels());
   // Validate mode, with a prefix that the good edge matches.
   Scribe scribe(session, {transition_record(
                              0.0, 0, core::TaskState::kTmgrScheduling, "", 0)});

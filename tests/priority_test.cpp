@@ -33,7 +33,7 @@ TEST(Priority, UrgentTasksJumpTheQueue) {
   PriorityFixture fx;
   std::vector<std::string> start_order;
   fx.pilot->agent().on_task_start([&](const core::Task& task) {
-    start_order.push_back(task.description().name);
+    start_order.push_back(task.name());
   });
   fx.tmgr->on_complete([](const core::Task&) {});
   // Saturate the node so a queue forms, then submit a low and a high
@@ -73,7 +73,7 @@ TEST(Priority, EqualPrioritiesKeepFifoOrder) {
   PriorityFixture fx;
   std::vector<std::string> start_order;
   fx.pilot->agent().on_task_start([&](const core::Task& task) {
-    start_order.push_back(task.description().name);
+    start_order.push_back(task.name());
   });
   fx.tmgr->on_complete([](const core::Task&) {});
   for (int i = 0; i < 20; ++i) {

@@ -158,8 +158,8 @@ TEST(QueuePolicy, TaskQueueTakeRemoveAndDrain) {
   queue.push(std::move(v));
   queue.push(entry("tail"));
 
-  EXPECT_EQ(queue.remove("absent"), nullptr);
-  EXPECT_NE(queue.remove("victim"), nullptr);
+  EXPECT_FALSE(queue.remove("absent"));
+  EXPECT_TRUE(queue.remove("victim"));
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.at(0).id, "keep");
 

@@ -249,12 +249,13 @@ TEST(SessionReport, BreaksDownTaskLifecycles) {
 
 TEST(SessionReport, CountsFailuresAndSkipsUnfinishedTasks) {
   analytics::SessionReport report;
-  Task unfinished(0, "task.x", {});
+  TaskLabels labels;
+  Task unfinished(0, "task.x", {}, labels);
   unfinished.advance(TaskState::kTmgrScheduling, 1.0);
   report.add(unfinished);
   EXPECT_EQ(report.tasks(), 0u);
 
-  Task failed(1, "task.y", {});
+  Task failed(1, "task.y", {}, labels);
   failed.advance(TaskState::kTmgrScheduling, 1.0);
   failed.advance(TaskState::kFailed, 2.0);
   report.add(failed);

@@ -113,6 +113,59 @@ TEST(TaskOrdinal, ParsesTaskUidsOnly) {
   }
 }
 
+TEST(TaskLabels, InternsEachTextOnce) {
+  TaskLabels labels;
+  EXPECT_EQ(labels.intern(""), TaskLabels::kEmpty);
+  EXPECT_EQ(labels.text(TaskLabels::kEmpty), "");
+  const LabelId a = labels.intern("esmacs");
+  const LabelId b = labels.intern("docking");
+  EXPECT_NE(a, TaskLabels::kEmpty);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(labels.intern(std::string("esm") + "acs"), a);
+  EXPECT_EQ(labels.text(a), "esmacs");
+  EXPECT_EQ(labels.text(b), "docking");
+  EXPECT_EQ(labels.name(7), "");
+  labels.set_name(7, "docking.12");
+  EXPECT_EQ(labels.name(7), "docking.12");
+  EXPECT_EQ(labels.name(8), "");
+}
+
+// A task reads its labels and name from the session's table, so they stay
+// readable after the agent that routed it is gone.
+TEST(TaskSlots, LabelsAndNamesOutliveTheAgent) {
+  Session session(platform::frontier_spec(), 2, 42);
+  Stack stack(session, {0, 2});
+  auto labeled = null_task();
+  labeled.name = "docking.12";
+  labeled.stage = "docking";
+  labeled.backend_hint = "fake";
+  labeled.priority = 3;
+  labeled.duration = 2.5;
+  const std::string a = stack.tmgr->submit(std::move(labeled));
+  const std::string b = stack.tmgr->submit(null_task());
+  session.run();
+  stack.backend->finish_all();
+  session.run();
+  ASSERT_TRUE(stack.tmgr->idle());
+  stack.agent.reset();
+
+  const Task& ta = stack.tmgr->task(a);
+  EXPECT_EQ(ta.name(), "docking.12");
+  EXPECT_EQ(ta.stage(), "docking");
+  EXPECT_EQ(ta.backend_hint(), "fake");
+  EXPECT_EQ(ta.backend(), "fake");
+  EXPECT_EQ(ta.priority(), 3);
+  EXPECT_EQ(ta.duration(), 2.5);
+  const Task& tb = stack.tmgr->task(b);
+  EXPECT_EQ(tb.name(), "");
+  EXPECT_EQ(tb.stage(), "");
+  EXPECT_EQ(tb.gang(), "");
+  EXPECT_EQ(tb.backend_hint(), "");
+  EXPECT_EQ(tb.backend(), "fake");
+  EXPECT_EQ(tb.error(), "");
+  EXPECT_EQ(tb.priority(), 16);
+}
+
 TEST(TaskSlots, UnresolvableIdsAreIgnoredAsBefore) {
   Session session(platform::frontier_spec(), 2, 42);
   Stack stack(session, {0, 2});

@@ -131,6 +131,34 @@ TEST(TraceReplay, RejectsMalformedRows) {
   EXPECT_EQ(parse_trace(edge).at(0).task.demand.cores, 2147483647);
 }
 
+// A time cell has one text: no blank, '+' or hex float in either time
+// column. The exponent forms exact_double writes still parse.
+TEST(TraceReplay, NonCanonicalTimesAreRejected) {
+  for (const std::string text : {" 2", "+2", "0x1p1", "+0x1p1"}) {
+    for (const auto& [row, column] :
+         {std::pair{text + ",1,0,0,5,exec", "submit_time"},
+          std::pair{"0,1,0,0," + text + ",exec", "duration"}}) {
+      std::istringstream in(row + "\n");
+      try {
+        parse_trace(in);
+        ADD_FAILURE() << "accepted: " << row;
+      } catch (const util::Error& e) {
+        const std::string what = e.what();
+        EXPECT_TRUE(what.starts_with("trace: ")) << row << " -> " << what;
+        EXPECT_NE(what.find(column), std::string::npos)
+            << row << " -> " << what;
+      }
+    }
+  }
+  for (const std::string text : {"1e-05", "0.10000000000000001"}) {
+    std::istringstream in(text + ",1,0,0," + text + ",exec\n");
+    const auto trace = parse_trace(in);
+    ASSERT_EQ(trace.size(), 1u);
+    EXPECT_EQ(trace[0].submit_time, std::stod(text)) << text;
+    EXPECT_EQ(trace[0].task.duration, std::stod(text)) << text;
+  }
+}
+
 TEST(TraceReplay, SubmitsAtRecordedVirtualTimes) {
   core::Session session(platform::frontier_spec(), 4, 42);
   core::PilotManager pmgr(session);

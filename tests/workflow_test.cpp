@@ -68,10 +68,10 @@ TEST(Workflow, IndependentStagesOverlap) {
   WorkflowFixture fx;
   sim::Time a_first_done = 0, b_first_done = 0;
   fx.workflow.on_task([&](const Task& task) {
-    if (task.description().stage == "a" && a_first_done == 0) {
+    if (task.stage() == "a" && a_first_done == 0) {
       a_first_done = fx.session.now();
     }
-    if (task.description().stage == "b" && b_first_done == 0) {
+    if (task.stage() == "b" && b_first_done == 0) {
       b_first_done = fx.session.now();
     }
   });
@@ -148,7 +148,7 @@ TEST(Workflow, StageTagsPropagateToTasks) {
   WorkflowFixture fx;
   std::vector<std::string> stages_seen;
   fx.workflow.on_task(
-      [&](const Task& task) { stages_seen.push_back(task.description().stage); });
+      [&](const Task& task) { stages_seen.push_back(task.stage()); });
   fx.workflow.add_stage("tagged", batch_of(3, quick_task()));
   fx.workflow.start();
   fx.session.run();

@@ -151,10 +151,10 @@ TEST(ImpeccablePlan, RealismKnobsPropagateToTasks) {
 
   std::vector<double> durations;
   workflow.on_task([&](const core::Task& task) {
-    durations.push_back(task.description().duration);
-    EXPECT_DOUBLE_EQ(task.description().input_mb, 64.0);
-    EXPECT_DOUBLE_EQ(task.description().output_mb, 32.0);
-    EXPECT_DOUBLE_EQ(task.description().fail_probability, 0.05);
+    durations.push_back(task.duration());
+    EXPECT_DOUBLE_EQ(task.input_mb(), 64.0);
+    EXPECT_DOUBLE_EQ(task.output_mb(), 32.0);
+    EXPECT_DOUBLE_EQ(task.fail_probability(), 0.05);
   });
   workflow.start();
   session.run();
@@ -187,7 +187,7 @@ TEST(ImpeccablePlan, DeterministicForSameSeed) {
     build_impeccable(workflow, plan, seed);
     std::vector<double> durations;
     workflow.on_task([&](const core::Task& task) {
-      durations.push_back(task.description().duration);
+      durations.push_back(task.duration());
     });
     workflow.start();
     session.run();
@@ -213,7 +213,7 @@ TEST(ImpeccablePlan, CoscheduledEsmacsFormsGangsThatStartTogether) {
 
   std::vector<sim::Time> esmacs_starts;
   pilot.agent().on_task_start([&](const core::Task& task) {
-    if (task.description().stage.rfind("esmacs", 0) == 0) {
+    if (task.stage().rfind("esmacs", 0) == 0) {
       esmacs_starts.push_back(session.now());
     }
   });
