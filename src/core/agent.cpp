@@ -42,8 +42,11 @@ void Agent::add_backend(std::unique_ptr<platform::TaskBackend> backend,
     if (slot.placer) {
       slot.placer->set_trace(obs_trace_, util::cat("agent.", name));
     }
-    slot.waitlist.set_trace(obs_trace_,
-                            util::cat("agent.", name, ".waitlist"));
+    slot.waitlist.set_trace(
+        obs_trace_, util::cat("agent.", name, ".waitlist"),
+        [this](std::uint32_t id) {
+          return std::string_view(tasks_[id].task->uid());
+        });
   }
   slot.backend->on_task_start(
       [this](const std::string& uid) { handle_start(uid); });
@@ -178,12 +181,6 @@ Agent::TaskSlot* Agent::find(std::string_view uid) {
   return slot.task != nullptr && slot.task->uid() == uid ? &slot : nullptr;
 }
 
-Task& Agent::waitlisted(std::string_view uid) {
-  TaskSlot* found = find(uid);
-  FLOT_CHECK(found != nullptr, "waitlisted task ", uid, " is not live");
-  return *found->task;
-}
-
 bool Agent::cancel(const std::string& uid) {
   TaskSlot* found = find(uid);
   if (found == nullptr) return false;
@@ -192,7 +189,7 @@ bool Agent::cancel(const std::string& uid) {
   // Waitlisted tasks can be removed right away; everything else cancels at
   // its next pipeline step.
   for (auto& slot : backends_) {
-    if (!slot.waitlist.remove(uid)) continue;
+    if (!slot.waitlist.remove(task.id())) continue;
     task.set_error("canceled by user");
     finalize(task, TaskState::kCanceled);
     return true;
@@ -282,11 +279,7 @@ void Agent::submit_to(BackendSlot& slot, Task& task) {
 bool Agent::place_and_launch(BackendSlot& slot, Task& task) {
   auto placement = slot.placer->place(task.demand());
   if (!placement) {
-    sched::QueueEntry entry;
-    entry.id = task.uid();
-    entry.priority = task.priority();
-    entry.demand = task.demand();
-    slot.waitlist.push(std::move(entry));
+    slot.waitlist.push(sched::QueueEntry{task.id(), task.priority()});
     return false;
   }
   launch_placed(slot, task, std::move(*placement));
@@ -327,12 +320,13 @@ void Agent::drain_waitlist(BackendSlot& slot) {
   // capacity changed.
   std::size_t i = 0;
   while (slot.backend->healthy() && i < slot.waitlist.scan_limit()) {
-    auto placement = slot.placer->place(slot.waitlist.at(i).demand);
+    auto placement =
+        slot.placer->place(waitlisted(slot.waitlist.at(i)).demand());
     if (!placement) {
       ++i;
       continue;
     }
-    Task& task = waitlisted(slot.waitlist.take(i).id);
+    Task& task = waitlisted(slot.waitlist.take(i));
     launch_placed(slot, task, std::move(*placement));
     i = 0;
   }
@@ -375,7 +369,7 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
       // The backend died: re-route its waitlisted tasks (they never
       // launched, so this is failover, not a retry).
       for (auto& entry : slot.waitlist.drain()) {
-        Task& waiting = waitlisted(entry.id);
+        Task& waiting = waitlisted(entry);
         waiting.advance(TaskState::kAgentScheduling, session_.now());
         execute(waiting);
       }
@@ -479,7 +473,7 @@ void Agent::shutdown() {
   for (auto& slot : backends_) {
     // Waitlisted tasks never reached a backend; cancel them here.
     for (auto& entry : slot.waitlist.drain()) {
-      Task& task = waitlisted(entry.id);
+      Task& task = waitlisted(entry);
       task.set_error("agent shut down");
       finalize(task, TaskState::kCanceled);
     }

@@ -132,9 +132,11 @@ class Agent {
   // The slot holding the live task with `uid` — the uid a backend or a
   // caller passed in — or nullptr (see task_ordinal).
   TaskSlot* find(std::string_view uid);
-  // The task of a waitlist entry. Waitlists hold live tasks only, so it
-  // resolves.
-  Task& waitlisted(std::string_view uid);
+  // The task of a waitlist entry, whose slot is its TaskId. Waitlists hold
+  // live tasks only, so it resolves.
+  Task& waitlisted(const sched::QueueEntry& entry) {
+    return *tasks_[entry.slot].task;
+  }
 
   void enter_scheduling(Task& task);
   void schedule(Task& task);

@@ -76,13 +76,7 @@ Task& TaskManager::create(TaskDescription description) {
 std::string TaskManager::submit(TaskDescription description) {
   validate(description);
   Task& task = create(std::move(description));
-  const auto& cal = session_.calibration().core;
-  intake_.submit(rng_.lognormal_mean_cv(cal.tmgr_task_cost, cal.jitter_cv),
-                 [this, task = &task] {
-                   obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
-                                  task->uid());
-                   agent_.execute(*task);
-                 });
+  enqueue_intake();
   return task.uid();
 }
 
@@ -102,26 +96,48 @@ std::vector<std::string> TaskManager::submit_batch(
   uids.reserve(descriptions.size());
   if (descriptions.empty()) return uids;
   for (const auto& description : descriptions) validate(description);
-  std::vector<Task*> batch;
-  batch.reserve(descriptions.size());
-  const auto& cal = session_.calibration().core;
+  const std::size_t begin = total_submitted_;
   for (auto& description : descriptions) {
-    Task& task = create(std::move(description));
-    uids.push_back(task.uid());
-    batch.push_back(&task);
+    uids.push_back(create(std::move(description)).uid());
   }
-  const double cost =
-      cal.tmgr_batch_base +
-      static_cast<double>(batch.size()) * cal.tmgr_batch_per_task;
+  batches_.emplace_back(begin, total_submitted_);
+  enqueue_intake();
+  return uids;
+}
+
+void TaskManager::enqueue_intake() {
+  ++intake_waiting_;
+  // Inside an item's completion intake_ is free while items still wait:
+  // the head starts now, ahead of the rest of that completion, as a
+  // server starts its queue head on a submit.
+  if (intake_.in_service() == 0) start_intake();
+}
+
+void TaskManager::start_intake() {
+  const auto& cal = session_.calibration().core;
+  const std::size_t begin = intake_next_;
+  std::size_t end = begin + 1;
+  double cost = cal.tmgr_task_cost;
+  if (!batches_.empty() && batches_.front().first == begin) {
+    end = batches_.front().second;
+    batches_.pop_front();
+    cost = cal.tmgr_batch_base +
+           static_cast<double>(end - begin) * cal.tmgr_batch_per_task;
+  }
+  intake_next_ = end;
+  --intake_waiting_;
   intake_.submit(rng_.lognormal_mean_cv(cost, cal.jitter_cv),
-                 [this, batch = std::move(batch)] {
-                   for (Task* task : batch) {
+                 [this, begin, end] {
+                   for (std::size_t pos = begin; pos < end; ++pos) {
+                     Task& task = at(pos);
                      obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
-                                    task->uid());
-                     agent_.execute(*task);
+                                    task.uid());
+                     agent_.execute(task);
+                   }
+                   if (intake_waiting_ != 0 && intake_.in_service() == 0) {
+                     start_intake();
                    }
                  });
-  return uids;
 }
 
 std::optional<std::size_t> TaskManager::position(std::string_view uid) const {

@@ -6,11 +6,13 @@
 // task on a final state.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/agent.hpp"
@@ -40,10 +42,11 @@ class TaskManager {
   std::vector<std::string> submit_batch(
       std::vector<TaskDescription> descriptions);
 
-  // Tasks currently queued or in service in the TMGR intake component —
-  // the dispatcher-saturation signal admission control keys off.
+  // Intake items (a task, or a whole submit_batch) currently queued or in
+  // service in the TMGR intake component — the dispatcher-saturation
+  // signal admission control keys off.
   std::size_t intake_backlog() const {
-    return intake_.backlog() + intake_.in_service();
+    return intake_waiting_ + static_cast<std::size_t>(intake_.in_service());
   }
 
   // Fires on every task reaching a final state.
@@ -93,11 +96,24 @@ class TaskManager {
   // Issues the next uid, creates the task in its slot and moves it into
   // TMGR_SCHEDULING.
   Task& create(TaskDescription description);
+  // Queues an intake item for the tasks just created (one task, or the
+  // run batches_ ends with) and starts the head if intake is free.
+  void enqueue_intake();
+  // Starts the head item: draws its cost and hands it to intake_, whose
+  // completion passes its tasks to the agent and starts the next item.
+  void start_intake();
 
   Session& session_;
   Agent& agent_;
   sim::RngStream rng_;
+  // The intake is a cursor over task positions: every task from
+  // intake_next_ on waits in submit order, so the queue stores no item per
+  // task. intake_ serves one item at a time; an item's cost is drawn when
+  // it starts, which is submit order, as when each was drawn at submit.
   sim::Server intake_;
+  std::size_t intake_next_ = 0;     // first task not yet started
+  std::size_t intake_waiting_ = 0;  // items waiting, a batch counted once
+  std::deque<std::pair<std::size_t, std::size_t>> batches_;  // waiting runs
   obs::TraceHandle obs_trace_;
   // Uids are unique per session, not per manager: another manager on the
   // same session may hold the TaskIds between two of these tasks.

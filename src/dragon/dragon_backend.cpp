@@ -24,15 +24,8 @@ DragonBackend::DragonBackend(sim::Engine& engine, platform::Cluster& cluster,
         if (start_handler_) start_handler_(event.id);
         return;
       }
-      FLOT_CHECK(inflight_ > 0, "dragon completion without inflight task");
-      --inflight_;
-      platform::LaunchOutcome outcome;
-      outcome.id = event.id;
-      outcome.success = event.success;
-      outcome.error = event.note;
-      outcome.started = event.started;
-      outcome.finished = event.finished;
-      if (completion_handler_) completion_handler_(outcome);
+      complete(event.id, event.success, event.note, event.started,
+               event.finished);
     });
   }
 }
@@ -77,16 +70,15 @@ int DragonBackend::pick_runtime(
   return -1;
 }
 
-void DragonBackend::fail_task(const std::string& id,
-                              const std::string& error) {
-  FLOT_CHECK(inflight_ > 0, "fail without inflight task");
+void DragonBackend::complete(const std::string& id, bool success,
+                             std::string_view error, sim::Time started,
+                             sim::Time finished) {
+  FLOT_CHECK(inflight_ > 0, "dragon completion without inflight task");
   --inflight_;
-  platform::LaunchOutcome outcome;
-  outcome.id = id;
-  outcome.success = false;
-  outcome.error = error;
-  outcome.finished = engine_.now();
-  if (completion_handler_) completion_handler_(outcome);
+  if (completion_handler_) {
+    completion_handler_(platform::LaunchOutcome{id, success, std::string(error),
+                                                started, finished});
+  }
 }
 
 void DragonBackend::submit(platform::LaunchRequest request) {
@@ -94,7 +86,8 @@ void DragonBackend::submit(platform::LaunchRequest request) {
   ++inflight_;
   const int target = pick_runtime(request.demand);
   if (target < 0) {
-    fail_task(request.id, "no healthy dragon runtime can fit task");
+    complete(request.id, false, "no healthy dragon runtime can fit task", 0.0,
+             engine_.now());
     return;
   }
   runtimes_[static_cast<size_t>(target)]->execute(std::move(request));

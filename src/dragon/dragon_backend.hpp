@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dragon/runtime.hpp"
@@ -91,7 +92,9 @@ class DragonBackend : public platform::TaskBackend {
 
  private:
   int pick_runtime(const platform::ResourceDemand& demand) const;
-  void fail_task(const std::string& id, const std::string& error);
+  // Reports a task's outcome to the core.
+  void complete(const std::string& id, bool success, std::string_view error,
+                sim::Time started, sim::Time finished);
 
   sim::Engine& engine_;
   platform::NodeRange span_;

@@ -26,10 +26,7 @@ void FunctionExecutor::enqueue(std::function<void()> job) {
 }
 
 void FunctionExecutor::worker_loop() {
-  while (auto job = queue_.pop()) {
-    (*job)();
-    executed_.fetch_add(1, std::memory_order_relaxed);
-  }
+  while (auto job = queue_.pop()) (*job)();
 }
 
 void FunctionExecutor::parallel_for(

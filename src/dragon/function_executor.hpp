@@ -35,7 +35,13 @@ class FunctionExecutor {
   // std::runtime_error if the executor was shut down.
   template <typename Fn, typename R = std::invoke_result_t<Fn>>
   std::future<R> submit(Fn fn) {
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
+    // The task counts itself before its future is made ready, so a caller
+    // that waited on the future reads a count that includes it.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::move(fn)]() mutable -> R {
+          const CountOnExit count{executed_};
+          return fn();
+        });
     auto future = task->get_future();
     enqueue([task] { (*task)(); });
     return future;
@@ -53,6 +59,11 @@ class FunctionExecutor {
   }
 
  private:
+  struct CountOnExit {
+    std::atomic<std::uint64_t>& executed;
+    ~CountOnExit() { executed.fetch_add(1, std::memory_order_relaxed); }
+  };
+
   void enqueue(std::function<void()> job);
   void worker_loop();
 

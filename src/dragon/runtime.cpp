@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/ordered.hpp"
 
 namespace flotilla::dragon {
 
@@ -44,13 +43,11 @@ void Runtime::bootstrap(std::function<void()> ready) {
 
 void Runtime::execute(platform::LaunchRequest request) {
   FLOT_CHECK(ready_, "execute on dragon runtime before bootstrap");
-  auto task = std::make_shared<Task>();
-  task->request = std::move(request);
   if (!healthy_) {
-    emit_finish(task, false, "runtime down");
+    emit_finish(request.id, 0.0, false, "runtime down");
     return;
   }
-  dispatch(std::move(task));
+  dispatch(tasks_.claim(Task{std::move(request), {}, 0.0, Phase::kWaiting}));
 }
 
 double Runtime::infra_share() const {
@@ -63,73 +60,71 @@ double Runtime::infra_share() const {
   return std::min(share, 0.85);
 }
 
-void Runtime::dispatch(std::shared_ptr<Task> task) {
+void Runtime::dispatch(Slot slot) {
   // Every task goes through the central dispatcher — this serialization is
   // Dragon's scalability ceiling when launching external processes.
-  const double base = task->request.modality == platform::TaskModality::kFunction
-                          ? cal_.dispatch_func
-                          : cal_.dispatch_exec;
+  const double base =
+      tasks_[slot].request.modality == platform::TaskModality::kFunction
+          ? cal_.dispatch_func
+          : cal_.dispatch_exec;
   const double effective = base / (1.0 - infra_share());
   dispatcher_.submit(
-      rng_.lognormal_mean_cv(effective, cal_.jitter_cv),
-      [this, task = std::move(task)]() mutable {
+      rng_.lognormal_mean_cv(effective, cal_.jitter_cv), [this, slot] {
+        Task& task = tasks_[slot];
         if (!healthy_) {
-          emit_finish(task, false, "runtime down");
+          emit_finish(task.request.id, task.started, false, "runtime down");
+          tasks_.release(slot);
           return;
         }
-        auto placement = placer_.place(task->request.demand);
+        auto placement = placer_.place(task.request.demand);
         if (!placement) {
           // No internal scheduler: the task simply waits for capacity,
           // entering the queue wherever its admission policy says.
-          sched::QueueEntry entry;
-          entry.id = task->request.id;
-          entry.priority = task->request.priority;
-          entry.demand = task->request.demand;
-          entry.payload = std::move(task);
-          pending_.push(std::move(entry));
+          pending_.push(sched::QueueEntry{slot, task.request.priority});
           return;
         }
-        task->placement = std::move(*placement);
-        active_.emplace(task->request.id, task);
+        task.placement = std::move(*placement);
+        task.phase = Phase::kPlaced;
+        ++placed_;
         double setup =
-            task->request.modality == platform::TaskModality::kFunction
+            task.request.modality == platform::TaskModality::kFunction
                 ? cal_.func_start
                 : cal_.node_spawn_exec;
         // Multi-node process groups pay wireup; Dragon has no optimized
         // PMI fabric, so this is its slowest launch path (§3.1).
-        const auto group_nodes = task->placement.slices.size();
+        const auto group_nodes = task.placement.slices.size();
         if (group_nodes > 1) {
           setup += cal_.mpi_wireup_base +
                    cal_.mpi_wireup_per_node * static_cast<double>(group_nodes);
         }
         engine_.in(rng_.lognormal_mean_cv(setup, cal_.jitter_cv),
-                   [this, task = std::move(task)]() mutable {
-                     start_task(std::move(task));
-                   });
+                   [this, slot] { start_task(slot); });
       });
 }
 
-void Runtime::start_task(std::shared_ptr<Task> task) {
-  if (active_.count(task->request.id) == 0) return;  // crashed meanwhile
-  task->started = engine_.now();
-  task->running = true;
-  emit_start(task->request.id, task->started);
-  // Hoisted: the lambda capture moves `task`, and argument evaluation
-  // order is unspecified.
-  const sim::Time duration = task->request.duration;
-  engine_.in(duration, [this, task = std::move(task)]() mutable {
-    finish_task(std::move(task));
-  });
+void Runtime::start_task(Slot slot) {
+  Task& task = tasks_[slot];
+  if (task.phase != Phase::kPlaced) return;  // crashed meanwhile
+  task.started = engine_.now();
+  task.phase = Phase::kRunning;
+  if (event_handler_) {
+    event_handler_(TaskEvent{TaskEvent::Kind::kStart, task.request.id, true,
+                             {}, task.started, 0.0});
+  }
+  engine_.in(task.request.duration, [this, slot] { finish_task(slot); });
 }
 
-void Runtime::finish_task(std::shared_ptr<Task> task) {
-  if (active_.erase(task->request.id) == 0) return;  // crash reaped it
-  placer_.release(task->placement);
-  task->placement.slices.clear();
+void Runtime::finish_task(Slot slot) {
+  Task& task = tasks_[slot];
+  if (task.phase != Phase::kRunning) return;  // crash reaped it
+  placer_.release(task.placement);
+  --placed_;
   ++completed_;
-  const bool failed = task->request.fail_probability > 0.0 &&
-                      rng_.bernoulli(task->request.fail_probability);
-  emit_finish(task, !failed, failed ? "worker exited non-zero" : "");
+  const bool failed = task.request.fail_probability > 0.0 &&
+                      rng_.bernoulli(task.request.fail_probability);
+  emit_finish(task.request.id, task.started, !failed,
+              failed ? "worker exited non-zero" : "");
+  tasks_.release(slot);
   drain_pending();
 }
 
@@ -137,38 +132,41 @@ void Runtime::drain_pending() {
   // Freed capacity admits waiting tasks, oldest first; each re-dispatch
   // costs another pass through the dispatcher.
   if (pending_.empty()) return;
-  auto task = std::static_pointer_cast<Task>(pending_.pop_front().payload);
-  dispatch(std::move(task));
+  dispatch(pending_.pop_front().slot);
 }
 
-void Runtime::emit_start(const std::string& id, sim::Time started) {
+void Runtime::emit_finish(const std::string& id, sim::Time started,
+                          bool success, std::string_view note) {
   if (!event_handler_) return;
-  TaskEvent event{TaskEvent::Kind::kStart, id, true, "", started, 0.0};
-  event_handler_(event);
-}
-
-void Runtime::emit_finish(std::shared_ptr<Task> task, bool success,
-                          const std::string& note) {
-  if (!event_handler_) return;
-  TaskEvent event{TaskEvent::Kind::kFinish, task->request.id, success, note,
-                  task->started, engine_.now()};
-  event_handler_(event);
+  event_handler_(TaskEvent{TaskEvent::Kind::kFinish, id, success, note,
+                           started, engine_.now()});
 }
 
 void Runtime::crash(const std::string& reason) {
   if (!healthy_) return;
   healthy_ = false;
-  for (auto& entry : pending_.drain()) {
-    emit_finish(std::static_pointer_cast<Task>(entry.payload), false, reason);
+  for (const auto& entry : pending_.drain()) {
+    Task& task = tasks_[entry.slot];
+    task.phase = Phase::kReaped;
+    emit_finish(task.request.id, task.started, false, reason);
   }
-  // Sorted so the failure-event sequence is reproducible across runs.
-  for (const auto& id : util::sorted_keys(active_)) {
-    auto& task = active_.at(id);
-    placer_.release(task->placement);
-    task->placement.slices.clear();
-    emit_finish(task, false, reason);
+  // Placed tasks fail with the runtime; their slots stay claimed, so their
+  // pending start and finish events find them reaped and do nothing. In
+  // uid order, so the failure-event sequence is reproducible across runs.
+  const auto placed = [](const Task& task) {
+    return task.phase == Phase::kPlaced || task.phase == Phase::kRunning;
+  };
+  const auto uid = [](const Task& task) -> const std::string& {
+    return task.request.id;
+  };
+  for (const Slot slot : tasks_.sorted_slots(placed, uid)) {
+    Task& task = tasks_[slot];
+    placer_.release(task.placement);
+    task.placement.slices.clear();
+    task.phase = Phase::kReaped;
+    emit_finish(task.request.id, task.started, false, reason);
   }
-  active_.clear();
+  placed_ = 0;
 }
 
 }  // namespace flotilla::dragon

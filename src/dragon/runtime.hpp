@@ -13,13 +13,17 @@
 //    through the same dispatcher and its load grows with the node count;
 //  - function tasks dispatch faster than process tasks (warm workers,
 //    no process-group setup) — the hybrid experiment's Dragon lane.
+//
+// Each task is held by value in a slot table from execute until it
+// finishes (or a crash reaps it); the capacity queue and every event the
+// task schedules carry its slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "obs/tracer.hpp"
 #include "platform/backend.hpp"
@@ -29,14 +33,17 @@
 #include "sched/queue.hpp"
 #include "sim/random.hpp"
 #include "sim/server.hpp"
+#include "util/slot_table.hpp"
 
 namespace flotilla::dragon {
 
+// Valid for the duration of the handler call: `id` refers to the
+// runtime's own record of the task.
 struct TaskEvent {
   enum class Kind { kStart, kFinish } kind;
-  std::string id;
+  const std::string& id;
   bool success = true;
-  std::string note;
+  std::string_view note;
   sim::Time started = 0.0;
   sim::Time finished = 0.0;
 };
@@ -66,7 +73,7 @@ class Runtime {
   platform::NodeRange span() const { return span_; }
 
   std::size_t pending() const { return pending_.size(); }
-  std::size_t running() const { return active_.size(); }
+  std::size_t running() const { return placed_; }
   std::uint64_t completed() const { return completed_; }
 
   // Replaces the capacity queue's admission policy (default: strict FIFO,
@@ -86,26 +93,31 @@ class Runtime {
   void set_trace(obs::TraceHandle handle, std::string component) {
     obs_trace_ = handle;
     trace_component_ = std::move(component);
-    pending_.set_trace(handle, trace_component_);
+    pending_.set_trace(handle, trace_component_, [this](std::uint32_t slot) {
+      return std::string_view(tasks_[slot].request.id);
+    });
     placer_.set_trace(handle, trace_component_);
   }
 
  private:
+  using Slot = std::uint32_t;
+  // kWaiting: in the dispatcher or the capacity queue. kPlaced: holds
+  // resources, setting up. kReaped: failed by a runtime crash.
+  enum class Phase : std::uint8_t { kWaiting, kPlaced, kRunning, kReaped };
   struct Task {
     platform::LaunchRequest request;
     platform::Placement placement;
     sim::Time started = 0.0;
-    bool running = false;
+    Phase phase = Phase::kWaiting;
   };
 
   double infra_share() const;
-  void dispatch(std::shared_ptr<Task> task);
-  void start_task(std::shared_ptr<Task> task);
-  void finish_task(std::shared_ptr<Task> task);
+  void dispatch(Slot slot);
+  void start_task(Slot slot);
+  void finish_task(Slot slot);
   void drain_pending();
-  void emit_start(const std::string& id, sim::Time started);
-  void emit_finish(std::shared_ptr<Task> task, bool success,
-                   const std::string& note);
+  void emit_finish(const std::string& id, sim::Time started, bool success,
+                   std::string_view note);
 
   sim::Engine& engine_;
   platform::Cluster& cluster_;
@@ -114,7 +126,8 @@ class Runtime {
   sim::RngStream rng_;
   sim::Server dispatcher_;
   sched::TaskQueue pending_;  // waiting for capacity
-  std::unordered_map<std::string, std::shared_ptr<Task>> active_;
+  util::SlotTable<Task> tasks_;
+  std::size_t placed_ = 0;  // tasks holding resources (setting up or running)
   sched::Placer placer_;  // rotating indexed first-fit over the span
   EventHandler event_handler_;
   obs::TraceHandle obs_trace_;

@@ -90,9 +90,10 @@ void FluxBackend::submit(platform::LaunchRequest request) {
   ++inflight_;
   const int target = pick_instance(request.demand, request.gang);
   if (target < 0 || shut_down_) {
-    fail_task(request.id,
-              shut_down_ ? "backend shut down"
-                         : "no healthy instance can fit task");
+    complete(request.id, false,
+             shut_down_ ? "backend shut down"
+                        : "no healthy instance can fit task",
+             0.0, engine_.now());
     return;
   }
   Job job;
@@ -114,42 +115,26 @@ void FluxBackend::handle_event(const JobEvent& event) {
     case JobEventKind::kStart:
       if (start_handler_) start_handler_(event.job_id);
       return;
-    case JobEventKind::kFinish: {
-      FLOT_CHECK(inflight_ > 0, "finish without inflight task");
-      --inflight_;
-      platform::LaunchOutcome outcome;
-      outcome.id = event.job_id;
-      outcome.success = event.success;
-      outcome.error = event.note;
-      outcome.started = event.started;
-      outcome.finished = event.finished;
-      if (completion_handler_) completion_handler_(outcome);
+    case JobEventKind::kFinish:
+      complete(event.job_id, event.success, event.note, event.started,
+               event.finished);
       return;
-    }
-    case JobEventKind::kException: {
+    case JobEventKind::kException:
       if (event.job_id.empty()) return;  // instance-level marker
-      FLOT_CHECK(inflight_ > 0, "exception without inflight task");
-      --inflight_;
-      platform::LaunchOutcome outcome;
-      outcome.id = event.job_id;
-      outcome.success = false;
-      outcome.error = event.note;
-      outcome.finished = engine_.now();
-      if (completion_handler_) completion_handler_(outcome);
+      complete(event.job_id, false, event.note, 0.0, engine_.now());
       return;
-    }
   }
 }
 
-void FluxBackend::fail_task(const std::string& id, const std::string& error) {
-  FLOT_CHECK(inflight_ > 0, "fail without inflight task");
+void FluxBackend::complete(const std::string& id, bool success,
+                           std::string_view error, sim::Time started,
+                           sim::Time finished) {
+  FLOT_CHECK(inflight_ > 0, "completion without inflight task");
   --inflight_;
-  platform::LaunchOutcome outcome;
-  outcome.id = id;
-  outcome.success = false;
-  outcome.error = error;
-  outcome.finished = engine_.now();
-  if (completion_handler_) completion_handler_(outcome);
+  if (completion_handler_) {
+    completion_handler_(platform::LaunchOutcome{id, success, std::string(error),
+                                                started, finished});
+  }
 }
 
 void FluxBackend::crash_instance(int i, const std::string& reason) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flux/instance.hpp"
@@ -85,7 +86,9 @@ class FluxBackend : public platform::TaskBackend {
   void handle_event(const JobEvent& event);
   int pick_instance(const platform::ResourceDemand& demand,
                     const std::string& gang) const;
-  void fail_task(const std::string& id, const std::string& error);
+  // Reports a task's outcome to the core.
+  void complete(const std::string& id, bool success, std::string_view error,
+                sim::Time started, sim::Time finished);
 
   sim::Engine& engine_;
   platform::NodeRange allocation_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/ordered.hpp"
 
 namespace flotilla::flux {
 
@@ -50,46 +49,11 @@ void Instance::bootstrap(std::function<void()> ready) {
   });
 }
 
-const Instance::Eventlog& Instance::eventlog(
-    const std::string& job_id) const {
-  static const Eventlog kEmpty;
-  const auto it = eventlogs_.find(job_id);
-  return it == eventlogs_.end() ? kEmpty : it->second;
-}
-
 void Instance::emit(JobEventKind kind, const std::string& job_id,
-                    bool success, const std::string& note, sim::Time started,
+                    bool success, std::string_view note, sim::Time started,
                     sim::Time finished) {
-  if (record_eventlogs && !job_id.empty()) {
-    const char* name = "?";
-    switch (kind) {
-      case JobEventKind::kSubmit:
-        name = "submit";
-        break;
-      case JobEventKind::kAlloc:
-        name = "alloc";
-        break;
-      case JobEventKind::kStart:
-        name = "start";
-        break;
-      case JobEventKind::kFinish:
-        name = success ? "finish" : "finish(rc!=0)";
-        break;
-      case JobEventKind::kException:
-        name = "exception";
-        break;
-    }
-    eventlogs_[job_id].emplace_back(engine_.now(), name);
-  }
   if (!event_handler_) return;
-  JobEvent event;
-  event.kind = kind;
-  event.job_id = job_id;
-  event.success = success;
-  event.note = note;
-  event.started = started;
-  event.finished = finished;
-  event_handler_(event);
+  event_handler_(JobEvent{kind, job_id, success, note, started, finished});
 }
 
 void Instance::submit(Job job) {
@@ -98,26 +62,20 @@ void Instance::submit(Job job) {
     emit(JobEventKind::kException, job.id, false, "broker unreachable");
     return;
   }
-  job.submitted = engine_.now();
-  auto shared = std::make_shared<Job>(std::move(job));
+  const Slot slot = jobs_.claim(std::move(job));
   const double cost = rng_.lognormal_mean_cv(cal_.ingest_cost, cal_.jitter_cv);
-  rank0_.submit(cost, [this, shared] {
+  rank0_.submit(cost, [this, slot] {
+    const Job& ingested = jobs_[slot];
     if (!healthy_) {
-      emit(JobEventKind::kException, shared->id, false, "broker crashed");
+      emit(JobEventKind::kException, ingested.id, false, "broker crashed");
+      jobs_.release(slot);
       return;
     }
     // Priority queue with FIFO tie-breaking (Flux urgency semantics) —
     // the shared BackfillPolicy keeps pending_ sorted by non-increasing
     // priority with a binary-search insertion point.
-    sched::QueueEntry entry;
-    entry.id = shared->id;
-    entry.priority = shared->priority;
-    entry.gang = shared->gang;
-    entry.gang_size = shared->gang_size;
-    entry.demand = shared->demand;
-    entry.payload = shared;
-    pending_.push(std::move(entry));
-    emit(JobEventKind::kSubmit, shared->id);
+    pending_.push(sched::QueueEntry{slot, ingested.priority});
+    emit(JobEventKind::kSubmit, ingested.id);
     kick_scheduler();
   });
 }
@@ -139,14 +97,15 @@ void Instance::kick_scheduler() {
   rank0_.submit(sched_decision_cost(), [this] { run_sched_decision(); });
 }
 
-bool Instance::try_schedule_gang(std::string gang) {
+bool Instance::try_schedule_gang(const std::string& gang) {
   // Collect the gang's members; schedule only once all of them arrived.
-  std::vector<std::shared_ptr<Job>> members;
+  std::vector<Slot> members;
   int declared_size = 0;
   for (const auto& entry : pending_.entries()) {
-    if (entry.gang != gang) continue;
-    members.push_back(std::static_pointer_cast<Job>(entry.payload));
-    declared_size = std::max(declared_size, entry.gang_size);
+    const Job& job = jobs_[entry.slot];
+    if (job.gang != gang) continue;
+    members.push_back(entry.slot);
+    declared_size = std::max(declared_size, job.gang_size);
   }
   if (members.empty() ||
       static_cast<int>(members.size()) < declared_size) {
@@ -155,22 +114,26 @@ bool Instance::try_schedule_gang(std::string gang) {
   // Atomic all-or-nothing placement (§2's co-scheduled resources).
   std::vector<platform::Placement> placements;
   placements.reserve(members.size());
-  for (const auto& member : members) {
-    auto placement = placer_.place(member->demand);
+  for (const Slot member : members) {
+    auto placement = placer_.place(jobs_[member].demand);
     if (!placement) {
       for (const auto& held : placements) placer_.release(held);
       return false;
     }
     placements.push_back(std::move(*placement));
   }
+  // Allocated from here on, so a crash mid-spawn still reaps them.
   for (std::size_t m = 0; m < members.size(); ++m) {
-    members[m]->placement = std::move(placements[m]);
-    members[m]->state = JobState::kSched;
-    active_.emplace(members[m]->id, members[m]);
+    Job& job = jobs_[members[m]];
+    job.placement = std::move(placements[m]);
+    job.state = JobState::kSched;
   }
-  pending_.remove_if(
-      [&gang](const sched::QueueEntry& entry) { return entry.gang == gang; });
-  for (const auto& member : members) emit(JobEventKind::kAlloc, member->id);
+  pending_.remove_if([this, &gang](const sched::QueueEntry& entry) {
+    return jobs_[entry.slot].gang == gang;
+  });
+  for (const Slot member : members) {
+    emit(JobEventKind::kAlloc, jobs_[member].id);
+  }
   dispatch_gang(std::move(members));
   return true;
 }
@@ -186,60 +149,61 @@ void Instance::run_sched_decision() {
   const auto scan_limit = pending_.scan_limit();
   std::vector<std::string> failed_gangs;
   for (std::size_t i = 0; i < scan_limit && i < pending_.size(); ++i) {
-    const auto& candidate = pending_.at(i);
-    if (!candidate.gang.empty()) {
-      if (std::find(failed_gangs.begin(), failed_gangs.end(),
-                    candidate.gang) != failed_gangs.end()) {
+    const Slot slot = pending_.at(i).slot;
+    Job& job = jobs_[slot];
+    if (!job.gang.empty()) {
+      if (std::find(failed_gangs.begin(), failed_gangs.end(), job.gang) !=
+          failed_gangs.end()) {
         continue;
       }
-      if (try_schedule_gang(candidate.gang)) {
+      if (try_schedule_gang(job.gang)) {
         kick_scheduler();
         return;
       }
-      failed_gangs.push_back(candidate.gang);
+      failed_gangs.push_back(job.gang);
       continue;
     }
-    auto placement = placer_.place(candidate.demand);
+    auto placement = placer_.place(job.demand);
     if (!placement) continue;
-    auto job = std::static_pointer_cast<Job>(pending_.take(i).payload);
-    job->placement = std::move(*placement);
-    job->state = JobState::kSched;
-    // Tracked from allocation on, so a crash mid-spawn still reaps it.
-    active_.emplace(job->id, job);
-    emit(JobEventKind::kAlloc, job->id);
-    dispatch(std::move(job));
+    pending_.take(i);
+    job.placement = std::move(*placement);
+    // Allocated from here on, so a crash mid-spawn still reaps it.
+    job.state = JobState::kSched;
+    emit(JobEventKind::kAlloc, job.id);
+    dispatch(slot);
     kick_scheduler();  // next decision costs another rank-0 pass
     return;
   }
   // Nothing fits: sleep until a completion or submission kicks us again.
 }
 
-void Instance::dispatch_gang(std::vector<std::shared_ptr<Job>> members) {
+void Instance::dispatch_gang(std::vector<Slot> members) {
   // Spawn every member's shims; no member starts until the whole gang is
   // up, then all start together after one shared wireup across the gang's
   // node span.
   std::size_t total_nodes = 0;
-  for (const auto& member : members) {
-    total_nodes += member->placement.slices.size();
+  for (const Slot member : members) {
+    total_nodes += jobs_[member].placement.slices.size();
   }
   const double wireup = rng_.lognormal_mean_cv(
       cal_.mpi_wireup_base +
           cal_.mpi_wireup_per_node * static_cast<double>(total_nodes),
       cal_.jitter_cv);
-  for (const auto& member : members) add_spawns(*member);
+  for (const Slot member : members) add_spawns(jobs_[member]);
   spawns_.launch([this, members = std::move(members), wireup]() mutable {
     engine_.in(wireup, [this, members = std::move(members)] {
-      for (const auto& member : members) job_started(member);
+      for (const Slot member : members) job_started(member);
     });
   });
 }
 
-void Instance::dispatch(std::shared_ptr<Job> job) {
+void Instance::dispatch(Slot slot) {
   // Fork/exec the job shim on every target node; the job starts when the
   // slowest node is up. Each node's exec broker spawns serially. Multi-node
   // jobs additionally pay Flux's broker-native PMI wireup (§3.1's fast
   // path for tightly coupled tasks).
-  const auto job_nodes = job->placement.slices.size();
+  const Job& job = jobs_[slot];
+  const auto job_nodes = job.placement.slices.size();
   double wireup = 0.0;
   if (job_nodes > 1) {
     wireup = rng_.lognormal_mean_cv(
@@ -247,12 +211,12 @@ void Instance::dispatch(std::shared_ptr<Job> job) {
             cal_.mpi_wireup_per_node * static_cast<double>(job_nodes),
         cal_.jitter_cv);
   }
-  add_spawns(*job);
-  spawns_.launch([this, job = std::move(job), wireup] {
+  add_spawns(job);
+  spawns_.launch([this, slot, wireup] {
     if (wireup > 0.0) {
-      engine_.in(wireup, [this, job] { job_started(job); });
+      engine_.in(wireup, [this, slot] { job_started(slot); });
     } else {
-      job_started(job);
+      job_started(slot);
     }
   });
 }
@@ -274,37 +238,40 @@ void Instance::add_spawns(const Job& job) {
   }
 }
 
-void Instance::job_started(std::shared_ptr<Job> job) {
-  if (job->state == JobState::kInactive || active_.count(job->id) == 0) {
-    return;  // the broker crashed while the shim was spawning
-  }
-  job->state = JobState::kRun;
-  job->started = engine_.now();
+void Instance::job_started(Slot slot) {
+  Job& job = jobs_[slot];
+  // A broker crash while the shim was spawning reaped the job.
+  if (job.state != JobState::kSched) return;
+  job.state = JobState::kRun;
+  const sim::Time started = engine_.now();
   ++running_;
-  emit(JobEventKind::kStart, job->id, true, "", job->started);
-  engine_.in(job->duration, [this, job] { job_finished(job); });
+  emit(JobEventKind::kStart, job.id, true, {}, started);
+  engine_.in(job.duration,
+             [this, slot, started] { job_finished(slot, started); });
 }
 
-void Instance::job_finished(std::shared_ptr<Job> job) {
-  if (job->state != JobState::kRun) return;  // crashed meanwhile
-  job->state = JobState::kInactive;
+void Instance::job_finished(Slot slot, sim::Time started) {
+  Job& job = jobs_[slot];
+  if (job.state != JobState::kRun) return;  // crashed meanwhile
+  job.state = JobState::kCleanup;
   const sim::Time finished = engine_.now();
-  const bool failed = job->fail_probability > 0.0 &&
-                      rng_.bernoulli(job->fail_probability);
+  const bool failed = job.fail_probability > 0.0 &&
+                      rng_.bernoulli(job.fail_probability);
   // The completion event is processed by rank 0 before resources free and
   // the scheduler is kicked — completions compete with ingest/sched for the
   // broker, which is the instance's steady-state throughput limit.
   const double cost = rng_.lognormal_mean_cv(cal_.event_cost, cal_.jitter_cv);
-  rank0_.submit(cost, [this, job, failed, finished] {
-    if (active_.erase(job->id) == 0) return;  // crash already reaped it
-    placer_.release(job->placement);
-    job->placement.slices.clear();
+  rank0_.submit(cost, [this, slot, failed, started, finished] {
+    Job& done = jobs_[slot];
+    if (done.state != JobState::kCleanup) return;  // crash already reaped it
+    placer_.release(done.placement);
+    done.state = JobState::kInactive;
     FLOT_CHECK(running_ > 0, "completion without running job");
     --running_;
     ++completed_;
-    emit(JobEventKind::kFinish, job->id, !failed,
-         failed ? "job exited with non-zero status" : "", job->started,
-         finished);
+    emit(JobEventKind::kFinish, done.id, !failed,
+         failed ? "job exited with non-zero status" : "", started, finished);
+    jobs_.release(slot);
     kick_scheduler();
   });
 }
@@ -313,26 +280,32 @@ void Instance::crash(const std::string& reason) {
   if (!healthy_) return;
   healthy_ = false;
   // Queued jobs raise exceptions, in queue order.
-  for (auto& entry : pending_.drain()) {
-    auto job = std::static_pointer_cast<Job>(entry.payload);
-    job->state = JobState::kInactive;
-    emit(JobEventKind::kException, job->id, false, reason);
+  for (const auto& entry : pending_.drain()) {
+    Job& job = jobs_[entry.slot];
+    job.state = JobState::kInactive;
+    emit(JobEventKind::kException, job.id, false, reason);
   }
-  // Running jobs die with the broker. Resources are released here so the
-  // pilot can reuse the nodes after failover; the jobs' pending finish
-  // timers become no-ops once removed from the active set. Sorted order so
-  // the exception-event sequence is reproducible across runs.
-  for (const auto& id : util::sorted_keys(active_)) {
-    auto& job = active_.at(id);
-    job->state = JobState::kInactive;
-    placer_.release(job->placement);
-    job->placement.slices.clear();
-    emit(JobEventKind::kException, id, false, reason);
+  // Allocated jobs die with the broker. Resources are released here so the
+  // pilot can reuse the nodes after failover; their slots stay claimed, so
+  // the jobs' pending spawn, finish and completion events find them
+  // inactive and do nothing. In uid order, so the exception-event sequence
+  // is reproducible across runs.
+  const auto allocated = [](const Job& job) {
+    return job.state == JobState::kSched || job.state == JobState::kRun ||
+           job.state == JobState::kCleanup;
+  };
+  const auto uid = [](const Job& job) -> const std::string& { return job.id; };
+  for (const Slot slot : jobs_.sorted_slots(allocated, uid)) {
+    Job& job = jobs_[slot];
+    job.state = JobState::kInactive;
+    placer_.release(job.placement);
+    job.placement.slices.clear();
+    emit(JobEventKind::kException, job.id, false, reason);
   }
-  active_.clear();
   running_ = 0;
   // Instance-level exception so RP can trigger failover promptly.
-  emit(JobEventKind::kException, "", false, reason);
+  static const std::string kInstance;
+  emit(JobEventKind::kException, kInstance, false, reason);
 }
 
 }  // namespace flotilla::flux

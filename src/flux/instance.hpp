@@ -17,13 +17,15 @@
 //    is one sim::FanOut: one calendar event for all of its idle nodes.
 //  - completions free resources and *kick* the scheduler via events; there
 //    is no polling anywhere.
+//  - each job is held by value in a slot table from submit until rank 0
+//    processes its completion (or a crash reaps it); the pending queue and
+//    every event the job schedules carry its slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "flux/job.hpp"
@@ -34,6 +36,7 @@
 #include "sched/queue.hpp"
 #include "sim/random.hpp"
 #include "sim/server.hpp"
+#include "util/slot_table.hpp"
 
 namespace flotilla::flux {
 
@@ -82,32 +85,27 @@ class Instance {
   // name as the component.
   void set_trace(obs::TraceHandle handle) {
     obs_trace_ = handle;
-    pending_.set_trace(handle, name_);
+    pending_.set_trace(handle, name_, [this](std::uint32_t slot) {
+      return std::string_view(jobs_[slot].id);
+    });
     placer_.set_trace(handle, name_);
   }
 
-  // When enabled, each job's lifecycle events are appended to a per-job
-  // eventlog (Flux's KVS eventlog equivalent) retrievable post mortem.
-  // Off by default: paper-scale runs submit hundreds of thousands of jobs.
-  bool record_eventlogs = false;
-  using Eventlog = std::vector<std::pair<sim::Time, std::string>>;
-  // The recorded eventlog of a job; empty if unknown or recording was off.
-  const Eventlog& eventlog(const std::string& job_id) const;
-
  private:
+  using Slot = std::uint32_t;
+
   void emit(JobEventKind kind, const std::string& job_id, bool success = true,
-            const std::string& note = "", sim::Time started = 0.0,
+            std::string_view note = {}, sim::Time started = 0.0,
             sim::Time finished = 0.0);
   void kick_scheduler();
   void run_sched_decision();
-  // By value: the tag outlives the queue entries remove_if destroys.
-  bool try_schedule_gang(std::string gang);
-  void dispatch(std::shared_ptr<Job> job);
-  void dispatch_gang(std::vector<std::shared_ptr<Job>> members);
+  bool try_schedule_gang(const std::string& gang);
+  void dispatch(Slot slot);
+  void dispatch_gang(std::vector<Slot> members);
   // Adds one shim spawn per target node of `job` to spawns_.
   void add_spawns(const Job& job);
-  void job_started(std::shared_ptr<Job> job);
-  void job_finished(std::shared_ptr<Job> job);
+  void job_started(Slot slot);
+  void job_finished(Slot slot, sim::Time started);
   double sched_decision_cost();
 
   std::string name_;
@@ -124,8 +122,7 @@ class Instance {
   sched::TaskQueue pending_;
   sched::BackfillPolicy* backfill_;  // owned by pending_
   sched::Placer placer_;
-  std::unordered_map<std::string, std::shared_ptr<Job>> active_;
-  std::unordered_map<std::string, Eventlog> eventlogs_;
+  util::SlotTable<Job> jobs_;
   EventHandler event_handler_;
   obs::TraceHandle obs_trace_;
   bool ready_ = false;

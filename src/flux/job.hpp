@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "platform/placement.hpp"
 #include "platform/types.hpp"
@@ -12,10 +13,11 @@
 namespace flotilla::flux {
 
 enum class JobState {
-  kDepend,    // accepted, waiting in queue
-  kSched,     // being considered by the scheduler
+  kDepend,    // accepted: in ingest or waiting in queue
+  kSched,     // allocated, shims spawning
   kRun,       // executing
-  kInactive,  // finished (success or failure)
+  kCleanup,   // exited, completion event not yet processed by rank 0
+  kInactive,  // finished, or reaped by a broker crash
 };
 
 struct Job {
@@ -23,8 +25,6 @@ struct Job {
   platform::ResourceDemand demand;
   sim::Time duration = 0.0;
   double fail_probability = 0.0;
-  sim::Time submitted = 0.0;
-  sim::Time started = 0.0;
   JobState state = JobState::kDepend;
   platform::Placement placement;
   // Co-scheduling (§2: tightly coupled tasks "launched concurrently with
@@ -48,11 +48,13 @@ enum class JobEventKind {
   kException,
 };
 
+// Valid for the duration of the handler call: `job_id` refers to the
+// instance's own record ("" for an instance-level event).
 struct JobEvent {
   JobEventKind kind;
-  std::string job_id;
+  const std::string& job_id;
   bool success = true;
-  std::string note;
+  std::string_view note;
   sim::Time started = 0.0;
   sim::Time finished = 0.0;
 };

@@ -11,29 +11,26 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/tracer.hpp"
-#include "platform/types.hpp"
 #include "util/error.hpp"
 
 namespace flotilla::sched {
 
-// One queued unit of work. `payload` carries the backend's own task object
-// (flux::Job, dragon's task, ...) through the queue without the queue
-// knowing its type; the scheduling-relevant fields are mirrored alongside
-// so policies and drain loops never need to downcast. The agent's waitlist
-// leaves it empty and resolves `id` to its task instead.
+// One queued unit of work: the owner's handle for it (a flux::Instance or
+// dragon::Runtime job slot, the agent's TaskId) and the priority policies
+// order by. The owner keeps the unit itself, by value, and reads its
+// demand and gang from there.
 struct QueueEntry {
-  std::string id;
+  std::uint32_t slot = 0;
   int priority = 16;  // Flux urgency scale: 0..31, higher first
-  std::string gang;
-  int gang_size = 0;
-  platform::ResourceDemand demand;
-  std::shared_ptr<void> payload;
 };
 
 class QueuePolicy {
@@ -99,6 +96,9 @@ class BackfillPolicy : public PriorityFifoPolicy {
 // (the determinism lint forbids unordered containers on scheduling paths).
 class TaskQueue {
  public:
+  // The uid a trace span names for the unit in `slot`.
+  using EntityOf = std::function<std::string_view(std::uint32_t slot)>;
+
   explicit TaskQueue(std::unique_ptr<QueuePolicy> policy)
       : policy_(std::move(policy)) {
     FLOT_CHECK(policy_ != nullptr, "task queue needs a policy");
@@ -107,8 +107,10 @@ class TaskQueue {
   void push(QueueEntry entry) {
     const auto pos = policy_->insertion_index(entries_, entry);
     FLOT_CHECK(pos <= entries_.size(), "insertion index out of range");
-    trace_.begin(obs::SpanType::kTaskQueueWait, trace_component_, entry.id,
-                 static_cast<double>(entry.priority));
+    if (trace_) {
+      trace_.begin(obs::SpanType::kTaskQueueWait, trace_component_,
+                   entity_of_(entry.slot), entry.priority);
+    }
     entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
                     std::move(entry));
   }
@@ -126,17 +128,16 @@ class TaskQueue {
   QueueEntry take(std::size_t i) {
     QueueEntry entry = std::move(entries_.at(i));
     entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    trace_.end(obs::SpanType::kTaskQueueWait, trace_component_, entry.id,
-               static_cast<double>(entries_.size()));
+    trace_end(entry, static_cast<double>(entries_.size()));
     return entry;
   }
 
   QueueEntry pop_front() { return take(0); }
 
-  // Removes the entry with `id`; returns whether it was queued.
-  bool remove(const std::string& id) {
+  // Removes the entry for `slot`; returns whether it was queued.
+  bool remove(std::uint32_t slot) {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].id != id) continue;
+      if (entries_[i].slot != slot) continue;
       take(i);
       return true;
     }
@@ -147,10 +148,7 @@ class TaskQueue {
   void remove_if(Pred pred) {
     if (trace_) {
       for (const auto& entry : entries_) {
-        if (pred(entry)) {
-          trace_.end(obs::SpanType::kTaskQueueWait, trace_component_,
-                     entry.id);
-        }
+        if (pred(entry)) trace_end(entry);
       }
     }
     entries_.erase(
@@ -160,12 +158,7 @@ class TaskQueue {
 
   // Empties the queue, returning the entries in queue order.
   std::deque<QueueEntry> drain() {
-    if (trace_) {
-      for (const auto& entry : entries_) {
-        trace_.end(obs::SpanType::kTaskQueueWait, trace_component_,
-                   entry.id);
-      }
-    }
+    for (const auto& entry : entries_) trace_end(entry);
     return std::exchange(entries_, {});
   }
 
@@ -180,18 +173,29 @@ class TaskQueue {
   }
 
   // Attaches structured tracing: each entry's time in the queue becomes a
-  // kTaskQueueWait span under `component` (push opens, take/remove/drain
-  // close) — the scheduler-wait slice of the Fig 7 breakdown.
-  void set_trace(obs::TraceHandle handle, std::string component) {
+  // kTaskQueueWait span under `component`, named by `entity_of` (push
+  // opens, take/remove/drain close) — the scheduler-wait slice of the
+  // Fig 7 breakdown.
+  void set_trace(obs::TraceHandle handle, std::string component,
+                 EntityOf entity_of) {
     trace_ = handle;
     trace_component_ = std::move(component);
+    entity_of_ = std::move(entity_of);
   }
 
  private:
+  void trace_end(const QueueEntry& entry, double value = 0.0) const {
+    if (trace_) {
+      trace_.end(obs::SpanType::kTaskQueueWait, trace_component_,
+                 entity_of_(entry.slot), value);
+    }
+  }
+
   std::unique_ptr<QueuePolicy> policy_;
   std::deque<QueueEntry> entries_;
   obs::TraceHandle trace_;
   std::string trace_component_;
+  EntityOf entity_of_;
 };
 
 }  // namespace flotilla::sched

@@ -7,7 +7,8 @@
 // buffer and the server's slot table must be reused, not regrown. The
 // same holds for sim::FanOut's holds, whether a later touch retires them
 // or materializes them. The counter also tracks live heap bytes, so it can
-// bound what a core::TaskManager allocates and holds per task.
+// bound what a core::TaskManager allocates and holds per task, and what a
+// flux::Instance holds per queued job.
 //
 // Sanitizer builds (-DFLOTILLA_SANITIZE=...) skip it: there the sanitizer
 // runtime owns operator new, and replacing it would blind the sanitizer.
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/flotilla.hpp"
+#include "flux/instance.hpp"
 #include "sim/engine.hpp"
 #include "sim/server.hpp"
 
@@ -223,8 +225,9 @@ std::vector<TaskDescription> null_tasks() {
 }
 
 // A bulk submit stores each task by value in the manager's chunks: no
-// per-task heap block. What is left is the intake queue's deque nodes
-// (several items per node) and one chunk per 512 tasks.
+// per-task heap block, and no intake item per task (the intake is a
+// cursor over task positions). What is left is one chunk per 512 tasks
+// and the returned uid vector.
 TEST(AllocGuard, WarmBulkSubmitStoresCompactTasks) {
   if (kSanitized) GTEST_SKIP() << kSanitizedReason;
   Session session(platform::frontier_spec(), 2, 42);
@@ -245,7 +248,7 @@ TEST(AllocGuard, WarmBulkSubmitStoresCompactTasks) {
   std::vector<std::string> uids;
   const std::uint64_t allocations =
       allocations_in([&] { uids = tmgr->submit(std::move(batch)); });
-  EXPECT_LE(allocations, static_cast<std::uint64_t>(kBulk / 4))
+  EXPECT_LE(allocations, static_cast<std::uint64_t>(kBulk / 100))
       << "allocations per task: "
       << static_cast<double>(allocations) / kBulk;
   ASSERT_EQ(uids.size(), static_cast<std::size_t>(kBulk));
@@ -260,6 +263,40 @@ TEST(AllocGuard, WarmBulkSubmitStoresCompactTasks) {
       static_cast<double>(before - g_live_bytes) / (2 * kBulk);
   EXPECT_GT(held_per_task, 0.0);
   EXPECT_LE(held_per_task, 256.0);
+}
+
+// A flux instance holds each job by value in its slot table, and its
+// pending queue holds only the job's slot and priority: at most 160 bytes
+// per queued job, both counted (~318 with a shared_ptr'd job, a uid-keyed
+// map node and a queue entry that copied the uid, gang and demand).
+TEST(AllocGuard, FluxInstanceHoldsQueuedJobsCompactly) {
+  if (kSanitized) GTEST_SKIP() << kSanitizedReason;
+  constexpr int kQueued = 4096;
+  sim::Engine engine;
+  platform::Cluster cluster(platform::frontier_spec(), 1);
+  flux::Instance instance("flux.0", engine, cluster, {0, 1},
+                          platform::frontier_calibration().flux, 42);
+  std::size_t events = 0;
+  instance.on_event([&events](const flux::JobEvent&) { ++events; });
+  bool ready = false;
+  instance.bootstrap([&ready] { ready = true; });
+  engine.run();
+  ASSERT_TRUE(ready);
+
+  const std::int64_t before = g_live_bytes;
+  for (int i = 0; i < kQueued; ++i) {
+    flux::Job job;
+    job.id = "task." + std::to_string(100000 + i);  // fits in place
+    job.demand.cores = 2 * platform::frontier_spec().cores_per_node;
+    instance.submit(std::move(job));
+  }
+  engine.run();  // every job ingested; none fits the one node
+  ASSERT_EQ(instance.queue_depth(), static_cast<std::size_t>(kQueued));
+  ASSERT_EQ(events, static_cast<std::size_t>(kQueued));  // kSubmit each
+  const double held_per_job =
+      static_cast<double>(g_live_bytes - before) / kQueued;
+  EXPECT_GT(held_per_job, 0.0);
+  EXPECT_LE(held_per_job, 160.0);
 }
 
 }  // namespace

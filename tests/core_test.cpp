@@ -299,6 +299,123 @@ TEST(TaskManager, RefusesInvalidDescriptions) {
   EXPECT_EQ(fx.tmgr->submitted(), 1u);
 }
 
+// TMGR intake exactness. Single submits, a bulk submit, submit_batch
+// transactions and submits made from completion handlers (two of them
+// inside an intake completion, when a task cancelled in intake reaches the
+// agent) interleave on one intake. The values are pinned: the order in
+// which tasks reach the agent, the virtual time each arrives (its intake
+// completion), intake_backlog() at each arrival and after each submit
+// step. Tasks cancelled while in intake are cancelled on arrival.
+TEST(TaskManager, IntakeOrderTimesAndBacklogArePinned) {
+  PilotFixture fx({.nodes = 2, .backends = {{"flux", 1}}});
+  TaskManager& tmgr = *fx.tmgr;
+  const auto named = [](const std::string& name) {
+    TaskDescription desc = null_task();
+    desc.name = name;
+    return desc;
+  };
+  const auto names = [&](const std::string& stem, int n) {
+    std::vector<TaskDescription> descs;
+    for (int i = 1; i <= n; ++i) {
+      descs.push_back(named(stem + std::to_string(i)));
+    }
+    return descs;
+  };
+  struct Arrival {
+    std::string name;
+    TaskState to;
+    double time;
+    std::size_t backlog;
+  };
+  constexpr TaskState kAgent = TaskState::kAgentScheduling;
+  constexpr TaskState kCanceled = TaskState::kCanceled;
+  std::vector<Arrival> arrivals;
+  tmgr.on_transition([&](const Task& task, TaskState from, TaskState to) {
+    if (from != TaskState::kTmgrScheduling) return;
+    arrivals.push_back({task.name(), to, fx.session.now(),
+                        tmgr.intake_backlog()});
+  });
+  std::vector<std::size_t> backlogs;
+  std::string b3;
+  std::string f2;
+  std::string a;
+  std::string i2;
+  tmgr.on_complete([&](const Task& task) {
+    if (task.uid() == b3) {
+      tmgr.submit(named("G"));  // inside an intake completion, FIFO busy
+    } else if (task.uid() == f2) {
+      tmgr.submit_batch(names("K", 2));  // inside one, G still waiting
+    } else if (task.uid() == a) {
+      tmgr.submit(named("H"));  // after the intake drained
+      i2 = tmgr.submit(names("I", 2))[1];
+      EXPECT_TRUE(tmgr.cancel(i2));
+    } else if (task.uid() == i2) {
+      tmgr.submit(named("J"));  // inside one, nothing else waiting
+    } else {
+      return;
+    }
+    backlogs.push_back(tmgr.intake_backlog());
+  });
+  a = tmgr.submit(named("A"));
+  backlogs.push_back(tmgr.intake_backlog());
+  const auto bulk = tmgr.submit(names("B", 5));
+  backlogs.push_back(tmgr.intake_backlog());
+  b3 = bulk[2];
+  EXPECT_TRUE(tmgr.cancel(b3));
+  tmgr.submit_batch(names("C", 3));
+  backlogs.push_back(tmgr.intake_backlog());
+  tmgr.submit(named("D"));
+  backlogs.push_back(tmgr.intake_backlog());
+  tmgr.submit_batch(names("E", 2));
+  backlogs.push_back(tmgr.intake_backlog());
+  const auto tail = tmgr.submit(names("F", 2));
+  backlogs.push_back(tmgr.intake_backlog());
+  f2 = tail[1];
+  EXPECT_TRUE(tmgr.cancel(f2));
+  fx.session.run();
+  ASSERT_TRUE(tmgr.idle());
+  EXPECT_EQ(tmgr.task(b3).state(), TaskState::kCanceled);
+  EXPECT_EQ(tmgr.task(f2).state(), TaskState::kCanceled);
+  EXPECT_EQ(tmgr.task(i2).state(), TaskState::kCanceled);
+  EXPECT_EQ(tmgr.intake_backlog(), 0u);
+
+  // Recorded before the intake became a cursor over task positions.
+  const std::vector<Arrival> expected = {
+      {"A", kAgent, 20.828169205932792, 10},
+      {"B1", kAgent, 20.828343411073735, 9},
+      {"B2", kAgent, 20.828540410358592, 8},
+      {"B3", kCanceled, 20.828764314360644, 7},
+      {"B4", kAgent, 20.828952731339694, 7},
+      {"B5", kAgent, 20.829183039966704, 6},
+      {"C1", kAgent, 20.829629632760653, 5},
+      {"C2", kAgent, 20.829629632760653, 5},
+      {"C3", kAgent, 20.829629632760653, 5},
+      {"D", kAgent, 20.829816860667496, 4},
+      {"E1", kAgent, 20.83026402789757, 3},
+      {"E2", kAgent, 20.83026402789757, 3},
+      {"F1", kAgent, 20.830461321402289, 2},
+      {"F2", kCanceled, 20.830644951609727, 1},
+      {"G", kAgent, 20.830814536443729, 1},
+      {"K1", kAgent, 20.831235063578468, 0},
+      {"K2", kAgent, 20.831235063578468, 0},
+      {"H", kAgent, 20.87695280744089, 2},
+      {"I1", kAgent, 20.877151451995612, 1},
+      {"I2", kCanceled, 20.877346543158865, 0},
+      {"J", kAgent, 20.877526661604069, 0},
+  };
+  ASSERT_EQ(arrivals.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(arrivals[i].name, expected[i].name) << "arrival " << i;
+    EXPECT_EQ(arrivals[i].to, expected[i].to) << expected[i].name;
+    EXPECT_EQ(arrivals[i].time, expected[i].time) << expected[i].name;
+    EXPECT_EQ(arrivals[i].backlog, expected[i].backlog) << expected[i].name;
+  }
+  // After each of the six submit steps, then in the B3, F2, A and I2
+  // handlers.
+  EXPECT_EQ(backlogs,
+            (std::vector<std::size_t>{1, 6, 7, 8, 9, 11, 8, 2, 3, 1}));
+}
+
 TEST(Agent, RoutesByModalityInHybridPilot) {
   PilotFixture fx({.nodes = 4,
                    .backends = {{.type = "flux", .partitions = 1},

@@ -4,8 +4,11 @@
 // sampler and the session report.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analytics/session_report.hpp"
 #include "analytics/timeline.hpp"
@@ -141,8 +144,12 @@ TEST(Integration, FluxEventlogRecordsLifecOrder) {
   platform::Cluster cluster(platform::frontier_spec(), 2);
   flux::Instance instance("flux.0", engine, cluster, {0, 2},
                           platform::frontier_calibration().flux, 3);
-  instance.record_eventlogs = true;
-  instance.on_event([](const flux::JobEvent&) {});
+  // Each job's eventlog, as the event bus reports it.
+  std::map<std::string, std::vector<std::pair<sim::Time, flux::JobEventKind>>>
+      logs;
+  instance.on_event([&](const flux::JobEvent& event) {
+    logs[event.job_id].emplace_back(engine.now(), event.kind);
+  });
   instance.bootstrap([&] {
     flux::Job job;
     job.id = "job.0";
@@ -151,17 +158,18 @@ TEST(Integration, FluxEventlogRecordsLifecOrder) {
     instance.submit(std::move(job));
   });
   engine.run();
-  const auto& log = instance.eventlog("job.0");
+  const auto& log = logs["job.0"];
   ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log[0].second, "submit");
-  EXPECT_EQ(log[1].second, "alloc");
-  EXPECT_EQ(log[2].second, "start");
-  EXPECT_EQ(log[3].second, "finish");
+  EXPECT_EQ(log[0].second, flux::JobEventKind::kSubmit);
+  EXPECT_EQ(log[1].second, flux::JobEventKind::kAlloc);
+  EXPECT_EQ(log[2].second, flux::JobEventKind::kStart);
+  EXPECT_EQ(log[3].second, flux::JobEventKind::kFinish);
   for (std::size_t i = 1; i < log.size(); ++i) {
     EXPECT_GE(log[i].first, log[i - 1].first);
   }
   EXPECT_NEAR(log[3].first - log[2].first, 25.0, 0.5);
-  EXPECT_TRUE(instance.eventlog("nope").empty());
+  EXPECT_EQ(logs.count("nope"), 0u);
+  EXPECT_EQ(logs.size(), 1u);
 }
 
 TEST(Integration, FluxInstancesAndSrunTasksShareTheCeiling) {

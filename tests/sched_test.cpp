@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,40 +42,38 @@ using platform::NodeRange;
 using platform::ResourceDemand;
 using platform::frontier_spec;
 
-QueueEntry entry(std::string id, int priority = 16) {
-  QueueEntry e;
-  e.id = std::move(id);
-  e.priority = priority;
-  return e;
+QueueEntry entry(std::uint32_t slot, int priority = 16) {
+  return QueueEntry{slot, priority};
 }
 
-std::vector<std::string> ids_of(const TaskQueue& queue) {
-  std::vector<std::string> ids;
-  for (const auto& e : queue.entries()) ids.push_back(e.id);
-  return ids;
+std::vector<std::uint32_t> slots_of(const TaskQueue& queue) {
+  std::vector<std::uint32_t> slots;
+  for (const auto& e : queue.entries()) slots.push_back(e.slot);
+  return slots;
 }
 
 // ------------------------------------------------------- queue policies
 
 TEST(QueuePolicy, FifoKeepsArrivalOrderRegardlessOfPriority) {
   TaskQueue queue(std::make_unique<FifoPolicy>());
-  queue.push(entry("a", 1));
-  queue.push(entry("b", 31));
-  queue.push(entry("c", 16));
-  EXPECT_EQ(ids_of(queue), (std::vector<std::string>{"a", "b", "c"}));
+  queue.push(entry(0, 1));
+  queue.push(entry(1, 31));
+  queue.push(entry(2, 16));
+  EXPECT_EQ(slots_of(queue), (std::vector<std::uint32_t>{0, 1, 2}));
   // Strict head-of-line blocking: one entry per pass.
   EXPECT_EQ(queue.scan_limit(), 1u);
 }
 
 TEST(QueuePolicy, PriorityOrdersHigherFirstWithFifoTieBreak) {
   TaskQueue queue(std::make_unique<PriorityFifoPolicy>());
-  queue.push(entry("low.1", 8));
-  queue.push(entry("high.1", 24));
-  queue.push(entry("mid.1", 16));
-  queue.push(entry("high.2", 24));  // ties behind the earlier equal entry
-  queue.push(entry("mid.2", 16));
-  EXPECT_EQ(ids_of(queue), (std::vector<std::string>{
-                               "high.1", "high.2", "mid.1", "mid.2", "low.1"}));
+  enum : std::uint32_t { kLow1, kHigh1, kMid1, kHigh2, kMid2 };
+  queue.push(entry(kLow1, 8));
+  queue.push(entry(kHigh1, 24));
+  queue.push(entry(kMid1, 16));
+  queue.push(entry(kHigh2, 24));  // ties behind the earlier equal entry
+  queue.push(entry(kMid2, 16));
+  EXPECT_EQ(slots_of(queue), (std::vector<std::uint32_t>{
+                                 kHigh1, kHigh2, kMid1, kMid2, kLow1}));
   EXPECT_EQ(queue.scan_limit(), 1u);
 }
 
@@ -94,7 +93,7 @@ TEST(QueuePolicy, PriorityInsertionMatchesUpperBound) {
   const PriorityFifoPolicy policy;
   const auto check = [&](const std::deque<QueueEntry>& entries,
                          int priority) {
-    EXPECT_EQ(policy.insertion_index(entries, entry("x", priority)),
+    EXPECT_EQ(policy.insertion_index(entries, entry(0, priority)),
               reference(entries, priority))
         << "queue size " << entries.size() << ", arrival " << priority;
   };
@@ -107,11 +106,11 @@ TEST(QueuePolicy, PriorityInsertionMatchesUpperBound) {
     std::deque<QueueEntry> entries;
     if (shape == 0) {  // all equal
       const int p = static_cast<int>(rng.uniform_int(0, 31));
-      for (std::size_t i = 0; i < n; ++i) entries.push_back(entry("q", p));
+      for (std::size_t i = 0; i < n; ++i) entries.push_back(entry(0, p));
     } else if (shape == 1) {  // strictly descending
       int p = 31;
       for (std::size_t i = 0; i < n && p >= 0; ++i) {
-        entries.push_back(entry("q", p));
+        entries.push_back(entry(0, p));
         p -= static_cast<int>(rng.uniform_int(1, 3));
       }
     } else {  // random non-increasing with runs of ties
@@ -120,7 +119,7 @@ TEST(QueuePolicy, PriorityInsertionMatchesUpperBound) {
         ps.push_back(static_cast<int>(rng.uniform_int(0, 31)));
       }
       std::sort(ps.begin(), ps.end(), std::greater<>());
-      for (int p : ps) entries.push_back(entry("q", p));
+      for (int p : ps) entries.push_back(entry(0, p));
     }
     return entries;
   };
@@ -138,9 +137,9 @@ TEST(QueuePolicy, PriorityInsertionMatchesUpperBound) {
 
 TEST(QueuePolicy, BackfillBoundsScanDepth) {
   TaskQueue queue(std::make_unique<BackfillPolicy>(4));
-  for (int i = 0; i < 3; ++i) queue.push(entry("t" + std::to_string(i)));
+  for (std::uint32_t i = 0; i < 3; ++i) queue.push(entry(i));
   EXPECT_EQ(queue.scan_limit(), 3u);  // clamped to queue size
-  for (int i = 3; i < 10; ++i) queue.push(entry("t" + std::to_string(i)));
+  for (std::uint32_t i = 3; i < 10; ++i) queue.push(entry(i));
   EXPECT_EQ(queue.scan_limit(), 4u);  // clamped to depth
   static_cast<BackfillPolicy&>(queue.policy()).set_depth(64);
   EXPECT_EQ(queue.scan_limit(), 10u);
@@ -149,27 +148,53 @@ TEST(QueuePolicy, BackfillBoundsScanDepth) {
 
 TEST(QueuePolicy, TaskQueueTakeRemoveAndDrain) {
   TaskQueue queue(std::make_unique<FifoPolicy>());
-  auto payload = std::make_shared<int>(7);
-  auto e = entry("keep");
-  e.payload = payload;
-  queue.push(std::move(e));
-  auto v = entry("victim");
-  v.payload = std::make_shared<int>(1);
-  queue.push(std::move(v));
-  queue.push(entry("tail"));
+  enum : std::uint32_t { kKeep = 7, kVictim = 1, kTail = 3, kAbsent = 9 };
+  queue.push(entry(kKeep));
+  queue.push(entry(kVictim));
+  queue.push(entry(kTail));
 
-  EXPECT_FALSE(queue.remove("absent"));
-  EXPECT_TRUE(queue.remove("victim"));
+  EXPECT_FALSE(queue.remove(kAbsent));
+  EXPECT_TRUE(queue.remove(kVictim));
   EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.at(0).id, "keep");
+  EXPECT_EQ(queue.at(0).slot, kKeep);
 
   auto taken = queue.take(1);
-  EXPECT_EQ(taken.id, "tail");
+  EXPECT_EQ(taken.slot, kTail);
 
   auto drained = queue.drain();
   EXPECT_TRUE(queue.empty());
   ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(*std::static_pointer_cast<int>(drained.front().payload), 7);
+  EXPECT_EQ(drained.front().slot, kKeep);
+}
+
+// A traced queue names each wait span by the owner's uid for the slot,
+// with the priority as the opening value and the queue size left as the
+// closing one.
+TEST(QueuePolicy, TaskQueueTracesWaitsUnderTheOwnersUids) {
+  sim::Engine engine;
+  obs::Tracer tracer(engine, 16);
+  TaskQueue queue(std::make_unique<FifoPolicy>());
+  const std::vector<std::string> uids = {"task.000000", "task.000001"};
+  queue.set_trace(obs::TraceHandle(&tracer), "flux.0",
+                  [&uids](std::uint32_t slot) {
+                    return std::string_view(uids.at(slot));
+                  });
+  queue.push(entry(1, 24));
+  queue.push(entry(0, 8));
+  queue.take(0);
+  queue.drain();
+  std::vector<obs::Record> records;
+  tracer.for_each([&records](const obs::Record& r) { records.push_back(r); });
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].kind, obs::RecordKind::kBegin);
+  EXPECT_EQ(records[2].kind, obs::RecordKind::kEnd);
+  EXPECT_EQ(records[0].entity, "task.000001");
+  EXPECT_EQ(records[0].value, 24.0);
+  EXPECT_EQ(records[1].entity, "task.000000");
+  EXPECT_EQ(records[2].entity, "task.000001");
+  EXPECT_EQ(records[2].value, 1.0);
+  EXPECT_EQ(records[3].entity, "task.000000");
+  for (const auto& record : records) EXPECT_EQ(record.component, "flux.0");
 }
 
 // ---------------------------------------------------- free-resource index

@@ -6,11 +6,13 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/id_registry.hpp"
 #include "util/logging.hpp"
+#include "util/slot_table.hpp"
 #include "util/strfmt.hpp"
 
 namespace flotilla::util {
@@ -178,6 +180,33 @@ TEST(IdRegistry, ResetClearsCounters) {
   registry.next("x");
   registry.reset();
   EXPECT_EQ(registry.next("x"), "x.000000");
+}
+
+// Records keep their address while claimed, a released slot is reused
+// last-released first, and an emptied table starts again from slot 0 with
+// one chunk left.
+TEST(SlotTable, ClaimsReusesAndResetsWhenEmptied) {
+  SlotTable<std::string, 4> table;
+  std::vector<std::uint32_t> slots;
+  for (int i = 0; i < 10; ++i) {
+    slots.push_back(table.claim(std::to_string(i)));
+  }
+  EXPECT_EQ(slots, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  const std::string* first = &table[0];
+  table.release(7);
+  table.release(2);
+  EXPECT_EQ(table[2], "");  // reset on release
+  EXPECT_EQ(table.claim("a"), 2u);
+  EXPECT_EQ(table.claim("b"), 7u);
+  EXPECT_EQ(table.claim("c"), 10u);
+  EXPECT_EQ(&table[0], first);  // chunks never move
+  EXPECT_EQ(table.sorted_slots([](const std::string& s) { return !s.empty(); },
+                               [](const std::string& s) { return s; }),
+            (std::vector<std::uint32_t>{0, 1, 3, 4, 5, 6, 8, 9, 2, 7, 10}));
+  for (std::uint32_t slot = 0; slot <= 10; ++slot) table.release(slot);
+  EXPECT_EQ(table.claim("again"), 0u);
+  EXPECT_EQ(table.claim("next"), 1u);
+  EXPECT_EQ(&table[0], first);  // the first chunk stays
 }
 
 TEST(Logging, RespectsLevelThreshold) {
