@@ -6,10 +6,12 @@
 // attempt; the FreeResourceIndex answers in O(log n). The speedup printed
 // here is the headline number for the indexed placer.
 //
-// Part 2 runs a small end-to-end campaign (full RP + flux stack) so the
-// snapshot records makespan and simulator events/sec alongside the
-// placement rates — the regression surface scripts/bench_snapshot.sh
-// captures into BENCH_sched.json.
+// Part 2 runs a small end-to-end campaign (full RP + flux stack) and
+// reports its makespan and simulator events/sec alongside the placement
+// rates. The quick campaign (16 nodes, 500 null tasks) is the one
+// `flotilla-run --backend flux --nodes 16 --workload null --tasks 500
+// --seed 42` runs, whose stdout the flux_null_16_500_stdout test pins;
+// the rates are host timings, which perfbench measures and gates.
 //
 // Machine-readable output: lines starting with "KV " hold key=value pairs.
 #include <chrono>

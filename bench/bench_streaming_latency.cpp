@@ -16,14 +16,14 @@
 // knee). Both histograms now start at the client's accepted offer
 // (IngressService records them; see EXPERIMENTS.md).
 //
-// Machine-readable output: "KV key=value" lines feed
-// scripts/bench_snapshot.sh; submit_launch_p{50,99,999}_ms come from the
-// fixed below-knee SLO point (700 t/s offered) and
-// ingress_sustained_rate_per_s is the peak served rate over the sweep.
-// Both are gated against BENCH_baseline.json by scripts/bench_compare.py.
+// Machine-readable output: "KV key=value" lines;
+// submit_launch_p{50,99,999}_ms come from the fixed below-knee SLO point
+// (700 t/s offered) and ingress_sustained_rate_per_s is the peak served
+// rate over the sweep.
 //
-// FLOTILLA_BENCH_QUICK=1 trims the sweep and the per-rate offer count so
-// CI smoke stays in seconds; the SLO point is measured in both modes.
+// FLOTILLA_BENCH_QUICK=1 trims the sweep and the per-rate offer count;
+// the SLO point is measured in both modes. The quick run's whole stdout is
+// pinned by the bench_streaming_latency_quick_stdout test.
 #include <cstdlib>
 #include <iostream>
 

@@ -50,15 +50,10 @@ const TokenRule kTokenRules[] = {
 };
 
 const char* const kScopedDirs[] = {
-    "src/sim/",    "src/core/",      "src/slurm/", "src/flux/",
-    "src/prrte/",  "src/platform/",  "src/workloads/", "src/sched/",
-    "src/check/",  "src/obs/",       "src/analyze/",   "src/journal/",
-};
-
-const char* const kAllowlist[] = {
-    "dragon/function_executor",
-    "local/process_pool",
-    "util/logging",
+    "src/sim/",      "src/core/",      "src/slurm/",   "src/flux/",
+    "src/prrte/",    "src/platform/",  "src/workloads/", "src/sched/",
+    "src/check/",    "src/obs/",       "src/analyze/", "src/journal/",
+    "src/ingress/",  "src/analytics/",
 };
 
 bool is_ident(const Token& t) { return t.kind == TokenKind::kIdentifier; }
@@ -202,20 +197,14 @@ bool determinism_in_scope(const std::string& path) {
   for (const char* dir : kScopedDirs) {
     if (path.find(dir) != std::string::npos) return true;
   }
-  // Dragon is split: the simulated backend is scoped, the threaded
-  // executor/queue/channel layer is not.
+  // Dragon is split: the simulated backend and runtime are scoped, the
+  // threaded executor/queue/channel layer is not.
   if (path.find("src/dragon/") != std::string::npos) {
     const auto slash = path.rfind('/');
     const std::string base =
         slash == std::string::npos ? path : path.substr(slash + 1);
-    return base.find("_backend.") != std::string::npos;
-  }
-  return false;
-}
-
-bool determinism_allowlisted(const std::string& path) {
-  for (const char* entry : kAllowlist) {
-    if (path.find(entry) != std::string::npos) return true;
+    return base.find("_backend.") != std::string::npos ||
+           base.starts_with("runtime.");
   }
   return false;
 }
@@ -225,22 +214,17 @@ std::vector<std::string> DeterminismPass::rules() const {
           "unseeded-random", "wall-clock"};
 }
 
-void DeterminismPass::check_file(const SourceFile& file,
-                                 std::vector<Finding>* findings) {
-  run_token_rules(file, findings);
-  std::set<std::string> unordered_names;
-  collect_unordered_decls(file.lex.tokens, &unordered_names);
-  if (file.paired_header) {
-    collect_unordered_decls(file.paired_header->tokens, &unordered_names);
-  }
-  check_unordered_iteration(file, unordered_names, findings);
-}
-
 void DeterminismPass::run(const AnalysisInput& input,
                           std::vector<Finding>* findings) const {
   for (const SourceFile& file : input.files) {
     if (!file.determinism_scope) continue;
-    check_file(file, findings);
+    run_token_rules(file, findings);
+    std::set<std::string> unordered_names;
+    collect_unordered_decls(file.lex.tokens, &unordered_names);
+    if (file.paired_header) {
+      collect_unordered_decls(file.paired_header->tokens, &unordered_names);
+    }
+    check_unordered_iteration(file, unordered_names, findings);
   }
 }
 

@@ -1,5 +1,4 @@
-// Determinism rules, ported from the original line/regex flotilla-lint
-// onto the token stream (docs/correctness.md).
+// Determinism rules on the token stream (docs/correctness.md).
 //
 // Rules (unchanged ids and messages, so existing waivers keep working):
 //   wall-clock            host clocks in simulation code
@@ -21,14 +20,13 @@
 
 namespace flotilla::analyze {
 
-// Simulation-code scope: which files the determinism rules apply to when
-// scanning a tree. src/{sim,core,slurm,flux,prrte,platform,workloads,
-// sched,check,obs,analyze}/ plus the simulated dragon backend files.
-// Paths are matched '/'-normalized.
+// Simulation-code scope: which files the determinism rules apply to.
+// src/{sim,core,slurm,flux,prrte,platform,workloads,sched,check,obs,
+// analyze,journal,ingress,analytics}/ plus the simulated dragon backend
+// and runtime files; the real-threaded layers (the rest of src/dragon/,
+// src/local/, src/util/) are out of scope. Paths are matched
+// '/'-normalized.
 bool determinism_in_scope(const std::string& path);
-
-// Real-threaded execution layer, exempt even when named explicitly.
-bool determinism_allowlisted(const std::string& path);
 
 // Classifies toks[i] as an interprocedural taint source: returns
 // "wall-clock" or "unseeded-random" when the token (with the same
@@ -45,11 +43,6 @@ class DeterminismPass : public Pass {
   std::vector<std::string> rules() const override;
   void run(const AnalysisInput& input,
            std::vector<Finding>* findings) const override;
-
-  // Checks one file (used by the flotilla-lint compatibility driver,
-  // which does its own scope filtering).
-  static void check_file(const SourceFile& file,
-                         std::vector<Finding>* findings);
 };
 
 }  // namespace flotilla::analyze

@@ -38,8 +38,10 @@ std::string normalize(const std::string& path) {
   return out;
 }
 
-}  // namespace
-
+// Collects analyzable sources under each root (file roots are taken
+// verbatim, directory roots are walked recursively). Results are
+// '/'-normalized, sorted, deduped. False (with *error) when a root does
+// not exist.
 bool collect_sources(const std::vector<std::string>& roots,
                      std::vector<std::string>* paths, std::string* error) {
   for (const std::string& root : roots) {
@@ -71,6 +73,9 @@ bool collect_sources(const std::vector<std::string>& roots,
   return true;
 }
 
+// Loads one file: lex, body index, determinism scope, paired header (for
+// x.cpp, a sibling x.hpp or x.h). `display` is the path used in
+// diagnostics. False (with *error) when the file cannot be read.
 bool load_source(const std::string& path, const std::string& display,
                  SourceFile* out, std::string* error) {
   out->display = display;
@@ -79,8 +84,7 @@ bool load_source(const std::string& path, const std::string& display,
     return false;
   }
   out->bodies = build_bodies(out->lex);
-  out->determinism_scope =
-      determinism_in_scope(display) && !determinism_allowlisted(display);
+  out->determinism_scope = determinism_in_scope(display);
   const std::size_t dot = path.rfind('.');
   if (dot != std::string::npos) {
     const std::string ext = path.substr(dot);
@@ -99,6 +103,8 @@ bool load_source(const std::string& path, const std::string& display,
   return true;
 }
 
+// Drops findings whose line (or the line above) carries a well-formed
+// FLOTILLA_LINT_ALLOW waiver for the rule.
 void filter_waived(const AnalysisInput& input,
                    std::vector<Finding>* findings) {
   std::map<std::string, const LexedFile*> by_display;
@@ -114,6 +120,8 @@ void filter_waived(const AnalysisInput& input,
                      }),
       findings->end());
 }
+
+}  // namespace
 
 int run_driver(const DriverOptions& options, const PassRegistry& registry,
                std::ostream& out, std::ostream& err) {

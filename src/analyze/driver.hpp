@@ -1,9 +1,7 @@
-// Shared driver for the analysis tools.
-//
-// Both tools/flotilla_analyze.cpp and the flotilla-lint compatibility
-// front-end are thin argument parsers over this: file collection, lexing,
-// body indexing, waiver filtering, baseline suppression, and output
-// formatting all live here so the two binaries cannot drift.
+// Driver for flotilla-analyze: tools/flotilla_analyze.cpp is a thin
+// argument parser over this. File collection, lexing, body indexing,
+// waiver filtering (FLOTILLA_LINT_ALLOW), baseline suppression, and output
+// formatting all live here.
 #pragma once
 
 #include <iosfwd>
@@ -13,24 +11,6 @@
 #include "analyze/pass.hpp"
 
 namespace flotilla::analyze {
-
-// Collects analyzable sources (.cpp .cc .cxx .hpp .h .hh .ipp) under each
-// root (file roots are taken verbatim, directory roots are walked
-// recursively). Results are '/'-normalized, sorted, deduped. False (with
-// *error) when a root does not exist.
-bool collect_sources(const std::vector<std::string>& roots,
-                     std::vector<std::string>* paths, std::string* error);
-
-// Loads one file: lex, body index, determinism scope, paired header (for
-// x.cpp, a sibling x.hpp or x.h). `display` is the path used in
-// diagnostics. False (with *error) when the file cannot be read.
-bool load_source(const std::string& path, const std::string& display,
-                 SourceFile* out, std::string* error);
-
-// Drops findings whose line (or the line above) carries a well-formed
-// FLOTILLA_LINT_ALLOW waiver for the rule. `input` must contain the files
-// the findings refer to (matched by display path).
-void filter_waived(const AnalysisInput& input, std::vector<Finding>* findings);
 
 struct DriverOptions {
   std::vector<std::string> roots;  // files or directories to scan

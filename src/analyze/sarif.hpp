@@ -1,6 +1,5 @@
 // SARIF 2.1.0 emission (github.com/oasis-tcs/sarif-spec; the subset GitHub
-// code scanning ingests) plus the plain-text diagnostic format shared with
-// flotilla-lint.
+// code scanning ingests) plus the plain-text diagnostic format.
 //
 // Output is deterministic by construction: findings are emitted in sorted
 // order with a fixed field layout and no timestamps/absolute paths, so the

@@ -15,7 +15,6 @@
 #include "platform/calibration.hpp"
 #include "platform/cluster.hpp"
 #include "sim/engine.hpp"
-#include "util/config.hpp"
 #include "util/id_registry.hpp"
 
 namespace flotilla::core {

@@ -28,32 +28,44 @@ PlatformSpec spec_by_name(const std::string& name) {
               "' (known: frontier, summit, generic)");
 }
 
+namespace {
+
+// Reads `key` as an int in [lo, hi], checked before it narrows.
+int int_in_range(const util::Config& config, const std::string& key, long lo,
+                 long hi) {
+  const long value = config.get_int(key);
+  if (value < lo || value > hi) {
+    util::raise("config key '", key, "' out of range [", lo, ", ", hi,
+                "]: ", value);
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
 PlatformSpec spec_from_config(const util::Config& config) {
   const auto sub = config.subset("platform");
   PlatformSpec spec = spec_by_name(sub.get_string("name", "generic"));
   for (const auto& [key, value] : sub.entries()) {
     (void)value;
+    const std::string full = "platform." + key;
     if (key == "name") {
       continue;
     } else if (key == "cores_per_node") {
-      spec.cores_per_node = static_cast<int>(sub.get_int(key));
+      spec.cores_per_node = int_in_range(config, full, 1, 64);
     } else if (key == "gpus_per_node") {
-      spec.gpus_per_node = static_cast<int>(sub.get_int(key));
+      spec.gpus_per_node = int_in_range(config, full, 0, 8);
     } else if (key == "smt") {
-      spec.smt = static_cast<int>(sub.get_int(key));
+      spec.smt = int_in_range(config, full, 1, 8);
     } else if (key == "srun_ceiling") {
-      spec.srun_concurrency_ceiling = sub.get_int(key);
+      spec.srun_concurrency_ceiling = config.get_int(full);
       if (spec.srun_concurrency_ceiling <= 0) {
         spec.srun_concurrency_ceiling = 1 << 20;  // "unlimited"
       }
     } else {
-      util::raise("unknown platform config key 'platform.", key, "'");
+      util::raise("unknown platform config key '", full, "'");
     }
   }
-  FLOT_CHECK(spec.cores_per_node >= 1 && spec.cores_per_node <= 64,
-             "cores_per_node out of range: ", spec.cores_per_node);
-  FLOT_CHECK(spec.gpus_per_node >= 0 && spec.gpus_per_node <= 8,
-             "gpus_per_node out of range: ", spec.gpus_per_node);
   return spec;
 }
 
@@ -69,7 +81,7 @@ void apply(const util::Config& config, const std::string& prefix,
     const auto it = slots.find(key);
     FLOT_CHECK(it != slots.end(), "unknown calibration key '", prefix, ".",
                key, "'");
-    const double parsed = sub.get_double(key);
+    const double parsed = config.get_double(prefix + "." + key);
     FLOT_CHECK(std::isfinite(parsed) && parsed >= 0.0, "calibration key '",
                prefix, ".", key, "' must be finite and non-negative, got '",
                value, "'");

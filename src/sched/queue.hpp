@@ -93,7 +93,7 @@ class BackfillPolicy : public PriorityFifoPolicy {
 };
 
 // A policy-ordered queue of entries. Deques keep iteration deterministic
-// (the determinism lint forbids unordered containers on scheduling paths).
+// (the determinism rules forbid unordered iteration on scheduling paths).
 class TaskQueue {
  public:
   // The uid a trace span names for the unit in `slot`.

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -72,23 +73,43 @@ std::string Config::get_string(const std::string& key,
   return it == entries_.end() ? std::move(fallback) : it->second;
 }
 
+// A number has one text, as in scenario specs (check/spec.cpp): the whole
+// value goes through from_chars, which takes no blank, '+' or hex float.
+// An integer is written as to_string writes it, with no leading zero or
+// "-0".
 long Config::get_int(const std::string& key, long fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  FLOT_CHECK(end && *end == '\0', "config key ", key,
-             " is not an integer: ", it->second);
+  const std::string& text = it->second;
+  long value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  const std::string_view digits =
+      std::string_view(text).substr(text.starts_with('-') ? 1 : 0);
+  if (ec == std::errc::invalid_argument || end != last ||
+      (digits.starts_with('0') && text != "0")) {
+    raise("config key '", key, "' is not an integer: '", text, "'");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    raise("config key '", key, "' is out of range: '", text, "'");
+  }
   return value;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  FLOT_CHECK(end && *end == '\0', "config key ", key,
-             " is not a number: ", it->second);
+  const std::string& text = it->second;
+  double value = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value,
+                                         std::chars_format::general);
+  if (ec == std::errc::invalid_argument || end != last) {
+    raise("config key '", key, "' is not a number: '", text, "'");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    raise("config key '", key, "' is out of range: '", text, "'");
+  }
   return value;
 }
 
@@ -100,7 +121,7 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
                  [](unsigned char c) { return std::tolower(c); });
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  raise("config key ", key, " is not a boolean: ", it->second);
+  raise("config key '", key, "' is not a boolean: ", it->second);
 }
 
 Config Config::subset(const std::string& prefix) const {

@@ -31,6 +31,9 @@ class Config {
 
   std::string get_string(const std::string& key,
                          std::string fallback = "") const;
+  // Numbers are parsed whole, in one canonical text (no blank, '+', hex
+  // float, leading zero or "-0"); anything else, an empty value included,
+  // throws util::Error naming the key.
   long get_int(const std::string& key, long fallback = 0) const;
   double get_double(const std::string& key, double fallback = 0.0) const;
   bool get_bool(const std::string& key, bool fallback = false) const;

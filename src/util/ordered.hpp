@@ -3,7 +3,7 @@
 // Hash-map iteration order depends on the allocator, the stdlib, and the
 // insertion history — letting it drive event ordering silently breaks the
 // simulator's reproducibility guarantee (see docs/correctness.md and the
-// `unordered-iteration` rule in tools/flotilla_lint.cpp). Where a hot path
+// `unordered-iteration` rule in src/analyze/determinism.cpp). Where a hot path
 // genuinely needs a hash map, snapshot the keys with sorted_keys() and
 // iterate those instead.
 #pragma once

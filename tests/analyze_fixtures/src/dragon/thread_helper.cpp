@@ -1,6 +1,6 @@
-// Fixture: dragon scope. Does NOT match *_backend.*, so a directory scan
-// must skip it (the threaded execution layer may use real clocks). Named
-// explicitly on the command line it is still checked.
+// Fixture: dragon scope. Matches neither *_backend.* nor runtime.*, so it
+// is the threaded execution layer, which may use real clocks: no
+// determinism finding, whether scanned as a tree or named alone.
 #include <chrono>
 
 namespace fixture {

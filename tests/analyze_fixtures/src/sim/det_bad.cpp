@@ -1,5 +1,5 @@
-// Fixture: determinism violation in simulation scope — the ported
-// flotilla-lint rules must fire from the analyze pass registry too.
+// Fixture: determinism violation in simulation scope — the determinism
+// rules fire from the analyze pass registry.
 #include <chrono>
 
 namespace fixture {

@@ -4,7 +4,8 @@
 // detection against the seeded-violation fixture tree under
 // tests/analyze_fixtures/ (one positive and one negative fixture per
 // pass, including the PR1 ProcessPool callback-under-lock regression
-// shape and the interprocedural deadlock/taint seeds), SARIF output
+// shape and the interprocedural deadlock/taint seeds), the determinism
+// rules and their scope on named fixture files, SARIF output
 // parsed and sanity-checked in-test, the --jobs byte-identity guarantee,
 // and the baseline suppression round trip.
 //
@@ -23,6 +24,7 @@
 #include <sys/wait.h>
 
 #include "analyze/callgraph.hpp"
+#include "analyze/determinism.hpp"
 #include "analyze/lexer.hpp"
 #include "analyze/pass.hpp"
 #include "analyze/scopes.hpp"
@@ -345,12 +347,30 @@ TEST(AnalyzeLexerTest, WaiverRequiresRuleAndReason) {
 // Pass detection over the fixture tree
 // ---------------------------------------------------------------------------
 
+const char* const kWallClock =
+    "error: [wall-clock] wall-clock time in simulation code breaks "
+    "determinism; use sim::Engine::now()";
+const char* const kRandom =
+    "error: [unseeded-random] nondeterministic randomness in simulation "
+    "code; draw from a seeded sim::RngStream";
+
+std::string at(const std::string& where, const char* diagnostic) {
+  return where + ": " + diagnostic;
+}
+
+// One seeded violation per rule and scope edge. The determinism fixtures
+// cover each of the five rules, the scoped dragon backend, the ingress
+// scope, and the waiver: waived.cpp line 9 carries a waiver with a reason
+// and is absent, line 13's waiver has none and is reported.
 TEST(AnalyzeToolTest, FixtureScanReportsEverySeededViolation) {
   const RunResult result = run_analyze(fixture_args());
   EXPECT_EQ(result.exit_code, 1);
 
   const std::string conf = fixtures() + "/layers.conf";
   const std::vector<std::string> expected = {
+      at("src/core/bad_random.cpp:8", kRandom),
+      at("src/core/bad_random.cpp:14", kRandom),
+      at("src/core/bad_random.cpp:15", kRandom),
       "src/core/cycle_a.hpp:4: error: [arch-cycle] include cycle between: "
       "src/core/cycle_a.hpp <-> src/core/cycle_b.hpp",
       "src/core/ipc_deadlock.cpp:16: error: [ipc-self-deadlock] call to "
@@ -381,40 +401,197 @@ TEST(AnalyzeToolTest, FixtureScanReportsEverySeededViolation) {
       "src/core/span_bad.cpp:21: error: [span-balance] early return leaks "
       "span 'kTaskSubmit' begun at line 19 in 'submit' (closed at line "
       "23); close the span before returning",
+      at("src/dragon/sim_backend.cpp:9", kWallClock),
+      "src/flux/bad_sleep.cpp:8: error: [real-sleep] real sleeping in "
+      "simulation code; model delays as simulated events",
+      at("src/ingress/arrival_clock.cpp:8", kWallClock),
       "src/orphan/unmapped.hpp:1: error: [arch-unmapped] file is not "
       "covered by any layer prefix in " +
           conf + "; add it to a layer",
+      "src/platform/bad_hw_concurrency.cpp:8: error: "
+      "[hardware-concurrency] host-dependent concurrency breaks "
+      "reproducibility; take worker counts from configuration",
       "src/sched/bad_layering.cpp:3: error: [arch-layering] include of "
       "\"core/pool.hpp\" makes layer 'sched' depend on layer 'core', "
       "which the declared DAG in " +
           conf + " forbids",
-      "src/sim/det_bad.cpp:8: error: [wall-clock] wall-clock time in "
-      "simulation code breaks determinism; use sim::Engine::now()",
+      at("src/sim/bad_wall_clock.cpp:8", kWallClock),
+      at("src/sim/bad_wall_clock.cpp:13", kWallClock),
+      at("src/sim/bad_wall_clock.cpp:15", kWallClock),
+      at("src/sim/bad_wall_clock.cpp:20", kWallClock),
+      at("src/sim/det_bad.cpp:8", kWallClock),
       "src/sim/ipc_taint.cpp:20: error: [ipc-determinism] trace span "
       "takes a value from 'stamp': 'stamp' (via 'wall_seconds') reads "
       "wall-clock time; trace content must be simulation-deterministic "
       "(derive it from sim time or a seeded RngStream)",
+      "src/slurm/bad_unordered.cpp:18: error: [unordered-iteration] "
+      "iteration over unordered container 'active_' can feed event "
+      "ordering; iterate util::sorted_keys() or use an ordered container",
+      "src/slurm/bad_unordered.cpp:22: error: [unordered-iteration] "
+      "iteration over unordered container 'drained' can feed event "
+      "ordering; iterate util::sorted_keys() or use an ordered container",
+      at("src/workloads/waived.cpp:13", kWallClock),
   };
   EXPECT_EQ(result.lines, expected);
 }
 
 // The negative fixtures (correct lock handling per the PR1 fix, balanced
-// and event-driven spans, comment/string-only determinism mentions, a
-// waived call, lock-released-before-the-call interprocedural shapes, and
-// a deterministic span payload) are part of the tree scanned above; none
-// of them may appear in the diagnostics. Scanning them alone must come
-// back clean.
+// and event-driven spans, comment/string-only determinism mentions, sorted
+// iteration over a hash map, a waived call, lock-released-before-the-call
+// interprocedural shapes, a deterministic span payload, and host clocks
+// outside the simulation scope: the threaded dragon layer and src/util/)
+// are part of the tree scanned above; none of them may appear in the
+// diagnostics. Scanning them alone must come back clean: naming a file
+// does not widen the scope.
 TEST(AnalyzeToolTest, NegativeFixturesStayClean) {
   for (const char* rel :
        {"src/core/lock_ok.cpp", "src/core/span_ok.cpp",
-        "src/core/ipc_lock_ok.cpp", "src/sim/det_ok.cpp",
+        "src/core/ipc_lock_ok.cpp", "src/core/clean_component.cpp",
+        "src/dragon/thread_helper.cpp", "src/sim/det_ok.cpp",
         "src/sim/ipc_taint_ok.cpp", "src/util/helpers.hpp",
-        "src/util/wallclock.hpp"}) {
+        "src/util/timestamp.cpp", "src/util/wallclock.hpp"}) {
     const RunResult result = run_analyze(
         "--layers " + fixtures() + "/layers.conf --strip-prefix " +
         fixtures() + "/ " + fixtures() + "/" + rel);
     EXPECT_EQ(result.exit_code, 0) << rel;
     EXPECT_TRUE(result.lines.empty()) << rel << ": " << result.lines[0];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Determinism rules on named fixture files
+// ---------------------------------------------------------------------------
+
+// Arguments that scan only the named files of the fixture tree.
+std::string fixture_file_args(const std::vector<std::string>& rels) {
+  std::string args = "--layers " + fixtures() + "/layers.conf --strip-prefix " +
+                     fixtures() + "/";
+  for (const std::string& rel : rels) args += " " + fixtures() + "/" + rel;
+  return args;
+}
+
+// The determinism fixtures alone, one violation class per file: exactly
+// the five rules' diagnostics, and none of the other passes' seeds.
+TEST(LintTest, FixtureScanReportsExactDiagnostics) {
+  const RunResult result = run_analyze(fixture_file_args(
+      {"src/core/bad_random.cpp", "src/core/clean_component.cpp",
+       "src/dragon/sim_backend.cpp", "src/dragon/thread_helper.cpp",
+       "src/flux/bad_sleep.cpp", "src/platform/bad_hw_concurrency.cpp",
+       "src/sim/bad_wall_clock.cpp", "src/slurm/bad_unordered.cpp",
+       "src/util/timestamp.cpp", "src/workloads/waived.cpp"}));
+  EXPECT_EQ(result.exit_code, 1);
+
+  const std::vector<std::string> expected = {
+      at("src/core/bad_random.cpp:8", kRandom),
+      at("src/core/bad_random.cpp:14", kRandom),
+      at("src/core/bad_random.cpp:15", kRandom),
+      at("src/dragon/sim_backend.cpp:9", kWallClock),
+      "src/flux/bad_sleep.cpp:8: error: [real-sleep] real sleeping in "
+      "simulation code; model delays as simulated events",
+      "src/platform/bad_hw_concurrency.cpp:8: error: "
+      "[hardware-concurrency] host-dependent concurrency breaks "
+      "reproducibility; take worker counts from configuration",
+      at("src/sim/bad_wall_clock.cpp:8", kWallClock),
+      at("src/sim/bad_wall_clock.cpp:13", kWallClock),
+      at("src/sim/bad_wall_clock.cpp:15", kWallClock),
+      at("src/sim/bad_wall_clock.cpp:20", kWallClock),
+      "src/slurm/bad_unordered.cpp:18: error: [unordered-iteration] "
+      "iteration over unordered container 'active_' can feed event "
+      "ordering; iterate util::sorted_keys() or use an ordered container",
+      "src/slurm/bad_unordered.cpp:22: error: [unordered-iteration] "
+      "iteration over unordered container 'drained' can feed event "
+      "ordering; iterate util::sorted_keys() or use an ordered container",
+      at("src/workloads/waived.cpp:13", kWallClock),
+  };
+  EXPECT_EQ(result.lines, expected);
+}
+
+// A well-formed waiver (rule id + reason) suppresses; one without a reason
+// does not: waived.cpp line 9 is absent, line 13 present.
+TEST(LintTest, WaiverRequiresReason) {
+  const RunResult result =
+      run_analyze(fixture_file_args({"src/workloads/waived.cpp"}));
+  EXPECT_EQ(result.exit_code, 1);
+  const std::vector<std::string> expected = {
+      at("src/workloads/waived.cpp:13", kWallClock)};
+  EXPECT_EQ(result.lines, expected);
+}
+
+// Naming a file neither widens nor narrows the scope: the threaded dragon
+// helper and the src/util/ clock stay unchecked next to a scoped dragon
+// backend, whose violation is still reported.
+TEST(LintTest, ExplicitFileHonoursScope) {
+  const RunResult result = run_analyze(fixture_file_args(
+      {"src/dragon/thread_helper.cpp", "src/util/timestamp.cpp",
+       "src/dragon/sim_backend.cpp"}));
+  EXPECT_EQ(result.exit_code, 1);
+  const std::vector<std::string> expected = {
+      at("src/dragon/sim_backend.cpp:9", kWallClock)};
+  EXPECT_EQ(result.lines, expected);
+}
+
+// The arrival processes drive simulated offers: a host clock under
+// src/ingress/ is a finding.
+TEST(LintTest, IngressArrivalClockIsReported) {
+  const RunResult result =
+      run_analyze(fixture_file_args({"src/ingress/arrival_clock.cpp"}));
+  EXPECT_EQ(result.exit_code, 1);
+  const std::vector<std::string> expected = {
+      at("src/ingress/arrival_clock.cpp:8", kWallClock)};
+  EXPECT_EQ(result.lines, expected);
+}
+
+// Counter-example file: rand() and steady_clock in comments and string
+// literals, and iteration over a sorted snapshot of a hash map, produce no
+// diagnostics. The lookalikes must really be there for this to mean
+// anything.
+TEST(LintTest, CleanFixtureIsClean) {
+  const std::string text =
+      read_file(fixtures() + "/src/core/clean_component.cpp");
+  for (const char* lookalike : {"rand()", "steady_clock", "unordered_map"}) {
+    EXPECT_NE(text.find(lookalike), std::string::npos) << lookalike;
+  }
+  const RunResult result =
+      run_analyze(fixture_file_args({"src/core/clean_component.cpp"}));
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.lines.empty());
+}
+
+// The real src/ tree is clean without any baseline: no determinism
+// finding may be grandfathered.
+TEST(LintTest, RepoSourceTreeIsClean) {
+  const RunResult result =
+      run_command(std::string("cd ") + FLOTILLA_REPO_ROOT + " && " +
+                  FLOTILLA_ANALYZE_BIN + " src 2>/dev/null");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.lines.empty());
+}
+
+TEST(LintTest, ListRulesNamesEveryRule) {
+  const std::vector<std::string> expected = {
+      "hardware-concurrency", "real-sleep", "unordered-iteration",
+      "unseeded-random", "wall-clock"};
+  EXPECT_EQ(fa::DeterminismPass().rules(), expected);
+}
+
+TEST(LintTest, ScopeCoversIngressAnalyticsAndDragonRuntime) {
+  for (const char* path :
+       {"src/ingress/arrival.cpp", "src/ingress/ingress.hpp",
+        "src/analytics/timeline.cpp", "src/dragon/runtime.cpp",
+        "src/dragon/runtime.hpp", "src/dragon/dragon_backend.cpp",
+        "/checkout/src/sim/engine.cpp"}) {
+    EXPECT_TRUE(fa::determinism_in_scope(path)) << path;
+  }
+}
+
+// The real-threaded execution layers may use host clocks and threads.
+TEST(LintTest, ScopeLeavesThreadedLayersOut) {
+  for (const char* path :
+       {"src/dragon/function_executor.cpp", "src/dragon/shmem_channel.hpp",
+        "src/dragon/mpmc_queue.hpp", "src/dragon/pipeline.hpp",
+        "src/local/process_pool.cpp", "src/util/config.cpp",
+        "tools/flotilla_run.cpp"}) {
+    EXPECT_FALSE(fa::determinism_in_scope(path)) << path;
   }
 }
 
@@ -435,7 +612,7 @@ TEST(AnalyzeToolTest, SarifIsValidJsonWithOneResultPerFinding) {
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
   EXPECT_NE(sarif.find("\"name\": \"flotilla-analyze\""), std::string::npos);
-  EXPECT_EQ(count_occurrences(sarif, "\"ruleId\""), 13u);
+  EXPECT_EQ(count_occurrences(sarif, "\"ruleId\""), 27u);
   // Spot-check one physical location end to end.
   EXPECT_NE(sarif.find("\"ruleId\": \"span-balance\""), std::string::npos);
   EXPECT_NE(sarif.find("\"uri\": \"src/core/span_bad.cpp\""),
@@ -511,8 +688,8 @@ TEST(AnalyzeToolTest, BaselineRoundTripSuppressesGrandfatheredFindings) {
   const std::string sarif = read_file(out);
   JsonChecker checker(sarif);
   EXPECT_TRUE(checker.valid());
-  EXPECT_EQ(count_occurrences(sarif, "\"ruleId\""), 13u);
-  EXPECT_EQ(count_occurrences(sarif, "\"suppressions\""), 13u);
+  EXPECT_EQ(count_occurrences(sarif, "\"ruleId\""), 27u);
+  EXPECT_EQ(count_occurrences(sarif, "\"suppressions\""), 27u);
 
   // Dropping one entry makes exactly that finding fresh again.
   std::string text = read_file(baseline);

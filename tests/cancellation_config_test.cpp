@@ -195,6 +195,42 @@ TEST(SpecConfig, RejectsNonFiniteAndNegativeCalibrationValues) {
   }
 }
 
+// Config numbers parse whole, in one text: each value below used to run
+// (an empty cost as 0, a hex float as 0.125, an empty smt as 0, and a core
+// count that wrapped to 1 on the long -> int cast). Each is now an error
+// naming its key.
+std::string config_error(const char* pair) {
+  const auto config = util::Config::from_pairs({pair});
+  try {
+    (void)platform::spec_from_config(config);
+    (void)platform::calibration_from_config(config);
+  } catch (const util::Error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(SpecConfig, RejectsAnEmptyCalibrationValue) {
+  EXPECT_EQ(config_error("flux.sched_cost="),
+            "config key 'flux.sched_cost' is not a number: ''");
+}
+
+TEST(SpecConfig, RejectsAHexFloatCalibrationValue) {
+  EXPECT_EQ(config_error("flux.sched_cost=0x1p-3"),
+            "config key 'flux.sched_cost' is not a number: '0x1p-3'");
+}
+
+TEST(SpecConfig, RejectsAnEmptyPlatformInteger) {
+  EXPECT_EQ(config_error("platform.smt="),
+            "config key 'platform.smt' is not an integer: ''");
+}
+
+TEST(SpecConfig, RejectsACoreCountThatWouldWrapOnNarrowing) {
+  EXPECT_EQ(config_error("platform.cores_per_node=4294967297"),
+            "config key 'platform.cores_per_node' out of range [1, 64]: "
+            "4294967297");
+}
+
 TEST(SpecConfig, SummitSessionRunsEndToEnd) {
   // A Summit-profile pilot executes a workload: 42-core nodes, no srun
   // ceiling (the Fig 4 plateau disappears).

@@ -479,5 +479,34 @@ TEST(FlotillaRunConfig, RefusesNonFiniteCalibrationValues) {
   }
 }
 
+// Numbers the config used to take in some other text, or wrap, are refused
+// with their key before anything runs.
+TEST(FlotillaRunConfig, RefusesMalformedNumbers) {
+  const TempDir dir;
+  const struct {
+    const char* line;
+    const char* key;
+  } cases[] = {
+      {"flux.sched_cost =", "flux.sched_cost"},
+      {"flux.sched_cost = 0x1p-3", "flux.sched_cost"},
+      {"platform.smt =", "platform.smt"},
+      {"platform.cores_per_node = 4294967297", "platform.cores_per_node"},
+  };
+  int n = 0;
+  for (const auto& c : cases) {
+    const auto path = dir.file("numbers-" + std::to_string(n++) + ".conf");
+    std::ofstream(path) << c.line << "\n";
+    const auto result = run_tool(
+        "--backend flux --nodes 4 --workload null --tasks 20 --seed 1 "
+        "--config " + path);
+    EXPECT_EQ(result.exit_code, 2) << c.line << "\n" << result.output;
+    EXPECT_NE(result.output.find(std::string("config key '") + c.key + "'"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("tasks done/failed"), std::string::npos)
+        << result.output;
+  }
+}
+
 }  // namespace
 }  // namespace flotilla::util

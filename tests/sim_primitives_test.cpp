@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/server.hpp"
@@ -483,59 +482,6 @@ TEST(FanOut, HoldsAgreeWithEagerSubmitsOnRandomSchedules) {
   // The schedules did exercise elision and crashes.
   EXPECT_LT(holding_events, eager_events);
   EXPECT_GT(crashes, 0);
-}
-
-// ----------------------------------------------------------------- Channel
-
-TEST(Channel, PushThenPopDelivers) {
-  Engine engine;
-  Channel<int> chan(engine);
-  chan.push(7);
-  int got = 0;
-  chan.pop([&](int v) { got = v; });
-  engine.run();
-  EXPECT_EQ(got, 7);
-}
-
-TEST(Channel, PopThenPushDelivers) {
-  Engine engine;
-  Channel<int> chan(engine);
-  int got = 0;
-  chan.pop([&](int v) { got = v; });
-  EXPECT_EQ(chan.waiting_consumers(), 1u);
-  chan.push(9);
-  engine.run();
-  EXPECT_EQ(got, 9);
-}
-
-TEST(Channel, PreservesFifoOrder) {
-  Engine engine;
-  Channel<int> chan(engine);
-  std::vector<int> got;
-  for (int i = 0; i < 5; ++i) chan.push(i);
-  for (int i = 0; i < 5; ++i) chan.pop([&](int v) { got.push_back(v); });
-  engine.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, DrainReceivesBacklogAndFuture) {
-  Engine engine;
-  Channel<std::string> chan(engine);
-  chan.push("a");
-  chan.push("b");
-  std::vector<std::string> got;
-  chan.drain([&](std::string v) { got.push_back(std::move(v)); });
-  engine.run();
-  chan.push("c");
-  engine.run();
-  EXPECT_EQ(got, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Channel, PopAfterDrainThrows) {
-  Engine engine;
-  Channel<int> chan(engine);
-  chan.drain([](int) {});
-  EXPECT_THROW(chan.pop([](int) {}), util::Error);
 }
 
 // ------------------------------------------------------------------- Stats

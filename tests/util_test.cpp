@@ -11,7 +11,6 @@
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/id_registry.hpp"
-#include "util/logging.hpp"
 #include "util/slot_table.hpp"
 #include "util/strfmt.hpp"
 
@@ -83,9 +82,19 @@ TEST(Config, TypedGettersFallBack) {
   EXPECT_EQ(config.get_string("missing", "x"), "x");
 }
 
+// A number has one text: the whole value, no '+', hex, leading zero or
+// "-0", and nothing empty.
 TEST(Config, TypedGettersRejectGarbage) {
-  const auto config = Config::from_pairs({"n=abc"});
-  EXPECT_THROW(config.get_int("n", 0), Error);
+  for (const char* text :
+       {"abc", "", "+1", "01", "-0", "1.5", "1e3", "0x10", "12abc", "1 2",
+        "99999999999999999999"}) {
+    const auto bad = Config::from_pairs({std::string("n=") + text});
+    EXPECT_THROW(bad.get_int("n", 0), Error) << "'" << text << "'";
+  }
+  for (const char* text : {"", "+1.5", "0x1p-3", "1.5x", "1e999", "-"}) {
+    const auto bad = Config::from_pairs({std::string("x=") + text});
+    EXPECT_THROW(bad.get_double("x"), Error) << "'" << text << "'";
+  }
 }
 
 TEST(Config, BoolAcceptsCommonSpellings) {
@@ -207,28 +216,6 @@ TEST(SlotTable, ClaimsReusesAndResetsWhenEmptied) {
   EXPECT_EQ(table.claim("again"), 0u);
   EXPECT_EQ(table.claim("next"), 1u);
   EXPECT_EQ(&table[0], first);  // the first chunk stays
-}
-
-TEST(Logging, RespectsLevelThreshold) {
-  auto sink = std::make_shared<CaptureSink>();
-  LogRegistry::instance().set_sink(sink);
-  LogRegistry::instance().set_level(LogLevel::kInfo);
-  Logger log("test");
-  log.debug("hidden");
-  log.info("visible ", 1);
-  log.error("boom");
-  LogRegistry::instance().set_sink(nullptr);
-
-  const auto lines = sink->lines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[INFO] test: visible 1");
-  EXPECT_EQ(lines[1], "[ERROR] test: boom");
-}
-
-TEST(Logging, LevelRoundTrip) {
-  EXPECT_EQ(log_level_from_string("trace"), LogLevel::kTrace);
-  EXPECT_EQ(log_level_from_string("error"), LogLevel::kError);
-  EXPECT_EQ(to_string(LogLevel::kWarn), "WARN");
 }
 
 TEST(Error, FlotCheckThrowsWithContext) {

@@ -11,7 +11,7 @@
 //                  (lock-callback, lock-virtual, lock-order)
 //   spans          obs::Tracer begin/end pairs leaked by early returns
 //                  (span-balance)
-//   determinism    the five flotilla-lint rules, on the token stream
+//   determinism    the five determinism rules, on the token stream
 //                  (wall-clock, unseeded-random, hardware-concurrency,
 //                  real-sleep, unordered-iteration)
 //   ipc-locks      interprocedural lock discipline over the call graph:
