@@ -1,11 +1,15 @@
 // Microbenchmarks (google-benchmark) of the hot paths every experiment
-// rides on: the DES engine, the queueing primitives, placement, and the
-// real threaded components.
+// rides on: the DES engine, the queueing primitives, placement, the
+// journal codec, and the real threaded components.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "dragon/function_executor.hpp"
 #include "dragon/mpmc_queue.hpp"
 #include "dragon/shmem_channel.hpp"
+#include "journal/journal.hpp"
+#include "journal/record.hpp"
 #include "platform/cluster.hpp"
 #include "sched/placement_policy.hpp"
 #include "sim/engine.hpp"
@@ -150,6 +154,65 @@ void BM_FunctionExecutorSubmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FunctionExecutorSubmit);
+
+// One dragon task edge into a reused line, as the journal writer encodes
+// it on every task lifecycle change.
+void BM_JournalEncodeTransition(benchmark::State& state) {
+  std::string line;
+  double t = 62.267854373;
+  core::TaskId task = 100;
+  for (auto _ : state) {
+    journal::encode_transition(line, t, task, core::TaskState::kRunning,
+                               "dragon", 1);
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+    t += 1.0e-3;
+    ++task;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JournalEncodeTransition);
+
+// One node capacity change into a reused line.
+void BM_JournalEncodeAlloc(benchmark::State& state) {
+  std::string line;
+  double t = 62.267854373;
+  std::int64_t node = 0;
+  for (auto _ : state) {
+    journal::encode_alloc(line, t, node, -8, 0);
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+    t += 1.0e-3;
+    node = (node + 1) % 9408;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JournalEncodeAlloc);
+
+// Decodes a 150,000-record journal, the size perfbench cuts for its
+// recovery measurement: a header, then task edges and node changes.
+void BM_JournalRead(benchmark::State& state) {
+  constexpr int kRecords = 150'000;
+  journal::Writer writer;
+  writer.append(journal::header_record(42, "tool=bench;workload=micro"));
+  double t = 0.0;
+  for (int i = 1; i < kRecords; ++i) {
+    t += 1.7e-4;
+    if (i % 4 == 3) {
+      writer.append_alloc(t, i % 64, i % 8 == 3 ? -1 : 1, 0);
+    } else {
+      writer.append_transition(t, static_cast<core::TaskId>(i / 3),
+                               static_cast<core::TaskState>(i % 10),
+                               i % 3 == 0 ? "" : "flux", i % 3 == 2);
+    }
+  }
+  for (auto _ : state) {
+    const auto result = journal::read(writer.bytes());
+    benchmark::DoNotOptimize(result.records.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_JournalRead)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

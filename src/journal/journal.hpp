@@ -58,9 +58,9 @@ class Writer {
   std::size_t records_ = 0;
   // The line being appended, reused so encoding allocates nothing. Encoding
   // straight into bytes_ would save the copy, but it shifts where the
-  // buffer's capacity doubling starts (from the header's length), and on
-  // the service_journal benchmark that raised peak memory from 119 to
-  // 170 MB.
+  // buffer's capacity doubling starts (from the header's length), and with
+  // it peak memory: 119 to 170 MB on the service_journal benchmark when
+  // measured on the v=1 format, not re-measured since (docs/recovery.md).
   std::string line_;
 };
 
@@ -83,13 +83,16 @@ struct ReadResult {
   bool intact() const { return !corrupt; }
 };
 
-// Decodes journal bytes. Never throws: damage is reported in the result
-// so callers can decide whether a torn tail is acceptable (recovery) or
-// any damage is fatal (the codec tests). Fields must be in their canonical
-// form; a time in particular must match (0|[1-9][0-9]*)\.[0-9]{9} and be
-// finite, so anything decoded re-encodes to the same bytes. A header of
-// another format version is corruption at its index, labeled
-// "unsupported journal version N (this build reads v=2)".
+// Decodes journal bytes, each complete line in one left-to-right scan
+// that checks its checksum as it decodes its fields. Never throws: damage
+// is reported in the result so callers can decide whether a torn tail is
+// acceptable (recovery) or any damage is fatal (the codec tests). Fields
+// must be in their canonical form; a time in particular must match
+// (0|[1-9][0-9]*)\.[0-9]{9} and be finite, so anything decoded re-encodes
+// to the same bytes. A header of another format version is corruption at
+// its index, labeled "unsupported journal version N (this build reads
+// v=2)". Allocates the record vector, sized by a count of the lines, and
+// nothing per line whose text fields fit a std::string in place.
 ReadResult read(std::string_view bytes);
 
 }  // namespace flotilla::journal

@@ -1,22 +1,23 @@
-// The journal's one encoder. Every line is assembled by a LineBuilder:
-// numbers are formatted into the builder's own buffer and string fields
-// are checked for delimiters first, then the caller-owned line is sized
-// once and each piece is copied in through a pointer, followed by the
-// FNV-1a-32 checksum in hex and '\n'. Optional fields (a task's backend
-// and attempt, an alloc's GPUs, a fault's backend) are left out when they
-// hold their default, empty or zero. Times go through an exact integer
-// formatter (append_time); integers through std::to_chars. Nothing here
-// allocates once the line has the capacity of a record, which is why the
-// writer and the scribe keep one and reuse it.
+// The journal's one encoder. A record type's fields are listed once, and
+// encode_line() walks them twice: the first pass checks string fields for
+// delimiters and adds up the line's size, the second sizes the
+// caller-owned line once and writes each field straight into it, folding
+// every byte into the FNV-1a-32 checksum as it goes, then appends the
+// checksum in hex and '\n'. Optional fields (a task's backend and
+// attempt, an alloc's GPUs, a fault's backend) are left out when they hold
+// their default, empty or zero. Times go through an exact integer
+// formatter (append_time) before either pass; integers through
+// std::to_chars. Nothing here allocates once the line has the capacity of
+// a record, which is why the writer and the scribe keep one and reuse it.
 #include "journal/record.hpp"
 
-#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstring>
 #include <system_error>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -69,10 +70,18 @@ char* write_time(char* first, sim::Time time) {
                                 nanos / kNanosPerSecond)
                       .ptr;
       *end = '.';
-      std::uint64_t fraction = nanos % kNanosPerSecond;
-      for (int i = 9; i > 0; --i) {
-        end[i] = static_cast<char>('0' + fraction % 10);
-        fraction /= 10;
+      // The 9 decimals as two independent digit runs, 4 and 5 long.
+      const auto fraction =
+          static_cast<std::uint32_t>(nanos % kNanosPerSecond);
+      std::uint32_t high = fraction / 100'000;
+      std::uint32_t low = fraction % 100'000;
+      for (int i = 4; i > 0; --i) {
+        end[i] = static_cast<char>('0' + high % 10);
+        high /= 10;
+      }
+      for (int i = 9; i > 4; --i) {
+        end[i] = static_cast<char>('0' + low % 10);
+        low /= 10;
       }
       return end + 10;
     }
@@ -85,109 +94,265 @@ char* write_time(char* first, sim::Time time) {
   return end;
 }
 
-// One line under construction: the tag, then its fields in order, each
-// either positional ("|value") or keyed ("|k=value"). Every value is
-// validated and, for numbers and times, formatted into the builder's own
-// buffer as it is added, so an error raises before write() touches the
-// output line.
-class LineBuilder {
+// A formatted, checked time field, ready to be copied into a line.
+struct TimeText {
+  explicit TimeText(sim::Time time)
+      : size(static_cast<std::size_t>(write_time(chars, time) - chars)) {}
+  std::string_view view() const { return {chars, size}; }
+
+  char chars[kMaxTimeChars];
+  std::size_t size;
+};
+
+template <std::integral Int>
+std::size_t decimal_width(Int value) {
+  std::make_unsigned_t<Int> magnitude = value;
+  std::size_t width = 1;
+  if constexpr (std::is_signed_v<Int>) {
+    if (value < 0) {
+      magnitude = 0 - magnitude;
+      ++width;
+    }
+  }
+  for (; magnitude >= 10; magnitude /= 10) ++width;
+  return width;
+}
+
+[[noreturn]] void raise_delimiter(std::string_view name,
+                                  std::string_view value) {
+  util::raise("journal: field '", name, "' contains a record delimiter: ",
+              value);
+}
+
+void check_text(std::string_view name, std::string_view value) {
+  for (const char c : value) {
+    if (c == '|' || c == '\n') raise_delimiter(name, value);
+  }
+}
+
+// A line's fields are listed once per record type, in a generic lambda
+// that encode_line() runs twice: over a LineSize, which checks every field
+// and adds up the bytes it takes without writing anything, then over a
+// LinePut, which writes each field straight into the caller's line. The
+// fields are the tag's positional ones ("|value") and its keyed ones
+// ("|k=value"). Times and task state codes are formatted and checked
+// before either pass, so nothing that can raise runs once the line is
+// touched.
+class LineSize {
  public:
-  explicit LineBuilder(RecordType type)
-      : tag_(wire_tag(type)),
-        // The header keeps the checksum marker every version shares.
-        marker_(type == RecordType::kHeader ? "|h=" : "|"),
-        size_(tag_.size()) {}
-  LineBuilder(const LineBuilder&) = delete;
-  LineBuilder& operator=(const LineBuilder&) = delete;
-
-  // A keyed text field.
-  void text(std::string_view key, std::string_view value) {
-    check_text(key, value);
-    add(key, value);
+  void timestamp(const TimeText& time) { bytes_ += 1 + time.size; }
+  void state(char /*code*/) { bytes_ += 2; }
+  template <std::integral Int>
+  void integer(Int value) {
+    bytes_ += 1 + decimal_width(value);
   }
-
-  // A positional text field; `name` labels the error.
-  void positional_text(std::string_view name, std::string_view value) {
-    check_text(name, value);
-    add({}, value);
-  }
-
-  // A number; an empty `key` makes the field positional.
   template <std::integral Int>
   void integer(std::string_view key, Int value) {
-    char* end = std::to_chars(free_, numbers_.data() + numbers_.size(), value)
-                    .ptr;
-    add(key, std::string_view(free_, static_cast<std::size_t>(end - free_)));
-    free_ = end;
+    bytes_ += 2 + key.size() + decimal_width(value);
+  }
+  // `name` labels the error.
+  void positional_text(std::string_view name, std::string_view value) {
+    check_text(name, value);
+    bytes_ += 1 + value.size();
+  }
+  void text(std::string_view key, std::string_view value) {
+    check_text(key, value);
+    bytes_ += 2 + key.size() + value.size();
   }
 
-  void timestamp(sim::Time time) {
-    char* end = write_time(free_, time);
-    add({}, std::string_view(free_, static_cast<std::size_t>(end - free_)));
-    free_ = end;
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+// Where a line ends: after its checksum and '\n', as the journal holds it,
+// or at the checksum marker. A line of this encoder's is a function of the
+// bytes up to its marker, so comparing those compares the lines.
+enum class Ending { kChecksummed, kAtMarker };
+
+// Writes a line front to back into a buffer sized for it, folding every
+// byte into the FNV-1a-32 checksum as it goes when the line is checksummed.
+template <Ending kEnding>
+class LinePut {
+ public:
+  // Writes the tag at `first`; the line ends at `last`.
+  LinePut(char* first, char* last, std::string_view tag,
+          std::string_view marker)
+      : marker_(marker), p_(first), end_(last) {
+    put(tag);
+  }
+  LinePut(const LinePut&) = delete;
+  LinePut& operator=(const LinePut&) = delete;
+
+  void timestamp(const TimeText& time) {
+    put('|');
+    put(time.view());
+  }
+  void state(char code) {
+    put('|');
+    put(code);
+  }
+  template <std::integral Int>
+  void integer(Int value) {
+    put('|');
+    number(value);
+  }
+  template <std::integral Int>
+  void integer(std::string_view key, Int value) {
+    keyed(key);
+    number(value);
+  }
+  void positional_text(std::string_view /*name*/, std::string_view value) {
+    put('|');
+    put(value);
+  }
+  void text(std::string_view key, std::string_view value) {
+    keyed(key);
+    put(value);
   }
 
-  void state(core::TaskState state) {
-    *free_ = state_code(state);
-    add({}, std::string_view(free_, 1));
-    ++free_;
-  }
-
-  // Overwrites `line` with the record, the checksum marker, the checksum
-  // of every byte before the hex digits, and '\n'.
-  void write(std::string& line) const {
-    static constexpr char kHex[] = "0123456789abcdef";
-    const std::size_t covered = size_ + marker_.size();
-    line.resize(covered + 9);
-    char* p = copy(line.data(), tag_);
-    for (std::size_t i = 0; i < count_; ++i) {
-      *p++ = '|';
-      if (!fields_[i].key.empty()) {
-        p = copy(p, fields_[i].key);
-        *p++ = '=';
+  // The checksum marker, then, when checksummed, the checksum of every byte
+  // before its hex digits, and '\n'.
+  void finish() {
+    put(marker_);
+    if constexpr (kEnding == Ending::kChecksummed) {
+      static constexpr char kHex[] = "0123456789abcdef";
+      std::uint32_t sum = hash_;
+      for (int i = 7; i >= 0; --i) {
+        p_[i] = kHex[sum & 0xfu];
+        sum >>= 4;
       }
-      p = copy(p, fields_[i].value);
+      p_[8] = '\n';
     }
-    p = copy(p, marker_);
-    std::uint32_t sum = fnv1a32(std::string_view(line.data(), covered));
-    for (int i = 7; i >= 0; --i) {
-      p[i] = kHex[sum & 0xfu];
-      sum >>= 4;
-    }
-    p[8] = '\n';
   }
 
  private:
-  struct Field {
-    std::string_view key;
-    std::string_view value;
-  };
-
-  static void check_text(std::string_view name, std::string_view value) {
-    for (const char c : value) {
-      if (c == '|' || c == '\n') {
-        util::raise("journal: field '", name,
-                    "' contains a record delimiter: ", value);
-      }
+  void put(char c) {
+    *p_++ = c;
+    if constexpr (kEnding == Ending::kChecksummed) {
+      hash_ = fnv1a32_fold(hash_, c);
+    }
+  }
+  void put(std::string_view text) {
+    for (const char c : text) put(c);
+  }
+  void keyed(std::string_view key) {
+    put('|');
+    put(key);
+    put('=');
+  }
+  template <std::integral Int>
+  void number(Int value) {
+    char* first = p_;
+    p_ = std::to_chars(p_, end_, value).ptr;
+    fold(first);
+  }
+  // Folds the bytes from `first` up to the cursor into the checksum.
+  void fold(const char* first) {
+    if constexpr (kEnding == Ending::kChecksummed) {
+      for (; first != p_; ++first) hash_ = fnv1a32_fold(hash_, *first);
     }
   }
 
-  void add(std::string_view key, std::string_view value) {
-    fields_[count_++] = {key, value};
-    // '|', and '=' after a key.
-    size_ += key.size() + value.size() + (key.empty() ? 1 : 2);
-  }
-
-  std::string_view tag_;
   std::string_view marker_;
-  std::array<Field, 5> fields_{};  // a task edge has the most: 5
-  std::size_t count_ = 0;
-  std::size_t size_;  // bytes before the checksum marker
-  // Formatted numbers: at most one time and four 64-bit integers (20
-  // characters each, sign included), or a state code in place of one.
-  std::array<char, kMaxTimeChars + 4 * 20> numbers_;
-  char* free_ = numbers_.data();
+  char* p_ = nullptr;
+  char* end_ = nullptr;
+  std::uint32_t hash_ = kFnvOffset;
 };
+
+// Overwrites `line` with the record whose fields `fields` lists (see
+// LineSize): sized once for the tag, the fields, the checksum marker and,
+// when checksummed, 8 hex digits and '\n'.
+template <Ending kEnding, typename Fields>
+void encode_line(std::string& line, RecordType type, const Fields& fields) {
+  LineSize size;
+  fields(size);
+  const std::string_view tag = wire_tag(type);
+  // The header keeps the checksum marker every version shares.
+  const std::string_view marker = type == RecordType::kHeader ? "|h=" : "|";
+  line.resize(tag.size() + size.bytes() + marker.size() +
+              (kEnding == Ending::kChecksummed ? 9 : 0));
+  LinePut<kEnding> put(line.data(), line.data() + line.size(), tag, marker);
+  fields(put);
+  put.finish();
+}
+
+template <Ending kEnding>
+void transition_line(std::string& out, sim::Time time, core::TaskId task,
+                     core::TaskState to, std::string_view backend,
+                     std::int64_t attempt) {
+  const TimeText at(time);
+  const char code = state_code(to);
+  encode_line<kEnding>(out, RecordType::kTransition, [&](auto& line) {
+    line.timestamp(at);
+    line.integer(task);
+    line.state(code);
+    if (!backend.empty()) line.text("b", backend);
+    if (attempt != 0) line.integer("a", attempt);
+  });
+}
+
+template <Ending kEnding>
+void alloc_line(std::string& out, sim::Time time, std::int64_t node,
+                std::int64_t cores, std::int64_t gpus) {
+  const TimeText at(time);
+  encode_line<kEnding>(out, RecordType::kAlloc, [&](auto& line) {
+    line.timestamp(at);
+    line.integer(node);
+    line.integer(cores);
+    if (gpus != 0) line.integer("g", gpus);
+  });
+}
+
+template <Ending kEnding>
+void record_line(const Record& r, std::string& out) {
+  switch (r.type) {
+    case RecordType::kHeader:
+      encode_line<kEnding>(out, r.type, [&](auto& line) {
+        line.integer("v", kVersion);
+        line.integer("seed", r.seed);
+        line.text("spec", r.text);
+      });
+      return;
+    case RecordType::kReady: {
+      const TimeText at(r.time);
+      encode_line<kEnding>(out, r.type,
+                           [&](auto& line) { line.timestamp(at); });
+      return;
+    }
+    case RecordType::kTransition:
+      transition_line<kEnding>(out, r.time, r.edge.task, r.edge.to,
+                               r.backend, r.edge.attempt);
+      return;
+    case RecordType::kAlloc:
+      alloc_line<kEnding>(out, r.time, r.alloc.node, r.alloc.cores,
+                          r.alloc.gpus);
+      return;
+    case RecordType::kFault: {
+      const TimeText at(r.time);
+      encode_line<kEnding>(out, r.type, [&](auto& line) {
+        line.timestamp(at);
+        line.positional_text("kind", r.text);
+        line.integer(r.fault.index);
+        line.integer(r.fault.count);
+        if (!r.backend.empty()) line.text("b", r.backend);
+      });
+      return;
+    }
+    case RecordType::kEnd: {
+      const TimeText at(r.time);
+      encode_line<kEnding>(out, r.type, [&](auto& line) {
+        line.timestamp(at);
+        line.integer(r.end.done);
+        line.integer(r.end.failed);
+        line.integer(r.end.canceled);
+        line.integer(r.end.events);
+      });
+      return;
+    }
+  }
+}
 
 }  // namespace
 
@@ -202,23 +367,13 @@ void append_time(std::string& out, sim::Time time) {
 void encode_transition(std::string& out, sim::Time time, core::TaskId task,
                        core::TaskState to, std::string_view backend,
                        std::int64_t attempt) {
-  LineBuilder line(RecordType::kTransition);
-  line.timestamp(time);
-  line.integer({}, task);
-  line.state(to);
-  if (!backend.empty()) line.text("b", backend);
-  if (attempt != 0) line.integer("a", attempt);
-  line.write(out);
+  transition_line<Ending::kChecksummed>(out, time, task, to, backend,
+                                        attempt);
 }
 
 void encode_alloc(std::string& out, sim::Time time, std::int64_t node,
                   std::int64_t cores, std::int64_t gpus) {
-  LineBuilder line(RecordType::kAlloc);
-  line.timestamp(time);
-  line.integer({}, node);
-  line.integer({}, cores);
-  if (gpus != 0) line.integer("g", gpus);
-  line.write(out);
+  alloc_line<Ending::kChecksummed>(out, time, node, cores, gpus);
 }
 
 std::string_view to_string(RecordType type) {
@@ -239,24 +394,6 @@ std::string_view to_string(RecordType type) {
   return "?";
 }
 
-std::string_view wire_tag(RecordType type) {
-  switch (type) {
-    case RecordType::kHeader:
-      return "journal";
-    case RecordType::kReady:
-      return "r";
-    case RecordType::kTransition:
-      return "t";
-    case RecordType::kAlloc:
-      return "a";
-    case RecordType::kFault:
-      return "f";
-    case RecordType::kEnd:
-      return "e";
-  }
-  return "?";
-}
-
 // One digit per state: kCanceled is the last one (core/task.hpp).
 static_assert(static_cast<unsigned>(core::TaskState::kCanceled) <= 9,
               "a task state code is one decimal digit");
@@ -270,54 +407,29 @@ char state_code(core::TaskState state) {
 }
 
 std::uint32_t fnv1a32(std::string_view text) {
-  std::uint32_t h = 2166136261u;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  return h;
+  std::uint32_t hash = kFnvOffset;
+  for (const char c : text) hash = fnv1a32_fold(hash, c);
+  return hash;
 }
 
+// A decoded journal prefix is held as Records, one per line.
+static_assert(sizeof(Record) <= 112, "a Record stays compact");
+
 void Record::encode_to(std::string& out) const {
-  LineBuilder line(type);
-  switch (type) {
-    case RecordType::kHeader:
-      line.integer("v", kVersion);
-      line.integer("seed", seed);
-      line.text("spec", spec);
-      break;
-    case RecordType::kReady:
-      line.timestamp(time);
-      break;
-    case RecordType::kTransition:
-      encode_transition(out, time, task, to, backend, attempt);
-      return;
-    case RecordType::kAlloc:
-      encode_alloc(out, time, node, cores, gpus);
-      return;
-    case RecordType::kFault:
-      line.timestamp(time);
-      line.positional_text("kind", kind);
-      line.integer({}, index);
-      line.integer({}, count);
-      if (!backend.empty()) line.text("b", backend);
-      break;
-    case RecordType::kEnd:
-      line.timestamp(time);
-      line.integer({}, done);
-      line.integer({}, failed);
-      line.integer({}, canceled);
-      line.integer({}, events);
-      break;
-  }
-  line.write(out);
+  record_line<Ending::kChecksummed>(*this, out);
+}
+
+bool Record::encoded_as(std::string_view line, std::string& scratch) const {
+  record_line<Ending::kAtMarker>(*this, scratch);
+  // The 8 hex digits and '\n' after the marker follow from what precedes.
+  return line.size() == scratch.size() + 9 && line.starts_with(scratch);
 }
 
 Record header_record(std::uint64_t seed, std::string spec) {
   Record r;
   r.type = RecordType::kHeader;
   r.seed = seed;
-  r.spec = std::move(spec);
+  r.text = std::move(spec);
   return r;
 }
 
@@ -334,10 +446,8 @@ Record transition_record(sim::Time time, core::TaskId task,
   Record r;
   r.type = RecordType::kTransition;
   r.time = time;
-  r.task = task;
-  r.to = to;
+  r.edge = {task, to, attempt};
   r.backend = std::move(backend);
-  r.attempt = attempt;
   return r;
 }
 
@@ -346,9 +456,7 @@ Record alloc_record(sim::Time time, std::int64_t node, std::int64_t cores,
   Record r;
   r.type = RecordType::kAlloc;
   r.time = time;
-  r.node = node;
-  r.cores = cores;
-  r.gpus = gpus;
+  r.alloc = {node, cores, gpus};
   return r;
 }
 
@@ -357,10 +465,9 @@ Record fault_record(sim::Time time, std::string kind, std::string backend,
   Record r;
   r.type = RecordType::kFault;
   r.time = time;
-  r.kind = std::move(kind);
+  r.fault = {index, count};
+  r.text = std::move(kind);
   r.backend = std::move(backend);
-  r.index = index;
-  r.count = count;
   return r;
 }
 
@@ -369,10 +476,7 @@ Record end_record(sim::Time time, std::int64_t done, std::int64_t failed,
   Record r;
   r.type = RecordType::kEnd;
   r.time = time;
-  r.done = done;
-  r.failed = failed;
-  r.canceled = canceled;
-  r.events = events;
+  r.end = {done, failed, canceled, events};
   return r;
 }
 

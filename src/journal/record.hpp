@@ -23,17 +23,18 @@
 // journal version shares, journal|v=N|seed=S|spec=X|h=XXXXXXXX, so a
 // reader can tell a journal's version before anything else about it.
 //
-// There is one encoder, a line builder in record.cpp. Record::encode_to()
+// There is one encoder, a line writer in record.cpp. Record::encode_to()
 // and the field-level encode_transition() and encode_alloc() (which the
 // scribe calls so that no Record is built per task edge or node change)
-// share it. It validates and formats every field first, then overwrites a
-// caller-owned line in one pass, so a reused buffer makes encoding
-// allocation-free. Times are printed as printf "%.9f" would: below 2^64 ns
-// by exact integer arithmetic on the double's mantissa and exponent, above
-// that by std::to_chars fixed with 9 decimals, which the standard defines
-// as the same text. Integers go through std::to_chars, the checksum as 8
-// lowercase hex digits. The reader accepts exactly that time form back:
-// (0|[1-9][0-9]*)\.[0-9]{9}, finite (journal.hpp).
+// share it. It checks and sizes every field first, then sizes the
+// caller-owned line once and writes each field straight into it, folding
+// each byte into the checksum as it goes, so a reused buffer makes
+// encoding allocation-free. Times are printed as printf "%.9f" would:
+// below 2^64 ns by exact integer arithmetic on the double's mantissa and
+// exponent, above that by std::to_chars fixed with 9 decimals, which the
+// standard defines as the same text. Integers go through std::to_chars,
+// the checksum as 8 lowercase hex digits. The reader accepts exactly that
+// time form back: (0|[1-9][0-9]*)\.[0-9]{9}, finite (journal.hpp).
 //
 // Every line carries a trailing FNV-1a-32 checksum; the reader uses it to
 // distinguish a torn tail (a crash mid-write: the partial final line is
@@ -66,7 +67,23 @@ std::string_view to_string(RecordType type);
 
 // Wire tag: "journal" for the header, else one character ("r", "t", "a",
 // "f", "e").
-std::string_view wire_tag(RecordType type);
+constexpr std::string_view wire_tag(RecordType type) {
+  switch (type) {
+    case RecordType::kHeader:
+      return "journal";
+    case RecordType::kReady:
+      return "r";
+    case RecordType::kTransition:
+      return "t";
+    case RecordType::kAlloc:
+      return "a";
+    case RecordType::kFault:
+      return "f";
+    case RecordType::kEnd:
+      return "e";
+  }
+  return "?";
+}
 
 // The format version this build writes and reads.
 inline constexpr std::int64_t kVersion = 2;
@@ -75,47 +92,68 @@ inline constexpr std::int64_t kVersion = 2;
 // '0' (NEW) to '9' (CANCELED).
 char state_code(core::TaskState state);
 
-// One journal record. A single struct holds the union of all per-type
-// fields; encode()/decode() only read/write the fields of record's type,
-// in a fixed order, so the line grammar stays canonical.
+// One journal record: the type, the time, the integers of its type
+// overlaid in one union, and two text fields. encode()/decode() only
+// read/write the fields of the record's type, in a fixed order, so the
+// line grammar stays canonical. A recovery holds its whole journal prefix
+// as Records, so the struct is kept small (static_assert in record.cpp).
 struct Record {
   RecordType type = RecordType::kTransition;
 
-  // kTransition: task `task` entered state `to`.
-  core::TaskState to = core::TaskState::kNew;
-  core::TaskId task = 0;
-
   sim::Time time = 0.0;  // virtual time; unused for kHeader
 
-  // kHeader.
-  std::uint64_t seed = 0;
-  std::string spec;  // serialized ScenarioSpec / tool config line
-
-  // kTransition (backend is also kFault's crash target).
-  std::string backend;
-  std::int64_t attempt = 0;
-
+  // kTransition: task `task` entered state `to` in attempt `attempt`.
+  struct Edge {
+    core::TaskId task;
+    core::TaskState to;
+    std::int64_t attempt;
+  };
   // kAlloc: change of free capacity on `node` (negative = claimed).
-  std::int64_t node = 0;
-  std::int64_t cores = 0;
-  std::int64_t gpus = 0;
+  struct Alloc {
+    std::int64_t node;
+    std::int64_t cores;
+    std::int64_t gpus;
+  };
+  // kFault: a crash of partition/instance `index`, or a cancel storm of
+  // `count` tasks.
+  struct Fault {
+    std::int64_t index;
+    std::int64_t count;
+  };
+  // kEnd: the run's summary.
+  struct End {
+    std::int64_t done;
+    std::int64_t failed;
+    std::int64_t canceled;
+    std::uint64_t events;
+  };
+  // Only the member of the record's type is live; the record constructors
+  // below and read() set it. kReady has none.
+  union {
+    std::uint64_t seed;  // kHeader
+    Edge edge;
+    Alloc alloc;
+    Fault fault;
+    End end{};  // the widest member, so every byte starts at zero
+  };
 
-  // kFault.
-  std::string kind;       // "crash" | "cancel"
-  std::int64_t index = 0;  // crash: partition/instance index
-  std::int64_t count = 0;  // cancel: storm size
-
-  // kEnd.
-  std::int64_t done = 0;
-  std::int64_t failed = 0;
-  std::int64_t canceled = 0;
-  std::uint64_t events = 0;
+  // kTransition's backend, and kFault's crash target.
+  std::string backend;
+  // kHeader: the serialized ScenarioSpec / tool config line. kFault: the
+  // fault kind, "crash" | "cancel".
+  std::string text;
 
   // Overwrites `out` with one '\n'-terminated line with a trailing
   // checksum field, reusing its capacity. Raises util::Error if any string
   // field contains '|' or '\n' (the journal is single-line records by
   // construction) or the time cannot be encoded (append_time).
   void encode_to(std::string& out) const;
+
+  // Whether `line`, a line this encoder wrote (Writer::append*), is this
+  // record's encoding. Such a line's checksum follows from the bytes before
+  // it, so only those are encoded, into the reused `scratch`, and compared:
+  // recovery validates each replayed line this way. Raises as encode_to().
+  bool encoded_as(std::string_view line, std::string& scratch) const;
 
   // encode_to() into a fresh string.
   std::string encode() const {
@@ -166,5 +204,13 @@ void append_time(std::string& out, sim::Time time);
 
 // FNV-1a 32-bit over `text`, the per-line checksum primitive.
 std::uint32_t fnv1a32(std::string_view text);
+
+// FNV-1a 32-bit one byte at a time, for the encoder and the decoder, which
+// fold each byte in as they pass it: fnv1a32(text + c) is
+// fnv1a32_fold(fnv1a32(text), c), and fnv1a32("") is kFnvOffset.
+inline constexpr std::uint32_t kFnvOffset = 2166136261u;
+constexpr std::uint32_t fnv1a32_fold(std::uint32_t hash, char c) {
+  return (hash ^ static_cast<unsigned char>(c)) * 16777619u;
+}
 
 }  // namespace flotilla::journal

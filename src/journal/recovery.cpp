@@ -29,7 +29,7 @@ RecoveryManager::RecoveryManager(std::string_view bytes) {
   }
   prefix_ = std::move(parsed.records);
   seed_ = prefix_.front().seed;
-  spec_ = prefix_.front().spec;
+  spec_ = prefix_.front().text;
   truncated_ = parsed.truncated;
   truncated_bytes_ = parsed.truncated_bytes;
 }
@@ -45,16 +45,16 @@ StateImage RecoveryManager::image() const {
         image.ready_time = r.time;
         break;
       case RecordType::kTransition: {
-        auto& task = image.tasks[r.task];
-        task.from = std::exchange(task.state, r.to);
+        auto& task = image.tasks[r.edge.task];
+        task.from = std::exchange(task.state, r.edge.to);
         task.backend = r.backend;
-        task.attempt = r.attempt;
-        if (core::is_final(r.to)) ++task.terminal_edges;
+        task.attempt = r.edge.attempt;
+        if (core::is_final(r.edge.to)) ++task.terminal_edges;
         break;
       }
       case RecordType::kAlloc:
-        image.core_delta[r.node] += r.cores;
-        image.gpu_delta[r.node] += r.gpus;
+        image.core_delta[r.alloc.node] += r.alloc.cores;
+        image.gpu_delta[r.alloc.node] += r.alloc.gpus;
         break;
       case RecordType::kFault:
         ++image.faults;

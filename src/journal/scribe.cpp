@@ -32,9 +32,9 @@ Scribe::Scribe(core::Session& session)
   session_.cluster().add_observer(this);
 }
 
-Scribe::Scribe(core::Session& session, std::vector<Record> prefix)
+Scribe::Scribe(core::Session& session, const std::vector<Record>& prefix)
     : Scribe(session) {
-  prefix_ = std::move(prefix);
+  prefix_ = prefix;
   validating_ = true;
 }
 
@@ -96,10 +96,10 @@ void Scribe::appended(RecordType type, std::string_view line) {
   // The writer has appended the line already: a line that cannot be
   // encoded raised before reaching here, leaving the cursor as it was.
   if (validating_ && !diverged_ && cursor_ < prefix_.size()) {
-    prefix_[cursor_].encode_to(expected_);
-    if (expected_ != line) {
+    const Record& expected = prefix_[cursor_];
+    if (!expected.encoded_as(line, expected_)) {
       diverged_ = true;
-      divergence_ = Divergence{cursor_, expected_, std::string(line)};
+      divergence_ = Divergence{cursor_, expected.encode(), std::string(line)};
     }
     ++cursor_;
   }

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,8 +45,12 @@ class Scribe : public platform::Cluster::Observer {
   // Record mode: every emitted record is appended.
   explicit Scribe(core::Session& session);
   // Validate mode: emitted records are checked against `prefix` first
-  // (recovery replay); appending continues either way.
-  Scribe(core::Session& session, std::vector<Record> prefix);
+  // (recovery replay); appending continues either way. The scribe borrows
+  // the prefix, which must outlive it (RecoveryManager::prefix() does, when
+  // the manager is declared before the scribe); a temporary prefix does not
+  // compile.
+  Scribe(core::Session& session, const std::vector<Record>& prefix);
+  Scribe(core::Session& session, std::vector<Record>&& prefix) = delete;
   ~Scribe() override;
 
   Scribe(const Scribe&) = delete;
@@ -93,9 +98,11 @@ class Scribe : public platform::Cluster::Observer {
   obs::TraceHandle obs_trace_;
   Writer writer_;
 
-  // Validation cursor over the journal prefix (empty in record mode).
-  std::vector<Record> prefix_;
-  std::string expected_;  // prefix_[cursor_] encoded; reused across records
+  // Validation cursor over the borrowed journal prefix (empty in record
+  // mode).
+  std::span<const Record> prefix_;
+  // prefix_[cursor_] encoded up to its checksum; reused across records.
+  std::string expected_;
   std::size_t cursor_ = 0;
   bool validating_ = false;
   bool diverged_ = false;

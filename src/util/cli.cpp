@@ -1,12 +1,11 @@
 #include "util/cli.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace flotilla::util {
 
@@ -86,25 +85,35 @@ std::string CliParser::get(const std::string& name) const {
   return it == values_.end() ? spec->second.fallback : it->second;
 }
 
+// Numbers are read in their one canonical text (util/number.hpp), as
+// config values are.
 long CliParser::get_int(const std::string& name) const {
   const auto value = get(name);
   if (value.empty()) raise("option --", name, " needs an integer value");
-  char* end = nullptr;
-  errno = 0;
-  const long result = std::strtol(value.c_str(), &end, 10);
-  if (*end != '\0') raise("option --", name, " is not an integer: ", value);
-  if (errno == ERANGE) raise("option --", name, " is out of range: ", value);
-  return result;
+  long result = 0;
+  switch (parse_canonical(value, result)) {
+    case NumberText::kOk:
+      return result;
+    case NumberText::kMalformed:
+      raise("option --", name, " is not an integer: ", value);
+    case NumberText::kOutOfRange:
+      break;
+  }
+  raise("option --", name, " is out of range: ", value);
 }
 
 double CliParser::get_double(const std::string& name) const {
   const auto value = get(name);
   if (value.empty()) raise("option --", name, " needs a numeric value");
-  char* end = nullptr;
-  errno = 0;
-  const double result = std::strtod(value.c_str(), &end);
-  if (*end != '\0') raise("option --", name, " is not a number: ", value);
-  if (errno == ERANGE) raise("option --", name, " is out of range: ", value);
+  double result = 0.0;
+  switch (parse_canonical(value, result)) {
+    case NumberText::kOk:
+      break;
+    case NumberText::kMalformed:
+      raise("option --", name, " is not a number: ", value);
+    case NumberText::kOutOfRange:
+      raise("option --", name, " is out of range: ", value);
+  }
   if (!std::isfinite(result)) {
     raise("option --", name, " is not finite: ", value);
   }

@@ -26,8 +26,10 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   std::string get(const std::string& name) const;
-  // Typed getters throw util::Error, naming the option, on an empty or
-  // malformed value, one out of the type's range, or (doubles) inf/nan.
+  // Typed getters read a number in its one canonical text (no blank, '+',
+  // hex float, leading zero or "-0"; util/number.hpp) and throw
+  // util::Error, naming the option, on an empty or malformed value, one
+  // out of the type's range, or (doubles) inf/nan.
   long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;

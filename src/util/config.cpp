@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <system_error>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace flotilla::util {
 
@@ -73,44 +72,35 @@ std::string Config::get_string(const std::string& key,
   return it == entries_.end() ? std::move(fallback) : it->second;
 }
 
-// A number has one text, as in scenario specs (check/spec.cpp): the whole
-// value goes through from_chars, which takes no blank, '+' or hex float.
-// An integer is written as to_string writes it, with no leading zero or
-// "-0".
+// Numbers are read in their one canonical text (util/number.hpp).
 long Config::get_int(const std::string& key, long fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
-  const std::string& text = it->second;
   long value = 0;
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  const std::string_view digits =
-      std::string_view(text).substr(text.starts_with('-') ? 1 : 0);
-  if (ec == std::errc::invalid_argument || end != last ||
-      (digits.starts_with('0') && text != "0")) {
-    raise("config key '", key, "' is not an integer: '", text, "'");
+  switch (parse_canonical(it->second, value)) {
+    case NumberText::kOk:
+      return value;
+    case NumberText::kMalformed:
+      raise("config key '", key, "' is not an integer: '", it->second, "'");
+    case NumberText::kOutOfRange:
+      break;
   }
-  if (ec == std::errc::result_out_of_range) {
-    raise("config key '", key, "' is out of range: '", text, "'");
-  }
-  return value;
+  raise("config key '", key, "' is out of range: '", it->second, "'");
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
-  const std::string& text = it->second;
   double value = 0.0;
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value,
-                                         std::chars_format::general);
-  if (ec == std::errc::invalid_argument || end != last) {
-    raise("config key '", key, "' is not a number: '", text, "'");
+  switch (parse_canonical(it->second, value)) {
+    case NumberText::kOk:
+      return value;
+    case NumberText::kMalformed:
+      raise("config key '", key, "' is not a number: '", it->second, "'");
+    case NumberText::kOutOfRange:
+      break;
   }
-  if (ec == std::errc::result_out_of_range) {
-    raise("config key '", key, "' is out of range: '", text, "'");
-  }
-  return value;
+  raise("config key '", key, "' is out of range: '", it->second, "'");
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -8,7 +8,9 @@
 // same holds for sim::FanOut's holds, whether a later touch retires them
 // or materializes them. The counter also tracks live heap bytes, so it can
 // bound what a core::TaskManager allocates and holds per task, and what a
-// flux::Instance holds per queued job.
+// flux::Instance holds per queued job. On the recovery path, a validating
+// journal::Scribe must hold no copy of its journal prefix, and
+// journal::read() must decode task lines without allocating per line.
 //
 // Sanitizer builds (-DFLOTILLA_SANITIZE=...) skip it: there the sanitizer
 // runtime owns operator new, and replacing it would blind the sanitizer.
@@ -21,10 +23,14 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flotilla.hpp"
 #include "flux/instance.hpp"
+#include "journal/journal.hpp"
+#include "journal/record.hpp"
+#include "journal/scribe.hpp"
 #include "sim/engine.hpp"
 #include "sim/server.hpp"
 
@@ -301,3 +307,68 @@ TEST(AllocGuard, FluxInstanceHoldsQueuedJobsCompactly) {
 
 }  // namespace
 }  // namespace flotilla::core
+
+namespace flotilla::journal {
+namespace {
+
+using sim::allocations_in;
+using sim::kSanitizedReason;
+
+constexpr int kLines = 10'000;
+
+// A journal of task edges like a recovering controller reads: a header,
+// then kLines - 1 edges with short (in-place) backend names.
+std::string task_journal() {
+  Writer writer;
+  writer.append(header_record(42, "tool=alloc_guard"));
+  for (int i = 1; i < kLines; ++i) {
+    writer.append_transition(1.0e-3 * i, static_cast<core::TaskId>(i / 4),
+                             static_cast<core::TaskState>(i % 10),
+                             i % 2 == 0 ? "" : "flux", i % 3);
+  }
+  return writer.bytes();
+}
+
+// A validating scribe borrows the prefix it checks against: building one
+// allocates and holds no more than a record-mode scribe (a scribe that
+// copied its prefix held ~2 MB more here).
+TEST(AllocGuard, ValidatingScribeBorrowsItsPrefix) {
+  if (kSanitized) GTEST_SKIP() << kSanitizedReason;
+  const ReadResult journal = read(task_journal());
+  ASSERT_TRUE(journal.intact());
+  ASSERT_EQ(journal.records.size(), static_cast<std::size_t>(kLines));
+  core::Session session(platform::frontier_spec(), 64, 42);
+
+  const auto cost = [&](auto make) {
+    std::int64_t held = 0;
+    const std::uint64_t allocations = allocations_in([&] {
+      const std::int64_t before = g_live_bytes;
+      const auto scribe = make();
+      held = g_live_bytes - before;
+    });
+    return std::pair{allocations, held};
+  };
+  const auto [record_allocations, record_held] =
+      cost([&] { return std::make_unique<Scribe>(session); });
+  const auto [validate_allocations, validate_held] = cost(
+      [&] { return std::make_unique<Scribe>(session, journal.records); });
+  EXPECT_LE(validate_allocations, record_allocations);
+  EXPECT_LE(validate_held, record_held);
+}
+
+// Decoding allocates the record vector and nothing per line: a backend
+// name fits a std::string in place, and a line that decodes sets no error.
+TEST(AllocGuard, ReadDecodesTaskLinesWithoutPerLineAllocations) {
+  if (kSanitized) GTEST_SKIP() << kSanitizedReason;
+  const std::string bytes = task_journal();
+  ReadResult result;
+  const std::uint64_t allocations =
+      allocations_in([&] { result = read(bytes); });
+  ASSERT_TRUE(result.intact());
+  ASSERT_EQ(result.records.size(), static_cast<std::size_t>(kLines));
+  EXPECT_EQ(result.records.back().backend, "flux");
+  EXPECT_LE(allocations, 2u);
+}
+
+}  // namespace
+}  // namespace flotilla::journal

@@ -473,7 +473,7 @@ TEST_P(RecoveryContract, RestoresFromMidCampaignJournal) {
   std::map<core::TaskId, int> terminal_edges;
   for (const auto& record : parsed.records) {
     if (record.type != journal::RecordType::kTransition) continue;
-    if (core::is_final(record.to)) ++terminal_edges[record.task];
+    if (core::is_final(record.edge.to)) ++terminal_edges[record.edge.task];
   }
   EXPECT_EQ(terminal_edges.size(), static_cast<std::size_t>(spec.tasks));
   for (const auto& [id, edges] : terminal_edges) {

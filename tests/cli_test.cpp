@@ -128,6 +128,29 @@ TEST(CliParser, NonFiniteDoublesThrow) {
   }
 }
 
+// Option numbers have one text, as config values and spec lines do: what
+// strtol/strtod also took (a sign, leading zeros or blanks, a hex float) is
+// refused with the option's name.
+TEST(CliParser, NumbersHaveOneCanonicalText) {
+  for (const char* value : {"+2", "04", "-0", " 2", "2 ", "0x10", "1e3"}) {
+    auto cli = make_parser();
+    ASSERT_TRUE(parse(cli, {"--nodes", value}));
+    expect_error([&] { return cli.get_int("nodes"); },
+                 "option --nodes is not an integer");
+  }
+  for (const char* value : {"+1.5", "0x1p3", " 1.5", "1.5x", "1,5"}) {
+    auto cli = make_parser();
+    ASSERT_TRUE(parse(cli, {"--rate", value}));
+    expect_error([&] { return cli.get_double("rate"); },
+                 "option --rate is not a number");
+  }
+  // What to_string and %g write still parses.
+  auto cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--nodes", "-3", "--rate", "2.5e-3"}));
+  EXPECT_EQ(cli.get_int("nodes"), -3);
+  EXPECT_EQ(cli.get_double("rate"), 2.5e-3);
+}
+
 TEST(CliParser, WideIntegersStillParseAsLong) {
   // Narrowing is the caller's business (flotilla-run checks it below).
   auto cli = make_parser();
@@ -201,6 +224,25 @@ TEST(FlotillaRunOptions, RefusesValuesItWouldWrapOrMisread) {
     const auto result = run_tool(c.args);
     EXPECT_EQ(result.exit_code, 2) << c.args << "\n" << result.output;
     EXPECT_NE(result.output.find(c.message), std::string::npos)
+        << c.args << "\n" << result.output;
+  }
+}
+
+TEST(FlotillaRunOptions, RefusesNumbersNotInTheirCanonicalText) {
+  const struct {
+    const char* args;
+    const char* message;
+  } cases[] = {
+      {"--nodes +2", "option --nodes is not an integer: +2"},
+      {"--tasks 04", "option --tasks is not an integer: 04"},
+      {"--duration 0x1p3", "option --duration is not a number: 0x1p3"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run_tool(c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args << "\n" << result.output;
+    EXPECT_NE(result.output.find(c.message), std::string::npos)
+        << c.args << "\n" << result.output;
+    EXPECT_EQ(result.output.find("tasks done/failed"), std::string::npos)
         << c.args << "\n" << result.output;
   }
 }

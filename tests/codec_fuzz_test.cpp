@@ -1,14 +1,18 @@
-// Random-line fuzz of the two text codecs that take input from outside:
-// the ScenarioSpec line (flotilla-fuzz --replay, --crash-all) and the
-// trace-replay CSV (flotilla-run --trace). Seeded mutations of valid lines
-// (byte flips, dropped, duplicated and reordered segments, stray
-// delimiters, and numbers swapped for extreme, non-canonical or
-// non-finite ones) must each either be refused with a labeled util::Error
-// or parse to a value whose encoding is a fixed point:
-// encode(parse(encode(parse(x)))) == encode(parse(x)).
+// Random-line fuzz of the text codecs that take input from outside: the
+// ScenarioSpec line (flotilla-fuzz --replay, --crash-all), the
+// trace-replay CSV (flotilla-run --trace) and the journal line
+// (flotilla-run --recover). Seeded mutations of valid lines (byte flips,
+// dropped, duplicated and reordered segments, stray delimiters, and
+// numbers swapped for extreme, non-canonical or non-finite ones) must each
+// either be refused with a labeled error or parse to a value whose
+// encoding is a fixed point: encode(parse(encode(parse(x)))) ==
+// encode(parse(x)). A journal line is a fixed point at once: what the
+// reader takes re-encodes to the very line it read.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
+#include <cstdio>
 #include <initializer_list>
 #include <iterator>
 #include <sstream>
@@ -19,6 +23,8 @@
 
 #include "check/generator.hpp"
 #include "check/spec.hpp"
+#include "journal/journal.hpp"
+#include "journal/record.hpp"
 #include "sim/random.hpp"
 #include "util/error.hpp"
 #include "workloads/trace_replay.hpp"
@@ -244,6 +250,117 @@ TEST(TraceCsvFuzz, MutatedTracesAreRefusedOrReachAFixedPoint) {
     }
     EXPECT_GT(accepted, kLinesPerSeed / 10) << "seed " << seed;
     EXPECT_LT(accepted, kLinesPerSeed * 9 / 10) << "seed " << seed;
+  }
+}
+
+// A valid journal line of the given record type (0 to 8: every type, and
+// transitions, allocs and faults with and without their optional fields).
+std::string journal_line(sim::RngStream& rng, int variant) {
+  using namespace journal;
+  const sim::Time t = rng.uniform(0.0, 1e5);
+  const auto task = static_cast<core::TaskId>(rng.uniform_int(0, 99999));
+  const auto state = static_cast<core::TaskState>(
+      rng.uniform_int(0, static_cast<int>(core::TaskState::kCanceled)));
+  switch (variant) {
+    case 0:
+      return header_record(rng.next_u64(),
+                           "tool=flotilla-run;backend=flux;nodes=" +
+                               std::to_string(rng.uniform_int(1, 9408)) +
+                               ";tasks=20000;duration=0")
+          .encode();
+    case 1:
+      return ready_record(t).encode();
+    case 2:
+      return transition_record(t, task, state, "", 0).encode();
+    case 3:
+      return transition_record(t, task, state, "dragon",
+                               rng.uniform_int(1, 5))
+          .encode();
+    case 4:
+      return alloc_record(t, rng.uniform_int(0, 9407),
+                          rng.uniform_int(-64, 64), 0)
+          .encode();
+    case 5:
+      return alloc_record(t, rng.uniform_int(0, 9407),
+                          rng.uniform_int(-64, 64), rng.uniform_int(-8, 8))
+          .encode();
+    case 6:
+      return fault_record(t, "crash", "flux", rng.uniform_int(0, 7), 0)
+          .encode();
+    case 7:
+      return fault_record(t, "cancel", "", 0, rng.uniform_int(1, 100))
+          .encode();
+    default:
+      return end_record(t, rng.uniform_int(0, 100000),
+                        rng.uniform_int(0, 100), rng.uniform_int(0, 100),
+                        rng.next_u64() % 100000000)
+          .encode();
+  }
+}
+
+// `body` (a line without its checksum field) with the checksum the writer
+// would give it, so the reader gets past the checksum to the grammar.
+std::string with_checksum(const std::string& body) {
+  const std::string covered =
+      body + (body.starts_with("journal|") ? "|h=" : "|");
+  char hex[9];
+  std::snprintf(hex, sizeof hex, "%08x", journal::fnv1a32(covered));
+  return covered + hex + "\n";
+}
+
+// The reader's labels: the grammar's, and the checksum's (a mutation that
+// inserts a '\n' splits the line before its checksum).
+constexpr std::string_view kJournalLabels[] = {
+    "missing field '",      "bad integer in field '", "bad time",
+    "expected field '",     "field '",                "unexpected field in '",
+    "unknown record tag '", "bad task state code",    "bad journal version",
+    "unsupported journal version ", "bad seed",       "missing checksum",
+    "malformed checksum",   "checksum mismatch"};
+
+TEST(JournalCodecFuzz, MutatedBodiesAreRefusedOrReachAFixedPoint) {
+  constexpr int kVariants = 9;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    sim::RngStream generator(seed, "codec_fuzz.journal_lines");
+    Mutator mutator(seed, "codec_fuzz.journal");
+    int accepted = 0;
+    std::array<int, kVariants> accepted_of{};
+    for (int i = 0; i < kLinesPerSeed; ++i) {
+      const int variant = i % kVariants;
+      const std::string line = journal_line(generator, variant);
+      // The body: everything before the checksum field ("|" or "|h=", 8
+      // hex digits, '\n').
+      const std::size_t suffix = variant == 0 ? 12 : 10;
+      const std::string x = with_checksum(
+          mutator.mutate(line.substr(0, line.size() - suffix), "|="));
+      const auto result = journal::read(x);
+      if (result.corrupt) {
+        EXPECT_EQ(result.corrupt_index, 0u) << x;
+        EXPECT_TRUE(result.records.empty()) << x;
+        bool labeled = false;
+        for (const auto label : kJournalLabels) {
+          labeled |= result.error.starts_with(label);
+        }
+        EXPECT_TRUE(labeled) << "unlabeled error '" << result.error
+                             << "' for: " << x;
+      } else {
+        EXPECT_FALSE(result.truncated) << x;
+        ASSERT_EQ(result.records.size(), 1u) << x;
+        EXPECT_EQ(result.records[0].encode(), x);
+        ++accepted;
+        ++accepted_of[static_cast<std::size_t>(variant)];
+      }
+      if (HasFailure()) return;
+    }
+    // The journal grammar is stricter than the spec's (positional fields,
+    // a checksum marker, canonical times), so fewer mutations survive.
+    EXPECT_GT(accepted, kLinesPerSeed / 20) << "seed " << seed;
+    EXPECT_LT(accepted, kLinesPerSeed * 9 / 10) << "seed " << seed;
+    // Every record type survives some mutation, so each one's grammar is
+    // walked on both sides.
+    for (int v = 0; v < kVariants; ++v) {
+      EXPECT_GT(accepted_of[static_cast<std::size_t>(v)], 0)
+          << "seed " << seed << " variant " << v;
+    }
   }
 }
 

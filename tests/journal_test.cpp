@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/runner.hpp"
@@ -340,12 +341,12 @@ TEST(Codec, AllocEncoderMatchesTheRecordEncoding) {
     expected += r.encode();
   }
   const auto& edge = records[2];
-  EXPECT_EQ(writer.append_transition(edge.time, edge.task, edge.to,
-                                     edge.backend, edge.attempt),
+  EXPECT_EQ(writer.append_transition(edge.time, edge.edge.task, edge.edge.to,
+                                     edge.backend, edge.edge.attempt),
             edge.encode());
   const auto& alloc = records[3];
-  EXPECT_EQ(writer.append_alloc(alloc.time, alloc.node, alloc.cores,
-                                alloc.gpus),
+  EXPECT_EQ(writer.append_alloc(alloc.time, alloc.alloc.node,
+                                alloc.alloc.cores, alloc.alloc.gpus),
             alloc.encode());
   expected += edge.encode() + alloc.encode();
   EXPECT_EQ(writer.bytes(), expected);
@@ -376,9 +377,11 @@ TEST(Scribe, TransitionWithADelimiterInTheBackendIsLineAtomic) {
   bad.set_backend(session.labels().intern("flux|0"));
   core::Task good(0, "task.000000", core::TaskDescription{},
                   session.labels());
-  // Validate mode, with a prefix that the good edge matches.
-  Scribe scribe(session, {transition_record(
-                             0.0, 0, core::TaskState::kTmgrScheduling, "", 0)});
+  // Validate mode, with a prefix that the good edge matches. The scribe
+  // borrows the prefix, so it is a named vector that outlives the scribe.
+  const std::vector<Record> prefix = {
+      transition_record(0.0, 0, core::TaskState::kTmgrScheduling, "", 0)};
+  Scribe scribe(session, prefix);
   EXPECT_THROW(scribe.transition(bad, core::TaskState::kNew,
                                  core::TaskState::kTmgrScheduling),
                util::Error);
@@ -389,6 +392,44 @@ TEST(Scribe, TransitionWithADelimiterInTheBackendIsLineAtomic) {
                     core::TaskState::kTmgrScheduling);
   EXPECT_EQ(scribe.records(), 1u);
   EXPECT_EQ(scribe.cursor(), 1u);
+  EXPECT_FALSE(scribe.diverged());
+  EXPECT_TRUE(scribe.replay_complete());
+}
+
+// Validation compares each emitted line with the prefix's record up to the
+// checksum marker; a difference in any field, the last one included, is a
+// divergence at its index that carries both whole lines.
+TEST(Scribe, ValidationReportsTheFirstRecordThatDiffers) {
+  const std::vector<Record> emitted = {header_record(7, "seed=7;x=1"),
+                                       ready_record(0.0),
+                                       end_record(0.0, 1, 0, 0, 5)};
+  const std::vector<std::pair<std::size_t, Record>> changes = {
+      {0, header_record(8, "seed=7;x=1")},
+      {0, header_record(7, "seed=7;x=2")},
+      {1, ready_record(1e-9)},
+      {1, end_record(0.0, 1, 0, 0, 5)},
+      {2, end_record(0.0, 1, 0, 0, 6)},
+      {2, end_record(0.0, 1, 0, 0, 50)},
+      {2, fault_record(0.0, "cancel", "", 0, 5)},
+  };
+  for (const auto& [index, changed] : changes) {
+    core::Session session{platform::frontier_spec(), 2, 42};
+    std::vector<Record> prefix = emitted;
+    prefix[index] = changed;
+    Scribe scribe(session, prefix);
+    scribe.record_header(7, "seed=7;x=1");
+    scribe.record_ready();
+    scribe.record_end(1, 0, 0, 5);
+    ASSERT_TRUE(scribe.diverged()) << changed.encode();
+    EXPECT_EQ(scribe.divergence().index, index);
+    EXPECT_EQ(scribe.divergence().expected, changed.encode());
+    EXPECT_EQ(scribe.divergence().got, emitted[index].encode());
+  }
+  core::Session session{platform::frontier_spec(), 2, 42};
+  Scribe scribe(session, emitted);
+  scribe.record_header(7, "seed=7;x=1");
+  scribe.record_ready();
+  scribe.record_end(1, 0, 0, 5);
   EXPECT_FALSE(scribe.diverged());
   EXPECT_TRUE(scribe.replay_complete());
 }
@@ -604,8 +645,8 @@ TEST(RecoveryManager, ImageRebuildsEachEdgesFromStateFromThePreviousEdge) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     writer.append(edges[i]);
     const auto image = RecoveryManager(writer.bytes()).image();
-    const auto& task = image.tasks.at(edges[i].task);
-    EXPECT_EQ(task.state, edges[i].to) << i;
+    const auto& task = image.tasks.at(edges[i].edge.task);
+    EXPECT_EQ(task.state, edges[i].edge.to) << i;
     EXPECT_EQ(task.from, from[i]) << i;
   }
 }
@@ -700,7 +741,7 @@ TEST(Journal, SameSeedRunsProduceByteIdenticalJournals) {
   EXPECT_FALSE(parsed.truncated);
   EXPECT_EQ(parsed.records.front().type, RecordType::kHeader);
   EXPECT_EQ(parsed.records.back().type, RecordType::kEnd);
-  EXPECT_EQ(parsed.records.back().done, 5);
+  EXPECT_EQ(parsed.records.back().end.done, 5);
 }
 
 TEST(Journal, GoldenJournalBytesOfFixedCampaigns) {
@@ -800,9 +841,12 @@ TEST(Journal, RejectedPlacementsWriteNoAllocRecords) {
   const auto parsed = read(reference.journal);
   ASSERT_TRUE(parsed.intact());
 
-  std::vector<Record> allocs;
+  std::vector<Record::Alloc> allocs;
+  std::vector<sim::Time> times;
   for (const auto& r : parsed.records) {
-    if (r.type == RecordType::kAlloc) allocs.push_back(r);
+    if (r.type != RecordType::kAlloc) continue;
+    allocs.push_back(r.alloc);
+    times.push_back(r.time);
   }
   std::int64_t claimed = 0, released = 0;
   std::size_t claims = 0, releases = 0;
@@ -814,10 +858,10 @@ TEST(Journal, RejectedPlacementsWriteNoAllocRecords) {
       ++claims;
       // A claim undone on the same node at the same time is a rolled-back
       // placement attempt.
-      for (std::size_t j = i + 1;
-           j < allocs.size() && allocs[j].time == r.time; ++j) {
+      for (std::size_t j = i + 1; j < allocs.size() && times[j] == times[i];
+           ++j) {
         EXPECT_FALSE(allocs[j].node == r.node && allocs[j].cores == -r.cores)
-            << "claim undone at t=" << r.time << " on node " << r.node;
+            << "claim undone at t=" << times[i] << " on node " << r.node;
       }
     } else {
       released += r.cores;
