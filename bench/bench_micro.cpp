@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "dragon/function_executor.hpp"
 #include "dragon/mpmc_queue.hpp"
@@ -49,6 +50,29 @@ void BM_EngineCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EngineCancel);
+
+// The calendar at the pending depth of the null campaigns (their
+// sim.pending_peak is 11): ten events, each rescheduling itself at a random
+// later time, so every iteration is one pop, one call and one push.
+void BM_EngineSteadyPending(benchmark::State& state) {
+  struct Loop {
+    sim::Engine engine;
+    std::vector<double> delays;
+    std::size_t next = 0;
+    void reschedule() {
+      const double delay = delays[next];
+      next = (next + 1) & (delays.size() - 1);  // a power of two
+      engine.in(delay, [this] { reschedule(); });
+    }
+  } loop;
+  sim::RngStream rng(42, "bench");
+  loop.delays.resize(4096);
+  for (double& delay : loop.delays) delay = rng.exponential(1.0);
+  for (int i = 0; i < 10; ++i) loop.reschedule();
+  for (auto _ : state) loop.engine.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineSteadyPending);
 
 void BM_ServerPipeline(benchmark::State& state) {
   for (auto _ : state) {
@@ -114,6 +138,21 @@ void BM_RngLognormal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngLognormal);
+
+// A Flux instance's draws: five (mean, cv) pairs in rotation.
+void BM_RngLognormalRotating(benchmark::State& state) {
+  static constexpr double kPairs[][2] = {
+      {0.0011, 0.2}, {0.0023, 0.2}, {0.035, 0.2}, {0.0007, 0.2}, {0.042, 0.1}};
+  sim::RngStream rng(42, "bench");
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rng.lognormal_mean_cv(kPairs[next][0], kPairs[next][1]));
+    next = next == 4 ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngLognormalRotating);
 
 void BM_RateSeriesRecord(benchmark::State& state) {
   sim::RateSeries series(1.0);

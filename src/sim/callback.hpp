@@ -10,6 +10,17 @@
 // allocate. Unlike std::function it never copies, so it also accepts
 // move-only captures such as std::unique_ptr.
 //
+// Moves and lifetime. Moving a Callback relocates its target: a trivially
+// copyable inline target (the common `[this, slot]` capture) moves as a
+// copy of the whole 56-byte buffer, a fixed size the compiler inlines; a
+// boxed target moves its box pointer the same way; any other inline target
+// is move-constructed and the source destroyed. The moved-from Callback is
+// empty. The target is destroyed exactly once, by whichever Callback holds
+// it last. The scheduling APIs take `Callback&&` so that a closure is
+// relocated only where it is stored: an engine event's closure moves twice
+// between scheduling and call (into its calendar slot, out to run), and a
+// sim::Server item's `done` likewise, plus once if it waited in the FIFO.
+//
 // An empty std::function or null function pointer converts to an empty
 // Callback, which keeps the engine's "scheduling an empty callback" check
 // meaningful for callers that pass std::function objects through.
@@ -67,11 +78,10 @@ class Callback {
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    // Null when copying the first `bytes` of the buffer moves the callable.
+    // Null when copying the buffer moves the callable.
     void (*relocate)(void* dst, void* src) noexcept;
     // Null when destruction is a no-op.
     void (*destroy)(void* storage) noexcept;
-    std::size_t bytes;
   };
 
   template <typename D>
@@ -107,7 +117,6 @@ class Callback {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* s) noexcept { inline_target<D>(s)->~D(); },
-      sizeof(D),
   };
 
   template <typename D>
@@ -115,7 +124,6 @@ class Callback {
       [](void* s) { std::invoke(*heap_target<D>(s)); },
       nullptr,  // the buffer holds only the box pointer
       [](void* s) noexcept { delete heap_target<D>(s); },
-      sizeof(D*),
   };
 
   void take(Callback& other) noexcept {
@@ -124,7 +132,9 @@ class Callback {
     if (ops_->relocate != nullptr) {
       ops_->relocate(storage_, other.storage_);
     } else {
-      std::memcpy(storage_, other.storage_, ops_->bytes);
+      // The whole buffer, bytes past the callable included: a copy of a
+      // compile-time size is a few register moves, not a libc call.
+      std::memcpy(storage_, other.storage_, kInlineSize);
     }
     other.ops_ = nullptr;
   }

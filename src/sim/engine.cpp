@@ -6,7 +6,7 @@
 
 namespace flotilla::sim {
 
-Engine::EventId Engine::at_reserved(EventKey key, Callback cb) {
+Engine::EventId Engine::at_reserved(EventKey key, Callback&& cb) {
   FLOT_CHECK(cb, "scheduling an empty callback");
   FLOT_CHECK(key.seq != 0 && key.seq < next_seq_,
              "seq ", key.seq, " was never reserved");
@@ -15,27 +15,31 @@ Engine::EventId Engine::at_reserved(EventKey key, Callback cb) {
   return calendar_.push(key.time, key.seq, std::move(cb));
 }
 
-Engine::EventId Engine::at(Time t, Callback cb) {
+Engine::EventId Engine::at(Time t, Callback&& cb) {
   FLOT_CHECK(cb, "scheduling an empty callback");
   FLOT_CHECK(std::isfinite(t), "scheduling at non-finite time ", t);
   if (t < now_) t = now_;
   return calendar_.push(t, next_seq_++, std::move(cb));
 }
 
-Engine::EventId Engine::in(Time delay, Callback cb) {
+Engine::EventId Engine::in(Time delay, Callback&& cb) {
   return at(now_ + delay, std::move(cb));
 }
 
 bool Engine::step() {
-  EventCalendar::Popped event;
-  if (!calendar_.pop(&event)) return false;
+  if (!calendar_.prune()) return false;
+  fire_next();
+  return true;
+}
+
+void Engine::fire_next() {
+  EventCalendar::Popped event = calendar_.pop();
   now_ = event.time;
   last_key_ = EventKey{event.time, event.seq};
   ++processed_;
   event.callback();
   if (post_event_hook_) post_event_hook_();
   if (trace_probe_) trace_probe_(event.time, processed_);
-  return true;
 }
 
 std::uint64_t Engine::run(Time until) {
@@ -54,7 +58,7 @@ std::uint64_t Engine::run(Time until) {
       }
       break;
     }
-    step();
+    fire_next();  // next_time() just pruned: the top is live
     ++count;
   }
   return count;

@@ -5,6 +5,12 @@
 // deterministic for a given seed — a property the regression tests rely
 // on. The engine is single-threaded: callbacks run on the thread that
 // calls run() or step(), one at a time.
+//
+// Cost of one event: a push and a pop on the calendar's binary heap (see
+// calendar.hpp for the key order), and two relocations of its closure,
+// into its calendar slot and out of it to run (see callback.hpp). The
+// scheduling calls take the closure as `Callback&&`, so passing it on
+// never moves it.
 #pragma once
 
 #include <cstdint>
@@ -56,15 +62,15 @@ class Engine {
   // have had. `key` must not precede current_key(), and each reserved seq
   // may be pushed at most once.
   std::uint64_t reserve_seq() { return next_seq_++; }
-  EventId at_reserved(EventKey key, Callback cb);
+  EventId at_reserved(EventKey key, Callback&& cb);
 
   // Schedules `cb` at absolute virtual time `t` (>= now, else clamped to
   // now: an event can never fire in the past). `t` must be finite.
-  EventId at(Time t, Callback cb);
+  EventId at(Time t, Callback&& cb);
 
   // Schedules `cb` after `delay` virtual seconds (negative delays clamp
   // to zero).
-  EventId in(Time delay, Callback cb);
+  EventId in(Time delay, Callback&& cb);
 
   // Cancels a pending event; cancelling an already-fired or unknown event
   // is a harmless no-op and returns false.
@@ -106,6 +112,9 @@ class Engine {
   void set_trace_probe(TraceProbe probe) { trace_probe_ = std::move(probe); }
 
  private:
+  // Pops and runs the calendar top; the caller has just pruned it.
+  void fire_next();
+
   EventCalendar calendar_;
   std::uint64_t next_seq_ = 1;
   Time now_ = 0.0;

@@ -71,9 +71,17 @@ double RngStream::normal(double mean, double stddev) {
 double RngStream::lognormal_mean_cv(double mean, double cv) {
   if (mean <= 0.0) return 0.0;
   if (cv <= 0.0) return mean;
+  for (const LognormalParams& memo : lognormal_memo_) {
+    if (memo.mean == mean && memo.cv == cv) {
+      return std::exp(normal(memo.mu, memo.sigma));
+    }
+  }
   const double sigma2 = std::log(1.0 + cv * cv);
   const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(normal(mu, std::sqrt(sigma2)));
+  const double sigma = std::sqrt(sigma2);
+  lognormal_memo_[lognormal_victim_] = LognormalParams{mean, cv, mu, sigma};
+  lognormal_victim_ = (lognormal_victim_ + 1) % kLognormalMemo;
+  return std::exp(normal(mu, sigma));
 }
 
 }  // namespace flotilla::sim

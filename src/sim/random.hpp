@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -40,6 +41,15 @@ class RngStream {
   // the coefficient of variation (sigma of the underlying normal derived
   // from cv). Convenient for service-time jitter: jittered(m, 0.2) has mean
   // m and ~20% relative spread.
+  //
+  // The underlying (mu, sigma) of the kLognormalMemo (mean, cv) pairs that
+  // missed most recently are memoized, so a repeated calibrated jitter pays
+  // only the normal draw and one exp. The memo is exact: it is keyed by
+  // the pair's values, and holds the very doubles the formula computes for
+  // them, so a hit, a miss or an eviction changes the speed of a draw,
+  // never its bits. Eight entries hold a Flux instance's four fixed pairs
+  // with room for the per-job wireup means drawn between them; a miss
+  // overwrites the entries in rotation.
   double lognormal_mean_cv(double mean, double cv);
 
   // True with probability p.
@@ -48,7 +58,17 @@ class RngStream {
   static std::uint64_t hash(std::string_view s);
 
  private:
+  struct LognormalParams {
+    double mean = 0.0;  // never a key: lognormal_mean_cv takes mean > 0
+    double cv = 0.0;
+    double mu = 0.0;
+    double sigma = 0.0;
+  };
+  static constexpr std::size_t kLognormalMemo = 8;
+
   std::uint64_t state_[4] = {};
+  LognormalParams lognormal_memo_[kLognormalMemo];
+  std::size_t lognormal_victim_ = 0;  // next entry a miss overwrites
 };
 
 }  // namespace flotilla::sim

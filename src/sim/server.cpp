@@ -12,18 +12,17 @@ Server::Server(Engine& engine, int parallelism)
              parallelism);
 }
 
-void Server::submit(Time service_time, Done done) {
+void Server::submit(Time service_time, Done&& done) {
   FLOT_CHECK(std::isfinite(service_time) && service_time >= 0.0,
              "service time must be finite and non-negative, got ",
              service_time);
   if (held_ != kNoSlot) settle();
-  Item item{service_time, std::move(done)};
   if (busy_ < parallelism_ && backlog() == 0) {
-    start(std::move(item));
+    start(service_time, std::move(done));
     return;
   }
   if (!waiting_) waiting_ = std::make_unique<std::deque<Item>>();
-  waiting_->push_back(std::move(item));
+  waiting_->emplace_back(service_time, std::move(done));
   start_next();
 }
 
@@ -39,16 +38,18 @@ std::uint32_t Server::claim_slot() {
   return slot;
 }
 
-void Server::start(Item item) {
+void Server::start(Time service_time, Done&& done) {
   const std::uint32_t slot = claim_slot();
-  const Time service_time = item.service_time;
-  slots_[slot].item = std::move(item);
+  Item& item = slots_[slot].item;
+  item.service_time = service_time;
+  item.done = std::move(done);
   engine_.in(service_time, [this, slot] { finish(slot); });
 }
 
 void Server::start_next() {
   while (busy_ < parallelism_ && backlog() != 0) {
-    start(std::move(waiting_->front()));
+    Item& head = waiting_->front();
+    start(head.service_time, std::move(head.done));
     waiting_->pop_front();
   }
 }
@@ -83,7 +84,7 @@ std::uint32_t Server::hold(Time service_time) {
   return slot;
 }
 
-void Server::carry(std::uint32_t slot, Done done) {
+void Server::carry(std::uint32_t slot, Done&& done) {
   slots_[slot].item.done = std::move(done);
   if (held_ == slot) materialize();
 }
@@ -112,7 +113,7 @@ void FanOut::add(Server& server, Time service_time) {
   targets_.push_back(Target{&server, service_time, Server::kNoSlot});
 }
 
-void FanOut::launch(Server::Done done) {
+void FanOut::launch(Server::Done&& done) {
   FLOT_CHECK(!targets_.empty(), "fan-out launched without targets");
   if (targets_.size() == 1) {
     targets_.front().server->submit(targets_.front().service_time,

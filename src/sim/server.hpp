@@ -16,7 +16,9 @@
 //     fits Callback's inline buffer.
 //   - Direct start. `submit` starts an item at once when a slot is free and
 //     nothing waits; that is the same event, at the same point, as queueing
-//     it and starting the queue head.
+//     it and starting the queue head. The item's `done` is moved straight
+//     into its slot, and out of it when the item finishes: two relocations
+//     from submit to call, three when it waited in the FIFO.
 //   - Lazy FIFO. The queue of waiting items is created only when an item
 //     first has to wait. It is a deque, so a drained backlog returns its
 //     memory instead of keeping its peak.
@@ -52,7 +54,7 @@ class Server {
   // Enqueues a work item that will occupy one server slot for
   // `service_time` virtual seconds, then fire `done`. `service_time` must
   // be finite and non-negative.
-  void submit(Time service_time, Done done);
+  void submit(Time service_time, Done&& done);
 
   // Items waiting for a slot (excludes items in service).
   std::size_t backlog() const { return waiting_ ? waiting_->size() : 0; }
@@ -84,7 +86,7 @@ class Server {
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   std::uint32_t claim_slot();
-  void start(Item item);
+  void start(Time service_time, Done&& done);
   void start_next();
   void finish(std::uint32_t slot);
   // Frees `slot` with its completion accounted; returns its `done`.
@@ -94,7 +96,7 @@ class Server {
   // returns it (kNoSlot when the server is not idle); carry() gives a
   // held or in-service slot its `done` and materializes it if still held.
   std::uint32_t hold(Time service_time);
-  void carry(std::uint32_t slot, Done done);
+  void carry(std::uint32_t slot, Done&& done);
   bool hold_passed() const {
     return held_ != kNoSlot &&
            slots_[held_].key < engine_.current_key();
@@ -133,7 +135,7 @@ class Server {
 class FanOut {
  public:
   void add(Server& server, Time service_time);
-  void launch(Server::Done done);
+  void launch(Server::Done&& done);
 
  private:
   struct Target {

@@ -66,7 +66,9 @@ bool CliParser::parse(int argc, const char* const* argv) {
     FLOT_CHECK(it != specs_.end(), "unknown option --", name, "\n", usage());
     if (it->second.is_flag) {
       FLOT_CHECK(!has_value, "flag --", name, " does not take a value");
-      values_[name] = "1";
+      // A constructed string moved in: assigning the literal to the
+      // mapped string trips GCC 12's -Wrestrict false positive at -O3.
+      values_.insert_or_assign(std::move(name), std::string("1"));
       continue;
     }
     if (!has_value) {

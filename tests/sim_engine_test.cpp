@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/random.hpp"
+#include "sim/server.hpp"
 #include "util/error.hpp"
 
 namespace flotilla::sim {
@@ -580,6 +586,281 @@ TEST(Callback, MovesOwnershipAndEmptiesTheSource) {
   EXPECT_EQ(fired, 2);
   b = Callback{};
   EXPECT_EQ(live, 0);
+}
+
+// Differential test of the calendar order. Seeded random mixes of at(),
+// in(), late pushes of reserved seqs and cancels, issued both from outside
+// the run and from inside firing events, are mirrored in a reference: a
+// std::map sorted by (time, seq) with the engine's clamping and seq
+// issuing written out. Every event must fire exactly when it is the
+// reference's minimum, with the time bits it was pushed at, and
+// processed()/pending()/next_event_time() must agree after every step.
+class CalendarDifferential {
+ public:
+  explicit CalendarDifferential(std::uint64_t seed) : rng_(seed, "calendar") {}
+
+  void run() {
+    for (int i = 0; i < 64; ++i) random_op();
+    while (!engine_.empty() || budget_ > 0) {
+      if (engine_.empty()) {
+        random_op();
+        continue;
+      }
+      switch (rng_.uniform_int(0, 5)) {
+        case 0: {
+          const Time until =
+              now_ + 0.25 * static_cast<double>(rng_.uniform_int(0, 4));
+          const std::uint64_t before = processed_;
+          const std::uint64_t count = engine_.run(until);
+          EXPECT_EQ(count, processed_ - before);
+          // run(until) drained its window: the clock moves to `until` if
+          // events remain beyond it, and the key becomes the boundary.
+          if (!pending_.empty() && pending_.begin()->first.time > until &&
+              until >= now_) {
+            now_ = until;
+            last_ = {until, next_seq_};
+          }
+          break;
+        }
+        case 1:
+        case 2:
+          for (int i = 0; i < 3; ++i) random_op();
+          break;
+        default:
+          ASSERT_TRUE(engine_.step());
+          break;
+      }
+      check_state();
+      peak_ = std::max(peak_, pending_.size());
+    }
+    EXPECT_FALSE(engine_.step());
+    EXPECT_EQ(bits(engine_.next_event_time()), bits(kInfiniteTime));
+    EXPECT_GT(fired_, 100);
+    EXPECT_GT(cancelled_, 10);
+    EXPECT_GE(peak_, 8u);  // deep enough for multi-level sifts
+    EXPECT_GT(stale_cancels_[0], 0);  // of a fired event
+    EXPECT_GT(stale_cancels_[1], 0);  // of a tombstoned one
+  }
+
+ private:
+  struct Key {
+    Time time;
+    std::uint64_t seq;
+    friend bool operator<(const Key& a, const Key& b) {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+  };
+  enum class State { kPending, kFired, kCancelled };
+  struct Event {
+    Key key;
+    Engine::EventId id;
+    State state;
+  };
+
+  static std::uint64_t bits(Time t) { return std::bit_cast<std::uint64_t>(t); }
+
+  // Times on a coarse grid, so ties are common; -0.0 and +0.0 are equal
+  // keys that differ in their bits.
+  Time draw_time() {
+    switch (rng_.uniform_int(0, 5)) {
+      case 0: return -0.0;
+      case 1: return 0.0;
+      case 2: return now_;
+      case 3: return now_ - 1.0;  // clamps to now
+      default: return now_ + 0.5 * static_cast<double>(rng_.uniform_int(0, 4));
+    }
+  }
+  Time draw_delay() {
+    static constexpr Time kDelays[] = {-0.0, 0.0, -0.5, 0.5, 1.0, 0.25};
+    return kDelays[rng_.uniform_int(0, 5)];
+  }
+
+  Callback fire_of(std::size_t index) {
+    return [this, index] { fire(index); };
+  }
+
+  void record(Key key, Engine::EventId id) {
+    EXPECT_EQ(id.seq, key.seq);
+    events_.push_back(Event{key, id, State::kPending});
+    pending_.emplace(key, events_.size() - 1);
+  }
+
+  void random_op() {
+    if (budget_ <= 0) return;
+    --budget_;
+    switch (rng_.uniform_int(0, 6)) {
+      case 0:
+      case 1: {  // at(): clamped to now, next seq
+        const Time t = draw_time();
+        const Key key{t < now_ ? now_ : t, next_seq_++};
+        record(key, engine_.at(t, fire_of(events_.size())));
+        break;
+      }
+      case 2: {  // in(): now + delay, clamped, next seq
+        const Time delay = draw_delay();
+        const Time t = now_ + delay;
+        const Key key{t < now_ ? now_ : t, next_seq_++};
+        record(key, engine_.in(delay, fire_of(events_.size())));
+        break;
+      }
+      case 3: {  // reserve a seq now, push it later
+        const std::uint64_t seq = engine_.reserve_seq();
+        EXPECT_EQ(seq, next_seq_++);
+        reserved_.push_back(
+            Key{now_ + 0.5 * static_cast<double>(rng_.uniform_int(0, 3)), seq});
+        break;
+      }
+      case 4: {  // push a reserved seq late, if its key is still ahead
+        if (reserved_.empty()) break;
+        const auto last = static_cast<std::int64_t>(reserved_.size()) - 1;
+        const auto pick = static_cast<std::size_t>(rng_.uniform_int(0, last));
+        const Key key = reserved_[pick];
+        reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(pick));
+        if (key < last_) break;  // its time passed: the owner would retire it
+        record(key, engine_.at_reserved(Engine::EventKey{key.time, key.seq},
+                                         fire_of(events_.size())));
+        break;
+      }
+      default: {  // cancel any event ever pushed: pending, fired or cancelled
+        if (events_.empty()) break;
+        // Half the picks among the latest events, which are mostly pending.
+        const auto count = static_cast<std::int64_t>(events_.size());
+        const std::int64_t lo = rng_.uniform_int(0, 1) == 0
+                                    ? 0
+                                    : std::max<std::int64_t>(0, count - 8);
+        const auto pick =
+            static_cast<std::size_t>(rng_.uniform_int(lo, count - 1));
+        Event& event = events_[pick];
+        EXPECT_EQ(engine_.cancel(event.id), event.state == State::kPending)
+            << "event " << pick;
+        switch (event.state) {
+          case State::kPending:
+            event.state = State::kCancelled;
+            pending_.erase(event.key);
+            ++cancelled_;
+            break;
+          case State::kFired: ++stale_cancels_[0]; break;
+          case State::kCancelled: ++stale_cancels_[1]; break;
+        }
+        break;
+      }
+    }
+  }
+
+  void fire(std::size_t index) {
+    ASSERT_FALSE(pending_.empty());
+    EXPECT_EQ(pending_.begin()->second, index) << "fired out of order";
+    Event& event = events_[index];
+    EXPECT_EQ(event.state, State::kPending);
+    EXPECT_EQ(bits(engine_.now()), bits(event.key.time));
+    EXPECT_EQ(engine_.current_key().seq, event.key.seq);
+    pending_.erase(event.key);
+    event.state = State::kFired;
+    now_ = event.key.time;
+    last_ = event.key;
+    ++processed_;
+    ++fired_;
+    EXPECT_EQ(engine_.processed(), processed_);
+    // Firing events schedule and cancel too, at keys relative to their own.
+    const auto ops = rng_.uniform_int(0, 2);
+    for (std::int64_t i = 0; i < ops; ++i) random_op();
+  }
+
+  void check_state() {
+    EXPECT_EQ(engine_.processed(), processed_);
+    EXPECT_EQ(engine_.pending(), pending_.size());
+    EXPECT_EQ(engine_.empty(), pending_.empty());
+    const Time next =
+        pending_.empty() ? kInfiniteTime : pending_.begin()->first.time;
+    EXPECT_EQ(bits(engine_.next_event_time()), bits(next));
+  }
+
+  Engine engine_;
+  RngStream rng_;
+  std::vector<Event> events_;
+  std::map<Key, std::size_t> pending_;  // the reference calendar
+  std::vector<Key> reserved_;
+  std::uint64_t next_seq_ = 1;
+  Time now_ = 0.0;
+  Key last_{0.0, 0};
+  std::uint64_t processed_ = 0;
+  int budget_ = 800;
+  int fired_ = 0;
+  int cancelled_ = 0;
+  std::size_t peak_ = 0;
+  std::array<int, 2> stale_cancels_{};
+};
+
+TEST(Engine, CalendarFiresInSortedKeyOrderOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    CalendarDifferential(seed).run();
+  }
+}
+
+// A capture that counts its moves and which copy of it is destroyed: the
+// one copy that still owns the capture (moved-from shells do not).
+struct MoveLog {
+  int moves = 0;
+  int moves_at_call = -1;
+  int owner_destroyed = 0;
+};
+
+struct MoveCountingCapture {
+  MoveLog* log;
+  bool owner = true;
+  explicit MoveCountingCapture(MoveLog* l) : log(l) {}
+  MoveCountingCapture(MoveCountingCapture&& other) noexcept
+      : log(other.log), owner(std::exchange(other.owner, false)) {
+    ++log->moves;
+  }
+  MoveCountingCapture(const MoveCountingCapture&) = delete;
+  MoveCountingCapture& operator=(const MoveCountingCapture&) = delete;
+  ~MoveCountingCapture() {
+    if (owner) ++log->owner_destroyed;
+  }
+  void operator()() { log->moves_at_call = log->moves; }
+};
+static_assert(sizeof(MoveCountingCapture) <= Callback::kInlineSize);
+
+// Builds the Callback first, which moves the capture once into its buffer;
+// every move the tests count past that one is a relocation.
+Callback counted(MoveLog* log) {
+  Callback cb = MoveCountingCapture{log};
+  EXPECT_EQ(log->moves, 1);  // into the callback's buffer
+  return cb;
+}
+
+TEST(Engine, ScheduledClosureMovesIntoItsSlotAndOutToItsCall) {
+  MoveLog log;
+  {
+    Engine engine;
+    engine.in(1.0, counted(&log));
+    engine.run();
+    // One move into the calendar slot, one out of it to run.
+    EXPECT_EQ(log.moves_at_call, 1 + 2);
+    EXPECT_EQ(log.owner_destroyed, 1);
+  }
+  EXPECT_EQ(log.owner_destroyed, 1);
+}
+
+TEST(Engine, ServerDoneMovesOncePerHandOff) {
+  MoveLog idle, queued;
+  {
+    Engine engine;
+    Server server(engine, 1);
+    server.submit(1.0, counted(&idle));    // starts at once
+    server.submit(1.0, counted(&queued));  // waits behind it
+    engine.run();
+    // Idle server: into the item's slot, out of it to run.
+    EXPECT_EQ(idle.moves_at_call, 1 + 2);
+    // Busy server: into the wait queue, into the slot, out to run.
+    EXPECT_EQ(queued.moves_at_call, 1 + 3);
+    EXPECT_EQ(idle.owner_destroyed, 1);
+    EXPECT_EQ(queued.owner_destroyed, 1);
+  }
+  EXPECT_EQ(idle.owner_destroyed, 1);
+  EXPECT_EQ(queued.owner_destroyed, 1);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -648,6 +650,100 @@ TEST(RngStream, LognormalMeanCvConverges) {
   for (int i = 0; i < n; ++i) sum += rng.lognormal_mean_cv(10.0, 0.3);
   EXPECT_NEAR(sum / n, 10.0, 0.3);
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(10.0, 0.0), 10.0);
+}
+
+// The draw formulas written out over a twin stream's raw uniforms: what
+// every RngStream draw must equal bit for bit, however the stream caches.
+struct ReferenceDraws {
+  RngStream raw;
+  double uniform() { return raw.uniform(); }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    if (lo >= hi) return lo;
+    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+    return lo + static_cast<std::int64_t>(raw.next_u64() % span);
+  }
+  double exponential(double mean) {
+    double u = raw.uniform();
+    if (u <= 0.0) u = 0x1.0p-53;
+    return -mean * std::log(u);
+  }
+  double normal(double mean, double stddev) {
+    double u1 = raw.uniform();
+    if (u1 <= 0.0) u1 = 0x1.0p-53;
+    const double u2 = raw.uniform();
+    const double z = std::sqrt(-2.0 * std::log(u1)) *
+                     std::cos(2.0 * 3.141592653589793 * u2);
+    return mean + stddev * z;
+  }
+  double lognormal_mean_cv(double mean, double cv) {
+    if (mean <= 0.0) return 0.0;
+    if (cv <= 0.0) return mean;
+    const double sigma2 = std::log(1.0 + cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    return std::exp(normal(mu, std::sqrt(sigma2)));
+  }
+};
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// A fixed interleaving of every draw kind. The lognormal draws mix a hot
+// set of four (mean, cv) pairs, drawn in rotation as a Flux instance draws
+// its fixed costs, with a mean that varies per draw like a Flux job's
+// wireup and a cold rotation over eleven more pairs (edge cases included):
+// more distinct pairs than any parameter cache holds, so hits, misses and
+// evictions all occur. Returns an FNV-1a fold of every draw's bits.
+std::uint64_t pin_draws(std::uint64_t seed) {
+  static constexpr double kHot[][2] = {
+      {1.0e-3, 0.2}, {2.5e-4, 0.2}, {0.05, 0.2}, {7.0e-3, 0.1}};
+  static constexpr double kCold[][2] = {
+      {1.0e-3, 0.1}, {3.0, 0.35},    {0.12, 0.2}, {4.0e-5, 0.2},
+      {1.0e-3, 0.05}, {10.0, 0.3},   {6.25e-4, 0.2}, {0.9, 1.5},
+      {0.0, 0.2},    {2.0, 0.0},     {-1.0, 0.2},
+  };
+  RngStream rng(seed, "pin");
+  ReferenceDraws ref{RngStream(seed, "pin")};
+  std::uint64_t fold = 0xcbf29ce484222325ULL;
+  const auto check = [&fold](double got, double want, int step) {
+    EXPECT_EQ(bits_of(got), bits_of(want)) << "draw " << step;
+    fold = (fold ^ bits_of(got)) * 0x100000001b3ULL;
+  };
+  const auto lognormal = [&](const double (&pair)[2], int step) {
+    check(rng.lognormal_mean_cv(pair[0], pair[1]),
+          ref.lognormal_mean_cv(pair[0], pair[1]), step);
+  };
+  for (int i = 0; i < 4500; ++i) {
+    const auto cycle = static_cast<std::size_t>(i / 9);
+    switch (i % 9) {
+      case 0: check(rng.uniform(), ref.uniform(), i); break;
+      case 1: {
+        const auto got = rng.uniform_int(-3, 17 + i % 5);
+        const auto want = ref.uniform_int(-3, 17 + i % 5);
+        EXPECT_EQ(got, want) << "draw " << i;
+        fold = (fold ^ static_cast<std::uint64_t>(got)) * 0x100000001b3ULL;
+        break;
+      }
+      case 2: check(rng.exponential(0.5), ref.exponential(0.5), i); break;
+      case 3: check(rng.normal(1.0, 0.25), ref.normal(1.0, 0.25), i); break;
+      case 4: {
+        // Wireup-like: base plus a per-node term over a varying node count.
+        const double mean = 0.02 + 0.001 * static_cast<double>(1 + i % 37);
+        check(rng.lognormal_mean_cv(mean, 0.2),
+              ref.lognormal_mean_cv(mean, 0.2), i);
+        break;
+      }
+      case 8: lognormal(kCold[cycle % std::size(kCold)], i); break;
+      default:  // 5, 6, 7: three of the hot four, a different start each cycle
+        lognormal(kHot[(cycle + static_cast<std::size_t>(i % 9)) % 4], i);
+        break;
+    }
+  }
+  return fold;
+}
+
+TEST(RngStream, DrawsMatchTheWrittenOutFormulasBitForBit) {
+  // The folds pin the draws themselves across changes to the generator.
+  EXPECT_EQ(pin_draws(42), 0x88bd93e22c9661a0ULL);
+  EXPECT_EQ(pin_draws(7), 0x3ef433fd748ce50dULL);
 }
 
 }  // namespace
