@@ -228,6 +228,31 @@ void BM_JournalEncodeAlloc(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalEncodeAlloc);
 
+// Appends 300,000 task edges to a fresh writer, across its segment
+// boundaries (4 KiB doubling to ~8 MiB): the writer's per-line cost, from
+// encoding through the copy into a segment and each new segment's
+// allocation, without the scribe around it.
+void BM_JournalWriterAppend(benchmark::State& state) {
+  constexpr int kLines = 300'000;
+  for (auto _ : state) {
+    journal::Writer writer;
+    double t = 62.267854373;
+    for (int i = 0; i < kLines; ++i) {
+      t += 1.0e-3;
+      benchmark::DoNotOptimize(writer.append_transition(
+          t, static_cast<core::TaskId>(i / 6),
+          static_cast<core::TaskState>(i % 10), "dragon", 1));
+    }
+    benchmark::DoNotOptimize(writer.size());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kLines);
+  state.counters["ns_per_line"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kLines,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_JournalWriterAppend)->Unit(benchmark::kMillisecond);
+
 // Decodes a 150,000-record journal, the size perfbench cuts for its
 // recovery measurement: a header, then task edges and node changes.
 void BM_JournalRead(benchmark::State& state) {
@@ -245,8 +270,9 @@ void BM_JournalRead(benchmark::State& state) {
                                i % 3 == 0 ? "" : "flux", i % 3 == 2);
     }
   }
+  const std::string bytes = writer.bytes();
   for (auto _ : state) {
-    const auto result = journal::read(writer.bytes());
+    const auto result = journal::read(bytes);
     benchmark::DoNotOptimize(result.records.data());
   }
   state.SetItemsProcessed(state.iterations() * kRecords);

@@ -326,16 +326,18 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
 
   // Service-mode ingress (docs/ingress.md): clients > 0 routes the task
   // budget through an arrival process + admission control instead of one
-  // up-front submit. Accepted uids then trickle in over the run, so cancel
+  // up-front submit. Accepted tasks then trickle in over the run, so cancel
   // storms sample the ingress service's accepted set at fire time.
   std::unique_ptr<ingress::IngressService> svc;
-  std::vector<std::string> uids;
+  std::vector<core::TaskId> ids;
   if (spec.clients > 0) {
     svc = std::make_unique<ingress::IngressService>(session, tmgr,
                                                     ingress_config(spec));
     svc->start(build_workload(spec));
   } else {
-    uids = tmgr.submit(build_workload(spec));
+    for (const auto& uid : tmgr.submit(build_workload(spec))) {
+      ids.push_back(tmgr.task(uid).id());
+    }
   }
 
   // The injected state-loss defect (docs/recovery.md): a recovery path
@@ -358,10 +360,10 @@ void run_impl(const ScenarioSpec& spec, const RunOptions& opts,
     } else {
       session.engine().at(
           ready_time + fault.time,
-          [&tmgr, uids, fault, s = scribe.get(), svc_p = svc.get()] {
+          [&tmgr, &ids, fault, s = scribe.get(), svc_p = svc.get()] {
             // Under ingress the accepted set grows over the run; sample it
             // when the storm fires, not when it was scheduled.
-            const auto& pool = svc_p != nullptr ? svc_p->accepted_uids() : uids;
+            const auto& pool = svc_p != nullptr ? svc_p->accepted_ids() : ids;
             if (pool.empty()) return;
             const auto n = std::min<std::size_t>(
                 pool.size(),

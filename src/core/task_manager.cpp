@@ -90,19 +90,21 @@ std::vector<std::string> TaskManager::submit(
   return uids;
 }
 
-std::vector<std::string> TaskManager::submit_batch(
-    std::vector<TaskDescription> descriptions) {
-  std::vector<std::string> uids;
-  uids.reserve(descriptions.size());
-  if (descriptions.empty()) return uids;
+TaskIdRange TaskManager::submit_batch(
+    std::span<TaskDescription> descriptions) {
+  if (descriptions.empty()) return {};
   for (const auto& description : descriptions) validate(description);
   const std::size_t begin = total_submitted_;
-  for (auto& description : descriptions) {
-    uids.push_back(create(std::move(description)).uid());
-  }
+  for (auto& description : descriptions) create(std::move(description));
+  const TaskIdRange ids{at(begin).id(), at(total_submitted_ - 1).id() + 1};
+  // A transition hook that submits from inside the batch would take an id
+  // in between.
+  FLOT_CHECK(ids.size() == descriptions.size(), "batch of ",
+             descriptions.size(), " tasks got non-consecutive ids ",
+             ids.begin, "..", ids.end - 1);
   batches_.emplace_back(begin, total_submitted_);
   enqueue_intake();
-  return uids;
+  return ids;
 }
 
 void TaskManager::enqueue_intake() {
@@ -118,9 +120,12 @@ void TaskManager::start_intake() {
   const std::size_t begin = intake_next_;
   std::size_t end = begin + 1;
   double cost = cal.tmgr_task_cost;
-  if (!batches_.empty() && batches_.front().first == begin) {
-    end = batches_.front().second;
-    batches_.pop_front();
+  if (batch_head_ != batches_.size() && batches_[batch_head_].first == begin) {
+    end = batches_[batch_head_].second;
+    if (++batch_head_ == batches_.size()) {
+      batches_.clear();
+      batch_head_ = 0;
+    }
     cost = cal.tmgr_batch_base +
            static_cast<double>(end - begin) * cal.tmgr_batch_per_task;
   }
@@ -140,30 +145,42 @@ void TaskManager::start_intake() {
                  });
 }
 
-std::optional<std::size_t> TaskManager::position(std::string_view uid) const {
-  const auto id = task_ordinal(uid);
-  if (!id) return std::nullopt;
+std::optional<std::size_t> TaskManager::position(TaskId id) const {
   // Positions are in increasing TaskId order: binary search.
   std::size_t lo = 0;
   std::size_t hi = total_submitted_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (at(mid).id() < *id) {
+    if (at(mid).id() < id) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo == total_submitted_ || at(lo).id() != *id || at(lo).uid() != uid) {
-    return std::nullopt;
-  }
+  if (lo == total_submitted_ || at(lo).id() != id) return std::nullopt;
   return lo;
+}
+
+std::optional<std::size_t> TaskManager::position(std::string_view uid) const {
+  const auto id = task_ordinal(uid);
+  if (!id) return std::nullopt;
+  const auto pos = position(*id);
+  if (!pos || at(*pos).uid() != uid) return std::nullopt;
+  return pos;
 }
 
 bool TaskManager::cancel(const std::string& uid) {
   const auto pos = position(uid);
-  if (!pos) return false;
-  Task& task = at(*pos);
+  return pos && cancel_at(*pos);
+}
+
+bool TaskManager::cancel(TaskId id) {
+  const auto pos = position(id);
+  return pos && cancel_at(*pos);
+}
+
+bool TaskManager::cancel_at(std::size_t pos) {
+  Task& task = at(pos);
   if (is_final(task.state())) return false;
   // A task still in TMGR intake has not reached the agent; flag it and the
   // agent will cancel it on arrival.
@@ -172,7 +189,7 @@ bool TaskManager::cancel(const std::string& uid) {
     task.request_cancel();
     return true;
   }
-  return agent_.cancel(uid);
+  return agent_.cancel(task.uid());
 }
 
 const Task& TaskManager::task(const std::string& uid) const {

@@ -6,10 +6,10 @@
 // task on a final state.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,6 +22,14 @@
 #include "sim/server.hpp"
 
 namespace flotilla::core {
+
+// The consecutive TaskIds [begin, end) of one submit_batch.
+struct TaskIdRange {
+  TaskId begin = 0;
+  TaskId end = 0;
+
+  std::size_t size() const { return end - begin; }
+};
 
 class TaskManager {
  public:
@@ -37,10 +45,10 @@ class TaskManager {
   // style): every task advances to kTmgrScheduling now, but the whole
   // batch pays a single amortized intake cost
   // (tmgr_batch_base + n * tmgr_batch_per_task) instead of n serialized
-  // per-task costs. Tasks reach the agent in batch order. The ingress
-  // service (src/ingress) is the intended caller.
-  std::vector<std::string> submit_batch(
-      std::vector<TaskDescription> descriptions);
+  // per-task costs. Tasks reach the agent in batch order. Moves from
+  // every description and returns the batch's TaskIds, which are
+  // consecutive. The ingress service (src/ingress) is the intended caller.
+  TaskIdRange submit_batch(std::span<TaskDescription> descriptions);
 
   // Intake items (a task, or a whole submit_batch) currently queued or in
   // service in the TMGR intake component — the dispatcher-saturation
@@ -67,6 +75,7 @@ class TaskManager {
   // Requests cancellation (cooperative; see Agent::cancel). Returns false
   // for unknown or already-final tasks.
   bool cancel(const std::string& uid);
+  bool cancel(TaskId id);
 
   Agent& agent() { return agent_; }
   Session& session() { return session_; }
@@ -90,9 +99,12 @@ class TaskManager {
   const Task& at(std::size_t pos) const {
     return chunks_[pos / kChunkTasks][pos % kChunkTasks];
   }
+  // Position of this manager's task with `id`, or nullopt.
+  std::optional<std::size_t> position(TaskId id) const;
   // Position of this manager's task with `uid`, or nullopt (see
   // task_ordinal).
   std::optional<std::size_t> position(std::string_view uid) const;
+  bool cancel_at(std::size_t pos);
   // Issues the next uid, creates the task in its slot and moves it into
   // TMGR_SCHEDULING.
   Task& create(TaskDescription description);
@@ -113,7 +125,11 @@ class TaskManager {
   sim::Server intake_;
   std::size_t intake_next_ = 0;     // first task not yet started
   std::size_t intake_waiting_ = 0;  // items waiting, a batch counted once
-  std::deque<std::pair<std::size_t, std::size_t>> batches_;  // waiting runs
+  // Waiting submit_batch runs of positions [first, second), the oldest at
+  // batch_head_. Cleared once every run has started, so a warm intake
+  // reuses the buffer instead of allocating per batch.
+  std::vector<std::pair<std::size_t, std::size_t>> batches_;
+  std::size_t batch_head_ = 0;
   obs::TraceHandle obs_trace_;
   // Uids are unique per session, not per manager: another manager on the
   // same session may hold the TaskIds between two of these tasks.

@@ -1,5 +1,7 @@
 #include "ingress/batcher.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace flotilla::ingress {
@@ -11,8 +13,8 @@ IntakeBatcher::IntakeBatcher(sim::Engine& engine, BatcherConfig config,
   FLOT_CHECK(config_.window >= 0.0, "batcher window must be >= 0");
 }
 
-void IntakeBatcher::add(core::TaskDescription description) {
-  pending_.push_back(std::move(description));
+void IntakeBatcher::add(const core::TaskDescription& description) {
+  pending_.push_back(description);
   if (pending_.size() >= config_.max_batch) {
     flush_now();
     return;
@@ -30,9 +32,8 @@ void IntakeBatcher::flush_now() {
   ++batches_;
   batched_tasks_ += pending_.size();
   if (pending_.size() > max_batch_seen_) max_batch_seen_ = pending_.size();
-  std::vector<core::TaskDescription> batch;
-  batch.swap(pending_);
-  flush_(std::move(batch));
+  flush_(pending_);
+  pending_.clear();
 }
 
 }  // namespace flotilla::ingress

@@ -10,13 +10,14 @@
 // whose calibrated cost is `tmgr_batch_base + n * tmgr_batch_per_task`
 // instead of n times the serial `tmgr_task_cost`.
 //
-// Timer events are engine events, so flush order is deterministic.
+// Timer events are engine events, so flush order is deterministic. The
+// batch buffer is kept across flushes: a warm batcher allocates nothing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/task.hpp"
@@ -31,14 +32,15 @@ struct BatcherConfig {
 
 class IntakeBatcher {
  public:
-  using Flush = std::function<void(std::vector<core::TaskDescription>)>;
+  // Receives the batch in add order; may move from its descriptions.
+  using Flush = std::function<void(std::span<core::TaskDescription>)>;
 
   IntakeBatcher(sim::Engine& engine, BatcherConfig config, Flush flush);
 
   // Adds one admitted description; may flush synchronously when the batch
   // fills. The batcher must outlive any armed flush timer (the owning
   // IngressService guarantees this).
-  void add(core::TaskDescription description);
+  void add(const core::TaskDescription& description);
 
   // Flushes whatever is pending, invalidating any armed timer.
   void flush_now();

@@ -1,10 +1,21 @@
 #include "ingress/ingress.hpp"
 
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace flotilla::ingress {
+
+namespace {
+
+// The kSubmitLaunch span entity of the n-th accepted offer, formatted only
+// when tracing is on.
+std::string request_entity(std::uint64_t n) {
+  return "req-" + std::to_string(n);
+}
+
+}  // namespace
 
 IngressService::IngressService(core::Session& session, core::TaskManager& tmgr,
                                IngressConfig config)
@@ -13,8 +24,8 @@ IngressService::IngressService(core::Session& session, core::TaskManager& tmgr,
       config_(std::move(config)),
       admission_(config_.admit),
       batcher_(session.engine(), config_.batch,
-               [this](std::vector<core::TaskDescription> batch) {
-                 commit(std::move(batch));
+               [this](std::span<core::TaskDescription> batch) {
+                 commit(batch);
                }),
       client_rng_(session.seed(), "ingress.clients"),
       obs_trace_(session.trace_handle()) {
@@ -23,7 +34,7 @@ IngressService::IngressService(core::Session& session, core::TaskManager& tmgr,
              "ingress: in_flight_limit must be >= 1");
   // Launch/terminal observation rides the shared transition-hook fanout,
   // coexisting with the invariant monitor and the journal scribe; tasks
-  // not admitted through this service are ignored by uid lookup.
+  // not admitted through this service find no live offer in the window.
   tmgr_.on_transition(
       [this](const core::Task& task, core::TaskState, core::TaskState to) {
         on_transition(task, to);
@@ -79,14 +90,12 @@ void IngressService::schedule_closed_offer(int client, double delay) {
   });
 }
 
-core::TaskDescription IngressService::next_prototype() {
-  const auto index =
-      static_cast<std::size_t>(request_seq_) % prototypes_.size();
-  return prototypes_[index];
+std::size_t IngressService::next_prototype() const {
+  return static_cast<std::size_t>(request_seq_) % prototypes_.size();
 }
 
 void IngressService::make_offer(int client, int prior_defers,
-                                core::TaskDescription description) {
+                                std::size_t prototype) {
   const Verdict verdict = admission_.offer(intake_depth(), prior_defers);
   switch (verdict) {
     case Verdict::kAccept: {
@@ -94,10 +103,14 @@ void IngressService::make_offer(int client, int prior_defers,
                          static_cast<double>(client));
       Offer offer;
       offer.time = session_.now();
+      offer.request = request_seq_;
       offer.client = client;
-      offer.request = "req-" + std::to_string(request_seq_);
-      obs_trace_.begin(obs::SpanType::kSubmitLaunch, "ingress", offer.request,
-                       static_cast<double>(client));
+      offer.awaiting_launch = true;
+      if (obs_trace_) {
+        obs_trace_.begin(obs::SpanType::kSubmitLaunch, "ingress",
+                         request_entity(offer.request),
+                         static_cast<double>(client));
+      }
       if (!config_.arrival.open_loop()) {
         auto& in_flight =
             client_in_flight_[static_cast<std::size_t>(client)];
@@ -109,8 +122,8 @@ void IngressService::make_offer(int client, int prior_defers,
       ++request_seq_;
       // Metadata first: the batcher may commit synchronously when the
       // batch fills, and commit() consumes uncommitted_ front-to-back.
-      uncommitted_.push_back(std::move(offer));
-      batcher_.add(std::move(description));
+      uncommitted_.push_back(offer);
+      batcher_.add(prototypes_[prototype]);
       break;
     }
     case Verdict::kDefer: {
@@ -119,10 +132,9 @@ void IngressService::make_offer(int client, int prior_defers,
       ++pending_reoffers_;
       session_.engine().in(
           admission_.defer_delay(prior_defers),
-          [this, client, prior_defers,
-           description = std::move(description)]() mutable {
+          [this, client, prior_defers, prototype] {
             --pending_reoffers_;
-            make_offer(client, prior_defers + 1, std::move(description));
+            make_offer(client, prior_defers + 1, prototype);
           });
       break;
     }
@@ -139,47 +151,48 @@ void IngressService::make_offer(int client, int prior_defers,
   }
 }
 
-void IngressService::commit(std::vector<core::TaskDescription> batch) {
-  const auto uids = tmgr_.submit_batch(std::move(batch));
-  for (const auto& uid : uids) {
-    FLOT_CHECK(!uncommitted_.empty(), "ingress: commit without offers");
-    Offer offer = std::move(uncommitted_.front());
-    uncommitted_.pop_front();
-    admitted_.emplace(uid, offer);
-    awaiting_launch_.emplace(uid, std::move(offer));
-    accepted_uids_.push_back(uid);
+void IngressService::commit(std::span<core::TaskDescription> batch) {
+  const core::TaskIdRange ids = tmgr_.submit_batch(batch);
+  FLOT_CHECK(ids.size() == uncommitted_.size(), "ingress: committed ",
+             ids.size(), " tasks for ", uncommitted_.size(), " offers");
+  for (std::size_t i = 0; i < uncommitted_.size(); ++i) {
+    const auto id = static_cast<core::TaskId>(ids.begin + i);
+    window_.push(id, uncommitted_[i]);
+    accepted_ids_.push_back(id);
   }
+  uncommitted_.clear();
 }
 
 void IngressService::on_transition(const core::Task& task,
                                    core::TaskState to) {
-  if (to == core::TaskState::kRunning) {
+  const bool finished = core::is_final(to);
+  if (to != core::TaskState::kRunning && !finished) return;
+  Offer* offer = window_.find(task.id());
+  if (offer == nullptr) return;  // not admitted through ingress
+  if (!finished) {
     // First launch only: retries re-enter kRunning but the user-visible
     // submit->launch latency ends when the payload first starts.
-    const auto it = awaiting_launch_.find(task.uid());
-    if (it == awaiting_launch_.end()) return;
-    submit_to_launch_.record(session_.now() - it->second.time);
+    if (!offer->awaiting_launch) return;
+    offer->awaiting_launch = false;
+    submit_to_launch_.record(session_.now() - offer->time);
     ++launched_;
-    obs_trace_.end(obs::SpanType::kSubmitLaunch, "ingress",
-                   it->second.request);
-    awaiting_launch_.erase(it);
+    if (obs_trace_) {
+      obs_trace_.end(obs::SpanType::kSubmitLaunch, "ingress",
+                     request_entity(offer->request));
+    }
     return;
   }
-  if (!core::is_final(to)) return;
-  const auto cit = admitted_.find(task.uid());
-  if (cit == admitted_.end()) return;  // not admitted through ingress
   ++completed_;
-  turnaround_.record(session_.now() - cit->second.time);
+  turnaround_.record(session_.now() - offer->time);
   // Canceled/failed before launch: the request's kSubmitLaunch span stays
   // open (the launch never happened) and surfaces as an unclosed begin.
-  awaiting_launch_.erase(task.uid());
   if (!config_.arrival.open_loop()) {
-    const int client = cit->second.client;
+    const int client = offer->client;
     --client_in_flight_[static_cast<std::size_t>(client)];
     schedule_closed_offer(client,
                           client_rng_.exponential(config_.arrival.think));
   }
-  admitted_.erase(cit);
+  window_.retire(*offer);
 }
 
 IngressStats IngressService::stats() const {

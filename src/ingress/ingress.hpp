@@ -15,17 +15,19 @@
 // stream (see arrival.hpp), so state is O(1) in the client count — a
 // 10^6-client population costs exactly one pending timer. Closed-loop
 // populations keep one think-timer slot per client and are meant for
-// moderate N. All randomness derives from named RngStreams off the
-// session seed and every event goes through the engine, so same-seed
-// traces are byte-identical.
+// moderate N. Per-offer state is O(live span): an OfferWindow entry from
+// the offer's commit until its task goes final, indexed by TaskId (see
+// offer_window.hpp). What grows with history is the accepted list, 4 B
+// (one TaskId) per accepted offer. A warm accept -> commit -> launch ->
+// final cycle with tracing off allocates nothing in the ingress. All
+// randomness derives from named RngStreams off the session seed and every
+// event goes through the engine, so same-seed traces are byte-identical.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/session.hpp"
@@ -33,6 +35,7 @@
 #include "ingress/admission.hpp"
 #include "ingress/arrival.hpp"
 #include "ingress/batcher.hpp"
+#include "ingress/offer_window.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 
@@ -79,9 +82,11 @@ class IngressService {
   IngressService(const IngressService&) = delete;
   IngressService& operator=(const IngressService&) = delete;
 
-  // Starts the arrival processes. Fresh offer i draws its task from
-  // prototypes[i % prototypes.size()]; must be called at most once, with
-  // a non-empty prototype set, before the engine drains.
+  // Starts the arrival processes. A fresh offer draws its task from
+  // prototypes[a % prototypes.size()], where a counts the offers accepted
+  // before it: a rejected or deferred fresh offer does not advance a, and
+  // a deferred offer keeps the prototype it drew. Must be called at most
+  // once, with a non-empty prototype set, before the engine drains.
   void start(std::vector<core::TaskDescription> prototypes);
 
   IngressStats stats() const;
@@ -97,11 +102,16 @@ class IngressService {
   const sim::LatencyHistogram& turnaround() const {
     return turnaround_;
   }
-  // Uids of admitted tasks in commit order (grows over the run); fault
-  // injection draws cancellation targets from here.
-  const std::vector<std::string>& accepted_uids() const {
-    return accepted_uids_;
+  // TaskIds of admitted tasks in commit order (grows over the run, 4 B per
+  // accepted offer); fault injection draws cancellation targets from here
+  // and resolves them through the TaskManager.
+  const std::vector<core::TaskId>& accepted_ids() const {
+    return accepted_ids_;
   }
+
+  // Offer entries held for committed tasks not yet final, gaps included:
+  // 0 once every admitted task is final.
+  std::size_t window_size() const { return window_.size(); }
 
   // Current bounded-intake depth the admission verdicts are made against.
   std::size_t intake_depth() const {
@@ -116,19 +126,14 @@ class IngressService {
   }
 
  private:
-  struct Offer {
-    double time = 0.0;      // virtual time of the accepted offer
-    int client = 0;
-    std::string request;    // span entity: "req-<n>"
-  };
+  using Offer = OfferWindow::Offer;
 
   void schedule_open_arrival();
   void schedule_closed_offer(int client, double delay);
-  void make_offer(int client, int prior_defers,
-                  core::TaskDescription description);
-  void commit(std::vector<core::TaskDescription> batch);
+  void make_offer(int client, int prior_defers, std::size_t prototype);
+  void commit(std::span<core::TaskDescription> batch);
   void on_transition(const core::Task& task, core::TaskState to);
-  core::TaskDescription next_prototype();
+  std::size_t next_prototype() const;
 
   core::Session& session_;
   core::TaskManager& tmgr_;
@@ -142,11 +147,12 @@ class IngressService {
   int fresh_offers_ = 0;          // fresh offers issued so far
   std::uint64_t request_seq_ = 0;
   int pending_reoffers_ = 0;      // deferred re-offers not yet re-offered
-  std::deque<Offer> uncommitted_;  // accepted offers awaiting batch commit
-  std::unordered_map<std::string, Offer> awaiting_launch_;  // uid -> offer
-  std::unordered_map<std::string, Offer> admitted_;  // uid -> offer, to final
-  std::vector<int> client_in_flight_;                // closed loop
-  std::vector<std::string> accepted_uids_;
+  // Accepted offers awaiting batch commit, in the batcher's order; the
+  // buffer is reused across commits.
+  std::vector<Offer> uncommitted_;
+  OfferWindow window_;                 // committed offers, by TaskId
+  std::vector<int> client_in_flight_;  // closed loop
+  std::vector<core::TaskId> accepted_ids_;
   sim::LatencyHistogram submit_to_launch_;
   sim::LatencyHistogram turnaround_;
   obs::TraceHandle obs_trace_;

@@ -8,6 +8,8 @@
 #include <limits>
 #include <type_traits>
 
+#include "util/error.hpp"
+
 namespace flotilla::journal {
 
 namespace {
@@ -369,6 +371,27 @@ bool decode_line(std::string_view line, Record& record, std::string& failure) {
 }
 
 }  // namespace
+
+Writer::Segment& Writer::add_segment() {
+  FLOT_CHECK(segments_used_ < kMaxSegments, "journal: ", size_,
+             " bytes fill every segment");
+  const std::size_t capacity = std::max(
+      segments_used_ == 0 ? kFirstSegment
+                          : 2 * segments_[segments_used_ - 1].capacity,
+      line_.size());
+  Segment& segment = segments_[segments_used_++];
+  segment = {std::make_unique_for_overwrite<char[]>(capacity), capacity, 0};
+  return segment;
+}
+
+std::string Writer::bytes() const {
+  std::string bytes;
+  bytes.reserve(size_);
+  for (std::size_t i = 0; i < segments_used_; ++i) {
+    bytes.append(segments_[i].data.get(), segments_[i].size);
+  }
+  return bytes;
+}
 
 ReadResult read(std::string_view bytes) {
   ReadResult out;

@@ -1,10 +1,10 @@
 // Append-only journal writer + crash-tolerant reader (docs/recovery.md).
 //
-// The writer appends encoded records to an in-memory byte buffer; the
-// caller persists the bytes (flotilla-run --journal streams them to a
-// file, the fuzz harness keeps them in memory). Appends are line-atomic:
-// each record is encoded into a reused line first and only then copied
-// onto the buffer, so the buffer only ever grows by whole records (an
+// The writer appends encoded records to in-memory segments; the caller
+// persists the bytes (flotilla-run --journal streams them to a file, the
+// fuzz harness keeps them in memory). Appends are line-atomic: each
+// record is encoded into a reused line first and only then copied onto
+// the journal, so the journal only ever grows by whole records (an
 // encoding error leaves it untouched) and a simulated crash between
 // events leaves a clean prefix. Torn tails — a real crash mid-write() —
 // are the reader's job: an incomplete final line is discarded and
@@ -12,7 +12,11 @@
 // *complete* line is corruption, reported with the record index.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,9 +28,9 @@ namespace flotilla::journal {
 class Writer {
  public:
   // Each append encodes one record (checksummed, '\n'-terminated) and
-  // returns its line, valid until the next append. A record that cannot be
-  // encoded raises util::Error and leaves bytes() and records() as they
-  // were.
+  // returns its line, which stays where it is for the writer's lifetime.
+  // A record that cannot be encoded raises util::Error and leaves bytes()
+  // and records() as they were.
   std::string_view append(const Record& record) {
     record.encode_to(line_);
     return commit();
@@ -44,23 +48,47 @@ class Writer {
     return commit();
   }
 
-  const std::string& bytes() const { return bytes_; }
+  // The journal so far, assembled from its segments.
+  std::string bytes() const;
+  std::size_t size() const { return size_; }
   std::size_t records() const { return records_; }
 
  private:
-  std::string_view commit() {
-    bytes_ += line_;
-    ++records_;
-    return line_;
-  }
+  // Journal bytes, in segments that are never reallocated: each new one
+  // is at least twice the size of the last, so bytes already written
+  // never move, 48 segments outgrow any memory, and a small journal stays
+  // small. The first is kFirstSegment bytes, since the header is appended
+  // while a campaign is set up.
+  struct Segment {
+    std::unique_ptr<char[]> data;
+    std::size_t capacity = 0;
+    std::size_t size = 0;
+  };
+  static constexpr std::size_t kFirstSegment = 4096;
+  static constexpr std::size_t kMaxSegments = 48;
 
-  std::string bytes_;
+  std::string_view commit() {
+    // Before the first segment, segments_[0] has no room.
+    Segment* segment =
+        &segments_[std::max<std::size_t>(segments_used_, 1) - 1];
+    if (segment->capacity - segment->size < line_.size()) {
+      segment = &add_segment();
+    }
+    char* line = segment->data.get() + segment->size;
+    std::memcpy(line, line_.data(), line_.size());
+    segment->size += line_.size();
+    size_ += line_.size();
+    ++records_;
+    return {line, line_.size()};
+  }
+  // Starts a segment that holds at least line_.
+  Segment& add_segment();
+
+  std::array<Segment, kMaxSegments> segments_;
+  std::size_t segments_used_ = 0;
+  std::size_t size_ = 0;
   std::size_t records_ = 0;
-  // The line being appended, reused so encoding allocates nothing. Encoding
-  // straight into bytes_ would save the copy, but it shifts where the
-  // buffer's capacity doubling starts (from the header's length), and with
-  // it peak memory: 119 to 170 MB on the service_journal benchmark when
-  // measured on the v=1 format, not re-measured since (docs/recovery.md).
+  // The line being appended, reused so encoding allocates nothing.
   std::string line_;
 };
 

@@ -287,8 +287,8 @@ TEST(TaskManager, RefusesInvalidDescriptions) {
           << e.what();
     }
     // A batch with one bad description is refused as a whole.
-    EXPECT_THROW(fx.tmgr->submit_batch({null_task(), description}),
-                 util::Error);
+    std::vector<TaskDescription> batch{null_task(), description};
+    EXPECT_THROW(fx.tmgr->submit_batch(batch), util::Error);
   }
   EXPECT_EQ(fx.tmgr->submitted(), 0u);
   // The boundaries are accepted.
@@ -344,7 +344,8 @@ TEST(TaskManager, IntakeOrderTimesAndBacklogArePinned) {
     if (task.uid() == b3) {
       tmgr.submit(named("G"));  // inside an intake completion, FIFO busy
     } else if (task.uid() == f2) {
-      tmgr.submit_batch(names("K", 2));  // inside one, G still waiting
+      auto k = names("K", 2);
+      tmgr.submit_batch(k);  // inside one, G still waiting
     } else if (task.uid() == a) {
       tmgr.submit(named("H"));  // after the intake drained
       i2 = tmgr.submit(names("I", 2))[1];
@@ -362,11 +363,13 @@ TEST(TaskManager, IntakeOrderTimesAndBacklogArePinned) {
   backlogs.push_back(tmgr.intake_backlog());
   b3 = bulk[2];
   EXPECT_TRUE(tmgr.cancel(b3));
-  tmgr.submit_batch(names("C", 3));
+  auto c = names("C", 3);
+  tmgr.submit_batch(c);
   backlogs.push_back(tmgr.intake_backlog());
   tmgr.submit(named("D"));
   backlogs.push_back(tmgr.intake_backlog());
-  tmgr.submit_batch(names("E", 2));
+  auto e = names("E", 2);
+  tmgr.submit_batch(e);
   backlogs.push_back(tmgr.intake_backlog());
   const auto tail = tmgr.submit(names("F", 2));
   backlogs.push_back(tmgr.intake_backlog());

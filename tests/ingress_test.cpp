@@ -3,6 +3,8 @@
 // rejection invariant the fuzz harness checks at scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -146,15 +148,29 @@ struct IngressFixture {
     tmgr = std::make_unique<core::TaskManager>(session, pilot->agent());
   }
 
-  void start(IngressConfig config, int tasks) {
+  // Starts the service without running the engine.
+  void launch(IngressConfig config, int tasks,
+              std::vector<core::TaskDescription> prototypes) {
     config.total_offers = tasks;
     svc = std::make_unique<IngressService>(session, *tmgr, config);
+    svc->start(std::move(prototypes));
+  }
+
+  void start(IngressConfig config, int tasks) {
     core::TaskDescription proto;
     proto.demand.cores = 1;
-    svc->start({proto});
+    launch(config, tasks, {proto});
     session.run();
   }
 };
+
+core::TaskDescription named_task(std::string name, double duration = 0.0) {
+  core::TaskDescription d;
+  d.name = std::move(name);
+  d.demand.cores = 1;
+  d.duration = duration;
+  return d;
+}
 
 TEST(IngressService, OpenLoopDeliversEveryOfferWithAmpleCapacity) {
   IngressFixture fx;
@@ -282,9 +298,9 @@ TEST(IngressService, ClosedLoopRejectedClientsRetryWithFreshOffers) {
 }
 
 // Deterministic backpressure-release ordering: two same-seed runs that
-// engage the defer path must accept the same uids in the same order.
+// engage the defer path must accept the same tasks in the same order.
 TEST(IngressService, DeferReleaseOrderingIsDeterministic) {
-  std::vector<std::string> uid_sequences[2];
+  std::vector<core::TaskId> id_sequences[2];
   std::uint64_t offered[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
     IngressFixture fx(4, 42);
@@ -298,11 +314,11 @@ TEST(IngressService, DeferReleaseOrderingIsDeterministic) {
     const auto stats = fx.svc->stats();
     EXPECT_TRUE(stats.conserved());
     EXPECT_GT(stats.deferred, 0u);  // backpressure must actually engage
-    uid_sequences[i] = fx.svc->accepted_uids();
+    id_sequences[i] = fx.svc->accepted_ids();
     offered[i] = stats.offered;
   }
   EXPECT_EQ(offered[0], offered[1]);
-  EXPECT_EQ(uid_sequences[0], uid_sequences[1]);
+  EXPECT_EQ(id_sequences[0], id_sequences[1]);
 }
 
 TEST(IngressService, SameSeedRunsAreIdenticalDifferentSeedsDiverge) {
@@ -321,8 +337,8 @@ TEST(IngressService, SameSeedRunsAreIdenticalDifferentSeedsDiverge) {
                     << stats.rejected << "|" << stats.deferred << "|"
                     << stats.batches << "|"
                     << fx.svc->submit_to_launch().percentile(0.99) << "|";
-    for (const auto& uid : fx.svc->accepted_uids()) {
-      fingerprints[i] << uid << ",";
+    for (const core::TaskId id : fx.svc->accepted_ids()) {
+      fingerprints[i] << id << ",";
     }
   }
   EXPECT_EQ(fingerprints[0].str(), fingerprints[1].str());
@@ -356,20 +372,170 @@ TEST(IngressService, StartValidatesItsArguments) {
   EXPECT_THROW(svc.start({proto}), util::Error);
 }
 
+// ------------------------------------------------------------ offer window
+
+// A fresh offer draws prototypes[a % n], a being the number of offers
+// accepted before it: a rejected fresh offer does not advance the draw, so
+// accepted tasks alternate A, B, A, B however many offers were refused in
+// between (drawing by fresh-offer count would repeat a prototype after an
+// odd run of rejects).
+TEST(IngressService, PrototypesRotateByAcceptedOffers) {
+  IngressFixture fx;
+  IngressConfig config;
+  config.clients = 100;
+  config.arrival.kind = ArrivalKind::kPoisson;
+  config.arrival.rate = 3000.0;
+  config.admit.capacity = 2;
+  fx.launch(config, 300, {named_task("A"), named_task("B")});
+  fx.session.run();
+  const auto stats = fx.svc->stats();
+  EXPECT_TRUE(stats.conserved());
+  ASSERT_GT(stats.rejected, 10u);  // the rule has rejects to skip
+  std::vector<std::string> names;  // in submit order
+  fx.tmgr->for_each_task(
+      [&names](const core::Task& task) { names.push_back(task.name()); });
+  ASSERT_EQ(names.size(), stats.accepted);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(names[i], i % 2 == 0 ? "A" : "B") << "accepted offer " << i;
+  }
+}
+
+// Tasks submitted straight to the same TaskManager take ids between the
+// ingress's batches: the window files them as gaps (or they fall below
+// it) and ignores them, so they record no latency sample.
+TEST(IngressService, DirectSubmitsBetweenBatchesAreIgnored) {
+  IngressFixture fx(8);
+  IngressConfig config;
+  config.clients = 1000;
+  config.arrival.kind = ArrivalKind::kPoisson;
+  config.arrival.rate = 500.0;
+  fx.launch(config, 400, {named_task("offer", 0.5)});
+  constexpr int kDirect = 60;
+  for (int i = 0; i < kDirect; ++i) {
+    fx.session.engine().in(0.0125 * i, [&fx] {
+      fx.tmgr->submit(named_task("direct", 0.25));
+    });
+  }
+  std::size_t peak_window = 0;
+  while (fx.session.engine().step()) {
+    peak_window = std::max(peak_window, fx.svc->window_size());
+  }
+  const auto stats = fx.svc->stats();
+  EXPECT_TRUE(stats.conserved());
+  EXPECT_EQ(stats.accepted, 400u);
+  EXPECT_EQ(fx.tmgr->submitted(), 400u + kDirect);
+  EXPECT_EQ(fx.tmgr->finished(), 400u + kDirect);
+  EXPECT_EQ(stats.launched, 400u);
+  EXPECT_EQ(stats.completed, 400u);
+  EXPECT_EQ(fx.svc->submit_to_launch().count(), 400u);
+  EXPECT_EQ(fx.svc->turnaround().count(), 400u);
+  EXPECT_GT(peak_window, 0u);
+  EXPECT_EQ(fx.svc->window_size(), 0u);
+  // The accepted list names only ingress tasks, in commit order.
+  std::map<core::TaskId, std::string> names;
+  fx.tmgr->for_each_task(
+      [&names](const core::Task& task) { names[task.id()] = task.name(); });
+  const auto& ids = fx.svc->accepted_ids();
+  ASSERT_EQ(ids.size(), 400u);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_GT(ids.back() - ids.front() + 1, ids.size());  // interleaved
+  for (const core::TaskId id : ids) {
+    EXPECT_EQ(names[id], "offer") << "task id " << id;
+  }
+}
+
+// A task that fails and is retried re-enters kRunning; its submit->launch
+// latency ends at the first launch and is recorded once.
+TEST(IngressService, RetriedTaskRecordsSubmitLaunchOnce) {
+  IngressFixture fx;
+  IngressConfig config;
+  config.clients = 10;
+  config.arrival.kind = ArrivalKind::kPoisson;
+  config.arrival.rate = 400.0;
+  auto proto = named_task("flaky", 0.01);
+  proto.fail_probability = 0.4;
+  proto.max_retries = 8;
+  std::size_t launches = 0;
+  fx.tmgr->on_transition(
+      [&launches](const core::Task&, core::TaskState, core::TaskState to) {
+        launches += to == core::TaskState::kRunning;
+      });
+  fx.launch(config, 200, {proto});
+  fx.session.run();
+  const auto stats = fx.svc->stats();
+  ASSERT_GT(launches, 200u);  // retries happened
+  EXPECT_EQ(stats.launched, 200u);
+  EXPECT_EQ(fx.svc->submit_to_launch().count(), 200u);
+  EXPECT_EQ(stats.completed, 200u);
+  EXPECT_EQ(fx.svc->window_size(), 0u);
+}
+
+// A task canceled before it launches reaches a final state without
+// kRunning: it records turnaround but no launch, and its request's
+// kSubmitLaunch span stays open (the launch never happened).
+TEST(IngressService, TaskCanceledBeforeLaunchLeavesItsSpanOpen) {
+  IngressFixture fx;
+  const obs::Tracer& tracer = fx.session.enable_tracing();
+  IngressConfig config;
+  config.clients = 10;
+  config.arrival.kind = ArrivalKind::kPoisson;
+  config.arrival.rate = 400.0;
+  // Every third task is canceled while still in TMGR intake.
+  fx.tmgr->on_transition([&fx](const core::Task& task, core::TaskState,
+                               core::TaskState to) {
+    if (to == core::TaskState::kTmgrScheduling && task.id() % 3 == 0) {
+      EXPECT_TRUE(fx.tmgr->cancel(task.id()));
+    }
+  });
+  fx.launch(config, 150, {named_task("offer", 0.01)});
+  fx.session.run();
+  const auto stats = fx.svc->stats();
+  std::size_t canceled = 0;
+  for (const core::TaskId id : fx.svc->accepted_ids()) canceled += id % 3 == 0;
+  ASSERT_GT(canceled, 0u);
+  EXPECT_EQ(stats.completed, 150u);
+  EXPECT_EQ(fx.svc->turnaround().count(), 150u);
+  EXPECT_EQ(stats.launched, 150u - canceled);
+  EXPECT_EQ(fx.svc->submit_to_launch().count(), 150u - canceled);
+  EXPECT_EQ(fx.svc->window_size(), 0u);
+  // One span begin per accepted offer, "req-0" onwards; an end for each
+  // launched one only.
+  std::vector<std::string> begun, ended;
+  tracer.for_each([&](const obs::Record& r) {
+    if (r.type != obs::SpanType::kSubmitLaunch) return;
+    (r.kind == obs::RecordKind::kBegin ? begun : ended).push_back(r.entity);
+  });
+  ASSERT_EQ(tracer.dropped(), 0u);
+  ASSERT_EQ(begun.size(), 150u);
+  for (std::size_t i = 0; i < begun.size(); ++i) {
+    EXPECT_EQ(begun[i], "req-" + std::to_string(i));
+  }
+  EXPECT_EQ(ended.size(), 150u - canceled);
+}
+
 // ----------------------------------------------------------- batch intake
 
 TEST(TaskManagerBatch, SubmitBatchDeliversInOrderWithOneIntakeCost) {
   IngressFixture fx;
   std::vector<core::TaskDescription> batch(10);
   for (auto& d : batch) d.demand.cores = 1;
-  const auto uids = fx.tmgr->submit_batch(batch);
-  EXPECT_EQ(uids.size(), 10u);
-  EXPECT_EQ(fx.tmgr->submitted(), 10u);
+  std::vector<core::TaskId> done;
+  fx.tmgr->on_complete([&done](const core::Task& task) {
+    if (task.state() == core::TaskState::kDone) done.push_back(task.id());
+  });
+  const std::string first = fx.tmgr->submit(batch[0]);
+  const core::TaskIdRange ids = fx.tmgr->submit_batch(batch);
+  // The batch's ids follow the single submit's, in batch order.
+  EXPECT_EQ(ids.begin, fx.tmgr->task(first).id() + 1);
+  EXPECT_EQ(ids.size(), 10u);
+  EXPECT_EQ(fx.tmgr->submitted(), 11u);
   EXPECT_GE(fx.tmgr->intake_backlog(), 1u);  // one transaction in service
   fx.session.run();
-  EXPECT_EQ(fx.tmgr->finished(), 10u);
-  for (const auto& uid : uids) {
-    EXPECT_EQ(fx.tmgr->task(uid).state(), core::TaskState::kDone);
+  EXPECT_EQ(fx.tmgr->finished(), 11u);
+  std::sort(done.begin(), done.end());
+  ASSERT_EQ(done.size(), 11u);
+  for (core::TaskId id = ids.begin; id != ids.end; ++id) {
+    EXPECT_EQ(done[id - ids.begin + 1], id);
   }
   EXPECT_EQ(fx.tmgr->submit_batch({}).size(), 0u);
 }

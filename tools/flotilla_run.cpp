@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::cout << "journal: " << journal_path << " (" << scribe->records()
-                << " records, " << scribe->writer().bytes().size()
+                << " records, " << scribe->writer().size()
                 << " bytes)\n";
     }
     if (recovery) {
