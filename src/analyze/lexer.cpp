@@ -46,7 +46,13 @@ std::string strip_comments(const std::string& src,
                    (i == 0 || !is_ident_char(src[i - 1]))) {
           const std::size_t open = src.find('(', i + 2);
           if (open == std::string::npos) break;
-          raw_delim = ")" + src.substr(i + 2, open - i - 2) + "\"";
+          // Appended char by char and range by range: GCC 12's Release
+          // -Wrestrict misreads the replace that operator+ or assign()
+          // inlines here.
+          raw_delim.clear();
+          raw_delim.push_back(')');
+          raw_delim.append(src, i + 2, open - i - 2);
+          raw_delim.push_back('"');
           for (std::size_t j = i; j <= open; ++j) {
             if (src[j] == '\n') ++line;
           }
@@ -305,8 +311,10 @@ class Tokenizer {
       emit(TokenKind::kString, "\"\"", line);
       return;
     }
-    const std::string delim =
-        ")" + code_.substr(i_ + 1, open - i_ - 1) + "\"";
+    // Appended, not built with operator+ on a temporary (see
+    // strip_comments).
+    std::string delim = ")";
+    delim.append(code_, i_ + 1, open - i_ - 1).append("\"");
     std::size_t end = code_.find(delim, open + 1);
     if (end == std::string::npos) end = code_.size();
     for (std::size_t j = i_; j < end && j < code_.size(); ++j) {

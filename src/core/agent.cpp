@@ -296,19 +296,17 @@ void Agent::launch_placed(BackendSlot& slot, Task& task,
   request.fail_probability = task.fail_probability();
   request.placement = placement;
   request.preplaced = true;
-  TaskSlot& task_slot = tasks_[task.id()];
-  task_slot.held = std::move(placement);
-  task_slot.holding = true;
+  held_.insert_or_assign(task.id(), std::move(placement));
   obs_trace_.begin(obs::SpanType::kTaskLaunch, slot.backend->name(),
                    task.uid());
   slot.backend->submit(std::move(request));
 }
 
-void Agent::release_held(BackendSlot& slot, TaskSlot& task_slot) {
-  if (!task_slot.holding) return;
-  slot.placer->release(task_slot.held);
-  task_slot.held = {};
-  task_slot.holding = false;
+void Agent::release_held(BackendSlot& slot, TaskId id) {
+  const auto it = held_.find(id);
+  if (it == held_.end()) return;
+  slot.placer->release(it->second);
+  held_.erase(it);
   drain_waitlist(slot);
 }
 
@@ -364,7 +362,7 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
   // returned the moment the backend reports completion.
   if (found->backend != kNoBackend) {
     BackendSlot& slot = backends_[found->backend];
-    release_held(slot, *found);
+    if (!held_.empty()) release_held(slot, task->id());
     if (!slot.backend->healthy() && !slot.waitlist.empty()) {
       // The backend died: re-route its waitlisted tasks (they never
       // launched, so this is failover, not a retry).
@@ -441,6 +439,7 @@ void Agent::finalize(Task& task, TaskState state) {
   const TaskId id = task.id();
   if (id < tasks_.size() && tasks_[id].task != nullptr) {
     tasks_[id] = TaskSlot{};
+    if (!held_.empty()) held_.erase(id);
     --live_;
   } else if (is_final(task.state())) {
     return;

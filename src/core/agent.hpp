@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/profiler.hpp"
@@ -107,11 +108,11 @@ class Agent {
     LabelId label = TaskLabels::kEmpty;
     bool ready = false;
     // State for externally scheduled backends (self_scheduling() false):
-    // the agent places tasks itself, holds their resources (in the task's
-    // TaskSlot), and waitlists tasks that do not fit until a completion
-    // frees capacity. The placer rotates an indexed first-fit cursor over
-    // the backend's span; the waitlist policy is strict FIFO (head-of-line
-    // blocking) to mirror the agent scheduler's FIFO admission.
+    // the agent places tasks itself, holds their resources (in held_), and
+    // waitlists tasks that do not fit until a completion frees capacity.
+    // The placer rotates an indexed first-fit cursor over the backend's
+    // span; the waitlist policy is strict FIFO (head-of-line blocking) to
+    // mirror the agent scheduler's FIFO admission.
     std::unique_ptr<sched::Placer> placer;
     sched::TaskQueue waitlist{std::make_unique<sched::FifoPolicy>()};
   };
@@ -119,13 +120,9 @@ class Agent {
   // Where the Agent keeps a task it accepted, at index TaskId.
   struct TaskSlot {
     Task* task = nullptr;  // null when empty or finalized
-    // Resources the agent placed for the task's current attempt on an
-    // externally scheduled backend, valid while `holding`.
-    platform::Placement held;
     // Index in backends_ of the task's latest submit_to, or kNoBackend.
     // backends_ does not change after bootstrap.
     std::uint32_t backend = kNoBackend;
-    bool holding = false;
   };
   static constexpr std::uint32_t kNoBackend = ~std::uint32_t{0};
 
@@ -147,10 +144,12 @@ class Agent {
   // when the task was waitlisted.
   bool place_and_launch(BackendSlot& slot, Task& task);
   // Launches `task` on `slot`'s backend with the placement the agent
-  // found, which its TaskSlot holds until the completion.
+  // found, which held_ keeps until the completion.
   void launch_placed(BackendSlot& slot, Task& task,
                      platform::Placement placement);
-  void release_held(BackendSlot& slot, TaskSlot& task_slot);
+  // Returns the placement held for task `id`, if any, to `slot`'s placer
+  // and drains its waitlist.
+  void release_held(BackendSlot& slot, TaskId id);
   void drain_waitlist(BackendSlot& slot);
   void handle_start(const std::string& uid);
   void handle_completion(const platform::LaunchOutcome& outcome);
@@ -169,6 +168,9 @@ class Agent {
   sim::Server stager_out_;  // concurrent output-staging streams
   std::vector<BackendSlot> backends_;
   std::vector<TaskSlot> tasks_;  // indexed by TaskId
+  // Resources placed for the current attempts of tasks on externally
+  // scheduled backends, by TaskId. Only looked up by id, never walked.
+  std::unordered_map<TaskId, platform::Placement> held_;
   std::size_t live_ = 0;        // occupied slots in tasks_
   TaskHandler final_handler_;
   std::vector<TaskHandler> final_listeners_;

@@ -1,5 +1,6 @@
 #include "core/task.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -34,11 +35,6 @@ std::string_view to_string(TaskState state) {
   return "?";
 }
 
-bool is_final(TaskState state) {
-  return state == TaskState::kDone || state == TaskState::kFailed ||
-         state == TaskState::kCanceled;
-}
-
 std::optional<TaskId> task_ordinal(std::string_view uid) {
   constexpr std::string_view kPrefix = "task.";
   if (!uid.starts_with(kPrefix)) return std::nullopt;
@@ -66,6 +62,58 @@ LabelId TaskLabels::intern(std::string_view text) {
   return it->second;
 }
 
+std::size_t TaskLabels::ShapeHash::operator()(const TaskShape& s) const {
+  // FNV-1a over whole words, then a splitmix64 finish so that fields
+  // differing only in their high bits (a double's exponent) still spread.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0x100000001b3ULL;
+  };
+  mix(static_cast<std::uint64_t>(s.demand.cores));
+  mix(static_cast<std::uint64_t>(s.demand.gpus));
+  mix(static_cast<std::uint64_t>(s.demand.cores_per_node));
+  mix(std::bit_cast<std::uint64_t>(s.fail_probability));
+  mix(std::bit_cast<std::uint64_t>(s.input_mb));
+  mix(std::bit_cast<std::uint64_t>(s.output_mb));
+  mix(static_cast<std::uint32_t>(s.max_retries));
+  mix(static_cast<std::uint32_t>(s.gang_size));
+  mix(static_cast<std::uint32_t>(s.priority));
+  mix(s.hint);
+  mix(s.stage);
+  mix(s.gang);
+  mix(static_cast<std::uint64_t>(s.modality));
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(h ^ (h >> 31));
+}
+
+bool TaskLabels::ShapeEqual::operator()(const TaskShape& a,
+                                        const TaskShape& b) const {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return a.demand == b.demand &&
+         bits(a.fail_probability) == bits(b.fail_probability) &&
+         bits(a.input_mb) == bits(b.input_mb) &&
+         bits(a.output_mb) == bits(b.output_mb) &&
+         a.max_retries == b.max_retries && a.gang_size == b.gang_size &&
+         a.priority == b.priority && a.hint == b.hint &&
+         a.stage == b.stage && a.gang == b.gang && a.modality == b.modality;
+}
+
+ShapeId TaskLabels::intern(const TaskShape& shape) {
+  if (!shapes_.empty()) {
+    for (const ShapeId id : recent_) {
+      if (ShapeEqual{}(*shapes_[id], shape)) return id;
+    }
+  }
+  const auto next = static_cast<ShapeId>(shapes_.size());
+  const auto [it, inserted] = shape_ids_.try_emplace(shape, next);
+  // Map nodes never move, so the key's address is stable.
+  if (inserted) shapes_.push_back(&it->first);
+  recent_[1] = recent_[0];
+  recent_[0] = it->second;
+  return it->second;
+}
+
 void TaskLabels::set_name(TaskId id, std::string name) {
   names_.insert_or_assign(id, std::move(name));
 }
@@ -73,6 +121,15 @@ void TaskLabels::set_name(TaskId id, std::string name) {
 const std::string& TaskLabels::name(TaskId id) const {
   const auto it = names_.find(id);
   return it == names_.end() ? no_text() : it->second;
+}
+
+void TaskLabels::set_error(TaskId id, std::string error) {
+  errors_.insert_or_assign(id, std::move(error));
+}
+
+const std::string& TaskLabels::error(TaskId id) const {
+  const auto it = errors_.find(id);
+  return it == errors_.end() ? no_text() : it->second;
 }
 
 namespace {
@@ -109,23 +166,25 @@ bool valid_transition(TaskState from, TaskState to) {
 }  // namespace
 
 Task::Task(TaskId id, std::string uid, TaskDescription description,
-           TaskLabels& labels, const TransitionHooks* hooks)
-    : demand_(description.demand),
-      duration_(description.duration),
-      fail_probability_(description.fail_probability),
-      input_mb_(description.input_mb),
-      output_mb_(description.output_mb),
+           const Context& context)
+    : duration_(description.duration),
       uid_(std::move(uid)),
-      labels_(&labels),
-      hooks_(hooks),
-      id_(id),
-      max_retries_(description.max_retries),
-      gang_size_(description.gang_size),
-      priority_(description.priority),
-      hint_(labels.intern(description.backend_hint)),
-      stage_(labels.intern(description.stage)),
-      gang_(labels.intern(description.gang)),
-      modality_(description.modality) {
+      context_(&context),
+      id_(id) {
+  TaskLabels& labels = *context.labels;
+  shape_ = labels.intern(TaskShape{
+      .demand = description.demand,
+      .fail_probability = description.fail_probability,
+      .input_mb = description.input_mb,
+      .output_mb = description.output_mb,
+      .max_retries = description.max_retries,
+      .gang_size = description.gang_size,
+      .priority = description.priority,
+      .hint = labels.intern(description.backend_hint),
+      .stage = labels.intern(description.stage),
+      .gang = labels.intern(description.gang),
+      .modality = description.modality,
+  });
   state_times_.fill(std::numeric_limits<sim::Time>::quiet_NaN());
   if (!description.name.empty()) {
     labels.set_name(id, std::move(description.name));
@@ -138,29 +197,23 @@ void Task::advance(TaskState next, sim::Time now) {
              to_string(next));
   const TaskState from = state_;
   state_ = next;
-  auto& entered = state_times_[static_cast<std::size_t>(next)];
+  auto& entered = state_times_[slot(next)];
   if (std::isnan(entered)) entered = now;  // keep the *first* entry time
-  if (hooks_ != nullptr) {
-    for (const auto& hook : *hooks_) hook(*this, from, next);
-  }
+  for (const auto& hook : context_->hooks) hook(*this, from, next);
 }
 
 bool Task::state_time(TaskState state, sim::Time& out) const {
-  const sim::Time entered = state_times_[static_cast<std::size_t>(state)];
+  // kNew is never entered, and of the final states only state_ was.
+  if (state == TaskState::kNew || (is_final(state) && state != state_)) {
+    return false;
+  }
+  const sim::Time entered = state_times_[slot(state)];
   if (std::isnan(entered)) return false;
   out = entered;
   return true;
 }
 
-const std::string& Task::error() const {
-  return error_ ? *error_ : labels_->text(TaskLabels::kEmpty);
-}
-
-void Task::set_error(std::string error) {
-  error_ = std::make_unique<std::string>(std::move(error));
-}
-
 // The manager holds 10^5-10^6 of these at the paper's bulk sizes.
-static_assert(sizeof(Task) <= 240, "core::Task grew past 240 bytes");
+static_assert(sizeof(Task) <= 128, "core::Task grew past 128 bytes");
 
 }  // namespace flotilla::core

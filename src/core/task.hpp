@@ -7,7 +7,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -60,7 +59,10 @@ enum class TaskState : std::uint8_t {
 };
 
 std::string_view to_string(TaskState state);
-bool is_final(TaskState state);
+constexpr bool is_final(TaskState state) {
+  return state == TaskState::kDone || state == TaskState::kFailed ||
+         state == TaskState::kCanceled;
+}
 
 // Dense task handle: the ordinal the session's IdRegistry formats into the
 // uid ("task.000042" -> 42). The TaskManager keeps its tasks in TaskId
@@ -73,11 +75,29 @@ using TaskId = std::uint32_t;
 // it with the uid of the task it finds in that slot.
 std::optional<TaskId> task_ordinal(std::string_view uid);
 
-// Interned task labels and the side table of task names. The session owns
-// one: a task keeps a 4-byte id per label (backend hint, stage, gang and
-// the backend it was routed to) and a pointer to this table, so its labels
-// stay readable after the agent or manager that interned them is gone.
+// Interned task labels, description shapes and the side tables of task
+// names and errors. The session owns one, so what a task reads through it
+// stays readable after the agent or manager that interned it is gone.
 using LabelId = std::uint32_t;
+using ShapeId = std::uint32_t;
+
+// Every field of a TaskDescription except its name and duration, with the
+// labels interned: what the tasks of a bulk campaign (or of one workflow
+// stage) have in common. Doubles compare by bit pattern, so a shape hands
+// back exactly the numbers it was interned with.
+struct TaskShape {
+  platform::ResourceDemand demand;
+  double fail_probability = 0.0;
+  double input_mb = 0.0;
+  double output_mb = 0.0;
+  int max_retries = 0;
+  int gang_size = 0;
+  int priority = 16;
+  LabelId hint = 0;
+  LabelId stage = 0;
+  LabelId gang = 0;
+  platform::TaskModality modality = platform::TaskModality::kExecutable;
+};
 
 class TaskLabels {
  public:
@@ -93,21 +113,47 @@ class TaskLabels {
     return id == kEmpty ? no_text() : *texts_[id - 1];
   }
 
+  // The id of `shape`, interned on first use; ids count up from 0 in
+  // first-seen order. A shape never moves once interned.
+  ShapeId intern(const TaskShape& shape);
+  const TaskShape& shape(ShapeId id) const { return *shapes_[id]; }
+  std::size_t shape_count() const { return shapes_.size(); }
+
   // Task names, filed only for tasks that have one; "" for the rest.
   void set_name(TaskId id, std::string name);
   const std::string& name(TaskId id) const;
 
+  // Task errors, filed only when an attempt fails or a task is canceled;
+  // "" for the rest.
+  void set_error(TaskId id, std::string error);
+  const std::string& error(TaskId id) const;
+
  private:
+  struct ShapeHash {
+    std::size_t operator()(const TaskShape& shape) const;
+  };
+  struct ShapeEqual {
+    bool operator()(const TaskShape& a, const TaskShape& b) const;
+  };
+
   static const std::string& no_text();
 
   std::unordered_map<std::string, LabelId> ids_;
   std::vector<const std::string*> texts_;  // by LabelId - 1, keys of ids_
+  std::unordered_map<TaskShape, ShapeId, ShapeHash, ShapeEqual> shape_ids_;
+  std::vector<const TaskShape*> shapes_;  // by ShapeId, keys of shape_ids_
+  // The last two shapes interned or found, newest first: a campaign of one
+  // shape, or of two that alternate (executables and functions), hashes
+  // none.
+  std::array<ShapeId, 2> recent_{};
   std::unordered_map<TaskId, std::string> names_;
+  std::unordered_map<TaskId, std::string> errors_;
 };
 
-// Runtime object tracked by the session: the description's fields, the
-// state machine and the current attempt, in one compact record that the
-// TaskManager holds by value. Transitions are validated: a task can only
+// Runtime object tracked by the session: what varies per task (id, uid,
+// duration, state machine, current attempt) in one compact record that
+// the TaskManager holds by value. The rest of the description is a shape
+// interned in the session. Transitions are validated: a task can only
 // move forward, except for the retry edge Running/ExecutorPending ->
 // AgentScheduling.
 class Task {
@@ -117,33 +163,43 @@ class Task {
   // scribe subscribe through TaskManager::on_transition.
   using TransitionHook =
       std::function<void(const Task&, TaskState from, TaskState to)>;
-  // The hooks a task fires, in order. The TaskManager owns each set and
-  // never changes one it has handed out.
+  // The hooks a task fires, in order.
   using TransitionHooks = std::vector<TransitionHook>;
 
-  // Copies the description's numbers, interns its labels in `labels` and
-  // files a non-empty name there. `labels` and `hooks` (may be null) must
-  // outlive the task.
+  // What the tasks submitted under one hook set share: the session's
+  // labels and the hooks they fire. The TaskManager owns each context and
+  // never changes one it has handed out.
+  struct Context {
+    explicit Context(TaskLabels& table) : labels(&table) {}
+
+    TaskLabels* labels;
+    TransitionHooks hooks;
+  };
+
+  // Interns the description's shape in the context's labels and files a
+  // non-empty name there. `context` must outlive the task.
   Task(TaskId id, std::string uid, TaskDescription description,
-       TaskLabels& labels, const TransitionHooks* hooks = nullptr);
+       const Context& context);
 
   TaskId id() const { return id_; }
   const std::string& uid() const { return uid_; }
 
   // The description it was submitted with, field by field.
-  const std::string& name() const { return labels_->name(id_); }
-  const platform::ResourceDemand& demand() const { return demand_; }
+  const std::string& name() const { return labels().name(id_); }
+  const platform::ResourceDemand& demand() const { return shape().demand; }
   sim::Time duration() const { return duration_; }
-  platform::TaskModality modality() const { return modality_; }
-  const std::string& backend_hint() const { return labels_->text(hint_); }
-  int max_retries() const { return max_retries_; }
-  double fail_probability() const { return fail_probability_; }
-  const std::string& stage() const { return labels_->text(stage_); }
-  double input_mb() const { return input_mb_; }
-  double output_mb() const { return output_mb_; }
-  const std::string& gang() const { return labels_->text(gang_); }
-  int gang_size() const { return gang_size_; }
-  int priority() const { return priority_; }
+  platform::TaskModality modality() const { return shape().modality; }
+  const std::string& backend_hint() const {
+    return labels().text(shape().hint);
+  }
+  int max_retries() const { return shape().max_retries; }
+  double fail_probability() const { return shape().fail_probability; }
+  const std::string& stage() const { return labels().text(shape().stage); }
+  double input_mb() const { return shape().input_mb; }
+  double output_mb() const { return shape().output_mb; }
+  const std::string& gang() const { return labels().text(shape().gang); }
+  int gang_size() const { return shape().gang_size; }
+  int priority() const { return shape().priority; }
 
   TaskState state() const { return state_; }
   void advance(TaskState next, sim::Time now);
@@ -155,12 +211,14 @@ class Task {
   void begin_attempt() { ++attempts_; }
 
   // The backend of the latest attempt, "" before the first one.
-  const std::string& backend() const { return labels_->text(backend_); }
+  const std::string& backend() const { return labels().text(backend_); }
   void set_backend(LabelId backend) { backend_ = backend; }
 
   // Set only when an attempt fails or the task is canceled; "" otherwise.
-  const std::string& error() const;
-  void set_error(std::string error);
+  const std::string& error() const { return labels().error(id_); }
+  void set_error(std::string error) {
+    context_->labels->set_error(id_, std::move(error));
+  }
 
   // Whether the *current* attempt reached execution; reset on retry.
   bool launched() const { return launched_; }
@@ -173,31 +231,29 @@ class Task {
   void request_cancel() { cancel_requested_ = true; }
 
  private:
-  static constexpr std::size_t kStateCount =
-      static_cast<std::size_t>(TaskState::kCanceled) + 1;
+  // One entry time per non-final state a task can enter (kNew is never
+  // entered), plus one for the final state: a task enters exactly one,
+  // and state_ says which.
+  static constexpr std::size_t kFinalSlot =
+      static_cast<std::size_t>(TaskState::kStagingOutput);
+  static constexpr std::size_t kTimeSlots = kFinalSlot + 1;
+  static constexpr std::size_t slot(TaskState state) {
+    return is_final(state) ? kFinalSlot : static_cast<std::size_t>(state) - 1;
+  }
 
-  // First entry time per state; NaN for a state never entered.
-  std::array<sim::Time, kStateCount> state_times_;
-  platform::ResourceDemand demand_;
+  const TaskLabels& labels() const { return *context_->labels; }
+  const TaskShape& shape() const { return labels().shape(shape_); }
+
+  // First entry time per slot; NaN for a state never entered.
+  std::array<sim::Time, kTimeSlots> state_times_;
   sim::Time duration_;
-  double fail_probability_;
-  double input_mb_;
-  double output_mb_;
   std::string uid_;
-  const TaskLabels* labels_;
-  const TransitionHooks* hooks_;
-  std::unique_ptr<std::string> error_;
+  const Context* context_;
   TaskId id_;
+  ShapeId shape_;
   int attempts_ = 0;
-  int max_retries_;
-  int gang_size_;
-  int priority_;
-  LabelId hint_;
-  LabelId stage_;
-  LabelId gang_;
   LabelId backend_ = TaskLabels::kEmpty;
   TaskState state_ = TaskState::kNew;
-  platform::TaskModality modality_;
   bool launched_ = false;
   bool cancel_requested_ = false;
 };

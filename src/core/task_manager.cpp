@@ -36,6 +36,7 @@ TaskManager::TaskManager(Session& session, Agent& agent)
       rng_(session.seed(), "tmgr"),
       intake_(session.engine(), 1),
       obs_trace_(session.trace_handle()) {
+  contexts_.push_back(std::make_unique<const Task::Context>(session.labels()));
   agent_.on_task_final([this](const Task& task) {
     ++finished_;
     if (completion_handler_) completion_handler_(task);
@@ -43,12 +44,9 @@ TaskManager::TaskManager(Session& session, Agent& agent)
 }
 
 void TaskManager::on_transition(Task::TransitionHook hook) {
-  auto hooks = hook_sets_.empty()
-                   ? std::make_unique<Task::TransitionHooks>()
-                   : std::make_unique<Task::TransitionHooks>(
-                         *hook_sets_.back());
-  hooks->push_back(std::move(hook));
-  hook_sets_.push_back(std::move(hooks));
+  auto context = std::make_unique<Task::Context>(*contexts_.back());
+  context->hooks.push_back(std::move(hook));
+  contexts_.push_back(std::move(context));
 }
 
 Task& TaskManager::create(TaskDescription description) {
@@ -63,8 +61,7 @@ Task& TaskManager::create(TaskDescription description) {
     chunks_.emplace_back().reserve(kChunkTasks);
   }
   Task& task = chunks_.back().emplace_back(
-      id, std::move(uid), std::move(description), session_.labels(),
-      hook_sets_.empty() ? nullptr : hook_sets_.back().get());
+      id, std::move(uid), std::move(description), *contexts_.back());
   ++total_submitted_;
   agent_.profiler().submitted(task);
   task.advance(TaskState::kTmgrScheduling, session_.now());

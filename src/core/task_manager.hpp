@@ -67,7 +67,8 @@ class TaskManager {
   // consumers may register — invariant checkers (src/check) and the
   // journal scribe (src/journal) coexist; hooks fire in registration
   // order. Tasks already submitted keep the hook set they were given: each
-  // registration makes a new set and leaves the older ones as they are.
+  // registration makes a new context with a new set and leaves the older
+  // ones as they are.
   void on_transition(Task::TransitionHook hook);
 
   const Task& task(const std::string& uid) const;
@@ -134,8 +135,8 @@ class TaskManager {
   // Uids are unique per session, not per manager: another manager on the
   // same session may hold the TaskIds between two of these tasks.
   std::vector<std::vector<Task>> chunks_;
-  // Every hook set handed out, the current one last.
-  std::vector<std::unique_ptr<const Task::TransitionHooks>> hook_sets_;
+  // Every task context handed out, one per hook set, the current one last.
+  std::vector<std::unique_ptr<const Task::Context>> contexts_;
   TaskHandler completion_handler_;
   std::size_t total_submitted_ = 0;
   std::size_t finished_ = 0;

@@ -272,7 +272,9 @@ TEST(AllocGuard, WarmBulkSubmitStoresCompactTasks) {
   const double held_per_task =
       static_cast<double>(before - g_live_bytes) / (2 * kBulk);
   EXPECT_GT(held_per_task, 0.0);
-  EXPECT_LE(held_per_task, 256.0);
+  // A Task is 128 bytes; the rest of its description is a shape interned
+  // in the session, which the manager does not own.
+  EXPECT_LE(held_per_task, 144.0);
 }
 
 // A flux instance holds each job by value in its slot table, and its

@@ -466,7 +466,9 @@ TEST(AnalyzeToolTest, NegativeFixturesStayClean) {
 std::string fixture_file_args(const std::vector<std::string>& rels) {
   std::string args = "--layers " + fixtures() + "/layers.conf --strip-prefix " +
                      fixtures() + "/";
-  for (const std::string& rel : rels) args += " " + fixtures() + "/" + rel;
+  for (const std::string& rel : rels) {
+    args.append(" ").append(fixtures()).append("/").append(rel);
+  }
   return args;
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flotilla.hpp"
@@ -20,7 +22,8 @@ using platform::frontier_spec;
 
 TEST(TaskStateMachine, HappyPathTransitions) {
   TaskLabels labels;
-  Task task(0, "task.0", {}, labels);
+  const Task::Context context(labels);
+  Task task(0, "task.0", {}, context);
   EXPECT_EQ(task.state(), TaskState::kNew);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
@@ -36,7 +39,8 @@ TEST(TaskStateMachine, HappyPathTransitions) {
 
 TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
   TaskLabels labels;
-  Task task(0, "task.0", {}, labels);
+  const Task::Context context(labels);
+  Task task(0, "task.0", {}, context);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -53,7 +57,8 @@ TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
 
 TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
   TaskLabels labels;
-  Task task(0, "task.0", {}, labels);
+  const Task::Context context(labels);
+  Task task(0, "task.0", {}, context);
   task.advance(TaskState::kTmgrScheduling, 0.0);  // a zero time still counts
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -80,12 +85,223 @@ TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
 
 TEST(TaskStateMachine, IllegalTransitionsThrow) {
   TaskLabels labels;
-  Task task(0, "task.0", {}, labels);
+  const Task::Context context(labels);
+  Task task(0, "task.0", {}, context);
   EXPECT_THROW(task.advance(TaskState::kRunning, 1.0), util::Error);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   EXPECT_THROW(task.advance(TaskState::kRunning, 2.0), util::Error);
   task.advance(TaskState::kCanceled, 3.0);
   EXPECT_THROW(task.advance(TaskState::kDone, 4.0), util::Error);
+}
+
+TEST(TaskStateMachine, NewIsNeverEntered) {
+  TaskLabels labels;
+  const Task::Context context(labels);
+  Task task(0, "task.0", {}, context);
+  sim::Time t = -1.0;
+  EXPECT_FALSE(task.state_time(TaskState::kNew, t));
+  task.advance(TaskState::kTmgrScheduling, 1.0);
+  EXPECT_FALSE(task.state_time(TaskState::kNew, t));
+  task.advance(TaskState::kCanceled, 2.0);
+  EXPECT_FALSE(task.state_time(TaskState::kNew, t));
+  EXPECT_DOUBLE_EQ(t, -1.0);
+}
+
+// Every non-final state has its own slot, so a retry through the staging
+// and executor states keeps each first entry time.
+TEST(TaskStateMachine, RetriesKeepTheFirstEntryTimeOfEveryState) {
+  TaskLabels labels;
+  const Task::Context context(labels);
+  Task task(0, "task.0", {}, context);
+  task.advance(TaskState::kTmgrScheduling, 1.0);
+  task.advance(TaskState::kStagingInput, 2.0);
+  task.advance(TaskState::kAgentScheduling, 3.0);
+  task.advance(TaskState::kExecutorPending, 4.0);
+  task.advance(TaskState::kRunning, 5.0);
+  task.advance(TaskState::kAgentScheduling, 6.0);  // retry from Running
+  task.advance(TaskState::kExecutorPending, 7.0);
+  task.advance(TaskState::kAgentScheduling, 8.0);  // retry from Pending
+  task.advance(TaskState::kExecutorPending, 9.0);
+  task.advance(TaskState::kRunning, 10.0);
+  task.advance(TaskState::kStagingOutput, 11.0);
+  task.advance(TaskState::kDone, 12.0);
+  const std::vector<std::pair<TaskState, sim::Time>> first = {
+      {TaskState::kTmgrScheduling, 1.0},  {TaskState::kStagingInput, 2.0},
+      {TaskState::kAgentScheduling, 3.0}, {TaskState::kExecutorPending, 4.0},
+      {TaskState::kRunning, 5.0},         {TaskState::kStagingOutput, 11.0},
+      {TaskState::kDone, 12.0}};
+  for (const auto& [state, time] : first) {
+    sim::Time t = -1.0;
+    ASSERT_TRUE(task.state_time(state, t)) << to_string(state);
+    EXPECT_EQ(t, time) << to_string(state);
+  }
+}
+
+// The three final states share one time slot: a task that entered one of
+// them reports a time for that one only.
+TEST(TaskStateMachine, OnlyTheFinalStateEnteredReportsATime) {
+  const std::vector<TaskState> finals = {TaskState::kDone, TaskState::kFailed,
+                                         TaskState::kCanceled};
+  TaskLabels labels;
+  const Task::Context context(labels);
+  TaskId id = 0;
+  for (const TaskState entered : finals) {
+    Task task(id, "task." + std::to_string(id), {}, context);
+    ++id;
+    task.advance(TaskState::kTmgrScheduling, 1.0);
+    task.advance(TaskState::kAgentScheduling, 2.0);
+    task.advance(TaskState::kExecutorPending, 3.0);
+    task.advance(TaskState::kRunning, 4.0);
+    task.advance(entered, 5.0);
+    for (const TaskState final_state : finals) {
+      sim::Time t = -1.0;
+      EXPECT_EQ(task.state_time(final_state, t), final_state == entered)
+          << to_string(entered) << " asked " << to_string(final_state);
+      EXPECT_EQ(t, final_state == entered ? 5.0 : -1.0);
+    }
+  }
+}
+
+TEST(TaskStateMachine, ErrorIsEmptyUntilSet) {
+  TaskLabels labels;
+  const Task::Context context(labels);
+  Task a(0, "task.0", {}, context);
+  Task b(1, "task.1", {}, context);
+  EXPECT_EQ(a.error(), "");
+  EXPECT_EQ(b.error(), "");
+  b.set_error("backend lost the task");
+  EXPECT_EQ(b.error(), "backend lost the task");
+  EXPECT_EQ(a.error(), "");
+  b.set_error("canceled by user");  // a later attempt's error replaces it
+  EXPECT_EQ(b.error(), "canceled by user");
+  EXPECT_EQ(a.error(), "");
+}
+
+// ------------------------------------------------------------ task shapes
+
+TEST(TaskShapes, ABulkCampaignOfOneShapeInternsOneShape) {
+  TaskLabels labels;
+  const Task::Context context(labels);
+  TaskDescription desc;
+  desc.demand.cores = 4;
+  desc.stage = "docking";
+  std::vector<Task> tasks;
+  tasks.reserve(1000);
+  for (TaskId id = 0; id < 1000; ++id) {
+    desc.duration = 0.5 * id;  // duration is per task, not in the shape
+    tasks.emplace_back(id, "task." + std::to_string(id), desc, context);
+  }
+  EXPECT_EQ(labels.shape_count(), 1u);
+  for (const Task& task : tasks) {
+    EXPECT_EQ(&task.demand(), &tasks.front().demand());
+    EXPECT_EQ(task.stage(), "docking");
+    EXPECT_EQ(task.duration(), 0.5 * task.id());
+  }
+}
+
+// Trace replay gives every task its own description: the table holds one
+// shape each, and each task reads back every field exactly, down to the
+// sign of a zero. Each description differs from the defaults in one field
+// only, so a shape comparison that skipped any field would merge two.
+TEST(TaskShapes, DistinctShapesInternOneEachWithEveryFieldExact) {
+  TaskLabels labels;
+  const Task::Context context(labels);
+  constexpr int kFields = 13;
+  constexpr int kShapes = kFields * 15;
+  const auto describe = [](int i) {
+    TaskDescription d;
+    const int k = i / kFields + 1;  // 1..15
+    const std::string tag = std::to_string(k);
+    switch (i % kFields) {
+      case 0: d.demand.cores = 1 + k; break;
+      case 1: d.demand.gpus = k; break;
+      case 2: d.demand.cores_per_node = k; break;
+      case 3: d.backend_hint = "b" + tag; break;
+      case 4: d.max_retries = k; break;
+      case 5: d.fail_probability = 1.0 / (k + 1); break;
+      case 6: d.stage = "s" + tag; break;
+      // -0.0 equals 0.0 as a number: only the bit pattern tells it apart.
+      case 7: d.input_mb = k == 1 ? -0.0 : 0.5 * k; break;
+      case 8: d.output_mb = 0.25 * k; break;
+      case 9: d.gang = "g" + tag; break;
+      case 10: d.gang_size = k; break;
+      case 11: d.priority = 16 + k; break;
+      default:  // the priority of case 11, so only the modality differs
+        d.modality = TaskModality::kFunction;
+        d.priority = 16 + k;
+        break;
+    }
+    return d;
+  };
+  std::vector<Task> tasks;
+  tasks.reserve(kShapes);
+  for (int i = 0; i < kShapes; ++i) {
+    const auto id = static_cast<TaskId>(i);
+    tasks.emplace_back(id, "task." + std::to_string(i), describe(i), context);
+  }
+  EXPECT_EQ(labels.shape_count(), static_cast<std::size_t>(kShapes));
+  for (int i = 0; i < kShapes; ++i) {
+    const TaskDescription d = describe(i);
+    const Task& task = tasks[static_cast<std::size_t>(i)];
+    EXPECT_EQ(task.demand(), d.demand);
+    EXPECT_EQ(task.modality(), d.modality);
+    EXPECT_EQ(task.backend_hint(), d.backend_hint);
+    EXPECT_EQ(task.max_retries(), d.max_retries);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(task.fail_probability()),
+              std::bit_cast<std::uint64_t>(d.fail_probability));
+    EXPECT_EQ(task.stage(), d.stage);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(task.input_mb()),
+              std::bit_cast<std::uint64_t>(d.input_mb));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(task.output_mb()),
+              std::bit_cast<std::uint64_t>(d.output_mb));
+    EXPECT_EQ(task.gang(), d.gang);
+    EXPECT_EQ(task.gang_size(), d.gang_size);
+    EXPECT_EQ(task.priority(), d.priority);
+  }
+  // A description seen before, past the memo of recent shapes, adds no
+  // shape.
+  const Task repeat(kShapes, "task.repeat", describe(0), context);
+  EXPECT_EQ(&repeat.demand(), &tasks.front().demand());
+  EXPECT_EQ(labels.shape_count(), static_cast<std::size_t>(kShapes));
+  // Each description right after the defaults: the memo of recent shapes
+  // holds the defaults, so only a comparison of every field tells them
+  // apart.
+  for (int i = 0; i < kFields; ++i) {
+    const auto id = static_cast<TaskId>(1000 + 2 * i);
+    const Task plain(id, "task.plain", TaskDescription{}, context);
+    const Task one(id + 1, "task.one", describe(i), context);
+    EXPECT_NE(&one.demand(), &plain.demand()) << "field " << i;
+    EXPECT_EQ(&one.demand(), &tasks[static_cast<std::size_t>(i)].demand());
+  }
+  EXPECT_EQ(labels.shape_count(), static_cast<std::size_t>(kShapes + 1));
+  // Ids count up in first-seen order, and a shape seen again keeps its id.
+  TaskShape again;
+  again.gang_size = 3;
+  again.stage = labels.intern("stage.3");
+  EXPECT_EQ(labels.intern(again), static_cast<ShapeId>(kShapes + 1));
+  EXPECT_EQ(labels.intern(TaskShape{}), static_cast<ShapeId>(kShapes));
+  EXPECT_EQ(labels.intern(again), static_cast<ShapeId>(kShapes + 1));
+  EXPECT_EQ(labels.shape_count(), static_cast<std::size_t>(kShapes + 2));
+}
+
+// demand() returns a reference into the shape table; interning more
+// shapes must not move it.
+TEST(TaskShapes, DemandReferenceOutlivesTableGrowth) {
+  TaskLabels labels;
+  const Task::Context context(labels);
+  TaskDescription desc;
+  desc.demand = {.cores = 3, .gpus = 1, .cores_per_node = 2};
+  const Task task(0, "task.0", desc, context);
+  const platform::ResourceDemand& demand = task.demand();
+  for (int i = 1; i <= 5000; ++i) {
+    TaskShape shape;
+    shape.demand.cores = i;
+    shape.priority = i % 32;
+    labels.intern(shape);
+  }
+  EXPECT_EQ(labels.shape_count(), 5001u);
+  EXPECT_EQ(&task.demand(), &demand);
+  EXPECT_EQ(demand, desc.demand);
 }
 
 TEST(TaskStateMachine, FinalStatesAreTerminal) {

@@ -65,6 +65,14 @@ TEST(Priority, UrgentTasksJumpTheQueue) {
   EXPECT_LT(pos_high, pos_low);
 }
 
+// "t<i>", appended: `"t" + std::to_string(i)` trips GCC 12's Release
+// -Wrestrict on the insert it inlines.
+std::string fifo_name(int i) {
+  std::string name = "t";
+  name.append(std::to_string(i));
+  return name;
+}
+
 TEST(Priority, EqualPrioritiesKeepFifoOrder) {
   PriorityFixture fx;
   std::vector<std::string> start_order;
@@ -74,7 +82,7 @@ TEST(Priority, EqualPrioritiesKeepFifoOrder) {
   fx.tmgr->on_complete([](const core::Task&) {});
   for (int i = 0; i < 20; ++i) {
     core::TaskDescription desc;
-    desc.name = "t" + std::to_string(i);
+    desc.name = fifo_name(i);
     desc.demand.cores = 56;  // strictly serialized
     desc.duration = 5.0;
     fx.tmgr->submit(std::move(desc));
@@ -82,8 +90,7 @@ TEST(Priority, EqualPrioritiesKeepFifoOrder) {
   fx.session.run();
   ASSERT_EQ(start_order.size(), 20u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(start_order[static_cast<size_t>(i)],
-              "t" + std::to_string(i));
+    EXPECT_EQ(start_order[static_cast<size_t>(i)], fifo_name(i));
   }
 }
 

@@ -402,7 +402,7 @@ class FanOutWorld {
       const auto s = rng_.uniform_int(0, kServers - 1);
       targets.emplace_back(servers_[static_cast<std::size_t>(s)].get(),
                            grid(1.5));
-      what += " " + std::to_string(s);
+      what.append(" ").append(std::to_string(s));
     }
     note(what);
     Callback up = [this, id] {

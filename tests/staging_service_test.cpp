@@ -250,12 +250,13 @@ TEST(SessionReport, BreaksDownTaskLifecycles) {
 TEST(SessionReport, CountsFailuresAndSkipsUnfinishedTasks) {
   analytics::SessionReport report;
   TaskLabels labels;
-  Task unfinished(0, "task.x", {}, labels);
+  const Task::Context context(labels);
+  Task unfinished(0, "task.x", {}, context);
   unfinished.advance(TaskState::kTmgrScheduling, 1.0);
   report.add(unfinished);
   EXPECT_EQ(report.tasks(), 0u);
 
-  Task failed(1, "task.y", {}, labels);
+  Task failed(1, "task.y", {}, context);
   failed.advance(TaskState::kTmgrScheduling, 1.0);
   failed.advance(TaskState::kFailed, 2.0);
   report.add(failed);
