@@ -1,14 +1,11 @@
 // Microbenchmarks (google-benchmark) of the hot paths every experiment
-// rides on: the DES engine, the queueing primitives, placement, the
-// journal codec, and the real threaded components.
+// rides on: the DES engine, the queueing primitives, placement and the
+// journal codec.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
-#include "dragon/function_executor.hpp"
-#include "dragon/mpmc_queue.hpp"
-#include "dragon/shmem_channel.hpp"
 #include "journal/journal.hpp"
 #include "journal/record.hpp"
 #include "platform/cluster.hpp"
@@ -164,35 +161,6 @@ void BM_RateSeriesRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RateSeriesRecord);
-
-void BM_MpmcQueueSpsc(benchmark::State& state) {
-  dragon::MpmcQueue<int> queue(1024);
-  for (auto _ : state) {
-    queue.try_push(1);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpmcQueueSpsc);
-
-void BM_ShmemChannelRoundTrip(benchmark::State& state) {
-  dragon::ShmemChannel<int> channel(1024);
-  for (auto _ : state) {
-    channel.try_send(1);
-    benchmark::DoNotOptimize(channel.try_receive());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShmemChannelRoundTrip);
-
-void BM_FunctionExecutorSubmit(benchmark::State& state) {
-  dragon::FunctionExecutor executor(2);
-  for (auto _ : state) {
-    executor.submit([] { return 1; }).get();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FunctionExecutorSubmit);
 
 // One dragon task edge into a reused line, as the journal writer encodes
 // it on every task lifecycle change.

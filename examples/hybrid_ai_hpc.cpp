@@ -1,78 +1,22 @@
-// Hybrid AI-HPC pipeline: simulated executables on Flux *plus real C++
-// function tasks* on Dragon's threaded function executor.
+// Hybrid AI-HPC campaign: MPI-style executables on Flux and function
+// tasks on Dragon, side by side in one pilot.
 //
 // The paper's headline capability is running MPI-style executables and
-// in-memory function tasks side by side (§3.1). This example shows both
-// halves of that story:
-//
-//  1. the simulated control plane: a flux+dragon pilot routes executable
-//     tasks to Flux and function tasks to Dragon by modality;
-//  2. the real data plane: Dragon's native mode executes actual C++
-//     callables (a toy "surrogate inference" over molecule batches) on
-//     warm worker threads, with results flowing back over a
-//     shared-memory channel — Dragon's Shmem Queue, in-process.
+// in-memory function tasks together (§3.1). A flux+dragon pilot routes
+// executable tasks to Flux and function tasks (a toy "surrogate
+// inference" burst) to Dragon's function lane by modality. The example
+// exits 1 unless every task landed on the backend its modality asks for.
 //
 //   $ ./hybrid_ai_hpc
-#include <cmath>
+#include <cstdlib>
 #include <iostream>
-#include <numeric>
-#include <vector>
+#include <string>
 
 #include "core/flotilla.hpp"
-#include "dragon/function_executor.hpp"
-#include "dragon/shmem_channel.hpp"
-
-namespace {
-
-// Toy surrogate model: score a "molecule" by hashing its id through a
-// few transcendental ops (stands in for SST inference).
-double surrogate_score(int molecule) {
-  double x = molecule * 0.7071;
-  for (int i = 0; i < 1000; ++i) x = std::sin(x) + std::cos(x * 0.5) + 1.1;
-  return x;
-}
-
-}  // namespace
 
 int main() {
   using namespace flotilla;
 
-  // ---- real function execution on warm Dragon workers -------------------
-  dragon::FunctionExecutor executor(/*workers=*/4);
-  dragon::ShmemChannel<std::pair<int, double>> results(256);
-
-  constexpr int kMolecules = 2000;
-  std::vector<std::future<void>> futures;
-  futures.reserve(kMolecules);
-  for (int m = 0; m < kMolecules; ++m) {
-    futures.push_back(executor.submit([m, &results] {
-      const double score = surrogate_score(m);
-      while (!results.try_send({m, score})) {
-        std::this_thread::yield();  // channel full: backpressure
-      }
-    }));
-  }
-
-  // Consumer: pick the best-scoring molecules as they stream in.
-  int received = 0, best_molecule = -1;
-  double best = -1e300;
-  while (received < kMolecules) {
-    if (auto item = results.try_receive()) {
-      ++received;
-      if (item->second > best) {
-        best = item->second;
-        best_molecule = item->first;
-      }
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& f : futures) f.get();
-  std::cout << "surrogate screened " << received << " molecules on "
-            << executor.worker_count() << " warm workers; best = #"
-            << best_molecule << " (score " << best << ")\n";
-
-  // ---- simulated hybrid pilot: executables + functions -------------------
   core::Session session(platform::frontier_spec(), 16, 11);
   core::PilotManager pmgr(session);
   auto& pilot = pmgr.submit({

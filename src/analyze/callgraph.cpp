@@ -27,17 +27,12 @@ bool qualifier_matches(const std::string& qualified,
   return at >= 2 && qualified.compare(at - 2, 2, "::") == 0;
 }
 
-void merge_entry(std::map<std::string, Origin>* into, const std::string& key,
-                 const Origin& origin, bool* changed) {
-  if (into->emplace(key, origin).second) *changed = true;
-}
-
 // Member calls with these names are near-always STL container /
 // smart-pointer / sync-primitive operations (`items_.size()`,
 // `lines_.clear()`, `pending_.pop_front()`); resolving them to
 // same-named repo methods manufactures edges into unrelated classes —
-// the dominant false-positive source in early runs. A genuine same-class
-// re-entry through one of these names is invisible to the analysis;
+// the dominant false-positive source in early runs. A genuine call of a
+// repo method with one of these names is invisible to the analysis;
 // docs/correctness.md lists this blind spot.
 bool stl_member_name(const std::string& name) {
   static const char* const kNames[] = {
@@ -61,27 +56,17 @@ bool stl_member_name(const std::string& name) {
 
 }  // namespace
 
-std::string qualify_mutex(const std::string& raw,
-                          const std::string& class_ctx) {
-  if (!class_ctx.empty() && !raw.empty() && raw.back() == '_') {
-    return class_ctx + "::" + raw;
-  }
-  return raw;
-}
-
 const std::vector<int>* ProgramModel::by_name(const std::string& name) const {
   const auto it = name_index.find(name);
   return it == name_index.end() ? nullptr : &it->second;
 }
 
-std::string ProgramModel::trail(
-    int fn, std::map<std::string, Origin> FunctionSummary::*pick,
-    const std::string& key) const {
+std::string ProgramModel::trail(int fn, const std::string& rule) const {
   std::string out;
   int cur = fn;
   for (int depth = 0; depth < 16; ++depth) {
-    const auto& map = summaries[cur].*pick;
-    const auto it = map.find(key);
+    const auto& map = summaries[cur].nondet;
+    const auto it = map.find(rule);
     if (it == map.end() || it->second.via < 0) break;
     cur = it->second.via;
     out += out.empty() ? " (via '" : "' -> '";
@@ -130,18 +115,6 @@ ProgramModel build_program(const AnalysisInput& input) {
   for (std::size_t fi = 0; fi < input.files.size(); ++fi) {
     const FileFacts& facts = input.files[fi].facts;
     const int file_index = static_cast<int>(fi);
-    for (const AcquireFact& a : facts.acquires) {
-      const int fn = function_at(file_index, a.body_id);
-      if (fn < 0) continue;
-      const std::string key =
-          qualify_mutex(a.mutex, model.functions[fn].def.class_ctx);
-      model.summaries[fn].mutexes.emplace(key, Origin{-1, a.line});
-    }
-    for (const BlockingFact& b : facts.blocking) {
-      const int fn = function_at(file_index, b.body_id);
-      if (fn < 0) continue;
-      model.summaries[fn].blocking.emplace(b.name, Origin{-1, b.line});
-    }
     for (const NondetFact& n : facts.nondet) {
       const int fn = function_at(file_index, n.body_id);
       if (fn < 0) continue;
@@ -163,9 +136,6 @@ ProgramModel build_program(const AnalysisInput& input) {
       const std::string class_ctx =
           call.caller >= 0 ? model.functions[call.caller].def.class_ctx
                            : std::string();
-      for (const std::string& m : site.held_mutexes) {
-        call.held.push_back(qualify_mutex(m, class_ctx));
-      }
 
       // Callback variables shadow any same-named function.
       if (site.moved || model.merged.callback_vars.count(site.name) > 0) {
@@ -258,20 +228,11 @@ ProgramModel build_program(const AnalysisInput& input) {
       for (int callee : call.callees) {
         if (callee == call.caller) continue;
         const FunctionSummary& sub = model.summaries[callee];
-        for (const auto& [key, origin] : sub.mutexes) {
-          (void)origin;
-          merge_entry(&caller.mutexes, key, Origin{callee, call.line},
-                      &changed);
-        }
-        for (const auto& [key, origin] : sub.blocking) {
-          (void)origin;
-          merge_entry(&caller.blocking, key, Origin{callee, call.line},
-                      &changed);
-        }
-        for (const auto& [key, origin] : sub.nondet) {
-          (void)origin;
-          merge_entry(&caller.nondet, key, Origin{callee, call.line},
-                      &changed);
+        for (const auto& entry : sub.nondet) {
+          if (caller.nondet.emplace(entry.first, Origin{callee, call.line})
+                  .second) {
+            changed = true;
+          }
         }
       }
     }

@@ -5,9 +5,9 @@
 // (analyze/facts.hpp) are linked into a ProgramModel — every function
 // definition becomes a node, every call-shaped site is resolved to a
 // candidate callee set by qualified name, and per-function summaries
-// (mutexes acquired, blocking calls, nondeterminism sources) are
-// propagated bottom-up to a fixpoint. The interprocedural passes
-// (analyze/ipc.hpp) consume the model read-only.
+// (the nondeterminism sources each function reaches) are propagated
+// bottom-up to a fixpoint. The interprocedural pass (analyze/ipc.hpp)
+// consumes the model read-only.
 //
 // Resolution is deliberately an over-approximation:
 //   - unqualified free calls try, in order: methods of the caller's own
@@ -19,12 +19,7 @@
 //   - names harvested as virtual methods add every same-named definition
 //     (dynamic dispatch can land in any override);
 //   - calls through callback variables (the `*Callback`/std::function
-//     harvest the lock pass uses) resolve to no direct edge.
-//
-// Mutex identity: guard mutex names ending in '_' are member fields and
-// are qualified with the acquiring function's class ("Engine::mu_"), so
-// same-named fields of different classes never alias. Bare names (locals,
-// globals) stay raw.
+//     declaration harvest) resolve to no direct edge.
 #pragma once
 
 #include <map>
@@ -48,9 +43,7 @@ struct Origin {
 
 // Transitive effects of calling a function, after fixpoint propagation.
 struct FunctionSummary {
-  std::map<std::string, Origin> mutexes;   // qualified mutex -> acquisition
-  std::map<std::string, Origin> blocking;  // blocking callee name -> origin
-  std::map<std::string, Origin> nondet;    // taint rule -> origin
+  std::map<std::string, Origin> nondet;  // taint rule -> origin
 };
 
 struct FunctionNode {
@@ -68,7 +61,6 @@ struct ResolvedCall {
   std::string name;
   bool callback = false;      // through a callback variable; callees empty
   std::vector<int> callees;   // candidate function ids (direct + virtual)
-  std::vector<std::string> held;  // qualified mutexes held at the site
 };
 
 struct ProgramModel {
@@ -82,20 +74,12 @@ struct ProgramModel {
   // Functions named `name` (last component), ids in ascending order.
   const std::vector<int>* by_name(const std::string& name) const;
 
-  // Human-readable via-trail for a summary entry of `fn`, e.g.
-  // " (via 'flush' -> 'append')"; empty for direct entries. `pick`
-  // selects the map: &FunctionSummary::mutexes etc.
-  std::string trail(int fn,
-                    std::map<std::string, Origin> FunctionSummary::*pick,
-                    const std::string& key) const;
+  // Human-readable via-trail for the taint entry `rule` of `fn`, e.g.
+  // " (via 'stamp' -> 'wall_seconds')"; empty for direct entries.
+  std::string trail(int fn, const std::string& rule) const;
 
   std::map<std::string, std::vector<int>> name_index;
 };
-
-// Qualifies a raw guard-argument mutex name with the acquiring class:
-// trailing-underscore names are member fields.
-std::string qualify_mutex(const std::string& raw,
-                          const std::string& class_ctx);
 
 // Links facts across files and runs summary propagation to a fixpoint.
 ProgramModel build_program(const AnalysisInput& input);

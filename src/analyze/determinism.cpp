@@ -51,9 +51,9 @@ const TokenRule kTokenRules[] = {
 
 const char* const kScopedDirs[] = {
     "src/sim/",      "src/core/",      "src/slurm/",   "src/flux/",
-    "src/prrte/",    "src/platform/",  "src/workloads/", "src/sched/",
-    "src/check/",    "src/obs/",       "src/analyze/", "src/journal/",
-    "src/ingress/",  "src/analytics/",
+    "src/dragon/",   "src/prrte/",     "src/platform/", "src/workloads/",
+    "src/sched/",    "src/check/",     "src/obs/",     "src/analyze/",
+    "src/journal/",  "src/ingress/",   "src/analytics/",
 };
 
 bool is_ident(const Token& t) { return t.kind == TokenKind::kIdentifier; }
@@ -196,15 +196,6 @@ const char* nondet_source_rule(const std::vector<Token>& toks,
 bool determinism_in_scope(const std::string& path) {
   for (const char* dir : kScopedDirs) {
     if (path.find(dir) != std::string::npos) return true;
-  }
-  // Dragon is split: the simulated backend and runtime are scoped, the
-  // threaded executor/queue/channel layer is not.
-  if (path.find("src/dragon/") != std::string::npos) {
-    const auto slash = path.rfind('/');
-    const std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    return base.find("_backend.") != std::string::npos ||
-           base.starts_with("runtime.");
   }
   return false;
 }

@@ -21,11 +21,9 @@
 namespace flotilla::analyze {
 
 // Simulation-code scope: which files the determinism rules apply to.
-// src/{sim,core,slurm,flux,prrte,platform,workloads,sched,check,obs,
-// analyze,journal,ingress,analytics}/ plus the simulated dragon backend
-// and runtime files; the real-threaded layers (the rest of src/dragon/,
-// src/local/, src/util/) are out of scope. Paths are matched
-// '/'-normalized.
+// src/{sim,core,slurm,flux,dragon,prrte,platform,workloads,sched,check,
+// obs,analyze,journal,ingress,analytics}/; src/util/ and tools/ are out of
+// scope. Paths are matched '/'-normalized.
 bool determinism_in_scope(const std::string& path);
 
 // Classifies toks[i] as an interprocedural taint source: returns

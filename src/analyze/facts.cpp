@@ -3,7 +3,6 @@
 #include <map>
 
 #include "analyze/determinism.hpp"
-#include "analyze/guards.hpp"
 
 namespace flotilla::analyze {
 
@@ -47,20 +46,22 @@ bool call_position_keyword(const std::string& t) {
                     "or", "not", "goto"});
 }
 
-bool member_blocking_name(const std::string& t) {
-  return any_of(t, {"wait", "wait_for", "wait_until", "wait_all", "join"});
-}
-
-bool free_blocking_name(const std::string& t) {
-  return any_of(t, {"sleep_for", "sleep_until", "usleep", "nanosleep"});
-}
-
 // ---------------------------------------------------------------------------
-// Declaration harvesting (moved verbatim from locks.cpp so the lock pass
-// and the facts collector share one implementation)
+// Declaration harvesting
 // ---------------------------------------------------------------------------
 
-}  // namespace
+// Skips a balanced <...> starting at toks[i] == "<"; returns the index
+// past the closing ">", or i when not an angle list.
+std::size_t skip_angles(const std::vector<Token>& toks, std::size_t i) {
+  if (i >= toks.size() || !is_punct(toks[i], "<")) return i;
+  int depth = 0;
+  for (std::size_t j = i; j < toks.size(); ++j) {
+    if (is_punct(toks[j], "<")) ++depth;
+    if (is_punct(toks[j], ">") && --depth == 0) return j + 1;
+    if (is_punct(toks[j], ";")) break;  // malformed; bail out
+  }
+  return i;
+}
 
 bool is_callback_type(const DeclHarvest& decls, const std::string& type_name) {
   return type_name == "function" ||
@@ -115,8 +116,6 @@ void harvest_decls(const std::vector<Token>& toks, DeclHarvest* decls) {
     }
   }
 }
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Function definitions with qualified names
@@ -344,16 +343,9 @@ void collect_functions(const LexedFile& lex, const BodyIndex& bodies,
 void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
                         const Body& body, FileFacts* facts) {
   const auto& toks = lex.tokens;
-  GuardWalker walker(toks);
-  walker.on_acquire = [&](const Guard& guard, std::size_t line) {
-    for (const std::string& m : guard.mutexes) {
-      facts->acquires.push_back({body.id, m, line});
-    }
-  };
   for (std::size_t i = body.open;
        i <= body.close && i < toks.size(); ++i) {
     if (bodies.body_of[i] != body.id) continue;  // nested lambda/fn
-    if (walker.step(&i)) continue;
     const Token& tok = toks[i];
 
     if (!is_ident(tok)) continue;
@@ -366,12 +358,6 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
     const bool called = i + 1 < toks.size() && is_punct(toks[i + 1], "(");
     const bool member = i > 0 && (is_punct(toks[i - 1], ".") ||
                                   is_punct(toks[i - 1], "->"));
-
-    // Blocking calls.
-    if (called && ((member && member_blocking_name(tok.text)) ||
-                   (!member && free_blocking_name(tok.text)))) {
-      facts->blocking.push_back({body.id, tok.text, tok.line});
-    }
 
     // Trace-output sinks: Tracer begin/end with a SpanType argument,
     // counter(), or FNV/fingerprint helpers.
@@ -412,7 +398,6 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
       call.moved = true;
       call.token = i + 2;
       call.line = toks[i + 2].line;
-      call.held_mutexes = walker.active_mutexes();
       facts->calls.push_back(std::move(call));
       continue;
     }
@@ -451,7 +436,6 @@ void collect_body_facts(const LexedFile& lex, const BodyIndex& bodies,
             q -= 2;
           }
         }
-        call.held_mutexes = walker.active_mutexes();
         facts->calls.push_back(std::move(call));
       }
     }

@@ -3,11 +3,10 @@
 //
 // Phase one of the two-phase driver: every file is reduced — independently,
 // so the scan parallelizes — to the facts the whole-program passes need:
-// function definitions with best-effort qualified names, call-shaped sites
-// (with the mutexes held at each), blocking calls, nondeterminism sources,
-// trace sinks, and the declaration harvests (callback aliases/variables,
-// virtual methods) the lock-discipline pass has always used. Phase two
-// (analyze/callgraph.hpp) links the facts into a call graph and
+// function definitions with best-effort qualified names, call-shaped
+// sites, nondeterminism sources, trace sinks, and the declaration harvests
+// (callback aliases/variables, virtual methods) call resolution needs.
+// Phase two (analyze/callgraph.hpp) links the facts into a call graph and
 // propagates summaries bottom-up.
 //
 // Everything here is heuristic and token-level, tuned to this codebase's
@@ -27,16 +26,12 @@ namespace flotilla::analyze {
 
 // Declarations harvested from a file plus its paired header: aliases of
 // std::function, variables/members/params of callback type, and virtual
-// method names. Shared by the lock-discipline pass and the facts
-// collector so the two cannot drift.
+// method names.
 struct DeclHarvest {
   std::set<std::string> callback_types;  // aliases of std::function
   std::set<std::string> callback_vars;   // variables/members/params
   std::set<std::string> virtual_methods;
 };
-
-bool is_callback_type(const DeclHarvest& decls, const std::string& type_name);
-void harvest_decls(const std::vector<Token>& toks, DeclHarvest* decls);
 
 // A function or lambda definition.
 struct FunctionDef {
@@ -59,24 +54,6 @@ struct CallSiteFact {
   bool on_this = false;                // receiver is `this`
   bool moved = false;                  // std::move(name)(...) form
   std::size_t token = 0;               // index of the name token
-  std::size_t line = 0;
-  std::vector<std::string> held_mutexes;  // raw names active at the site
-};
-
-// A guard-based mutex acquisition (lock_guard/unique_lock/scoped_lock
-// declaration, or a deferred/unlocked guard re-locking). Raw mutex.lock()
-// calls are not tracked — the codebase locks through RAII guards.
-struct AcquireFact {
-  int body_id = -1;
-  std::string mutex;  // raw name; qualified with the class in phase two
-  std::size_t line = 0;
-};
-
-// A potentially blocking call: cv/future .wait*/join member calls, the
-// sleep family, ProcessPool-style wait_all.
-struct BlockingFact {
-  int body_id = -1;
-  std::string name;
   std::size_t line = 0;
 };
 
@@ -105,8 +82,6 @@ struct FileFacts {
   DeclHarvest decls;
   std::vector<FunctionDef> functions;
   std::vector<CallSiteFact> calls;
-  std::vector<AcquireFact> acquires;
-  std::vector<BlockingFact> blocking;
   std::vector<NondetFact> nondet;
   std::vector<SinkFact> sinks;
 };

@@ -1,7 +1,7 @@
 // Pass registry for the static-analysis framework.
 //
 // A Pass sees the whole lexed tree at once (cross-file analyses like
-// include-graph layering and lock-order pairing need global state) and
+// include-graph layering and the call graph need global state) and
 // appends Findings. The driver (analyze/driver.hpp) owns file collection,
 // waiver filtering, baseline suppression, and output formatting; passes
 // only detect.

@@ -29,33 +29,11 @@ const RuleMeta kRules[] = {
      "std::thread::hardware_concurrency() makes behavior depend on the "
      "host machine; worker counts must come from configuration.",
      kDeterminism},
-    {"ipc-blocking-under-lock",
-     "A call made while holding a mutex reaches code that blocks (a "
-     "condition-variable wait, join, or sleep) at some call depth; the "
-     "lock stays held for the whole blocking period.",
-     kIpc},
     {"ipc-determinism",
      "A trace span, counter, or fingerprint takes a value from a function "
      "that transitively reads wall-clock time or unseeded randomness, so "
      "trace content differs run to run.",
      kIpc},
-    {"ipc-self-deadlock",
-     "A call made while holding a mutex reaches code that re-acquires the "
-     "same mutex at some call depth; with a non-recursive mutex this "
-     "deadlocks the calling thread against itself.",
-     kIpc},
-    {"lock-callback",
-     "A user callback is invoked while a lock is held; the callback can "
-     "re-enter the component and deadlock.",
-     kPasses},
-    {"lock-order",
-     "Two mutexes are acquired in opposite orders at different sites "
-     "(ABBA); pick one global order.",
-     kPasses},
-    {"lock-virtual",
-     "A virtual method is called while a lock is held; dynamic dispatch "
-     "can land in user code that re-enters the component.",
-     kPasses},
     {"real-sleep",
      "Simulation code sleeps in real time; delays must be modeled as "
      "simulated events.",

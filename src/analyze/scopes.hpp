@@ -1,9 +1,9 @@
 // Function/lambda body extraction over the token stream.
 //
-// Passes that reason about control flow (lock discipline, span balance)
+// Passes that reason about control flow (span balance, the call graph)
 // need to know which tokens belong to which callable body — and, crucially,
 // that a lambda nested inside a function is a *different* body: code in a
-// deferred callback does not execute under the locks (or spans) lexically
+// deferred callback does not execute under the spans lexically
 // surrounding its definition. This module classifies every brace pair as
 // function body, lambda body, type/namespace scope, control-flow block, or
 // braced initializer, and assigns each token to its innermost enclosing

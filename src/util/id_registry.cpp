@@ -5,11 +5,7 @@
 namespace flotilla::util {
 
 IdRegistry::Issued IdRegistry::issue(const std::string& ns, int width) {
-  std::uint64_t value = 0;
-  {
-    std::lock_guard lock(mutex_);
-    value = counters_[ns]++;
-  }
+  const std::uint64_t value = counters_[ns]++;
   char digits[20] = {};  // 2^64 - 1 has 20 decimal digits
   const auto length = static_cast<std::size_t>(
       std::to_chars(digits, digits + sizeof digits, value).ptr - digits);
@@ -26,13 +22,11 @@ IdRegistry::Issued IdRegistry::issue(const std::string& ns, int width) {
 }
 
 std::uint64_t IdRegistry::count(const std::string& ns) const {
-  std::lock_guard lock(mutex_);
   const auto it = counters_.find(ns);
   return it == counters_.end() ? 0 : it->second;
 }
 
 void IdRegistry::reset() {
-  std::lock_guard lock(mutex_);
   counters_.clear();
 }
 

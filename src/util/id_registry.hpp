@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 namespace flotilla::util {
@@ -34,7 +33,6 @@ class IdRegistry {
   void reset();
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;
 };
 

@@ -1,12 +1,9 @@
-// Agent routing edge cases and process-pool reentrancy.
+// Agent routing edge cases.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <functional>
 #include <string>
 
 #include "core/flotilla.hpp"
-#include "local/process_pool.hpp"
 
 namespace flotilla {
 namespace {
@@ -78,25 +75,6 @@ TEST(AgentEdge, ZeroCoreTaskRunsToCompletion) {
   fx.tmgr->submit(std::move(desc));
   fx.session.run();
   EXPECT_EQ(final_state, core::TaskState::kDone);
-}
-
-TEST(ProcessPoolEdge, CompletionCallbackCanSpawnFollowUps) {
-  local::ProcessPool pool(2);
-  std::atomic<int> chain{0};
-  std::function<void(const local::ProcessResult&)> next =
-      [&](const local::ProcessResult& r) {
-        EXPECT_TRUE(r.success());
-        if (chain.fetch_add(1) + 1 < 5) {
-          pool.spawn({"/bin/true"}, next);
-        }
-      };
-  pool.spawn({"/bin/true"}, next);
-  // wait_all must observe work spawned from reaper-thread callbacks.
-  while (chain.load() < 5) {
-    pool.wait_all();
-  }
-  EXPECT_EQ(chain.load(), 5);
-  EXPECT_EQ(pool.completed(), 5u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Fixture: dragon scope. Matches *_backend.* so it IS simulation scope;
-// the clock below must be flagged by a directory scan.
+// Fixture: dragon scope. The simulated backend is simulation scope; the
+// clock below must be flagged by a directory scan.
 #include <chrono>
 
 namespace fixture {

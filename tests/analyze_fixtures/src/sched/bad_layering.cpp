@@ -1,6 +1,6 @@
 // Fixture: architecture violation. sched sits below core in the declared
 // DAG (layers.conf), so this include must be reported as arch-layering.
-#include "core/pool.hpp"
+#include "core/cycle_a.hpp"
 #include "util/helpers.hpp"
 
 namespace fixture {

@@ -1,5 +1,5 @@
-// Fixture: scope. src/util/ is not simulation code (the real-threaded
-// layers use it), so the host clock below is never a determinism finding.
+// Fixture: scope. src/util/ is not simulation code (host tools use it
+// too), so the host clock below is never a determinism finding.
 #include <ctime>
 
 namespace fixture {

@@ -6,17 +6,11 @@
 //   architecture   include graph vs the declared layer DAG in
 //                  analyze/layers.conf (arch-layering, arch-cycle,
 //                  arch-unmapped, arch-config)
-//   locks          user callbacks / virtual dispatch invoked under a held
-//                  lock, and inconsistent mutex acquisition-order pairs
-//                  (lock-callback, lock-virtual, lock-order)
 //   spans          obs::Tracer begin/end pairs leaked by early returns
 //                  (span-balance)
 //   determinism    the five determinism rules, on the token stream
 //                  (wall-clock, unseeded-random, hardware-concurrency,
 //                  real-sleep, unordered-iteration)
-//   ipc-locks      interprocedural lock discipline over the call graph:
-//                  self-deadlock and blocking-under-lock at any call
-//                  depth (ipc-self-deadlock, ipc-blocking-under-lock)
 //   ipc-determinism  wall-clock/unseeded-random taint flowing through
 //                  function returns into trace spans, counters, or the
 //                  trace fingerprint (ipc-determinism)
@@ -41,7 +35,6 @@
 #include "analyze/driver.hpp"
 #include "analyze/ipc.hpp"
 #include "analyze/layers.hpp"
-#include "analyze/locks.hpp"
 #include "analyze/spans.hpp"
 
 namespace {
@@ -132,10 +125,8 @@ int main(int argc, char** argv) {
   fa::PassRegistry registry;
   registry.add(std::make_unique<fa::ArchitecturePass>(std::move(layers),
                                                       layers_error));
-  registry.add(std::make_unique<fa::LockDisciplinePass>());
   registry.add(std::make_unique<fa::SpanBalancePass>());
   registry.add(std::make_unique<fa::DeterminismPass>());
-  registry.add(std::make_unique<fa::IpcLocksPass>());
   registry.add(std::make_unique<fa::IpcDeterminismPass>());
 
   if (list_rules) {
