@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dragon/dragon_backend.hpp"
 #include "dragon/runtime.hpp"
+#include "obs/tracer.hpp"
 #include "platform/calibration.hpp"
 #include "platform/cluster.hpp"
 #include "sim/stats.hpp"
+#include "util/error.hpp"
 #include "util/strfmt.hpp"
 
 namespace flotilla::dragon {
@@ -254,6 +257,135 @@ TEST(DragonPartitions, InstanceCrashIsIsolated) {
   backend.submit(make_task(99, 1.0, 8 * 56));
   engine.run();
   EXPECT_EQ(failed, 6);
+}
+
+// ------------------------------------------------------ backend lifecycle
+
+TEST(DragonBackend, UnhealthyUntilBootstrapped) {
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 1);
+  DragonBackend backend(engine, cluster, NodeRange{0, 1},
+                        frontier_calibration().dragon, 42);
+  EXPECT_FALSE(backend.healthy());
+  EXPECT_THROW(backend.submit(make_task(0, 1.0, 1)), util::Error);
+  backend.bootstrap([](bool, const std::string&) {});
+  engine.run();
+  EXPECT_TRUE(backend.healthy());
+}
+
+// The function lane of the hybrid experiment: every function task runs,
+// and its outcome carries the virtual start and end of its payload.
+TEST(DragonBackend, FunctionTasksReportTheirPayloadWindow) {
+  Fixture fx(2);
+  std::vector<platform::LaunchOutcome> outcomes;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    outcomes.push_back(outcome);
+  });
+  for (int i = 0; i < 100; ++i) {
+    fx.backend.submit(make_task(i, 3.0, 1, TaskModality::kFunction));
+  }
+  EXPECT_EQ(fx.backend.inflight(), 100u);
+  fx.engine.run();
+  ASSERT_EQ(outcomes.size(), 100u);
+  for (const auto& outcome : outcomes) {
+    EXPECT_TRUE(outcome.success) << outcome.id;
+    EXPECT_NEAR(outcome.finished - outcome.started, 3.0, 1e-9) << outcome.id;
+  }
+  EXPECT_EQ(fx.backend.inflight(), 0u);
+}
+
+TEST(DragonBackend, QuiescentOnlyWithNothingInflightOrQueued) {
+  Fixture fx(1);
+  fx.backend.on_task_complete([](const platform::LaunchOutcome&) {});
+  EXPECT_TRUE(fx.backend.quiescent());
+  for (int i = 0; i < 60; ++i) fx.backend.submit(make_task(i, 10.0, 1));
+  EXPECT_FALSE(fx.backend.quiescent());
+  fx.engine.run(fx.engine.now() + 5.0);
+  EXPECT_FALSE(fx.backend.quiescent());
+  fx.engine.run();
+  EXPECT_TRUE(fx.backend.quiescent());
+}
+
+TEST(DragonBackend, ShutdownFailsRunningTasksAndGoesUnhealthy) {
+  Fixture fx(1);
+  std::vector<platform::LaunchOutcome> outcomes;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    outcomes.push_back(outcome);
+  });
+  for (int i = 0; i < 4; ++i) fx.backend.submit(make_task(i, 100.0, 1));
+  fx.engine.run(fx.engine.now() + 10.0);
+  fx.backend.shutdown();
+  fx.engine.run();
+  EXPECT_FALSE(fx.backend.healthy());
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const auto& outcome : outcomes) {
+    EXPECT_FALSE(outcome.success);
+    EXPECT_EQ(outcome.error, "backend shut down");
+  }
+  EXPECT_TRUE(fx.backend.quiescent());
+}
+
+// Recovery compares this summary: it names each runtime's health and
+// capacity-queue depth.
+TEST(DragonPartitions, RestoreSummaryNamesEachRuntime) {
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 4);
+  DragonBackend backend(engine, cluster, NodeRange{0, 4},
+                        frontier_calibration().dragon, 42, 2);
+  backend.bootstrap([](bool, const std::string&) {});
+  engine.run();
+  EXPECT_EQ(backend.restore_summary(),
+            "dragon|healthy=1|inflight=0|r0=up:0|r1=up:0");
+  backend.crash("fault", 1);
+  EXPECT_EQ(backend.restore_summary(),
+            "dragon|healthy=1|inflight=0|r0=up:0|r1=down:0");
+  backend.crash("fault", 0);
+  EXPECT_EQ(backend.restore_summary(),
+            "dragon|healthy=0|inflight=0|r0=down:0|r1=down:0");
+}
+
+TEST(DragonPartitions, SplitsTheSpanIntoDisjointRuntimes) {
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 8);
+  DragonBackend backend(engine, cluster, NodeRange{0, 8},
+                        frontier_calibration().dragon, 42, 4);
+  ASSERT_EQ(backend.partitions(), 4);
+  platform::NodeId next = 0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(backend.runtime(i).span().first, next);
+    EXPECT_EQ(backend.runtime(i).span().count, 2);
+    next = backend.runtime(i).span().end();
+  }
+  EXPECT_EQ(next, 8);
+  EXPECT_THROW(backend.runtime(4), std::out_of_range);
+}
+
+std::vector<std::string> bootstrap_components(int partitions) {
+  sim::Engine engine;
+  Cluster cluster(frontier_spec(), 4);
+  DragonBackend backend(engine, cluster, NodeRange{0, 4},
+                        frontier_calibration().dragon, 42, partitions);
+  obs::Tracer tracer(engine, 64);
+  backend.set_trace(obs::TraceHandle(&tracer));
+  backend.bootstrap([](bool, const std::string&) {});
+  engine.run();
+  std::vector<std::string> components;
+  tracer.for_each([&components](const obs::Record& record) {
+    if (record.type == obs::SpanType::kBootstrap &&
+        record.kind == obs::RecordKind::kBegin) {
+      components.push_back(record.component);
+    }
+  });
+  return components;
+}
+
+TEST(DragonBackend, SingleRuntimeTracesAsDragon) {
+  EXPECT_EQ(bootstrap_components(1), std::vector<std::string>{"dragon"});
+}
+
+TEST(DragonPartitions, EachRuntimeTracesUnderItsIndex) {
+  EXPECT_EQ(bootstrap_components(3),
+            (std::vector<std::string>{"dragon.0", "dragon.1", "dragon.2"}));
 }
 
 }  // namespace
