@@ -83,8 +83,6 @@ ProgramModel build_program(const AnalysisInput& input) {
   for (std::size_t fi = 0; fi < input.files.size(); ++fi) {
     const SourceFile& file = input.files[fi];
     const DeclHarvest& d = file.facts.decls;
-    model.merged.callback_types.insert(d.callback_types.begin(),
-                                       d.callback_types.end());
     model.merged.callback_vars.insert(d.callback_vars.begin(),
                                       d.callback_vars.end());
     model.merged.virtual_methods.insert(d.virtual_methods.begin(),

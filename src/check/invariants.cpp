@@ -176,7 +176,7 @@ void InvariantMonitor::check_index_coherence() {
 
 void InvariantMonitor::on_transition(const core::Task& task, TaskState from,
                                      TaskState to) {
-  auto [it, inserted] = tasks_.try_emplace(task.uid());
+  auto [it, inserted] = tasks_.try_emplace(task.id());
   auto& record = it->second;
   if (inserted) {
     if (from != TaskState::kNew) {
@@ -227,9 +227,10 @@ void InvariantMonitor::finish() {
   }
 
   // Liveness: exactly one terminal state per watched task.
-  for (const auto& [uid, record] : tasks_) {
+  for (const auto& [id, record] : tasks_) {
     if (record.terminals == 0) {
-      add("liveness", util::cat(uid, ": never reached a terminal state (last ",
+      add("liveness", util::cat(core::task_uid(id),
+                                ": never reached a terminal state (last ",
                                 core::to_string(record.last), ")"));
     }
   }

@@ -92,8 +92,14 @@ class InvariantMonitor : public platform::Cluster::Observer {
   Options options_;
   sched::FreeResourceIndex index_;  // independent copy under audit
   core::Agent* agent_ = nullptr;
-  // Ordered so finish() reports violations deterministically.
-  std::map<std::string, TaskRecord> tasks_;
+  // In uid order, so finish() reports violations deterministically and in
+  // the order of the uids it names.
+  struct UidOrder {
+    bool operator()(core::TaskId a, core::TaskId b) const {
+      return core::uid_less(a, b);
+    }
+  };
+  std::map<core::TaskId, TaskRecord, UidOrder> tasks_;
   std::vector<Violation> violations_;
   std::size_t suppressed_ = 0;
   std::vector<std::int64_t> baseline_free_cores_;

@@ -44,9 +44,7 @@ void Agent::add_backend(std::unique_ptr<platform::TaskBackend> backend,
     }
     slot.waitlist.set_trace(
         obs_trace_, util::cat("agent.", name, ".waitlist"),
-        [this](std::uint32_t id) {
-          return std::string_view(tasks_[id].task->uid());
-        });
+        [this](std::uint32_t id) { return tasks_[id].task->uid(); });
   }
   slot.backend->on_task_start(
       [this](const std::string& uid) { handle_start(uid); });
@@ -122,9 +120,13 @@ void Agent::execute(Task& task) {
     task.advance(TaskState::kStagingInput, session_.now());
     profiler_.state_change(task);
     const double mb = task.input_mb();
-    obs_trace_.begin(obs::SpanType::kTaskStageIn, "agent", task.uid(), mb);
+    if (obs_trace_) {
+      obs_trace_.begin(obs::SpanType::kTaskStageIn, "agent", task.uid(), mb);
+    }
     stager_in_.submit(staging_time(mb), [this, task = &task] {
-      obs_trace_.end(obs::SpanType::kTaskStageIn, "agent", task->uid());
+      if (obs_trace_) {
+        obs_trace_.end(obs::SpanType::kTaskStageIn, "agent", task->uid());
+      }
       task->advance(TaskState::kAgentScheduling, session_.now());
       profiler_.state_change(*task);
       enter_scheduling(*task);
@@ -138,7 +140,9 @@ void Agent::execute(Task& task) {
 
 void Agent::enter_scheduling(Task& task) {
   const auto& cal = session_.calibration().core;
-  obs_trace_.begin(obs::SpanType::kTaskSchedule, "agent", task.uid());
+  if (obs_trace_) {
+    obs_trace_.begin(obs::SpanType::kTaskSchedule, "agent", task.uid());
+  }
   scheduler_.submit(
       rng_.lognormal_mean_cv(cal.agent_sched_cost, cal.jitter_cv),
       [this, task = &task] { schedule(*task); });
@@ -174,15 +178,23 @@ Agent::BackendSlot* Agent::route(const Task& task) {
   return best;
 }
 
+Agent::TaskSlot* Agent::find(TaskId id) {
+  if (id >= tasks_.size() || tasks_[id].task == nullptr) return nullptr;
+  return &tasks_[id];
+}
+
 Agent::TaskSlot* Agent::find(std::string_view uid) {
-  const auto id = task_ordinal(uid);
-  if (!id || *id >= tasks_.size()) return nullptr;
-  TaskSlot& slot = tasks_[*id];
-  return slot.task != nullptr && slot.task->uid() == uid ? &slot : nullptr;
+  const auto id = canonical_task_id(uid);
+  return id ? find(*id) : nullptr;
 }
 
 bool Agent::cancel(const std::string& uid) {
-  TaskSlot* found = find(uid);
+  const auto id = canonical_task_id(uid);
+  return id && cancel(*id);
+}
+
+bool Agent::cancel(TaskId id) {
+  TaskSlot* found = find(id);
   if (found == nullptr) return false;
   Task& task = *found->task;
   task.request_cancel();
@@ -198,7 +210,9 @@ bool Agent::cancel(const std::string& uid) {
 }
 
 void Agent::schedule(Task& task) {
-  obs_trace_.end(obs::SpanType::kTaskSchedule, "agent", task.uid());
+  if (obs_trace_) {
+    obs_trace_.end(obs::SpanType::kTaskSchedule, "agent", task.uid());
+  }
   if (shut_down_ || task.cancel_requested()) {
     task.set_error(shut_down_ ? "agent shut down" : "canceled by user");
     finalize(task, TaskState::kCanceled);
@@ -271,7 +285,7 @@ void Agent::submit_to(BackendSlot& slot, Task& task) {
         request.gang_size = task->gang_size();
         request.priority = task->priority();
         obs_trace_.begin(obs::SpanType::kTaskLaunch,
-                         slot_ptr->backend->name(), task->uid());
+                         slot_ptr->backend->name(), request.id);
         slot_ptr->backend->submit(std::move(request));
       });
 }
@@ -298,7 +312,7 @@ void Agent::launch_placed(BackendSlot& slot, Task& task,
   request.preplaced = true;
   held_.insert_or_assign(task.id(), std::move(placement));
   obs_trace_.begin(obs::SpanType::kTaskLaunch, slot.backend->name(),
-                   task.uid());
+                   request.id);
   slot.backend->submit(std::move(request));
 }
 
@@ -353,10 +367,11 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
   if (obs_trace_) {
     // A launched attempt closes its run span; one that never started
     // (backend rejected/crashed pre-start) closes its launch span instead.
+    // outcome.id is the task's uid: find() accepts only the canonical one.
     obs_trace_.end(task->launched() ? obs::SpanType::kTaskRun
                                     : obs::SpanType::kTaskLaunch,
-                   task->backend(), task->uid(), outcome.success ? 1.0 : 0.0);
-    obs_trace_.begin(obs::SpanType::kTaskCollect, "agent", task->uid());
+                   task->backend(), outcome.id, outcome.success ? 1.0 : 0.0);
+    obs_trace_.begin(obs::SpanType::kTaskCollect, "agent", outcome.id);
   }
   // Resources the agent placed for an externally scheduled backend are
   // returned the moment the backend reports completion.
@@ -382,7 +397,9 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
   collector_.submit(
       rng_.lognormal_mean_cv(cal.collect_cost, cal.jitter_cv),
       [this, task, error = std::move(error)]() mutable {
-        obs_trace_.end(obs::SpanType::kTaskCollect, "agent", task->uid());
+        if (obs_trace_) {
+          obs_trace_.end(obs::SpanType::kTaskCollect, "agent", task->uid());
+        }
         if (task->launched()) {
           profiler_.attempt_ended(*task);
         }
@@ -396,11 +413,15 @@ void Agent::handle_completion(const platform::LaunchOutcome& outcome) {
             task->advance(TaskState::kStagingOutput, session_.now());
             profiler_.state_change(*task);
             const double mb = task->output_mb();
-            obs_trace_.begin(obs::SpanType::kTaskStageOut, "agent",
-                             task->uid(), mb);
+            if (obs_trace_) {
+              obs_trace_.begin(obs::SpanType::kTaskStageOut, "agent",
+                               task->uid(), mb);
+            }
             stager_out_.submit(staging_time(mb), [this, task] {
-              obs_trace_.end(obs::SpanType::kTaskStageOut, "agent",
-                             task->uid());
+              if (obs_trace_) {
+                obs_trace_.end(obs::SpanType::kTaskStageOut, "agent",
+                               task->uid());
+              }
               finalize(*task, TaskState::kDone);
             });
             return;
@@ -449,8 +470,10 @@ void Agent::finalize(Task& task, TaskState state) {
   profiler_.finalized(task, state == TaskState::kDone);
   if (final_handler_) final_handler_(task);
   for (const auto& listener : final_listeners_) listener(task);
-  obs_trace_.instant(obs::SpanType::kStateCallback, "agent", task.uid(),
-                     static_cast<double>(state));
+  if (obs_trace_) {
+    obs_trace_.instant(obs::SpanType::kStateCallback, "agent", task.uid(),
+                       static_cast<double>(state));
+  }
 }
 
 platform::TaskBackend* Agent::backend(const std::string& name) {

@@ -71,6 +71,7 @@ class Agent {
   // their payload ends (backends cannot preempt). Returns false if the
   // task is unknown or already final.
   bool cancel(const std::string& uid);
+  bool cancel(TaskId id);
 
   // Fires exactly once per task, on a final state. Single owner (the task
   // manager); observers should use add_final_listener.
@@ -126,8 +127,10 @@ class Agent {
   };
   static constexpr std::uint32_t kNoBackend = ~std::uint32_t{0};
 
+  // The slot holding the live task `id`, or nullptr.
+  TaskSlot* find(TaskId id);
   // The slot holding the live task with `uid` — the uid a backend or a
-  // caller passed in — or nullptr (see task_ordinal).
+  // caller passed in — or nullptr (see canonical_task_id).
   TaskSlot* find(std::string_view uid);
   // The task of a waitlist entry, whose slot is its TaskId. Waitlists hold
   // live tasks only, so it resolves.

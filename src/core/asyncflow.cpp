@@ -4,9 +4,9 @@
 
 namespace flotilla::core {
 
-const std::string& TaskFuture::uid() const {
+std::string TaskFuture::uid() const {
   FLOT_CHECK(state_, "uid() on an invalid TaskFuture");
-  return state_->uid;
+  return task_uid(state_->id);
 }
 
 bool TaskFuture::done() const { return state_ && state_->task != nullptr; }
@@ -37,15 +37,15 @@ AsyncFlow::AsyncFlow(TaskManager& tmgr) : tmgr_(tmgr) {
 TaskFuture AsyncFlow::submit(TaskDescription description) {
   auto state = std::make_shared<TaskFuture::State>();
   state->flow = this;
-  state->uid = tmgr_.submit(std::move(description));
-  pending_.emplace(state->uid, state);
+  state->id = tmgr_.submit_task(std::move(description));
+  pending_.emplace(state->id, state);
   ++inflight_;
   return TaskFuture(std::move(state));
 }
 
 void AsyncFlow::handle_completion(const Task& task) {
   if (observer_) observer_(task);
-  const auto it = pending_.find(task.uid());
+  const auto it = pending_.find(task.id());
   if (it == pending_.end()) return;
   auto state = it->second;
   pending_.erase(it);

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/task_manager.hpp"
@@ -33,7 +34,7 @@ class TaskFuture {
 
   TaskFuture() = default;
 
-  const std::string& uid() const;
+  std::string uid() const;
   bool valid() const { return state_ != nullptr; }
   bool done() const;               // final state reached
   bool succeeded() const;          // final state is DONE
@@ -47,7 +48,7 @@ class TaskFuture {
   friend class AsyncFlow;
 
   struct State {
-    std::string uid;
+    TaskId id = 0;
     const Task* task = nullptr;  // set at completion
     std::vector<Continuation> continuations;
     AsyncFlow* flow = nullptr;
@@ -91,8 +92,7 @@ class AsyncFlow {
   void handle_completion(const Task& task);
 
   TaskManager& tmgr_;
-  std::unordered_map<std::string, std::shared_ptr<TaskFuture::State>>
-      pending_;
+  std::unordered_map<TaskId, std::shared_ptr<TaskFuture::State>> pending_;
   std::function<void(const Task&)> observer_;
   std::size_t inflight_ = 0;
 };

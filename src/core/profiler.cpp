@@ -5,8 +5,10 @@ namespace flotilla::core {
 void Profiler::submitted(const Task&) { metrics_.on_submit(session_.now()); }
 
 void Profiler::state_change(const Task& task) {
-  trace_.instant(obs::SpanType::kTaskState, "agent", task.uid(),
-                 static_cast<double>(task.state()));
+  if (trace_) {
+    trace_.instant(obs::SpanType::kTaskState, "agent", task.uid(),
+                   static_cast<double>(task.state()));
+  }
 }
 
 void Profiler::launched(const Task& task) {

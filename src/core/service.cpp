@@ -7,8 +7,8 @@ namespace flotilla::core {
 ServiceManager::ServiceManager(Session& session, TaskManager& tmgr)
     : session_(session), tmgr_(tmgr) {
   tmgr_.agent().on_task_start([this](const Task& task) {
-    const auto it = uid_to_name_.find(task.uid());
-    if (it == uid_to_name_.end()) return;
+    const auto it = id_to_name_.find(task.id());
+    if (it == id_to_name_.end()) return;
     const std::string name = it->second;
     auto& service = services_.at(name);
     if (service.startup_delay > 0.0) {
@@ -19,8 +19,8 @@ ServiceManager::ServiceManager(Session& session, TaskManager& tmgr)
     }
   });
   tmgr_.agent().add_final_listener([this](const Task& task) {
-    const auto it = uid_to_name_.find(task.uid());
-    if (it == uid_to_name_.end()) return;
+    const auto it = id_to_name_.find(task.id());
+    if (it == id_to_name_.end()) return;
     auto& service = services_.at(it->second);
     service.ended = true;
     service.ready = false;
@@ -39,15 +39,14 @@ std::string ServiceManager::start(ServiceDescription description,
   task.modality = description.modality;
   task.backend_hint = description.backend_hint;
   task.stage = "services";
-  const auto uid = tmgr_.submit(std::move(task));
+  const TaskId id = tmgr_.submit_task(std::move(task));
 
   Service service;
-  service.uid = uid;
   service.startup_delay = description.startup_delay;
   if (on_ready) service.waiters.push_back(std::move(on_ready));
-  uid_to_name_.emplace(uid, description.name);
+  id_to_name_.emplace(id, description.name);
   services_.emplace(std::move(description.name), std::move(service));
-  return uid;
+  return task_uid(id);
 }
 
 void ServiceManager::mark_ready(const std::string& name) {

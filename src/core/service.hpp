@@ -50,7 +50,6 @@ class ServiceManager {
 
  private:
   struct Service {
-    std::string uid;
     sim::Time startup_delay = 0.0;
     bool ready = false;
     bool ended = false;
@@ -62,7 +61,7 @@ class ServiceManager {
   Session& session_;
   TaskManager& tmgr_;
   std::unordered_map<std::string, Service> services_;
-  std::unordered_map<std::string, std::string> uid_to_name_;
+  std::unordered_map<TaskId, std::string> id_to_name_;
 };
 
 }  // namespace flotilla::core

@@ -1,5 +1,6 @@
 #include "core/task.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -35,16 +36,63 @@ std::string_view to_string(TaskState state) {
   return "?";
 }
 
+namespace {
+
+constexpr std::string_view kUidPrefix = "task.";
+constexpr std::size_t kUidWidth = 6;  // IdRegistry's default width
+// The most digits a TaskId's uid has: 2^32 - 1 has 10.
+constexpr std::size_t kUidDigits = 10;
+
+// Writes the zero-padded ordinal of `id`'s uid to `out` (room for
+// kUidDigits); returns how many characters it wrote.
+std::size_t uid_digits(TaskId id, char* out) {
+  char digits[kUidDigits];
+  const auto length = static_cast<std::size_t>(
+      std::to_chars(digits, digits + kUidDigits, id).ptr - digits);
+  const std::size_t padding = length < kUidWidth ? kUidWidth - length : 0;
+  std::fill_n(out, padding, '0');
+  std::copy_n(digits, length, out + padding);
+  return padding + length;
+}
+
+}  // namespace
+
+std::string task_uid(TaskId id) {
+  char text[kUidPrefix.size() + kUidDigits];
+  const auto digits = std::copy(kUidPrefix.begin(), kUidPrefix.end(), text);
+  return std::string(text, static_cast<std::size_t>(digits - text) +
+                               uid_digits(id, digits));
+}
+
+bool uid_less(TaskId a, TaskId b) {
+  // Below 10^6 every uid has 6 digits, so text order is number order.
+  if (a < 1'000'000 && b < 1'000'000) return a < b;
+  char digits_a[kUidDigits];
+  char digits_b[kUidDigits];
+  return std::string_view(digits_a, uid_digits(a, digits_a)) <
+         std::string_view(digits_b, uid_digits(b, digits_b));
+}
+
 std::optional<TaskId> task_ordinal(std::string_view uid) {
-  constexpr std::string_view kPrefix = "task.";
-  if (!uid.starts_with(kPrefix)) return std::nullopt;
-  const char* first = uid.data() + kPrefix.size();
+  if (!uid.starts_with(kUidPrefix)) return std::nullopt;
+  const char* first = uid.data() + kUidPrefix.size();
   const char* last = uid.data() + uid.size();
   // from_chars takes no sign or whitespace, and reports an empty number,
   // and one too large for TaskId, as errors.
   TaskId id = 0;
   const auto [end, ec] = std::from_chars(first, last, id);
   if (ec != std::errc() || end != last) return std::nullopt;
+  return id;
+}
+
+std::optional<TaskId> canonical_task_id(std::string_view uid) {
+  const auto id = task_ordinal(uid);
+  if (!id) return std::nullopt;
+  std::size_t digits = 1;
+  for (TaskId rest = *id; rest >= 10; rest /= 10) ++digits;
+  if (uid.size() != kUidPrefix.size() + std::max(digits, kUidWidth)) {
+    return std::nullopt;
+  }
   return id;
 }
 
@@ -165,10 +213,8 @@ bool valid_transition(TaskState from, TaskState to) {
 
 }  // namespace
 
-Task::Task(TaskId id, std::string uid, TaskDescription description,
-           const Context& context)
+Task::Task(TaskId id, TaskDescription description, const Context& context)
     : duration_(description.duration),
-      uid_(std::move(uid)),
       context_(&context),
       id_(id) {
   TaskLabels& labels = *context.labels;
@@ -192,7 +238,7 @@ Task::Task(TaskId id, std::string uid, TaskDescription description,
 }
 
 void Task::advance(TaskState next, sim::Time now) {
-  FLOT_CHECK(valid_transition(state_, next), "task ", uid_,
+  FLOT_CHECK(valid_transition(state_, next), "task ", uid(),
              ": invalid transition ", to_string(state_), " -> ",
              to_string(next));
   const TaskState from = state_;
@@ -214,6 +260,6 @@ bool Task::state_time(TaskState state, sim::Time& out) const {
 }
 
 // The manager holds 10^5-10^6 of these at the paper's bulk sizes.
-static_assert(sizeof(Task) <= 128, "core::Task grew past 128 bytes");
+static_assert(sizeof(Task) == 96, "core::Task is no longer 96 bytes");
 
 }  // namespace flotilla::core

@@ -64,16 +64,33 @@ constexpr bool is_final(TaskState state) {
          state == TaskState::kCanceled;
 }
 
-// Dense task handle: the ordinal the session's IdRegistry formats into the
-// uid ("task.000042" -> 42). The TaskManager keeps its tasks in TaskId
-// order and the Agent keeps its slots in a vector indexed by it.
+// Dense task handle, and the only task identity the process stores: the
+// ordinal the session's IdRegistry counts for "task" ("task.000042" ->
+// 42). The TaskManager keeps its tasks in TaskId order and the Agent keeps
+// its slots in a vector indexed by it.
 using TaskId = std::uint32_t;
+
+// The uid of task `id`, formatted as IdRegistry::issue("task") formats
+// it: "task." and the ordinal zero-padded to 6 digits, wider past 999,999
+// ("task.000042", "task.1000000"). It fits the small-string buffer, so it
+// never allocates; it is formatted only where a uid leaves the process or
+// a human reads it.
+std::string task_uid(TaskId id);
+
+// Whether task `a`'s uid sorts before task `b`'s. That is TaskId order
+// until the counter outgrows its zero padding: "task.1000000" sorts
+// before "task.999998". Formats nothing on the heap.
+bool uid_less(TaskId a, TaskId b);
 
 // The ordinal in a "task.<digits>" uid, or nullopt when `uid` has another
 // shape or the number does not fit a TaskId. Padding is not checked:
-// "task.00042" parses to 42, so a caller resolving a uid must also compare
-// it with the uid of the task it finds in that slot.
+// "task.00042" parses to 42 (see canonical_task_id).
 std::optional<TaskId> task_ordinal(std::string_view uid);
+
+// The TaskId whose uid is exactly `uid`: task_ordinal plus a length check,
+// so "task.00042" and "task.0000042" name no task and "task.000042" names
+// task 42.
+std::optional<TaskId> canonical_task_id(std::string_view uid);
 
 // Interned task labels, description shapes and the side tables of task
 // names and errors. The session owns one, so what a task reads through it
@@ -150,7 +167,7 @@ class TaskLabels {
   std::unordered_map<TaskId, std::string> errors_;
 };
 
-// Runtime object tracked by the session: what varies per task (id, uid,
+// Runtime object tracked by the session: what varies per task (id,
 // duration, state machine, current attempt) in one compact record that
 // the TaskManager holds by value. The rest of the description is a shape
 // interned in the session. Transitions are validated: a task can only
@@ -178,11 +195,11 @@ class Task {
 
   // Interns the description's shape in the context's labels and files a
   // non-empty name there. `context` must outlive the task.
-  Task(TaskId id, std::string uid, TaskDescription description,
-       const Context& context);
+  Task(TaskId id, TaskDescription description, const Context& context);
 
   TaskId id() const { return id_; }
-  const std::string& uid() const { return uid_; }
+  // Formatted from the id on each call (see task_uid).
+  std::string uid() const { return task_uid(id_); }
 
   // The description it was submitted with, field by field.
   const std::string& name() const { return labels().name(id_); }
@@ -247,7 +264,6 @@ class Task {
   // First entry time per slot; NaN for a state never entered.
   std::array<sim::Time, kTimeSlots> state_times_;
   sim::Time duration_;
-  std::string uid_;
   const Context* context_;
   TaskId id_;
   ShapeId shape_;

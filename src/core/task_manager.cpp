@@ -50,7 +50,7 @@ void TaskManager::on_transition(Task::TransitionHook hook) {
 }
 
 Task& TaskManager::create(TaskDescription description) {
-  auto [ordinal, uid] = session_.ids().issue("task");
+  const std::uint64_t ordinal = session_.ids().next_ordinal("task");
   FLOT_CHECK(ordinal <= std::numeric_limits<TaskId>::max(),
              "task ordinal ", ordinal, " overflows TaskId");
   const auto id = static_cast<TaskId>(ordinal);
@@ -60,29 +60,58 @@ Task& TaskManager::create(TaskDescription description) {
   if (total_submitted_ % kChunkTasks == 0) {
     chunks_.emplace_back().reserve(kChunkTasks);
   }
-  Task& task = chunks_.back().emplace_back(
-      id, std::move(uid), std::move(description), *contexts_.back());
+  Task& task = chunks_.back().emplace_back(id, std::move(description),
+                                           *contexts_.back());
   ++total_submitted_;
   agent_.profiler().submitted(task);
   task.advance(TaskState::kTmgrScheduling, session_.now());
-  obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", task.uid(),
-                   static_cast<double>(task.demand().cores));
+  if (obs_trace_) {
+    obs_trace_.begin(obs::SpanType::kTaskSubmit, "tmgr", task.uid(),
+                     static_cast<double>(task.demand().cores));
+  }
   return task;
 }
 
-std::string TaskManager::submit(TaskDescription description) {
+TaskId TaskManager::submit_task(TaskDescription description) {
   validate(description);
-  Task& task = create(std::move(description));
+  const TaskId id = create(std::move(description)).id();
   enqueue_intake();
-  return task.uid();
+  return id;
+}
+
+std::string TaskManager::submit(TaskDescription description) {
+  return task_uid(submit_task(std::move(description)));
 }
 
 std::vector<std::string> TaskManager::submit(
     std::vector<TaskDescription> descriptions) {
+  const std::size_t count = descriptions.size();
+  const std::size_t begin = total_submitted_;
+  // The created tasks are the positions [begin, total_submitted_), unless
+  // a transition hook submitted in between: from then on their ids are
+  // kept here.
+  std::vector<TaskId> ids;
+  for (std::size_t i = 0; i < count; ++i) {
+    const TaskId id = submit_task(std::move(descriptions[i]));
+    if (ids.empty()) {
+      if (total_submitted_ == begin + i + 1) continue;
+      for (std::size_t pos = begin; pos < begin + i; ++pos) {
+        ids.push_back(at(pos).id());
+      }
+    }
+    ids.push_back(id);
+  }
+  // Free the descriptions before the uids are made, so the peak holds
+  // descriptions and tasks, or tasks and uids, never all three.
+  std::vector<TaskDescription>().swap(descriptions);
   std::vector<std::string> uids;
-  uids.reserve(descriptions.size());
-  for (auto& description : descriptions) {
-    uids.push_back(submit(std::move(description)));
+  uids.reserve(count);
+  if (ids.empty()) {
+    for (std::size_t pos = begin; pos < begin + count; ++pos) {
+      uids.push_back(at(pos).uid());
+    }
+  } else {
+    for (const TaskId id : ids) uids.push_back(task_uid(id));
   }
   return uids;
 }
@@ -132,8 +161,10 @@ void TaskManager::start_intake() {
                  [this, begin, end] {
                    for (std::size_t pos = begin; pos < end; ++pos) {
                      Task& task = at(pos);
-                     obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
-                                    task.uid());
+                     if (obs_trace_) {
+                       obs_trace_.end(obs::SpanType::kTaskSubmit, "tmgr",
+                                      task.uid());
+                     }
                      agent_.execute(task);
                    }
                    if (intake_waiting_ != 0 && intake_.in_service() == 0) {
@@ -159,11 +190,9 @@ std::optional<std::size_t> TaskManager::position(TaskId id) const {
 }
 
 std::optional<std::size_t> TaskManager::position(std::string_view uid) const {
-  const auto id = task_ordinal(uid);
+  const auto id = canonical_task_id(uid);
   if (!id) return std::nullopt;
-  const auto pos = position(*id);
-  if (!pos || at(*pos).uid() != uid) return std::nullopt;
-  return pos;
+  return position(*id);
 }
 
 bool TaskManager::cancel(const std::string& uid) {
@@ -186,7 +215,7 @@ bool TaskManager::cancel_at(std::size_t pos) {
     task.request_cancel();
     return true;
   }
-  return agent_.cancel(task.uid());
+  return agent_.cancel(task.id());
 }
 
 const Task& TaskManager::task(const std::string& uid) const {
@@ -202,10 +231,10 @@ void TaskManager::for_each_task(
   for (const auto& chunk : chunks_) {
     for (const Task& task : chunk) order.push_back(&task);
   }
-  // TaskId order is uid order until the counter outgrows its zero padding:
-  // "task.1000000" sorts before "task.999998".
+  // TaskId order is uid order until the counter outgrows its zero padding
+  // (see uid_less).
   const auto by_uid = [](const Task* a, const Task* b) {
-    return a->uid() < b->uid();
+    return uid_less(a->id(), b->id());
   };
   if (!std::is_sorted(order.begin(), order.end(), by_uid)) {
     std::sort(order.begin(), order.end(), by_uid);

@@ -1,6 +1,6 @@
 // TaskManager: the user-facing task API (Fig 1 ①②).
 //
-// Accepts task descriptions, assigns uids, runs them through the TMGR
+// Accepts task descriptions, assigns TaskIds, runs them through the TMGR
 // pipeline (a serialized intake component with a calibrated per-task cost)
 // and hands them to a pilot's agent. Completion callbacks fire once per
 // task on a final state.
@@ -39,7 +39,12 @@ class TaskManager {
 
   // Submits one task; returns its uid.
   std::string submit(TaskDescription description);
+  // Submits the tasks in order, as one submit() each, and returns their
+  // uids. The descriptions are freed before the uids are made.
   std::vector<std::string> submit(std::vector<TaskDescription> descriptions);
+  // Submits one task, as submit() does, and returns its TaskId instead of
+  // its uid.
+  TaskId submit_task(TaskDescription description);
 
   // Submits a batch as ONE intake transaction (flux-core job-ingest
   // style): every task advances to kTmgrScheduling now, but the whole
@@ -103,11 +108,11 @@ class TaskManager {
   // Position of this manager's task with `id`, or nullopt.
   std::optional<std::size_t> position(TaskId id) const;
   // Position of this manager's task with `uid`, or nullopt (see
-  // task_ordinal).
+  // canonical_task_id).
   std::optional<std::size_t> position(std::string_view uid) const;
   bool cancel_at(std::size_t pos);
-  // Issues the next uid, creates the task in its slot and moves it into
-  // TMGR_SCHEDULING.
+  // Takes the next task ordinal, creates the task in its slot and moves it
+  // into TMGR_SCHEDULING.
   Task& create(TaskDescription description);
   // Queues an intake item for the tasks just created (one task, or the
   // run batches_ ends with) and starts the head if intake is free.

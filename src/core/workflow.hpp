@@ -7,10 +7,11 @@
 // tasks ... is adjusted dynamically at runtime", §4.2) is expressed.
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/task.hpp"
@@ -51,21 +52,34 @@ class Workflow {
   std::uint64_t tasks_failed() const { return failed_tasks_; }
 
  private:
+  // Index of a stage in stages_, in add order.
+  using StageId = std::uint32_t;
+  static constexpr StageId kNoStage = ~StageId{0};
+
   struct Stage {
+    std::string name;
     std::vector<TaskDescription> tasks;
-    std::vector<std::string> deps;
+    std::vector<StageId> deps;
+    std::vector<StageId> dependents;  // stages that list this one in deps
     std::size_t remaining = 0;
     bool submitted = false;
     bool complete = false;
   };
 
-  void maybe_submit(const std::string& name);
+  // Submits each stage of `ids` whose deps are complete, in name order.
+  void submit_in_name_order(std::vector<StageId> ids);
+  void maybe_submit(StageId id);
   bool deps_met(const Stage& stage) const;
   void handle_completion(const Task& task);
 
   TaskManager& tmgr_;
-  std::unordered_map<std::string, Stage> stages_;
-  std::unordered_map<std::string, std::string> task_stage_;  // uid -> stage
+  // A deque, so a handler that adds a stage leaves references to the
+  // others valid.
+  std::deque<Stage> stages_;
+  std::unordered_map<std::string, StageId> stage_ids_;
+  // The stage of each task this workflow submitted, by TaskId; kNoStage
+  // for other tasks and for tasks already completed.
+  std::vector<StageId> task_stage_;
   StageHandler stage_handler_;
   DoneHandler done_handler_;
   TaskHandler task_handler_;

@@ -94,7 +94,7 @@ class Runtime {
     obs_trace_ = handle;
     trace_component_ = std::move(component);
     pending_.set_trace(handle, trace_component_, [this](std::uint32_t slot) {
-      return std::string_view(tasks_[slot].request.id);
+      return tasks_[slot].request.id;
     });
     placer_.set_trace(handle, trace_component_);
   }

@@ -86,7 +86,7 @@ class Instance {
   void set_trace(obs::TraceHandle handle) {
     obs_trace_ = handle;
     pending_.set_trace(handle, name_, [this](std::uint32_t slot) {
-      return std::string_view(jobs_[slot].id);
+      return jobs_[slot].id;
     });
     placer_.set_trace(handle, name_);
   }

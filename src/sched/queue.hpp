@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -96,8 +95,10 @@ class BackfillPolicy : public PriorityFifoPolicy {
 // (the determinism rules forbid unordered iteration on scheduling paths).
 class TaskQueue {
  public:
-  // The uid a trace span names for the unit in `slot`.
-  using EntityOf = std::function<std::string_view(std::uint32_t slot)>;
+  // The uid a trace span names for the unit in `slot`. It returns the uid
+  // by value, so an owner that formats it on demand hands back no view
+  // into a temporary.
+  using EntityOf = std::function<std::string(std::uint32_t slot)>;
 
   explicit TaskQueue(std::unique_ptr<QueuePolicy> policy)
       : policy_(std::move(policy)) {

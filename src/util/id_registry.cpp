@@ -5,7 +5,7 @@
 namespace flotilla::util {
 
 IdRegistry::Issued IdRegistry::issue(const std::string& ns, int width) {
-  const std::uint64_t value = counters_[ns]++;
+  const std::uint64_t value = next_ordinal(ns);
   char digits[20] = {};  // 2^64 - 1 has 20 decimal digits
   const auto length = static_cast<std::size_t>(
       std::to_chars(digits, digits + sizeof digits, value).ptr - digits);
@@ -21,7 +21,13 @@ IdRegistry::Issued IdRegistry::issue(const std::string& ns, int width) {
   return issued;
 }
 
-std::uint64_t IdRegistry::count(const std::string& ns) const {
+std::uint64_t IdRegistry::next_ordinal(std::string_view ns) {
+  auto it = counters_.find(ns);
+  if (it == counters_.end()) it = counters_.emplace(ns, 0).first;
+  return it->second++;
+}
+
+std::uint64_t IdRegistry::count(std::string_view ns) const {
   const auto it = counters_.find(ns);
   return it == counters_.end() ? 0 : it->second;
 }

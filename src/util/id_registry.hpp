@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace flotilla::util {
 
@@ -26,14 +28,17 @@ class IdRegistry {
   // Same as next(), but also hands back the counter, so a caller can index
   // dense storage by it without parsing the id.
   Issued issue(const std::string& ns, int width = 6);
+  // Takes the next counter value for `ns` without formatting an id, for a
+  // caller that keeps only the ordinal and formats the id when asked.
+  std::uint64_t next_ordinal(std::string_view ns);
 
   // Number of ids handed out so far for `ns`.
-  std::uint64_t count(const std::string& ns) const;
+  std::uint64_t count(std::string_view ns) const;
 
   void reset();
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
 };
 
 }  // namespace flotilla::util

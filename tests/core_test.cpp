@@ -23,7 +23,8 @@ using platform::frontier_spec;
 TEST(TaskStateMachine, HappyPathTransitions) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task task(0, "task.0", {}, context);
+  Task task(0, {}, context);
+  EXPECT_EQ(task.uid(), "task.000000");
   EXPECT_EQ(task.state(), TaskState::kNew);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
@@ -40,7 +41,7 @@ TEST(TaskStateMachine, HappyPathTransitions) {
 TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task task(0, "task.0", {}, context);
+  Task task(0, {}, context);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -58,7 +59,7 @@ TEST(TaskStateMachine, RetryEdgeLoopsToAgentScheduling) {
 TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task task(0, "task.0", {}, context);
+  Task task(0, {}, context);
   task.advance(TaskState::kTmgrScheduling, 0.0);  // a zero time still counts
   task.advance(TaskState::kAgentScheduling, 2.0);
   task.advance(TaskState::kExecutorPending, 3.0);
@@ -86,8 +87,18 @@ TEST(TaskStateMachine, StateTimesKeepFirstEntryAndReportMissingStates) {
 TEST(TaskStateMachine, IllegalTransitionsThrow) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task task(0, "task.0", {}, context);
+  Task task(0, {}, context);
   EXPECT_THROW(task.advance(TaskState::kRunning, 1.0), util::Error);
+  try {
+    task.advance(TaskState::kRunning, 1.0);
+    ADD_FAILURE() << "NEW -> RUNNING was accepted";
+  } catch (const util::Error& e) {
+    // The message names the task by its canonical uid.
+    EXPECT_NE(std::string(e.what()).find("task task.000000: invalid "
+                                         "transition NEW -> RUNNING"),
+              std::string::npos)
+        << e.what();
+  }
   task.advance(TaskState::kTmgrScheduling, 1.0);
   EXPECT_THROW(task.advance(TaskState::kRunning, 2.0), util::Error);
   task.advance(TaskState::kCanceled, 3.0);
@@ -97,7 +108,7 @@ TEST(TaskStateMachine, IllegalTransitionsThrow) {
 TEST(TaskStateMachine, NewIsNeverEntered) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task task(0, "task.0", {}, context);
+  Task task(0, {}, context);
   sim::Time t = -1.0;
   EXPECT_FALSE(task.state_time(TaskState::kNew, t));
   task.advance(TaskState::kTmgrScheduling, 1.0);
@@ -112,7 +123,7 @@ TEST(TaskStateMachine, NewIsNeverEntered) {
 TEST(TaskStateMachine, RetriesKeepTheFirstEntryTimeOfEveryState) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task task(0, "task.0", {}, context);
+  Task task(0, {}, context);
   task.advance(TaskState::kTmgrScheduling, 1.0);
   task.advance(TaskState::kStagingInput, 2.0);
   task.advance(TaskState::kAgentScheduling, 3.0);
@@ -145,8 +156,11 @@ TEST(TaskStateMachine, OnlyTheFinalStateEnteredReportsATime) {
   TaskLabels labels;
   const Task::Context context(labels);
   TaskId id = 0;
+  const std::vector<std::string> uids = {"task.000000", "task.000001",
+                                         "task.000002"};
   for (const TaskState entered : finals) {
-    Task task(id, "task." + std::to_string(id), {}, context);
+    Task task(id, {}, context);
+    EXPECT_EQ(task.uid(), uids[id]);
     ++id;
     task.advance(TaskState::kTmgrScheduling, 1.0);
     task.advance(TaskState::kAgentScheduling, 2.0);
@@ -165,8 +179,10 @@ TEST(TaskStateMachine, OnlyTheFinalStateEnteredReportsATime) {
 TEST(TaskStateMachine, ErrorIsEmptyUntilSet) {
   TaskLabels labels;
   const Task::Context context(labels);
-  Task a(0, "task.0", {}, context);
-  Task b(1, "task.1", {}, context);
+  Task a(0, {}, context);
+  Task b(1, {}, context);
+  EXPECT_EQ(a.uid(), "task.000000");
+  EXPECT_EQ(b.uid(), "task.000001");
   EXPECT_EQ(a.error(), "");
   EXPECT_EQ(b.error(), "");
   b.set_error("backend lost the task");
@@ -189,7 +205,7 @@ TEST(TaskShapes, ABulkCampaignOfOneShapeInternsOneShape) {
   tasks.reserve(1000);
   for (TaskId id = 0; id < 1000; ++id) {
     desc.duration = 0.5 * id;  // duration is per task, not in the shape
-    tasks.emplace_back(id, "task." + std::to_string(id), desc, context);
+    tasks.emplace_back(id, desc, context);
   }
   EXPECT_EQ(labels.shape_count(), 1u);
   for (const Task& task : tasks) {
@@ -237,7 +253,7 @@ TEST(TaskShapes, DistinctShapesInternOneEachWithEveryFieldExact) {
   tasks.reserve(kShapes);
   for (int i = 0; i < kShapes; ++i) {
     const auto id = static_cast<TaskId>(i);
-    tasks.emplace_back(id, "task." + std::to_string(i), describe(i), context);
+    tasks.emplace_back(id, describe(i), context);
   }
   EXPECT_EQ(labels.shape_count(), static_cast<std::size_t>(kShapes));
   for (int i = 0; i < kShapes; ++i) {
@@ -260,7 +276,7 @@ TEST(TaskShapes, DistinctShapesInternOneEachWithEveryFieldExact) {
   }
   // A description seen before, past the memo of recent shapes, adds no
   // shape.
-  const Task repeat(kShapes, "task.repeat", describe(0), context);
+  const Task repeat(kShapes, describe(0), context);
   EXPECT_EQ(&repeat.demand(), &tasks.front().demand());
   EXPECT_EQ(labels.shape_count(), static_cast<std::size_t>(kShapes));
   // Each description right after the defaults: the memo of recent shapes
@@ -268,8 +284,8 @@ TEST(TaskShapes, DistinctShapesInternOneEachWithEveryFieldExact) {
   // apart.
   for (int i = 0; i < kFields; ++i) {
     const auto id = static_cast<TaskId>(1000 + 2 * i);
-    const Task plain(id, "task.plain", TaskDescription{}, context);
-    const Task one(id + 1, "task.one", describe(i), context);
+    const Task plain(id, TaskDescription{}, context);
+    const Task one(id + 1, describe(i), context);
     EXPECT_NE(&one.demand(), &plain.demand()) << "field " << i;
     EXPECT_EQ(&one.demand(), &tasks[static_cast<std::size_t>(i)].demand());
   }
@@ -291,7 +307,7 @@ TEST(TaskShapes, DemandReferenceOutlivesTableGrowth) {
   const Task::Context context(labels);
   TaskDescription desc;
   desc.demand = {.cores = 3, .gpus = 1, .cores_per_node = 2};
-  const Task task(0, "task.0", desc, context);
+  const Task task(0, desc, context);
   const platform::ResourceDemand& demand = task.demand();
   for (int i = 1; i <= 5000; ++i) {
     TaskShape shape;

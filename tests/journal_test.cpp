@@ -373,9 +373,9 @@ TEST(Writer, AppendIsLineAtomic) {
 TEST(Scribe, TransitionWithADelimiterInTheBackendIsLineAtomic) {
   core::Session session{platform::frontier_spec(), 2, 42};
   const core::Task::Context context(session.labels());
-  core::Task bad(0, "task.000000", core::TaskDescription{}, context);
+  core::Task bad(0, core::TaskDescription{}, context);
   bad.set_backend(session.labels().intern("flux|0"));
-  core::Task good(0, "task.000000", core::TaskDescription{}, context);
+  core::Task good(0, core::TaskDescription{}, context);
   // Validate mode, with a prefix that the good edge matches. The scribe
   // borrows the prefix, so it is a named vector that outlives the scribe.
   const std::vector<Record> prefix = {

@@ -217,6 +217,46 @@ TEST(AgentScheduling, WaitlistsTasksBeyondCapacityFifo) {
   EXPECT_GT(t4 - t3, 90.0);
 }
 
+// A task that waits on the agent's waitlist is named by its uid in the
+// waitlist's wait span. The uid is formatted from the TaskId when the span
+// is recorded (the sanitizer build checks that nothing dangles).
+TEST(AgentScheduling, WaitlistSpanNamesTheWaitingTaskByUid) {
+  core::Session session(frontier_spec(), 4, 42);
+  obs::Tracer& tracer = session.enable_tracing();
+  core::PilotManager pmgr(session);
+  auto& pilot = pmgr.submit({.nodes = 4, .backends = {{"prrte"}}});
+  bool ok = false;
+  pilot.launch([&](bool success, const std::string&) { ok = success; });
+  session.run(60.0);
+  ASSERT_TRUE(ok);
+  core::TaskManager tmgr(session, pilot.agent());
+  tmgr.on_complete([](const core::Task&) {});
+  // 5 whole-node tasks on 4 nodes: the fifth waits for a node.
+  std::vector<std::string> uids;
+  for (int i = 0; i < 5; ++i) {
+    core::TaskDescription desc;
+    desc.demand.cores = 56;
+    desc.demand.cores_per_node = 56;
+    desc.duration = 100.0;
+    uids.push_back(tmgr.submit(std::move(desc)));
+  }
+  session.run();
+  EXPECT_EQ(tmgr.finished(), 5u);
+  std::vector<obs::Record> waits;
+  tracer.for_each([&waits](const obs::Record& r) {
+    if (r.type == obs::SpanType::kTaskQueueWait) waits.push_back(r);
+  });
+  ASSERT_EQ(waits.size(), 2u);
+  EXPECT_EQ(waits[0].kind, obs::RecordKind::kBegin);
+  EXPECT_EQ(waits[1].kind, obs::RecordKind::kEnd);
+  for (const auto& record : waits) {
+    EXPECT_EQ(record.component, "agent.prrte.waitlist");
+    EXPECT_EQ(record.entity, uids[4]);
+  }
+  EXPECT_EQ(uids[4], "task.000004");
+  EXPECT_GT(waits[1].time - waits[0].time, 90.0);
+}
+
 TEST(AgentScheduling, UtilizationIsHighWithAgentPlacement) {
   PilotFixture fx;
   fx.tmgr->on_complete([](const core::Task&) {});

@@ -177,7 +177,7 @@ TEST(QueuePolicy, TaskQueueTracesWaitsUnderTheOwnersUids) {
   const std::vector<std::string> uids = {"task.000000", "task.000001"};
   queue.set_trace(obs::TraceHandle(&tracer), "flux.0",
                   [&uids](std::uint32_t slot) {
-                    return std::string_view(uids.at(slot));
+                    return uids.at(slot);
                   });
   queue.push(entry(1, 24));
   queue.push(entry(0, 8));

@@ -251,12 +251,12 @@ TEST(SessionReport, CountsFailuresAndSkipsUnfinishedTasks) {
   analytics::SessionReport report;
   TaskLabels labels;
   const Task::Context context(labels);
-  Task unfinished(0, "task.x", {}, context);
+  Task unfinished(0, {}, context);
   unfinished.advance(TaskState::kTmgrScheduling, 1.0);
   report.add(unfinished);
   EXPECT_EQ(report.tasks(), 0u);
 
-  Task failed(1, "task.y", {}, context);
+  Task failed(1, {}, context);
   failed.advance(TaskState::kTmgrScheduling, 1.0);
   failed.advance(TaskState::kFailed, 2.0);
   report.add(failed);

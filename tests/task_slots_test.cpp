@@ -1,15 +1,19 @@
 // Dense task slots in the RP core: TaskManager and Agent keep their tasks in
-// vectors indexed by TaskId (the uid's ordinal) and resolve the string ids
-// that cross the TaskBackend seam by parsing the ordinal and comparing the
-// slot's uid. These tests drive that resolution through a fake backend and
-// the public API:
+// vectors indexed by TaskId (the uid's ordinal), store no uid, and resolve
+// the string ids that cross the TaskBackend seam by parsing the ordinal and
+// checking the canonical width. These tests drive that resolution through a
+// fake backend and the public API:
 //
-//  - task_ordinal parses "task.<digits>" and nothing else
+//  - task_uid formats as IdRegistry does; uid_less is uid text order
+//  - task_ordinal parses "task.<digits>" and nothing else; canonical_task_id
+//    also refuses every padding but IdRegistry's
 //  - malformed, non-canonical, overflowing, out-of-range, foreign and
 //    already-finalized ids resolve to no task: the agent ignores starts and
 //    completions for them, cancel returns false, task() raises its labeled
 //    "unknown task" error
 //  - for_each_task keeps sorted-uid order across the 6 -> 7 digit boundary
+//  - a bulk submit returns its own uids, also when a transition hook
+//    submits in between
 //  - two pilots with two task managers on one session: each manager and
 //    agent resolves only its own uids
 #include <gtest/gtest.h>
@@ -103,13 +107,60 @@ TEST(TaskOrdinal, ParsesTaskUidsOnly) {
   EXPECT_EQ(task_ordinal("task.000042"), std::optional<TaskId>(42));
   EXPECT_EQ(task_ordinal("task.1000000"), std::optional<TaskId>(1000000));
   EXPECT_EQ(task_ordinal("task.0"), std::optional<TaskId>(0));
-  // Padding is not checked here; resolution compares the slot's uid.
+  // Padding is not checked here; resolution checks the width (see
+  // canonical_task_id).
   EXPECT_EQ(task_ordinal("task.00042"), std::optional<TaskId>(42));
   for (const char* bad :
        {"", "task", "task.", "task.12a", "task.-1", "task.+1", "task. 1",
         "job.000001", "Task.000001", "task.4294967296",
         "task.9999999999999999999999999"}) {
     EXPECT_EQ(task_ordinal(bad), std::nullopt) << bad;
+  }
+}
+
+// The uid a task reports is the one the session's registry would have
+// issued for its ordinal, across the 6 -> 7 digit boundary.
+TEST(TaskUid, MatchesIdRegistryFormatting) {
+  util::IdRegistry registry;
+  std::uint64_t next = 0;
+  for (const TaskId id : {0u, 42u, 999'999u, 1'000'000u}) {
+    while (next < id) next = registry.next_ordinal("task") + 1;
+    const auto issued = registry.issue("task");
+    ASSERT_EQ(issued.ordinal, id);
+    ++next;
+    EXPECT_EQ(task_uid(id), issued.id);
+    TaskLabels labels;
+    const Task::Context context(labels);
+    EXPECT_EQ(Task(id, {}, context).uid(), issued.id);
+  }
+  EXPECT_EQ(task_uid(42), "task.000042");
+  EXPECT_EQ(task_uid(1'000'000), "task.1000000");
+  EXPECT_EQ(task_uid(4'294'967'295u), "task.4294967295");
+}
+
+TEST(TaskUid, UidLessIsUidTextOrder) {
+  const std::vector<TaskId> ids = {0,       1,       9,         10,
+                                   99'999,  999'998, 999'999,   1'000'000,
+                                   1'000'001, 1'999'999, 10'000'000,
+                                   100'000, 4'294'967'295u};
+  for (const TaskId a : ids) {
+    for (const TaskId b : ids) {
+      EXPECT_EQ(uid_less(a, b), task_uid(a) < task_uid(b)) << a << " " << b;
+    }
+  }
+}
+
+TEST(TaskUid, CanonicalIdRefusesEveryOtherPadding) {
+  EXPECT_EQ(canonical_task_id("task.000042"), std::optional<TaskId>(42));
+  EXPECT_EQ(canonical_task_id("task.000000"), std::optional<TaskId>(0));
+  EXPECT_EQ(canonical_task_id("task.1000000"),
+            std::optional<TaskId>(1'000'000));
+  EXPECT_EQ(canonical_task_id("task.4294967295"),
+            std::optional<TaskId>(4'294'967'295u));
+  for (const char* bad :
+       {"task.00042", "task.0000042", "task.42", "task.0", "task.01000000",
+        "task.", "task.12a", "job.000042", "task.4294967296"}) {
+    EXPECT_EQ(canonical_task_id(bad), std::nullopt) << bad;
   }
 }
 
@@ -232,6 +283,73 @@ TEST(TaskSlots, UnresolvableIdsAreIgnoredAsBefore) {
   EXPECT_EQ(tmgr.task(live).state(), TaskState::kDone);
   EXPECT_EQ(stack.agent->inflight(), 0u);
   EXPECT_TRUE(tmgr.idle());
+}
+
+// One id, three spellings: only IdRegistry's width names the task, at the
+// manager and at each of the agent's lookups (start, completion, cancel).
+TEST(TaskSlots, OnlyTheCanonicalWidthResolves) {
+  Session session(platform::frontier_spec(), 2, 42);
+  Stack stack(session, {0, 2});
+  auto& tmgr = *stack.tmgr;
+  int finals = 0;
+  tmgr.on_complete([&finals](const Task&) { ++finals; });
+  for (int i = 0; i < 42; ++i) session.ids().next("task");
+  const std::string uid = tmgr.submit(null_task());
+  ASSERT_EQ(uid, "task.000042");
+  session.run();
+  ASSERT_EQ(stack.agent->inflight(), 1u);
+
+  for (const std::string padded : {"task.00042", "task.0000042"}) {
+    stack.backend->start(padded);
+    stack.backend->complete(padded);
+    session.run();
+    EXPECT_THROW((void)tmgr.task(padded), util::Error) << padded;
+    EXPECT_FALSE(tmgr.cancel(padded)) << padded;
+    EXPECT_FALSE(stack.agent->cancel(padded)) << padded;
+  }
+  EXPECT_EQ(finals, 0);
+  EXPECT_EQ(tmgr.task(uid).state(), TaskState::kExecutorPending);
+  EXPECT_FALSE(tmgr.task(uid).cancel_requested());
+
+  stack.backend->start(uid);
+  EXPECT_EQ(tmgr.task(uid).state(), TaskState::kRunning);
+  EXPECT_TRUE(stack.agent->cancel(uid));
+  EXPECT_TRUE(tmgr.task(uid).cancel_requested());
+  EXPECT_TRUE(tmgr.cancel(uid));
+  stack.backend->complete(uid);
+  session.run();
+  EXPECT_EQ(finals, 1);
+  EXPECT_EQ(tmgr.task(uid).state(), TaskState::kCanceled);
+}
+
+// The uid list is built after the descriptions are freed, from the tasks
+// the call created: a transition hook that submits while the bulk runs
+// takes ids in between, and they are not in the list.
+TEST(TaskSlots, BulkSubmitReturnsItsOwnUidsWhenAHookSubmits) {
+  Session session(platform::frontier_spec(), 2, 42);
+  Stack stack(session, {0, 2});
+  auto& tmgr = *stack.tmgr;
+  std::vector<std::string> nested;
+  tmgr.on_transition([&](const Task& task, TaskState, TaskState to) {
+    if (to == TaskState::kTmgrScheduling && task.name() == "spawns") {
+      nested.push_back(tmgr.submit(null_task()));
+    }
+  });
+  std::vector<TaskDescription> bulk(4, null_task());
+  bulk[1].name = "spawns";
+  bulk[3].name = "spawns";
+  const auto uids = tmgr.submit(std::move(bulk));
+  EXPECT_EQ(uids, (std::vector<std::string>{"task.000000", "task.000001",
+                                            "task.000003", "task.000004"}));
+  EXPECT_EQ(nested,
+            (std::vector<std::string>{"task.000002", "task.000005"}));
+  EXPECT_EQ(tmgr.task("task.000003").name(), "");
+  EXPECT_EQ(tmgr.task("task.000004").name(), "spawns");
+
+  // Without a hook submitting, the list is the run of positions.
+  const auto more = tmgr.submit(std::vector<TaskDescription>(2, null_task()));
+  EXPECT_EQ(more, (std::vector<std::string>{"task.000006", "task.000007"}));
+  EXPECT_EQ(tmgr.submitted(), 8u);
 }
 
 TEST(TaskSlots, ForEachTaskKeepsUidOrderPastSixDigits) {

@@ -184,6 +184,19 @@ TEST(IdRegistry, IssueReportsTheOrdinalItFormatted) {
   EXPECT_EQ(pilot.id, "pilot.0000");
 }
 
+// next_ordinal takes from the same counter as next() and issue(), without
+// formatting an id.
+TEST(IdRegistry, NextOrdinalSharesTheCounter) {
+  IdRegistry registry;
+  EXPECT_EQ(registry.next_ordinal("task"), 0u);
+  EXPECT_EQ(registry.next("task"), "task.000001");
+  EXPECT_EQ(registry.next_ordinal("task"), 2u);
+  EXPECT_EQ(registry.issue("task").ordinal, 3u);
+  EXPECT_EQ(registry.next_ordinal("pilot"), 0u);
+  EXPECT_EQ(registry.count("task"), 4u);
+  EXPECT_EQ(registry.count("pilot"), 1u);
+}
+
 TEST(IdRegistry, ResetClearsCounters) {
   IdRegistry registry;
   registry.next("x");

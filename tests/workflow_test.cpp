@@ -156,5 +156,63 @@ TEST(Workflow, StageTagsPropagateToTasks) {
   for (const auto& s : stages_seen) EXPECT_EQ(s, "tagged");
 }
 
+// The stage of each task as it enters the TMGR, one entry per run of a
+// stage: the order the workflow submitted its stages in.
+struct SubmitOrder {
+  std::vector<std::string> stages;
+
+  explicit SubmitOrder(TaskManager& tmgr) {
+    tmgr.on_transition([this](const Task& task, TaskState, TaskState to) {
+      if (to != TaskState::kTmgrScheduling) return;
+      if (stages.empty() || stages.back() != task.stage()) {
+        stages.push_back(task.stage());
+      }
+    });
+  }
+};
+
+// A completion that unblocks three stages submits them in name order, not
+// in the order they were added; a stage that also waits on another
+// incomplete stage stays back until that one completes.
+TEST(Workflow, UnblockedStagesAreSubmittedInNameOrder) {
+  WorkflowFixture fx;
+  SubmitOrder order(fx.tmgr);
+  fx.workflow.add_stage("root", batch_of(2, quick_task(1.0)));
+  fx.workflow.add_stage("slow", batch_of(1, quick_task(100.0)));
+  fx.workflow.add_stage("zeta", batch_of(2, quick_task()), {"root"});
+  fx.workflow.add_stage("beta", batch_of(1, quick_task()), {"root", "slow"});
+  fx.workflow.add_stage("alpha", batch_of(2, quick_task()), {"root"});
+  fx.workflow.add_stage("mid", batch_of(1, quick_task()), {"root"});
+  fx.workflow.start();
+  fx.session.run();
+  EXPECT_EQ(order.stages, (std::vector<std::string>{"root", "slow", "alpha",
+                                                    "mid", "zeta", "beta"}));
+  EXPECT_EQ(fx.workflow.stages_completed(), 6u);
+}
+
+// A stage added from on_stage_complete whose deps are all complete is
+// submitted inside add_stage, before the completed stage's own dependents.
+TEST(Workflow, StageAddedOnCompletionWithItsDepsDoneIsSubmittedAtOnce) {
+  WorkflowFixture fx;
+  SubmitOrder order(fx.tmgr);
+  std::size_t before = 0;
+  std::size_t after = 0;
+  fx.workflow.on_stage_complete([&](const std::string& stage) {
+    if (stage != "root") return;
+    before = fx.tmgr.submitted();
+    fx.workflow.add_stage("extra", batch_of(3, quick_task()), {"root"});
+    after = fx.tmgr.submitted();
+  });
+  fx.workflow.add_stage("root", batch_of(1, quick_task()));
+  fx.workflow.add_stage("alpha", batch_of(1, quick_task()), {"root"});
+  fx.workflow.start();
+  fx.session.run();
+  EXPECT_EQ(after, before + 3);
+  EXPECT_EQ(order.stages,
+            (std::vector<std::string>{"root", "extra", "alpha"}));
+  EXPECT_TRUE(fx.workflow.stage_complete("extra"));
+  EXPECT_EQ(fx.workflow.stages_completed(), 3u);
+}
+
 }  // namespace
 }  // namespace flotilla::core
