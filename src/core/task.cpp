@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/id_registry.hpp"
 
 namespace flotilla::core {
 
@@ -38,39 +39,19 @@ std::string_view to_string(TaskState state) {
 
 namespace {
 
+constexpr std::string_view kUidNamespace = "task";
 constexpr std::string_view kUidPrefix = "task.";
-constexpr std::size_t kUidWidth = 6;  // IdRegistry's default width
-// The most digits a TaskId's uid has: 2^32 - 1 has 10.
-constexpr std::size_t kUidDigits = 10;
-
-// Writes the zero-padded ordinal of `id`'s uid to `out` (room for
-// kUidDigits); returns how many characters it wrote.
-std::size_t uid_digits(TaskId id, char* out) {
-  char digits[kUidDigits];
-  const auto length = static_cast<std::size_t>(
-      std::to_chars(digits, digits + kUidDigits, id).ptr - digits);
-  const std::size_t padding = length < kUidWidth ? kUidWidth - length : 0;
-  std::fill_n(out, padding, '0');
-  std::copy_n(digits, length, out + padding);
-  return padding + length;
-}
 
 }  // namespace
 
 std::string task_uid(TaskId id) {
-  char text[kUidPrefix.size() + kUidDigits];
-  const auto digits = std::copy(kUidPrefix.begin(), kUidPrefix.end(), text);
-  return std::string(text, static_cast<std::size_t>(digits - text) +
-                               uid_digits(id, digits));
+  return util::IdRegistry::format(kUidNamespace, id);
 }
 
 bool uid_less(TaskId a, TaskId b) {
   // Below 10^6 every uid has 6 digits, so text order is number order.
   if (a < 1'000'000 && b < 1'000'000) return a < b;
-  char digits_a[kUidDigits];
-  char digits_b[kUidDigits];
-  return std::string_view(digits_a, uid_digits(a, digits_a)) <
-         std::string_view(digits_b, uid_digits(b, digits_b));
+  return task_uid(a) < task_uid(b);
 }
 
 std::optional<TaskId> task_ordinal(std::string_view uid) {
@@ -90,7 +71,9 @@ std::optional<TaskId> canonical_task_id(std::string_view uid) {
   if (!id) return std::nullopt;
   std::size_t digits = 1;
   for (TaskId rest = *id; rest >= 10; rest /= 10) ++digits;
-  if (uid.size() != kUidPrefix.size() + std::max(digits, kUidWidth)) {
+  const auto width =
+      static_cast<std::size_t>(util::IdRegistry::kDefaultWidth);
+  if (uid.size() != kUidPrefix.size() + std::max(digits, width)) {
     return std::nullopt;
   }
   return id;

@@ -70,8 +70,8 @@ constexpr bool is_final(TaskState state) {
 // its slots in a vector indexed by it.
 using TaskId = std::uint32_t;
 
-// The uid of task `id`, formatted as IdRegistry::issue("task") formats
-// it: "task." and the ordinal zero-padded to 6 digits, wider past 999,999
+// The uid of task `id`, formatted by IdRegistry::format("task", id):
+// "task." and the ordinal zero-padded to 6 digits, wider past 999,999
 // ("task.000042", "task.1000000"). It fits the small-string buffer, so it
 // never allocates; it is formatted only where a uid leaves the process or
 // a human reads it.
@@ -79,7 +79,7 @@ std::string task_uid(TaskId id);
 
 // Whether task `a`'s uid sorts before task `b`'s. That is TaskId order
 // until the counter outgrows its zero padding: "task.1000000" sorts
-// before "task.999998". Formats nothing on the heap.
+// before "task.999998".
 bool uid_less(TaskId a, TaskId b);
 
 // The ordinal in a "task.<digits>" uid, or nullopt when `uid` has another

@@ -85,34 +85,17 @@ std::string TaskManager::submit(TaskDescription description) {
 
 std::vector<std::string> TaskManager::submit(
     std::vector<TaskDescription> descriptions) {
-  const std::size_t count = descriptions.size();
-  const std::size_t begin = total_submitted_;
-  // The created tasks are the positions [begin, total_submitted_), unless
-  // a transition hook submitted in between: from then on their ids are
-  // kept here.
   std::vector<TaskId> ids;
-  for (std::size_t i = 0; i < count; ++i) {
-    const TaskId id = submit_task(std::move(descriptions[i]));
-    if (ids.empty()) {
-      if (total_submitted_ == begin + i + 1) continue;
-      for (std::size_t pos = begin; pos < begin + i; ++pos) {
-        ids.push_back(at(pos).id());
-      }
-    }
-    ids.push_back(id);
+  ids.reserve(descriptions.size());
+  for (auto& description : descriptions) {
+    ids.push_back(submit_task(std::move(description)));
   }
   // Free the descriptions before the uids are made, so the peak holds
   // descriptions and tasks, or tasks and uids, never all three.
   std::vector<TaskDescription>().swap(descriptions);
   std::vector<std::string> uids;
-  uids.reserve(count);
-  if (ids.empty()) {
-    for (std::size_t pos = begin; pos < begin + count; ++pos) {
-      uids.push_back(at(pos).uid());
-    }
-  } else {
-    for (const TaskId id : ids) uids.push_back(task_uid(id));
-  }
+  uids.reserve(ids.size());
+  for (const TaskId id : ids) uids.push_back(task_uid(id));
   return uids;
 }
 

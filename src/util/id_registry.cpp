@@ -1,24 +1,25 @@
 #include "util/id_registry.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 namespace flotilla::util {
 
-IdRegistry::Issued IdRegistry::issue(const std::string& ns, int width) {
-  const std::uint64_t value = next_ordinal(ns);
-  char digits[20] = {};  // 2^64 - 1 has 20 decimal digits
+std::string IdRegistry::format(std::string_view ns, std::uint64_t ordinal,
+                               int width) {
+  char digits[20];  // 2^64 - 1 has 20 decimal digits
   const auto length = static_cast<std::size_t>(
-      std::to_chars(digits, digits + sizeof digits, value).ptr - digits);
+      std::to_chars(digits, digits + sizeof digits, ordinal).ptr - digits);
   const std::size_t padding =
       width > 0 && static_cast<std::size_t>(width) > length
           ? static_cast<std::size_t>(width) - length
           : 0;
-  Issued issued;
-  issued.ordinal = value;
-  issued.id.reserve(ns.size() + 1 + padding + length);
-  issued.id.append(ns).append(1, '.').append(padding, '0').append(digits,
-                                                                  length);
-  return issued;
+  // Sized once and written in place, padding zeros included.
+  std::string id(ns.size() + 1 + padding + length, '0');
+  char* out = std::copy(ns.begin(), ns.end(), id.data());
+  *out = '.';
+  std::copy_n(digits, length, out + 1 + padding);
+  return id;
 }
 
 std::uint64_t IdRegistry::next_ordinal(std::string_view ns) {

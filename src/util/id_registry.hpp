@@ -15,22 +15,18 @@ namespace flotilla::util {
 
 class IdRegistry {
  public:
-  // An id and the counter value formatted into it.
-  struct Issued {
-    std::uint64_t ordinal = 0;
-    std::string id;
-  };
+  static constexpr int kDefaultWidth = 6;
 
   // Returns "<ns>.<counter>" with the counter zero-padded to `width`.
-  std::string next(const std::string& ns, int width = 6) {
-    return issue(ns, width).id;
+  std::string next(std::string_view ns, int width = kDefaultWidth) {
+    return format(ns, next_ordinal(ns), width);
   }
-  // Same as next(), but also hands back the counter, so a caller can index
-  // dense storage by it without parsing the id.
-  Issued issue(const std::string& ns, int width = 6);
   // Takes the next counter value for `ns` without formatting an id, for a
   // caller that keeps only the ordinal and formats the id when asked.
   std::uint64_t next_ordinal(std::string_view ns);
+  // The id next() gives counter value `ordinal` of `ns`.
+  static std::string format(std::string_view ns, std::uint64_t ordinal,
+                            int width = kDefaultWidth);
 
   // Number of ids handed out so far for `ns`.
   std::uint64_t count(std::string_view ns) const;

@@ -122,16 +122,13 @@ TEST(TaskOrdinal, ParsesTaskUidsOnly) {
 // issued for its ordinal, across the 6 -> 7 digit boundary.
 TEST(TaskUid, MatchesIdRegistryFormatting) {
   util::IdRegistry registry;
-  std::uint64_t next = 0;
   for (const TaskId id : {0u, 42u, 999'999u, 1'000'000u}) {
-    while (next < id) next = registry.next_ordinal("task") + 1;
-    const auto issued = registry.issue("task");
-    ASSERT_EQ(issued.ordinal, id);
-    ++next;
-    EXPECT_EQ(task_uid(id), issued.id);
+    while (registry.count("task") < id) registry.next_ordinal("task");
+    const std::string issued = registry.next("task");
+    EXPECT_EQ(task_uid(id), issued);
     TaskLabels labels;
     const Task::Context context(labels);
-    EXPECT_EQ(Task(id, {}, context).uid(), issued.id);
+    EXPECT_EQ(Task(id, {}, context).uid(), issued);
   }
   EXPECT_EQ(task_uid(42), "task.000042");
   EXPECT_EQ(task_uid(1'000'000), "task.1000000");

@@ -151,11 +151,14 @@ TEST(IdRegistry, MatchesStreamFormattingByteForByte) {
   IdRegistry registry;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(registry.next("task"), stream_formatted("task", 6, i));
+    ASSERT_EQ(IdRegistry::format("task", i), stream_formatted("task", 6, i));
   }
   for (const int width : {-3, 0, 1, 4, 12}) {
     const std::string ns = "w" + std::to_string(width + 3);
     for (std::uint64_t i = 0; i < 12; ++i) {
       ASSERT_EQ(registry.next(ns, width), stream_formatted(ns, width, i));
+      ASSERT_EQ(IdRegistry::format(ns, i, width),
+                stream_formatted(ns, width, i));
     }
   }
 }
@@ -172,26 +175,28 @@ TEST(IdRegistry, PadsAndOverflowsTheWidth) {
   EXPECT_EQ(registry.count("flux"), 1u);
 }
 
-TEST(IdRegistry, IssueReportsTheOrdinalItFormatted) {
+// format() is next() without the counter: the id next() gives an ordinal.
+TEST(IdRegistry, FormatIsTheIdNextIssues) {
   IdRegistry registry;
   registry.next("task");
-  const auto issued = registry.issue("task");
-  EXPECT_EQ(issued.ordinal, 1u);
-  EXPECT_EQ(issued.id, "task.000001");
-  EXPECT_EQ(registry.next("task"), "task.000002");  // one shared counter
-  const auto pilot = registry.issue("pilot", 4);
-  EXPECT_EQ(pilot.ordinal, 0u);
-  EXPECT_EQ(pilot.id, "pilot.0000");
+  EXPECT_EQ(IdRegistry::format("task", 1), "task.000001");
+  EXPECT_EQ(registry.next("task"), "task.000001");
+  EXPECT_EQ(IdRegistry::format("pilot", 0, 4), "pilot.0000");
+  EXPECT_EQ(IdRegistry::format("task", 1'000'000), "task.1000000");
+  EXPECT_EQ(IdRegistry::format("x", 18'446'744'073'709'551'615u),
+            "x.18446744073709551615");
+  EXPECT_EQ(registry.count("task"), 2u);  // format() takes no counter value
+  EXPECT_EQ(registry.count("pilot"), 0u);
 }
 
-// next_ordinal takes from the same counter as next() and issue(), without
-// formatting an id.
+// next_ordinal takes from the same counter as next(), without formatting
+// an id.
 TEST(IdRegistry, NextOrdinalSharesTheCounter) {
   IdRegistry registry;
   EXPECT_EQ(registry.next_ordinal("task"), 0u);
   EXPECT_EQ(registry.next("task"), "task.000001");
   EXPECT_EQ(registry.next_ordinal("task"), 2u);
-  EXPECT_EQ(registry.issue("task").ordinal, 3u);
+  EXPECT_EQ(registry.next("task"), "task.000003");
   EXPECT_EQ(registry.next_ordinal("pilot"), 0u);
   EXPECT_EQ(registry.count("task"), 4u);
   EXPECT_EQ(registry.count("pilot"), 1u);
