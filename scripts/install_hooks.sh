@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Installs the repo's git hooks. Currently one pre-commit hook: run
-# flotilla-analyze over the staged C++ sources against the committed
-# baseline, so interprocedural findings (docs/correctness.md,
-# "Interprocedural analysis") surface before CI does the full-tree run.
+# flotilla-analyze over the staged C++ sources, so findings
+# (docs/correctness.md, "Static analysis") surface before CI does the
+# full-tree run.
 # Usage:
 #
 #   scripts/install_hooks.sh [build-dir]
@@ -36,7 +36,7 @@ if [ -z "\$staged" ]; then
   exit 0
 fi
 # shellcheck disable=SC2086
-"\$analyze" --baseline analyze/baseline.txt \$staged
+"\$analyze" \$staged
 HOOK
 chmod +x "$hook_dir/pre-commit"
 echo "install_hooks: pre-commit installed at $hook_dir/pre-commit"

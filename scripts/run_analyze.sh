@@ -1,20 +1,15 @@
 #!/usr/bin/env bash
 # flotilla-analyze over the project's own sources (src/ and tools/),
-# against the committed layer DAG (analyze/layers.conf) and baseline
-# (analyze/baseline.txt). Usage:
+# against the committed layer DAG (analyze/layers.conf). Usage:
 #
 #   scripts/run_analyze.sh [build-dir] [sarif-output]
 #
 # Builds the tool if needed, writes the SARIF report (default
 # flotilla-analyze.sarif, what CI uploads), and exits non-zero on any
-# finding that is neither waived in source nor grandfathered in the
-# baseline — which is how CI gates on it. To accept a finding instead of
-# fixing it:
-#
-#   ./build/tools/flotilla-analyze --baseline analyze/baseline.txt \
-#       --write-baseline
-#
-# and commit the diff (docs/correctness.md, "Static analysis").
+# finding not waived in source — which is how CI gates on it. A finding
+# is either fixed or waived on its line with
+# // FLOTILLA_LINT_ALLOW(<rule>): <reason> (docs/correctness.md,
+# "Static analysis").
 set -euo pipefail
 
 build_dir=${1:-build}
@@ -31,17 +26,15 @@ cmake --build "$build_dir" --target flotilla-analyze -- -j "$(nproc 2>/dev/null 
 
 analyze="$build_dir/tools/flotilla-analyze"
 
-# SARIF for the artifact upload (exit code deferred to the gating run:
-# the SARIF run reports suppressed results too, so it shares the same
-# fresh-findings exit status).
-"$analyze" --baseline analyze/baseline.txt --sarif --output "$sarif_out" \
-  || true
+# SARIF for the artifact upload (exit code deferred to the gating run,
+# which reports the same findings).
+"$analyze" --sarif --output "$sarif_out" || true
 
-# Human-readable gate: prints fresh findings and fails on them. Timed so
-# CI logs show analyzer cost as the tree grows.
+# Human-readable gate: prints findings and fails on them. Timed so CI
+# logs show analyzer cost as the tree grows.
 start_ms=$(date +%s%3N)
 status=0
-"$analyze" --baseline analyze/baseline.txt || status=$?
+"$analyze" || status=$?
 end_ms=$(date +%s%3N)
 echo "run_analyze: gate finished in $((end_ms - start_ms)) ms" >&2
 exit "$status"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <string_view>
 
 namespace flotilla::analyze {
 
@@ -47,13 +46,6 @@ const TokenRule kTokenRules[] = {
     {"real-sleep", "sleep_until", true, kSleepMsg},
     {"real-sleep", "usleep", true, kSleepMsg},
     {"real-sleep", "nanosleep", true, kSleepMsg},
-};
-
-const char* const kScopedDirs[] = {
-    "src/sim/",      "src/core/",      "src/slurm/",   "src/flux/",
-    "src/dragon/",   "src/prrte/",     "src/platform/", "src/workloads/",
-    "src/sched/",    "src/check/",     "src/obs/",     "src/analyze/",
-    "src/journal/",  "src/ingress/",   "src/analytics/",
 };
 
 bool is_ident(const Token& t) { return t.kind == TokenKind::kIdentifier; }
@@ -179,25 +171,9 @@ void check_unordered_iteration(const SourceFile& file,
 
 }  // namespace
 
-const char* nondet_source_rule(const std::vector<Token>& toks,
-                               std::size_t i) {
-  if (!is_ident(toks[i])) return nullptr;
-  for (const TokenRule& rule : kTokenRules) {
-    if (toks[i].text != rule.token) continue;
-    const bool wall = std::string_view(rule.rule) == "wall-clock";
-    const bool random = std::string_view(rule.rule) == "unseeded-random";
-    if (!wall && !random) continue;
-    if (rule.call_only && !call_form_ok(toks, i)) continue;
-    return rule.rule;
-  }
-  return nullptr;
-}
-
 bool determinism_in_scope(const std::string& path) {
-  for (const char* dir : kScopedDirs) {
-    if (path.find(dir) != std::string::npos) return true;
-  }
-  return false;
+  return path.compare(0, 4, "src/") == 0 ||
+         path.find("/src/") != std::string::npos;
 }
 
 std::vector<std::string> DeterminismPass::rules() const {

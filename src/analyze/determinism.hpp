@@ -20,20 +20,10 @@
 
 namespace flotilla::analyze {
 
-// Simulation-code scope: which files the determinism rules apply to.
-// src/{sim,core,slurm,flux,dragon,prrte,platform,workloads,sched,check,
-// obs,analyze,journal,ingress,analytics}/; src/util/ and tools/ are out of
-// scope. Paths are matched '/'-normalized.
+// Simulation-code scope: which files the determinism rules apply to. All
+// of src/ (a path that starts with "src/" or holds a "/src/" component);
+// tools/ is out of scope. Paths are matched '/'-normalized.
 bool determinism_in_scope(const std::string& path);
-
-// Classifies toks[i] as an interprocedural taint source: returns
-// "wall-clock" or "unseeded-random" when the token (with the same
-// call-form requirements the rules above apply) reads host time or
-// unseeded entropy, nullptr otherwise. Used by the facts collector
-// (analyze/facts.hpp) so ipc-determinism shares one source table with
-// this pass.
-const char* nondet_source_rule(const std::vector<Token>& toks,
-                               std::size_t i);
 
 class DeterminismPass : public Pass {
  public:

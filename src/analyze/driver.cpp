@@ -1,16 +1,11 @@
 #include "analyze/driver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <set>
-#include <thread>
 
-#include "analyze/baseline.hpp"
-#include "analyze/callgraph.hpp"
 #include "analyze/determinism.hpp"
 #include "analyze/sarif.hpp"
 
@@ -99,7 +94,6 @@ bool load_source(const std::string& path, const std::string& display,
       }
     }
   }
-  out->facts = collect_facts(out->lex, out->bodies, out->paired_header.get());
   return true;
 }
 
@@ -132,58 +126,24 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
     return 2;
   }
 
-  // Phase one: load every file (lex + bodies + facts). Each load is
-  // independent, so a --jobs pool splits the list; results land in
-  // pre-sized slots by index, making the output identical for any job
-  // count.
-  unsigned jobs = options.jobs;
-  if (jobs == 0) {
-    // Host tooling, not simulation code: the job count cannot affect output.
-    jobs = std::thread::
-        hardware_concurrency();  // FLOTILLA_LINT_ALLOW(hardware-concurrency): host tooling, output is jobs-invariant
-  }
-  if (jobs == 0) jobs = 1;
-  if (paths.size() < jobs) jobs = paths.empty() ? 1 : paths.size();
-
-  std::vector<SourceFile> files(paths.size());
-  std::vector<std::string> errors(paths.size());
-  std::atomic<std::size_t> next{0};
-  auto load_worker = [&] {
-    for (std::size_t i; (i = next.fetch_add(1)) < paths.size();) {
-      std::string display = paths[i];
-      if (!options.strip_prefix.empty() &&
-          display.compare(0, options.strip_prefix.size(),
-                          options.strip_prefix) == 0) {
-        display = display.substr(options.strip_prefix.size());
-      }
-      load_source(paths[i], display, &files[i], &errors[i]);
+  AnalysisInput input;
+  input.files.resize(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    std::string display = paths[i];
+    if (!options.strip_prefix.empty() &&
+        display.compare(0, options.strip_prefix.size(),
+                        options.strip_prefix) == 0) {
+      display = display.substr(options.strip_prefix.size());
     }
-  };
-  if (jobs <= 1) {
-    load_worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(load_worker);
-    for (std::thread& t : pool) t.join();
-  }
-  for (const std::string& load_error : errors) {
-    if (!load_error.empty()) {
-      err << "flotilla-analyze: error: " << load_error << "\n";
+    if (!load_source(paths[i], display, &input.files[i], &error)) {
+      err << "flotilla-analyze: error: " << error << "\n";
       return 2;
     }
   }
-
-  AnalysisInput input;
-  input.files = std::move(files);
   std::sort(input.files.begin(), input.files.end(),
             [](const SourceFile& a, const SourceFile& b) {
               return a.display < b.display;
             });
-
-  // Phase two: link the per-file facts into the whole-program model the
-  // interprocedural passes consume.
-  input.program = std::make_shared<const ProgramModel>(build_program(input));
 
   std::vector<Finding> findings;
   for (const auto& pass : registry.passes()) {
@@ -193,33 +153,6 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end()),
                  findings.end());
-
-  if (options.write_baseline) {
-    if (options.baseline_path.empty()) {
-      err << "flotilla-analyze: error: --write-baseline requires "
-             "--baseline <path>\n";
-      return 2;
-    }
-    if (!save_baseline(options.baseline_path, findings, &error)) {
-      err << "flotilla-analyze: error: " << error << "\n";
-      return 2;
-    }
-    err << "flotilla-analyze: wrote " << findings.size()
-        << " finding(s) to " << options.baseline_path << "\n";
-    return 0;
-  }
-
-  std::set<Finding> baseline;
-  if (!options.baseline_path.empty() &&
-      !load_baseline(options.baseline_path, &baseline, &error)) {
-    err << "flotilla-analyze: error: " << error << "\n";
-    return 2;
-  }
-
-  std::vector<Finding> fresh;
-  for (const Finding& f : findings) {
-    if (baseline.count(f) == 0) fresh.push_back(f);
-  }
 
   std::ofstream file_out;
   std::ostream* sink = &out;
@@ -243,15 +176,9 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
     std::sort(rule_ids.begin(), rule_ids.end());
     rule_ids.erase(std::unique(rule_ids.begin(), rule_ids.end()),
                    rule_ids.end());
-    // SARIF carries every finding, baselined ones marked suppressed.
-    std::vector<SarifResult> results;
-    results.reserve(findings.size());
-    for (const Finding& f : findings) {
-      results.push_back({f, baseline.count(f) > 0});
-    }
-    write_sarif(*sink, "flotilla-analyze", rule_ids, results);
+    write_sarif(*sink, "flotilla-analyze", rule_ids, findings);
   } else {
-    write_text(*sink, fresh);
+    write_text(*sink, findings);
   }
   if (sink == &file_out) {
     file_out.flush();
@@ -263,12 +190,8 @@ int run_driver(const DriverOptions& options, const PassRegistry& registry,
   }
 
   err << "flotilla-analyze: " << input.files.size() << " file(s) checked, "
-      << fresh.size() << " finding(s)";
-  if (!baseline.empty()) {
-    err << " (" << findings.size() - fresh.size() << " baselined)";
-  }
-  err << "\n";
-  return fresh.empty() ? 0 : 1;
+      << findings.size() << " finding(s)\n";
+  return findings.empty() ? 0 : 1;
 }
 
 }  // namespace flotilla::analyze

@@ -1,10 +1,9 @@
 // Pass registry for the static-analysis framework.
 //
 // A Pass sees the whole lexed tree at once (cross-file analyses like
-// include-graph layering and the call graph need global state) and
-// appends Findings. The driver (analyze/driver.hpp) owns file collection,
-// waiver filtering, baseline suppression, and output formatting; passes
-// only detect.
+// include-graph layering need global state) and appends Findings. The
+// driver (analyze/driver.hpp) owns file collection, waiver filtering and
+// output formatting; passes only detect.
 #pragma once
 
 #include <memory>
@@ -12,13 +11,10 @@
 #include <string_view>
 #include <vector>
 
-#include "analyze/facts.hpp"
 #include "analyze/lexer.hpp"
 #include "analyze/scopes.hpp"
 
 namespace flotilla::analyze {
-
-struct ProgramModel;  // analyze/callgraph.hpp
 
 struct Finding {
   std::string file;     // display path (repo-relative when scanned via driver)
@@ -48,17 +44,10 @@ struct SourceFile {
   // Paired header lexed alongside a .cpp (declarations referenced by
   // heuristic passes live there); nullptr when none exists.
   std::shared_ptr<LexedFile> paired_header;
-  // Per-file facts for the interprocedural layer (analyze/facts.hpp),
-  // filled by load_source alongside the body index.
-  FileFacts facts;
 };
 
 struct AnalysisInput {
   std::vector<SourceFile> files;  // sorted by display path
-  // Whole-program model (analyze/callgraph.hpp), built by the driver
-  // after every file is loaded; null in single-file front-ends that never
-  // run interprocedural passes.
-  std::shared_ptr<const ProgramModel> program;
 };
 
 class Pass {

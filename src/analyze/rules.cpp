@@ -6,7 +6,6 @@ namespace {
 
 constexpr const char* kPasses = "pass-catalogue";
 constexpr const char* kDeterminism = "determinism-rules";
-constexpr const char* kIpc = "interprocedural-analysis";
 
 const RuleMeta kRules[] = {
     {"arch-config",
@@ -29,11 +28,6 @@ const RuleMeta kRules[] = {
      "std::thread::hardware_concurrency() makes behavior depend on the "
      "host machine; worker counts must come from configuration.",
      kDeterminism},
-    {"ipc-determinism",
-     "A trace span, counter, or fingerprint takes a value from a function "
-     "that transitively reads wall-clock time or unseeded randomness, so "
-     "trace content differs run to run.",
-     kIpc},
     {"real-sleep",
      "Simulation code sleeps in real time; delays must be modeled as "
      "simulated events.",

@@ -1,7 +1,7 @@
 // Rule metadata catalog: one-line description and the
 // docs/correctness.md anchor every rule is documented under. Consumed by
 // the SARIF writer (per-rule fullDescription/helpUri). Every rule is
-// severity "error": its findings fail the run and may enter the baseline.
+// severity "error": its findings fail the run.
 #pragma once
 
 #include <string>

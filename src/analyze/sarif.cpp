@@ -32,7 +32,7 @@ std::string json_escape(const std::string& s) {
 
 void write_sarif(std::ostream& os, const std::string& tool_name,
                  const std::vector<std::string>& rule_ids,
-                 const std::vector<SarifResult>& results) {
+                 const std::vector<Finding>& findings) {
   os << "{\n";
   os << "  \"$schema\": "
         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n";
@@ -65,8 +65,8 @@ void write_sarif(std::ostream& os, const std::string& tool_name,
   os << "        }\n";
   os << "      },\n";
   os << "      \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Finding& f = results[i].finding;
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    const Finding& f = findings[i];
     os << "        {\n";
     os << "          \"ruleId\": \"" << json_escape(f.rule) << "\",\n";
     os << "          \"level\": \"error\",\n";
@@ -80,13 +80,8 @@ void write_sarif(std::ostream& os, const std::string& tool_name,
     os << "                \"region\": {\"startLine\": " << f.line << "}\n";
     os << "              }\n";
     os << "            }\n";
-    os << "          ]";
-    if (results[i].suppressed) {
-      os << ",\n          \"suppressions\": [{\"kind\": \"external\"}]\n";
-    } else {
-      os << "\n";
-    }
-    os << "        }" << (i + 1 < results.size() ? "," : "") << "\n";
+    os << "          ]\n";
+    os << "        }" << (i + 1 < findings.size() ? "," : "") << "\n";
   }
   os << "      ]\n";
   os << "    }\n";

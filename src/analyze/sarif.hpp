@@ -3,7 +3,7 @@
 //
 // Output is deterministic by construction: findings are emitted in sorted
 // order with a fixed field layout and no timestamps/absolute paths, so the
-// same tree and baseline produce a byte-identical document on any machine
+// same tree produces a byte-identical document on any machine
 // — which is what lets CI diff the artifact at all.
 #pragma once
 
@@ -15,17 +15,11 @@
 
 namespace flotilla::analyze {
 
-struct SarifResult {
-  Finding finding;
-  bool suppressed = false;  // present in the committed baseline
-};
-
 // Writes a complete SARIF 2.1.0 document. `rule_ids` become
-// tool.driver.rules (sorted, deduped by the caller); suppressed results
-// carry an external suppression so code scanning closes them out.
+// tool.driver.rules (sorted, deduped by the caller).
 void write_sarif(std::ostream& os, const std::string& tool_name,
                  const std::vector<std::string>& rule_ids,
-                 const std::vector<SarifResult>& results);
+                 const std::vector<Finding>& findings);
 
 // One "file:line: error: [rule] message" line per finding.
 void write_text(std::ostream& os, const std::vector<Finding>& findings);

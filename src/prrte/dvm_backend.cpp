@@ -1,14 +1,8 @@
 #include "prrte/dvm_backend.hpp"
 
 #include "util/error.hpp"
-#include "util/ordered.hpp"
 
 namespace flotilla::prrte {
-
-struct DvmBackend::Task {
-  platform::LaunchRequest request;
-  sim::Time started = 0.0;
-};
 
 DvmBackend::DvmBackend(sim::Engine& engine, platform::Cluster& cluster,
                        platform::NodeRange span,
@@ -26,8 +20,6 @@ DvmBackend::DvmBackend(sim::Engine& engine, platform::Cluster& cluster,
     daemons_.push_back(std::make_unique<sim::Server>(engine, 1));
   }
 }
-
-DvmBackend::~DvmBackend() = default;
 
 void DvmBackend::bootstrap(ReadyHandler ready) {
   FLOT_CHECK(!ready_, "dvm bootstrapped twice");
@@ -55,28 +47,29 @@ void DvmBackend::submit(platform::LaunchRequest request) {
              "agent (task ",
              request.id, ")");
   ++inflight_;
-  auto task = std::make_shared<Task>();
-  task->request = std::move(request);
   if (!healthy_) {
-    finish(std::move(task), false, "dvm down");
+    finish(Task{std::move(request)}, false, "dvm down");
     return;
   }
+  const Slot slot = tasks_.claim(Task{std::move(request)});
   // The head daemon relays the spawn request (cheap, serialized), then the
   // per-node daemons fork the ranks in parallel.
   head_.submit(rng_.lognormal_mean_cv(cal_.head_relay_cost, cal_.jitter_cv),
-               [this, task = std::move(task)]() mutable {
+               [this, slot] {
                  if (!healthy_) {
-                   finish(std::move(task), false, "dvm down");
+                   finish(tasks_[slot], false, "dvm down");
+                   tasks_.release(slot);
                    return;
                  }
-                 launch(std::move(task));
+                 launch(slot);
                });
 }
 
-void DvmBackend::launch(std::shared_ptr<Task> task) {
-  const auto& placement = task->request.placement;
-  auto remaining = std::make_shared<int>(static_cast<int>(
-      placement.slices.empty() ? 1 : placement.slices.size()));
+void DvmBackend::launch(Slot slot) {
+  Task& task = tasks_[slot];
+  const auto& placement = task.request.placement;
+  task.ranks_pending =
+      placement.slices.empty() ? 1 : static_cast<int>(placement.slices.size());
   double wireup = 0.0;
   if (placement.slices.size() > 1) {
     wireup = rng_.lognormal_mean_cv(
@@ -85,23 +78,12 @@ void DvmBackend::launch(std::shared_ptr<Task> task) {
                 static_cast<double>(placement.slices.size()),
         cal_.jitter_cv);
   }
-  auto on_rank_up = [this, task, wireup, remaining] {
-    if (--*remaining > 0) return;
-    engine_.in(wireup, [this, task] {
-      if (active_.count(task->request.id) == 0) return;  // crashed
-      task->started = engine_.now();
-      if (start_handler_) start_handler_(task->request.id);
-      const sim::Time duration = task->request.duration;
-      engine_.in(duration, [this, task] {
-        if (active_.erase(task->request.id) == 0) return;
-        const bool failed =
-            task->request.fail_probability > 0.0 &&
-            rng_.bernoulli(task->request.fail_probability);
-        finish(task, !failed, failed ? "task exited non-zero" : "");
-      });
-    });
+  auto on_rank_up = [this, slot, wireup] {
+    if (--tasks_[slot].ranks_pending > 0) return;
+    engine_.in(wireup, [this, slot] { start(slot); });
   };
-  active_.emplace(task->request.id, task);
+  task.phase = Phase::kActive;
+  ++active_;
   if (placement.slices.empty()) {
     daemons_.front()->submit(
         rng_.lognormal_mean_cv(cal_.daemon_spawn_cost, cal_.jitter_cv),
@@ -118,16 +100,33 @@ void DvmBackend::launch(std::shared_ptr<Task> task) {
   }
 }
 
-void DvmBackend::finish(std::shared_ptr<Task> task, bool success,
-                        std::string error) {
+void DvmBackend::start(Slot slot) {
+  Task& task = tasks_[slot];
+  if (task.phase != Phase::kActive) return;  // crashed
+  task.started = engine_.now();
+  if (start_handler_) start_handler_(task.request.id);
+  engine_.in(task.request.duration, [this, slot] { complete(slot); });
+}
+
+void DvmBackend::complete(Slot slot) {
+  Task& task = tasks_[slot];
+  if (task.phase != Phase::kActive) return;  // crashed
+  --active_;
+  const bool failed = task.request.fail_probability > 0.0 &&
+                      rng_.bernoulli(task.request.fail_probability);
+  finish(task, !failed, failed ? "task exited non-zero" : "");
+  tasks_.release(slot);
+}
+
+void DvmBackend::finish(const Task& task, bool success, std::string error) {
   FLOT_CHECK(inflight_ > 0, "finish without inflight task");
   --inflight_;
   if (success) ++completed_;
   platform::LaunchOutcome outcome;
-  outcome.id = task->request.id;
+  outcome.id = task.request.id;
   outcome.success = success;
   outcome.error = std::move(error);
-  outcome.started = task->started;
+  outcome.started = task.started;
   outcome.finished = engine_.now();
   if (completion_handler_) completion_handler_(outcome);
 }
@@ -135,11 +134,16 @@ void DvmBackend::finish(std::shared_ptr<Task> task, bool success,
 void DvmBackend::crash(const std::string& reason) {
   if (!healthy_) return;
   healthy_ = false;
-  auto victims = std::move(active_);
-  active_.clear();
-  // Sorted so the failure-event sequence is reproducible across runs.
-  for (const auto& id : util::sorted_keys(victims)) {
-    finish(victims.at(id), false, reason);
+  // Active tasks fail with the DVM, in uid order so the failure-event
+  // sequence is reproducible across runs. Their slots stay claimed, so
+  // their pending start and completion events find them reaped.
+  const auto victims = tasks_.sorted_slots(
+      [](const Task& task) { return task.phase == Phase::kActive; },
+      [](const Task& task) -> const std::string& { return task.request.id; });
+  active_ = 0;
+  for (const Slot slot : victims) {
+    tasks_[slot].phase = Phase::kReaped;
+    finish(tasks_[slot], false, reason);
   }
 }
 

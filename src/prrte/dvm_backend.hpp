@@ -12,12 +12,14 @@
 // and coordination" (the paper's description of the Dragon pairing, which
 // PRRTE pioneered); it exercises the agent-side scheduling path that the
 // self-scheduling backends bypass.
+//
+// Each task is held by value in a slot table from submit until it
+// finishes (or a crash reaps it); every event it schedules carries its slot.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -26,6 +28,7 @@
 #include "platform/cluster.hpp"
 #include "sim/random.hpp"
 #include "sim/server.hpp"
+#include "util/slot_table.hpp"
 
 namespace flotilla::prrte {
 
@@ -34,7 +37,6 @@ class DvmBackend : public platform::TaskBackend {
   DvmBackend(sim::Engine& engine, platform::Cluster& cluster,
              platform::NodeRange span, const platform::PrrteCalibration& cal,
              std::uint64_t seed);
-  ~DvmBackend() override;
 
   const std::string& name() const override { return name_; }
   bool accepts(platform::TaskModality modality) const override {
@@ -55,7 +57,7 @@ class DvmBackend : public platform::TaskBackend {
   std::size_t inflight() const override { return inflight_; }
   // Quiesce includes the active-task table (the agent holds the
   // placements, the DVM the spawned processes; both must drain together).
-  bool quiescent() const override { return inflight_ == 0 && active_.empty(); }
+  bool quiescent() const override { return inflight_ == 0 && active_ == 0; }
 
   sim::Time bootstrap_duration() const { return bootstrap_duration_; }
   std::uint64_t completed() const { return completed_; }
@@ -65,7 +67,7 @@ class DvmBackend : public platform::TaskBackend {
   std::string restore_summary() const override {
     return TaskBackend::restore_summary() +
            "|completed=" + std::to_string(completed_) +
-           "|active=" + std::to_string(active_.size());
+           "|active=" + std::to_string(active_);
   }
 
   // Fault injection: the DVM head daemon dies.
@@ -76,9 +78,21 @@ class DvmBackend : public platform::TaskBackend {
   void set_trace(obs::TraceHandle handle) override { obs_trace_ = handle; }
 
  private:
-  struct Task;
-  void launch(std::shared_ptr<Task> task);
-  void finish(std::shared_ptr<Task> task, bool success, std::string error);
+  using Slot = std::uint32_t;
+  // kRelaying: at the head daemon. kActive: spawning or running (the
+  // active-task table). kReaped: failed by a crash.
+  enum class Phase : std::uint8_t { kRelaying, kActive, kReaped };
+  struct Task {
+    platform::LaunchRequest request;
+    sim::Time started = 0.0;
+    int ranks_pending = 0;  // daemons yet to report their ranks up
+    Phase phase = Phase::kRelaying;
+  };
+
+  void launch(Slot slot);
+  void start(Slot slot);
+  void complete(Slot slot);
+  void finish(const Task& task, bool success, std::string error);
 
   sim::Engine& engine_;
   platform::Cluster& cluster_;
@@ -87,7 +101,8 @@ class DvmBackend : public platform::TaskBackend {
   sim::RngStream rng_;
   sim::Server head_;  // head daemon: serialized spawn-request handling
   std::vector<std::unique_ptr<sim::Server>> daemons_;  // per-node prted
-  std::unordered_map<std::string, std::shared_ptr<Task>> active_;
+  util::SlotTable<Task> tasks_;
+  std::size_t active_ = 0;  // tasks in Phase::kActive
   obs::TraceHandle obs_trace_;
   std::string name_ = "prrte";
   bool ready_ = false;

@@ -1,6 +1,5 @@
 #include "util/config.hpp"
 
-#include <algorithm>
 #include <cctype>
 
 #include "util/error.hpp"
@@ -103,17 +102,6 @@ double Config::get_double(const std::string& key, double fallback) const {
   raise("config key '", key, "' is out of range: '", it->second, "'");
 }
 
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  raise("config key '", key, "' is not a boolean: ", it->second);
-}
-
 Config Config::subset(const std::string& prefix) const {
   Config result;
   const std::string full = prefix + ".";
@@ -122,12 +110,6 @@ Config Config::subset(const std::string& prefix) const {
       result.set(key.substr(full.size()), value);
     }
   }
-  return result;
-}
-
-Config Config::merged_with(const Config& other) const {
-  Config result = *this;
-  for (const auto& [key, value] : other.entries_) result.set(key, value);
   return result;
 }
 

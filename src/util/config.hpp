@@ -36,16 +36,12 @@ class Config {
   // throws util::Error naming the key.
   long get_int(const std::string& key, long fallback = 0) const;
   double get_double(const std::string& key, double fallback = 0.0) const;
-  bool get_bool(const std::string& key, bool fallback = false) const;
 
   std::optional<std::string> find(const std::string& key) const;
 
   // All keys sharing `prefix.` with the prefix stripped, e.g.
   // subset("flux") of {"flux.partitions": "4"} -> {"partitions": "4"}.
   Config subset(const std::string& prefix) const;
-
-  // Overlays `other` on top of *this (other wins on conflicts).
-  Config merged_with(const Config& other) const;
 
   const std::map<std::string, std::string>& entries() const {
     return entries_;

@@ -1,5 +1,5 @@
-// Fixture: scope. src/util/ is not simulation code (host tools use it
-// too), so the host clock below is never a determinism finding.
+// Fixture: scope. src/util/ is simulation code like the rest of src/, so
+// the host clock below is a determinism finding where it is read.
 #include <ctime>
 
 namespace fixture {

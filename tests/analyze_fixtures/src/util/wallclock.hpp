@@ -1,7 +1,7 @@
-// Fixture: wall-clock helper in the util layer, which sits outside the
-// determinism scope — defining it here is legal, but feeding its return
-// value into a trace sink from simulation code is exactly what the
-// ipc-determinism pass exists to catch.
+// Fixture: wall-clock helper in the util layer. The determinism rules
+// cover all of src/, util/ included, so the clock read is reported here,
+// at its source, before any caller in simulation code can feed its value
+// into a trace span, counter or fingerprint.
 #pragma once
 
 #include <chrono>

@@ -78,7 +78,6 @@ TEST(Config, TypedGettersFallBack) {
   const Config config;
   EXPECT_EQ(config.get_int("missing", 9), 9);
   EXPECT_DOUBLE_EQ(config.get_double("missing", 0.5), 0.5);
-  EXPECT_TRUE(config.get_bool("missing", true));
   EXPECT_EQ(config.get_string("missing", "x"), "x");
 }
 
@@ -97,15 +96,6 @@ TEST(Config, TypedGettersRejectGarbage) {
   }
 }
 
-TEST(Config, BoolAcceptsCommonSpellings) {
-  const auto config =
-      Config::from_pairs({"a=true", "b=0", "c=YES", "d=off"});
-  EXPECT_TRUE(config.get_bool("a", false));
-  EXPECT_FALSE(config.get_bool("b", true));
-  EXPECT_TRUE(config.get_bool("c", false));
-  EXPECT_FALSE(config.get_bool("d", true));
-}
-
 TEST(Config, SubsetStripsPrefix) {
   const auto config =
       Config::from_pairs({"flux.partitions=4", "flux.nodes=16", "srun.x=1"});
@@ -113,15 +103,6 @@ TEST(Config, SubsetStripsPrefix) {
   EXPECT_EQ(flux.get_int("partitions", 0), 4);
   EXPECT_EQ(flux.get_int("nodes", 0), 16);
   EXPECT_FALSE(flux.has("x"));
-}
-
-TEST(Config, MergedWithPrefersOther) {
-  const auto base = Config::from_pairs({"a=1", "b=2"});
-  const auto over = Config::from_pairs({"b=3", "c=4"});
-  const auto merged = base.merged_with(over);
-  EXPECT_EQ(merged.get_int("a", 0), 1);
-  EXPECT_EQ(merged.get_int("b", 0), 3);
-  EXPECT_EQ(merged.get_int("c", 0), 4);
 }
 
 TEST(Config, MissingEqualsThrows) {

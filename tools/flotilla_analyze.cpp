@@ -8,21 +8,16 @@
 //                  arch-unmapped, arch-config)
 //   spans          obs::Tracer begin/end pairs leaked by early returns
 //                  (span-balance)
-//   determinism    the five determinism rules, on the token stream
-//                  (wall-clock, unseeded-random, hardware-concurrency,
-//                  real-sleep, unordered-iteration)
-//   ipc-determinism  wall-clock/unseeded-random taint flowing through
-//                  function returns into trace spans, counters, or the
-//                  trace fingerprint (ipc-determinism)
+//   determinism    the five determinism rules, on the token stream, over
+//                  all of src/ (wall-clock, unseeded-random,
+//                  hardware-concurrency, real-sleep, unordered-iteration)
 //
-// Findings can be waived in place (// FLOTILLA_LINT_ALLOW(rule): reason)
-// or grandfathered in a committed baseline (analyze/baseline.txt); CI
-// fails only on findings that are neither. Output is plain text or SARIF
-// 2.1.0, byte-identical for the same tree and baseline.
+// Findings can be waived in place (// FLOTILLA_LINT_ALLOW(rule): reason);
+// CI fails on any other finding. Output is plain text or SARIF 2.1.0,
+// byte-identical for the same tree.
 //
-// Run from the repo root so display paths are repo-relative (that is what
-// the committed baseline records). Exit codes: 0 clean, 1 fresh findings,
-// 2 usage/IO error.
+// Run from the repo root so display paths are repo-relative. Exit codes:
+// 0 clean, 1 findings, 2 usage/IO error.
 
 #include <algorithm>
 #include <cstdlib>
@@ -33,7 +28,6 @@
 
 #include "analyze/determinism.hpp"
 #include "analyze/driver.hpp"
-#include "analyze/ipc.hpp"
 #include "analyze/layers.hpp"
 #include "analyze/spans.hpp"
 
@@ -45,18 +39,12 @@ void usage(std::ostream& os) {
         "(default: src tools)\n"
         "  --layers <file>      layer DAG config "
         "(default: analyze/layers.conf)\n"
-        "  --baseline <file>    grandfathered findings; only new ones "
-        "fail\n"
-        "  --write-baseline     regenerate --baseline from this run and "
-        "exit\n"
         "  --sarif              emit SARIF 2.1.0 instead of text "
         "findings\n"
         "  --output <file>      write the report to <file> instead of "
         "stdout\n"
         "  --strip-prefix <p>   strip <p> from display paths (fixture "
         "trees)\n"
-        "  --jobs <n>           file-loading threads (default: one per "
-        "hardware thread); output is identical for any value\n"
         "  --list-rules         print every rule id and exit\n";
 }
 
@@ -80,26 +68,12 @@ int main(int argc, char** argv) {
     };
     if (arg == "--layers") {
       layers_path = value("--layers");
-    } else if (arg == "--baseline") {
-      options.baseline_path = value("--baseline");
-    } else if (arg == "--write-baseline") {
-      options.write_baseline = true;
     } else if (arg == "--sarif") {
       options.sarif = true;
     } else if (arg == "--output") {
       options.output_path = value("--output");
     } else if (arg == "--strip-prefix") {
       options.strip_prefix = value("--strip-prefix");
-    } else if (arg == "--jobs") {
-      const std::string n = value("--jobs");
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(n.c_str(), &end, 10);
-      if (end == n.c_str() || *end != '\0' || parsed == 0) {
-        std::cerr << "flotilla-analyze: error: --jobs needs a positive "
-                     "integer\n";
-        return 2;
-      }
-      options.jobs = static_cast<unsigned>(parsed);
     } else if (arg == "--list-rules") {
       list_rules = true;
     } else if (arg == "-h" || arg == "--help") {
@@ -127,7 +101,6 @@ int main(int argc, char** argv) {
                                                       layers_error));
   registry.add(std::make_unique<fa::SpanBalancePass>());
   registry.add(std::make_unique<fa::DeterminismPass>());
-  registry.add(std::make_unique<fa::IpcDeterminismPass>());
 
   if (list_rules) {
     std::vector<std::string> rules;
