@@ -3,6 +3,7 @@
 // systems" — here, RP's agent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,157 @@ TEST(DvmBackend, CrashFailsActiveTasks) {
   for (const auto& placement : held) {
     fx.cluster.release(placement);
   }
+}
+
+// The failure events of a crash follow uid order, not the order the tasks
+// were submitted (or the slots they hold).
+TEST(DvmBackend, CrashFailsActiveTasksInUidOrder) {
+  DvmFixture fx;
+  std::vector<std::string> failed;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    EXPECT_FALSE(outcome.success);
+    failed.push_back(outcome.id);
+  });
+  std::vector<platform::Placement> held;
+  for (int i = 19; i >= 0; --i) {
+    auto req = fx.preplaced(i, 500.0, 1);
+    held.push_back(req.placement);
+    fx.backend.submit(std::move(req));
+  }
+  fx.engine.run(fx.engine.now() + 60.0);
+  fx.backend.crash();
+  fx.engine.run();
+  std::vector<std::string> sorted = failed;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(failed.size(), 20u);
+  EXPECT_EQ(failed, sorted);
+  for (const auto& placement : held) {
+    fx.cluster.release(placement);
+  }
+}
+
+// Tasks still at the head daemon when the DVM dies are not active yet:
+// the crash leaves them alone and each fails as "dvm down" when its relay
+// turn comes.
+TEST(DvmBackend, RelayingTasksFailWhenTheirRelayFindsTheDvmDown) {
+  DvmFixture fx;
+  std::vector<std::string> errors;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    EXPECT_FALSE(outcome.success);
+    errors.push_back(outcome.error);
+  });
+  std::vector<platform::Placement> held;
+  for (int i = 0; i < 10; ++i) {
+    auto req = fx.preplaced(i, 5.0, 1);
+    held.push_back(req.placement);
+    fx.backend.submit(std::move(req));
+  }
+  fx.backend.crash("head lost");
+  EXPECT_TRUE(errors.empty());
+  EXPECT_EQ(fx.backend.inflight(), 10u);
+  fx.engine.run();
+  EXPECT_EQ(errors, std::vector<std::string>(10, "dvm down"));
+  EXPECT_EQ(fx.backend.inflight(), 0u);
+  EXPECT_TRUE(fx.backend.quiescent());
+  for (const auto& placement : held) {
+    fx.cluster.release(placement);
+  }
+}
+
+// A submit to a dead DVM fails at once, without a relay.
+TEST(DvmBackend, SubmitAfterCrashFailsAtOnce) {
+  DvmFixture fx;
+  fx.backend.crash();
+  std::vector<platform::LaunchOutcome> outcomes;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    outcomes.push_back(outcome);
+  });
+  auto req = fx.preplaced(0, 5.0, 1);
+  const platform::Placement placement = req.placement;
+  fx.backend.submit(std::move(req));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].id, "task.0");
+  EXPECT_FALSE(outcomes[0].success);
+  EXPECT_EQ(outcomes[0].error, "dvm down");
+  EXPECT_EQ(fx.backend.inflight(), 0u);
+  fx.cluster.release(placement);
+}
+
+// The restore summary and quiescence read the live count of active tasks:
+// non-zero while they run, zero once they complete, and zero after a
+// crash even though the reaped tasks keep their slots.
+TEST(DvmBackend, ActiveCountDrivesRestoreSummaryAndQuiescence) {
+  DvmFixture fx;
+  std::vector<platform::Placement> held;
+  for (int i = 0; i < 10; ++i) {
+    auto req = fx.preplaced(i, 100.0, 1);
+    held.push_back(req.placement);
+    fx.backend.submit(std::move(req));
+  }
+  fx.engine.run(fx.engine.now() + 30.0);
+  EXPECT_FALSE(fx.backend.quiescent());
+  EXPECT_NE(fx.backend.restore_summary().find("|completed=0|active=10"),
+            std::string::npos)
+      << fx.backend.restore_summary();
+  fx.engine.run();
+  EXPECT_TRUE(fx.backend.quiescent());
+  EXPECT_NE(fx.backend.restore_summary().find("|completed=10|active=0"),
+            std::string::npos)
+      << fx.backend.restore_summary();
+
+  for (const auto& placement : held) fx.cluster.release(placement);
+  held.clear();
+  for (int i = 10; i < 15; ++i) {
+    auto req = fx.preplaced(i, 100.0, 1);
+    held.push_back(req.placement);
+    fx.backend.submit(std::move(req));
+  }
+  fx.engine.run(fx.engine.now() + 30.0);
+  EXPECT_FALSE(fx.backend.quiescent());
+  fx.backend.crash();
+  EXPECT_TRUE(fx.backend.quiescent());
+  EXPECT_NE(fx.backend.restore_summary().find("|completed=10|active=0"),
+            std::string::npos)
+      << fx.backend.restore_summary();
+  fx.engine.run();
+  EXPECT_TRUE(fx.backend.quiescent());
+  for (const auto& placement : held) fx.cluster.release(placement);
+}
+
+// Completed tasks free their slots for the next wave; a reused slot
+// carries only its new task: every outcome names its own id once, with
+// the start time of its own wave.
+TEST(DvmBackend, ReusedSlotsCarryOnlyTheirNewTask) {
+  DvmFixture fx;
+  std::vector<platform::LaunchOutcome> outcomes;
+  fx.backend.on_task_complete([&](const platform::LaunchOutcome& outcome) {
+    EXPECT_TRUE(outcome.success);
+    outcomes.push_back(outcome);
+  });
+  std::vector<platform::Placement> held;
+  for (int wave = 0; wave < 2; ++wave) {
+    const sim::Time wave_start = fx.engine.now();
+    for (int i = 0; i < 10; ++i) {
+      auto req = fx.preplaced(wave * 10 + i, 5.0 + i, 1);
+      held.push_back(req.placement);
+      fx.backend.submit(std::move(req));
+    }
+    fx.engine.run();
+    for (const auto& placement : held) fx.cluster.release(placement);
+    held.clear();
+    for (std::size_t k = outcomes.size() - 10; k < outcomes.size(); ++k) {
+      EXPECT_GE(outcomes[k].started, wave_start) << outcomes[k].id;
+    }
+  }
+  std::vector<std::string> ids;
+  for (const auto& outcome : outcomes) ids.push_back(outcome.id);
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::string> expected;
+  for (int i = 0; i < 20; ++i) expected.push_back(util::cat("task.", i));
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(ids, expected);
+  EXPECT_EQ(fx.backend.completed(), 20u);
+  EXPECT_TRUE(fx.backend.quiescent());
 }
 
 // --------------------------------------------- agent-side scheduling path
